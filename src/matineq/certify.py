@@ -26,6 +26,7 @@ from .core import (
     is_contraction,
     is_normal,
     kron,
+    loewner_leq,
     mat_abs,
     polar,
     random_contraction,
@@ -89,17 +90,15 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 
-# Fault-injection hook for harness self-tests: when True the arithmetic
-# certificate assembles its right-hand side with the orbit term negated.
-MUTANT_FLIP_RHS_SIGN = False
-
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
     """One verified operator inequality ``lhs <= rhs``.
 
-    ``slack_spectrum`` holds the descending eigenvalues of ``rhs - lhs``;
-    the check passes iff its minimum is at least ``-tol * max(1, ||rhs||)``.
+    ``lhs`` and ``rhs`` are stored as their Hermitian parts, and
+    ``slack_spectrum`` holds the descending eigenvalues of ``rhs - lhs``. The
+    pass flag is the verdict of ``core.loewner_leq``: the minimum slack is at
+    least ``-tol * max(1, ||rhs||)``.
     """
 
     statement_id: str
@@ -182,11 +181,9 @@ def _eig_desc(x) -> np.ndarray:
 
 
 def _certificate(statement_id, lhs, rhs, *, witness=None, beta=None, tol=DEFAULT_TOL) -> Certificate:
-    lhs = hermitian_part(as_matrix(lhs, square=True, name="lhs"))
-    rhs = hermitian_part(as_matrix(rhs, square=True, name="rhs"))
-    slack = _eig_desc(rhs - lhs)
-    scale = max(1.0, spectral_norm(rhs))
-    passed = bool(slack.size == 0 or slack[-1] >= -tol * scale)
+    lhs = hermitian_part(lhs)
+    rhs = hermitian_part(rhs)
+    passed, slack = loewner_leq(lhs, rhs, tol)
     return Certificate(
         statement_id=statement_id,
         lhs=lhs,
@@ -231,6 +228,63 @@ def witness_unitary(y) -> np.ndarray:
     return polar(y).unitary_factor.conj().T
 
 
+def _orbit(image, arg):
+    """``(|image|, v, v arg v*)`` from one polar decomposition of ``image``.
+
+    ``v`` is the witness of ``witness_unitary(image)`` and ``|image|`` the
+    positive polar factor, so every orbit bound takes its left-hand side and
+    its witness from the same factorisation.
+    """
+    unitary, lhs = polar(image)
+    v = unitary.conj().T
+    return lhs, v, hermitian_part(v @ arg @ v.conj().T)
+
+
+class _NormalImage(NamedTuple):
+    """Weight-independent data of a positive map applied to a normal matrix."""
+
+    nmat: np.ndarray
+    image: np.ndarray
+    image_abs: np.ndarray
+    lhs: np.ndarray
+    witness: np.ndarray
+    orbit: np.ndarray
+    geomean: np.ndarray
+    singular_values: np.ndarray
+    abs_spectrum: np.ndarray
+
+
+def _normal_image(pmap: PositiveMapRep, nmat) -> _NormalImage:
+    """``map(n)``, ``map(|n|)``, their polar orbit data and spectra, computed once."""
+    nmat = _require_normal(nmat, "nmat")
+    image = apply(pmap, nmat)
+    image_abs = apply(pmap, mat_abs(nmat))
+    lhs, v, orbit = _orbit(image, image_abs)
+    geomean = geometric_mean(image_abs, orbit)
+    return _NormalImage(
+        nmat, image, image_abs, lhs, v, orbit, geomean, singular_values(image), _eig_desc(image_abs)
+    )
+
+
+def _theorem_main(inst: _NormalImage, beta: float, tol: float, inject_mutant: bool = False):
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    # The injected fault negates the orbit term of the arithmetic bound.
+    sign = -1.0 if inject_mutant else 1.0
+    arith = _certificate(
+        "main-arith",
+        inst.lhs,
+        beta * inst.image_abs + sign * inst.orbit / (4.0 * beta),
+        witness=inst.witness,
+        beta=beta,
+        tol=tol,
+    )
+    geom = _certificate(
+        "main-geom", inst.lhs, inst.geomean, witness=inst.witness, beta=beta, tol=tol
+    )
+    return arith, geom
+
+
 def check_theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float = DEFAULT_TOL):
     """Both orbit bounds for a normal matrix under a positive map at weight ``beta``.
 
@@ -239,32 +293,7 @@ def check_theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float = DEF
     geometric-mean refinement ``|map(n)| <= map(|n|) # v map(|n|) v*``,
     both with the polar witness ``v`` of ``map(n)``.
     """
-    nmat = _require_normal(nmat, "nmat")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    image = apply(pmap, nmat)
-    image_abs = apply(pmap, mat_abs(nmat))
-    v = witness_unitary(image)
-    lhs = mat_abs(image)
-    orbit = hermitian_part(v @ image_abs @ v.conj().T)
-    sign = -1.0 if MUTANT_FLIP_RHS_SIGN else 1.0
-    arith = _certificate(
-        "main-arith",
-        lhs,
-        beta * image_abs + sign * orbit / (4.0 * beta),
-        witness=v,
-        beta=beta,
-        tol=tol,
-    )
-    geom = _certificate(
-        "main-geom",
-        lhs,
-        geometric_mean(image_abs, orbit),
-        witness=v,
-        beta=beta,
-        tol=tol,
-    )
-    return arith, geom
+    return _theorem_main(_normal_image(pmap, nmat), beta, tol)
 
 
 def chain_certificate(geom: Certificate, arith: Certificate, tol: float = DEFAULT_TOL) -> Certificate:
@@ -272,14 +301,46 @@ def chain_certificate(geom: Certificate, arith: Certificate, tol: float = DEFAUL
     return _certificate("main-chain", geom.rhs, arith.rhs, beta=arith.beta, tol=tol)
 
 
+def _block_psd(pmap: PositiveMapRep, inst: _NormalImage, tol: float) -> Certificate:
+    image_star = apply(pmap, inst.nmat.conj().T)
+    block = np.block([[inst.image_abs, inst.image], [image_star, inst.image_abs]])
+    return _psd_certificate("block-psd", block, tol=tol)
+
+
 def check_block_certificate(pmap: PositiveMapRep, nmat, tol: float = DEFAULT_TOL) -> Certificate:
     """The 2x2 block matrix [[map(|n|), map(n)], [map(n*), map(|n|)]] is PSD."""
-    nmat = _require_normal(nmat, "nmat")
-    image = apply(pmap, nmat)
-    image_star = apply(pmap, nmat.conj().T)
-    image_abs = apply(pmap, mat_abs(nmat))
-    block = np.block([[image_abs, image], [image_star, image_abs]])
-    return _psd_certificate("block-psd", block, tol=tol)
+    return _block_psd(pmap, _normal_image(pmap, nmat), tol)
+
+
+def _eigen_fixed(inst: _NormalImage, tol: float):
+    """The weight-independent eigenvalue reports: log-majorization and pair bounds."""
+    s = inst.singular_values
+    t_clip = _clip_desc(inst.abs_spectrum)
+    logmaj = weak_log_majorize(s, t_clip, tol=1e-9)
+    m = s.size
+    lhs_vals, rhs_vals = [], []
+    for j in range(1, m + 1):
+        for k in range(1, m + 1):
+            if j + k - 1 <= m:
+                lhs_vals.append(s[j + k - 2])
+                rhs_vals.append(math.sqrt(t_clip[j - 1] * t_clip[k - 1]))
+    pair_cert = _certificate(
+        "eigen-pairs", np.diag(lhs_vals), np.diag(rhs_vals), tol=tol
+    )
+    return logmaj, pair_cert
+
+
+def _eigen_shift(inst: _NormalImage, beta: float, tol: float) -> Certificate:
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    shifted = _eig_desc(inst.lhs - beta * inst.image_abs)
+    return _certificate(
+        "eigen-shift",
+        np.diag(4.0 * beta * shifted),
+        np.diag(inst.abs_spectrum),
+        beta=beta,
+        tol=tol,
+    )
 
 
 def check_corollary_eigen(
@@ -293,32 +354,8 @@ def check_corollary_eigen(
     and k-th eigenvalues; (c) the eigenvalues of ``|map(n)| - beta map(|n|)``
     scaled by ``4 beta`` stay below those of ``map(|n|)``.
     """
-    nmat = _require_normal(nmat, "nmat")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    image = apply(pmap, nmat)
-    image_abs_arg = apply(pmap, mat_abs(nmat))
-    s = singular_values(image)
-    t = _eig_desc(image_abs_arg)
-    logmaj = weak_log_majorize(s, _clip_desc(t), tol=1e-9)
-
-    m = s.size
-    lhs_vals, rhs_vals = [], []
-    t_clip = _clip_desc(t)
-    for j in range(1, m + 1):
-        for k in range(1, m + 1):
-            if j + k - 1 <= m:
-                lhs_vals.append(s[j + k - 2])
-                rhs_vals.append(math.sqrt(t_clip[j - 1] * t_clip[k - 1]))
-    pair_cert = _certificate(
-        "eigen-pairs", np.diag(lhs_vals), np.diag(rhs_vals), tol=tol
-    )
-
-    shifted = _eig_desc(mat_abs(image) - beta * image_abs_arg)
-    shift_cert = _certificate(
-        "eigen-shift", np.diag(4.0 * beta * shifted), np.diag(t), beta=beta, tol=tol
-    )
-    return EigenCorollaryReports(logmaj, pair_cert, shift_cert)
+    inst = _normal_image(pmap, nmat)
+    return EigenCorollaryReports(*_eigen_fixed(inst, tol), _eigen_shift(inst, beta, tol))
 
 
 def check_real_part(a, tol: float = DEFAULT_TOL) -> RealPartReport:
@@ -361,16 +398,10 @@ def check_partial_trace(nmat, d: int, n: int, tol: float = DEFAULT_TOL) -> Certi
     if nmat.shape[0] != d * n:
         raise ValueError(f"matrix of dimension {nmat.shape[0]}, expected {d * n}")
     trace_map = partial_trace_first(d, n)
-    traced = apply(trace_map, nmat)
     traced_abs = apply(trace_map, mat_abs(nmat))
-    v = witness_unitary(traced)
-    orbit = hermitian_part(v @ traced_abs @ v.conj().T)
+    lhs, v, orbit = _orbit(apply(trace_map, nmat), traced_abs)
     return _certificate(
-        "ptrace-geom",
-        mat_abs(traced),
-        geometric_mean(traced_abs, orbit),
-        witness=v,
-        tol=tol,
+        "ptrace-geom", lhs, geometric_mean(traced_abs, orbit), witness=v, tol=tol
     )
 
 
@@ -388,11 +419,8 @@ def check_sum_of_normals(mats: Sequence, tol: float = DEFAULT_TOL):
         raise ValueError("all matrices must share one dimension")
     block = direct_sum(mats)
     trace_map = partial_trace_first(len(mats), n)
-    total = apply(trace_map, block)
     total_abs = apply(trace_map, mat_abs(block))
-    v = witness_unitary(total)
-    orbit = hermitian_part(v @ total_abs @ v.conj().T)
-    lhs = mat_abs(total)
+    lhs, v, orbit = _orbit(apply(trace_map, block), total_abs)
     geom = _certificate(
         "sum-normals-geom", lhs, geometric_mean(total_abs, orbit), witness=v, tol=tol
     )
@@ -417,10 +445,8 @@ def check_russo_dye(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL) -> RussoD
     dilation = halmos_dilation(z)
     extended = compose(pmap, corner_block_map("upper_left", n))
     image = apply(extended, dilation)
-    lhs = mat_abs(image)
-    v = witness_unitary(image)
     image_id = hermitian_part(apply(pmap, np.eye(n, dtype=complex)))
-    orbit = hermitian_part(v @ image_id @ v.conj().T)
+    lhs, v, orbit = _orbit(image, image_id)
     arith = _certificate(
         "contraction-arith", lhs, (image_id + orbit) / 2.0, witness=v, tol=tol
     )
@@ -476,11 +502,8 @@ def check_schur_diagonal(a, z, tol: float = DEFAULT_TOL) -> Certificate:
         raise ValueError("a and z must share one dimension")
     product = schur_prod(a, z)
     diag_part = schur_prod(a, np.eye(a.shape[0], dtype=complex))
-    v = witness_unitary(product)
-    orbit = hermitian_part(v @ diag_part @ v.conj().T)
-    return _certificate(
-        "schur-diagonal", mat_abs(product), (diag_part + orbit) / 2.0, witness=v, tol=tol
-    )
+    lhs, v, orbit = _orbit(product, diag_part)
+    return _certificate("schur-diagonal", lhs, (diag_part + orbit) / 2.0, witness=v, tol=tol)
 
 
 def check_schur_normal(a, b, tol: float = DEFAULT_TOL) -> Certificate:
@@ -498,13 +521,11 @@ def check_schur_normal(a, b, tol: float = DEFAULT_TOL) -> Certificate:
     n = a.shape[0]
     extraction = principal_submatrix_map([i * n + i for i in range(n)], n * n)
     big = kron(a, b)
-    product = apply(extraction, big)
     product_abs_arg = apply(extraction, mat_abs(big))
-    v = witness_unitary(product)
-    orbit = hermitian_part(v @ product_abs_arg @ v.conj().T)
+    lhs, v, orbit = _orbit(apply(extraction, big), product_abs_arg)
     return _certificate(
         "schur-normal",
-        mat_abs(product),
+        lhs,
         product_abs_arg + orbit / 4.0,
         witness=v,
         beta=1.0,
@@ -530,12 +551,10 @@ def check_hermitian_sum(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Ce
     zero = np.zeros((n, n), dtype=complex)
     block = np.block([[zero, x], [x.conj().T, zero]])
     comparison = _block_sum_of(mat_abs(block), n)
-    image = apply(pmap, x + x.conj().T)
     arg = hermitian_part(apply(pmap, comparison))
-    u = witness_unitary(image)
-    orbit = hermitian_part(u @ arg @ u.conj().T)
+    lhs, v, orbit = _orbit(apply(pmap, x + x.conj().T), arg)
     return _certificate(
-        "hermitian-sum-geom", mat_abs(image), geometric_mean(arg, orbit), witness=u, tol=tol
+        "hermitian-sum-geom", lhs, geometric_mean(arg, orbit), witness=v, tol=tol
     )
 
 
@@ -558,12 +577,10 @@ def check_schur_square(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Cer
     summed = compose(corner_block_map("block_sum", n), extraction)
     full = compose(pmap, summed)
     big = kron(left, right)
-    image = apply(full, big) / 2.0
     arg = hermitian_part(apply(full, mat_abs(big)) / 2.0)
-    v = witness_unitary(image)
-    orbit = hermitian_part(v @ arg @ v.conj().T)
+    lhs, v, orbit = _orbit(apply(full, big) / 2.0, arg)
     return _certificate(
-        "schur-square-geom", mat_abs(image), geometric_mean(arg, orbit), witness=v, tol=tol
+        "schur-square-geom", lhs, geometric_mean(arg, orbit), witness=v, tol=tol
     )
 
 
@@ -825,11 +842,8 @@ def minimal_orbit_constant(pmap: PositiveMapRep, nmat, beta: float, *, iteration
     nmat = _require_normal(nmat, "nmat")
     if not beta > 0:
         raise ValueError("beta must be positive")
-    image = apply(pmap, nmat)
     image_abs = hermitian_part(apply(pmap, mat_abs(nmat)))
-    v = witness_unitary(image)
-    orbit = hermitian_part(v @ image_abs @ v.conj().T)
-    lhs = mat_abs(image)
+    lhs, _, orbit = _orbit(apply(pmap, nmat), image_abs)
     floor = -1e-12 * max(1.0, spectral_norm(image_abs))
 
     def feasible(c: float) -> bool:
@@ -907,100 +921,133 @@ def estimate_constant(
 # ---------------------------------------------------------------------------
 
 
-def run_trial(master_seed: int, trial_index: int, n: int, m: int, betas: Sequence[float], tol: float = DEFAULT_TOL) -> dict:
+class _Trial(NamedTuple):
+    """The seeded instances of one sweep trial that several statements share."""
+
+    master_seed: int
+    trial_index: int
+    n: int
+    m: int
+    tol: float
+    inject_mutant: bool
+    pmap: PositiveMapRep
+    main: _NormalImage
+
+    def sub(self, k: int) -> list:
+        return [self.master_seed, self.trial_index, k]
+
+
+def _main_bounds(t: _Trial, beta: float):
+    arith, geom = _theorem_main(t.main, beta, t.tol, t.inject_mutant)
+    return arith, geom, chain_certificate(geom, arith, t.tol)
+
+
+def _real_part(t: _Trial):
+    report = check_real_part(random_normal(t.sub(2), t.n), t.tol)
+    return report.construction_route, report.direct_route, report.det_check
+
+
+def _russo_dye(t: _Trial):
+    reports = check_russo_dye(t.pmap, random_contraction(t.sub(7), t.n), t.tol)
+    return reports.arithmetic, reports.geometric, reports.log_majorization
+
+
+def _weighted_sum(t: _Trial):
+    xs = [random_matrix(t.sub(8 + i), t.m, t.n) for i in range(3)]
+    zs = [random_contraction(t.sub(11 + i), t.m) for i in range(3)]
+    return check_weighted_sum(xs, zs, t.tol)
+
+
+# The sweep's statements in run order, which fixes the order of a report's
+# failures. Each row is (keys, per_weight, outcomes): outcomes(trial), or
+# outcomes(trial, beta) once per weight, returns one outcome per key.
+_STATEMENTS = (
+    (("main-arith", "main-geom", "main-chain"), True, _main_bounds),
+    (("block-psd",), False, lambda t: [_block_psd(t.pmap, t.main, t.tol)]),
+    (("eigen-logmaj", "eigen-pairs"), False, lambda t: _eigen_fixed(t.main, t.tol)),
+    (("eigen-shift",), True, lambda t, beta: [_eigen_shift(t.main, beta, t.tol)]),
+    (("realpart-construction-logmaj", "realpart-direct-logmaj", "realpart-det"), False, _real_part),
+    (
+        ("ptrace-geom",),
+        False,
+        lambda t: [check_partial_trace(random_normal(t.sub(3), 2 * t.n), 2, t.n, t.tol)],
+    ),
+    (
+        ("sum-normals-geom", "sum-normals-arith"),
+        False,
+        lambda t: check_sum_of_normals([random_normal(t.sub(4 + i), t.n) for i in range(3)], t.tol),
+    ),
+    (("contraction-arith", "contraction-geom", "contraction-logmaj"), False, _russo_dye),
+    (("weighted-sum-logmaj", "weighted-sum-block"), False, _weighted_sum),
+    (
+        ("schur-diagonal",),
+        False,
+        lambda t: [
+            check_schur_diagonal(random_psd(t.sub(14), t.n), random_contraction(t.sub(15), t.n), t.tol)
+        ],
+    ),
+    (
+        ("schur-normal",),
+        False,
+        lambda t: [
+            check_schur_normal(random_normal(t.sub(16), t.n), random_normal(t.sub(17), t.n), t.tol)
+        ],
+    ),
+    (
+        ("hermitian-sum-geom",),
+        False,
+        lambda t: [check_hermitian_sum(t.pmap, random_matrix(t.sub(18), t.n), t.tol)],
+    ),
+    (
+        ("schur-square-geom",),
+        False,
+        lambda t: [check_schur_square(t.pmap, random_matrix(t.sub(18), t.n), t.tol)],
+    ),
+    (
+        ("two-positive-quarter",),
+        False,
+        lambda t: [
+            check_two_positive_unital(
+                random_unital_cp_map(t.sub(19), t.n, t.m), random_contraction(t.sub(20), t.n), t.tol
+            )
+        ],
+    ),
+)
+
+
+def _evaluations(keys: tuple, per_weight: bool, betas: Sequence[float]) -> list:
+    """(keys, extra arguments) of each evaluation of one table row."""
+    if per_weight:
+        return [([f"{key}@beta={beta:g}" for key in keys], (beta,)) for beta in betas]
+    return [(list(keys), ())]
+
+
+def run_trial(
+    master_seed: int, trial_index: int, n: int, m: int, betas: Sequence[float],
+    tol: float = DEFAULT_TOL, *, inject_mutant: bool = False,
+) -> dict:
     """All statement checks for one trial; instances derive from (seed, index).
 
     Returns a mapping from statement keys to outcome objects exposing
     ``passed`` and ``min_slack``; weight-dependent statements carry the weight
-    in their key.
+    in their key. ``inject_mutant`` negates the orbit term on the right-hand
+    side of the arithmetic bound, a fault the sweep must report.
     """
-
-    def sub(k: int):
-        return [master_seed, trial_index, k]
-
+    pmap = random_cp_map([master_seed, trial_index, 0], n, m)
+    main = _normal_image(pmap, random_normal([master_seed, trial_index, 1], n))
+    trial = _Trial(master_seed, trial_index, n, m, tol, inject_mutant, pmap, main)
     out: dict = {}
-    pmap = random_cp_map(sub(0), n, m)
-    nmat = random_normal(sub(1), n)
-    for beta in betas:
-        arith, geom = check_theorem_main(pmap, nmat, beta, tol)
-        out[f"main-arith@beta={beta:g}"] = arith
-        out[f"main-geom@beta={beta:g}"] = geom
-        out[f"main-chain@beta={beta:g}"] = chain_certificate(geom, arith, tol)
-    out["block-psd"] = check_block_certificate(pmap, nmat, tol)
-    for i, beta in enumerate(betas):
-        reports = check_corollary_eigen(pmap, nmat, beta, tol)
-        if i == 0:
-            out["eigen-logmaj"] = reports.log_majorization
-            out["eigen-pairs"] = reports.pair_bounds
-        out[f"eigen-shift@beta={beta:g}"] = reports.shifted_bounds
-
-    real_report = check_real_part(random_normal(sub(2), n), tol)
-    out["realpart-construction-logmaj"] = real_report.construction_route
-    out["realpart-direct-logmaj"] = real_report.direct_route
-    out["realpart-det"] = real_report.det_check
-
-    out["ptrace-geom"] = check_partial_trace(random_normal(sub(3), 2 * n), 2, n, tol)
-    summands = [random_normal(sub(4 + i), n) for i in range(3)]
-    geom_sum, arith_sum = check_sum_of_normals(summands, tol)
-    out["sum-normals-geom"] = geom_sum
-    out["sum-normals-arith"] = arith_sum
-
-    rd = check_russo_dye(pmap, random_contraction(sub(7), n), tol)
-    out["contraction-arith"] = rd.arithmetic
-    out["contraction-geom"] = rd.geometric
-    out["contraction-logmaj"] = rd.log_majorization
-
-    xs = [random_matrix(sub(8 + i), m, n) for i in range(3)]
-    zs = [random_contraction(sub(11 + i), m) for i in range(3)]
-    maj, block = check_weighted_sum(xs, zs, tol)
-    out["weighted-sum-logmaj"] = maj
-    out["weighted-sum-block"] = block
-
-    out["schur-diagonal"] = check_schur_diagonal(
-        random_psd(sub(14), n), random_contraction(sub(15), n), tol
-    )
-    out["schur-normal"] = check_schur_normal(
-        random_normal(sub(16), n), random_normal(sub(17), n), tol
-    )
-
-    x_free = random_matrix(sub(18), n)
-    out["hermitian-sum-geom"] = check_hermitian_sum(pmap, x_free, tol)
-    out["schur-square-geom"] = check_schur_square(pmap, x_free, tol)
-
-    out["two-positive-quarter"] = check_two_positive_unital(
-        random_unital_cp_map(sub(19), n, m), random_contraction(sub(20), n), tol
-    )
+    for keys, per_weight, outcomes in _STATEMENTS:
+        for evaluated_keys, args in _evaluations(keys, per_weight, betas):
+            out.update(zip(evaluated_keys, outcomes(trial, *args), strict=True))
     return out
 
 
 def trial_statements(betas: Sequence[float]) -> list:
     """Statement keys run_trial produces for a given weight list, in run order."""
-    keys = []
-    for beta in betas:
-        keys += [
-            f"main-arith@beta={beta:g}",
-            f"main-geom@beta={beta:g}",
-            f"main-chain@beta={beta:g}",
-        ]
-    keys.append("block-psd")
-    keys += ["eigen-logmaj", "eigen-pairs"]
-    keys += [f"eigen-shift@beta={beta:g}" for beta in betas]
-    keys += [
-        "realpart-construction-logmaj",
-        "realpart-direct-logmaj",
-        "realpart-det",
-        "ptrace-geom",
-        "sum-normals-geom",
-        "sum-normals-arith",
-        "contraction-arith",
-        "contraction-geom",
-        "contraction-logmaj",
-        "weighted-sum-logmaj",
-        "weighted-sum-block",
-        "schur-diagonal",
-        "schur-normal",
-        "hermitian-sum-geom",
-        "schur-square-geom",
-        "two-positive-quarter",
+    return [
+        key
+        for keys, per_weight, _ in _STATEMENTS
+        for evaluated_keys, _ in _evaluations(keys, per_weight, betas)
+        for key in evaluated_keys
     ]
-    return keys

@@ -99,32 +99,29 @@ def cmd_verify(config: RunConfig, inject_mutant: bool = False):
     report = RunReport(config=config)
     # dims cycle by absolute trial index so a recorded failure replays with
     # --trials 1 --trial-offset <index>.
-    previous = certify.MUTANT_FLIP_RHS_SIGN
-    certify.MUTANT_FLIP_RHS_SIGN = inject_mutant
-    try:
-        for trial in range(config.trial_offset, config.trial_offset + config.trials):
-            n, m = config.dims[trial % len(config.dims)]
-            outcomes = run_trial(config.master_seed, trial, n, m, config.beta_list, config.tol)
-            for key, outcome in outcomes.items():
-                if outcome.passed:
-                    report.pass_counts[key] = report.pass_counts.get(key, 0) + 1
-                else:
-                    report.pass_counts.setdefault(key, 0)
-                    report.failures.append(
-                        {
-                            "statementId": key,
-                            "seed": config.master_seed,
-                            "trialIndex": trial,
-                            "minSlack": float(outcome.min_slack),
-                        }
-                    )
-    finally:
-        certify.MUTANT_FLIP_RHS_SIGN = previous
+    for trial in range(config.trial_offset, config.trial_offset + config.trials):
+        n, m = config.dims[trial % len(config.dims)]
+        outcomes = run_trial(
+            config.master_seed, trial, n, m, config.beta_list, config.tol, inject_mutant=inject_mutant
+        )
+        for key, outcome in outcomes.items():
+            if outcome.passed:
+                report.pass_counts[key] = report.pass_counts.get(key, 0) + 1
+            else:
+                report.pass_counts.setdefault(key, 0)
+                report.failures.append(
+                    {
+                        "statementId": key,
+                        "seed": config.master_seed,
+                        "trialIndex": trial,
+                        "minSlack": float(outcome.min_slack),
+                    }
+                )
     report.wall_time_ms = (time.perf_counter() - start) * 1000.0
     return report, (0 if not report.failures else 1)
 
 
-def _repro_results(name: str, betas, seed):
+def _repro_results(name: str, betas):
     results = []
     if name in ("sharpness-beta", "all"):
         for beta in betas or DEFAULT_SHARPNESS_BETAS:
@@ -154,8 +151,8 @@ def _format_repro_table(results) -> str:
     return "\n".join(lines)
 
 
-def cmd_repro(name: str, betas, seed, as_json: bool, output_path: str):
-    results = _repro_results(name, betas, seed)
+def cmd_repro(name: str, betas, as_json: bool, output_path: str):
+    results = _repro_results(name, betas)
     if as_json:
         _emit(json.dumps([repro_to_json(r) for r in results], indent=2), output_path)
     else:
@@ -224,12 +221,10 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tol", type=float, default=certify.DEFAULT_TOL)
     verify.add_argument("--out", default="-", metavar="PATH")
     verify.add_argument("--trial-offset", type=int, default=0, help="first trial index (replay)")
-    verify.add_argument("--json", action="store_true", help="JSON output (always on for verify)")
     verify.add_argument("--inject-mutant", action="store_true", help=argparse.SUPPRESS)
 
     repro = sub.add_parser("repro", help="reproduce a worked example")
     repro.add_argument("name", choices=REPRO_NAMES)
-    repro.add_argument("--seed", type=int, default=42)
     repro.add_argument("--beta", type=_parse_betas, default=None, metavar="b[,b...]")
     repro.add_argument("--out", default="-", metavar="PATH")
     repro.add_argument("--json", action="store_true")
@@ -238,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--seed", type=int, default=42)
     search.add_argument("--trials", type=int, default=200)
     search.add_argument("--beta", type=_parse_betas, default=(0.1, 0.25, 0.5), metavar="b[,b...]")
-    search.add_argument("--dims", type=_parse_dims, default=((2, 2),), metavar="n,m[;n,m...]")
+    search.add_argument("--dims", type=_parse_dims, default=((2, 2),), metavar="n,m")
     search.add_argument("--out", default="-", metavar="PATH")
     search.add_argument("--json", action="store_true")
 
@@ -279,7 +274,7 @@ def main(argv=None) -> int:
             if any(b < 0.5 for b in args.beta):
                 parser.error("sharpness-beta requires betas >= 0.5")
         try:
-            _, code = cmd_repro(args.name, args.beta, args.seed, args.json, args.out)
+            _, code = cmd_repro(args.name, args.beta, args.json, args.out)
         except ValueError as exc:
             parser.error(str(exc))
         return code
@@ -289,6 +284,8 @@ def main(argv=None) -> int:
             parser.error("--trials must be >= 1")
         if any(not (0.0 < b <= 0.5 + 1e-12) for b in args.beta):
             parser.error("search betas must lie in (0, 1/2]")
+        if len(args.dims) != 1:
+            parser.error("search takes a single --dims pair n,m")
         try:
             _, code = cmd_search(args.beta, args.seed, args.trials, args.dims, args.json, args.out)
         except ValueError as exc:

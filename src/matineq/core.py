@@ -35,7 +35,6 @@ __all__ = [
     "is_normal",
     "is_contraction",
     "herm_eig",
-    "normal_eig",
     "psd_sqrt",
     "mat_abs",
     "polar",
@@ -158,24 +157,6 @@ def herm_eig(h, *, herm_tol: float = CONSTRUCTION_TOL) -> SpectralData:
     return SpectralData(w[order], _fix_phases(v[:, order]))
 
 
-def normal_eig(x, *, tol: float = 1e-8):
-    """Eigenvalues and a unitary eigenbasis of a normal matrix.
-
-    Returns ``(z, q)`` with ``q`` unitary and ``q @ diag(z) @ q* == x`` within
-    reconstruction tolerance; the eigenvalue order is the one produced by the
-    Schur step and carries no guarantee.
-    """
-    x = as_matrix(x, square=True, name="x")
-    if not is_normal(x, tol):
-        raise ValueError("normal_eig requires a normal matrix")
-    t, q = scipy.linalg.schur(x, output="complex")
-    z = np.diagonal(t).copy()
-    recon = (q * z) @ q.conj().T
-    if spectral_norm(recon - x) > RECONSTRUCTION_TOL * max(1.0, spectral_norm(x)):
-        raise np.linalg.LinAlgError("normal eigendecomposition failed to reconstruct")
-    return z, q
-
-
 def psd_sqrt(p, *, floor: float = 0.0) -> np.ndarray:
     """Principal square root of a PSD matrix, eigenvalues clipped at ``floor``."""
     w, v = np.linalg.eigh(hermitian_part(p))
@@ -247,7 +228,8 @@ def loewner_leq(a, b, tol: float = PSD_TOL) -> LoewnerCheck:
     """Test ``a <= b`` in the Loewner order, reporting the slack spectrum of b - a.
 
     Passes iff the smallest eigenvalue of ``b - a`` is at least
-    ``-tol * max(1, ||b - a||)``; the full descending slack spectrum is always
+    ``-tol * max(1, ||b||)``: the tolerance scales with the right-hand side,
+    the bound being certified. The full descending slack spectrum is always
     returned for reporting.
     """
     a = as_matrix(a, square=True, name="a")
@@ -259,7 +241,7 @@ def loewner_leq(a, b, tol: float = PSD_TOL) -> LoewnerCheck:
             raise ValueError(f"{name} is not Hermitian")
     diff = hermitian_part(b - a)
     slack = np.sort(np.linalg.eigvalsh(diff))[::-1]
-    scale = max(1.0, spectral_norm(diff))
+    scale = max(1.0, spectral_norm(b))
     passed = bool(slack[-1] >= -tol * scale) if slack.size else True
     return LoewnerCheck(passed, slack)
 

@@ -14,16 +14,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    PSD_TOL,
-    as_matrix,
-    hermitian_part,
-    herm_eig,
-    is_normal,
-    normal_eig,
-    psd_sqrt,
-    spectral_norm,
-)
+from .core import PSD_TOL, as_matrix, hermitian_part, herm_eig, spectral_norm
 
 __all__ = [
     "PositiveMapRep",
@@ -37,8 +28,6 @@ __all__ = [
     "principal_submatrix_map",
     "choi",
     "is_unital",
-    "two_positive_amplification",
-    "commutative_restriction_kraus",
     "halmos_dilation",
     "random_cp_map",
     "random_unital_cp_map",
@@ -208,44 +197,6 @@ def is_unital(pmap: PositiveMapRep, tol: float = PSD_TOL) -> bool:
     """Whether the map sends the identity to the identity within ``tol``."""
     image = apply(pmap, np.eye(pmap.input_dim, dtype=complex))
     return spectral_norm(image - np.eye(pmap.output_dim)) <= tol
-
-
-def two_positive_amplification(pmap: PositiveMapRep) -> PositiveMapRep:
-    """Blockwise action on 2x2 block matrices: each block goes through the map."""
-    eye2 = np.eye(2, dtype=complex)
-    ops = tuple(np.kron(eye2, k) for k in pmap.kraus_ops)
-    return PositiveMapRep(
-        2 * pmap.input_dim,
-        2 * pmap.output_dim,
-        ops,
-        label=f"amp2({pmap.label or 'map'})",
-    )
-
-
-def commutative_restriction_kraus(pmap: PositiveMapRep, nmat, *, tol: float = 1e-8) -> list:
-    """Rank-one Kraus factors reproducing the map on the algebra generated by a normal matrix.
-
-    For each spectral projection ``e_i = x_i x_i*`` of ``nmat`` the factors are
-    ``x_i r_ij`` with ``r_ij`` the j-th row of the principal square root of
-    ``map(e_i)``. Their congruence sum agrees with the map on the span of the
-    projections (so on the matrix, its absolute value, and the identity when
-    the matrix is invertible) but not on generic inputs outside that span.
-    """
-    nmat = as_matrix(nmat, square=True, name="nmat")
-    if nmat.shape[0] != pmap.input_dim:
-        raise ValueError("dimension mismatch between map and matrix")
-    if not is_normal(nmat, tol):
-        raise ValueError("commutative restriction requires a normal matrix")
-    _, q = normal_eig(nmat, tol=tol)
-    factors = []
-    for i in range(nmat.shape[0]):
-        x = q[:, i : i + 1]
-        s = psd_sqrt(apply(pmap, x @ x.conj().T))
-        for j in range(pmap.output_dim):
-            z = x @ s[j : j + 1, :]
-            if np.linalg.norm(z) > _KRAUS_DROP_TOL:
-                factors.append(z)
-    return factors
 
 
 def halmos_dilation(z, *, tol: float = 1e-12) -> np.ndarray:

@@ -604,6 +604,24 @@ def test_run_trial_covers_statements_and_passes():
     betas = (0.25, 1.0)
     for trial in range(5):
         out = run_trial(99, trial, 2 + trial % 2, 2 + trial % 3, betas)
-        assert sorted(out) == sorted(trial_statements(betas))
+        assert list(out) == trial_statements(betas)
         for key, outcome in out.items():
             assert outcome.passed, (trial, key, outcome.min_slack)
+
+
+def test_fault_injection_affects_only_its_call():
+    betas = (0.25, 0.5, 1.0, 2.0)
+    orbit_keys = ("main-arith@", "main-chain@")
+    for trial in range(3):
+        n = 2 + trial % 3
+        mutant = run_trial(7, trial, n, n, betas, inject_mutant=True)
+        clean = run_trial(7, trial, n, n, betas)
+        assert all(outcome.passed for outcome in clean.values()), trial
+        failed = [key for key, outcome in mutant.items() if not outcome.passed]
+        assert any(key.startswith("main-arith@") for key in failed), trial
+        # main-chain compares against the arithmetic right-hand side, so it
+        # sees the fault too; every other statement is untouched.
+        assert all(key.startswith(orbit_keys) for key in failed), failed
+        for key, outcome in clean.items():
+            if not key.startswith(orbit_keys):
+                assert mutant[key].min_slack == outcome.min_slack, key

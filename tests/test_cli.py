@@ -92,6 +92,21 @@ def test_verify_mutant_hook_fails_and_replays(capsys):
     assert replayed and replayed[0]["minSlack"] == first["minSlack"]
 
 
+def test_verify_mutant_matches_golden(capsys):
+    code, out = run_cli(
+        capsys,
+        ["verify", "--seed", "7", "--trials", "3", "--dims", "2,2;3,3;4,4", "--inject-mutant"],
+    )
+    assert code == 1
+    report = json.loads(out)
+    report.pop("wallTimeMs")
+    with open(os.path.join(GOLDEN_DIR, "verify_mutant.json")) as fh:
+        expected = json.load(fh)
+    keys = [(f["statementId"], f["trialIndex"]) for f in report["failures"]]
+    assert keys == [(f["statementId"], f["trialIndex"]) for f in expected["failures"]]
+    assert approx_equal(report, expected)
+
+
 def test_verify_reports_are_deterministic(capsys):
     args = ["verify", "--trials", "2", "--seed", "11", "--dims", "2,3"]
     _, out1 = run_cli(capsys, args)
@@ -183,9 +198,24 @@ def test_search_rejects_beta_outside_range(capsys):
     assert exc.value.code == 2
 
 
+def test_search_rejects_several_dims_pairs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--dims", "2,2;3,3", "--trials", "1"])
+    assert exc.value.code == 2
+
+
 def test_search_rejects_empty_beta(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--beta", ""])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--trials", "1", "--json"], ["repro", "psi-quarter", "--seed", "1"]]
+)
+def test_removed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
     assert exc.value.code == 2
 
 

@@ -15,7 +15,6 @@ from matineq.core import (
     kron,
     loewner_leq,
     mat_abs,
-    normal_eig,
     polar,
     random_contraction,
     random_matrix,
@@ -391,16 +390,3 @@ def test_random_psd_is_psd():
 def test_generators_deterministic():
     np.testing.assert_array_equal(random_normal(123, 3), random_normal(123, 3))
     np.testing.assert_array_equal(haar_unitary([1, 2], 3), haar_unitary([1, 2], 3))
-
-
-def test_normal_eig_reconstruction():
-    n = random_normal(17, 5)
-    z, q = normal_eig(n)
-    recon = (q * z) @ q.conj().T
-    assert spectral_norm(recon - n) <= 1e-10 * max(1.0, spectral_norm(n))
-    assert spectral_norm(q.conj().T @ q - np.eye(5)) <= 1e-12
-
-
-def test_normal_eig_rejects_nonnormal():
-    with pytest.raises(ValueError):
-        normal_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))

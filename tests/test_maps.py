@@ -6,7 +6,6 @@ import pytest
 from matineq.core import (
     hermitian_part,
     kron,
-    mat_abs,
     random_contraction,
     random_matrix,
     random_normal,
@@ -18,7 +17,6 @@ from matineq.maps import (
     PositiveMapRep,
     apply,
     choi,
-    commutative_restriction_kraus,
     compose,
     corner_block_map,
     halmos_dilation,
@@ -29,7 +27,6 @@ from matineq.maps import (
     random_cp_map,
     random_unital_cp_map,
     schur_multiplier,
-    two_positive_amplification,
 )
 from matineq.certify import quarter_sharpness_map
 
@@ -326,95 +323,11 @@ def test_choi_psd_for_every_constructor():
         identity_map(3),
         random_cp_map(2, 2, 3),
         random_unital_cp_map(3, 3, 2),
-        two_positive_amplification(random_cp_map(4, 2, 2)),
     ]
     for pmap in maps:
         data = choi(pmap)
         scale = max(1.0, spectral_norm(data.choi_matrix))
         assert data.min_eigenvalue >= -1e-9 * scale, pmap.label
-
-
-def test_amplification_of_identity():
-    amp = two_positive_amplification(identity_map(3))
-    x = random_matrix(0, 6)
-    np.testing.assert_allclose(apply(amp, x), x, atol=1e-13)
-
-
-def test_amplification_acts_blockwise():
-    pmap = quarter_sharpness_map()
-    amp = two_positive_amplification(pmap)
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 1] = h[1, 0] = 1.0
-    big = np.zeros((6, 6), dtype=complex)
-    big[:3, 3:] = h
-    big[3:, :3] = h
-    out = apply(amp, big)
-    image = apply(pmap, h)
-    np.testing.assert_allclose(out[:2, 2:], image, atol=1e-14)
-    np.testing.assert_allclose(out[2:, :2], image, atol=1e-14)
-    np.testing.assert_allclose(out[:2, :2], np.zeros((2, 2)), atol=1e-14)
-
-
-def test_amplification_preserves_unitality():
-    amp = two_positive_amplification(random_unital_cp_map(5, 3, 3))
-    assert is_unital(amp)
-
-
-# ---------------------------------------------------------------------------
-# commutative restriction
-# ---------------------------------------------------------------------------
-
-
-def test_commutative_restriction_identity_map_diagonal():
-    pmap = identity_map(2)
-    n = np.diag([1.0, -1.0]).astype(complex)
-    factors = commutative_restriction_kraus(pmap, n)
-    recon = sum(z.conj().T @ n @ z for z in factors)
-    np.testing.assert_allclose(recon, n, atol=1e-12)
-
-
-def test_commutative_restriction_on_flip():
-    pmap = schur_multiplier(ONES2)
-    factors = commutative_restriction_kraus(pmap, R)
-    recon_r = sum(z.conj().T @ R @ z for z in factors)
-    recon_abs = sum(z.conj().T @ mat_abs(R) @ z for z in factors)
-    np.testing.assert_allclose(recon_r, R, atol=1e-10)
-    np.testing.assert_allclose(recon_abs, np.eye(2), atol=1e-10)
-
-
-def test_commutative_restriction_rank_one_and_sweep():
-    from matineq.core import normal_eig
-
-    rng = np.random.default_rng(99)
-    for seed in range(200):
-        pmap = random_cp_map([seed, 0], 3, 2)
-        n = random_normal([seed, 1], 3)
-        factors = commutative_restriction_kraus(pmap, n)
-        for z in factors:
-            assert np.linalg.matrix_rank(z, tol=1e-10) <= 1
-        # a random element of the span of the spectral projections
-        _, q = normal_eig(n)
-        coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        span_element = (q * coeffs) @ q.conj().T
-        for x in (n, mat_abs(n), span_element):
-            recon = sum(z.conj().T @ x @ z for z in factors)
-            expect = apply(pmap, x)
-            assert spectral_norm(recon - expect) <= 1e-9 * max(1.0, spectral_norm(expect))
-
-
-def test_commutative_restriction_fails_off_span():
-    # Off the commutative span the factors only reproduce the pinched part.
-    pmap = identity_map(2)
-    n = np.diag([1.0, -1.0]).astype(complex)
-    factors = commutative_restriction_kraus(pmap, n)
-    x = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    recon = sum(z.conj().T @ x @ z for z in factors)
-    assert spectral_norm(recon - x) > 0.5
-
-
-def test_commutative_restriction_rejects_nonnormal():
-    with pytest.raises(ValueError):
-        commutative_restriction_kraus(identity_map(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
