@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     MajorizationReport,
+    _loewner_verdict,
     as_matrix,
     conj_real_part,
     direct_sum,
@@ -25,8 +26,6 @@ from .core import (
     hermitian_part,
     is_contraction,
     is_normal,
-    kron,
-    loewner_leq,
     mat_abs,
     polar,
     random_contraction,
@@ -46,7 +45,6 @@ from .maps import (
     halmos_dilation,
     is_unital,
     partial_trace_first,
-    principal_submatrix_map,
     random_cp_map,
     random_unital_cp_map,
     schur_multiplier,
@@ -86,6 +84,7 @@ __all__ = [
     "estimate_constant",
     "run_trial",
     "trial_statements",
+    "weight_tag",
 ]
 
 DEFAULT_TOL = 1e-8
@@ -183,7 +182,7 @@ def _eig_desc(x) -> np.ndarray:
 def _certificate(statement_id, lhs, rhs, *, witness=None, beta=None, tol=DEFAULT_TOL) -> Certificate:
     lhs = hermitian_part(lhs)
     rhs = hermitian_part(rhs)
-    passed, slack = loewner_leq(lhs, rhs, tol)
+    passed, slack = _loewner_verdict(lhs, rhs, tol)
     return Certificate(
         statement_id=statement_id,
         lhs=lhs,
@@ -506,52 +505,50 @@ def check_schur_diagonal(a, z, tol: float = DEFAULT_TOL) -> Certificate:
     return _certificate("schur-diagonal", lhs, (diag_part + orbit) / 2.0, witness=v, tol=tol)
 
 
+def _abs_pair(x: np.ndarray):
+    """``(|x|, |x*|)`` from one SVD ``x = u s vh``: ``vh* s vh`` and ``u s u*``."""
+    u, s, vh = np.linalg.svd(x)
+    right = (vh.conj().T * s) @ vh
+    left = (u * s) @ u.conj().T
+    return (right + right.conj().T) / 2.0, (left + left.conj().T) / 2.0
+
+
 def check_schur_normal(a, b, tol: float = DEFAULT_TOL) -> Certificate:
     """Entrywise product of two normal matrices with the sharp quarter constant.
 
-    Realized through the tensor product: extracting the principal submatrix
-    on the paired diagonal indices of ``a (x) b`` gives ``a o b``, and the
-    absolute value of the tensor product factors entrywise, so the orbit
-    bound with weights (1, 1/4) lands exactly on the stated inequality.
+    Certifies ``|a o b| <= |a| o |b| + (1/4) v (|a| o |b|) v*`` with the polar
+    witness ``v`` of ``a o b``. This is the orbit bound with weights (1, 1/4)
+    for the compression of ``a (x) b`` to its paired diagonal indices, which
+    is ``a o b``, using ``|a (x) b| = |a| (x) |b|``; no tensor is formed.
     """
     a = _require_normal(a, "a")
     b = _require_normal(b, "b")
     if a.shape != b.shape:
         raise ValueError("a and b must share one dimension")
-    n = a.shape[0]
-    extraction = principal_submatrix_map([i * n + i for i in range(n)], n * n)
-    big = kron(a, b)
-    product_abs_arg = apply(extraction, mat_abs(big))
-    lhs, v, orbit = _orbit(apply(extraction, big), product_abs_arg)
+    comparison = schur_prod(mat_abs(a), mat_abs(b))
+    lhs, v, orbit = _orbit(schur_prod(a, b), comparison)
     return _certificate(
         "schur-normal",
         lhs,
-        product_abs_arg + orbit / 4.0,
+        comparison + orbit / 4.0,
         witness=v,
         beta=1.0,
         tol=tol,
     )
 
 
-def _block_sum_of(x4: np.ndarray, n: int) -> np.ndarray:
-    return x4[:n, :n] + x4[:n, n:] + x4[n:, :n] + x4[n:, n:]
-
-
 def check_hermitian_sum(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Certificate:
     """Geometric-mean orbit bound for the image of ``x + x*``.
 
-    The comparison argument is the block sum of the absolute value of the
-    off-diagonal block matrix built from ``x`` (computed by mat_abs on the
-    block, no closed-form identity assumed), which equals ``|x| + |x*|``.
+    ``x + x*`` is the block sum of the Hermitian carrier ``[[0, x], [x*, 0]]``,
+    whose absolute value is ``|x*| (+) |x|``; the comparison argument is the
+    image of its block sum, ``map(|x| + |x*|)``.
     """
     x = as_matrix(x, square=True, name="x")
     if x.shape[0] != pmap.input_dim:
         raise ValueError("dimension mismatch between map and matrix")
-    n = x.shape[0]
-    zero = np.zeros((n, n), dtype=complex)
-    block = np.block([[zero, x], [x.conj().T, zero]])
-    comparison = _block_sum_of(mat_abs(block), n)
-    arg = hermitian_part(apply(pmap, comparison))
+    abs_x, abs_adjoint = _abs_pair(x)
+    arg = hermitian_part(apply(pmap, abs_x + abs_adjoint))
     lhs, v, orbit = _orbit(apply(pmap, x + x.conj().T), arg)
     return _certificate(
         "hermitian-sum-geom", lhs, geometric_mean(arg, orbit), witness=v, tol=tol
@@ -561,24 +558,16 @@ def check_hermitian_sum(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Ce
 def check_schur_square(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Certificate:
     """Geometric-mean orbit bound for the image of ``x o x*``.
 
-    Built through the tensor product of the two Hermitian off-diagonal block
-    matrices carrying ``x``: principal-submatrix extraction followed by the
-    block sum evaluates to twice ``x o x*``, and dividing out the factor two
-    presents the inequality on the stated matrices.
+    ``x o x* = x* o x`` is Hermitian. It is half the block sum of the paired
+    diagonal compression of ``[[0, x*], [x, 0]] (x) [[0, x], [x*, 0]]``, and
+    the absolute values of those carriers are ``|x| (+) |x*|`` and
+    ``|x*| (+) |x|``, so the comparison argument is ``map(|x| o |x*|)``.
     """
     x = as_matrix(x, square=True, name="x")
     if x.shape[0] != pmap.input_dim:
         raise ValueError("dimension mismatch between map and matrix")
-    n = x.shape[0]
-    zero = np.zeros((n, n), dtype=complex)
-    left = np.block([[zero, x.conj().T], [x, zero]])
-    right = np.block([[zero, x], [x.conj().T, zero]])
-    extraction = principal_submatrix_map([i * 2 * n + i for i in range(2 * n)], 4 * n * n)
-    summed = compose(corner_block_map("block_sum", n), extraction)
-    full = compose(pmap, summed)
-    big = kron(left, right)
-    arg = hermitian_part(apply(full, mat_abs(big)) / 2.0)
-    lhs, v, orbit = _orbit(apply(full, big) / 2.0, arg)
+    arg = hermitian_part(apply(pmap, schur_prod(*_abs_pair(x))))
+    lhs, v, orbit = _orbit(apply(pmap, schur_prod(x, x.conj().T)), arg)
     return _certificate(
         "schur-square-geom", lhs, geometric_mean(arg, orbit), witness=v, tol=tol
     )
@@ -1015,10 +1004,15 @@ _STATEMENTS = (
 )
 
 
+def weight_tag(beta: float) -> str:
+    """The weight part of a per-weight statement key; weights with one tag share keys."""
+    return f"beta={beta:g}"
+
+
 def _evaluations(keys: tuple, per_weight: bool, betas: Sequence[float]) -> list:
     """(keys, extra arguments) of each evaluation of one table row."""
     if per_weight:
-        return [([f"{key}@beta={beta:g}" for key in keys], (beta,)) for beta in betas]
+        return [([f"{key}@{weight_tag(beta)}" for key in keys], (beta,)) for beta in betas]
     return [(list(keys), ())]
 
 

@@ -34,6 +34,11 @@ DEFAULT_ANGLES = (1e-1, 1e-2, 1e-3)
 
 REPRO_NAMES = ("sharpness-beta", "no-single-unitary", "psi-quarter", "all")
 
+# Bytes allowed for the largest intermediate of a --dims pair n,m: the n*m
+# complex Kraus factors of random_cp_map, 16 n^2 m^2 bytes. A sweep trial
+# holds a few maps of that size at once.
+MAX_KRAUS_BYTES = 64 * 2**20
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -192,6 +197,12 @@ def _parse_dims(text: str):
         raise argparse.ArgumentTypeError(f"bad dims {text!r}: expected n,m[;n,m...]") from exc
     if not pairs or any(n < 1 or m < 1 for n, m in pairs):
         raise argparse.ArgumentTypeError("dims must be positive pairs n,m")
+    for n, m in pairs:
+        if 16 * (n * m) ** 2 > MAX_KRAUS_BYTES:
+            raise argparse.ArgumentTypeError(
+                f"dims {n},{m} need {16 * (n * m) ** 2} bytes of Kraus factors, "
+                f"over the budget of {MAX_KRAUS_BYTES} bytes"
+            )
     return tuple(pairs)
 
 
@@ -255,6 +266,9 @@ def main(argv=None) -> int:
             parser.error("--tol must be positive")
         if args.seed < 0 or args.trial_offset < 0:
             parser.error("--seed and --trial-offset must be nonnegative")
+        tags = [certify.weight_tag(beta) for beta in args.beta]
+        if len(set(tags)) < len(tags):
+            parser.error(f"weights that print alike share report keys: {', '.join(tags)}")
         config = RunConfig(
             command="verify",
             master_seed=args.seed,

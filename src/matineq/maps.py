@@ -25,7 +25,6 @@ __all__ = [
     "partial_trace_first",
     "corner_block_map",
     "compose",
-    "principal_submatrix_map",
     "choi",
     "is_unital",
     "halmos_dilation",
@@ -163,21 +162,6 @@ def compose(outer: PositiveMapRep, inner: PositiveMapRep) -> PositiveMapRep:
         _prune(ops, (inner.input_dim, outer.output_dim)),
         label=label,
     )
-
-
-def principal_submatrix_map(indices: Sequence[int], n: int) -> PositiveMapRep:
-    """Extraction of the principal submatrix on 0-based ``indices``."""
-    idx = [int(i) for i in indices]
-    if not idx:
-        raise ValueError("indices must be nonempty")
-    if any(i < 0 or i >= n for i in idx):
-        raise ValueError(f"indices must lie in [0, {n})")
-    if any(b <= a for a, b in zip(idx, idx[1:])):
-        raise ValueError("indices must be strictly increasing")
-    sel = np.zeros((n, len(idx)), dtype=complex)
-    for j, i in enumerate(idx):
-        sel[i, j] = 1.0
-    return PositiveMapRep(n, len(idx), (sel,), label=f"submatrix({len(idx)}/{n})")
 
 
 def choi(pmap: PositiveMapRep) -> ChoiData:

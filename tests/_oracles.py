@@ -3,10 +3,13 @@
 These deliberately avoid the code paths used by the implementation: the
 geometric mean is cross-checked through the arithmetic-harmonic iteration
 (matrix inverses only) and the matrix absolute value through an
-eigendecomposition of x* x.
+eigendecomposition of x* x or, for normal matrices, a complex Schur form.
+The tensor constructions of the entrywise-product certificates are kept here
+in plain numpy as the reference for their closed forms.
 """
 
 import numpy as np
+import scipy.linalg
 
 
 def arithmetic_harmonic_mean(a, b, iterations=60):
@@ -24,3 +27,59 @@ def abs_via_eig(x):
     gram = x.conj().T @ x
     w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def abs_via_schur(x):
+    """Absolute value of a normal matrix from its complex Schur form.
+
+    The Schur form of a normal matrix is diagonal, so ``|x| = z |t| z*``. Unlike
+    ``abs_via_eig`` this does not square the input, so it stays accurate to
+    machine precision on rank-deficient matrices.
+    """
+    t, z = scipy.linalg.schur(np.asarray(x, dtype=complex), output="complex")
+    return (z * np.abs(np.diagonal(t))) @ z.conj().T
+
+
+def _paired_diagonal(big, n):
+    """Compression of an (n*n) x (n*n) matrix to the indices i*n + i."""
+    idx = np.arange(n) * (n + 1)
+    return big[np.ix_(idx, idx)]
+
+
+def _carrier(upper, lower):
+    """The 2x2 block matrix [[0, upper], [lower, 0]]."""
+    zero = np.zeros_like(upper)
+    return np.block([[zero, upper], [lower, zero]])
+
+
+def _block_sum(x, n):
+    return x[:n, :n] + x[:n, n:] + x[n:, :n] + x[n:, n:]
+
+
+def schur_normal_terms_via_kron(a, b):
+    """(a o b, |a| o |b|) as the paired-diagonal compressions of a (x) b and |a (x) b|."""
+    a = np.asarray(a, dtype=complex)
+    big = np.kron(a, np.asarray(b, dtype=complex))
+    n = a.shape[0]
+    return _paired_diagonal(big, n), _paired_diagonal(abs_via_schur(big), n)
+
+
+def schur_square_terms_via_kron(x):
+    """(x o x*, |x| o |x*|) through the tensor product of the two off-diagonal carriers.
+
+    Half the block sum of the paired-diagonal compression of
+    ``[[0, x*], [x, 0]] (x) [[0, x], [x*, 0]]``, and of its absolute value.
+    """
+    x = np.asarray(x, dtype=complex)
+    n = x.shape[0]
+    big = np.kron(_carrier(x.conj().T, x), _carrier(x, x.conj().T))
+    return (
+        _block_sum(_paired_diagonal(big, 2 * n), n) / 2.0,
+        _block_sum(_paired_diagonal(abs_via_schur(big), 2 * n), n) / 2.0,
+    )
+
+
+def hermitian_sum_term_via_block(x):
+    """|x| + |x*| as the block sum of |[[0, x], [x*, 0]]|."""
+    x = np.asarray(x, dtype=complex)
+    return _block_sum(abs_via_schur(_carrier(x, x.conj().T)), x.shape[0])

@@ -1,20 +1,22 @@
 """Tests for the inequality certificates and the worked sharpness examples."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from matineq.core import (
     geometric_mean,
+    haar_unitary,
     hermitian_part,
     loewner_leq,
     mat_abs,
+    polar,
     random_contraction,
     random_matrix,
     random_normal,
     random_psd,
-    schur_prod,
     spectral_norm,
 )
 from matineq.maps import (
@@ -26,6 +28,7 @@ from matineq.maps import (
     schur_multiplier,
 )
 from matineq.certify import (
+    DEFAULT_TOL,
     chain_certificate,
     check_block_certificate,
     check_corollary_eigen,
@@ -53,6 +56,12 @@ from matineq.certify import (
     trial_statements,
     witness_unitary,
     _real_part_margin,
+)
+
+from _oracles import (
+    hermitian_sum_term_via_block,
+    schur_normal_terms_via_kron,
+    schur_square_terms_via_kron,
 )
 
 R = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -400,26 +409,75 @@ def test_schur_normal_flip_pair():
     np.testing.assert_allclose(cert.slack_spectrum, [0.25, 0.25], atol=1e-12)
 
 
-def test_schur_normal_tensor_route_matches_direct_product():
-    from matineq.core import kron
-    from matineq.maps import principal_submatrix_map
+def _oracle_inputs(n, normal):
+    """Random, zero, rank-deficient and 1e-8-scaled n x n inputs."""
+    if normal:
+        cases = [random_normal([n, s], n) for s in range(3)]
+        u = haar_unitary([n, 3], n)
+        z = random_normal([n, 4], n).diagonal().copy()
+        z[: (n + 1) // 2] = 0.0
+        deficient = (u * z) @ u.conj().T
+    else:
+        cases = [random_matrix([n, s], n) for s in range(3)]
+        deficient = random_matrix([n, 3], n, 1) @ random_matrix([n, 4], 1, n)
+    return cases + [np.zeros((n, n), dtype=complex), deficient, 1e-8 * cases[0]]
 
-    for seed in range(10):
-        a = random_normal([seed, 0], 3)
-        b = random_normal([seed, 1], 3)
-        cert = check_schur_normal(a, b)
-        assert cert.passed
-        # the tensor-product route reproduces |a| o |b| as the comparison term
-        extraction = principal_submatrix_map([4 * i for i in range(3)], 9)
-        tensor_route = apply(extraction, mat_abs(kron(a, b)))
-        direct = schur_prod(mat_abs(a), mat_abs(b))
-        assert spectral_norm(tensor_route - direct) <= 1e-9 * max(
-            1.0, spectral_norm(direct)
-        )
-        expected_rhs = direct + cert.witness @ direct @ cert.witness.conj().T / 4.0
-        assert spectral_norm(cert.rhs - expected_rhs) <= 1e-9 * max(
-            1.0, spectral_norm(expected_rhs)
-        )
+
+def _geometric_reference(pmap, source, comparison):
+    """Geometric-mean orbit verdict for ``|map(source)|`` against ``map(comparison)``."""
+    arg = hermitian_part(apply(pmap, comparison))
+    w, lhs = polar(apply(pmap, source))
+    orbit = hermitian_part(w.conj().T @ arg @ w)
+    return loewner_leq(lhs, geometric_mean(arg, orbit), DEFAULT_TOL)
+
+
+def _assert_matches_oracle(cert, reference):
+    passed, slack = reference
+    assert cert.passed == passed
+    scale = max(1.0, spectral_norm(cert.rhs))
+    assert np.abs(cert.slack_spectrum - slack).max() <= 1e-12 * scale
+
+
+def test_schur_normal_matches_tensor_oracle():
+    for n in (1, 2, 3, 4):
+        cases = _oracle_inputs(n, normal=True)
+        for a, b in zip(cases, cases[1:] + cases[:1]):
+            cert = check_schur_normal(a, b)
+            assert cert.passed
+            product, comparison = schur_normal_terms_via_kron(a, b)
+            w, lhs = polar(product)
+            rhs = hermitian_part(comparison + w.conj().T @ comparison @ w / 4.0)
+            _assert_matches_oracle(cert, loewner_leq(lhs, rhs, DEFAULT_TOL))
+
+
+def test_schur_square_matches_tensor_oracle():
+    for n in (1, 2, 3, 4):
+        pmap = random_cp_map([n, 9], n, 3)
+        for x in _oracle_inputs(n, normal=False):
+            cert = check_schur_square(pmap, x)
+            assert cert.passed
+            reference = _geometric_reference(pmap, *schur_square_terms_via_kron(x))
+            _assert_matches_oracle(cert, reference)
+
+
+def test_hermitian_sum_matches_block_oracle():
+    for n in (1, 2, 3, 4):
+        pmap = random_cp_map([n, 9], n, 3)
+        for x in _oracle_inputs(n, normal=False):
+            cert = check_hermitian_sum(pmap, x)
+            assert cert.passed
+            reference = _geometric_reference(
+                pmap, x + x.conj().T, hermitian_sum_term_via_block(x)
+            )
+            _assert_matches_oracle(cert, reference)
+
+
+def test_schur_square_takes_no_tensor_route():
+    # The tensor route would take the absolute value of a 16384 x 16384 matrix.
+    start = time.perf_counter()
+    cert = check_schur_square(random_cp_map(5, 64, 2), random_matrix(6, 64))
+    assert cert.passed
+    assert time.perf_counter() - start < 1.0
 
 
 def test_schur_normal_rejects_nonnormal():

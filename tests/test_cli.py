@@ -62,6 +62,27 @@ def test_verify_rejects_bad_dims(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("betas", ["1,1", "0.1234561,0.1234562"])
+def test_verify_rejects_weights_sharing_a_key(capsys, betas):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--trials", "1", "--beta", betas])
+    assert exc.value.code == 2
+    assert "share report keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "search"])
+def test_dims_over_the_memory_budget_are_usage_errors(capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the size guard must stop the run before any work")
+
+    monkeypatch.setattr(cli, "run_trial", refuse)
+    monkeypatch.setattr(cli, "estimate_constant", refuse)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--dims", "1000,1000", "--trials", "1"])
+    assert exc.value.code == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_verify_mutant_hook_fails_and_replays(capsys):
     code, out = run_cli(
         capsys, ["verify", "--trials", "2", "--seed", "3", "--inject-mutant"]

@@ -12,7 +12,6 @@ from matineq.core import (
     haar_unitary,
     herm_eig,
     is_normal,
-    kron,
     loewner_leq,
     mat_abs,
     polar,
@@ -326,11 +325,6 @@ def test_weak_log_majorize_transitive(base, lift1, lift2):
 def test_schur_with_identity_extracts_diagonal():
     a = random_matrix(0, 3)
     np.testing.assert_array_equal(schur_prod(a, np.eye(3)), np.diag(np.diag(a)))
-
-
-def test_kron_with_identity_stacks_blocks():
-    b = random_matrix(1, 2)
-    np.testing.assert_array_equal(kron(np.eye(2), b), direct_sum([b, b]))
 
 
 def test_schur_family_flip():

@@ -5,7 +5,6 @@ import pytest
 
 from matineq.core import (
     hermitian_part,
-    kron,
     random_contraction,
     random_matrix,
     random_normal,
@@ -23,7 +22,6 @@ from matineq.maps import (
     identity_map,
     is_unital,
     partial_trace_first,
-    principal_submatrix_map,
     random_cp_map,
     random_unital_cp_map,
     schur_multiplier,
@@ -96,7 +94,6 @@ def test_apply_preserves_positivity_per_constructor():
         ("schur", lambda s: schur_multiplier(random_psd([s, 0], 3))),
         ("ptrace", lambda s: partial_trace_first(2, 3)),
         ("corner", lambda s: corner_block_map("diag_average", 3)),
-        ("submatrix", lambda s: principal_submatrix_map([0, 2, 5], 6)),
         ("random-cp", lambda s: random_cp_map([s, 1], 6, 3)),
         ("random-unital", lambda s: random_unital_cp_map([s, 2], 6, 3)),
     ]
@@ -149,7 +146,7 @@ def test_schur_multiplier_rejects_non_psd():
 
 
 # ---------------------------------------------------------------------------
-# partial trace, corner maps, compose, submatrix
+# partial trace, corner maps, compose
 # ---------------------------------------------------------------------------
 
 
@@ -165,7 +162,7 @@ def test_partial_trace_sums_blocks():
 def test_partial_trace_on_tensor_product():
     x = random_matrix(0, 2)
     y = random_matrix(1, 3)
-    out = apply(partial_trace_first(2, 3), kron(x, y))
+    out = apply(partial_trace_first(2, 3), np.kron(x, y))
     np.testing.assert_allclose(out, np.trace(x) * y, atol=1e-13)
 
 
@@ -244,7 +241,7 @@ def test_compose_partial_trace_with_embedding():
     traced = compose(partial_trace_first(2, 3), emb)
     x = random_matrix(0, 2)
     y = random_matrix(1, 3)
-    np.testing.assert_allclose(apply(traced, kron(x, y)), np.trace(x) * y, atol=1e-13)
+    np.testing.assert_allclose(apply(traced, np.kron(x, y)), np.trace(x) * y, atol=1e-13)
 
 
 def test_compose_block_sum_after_extraction_doubles_schur_square():
@@ -255,38 +252,15 @@ def test_compose_block_sum_after_extraction_doubles_schur_square():
     zero = np.zeros((2, 2), dtype=complex)
     left = np.block([[zero, x.conj().T], [x, zero]])
     right = np.block([[zero, x], [x.conj().T, zero]])
-    extraction = principal_submatrix_map([5 * i for i in range(4)], 16)
+    selection = np.eye(16, dtype=complex)[:, [5 * i for i in range(4)]]
+    extraction = PositiveMapRep(16, 4, (selection,))
     composed = compose(corner_block_map("block_sum", 2), extraction)
-    out = apply(composed, kron(left, right))
+    out = apply(composed, np.kron(left, right))
     direct = apply(
-        corner_block_map("block_sum", 2), apply(extraction, kron(left, right))
+        corner_block_map("block_sum", 2), apply(extraction, np.kron(left, right))
     )
     np.testing.assert_allclose(out, direct, atol=1e-12)
     np.testing.assert_allclose(out, 2.0 * schur_prod(x, x.conj().T), atol=1e-12)
-
-
-def test_principal_submatrix_full_and_single():
-    x = random_matrix(0, 4)
-    np.testing.assert_allclose(apply(principal_submatrix_map(range(4), 4), x), x, atol=0)
-    np.testing.assert_allclose(
-        apply(principal_submatrix_map([2], 4), x), x[2:3, 2:3], atol=0
-    )
-
-
-def test_principal_submatrix_gives_schur_product():
-    a = random_matrix(1, 2)
-    b = random_matrix(2, 2)
-    out = apply(principal_submatrix_map([0, 3], 4), kron(a, b))
-    np.testing.assert_allclose(out, schur_prod(a, b), atol=1e-14)
-
-
-def test_principal_submatrix_validation():
-    with pytest.raises(ValueError):
-        principal_submatrix_map([0, 4], 4)
-    with pytest.raises(ValueError):
-        principal_submatrix_map([2, 1], 4)
-    with pytest.raises(ValueError):
-        principal_submatrix_map([], 4)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +293,6 @@ def test_choi_psd_for_every_constructor():
         corner_block_map("diag_average", 2),
         corner_block_map("block_sum", 2),
         compose(random_cp_map(1, 2, 3), corner_block_map("upper_left", 2)),
-        principal_submatrix_map([0, 2], 4),
         identity_map(3),
         random_cp_map(2, 2, 3),
         random_unital_cp_map(3, 3, 2),
