@@ -167,7 +167,7 @@ def cmd_repro(name: str, betas, as_json: bool, output_path: str):
 
 def cmd_search(betas, seed, trials, dims, as_json: bool, output_path: str):
     n, m = dims[0]
-    rows = estimate_constant(betas, family="mixed", seed=seed, trials=trials, n=n, m=m)
+    rows = estimate_constant(betas, seed=seed, trials=trials, n=n, m=m)
     if as_json:
         _emit(json.dumps(rows, indent=2), output_path)
     else:

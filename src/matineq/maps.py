@@ -1,16 +1,18 @@
 """Positive linear maps in Kraus congruence form.
 
 A map acts as ``x -> sum_i k_i* x k_i`` with factors ``k_i`` of shape
-``(input_dim, output_dim)``. This representation makes positivity and
-complete positivity constructive: the Choi matrix of every map built here is
-positive semidefinite by design, and named constructors cover the Schur
-multiplier, partial traces, block compressions and compositions.
+``(input_dim, output_dim)``, held as one stack of shape
+``(terms, input_dim, output_dim)``, so every operation below works on the
+whole stack at once. This representation makes positivity and complete
+positivity constructive: the Choi matrix of every map built here is positive
+semidefinite by design, and named constructors cover the Schur multiplier,
+partial traces, block compressions and compositions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -39,29 +41,33 @@ _KRAUS_DROP_TOL = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class PositiveMapRep:
-    """A positive (completely positive) linear map in Kraus congruence form."""
+    """A positive (completely positive) linear map in Kraus congruence form.
+
+    ``kraus_ops`` is stored as one finite complex array of shape
+    ``(terms, input_dim, output_dim)``; any nonempty sequence of equally
+    shaped factors is accepted.
+    """
 
     input_dim: int
     output_dim: int
-    kraus_ops: tuple
+    kraus_ops: np.ndarray
     label: str = ""
 
     def __post_init__(self):
         if self.input_dim < 1 or self.output_dim < 1:
             raise ValueError("map dimensions must be >= 1")
-        ops = tuple(as_matrix(k, name="kraus op") for k in self.kraus_ops)
-        if not ops:
-            raise ValueError("kraus_ops must be nonempty")
-        for k in ops:
-            if k.shape != (self.input_dim, self.output_dim):
-                raise ValueError(
-                    f"kraus op of shape {k.shape}, expected "
-                    f"({self.input_dim}, {self.output_dim})"
-                )
+        # A ragged sequence of factors raises ValueError here.
+        ops = np.ascontiguousarray(self.kraus_ops, dtype=complex)
+        if ops.ndim != 3 or ops.shape[0] == 0:
+            raise ValueError(f"kraus_ops must be a nonempty stack of matrices, got shape {ops.shape}")
+        if ops.shape[1:] != (self.input_dim, self.output_dim):
+            raise ValueError(
+                f"kraus ops of shape {ops.shape[1:]}, expected "
+                f"({self.input_dim}, {self.output_dim})"
+            )
+        if not np.isfinite(ops).all():
+            raise ValueError("kraus ops have non-finite entries")
         object.__setattr__(self, "kraus_ops", ops)
-
-    def __call__(self, x) -> np.ndarray:
-        return apply(self, x)
 
 
 class ChoiData(NamedTuple):
@@ -76,17 +82,23 @@ def apply(pmap: PositiveMapRep, x) -> np.ndarray:
     x = as_matrix(x, square=True, name="x")
     if x.shape[0] != pmap.input_dim:
         raise ValueError(f"input of dimension {x.shape[0]}, map expects {pmap.input_dim}")
-    out = np.zeros((pmap.output_dim, pmap.output_dim), dtype=complex)
-    for k in pmap.kraus_ops:
-        out += k.conj().T @ x @ k
-    return out
+    # Two products: y_t = x k_t for every t, then the factors folded into the
+    # row index, conj(out) = [k_1; ...; k_T]^T [conj(y_1); ...; conj(y_T)].
+    ops = pmap.kraus_ops
+    y = x @ ops
+    np.conjugate(y, out=y)
+    flat = ops.reshape(-1, pmap.output_dim)
+    return (flat.T @ y.reshape(-1, pmap.output_dim)).conj()
 
 
-def _prune(ops: Sequence[np.ndarray], shape) -> tuple:
-    kept = tuple(k for k in ops if np.linalg.norm(k) > _KRAUS_DROP_TOL)
-    if kept:
-        return kept
-    return (np.zeros(shape, dtype=complex),)
+def _prune(ops: np.ndarray) -> np.ndarray:
+    kept = ops[np.linalg.norm(ops, axis=(1, 2)) > _KRAUS_DROP_TOL]
+    return kept if len(kept) else np.zeros((1,) + ops.shape[1:], dtype=complex)
+
+
+def _block_rows(d: int, n: int) -> np.ndarray:
+    """The ``d`` factors ``e_i (x) I_n`` of shape ``(d n, n)``, as one stack."""
+    return np.eye(d * n, dtype=complex).reshape(d * n, d, n).transpose(1, 0, 2)
 
 
 def identity_map(n: int) -> PositiveMapRep:
@@ -106,43 +118,31 @@ def schur_multiplier(a, *, psd_tol: float = PSD_TOL) -> PositiveMapRep:
     scale = max(1.0, float(abs(w[0])) if w.size else 1.0)
     if w.size and w[-1] < -psd_tol * scale:
         raise ValueError("schur_multiplier needs a PSD matrix")
-    ops = []
-    for r in range(n):
-        if w[r] > _KRAUS_DROP_TOL * scale:
-            ops.append(np.diag(np.conj(np.sqrt(w[r]) * v[:, r])))
-    return PositiveMapRep(n, n, _prune(ops, (n, n)), label=f"schur({n})")
+    keep = w > _KRAUS_DROP_TOL * scale
+    diagonals = np.conj(np.sqrt(w[keep]) * v[:, keep]).T
+    ops = diagonals[:, :, None] * np.eye(n)
+    return PositiveMapRep(n, n, _prune(ops), label=f"schur({n})")
 
 
 def partial_trace_first(d: int, n: int) -> PositiveMapRep:
     """Partial trace over the first tensor factor: block matrix to sum of diagonal blocks."""
     if d < 1 or n < 1:
         raise ValueError("dimensions must be >= 1")
-    eye = np.eye(n, dtype=complex)
-    ops = []
-    for i in range(d):
-        e = np.zeros((d, 1), dtype=complex)
-        e[i, 0] = 1.0
-        ops.append(np.kron(e, eye))
-    return PositiveMapRep(d * n, n, tuple(ops), label=f"ptrace1({d},{n})")
+    return PositiveMapRep(d * n, n, _block_rows(d, n), label=f"ptrace1({d},{n})")
 
 
 def corner_block_map(variant: str, n: int) -> PositiveMapRep:
     """Block maps on 2x2 block matrices over n x n blocks.
 
-    ``"upper_left"`` extracts the (1,1) block, ``"diag_average"`` returns the
-    mean of the two diagonal blocks, ``"block_sum"`` adds all four blocks (the
-    congruence with the stacked-identity isometry).
+    ``"upper_left"`` extracts the (1,1) block and ``"diag_average"`` returns
+    the mean of the two diagonal blocks.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    eye = np.eye(n, dtype=complex)
-    zero = np.zeros((n, n), dtype=complex)
     if variant == "upper_left":
-        ops = (np.vstack([eye, zero]),)
+        ops = _block_rows(2, n)[:1]
     elif variant == "diag_average":
-        ops = (np.vstack([eye, zero]) / np.sqrt(2.0), np.vstack([zero, eye]) / np.sqrt(2.0))
-    elif variant == "block_sum":
-        ops = (np.vstack([eye, eye]),)
+        ops = _block_rows(2, n) / np.sqrt(2.0)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return PositiveMapRep(2 * n, n, ops, label=f"{variant}({n})")
@@ -154,14 +154,12 @@ def compose(outer: PositiveMapRep, inner: PositiveMapRep) -> PositiveMapRep:
         raise ValueError(
             f"cannot compose: inner output {inner.output_dim} != outer input {outer.input_dim}"
         )
-    ops = [ki @ kj for ki in inner.kraus_ops for kj in outer.kraus_ops]
-    label = f"{outer.label or 'outer'}.{inner.label or 'inner'}"
-    return PositiveMapRep(
-        inner.input_dim,
-        outer.output_dim,
-        _prune(ops, (inner.input_dim, outer.output_dim)),
-        label=label,
+    # Factor i * len(outer) + j is inner_i @ outer_j.
+    ops = (inner.kraus_ops[:, None] @ outer.kraus_ops[None]).reshape(
+        -1, inner.input_dim, outer.output_dim
     )
+    label = f"{outer.label or 'outer'}.{inner.label or 'inner'}"
+    return PositiveMapRep(inner.input_dim, outer.output_dim, _prune(ops), label=label)
 
 
 def choi(pmap: PositiveMapRep) -> ChoiData:
@@ -207,12 +205,9 @@ def random_cp_map(seed, n: int, m: int, terms: Optional[int] = None) -> Positive
     terms = n * m if terms is None else terms
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    rng = np.random.default_rng(seed)
-    ops = tuple(
-        (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
-        / np.sqrt(2.0 * n * terms)
-        for _ in range(terms)
-    )
+    # The per-term draw order (real part, then imaginary part), so a seed keeps its factors.
+    draws = np.random.default_rng(seed).standard_normal((terms, 2, n, m))
+    ops = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0 * n * terms)
     return PositiveMapRep(n, m, ops, label=f"random-cp({n},{m})")
 
 
@@ -223,5 +218,4 @@ def random_unital_cp_map(seed, n: int, m: int, terms: Optional[int] = None) -> P
     w, v = np.linalg.eigh(hermitian_part(image))
     w = np.maximum(w, 1e-12 * max(1.0, float(w.max())))
     inv_root = (v / np.sqrt(w)) @ v.conj().T
-    ops = tuple(k @ inv_root for k in base.kraus_ops)
-    return PositiveMapRep(n, m, ops, label=f"random-unital-cp({n},{m})")
+    return PositiveMapRep(n, m, base.kraus_ops @ inv_root, label=f"random-unital-cp({n},{m})")

@@ -5,7 +5,8 @@ geometric mean is cross-checked through the arithmetic-harmonic iteration
 (matrix inverses only) and the matrix absolute value through an
 eigendecomposition of x* x or, for normal matrices, a complex Schur form.
 The tensor constructions of the entrywise-product certificates are kept here
-in plain numpy as the reference for their closed forms.
+in plain numpy as the reference for their closed forms, and the Kraus-map
+operations one factor at a time as the reference for the stacked ones.
 """
 
 import numpy as np
@@ -83,3 +84,31 @@ def hermitian_sum_term_via_block(x):
     """|x| + |x*| as the block sum of |[[0, x], [x*, 0]]|."""
     x = np.asarray(x, dtype=complex)
     return _block_sum(abs_via_schur(_carrier(x, x.conj().T)), x.shape[0])
+
+
+def apply_by_factors(ops, x):
+    """``sum_t k_t* x k_t``, one factor at a time."""
+    x = np.asarray(x, dtype=complex)
+    return sum(k.conj().T @ x @ k for k in ops)
+
+
+def compose_by_factors(outer_ops, inner_ops):
+    """The factors ``inner_i @ outer_j`` of ``x -> outer(inner(x))``, ``i`` major."""
+    return [ki @ kj for ki in inner_ops for kj in outer_ops]
+
+
+def gaussian_kraus_draws(seed, n, m, terms):
+    """Seeded Gaussian factors drawn term by term, real part before imaginary part."""
+    rng = np.random.default_rng(seed)
+    return [
+        (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2.0 * n * terms)
+        for _ in range(terms)
+    ]
+
+
+def unital_normalisation(ops, image):
+    """Each factor times ``image^(-1/2)``, so the identity maps to the identity."""
+    w, v = np.linalg.eigh((image + image.conj().T) / 2.0)
+    w = np.maximum(w, 1e-12 * max(1.0, float(w.max())))
+    inv_root = (v / np.sqrt(w)) @ v.conj().T
+    return [k @ inv_root for k in ops]

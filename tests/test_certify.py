@@ -55,6 +55,7 @@ from matineq.certify import (
     sharpness_family,
     trial_statements,
     witness_unitary,
+    _diagonal_certificate,
     _real_part_margin,
 )
 
@@ -233,6 +234,43 @@ def test_eigen_sweep():
             assert reports.log_majorization.passed
             assert reports.pair_bounds.passed
             assert reports.shifted_bounds.passed
+
+
+def _diagonal_cases():
+    rng = np.random.default_rng(12)
+    for size in (1, 3, 10, 136):
+        for scale in (1.0, 1e-8, 1e4):
+            lhs = scale * rng.standard_normal(size)
+            gap = scale * np.abs(rng.standard_normal(size))
+            yield "random", lhs, scale * rng.standard_normal(size)
+            yield "above", lhs, lhs + gap
+            threshold = DEFAULT_TOL * max(1.0, float(np.abs(lhs).max()))
+            yield "within-tol", lhs, lhs - 0.5 * threshold
+            yield "beyond-tol", lhs, lhs - 2.0 * threshold
+            if size > 1:
+                # One entry far below its bound puts ||lhs|| far above ||rhs||.
+                wide = lhs.copy()
+                wide[0] -= 1e3 * max(1.0, float(np.abs(lhs).max()))
+                yield "beyond-tol", wide, lhs - 2.0 * threshold
+            yield "equal", lhs, lhs.copy()
+        yield "zero", np.zeros(size), np.zeros(size)
+
+
+def test_diagonal_certificate_matches_loewner_test():
+    # eigen-pairs and eigen-shift compare vectors; the verdict and the slack
+    # spectrum are those of the Loewner test on the diagonal matrices.
+    verdicts = {}
+    for case, lhs, rhs in _diagonal_cases():
+        cert = _diagonal_certificate("diag", lhs, rhs, tol=DEFAULT_TOL)
+        ref = loewner_leq(np.diag(lhs), np.diag(rhs), DEFAULT_TOL)
+        assert cert.passed == ref.passed, (case, lhs.size)
+        verdicts.setdefault(case, set()).add(cert.passed)
+        scale = max(1.0, float(np.abs(rhs).max()))
+        np.testing.assert_allclose(cert.slack_spectrum, ref.slack_spectrum, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_array_equal(cert.lhs, np.diag(lhs))
+        np.testing.assert_array_equal(cert.rhs, np.diag(rhs))
+    assert verdicts["within-tol"] == {True} and verdicts["beyond-tol"] == {False}
+    assert verdicts["equal"] == verdicts["zero"] == {True}
 
 
 # ---------------------------------------------------------------------------

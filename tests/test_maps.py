@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from matineq.core import (
+    haar_unitary,
     hermitian_part,
     random_contraction,
     random_matrix,
@@ -28,6 +29,13 @@ from matineq.maps import (
 )
 from matineq.certify import quarter_sharpness_map
 
+from _oracles import (
+    apply_by_factors,
+    compose_by_factors,
+    gaussian_kraus_draws,
+    unital_normalisation,
+)
+
 R = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 ONES2 = np.ones((2, 2), dtype=complex)
 
@@ -46,9 +54,25 @@ def test_rep_validation():
     with pytest.raises(ValueError):
         PositiveMapRep(2, 2, ())
     with pytest.raises(ValueError):
+        PositiveMapRep(2, 2, np.zeros((0, 2, 2)))
+    with pytest.raises(ValueError):
         PositiveMapRep(2, 2, (np.eye(3),))
     with pytest.raises(ValueError):
         PositiveMapRep(0, 2, (np.eye(2),))
+    with pytest.raises(ValueError):
+        PositiveMapRep(2, 2, (np.eye(2), np.eye(3)))  # ragged
+    with pytest.raises(ValueError):
+        PositiveMapRep(2, 2, np.eye(2))  # one matrix, not a stack
+    with pytest.raises(ValueError):
+        PositiveMapRep(2, 2, (np.full((2, 2), np.nan),))
+
+
+def test_rep_stores_one_stack():
+    pmap = PositiveMapRep(3, 2, [np.ones((3, 2)), np.zeros((3, 2))])
+    assert pmap.kraus_ops.shape == (2, 3, 2)
+    assert pmap.kraus_ops.dtype == complex
+    assert len(pmap.kraus_ops) == 2
+    assert [k.shape for k in pmap.kraus_ops] == [(3, 2), (3, 2)]
 
 
 def test_apply_schur_family():
@@ -107,6 +131,89 @@ def test_apply_preserves_positivity_per_constructor():
             ), name
             w = np.linalg.eigvalsh(hermitian_part(image))
             assert w.min() >= -1e-9 * max(1.0, abs(w).max() if w.size else 1.0), name
+
+
+_PARITY_MAPS = [
+    pytest.param(schur_multiplier(random_psd(0, 3)), id="schur"),
+    pytest.param(schur_multiplier(np.ones((3, 3))), id="schur-rank-one"),
+    pytest.param(schur_multiplier(np.zeros((3, 3))), id="zero-multiplier"),
+    pytest.param(partial_trace_first(3, 2), id="ptrace"),
+    pytest.param(corner_block_map("upper_left", 2), id="upper-left"),
+    pytest.param(corner_block_map("diag_average", 3), id="diag-average"),
+    pytest.param(identity_map(3), id="identity"),
+    pytest.param(random_cp_map(1, 3, 3), id="random-cp"),
+    pytest.param(random_cp_map(2, 4, 2), id="random-cp-tall"),
+    pytest.param(random_cp_map(3, 2, 5), id="random-cp-wide"),
+    pytest.param(random_cp_map(4, 3, 2, terms=1), id="single-factor"),
+    pytest.param(random_unital_cp_map(5, 4, 3), id="random-unital"),
+    pytest.param(compose(random_cp_map(6, 3, 2), random_cp_map(7, 4, 3)), id="composed"),
+    pytest.param(quarter_sharpness_map(), id="quarter"),
+]
+
+
+@pytest.mark.parametrize("pmap", _PARITY_MAPS)
+def test_apply_matches_per_factor_oracle(pmap):
+    for seed in range(4):
+        for scale in (1.0, 1e-8, 1e6):
+            x = scale * random_matrix([seed, 11], pmap.input_dim)
+            expected = apply_by_factors(pmap.kraus_ops, x)
+            err = spectral_norm(apply(pmap, x) - expected)
+            assert err <= 1e-13 * max(1.0, spectral_norm(expected)), (pmap.label, seed, scale)
+
+
+def test_maps_pruned_to_zero_keep_one_zero_factor():
+    multiplier = schur_multiplier(np.zeros((3, 3)))
+    composed = compose(schur_multiplier(np.zeros((2, 2))), random_cp_map(0, 3, 2))
+    for pmap, shape in ((multiplier, (1, 3, 3)), (composed, (1, 3, 2))):
+        assert pmap.kraus_ops.shape == shape
+        np.testing.assert_array_equal(pmap.kraus_ops, 0.0)
+        np.testing.assert_array_equal(apply(pmap, random_matrix(0, 3)), 0.0)
+
+
+@pytest.mark.parametrize(
+    "outer,inner",
+    [
+        (random_cp_map(0, 3, 2), random_cp_map(1, 4, 3)),
+        (random_cp_map(2, 2, 2, terms=1), random_cp_map(3, 2, 2)),
+        (partial_trace_first(2, 2), corner_block_map("diag_average", 4)),
+        (schur_multiplier(random_psd(4, 2)), random_unital_cp_map(5, 3, 2)),
+    ],
+)
+def test_compose_matches_per_factor_oracle(outer, inner):
+    composed = compose(outer, inner)
+    expected = compose_by_factors(outer.kraus_ops, inner.kraus_ops)
+    np.testing.assert_allclose(composed.kraus_ops, np.array(expected), rtol=0, atol=1e-13)
+    x = random_matrix(6, inner.input_dim)
+    direct = apply_by_factors(expected, x)
+    assert spectral_norm(apply(composed, x) - direct) <= 1e-13 * max(1.0, spectral_norm(direct))
+
+
+@pytest.mark.parametrize("n,m,terms", [(2, 2, None), (3, 2, None), (2, 4, 3), (4, 4, 1)])
+def test_random_maps_are_the_per_term_draws(n, m, terms):
+    seed = [5, n, m]
+    draws = gaussian_kraus_draws(seed, n, m, n * m if terms is None else terms)
+    base = random_cp_map(seed, n, m, terms)
+    np.testing.assert_array_equal(base.kraus_ops, np.array(draws))
+    unital = random_unital_cp_map(seed, n, m, terms)
+    image = apply(base, np.eye(n))
+    np.testing.assert_array_equal(unital.kraus_ops, np.array(unital_normalisation(draws, image)))
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (3, 2), (4, 4)])
+def test_upper_left_of_dilation_is_the_map_of_the_contraction(n, m):
+    # The identity check_russo_dye relies on to skip the dilation.
+    pmap = random_cp_map([n, m], n, m)
+    extended = compose(pmap, corner_block_map("upper_left", n))
+    contractions = [
+        0.5 * random_contraction([n, 1], n),
+        random_contraction([n, 2], n),
+        haar_unitary([n, 3], n),
+        np.zeros((n, n), dtype=complex),
+    ]
+    for z in contractions:
+        direct = apply(pmap, z)
+        dilated = apply(extended, halmos_dilation(z))
+        assert spectral_norm(dilated - direct) <= 1e-13 * max(1.0, spectral_norm(direct))
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +296,6 @@ def test_corner_diag_average_builds_real_part():
     np.testing.assert_allclose(out, (a + np.conj(a)) / 2.0, atol=1e-14)
 
 
-def test_corner_block_sum_collects_blocks():
-    x = random_matrix(4, 2)
-    big = np.zeros((4, 4), dtype=complex)
-    big[:2, 2:] = x
-    big[2:, :2] = x.conj().T
-    out = apply(corner_block_map("block_sum", 2), big)
-    np.testing.assert_allclose(out, x + x.conj().T, atol=1e-14)
-
-
 def test_corner_unknown_variant():
     with pytest.raises(ValueError):
         corner_block_map("bogus", 2)
@@ -254,11 +352,10 @@ def test_compose_block_sum_after_extraction_doubles_schur_square():
     right = np.block([[zero, x], [x.conj().T, zero]])
     selection = np.eye(16, dtype=complex)[:, [5 * i for i in range(4)]]
     extraction = PositiveMapRep(16, 4, (selection,))
-    composed = compose(corner_block_map("block_sum", 2), extraction)
+    block_sum = PositiveMapRep(4, 2, (np.vstack([np.eye(2), np.eye(2)]),))
+    composed = compose(block_sum, extraction)
     out = apply(composed, np.kron(left, right))
-    direct = apply(
-        corner_block_map("block_sum", 2), apply(extraction, np.kron(left, right))
-    )
+    direct = apply(block_sum, apply(extraction, np.kron(left, right)))
     np.testing.assert_allclose(out, direct, atol=1e-12)
     np.testing.assert_allclose(out, 2.0 * schur_prod(x, x.conj().T), atol=1e-12)
 
@@ -291,7 +388,6 @@ def test_choi_psd_for_every_constructor():
         partial_trace_first(2, 2),
         corner_block_map("upper_left", 2),
         corner_block_map("diag_average", 2),
-        corner_block_map("block_sum", 2),
         compose(random_cp_map(1, 2, 3), corner_block_map("upper_left", 2)),
         identity_map(3),
         random_cp_map(2, 2, 3),
@@ -309,8 +405,6 @@ def test_choi_psd_for_every_constructor():
 
 
 def test_halmos_of_unitary_is_block_diagonal():
-    from matineq.core import haar_unitary
-
     u = haar_unitary(0, 3)
     big = halmos_dilation(u)
     np.testing.assert_allclose(big[:3, :3], u, atol=0)
