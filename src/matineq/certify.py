@@ -263,12 +263,12 @@ def _normal_image(pmap: PositiveMapRep, nmat) -> _NormalImage:
     )
 
 
-def _theorem_main(inst: _NormalImage, beta: float, tol: float, inject_mutant: bool = False):
+def _main_arith(inst: _NormalImage, beta: float, tol: float, inject_mutant: bool = False):
     if not beta > 0:
         raise ValueError("beta must be positive")
     # The injected fault negates the orbit term of the arithmetic bound.
     sign = -1.0 if inject_mutant else 1.0
-    arith = _certificate(
+    return _certificate(
         "main-arith",
         inst.lhs,
         beta * inst.image_abs + sign * inst.orbit / (4.0 * beta),
@@ -276,10 +276,13 @@ def _theorem_main(inst: _NormalImage, beta: float, tol: float, inject_mutant: bo
         beta=beta,
         tol=tol,
     )
-    geom = _certificate(
+
+
+def _main_geom(inst: _NormalImage, tol: float, beta: Optional[float] = None) -> Certificate:
+    """The geometric-mean bound; it does not depend on the weight, which ``beta`` only records."""
+    return _certificate(
         "main-geom", inst.lhs, inst.geomean, witness=inst.witness, beta=beta, tol=tol
     )
-    return arith, geom
 
 
 def check_theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float = DEFAULT_TOL):
@@ -290,7 +293,8 @@ def check_theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float = DEF
     geometric-mean refinement ``|map(n)| <= map(|n|) # v map(|n|) v*``,
     both with the polar witness ``v`` of ``map(n)``.
     """
-    return _theorem_main(_normal_image(pmap, nmat), beta, tol)
+    inst = _normal_image(pmap, nmat)
+    return _main_arith(inst, beta, tol), _main_geom(inst, tol, beta)
 
 
 def chain_certificate(geom: Certificate, arith: Certificate, tol: float = DEFAULT_TOL) -> Certificate:
@@ -491,8 +495,9 @@ def check_weighted_sum(xs: Sequence, zs: Sequence, tol: float = DEFAULT_TOL):
     logmaj = weak_log_majorize(
         singular_values(weighted), _clip_desc(_eig_desc(gram)), tol=1e-9
     )
-    upper_left = sum(x.conj().T @ mat_abs(z.conj().T) @ x for x, z in zip(xs, zs))
-    lower_right = sum(x.conj().T @ mat_abs(z) @ x for x, z in zip(xs, zs))
+    abs_zs, abs_adjoints = zip(*(_abs_pair(z) for z in zs))
+    upper_left = sum(x.conj().T @ a @ x for x, a in zip(xs, abs_adjoints))
+    lower_right = sum(x.conj().T @ a @ x for x, a in zip(xs, abs_zs))
     block = np.block([[upper_left, weighted], [weighted.conj().T, lower_right]])
     return logmaj, _psd_certificate("weighted-sum-block", block, tol=tol)
 
@@ -500,8 +505,8 @@ def check_weighted_sum(xs: Sequence, zs: Sequence, tol: float = DEFAULT_TOL):
 def check_schur_diagonal(a, z, tol: float = DEFAULT_TOL) -> Certificate:
     """Entrywise product of a PSD matrix with a contraction against the diagonal part."""
     a = as_matrix(a, square=True, name="a")
-    scale = max(1.0, spectral_norm(a))
-    if np.linalg.eigvalsh(hermitian_part(a)).min() < -1e-9 * scale:
+    w = np.linalg.eigvalsh(hermitian_part(a))
+    if w.min() < -1e-9 * max(1.0, float(np.abs(w).max())):
         raise ValueError("a must be PSD")
     z = _require_contraction(z)
     if a.shape != z.shape:
@@ -918,14 +923,15 @@ class _Trial(NamedTuple):
     inject_mutant: bool
     pmap: PositiveMapRep
     main: _NormalImage
+    main_geom: Certificate
 
     def sub(self, k: int) -> list:
         return [self.master_seed, self.trial_index, k]
 
 
 def _main_bounds(t: _Trial, beta: float):
-    arith, geom = _theorem_main(t.main, beta, t.tol, t.inject_mutant)
-    return arith, geom, chain_certificate(geom, arith, t.tol)
+    arith = _main_arith(t.main, beta, t.tol, t.inject_mutant)
+    return arith, t.main_geom, chain_certificate(t.main_geom, arith, t.tol)
 
 
 def _real_part(t: _Trial):
@@ -1026,7 +1032,8 @@ def run_trial(
     """
     pmap = random_cp_map([master_seed, trial_index, 0], n, m)
     main = _normal_image(pmap, random_normal([master_seed, trial_index, 1], n))
-    trial = _Trial(master_seed, trial_index, n, m, tol, inject_mutant, pmap, main)
+    geom = _main_geom(main, tol)
+    trial = _Trial(master_seed, trial_index, n, m, tol, inject_mutant, pmap, main, geom)
     out: dict = {}
     for keys, per_weight, outcomes in _STATEMENTS:
         for evaluated_keys, args in _evaluations(keys, per_weight, betas):

@@ -21,7 +21,6 @@ import scipy.linalg
 
 __all__ = [
     "CONSTRUCTION_TOL",
-    "RECONSTRUCTION_TOL",
     "PSD_TOL",
     "SpectralData",
     "PolarFactors",
@@ -35,7 +34,6 @@ __all__ = [
     "is_normal",
     "is_contraction",
     "herm_eig",
-    "psd_sqrt",
     "mat_abs",
     "polar",
     "geometric_mean",
@@ -52,7 +50,6 @@ __all__ = [
 ]
 
 CONSTRUCTION_TOL = 1e-12
-RECONSTRUCTION_TOL = 1e-10
 PSD_TOL = 1e-9
 
 # Shift used when the geometric mean has to handle (near-)singular inputs.
@@ -148,20 +145,11 @@ def herm_eig(h, *, herm_tol: float = CONSTRUCTION_TOL) -> SpectralData:
     output reproducible for golden tests.
     """
     h = as_matrix(h, square=True, name="h")
-    scale = max(1.0, float(np.abs(h).max()))
-    if float(np.abs(h - h.conj().T).max()) > herm_tol * scale:
+    if not is_hermitian(h, herm_tol):
         raise ValueError("herm_eig requires a Hermitian input")
     w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
     order = np.argsort(-w, kind="stable")
     return SpectralData(w[order], _fix_phases(v[:, order]))
-
-
-def psd_sqrt(p, *, floor: float = 0.0) -> np.ndarray:
-    """Principal square root of a PSD matrix, eigenvalues clipped at ``floor``."""
-    w, v = np.linalg.eigh(hermitian_part(p))
-    w = np.maximum(w, floor if floor > 0.0 else 0.0)
-    r = (v * np.sqrt(w)) @ v.conj().T
-    return (r + r.conj().T) / 2.0
 
 
 def mat_abs(x) -> np.ndarray:
@@ -188,38 +176,40 @@ def polar(x) -> PolarFactors:
     return PolarFactors(w, (p + p.conj().T) / 2.0)
 
 
-def geometric_mean(a, b, *, psd_tol: float = PSD_TOL) -> np.ndarray:
+def geometric_mean(a, b) -> np.ndarray:
     """Loewner geometric mean of two PSD matrices of equal size.
 
-    For an invertible pair this is ``a^(1/2) (a^(-1/2) b a^(-1/2))^(1/2) a^(1/2)``.
-    Near-singular pairs are shifted once by ``eps * I`` with
-    ``eps = 1e-10 * max(1, ||a||, ||b||)``; that value defines the result, and
-    callers comparing against it on singular inputs must budget an
-    O(sqrt(eps)) perturbation.
+    For an invertible pair this is ``a^(1/2) (a^(-1/2) b a^(-1/2))^(1/2) a^(1/2)``,
+    from eigendecompositions of ``a``, ``b`` and the middle factor. The input
+    checks use ``scale = max(1, |eigenvalues of a and b|)``. Near-singular
+    pairs are shifted once by ``eps * I`` with ``eps = 1e-10 * scale``; that
+    value defines the result, and callers comparing against it on singular
+    inputs must budget an O(sqrt(eps)) perturbation.
     """
     a = as_matrix(a, square=True, name="a")
     b = as_matrix(b, square=True, name="b")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    scale = max(1.0, spectral_norm(a), spectral_norm(b))
+    hb = hermitian_part(b)
+    w, v = np.linalg.eigh(hermitian_part(a))
+    wb = np.linalg.eigvalsh(hb)
+    scale = max(1.0, float(np.abs(w).max()), float(np.abs(wb).max()))
     for name, x in (("a", a), ("b", b)):
         if float(np.abs(x - x.conj().T).max()) > 1e-8 * scale:
             raise ValueError(f"{name} is not Hermitian")
-    wa = np.linalg.eigvalsh(hermitian_part(a))
-    wb = np.linalg.eigvalsh(hermitian_part(b))
-    if wa.min() < -psd_tol * scale or wb.min() < -psd_tol * scale:
+    if w.min() < -PSD_TOL * scale or wb.min() < -PSD_TOL * scale:
         raise ValueError("geometric mean needs positive semidefinite inputs")
     eps = _GEOMEAN_REG * scale
-    if wa.min() < eps or wb.min() < eps:
-        shift = eps * np.eye(a.shape[0])
-        a = a + shift
-        b = b + shift
-    w, v = np.linalg.eigh(hermitian_part(a))
+    if w.min() < eps or wb.min() < eps:
+        # a + eps I has the eigenvectors of a.
+        w = w + eps
+        hb = hb + eps * np.eye(a.shape[0])
     w = np.maximum(w, eps)
     root = (v * np.sqrt(w)) @ v.conj().T
     inv_root = (v / np.sqrt(w)) @ v.conj().T
-    middle = psd_sqrt(inv_root @ hermitian_part(b) @ inv_root)
-    g = root @ middle @ root
+    mw, mv = np.linalg.eigh(hermitian_part(inv_root @ hb @ inv_root))
+    middle = (mv * np.sqrt(np.maximum(mw, 0.0))) @ mv.conj().T
+    g = root @ ((middle + middle.conj().T) / 2.0) @ root
     return (g + g.conj().T) / 2.0
 
 

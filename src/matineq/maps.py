@@ -43,9 +43,9 @@ _KRAUS_DROP_TOL = 1e-14
 class PositiveMapRep:
     """A positive (completely positive) linear map in Kraus congruence form.
 
-    ``kraus_ops`` is stored as one finite complex array of shape
-    ``(terms, input_dim, output_dim)``; any nonempty sequence of equally
-    shaped factors is accepted.
+    ``kraus_ops`` is stored as one finite, read-only complex array of shape
+    ``(terms, input_dim, output_dim)``, copied from the argument; any
+    nonempty sequence of equally shaped factors is accepted.
     """
 
     input_dim: int
@@ -56,8 +56,9 @@ class PositiveMapRep:
     def __post_init__(self):
         if self.input_dim < 1 or self.output_dim < 1:
             raise ValueError("map dimensions must be >= 1")
-        # A ragged sequence of factors raises ValueError here.
-        ops = np.ascontiguousarray(self.kraus_ops, dtype=complex)
+        # A ragged sequence of factors raises ValueError here. A read-only copy
+        # keeps the checked stack from changing through the caller's array.
+        ops = np.array(self.kraus_ops, dtype=complex, order="C")
         if ops.ndim != 3 or ops.shape[0] == 0:
             raise ValueError(f"kraus_ops must be a nonempty stack of matrices, got shape {ops.shape}")
         if ops.shape[1:] != (self.input_dim, self.output_dim):
@@ -67,6 +68,7 @@ class PositiveMapRep:
             )
         if not np.isfinite(ops).all():
             raise ValueError("kraus ops have non-finite entries")
+        ops.flags.writeable = False
         object.__setattr__(self, "kraus_ops", ops)
 
 
@@ -105,7 +107,7 @@ def identity_map(n: int) -> PositiveMapRep:
     return PositiveMapRep(n, n, (np.eye(n, dtype=complex),), label=f"id({n})")
 
 
-def schur_multiplier(a, *, psd_tol: float = PSD_TOL) -> PositiveMapRep:
+def schur_multiplier(a) -> PositiveMapRep:
     """Map ``x -> a o x`` (entrywise product) for a PSD matrix ``a``.
 
     The Kraus factors are diagonal, one per term of a rank-one decomposition
@@ -116,7 +118,7 @@ def schur_multiplier(a, *, psd_tol: float = PSD_TOL) -> PositiveMapRep:
     n = a.shape[0]
     w, v = herm_eig(a, herm_tol=1e-10)
     scale = max(1.0, float(abs(w[0])) if w.size else 1.0)
-    if w.size and w[-1] < -psd_tol * scale:
+    if w.size and w[-1] < -PSD_TOL * scale:
         raise ValueError("schur_multiplier needs a PSD matrix")
     keep = w > _KRAUS_DROP_TOL * scale
     diagonals = np.conj(np.sqrt(w[keep]) * v[:, keep]).T

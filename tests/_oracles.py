@@ -112,3 +112,32 @@ def unital_normalisation(ops, image):
     w = np.maximum(w, 1e-12 * max(1.0, float(w.max())))
     inv_root = (v / np.sqrt(w)) @ v.conj().T
     return [k @ inv_root for k in ops]
+
+
+def _herm(x):
+    return (x + x.conj().T) / 2.0
+
+
+def geometric_mean_six_decompositions(a, b):
+    """The geometric mean as first implemented, without its input checks.
+
+    Its scale comes from two spectral norms, its shift test from the
+    eigenvalues of both inputs, and it decomposes the (shifted) ``a`` again
+    and then the middle factor: six decompositions. On pairs that need no
+    shift, the arithmetic is that of ``core.geometric_mean``.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    scale = max(1.0, float(np.linalg.norm(a, 2)), float(np.linalg.norm(b, 2)))
+    eps = 1e-10 * scale
+    if np.linalg.eigvalsh(_herm(a)).min() < eps or np.linalg.eigvalsh(_herm(b)).min() < eps:
+        shift = eps * np.eye(a.shape[0])
+        a = a + shift
+        b = b + shift
+    w, v = np.linalg.eigh(_herm(a))
+    w = np.maximum(w, eps)
+    root = (v * np.sqrt(w)) @ v.conj().T
+    inv_root = (v / np.sqrt(w)) @ v.conj().T
+    mw, mv = np.linalg.eigh(_herm(inv_root @ _herm(b) @ inv_root))
+    middle = (mv * np.sqrt(np.maximum(mw, 0.0))) @ mv.conj().T
+    return _herm(root @ _herm(middle) @ root)

@@ -705,6 +705,16 @@ def test_run_trial_covers_statements_and_passes():
             assert outcome.passed, (trial, key, outcome.min_slack)
 
 
+def test_run_trial_decomposition_budget(linalg_calls):
+    # Each geometric mean takes three decompositions, the weight-free
+    # main-geom certificate is built once, and each contraction's |z| and
+    # |z*| come from one SVD.
+    for n in (2, 3):
+        linalg_calls.clear()
+        run_trial(5, n, n, n, (0.25, 0.5, 1.0, 2.0))
+        assert sum(linalg_calls.values()) <= 129, dict(linalg_calls)
+
+
 def test_fault_injection_affects_only_its_call():
     betas = (0.25, 0.5, 1.0, 2.0)
     orbit_keys = ("main-arith@", "main-chain@")

@@ -25,7 +25,7 @@ from matineq.core import (
     weak_log_majorize,
 )
 
-from _oracles import arithmetic_harmonic_mean, abs_via_eig
+from _oracles import abs_via_eig, arithmetic_harmonic_mean, geometric_mean_six_decompositions
 
 R = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -234,6 +234,65 @@ def test_geometric_mean_rejects_non_psd():
         geometric_mean(np.diag([1.0, -1.0]), np.eye(2))
     with pytest.raises(ValueError):
         geometric_mean(np.eye(2), np.eye(3))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        geometric_mean(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_geometric_mean_is_the_reference_on_definite_inputs(n):
+    # No shift applies, so the arithmetic is the reference's, bit for bit.
+    for seed in range(10):
+        for c in (1e-3, 1.0, 1e4):
+            a = c * (random_psd([seed, 0], n) + 0.1 * np.eye(n))
+            b = c * (random_psd([seed, 1], n) + 0.1 * np.eye(n))
+            assert np.array_equal(geometric_mean(a, b), geometric_mean_six_decompositions(a, b))
+
+
+def _singular_pairs(rotate):
+    """Commuting singular and near-singular pairs, in a random eigenbasis or the standard one."""
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 5):
+        u = haar_unitary([n, 5], n) if rotate else np.eye(n)
+        for c in (1e-6, 1.0, 1e4):
+            for tiny in (0.0, 1e-13, 1e-11):
+                for rank in range(n):
+                    w = np.r_[rng.uniform(0.5, 2.0, rank), np.full(n - rank, tiny)]
+                    s = c * (u * w) @ u.conj().T
+                    definite = c * (u * rng.uniform(0.5, 2.0, n)) @ u.conj().T
+                    yield s, definite
+                    yield definite, s
+                    yield s, s
+                    if not rotate:
+                        # Complementary supports, where the mean is the shift's alone.
+                        yield s, c * np.diag(rng.permutation(w[::-1]))
+
+
+def test_geometric_mean_matches_reference_on_singular_inputs():
+    # In the standard basis the shift moves only the eigenvalues, and both
+    # routes agree to rounding.
+    for a, b in _singular_pairs(rotate=False):
+        scale = max(1.0, spectral_norm(a), spectral_norm(b))
+        diff = spectral_norm(geometric_mean(a, b) - geometric_mean_six_decompositions(a, b))
+        assert diff <= 1e-12 * scale
+
+
+def test_geometric_mean_matches_reference_within_the_shift_budget():
+    # In a rotated basis the shifted mean is ill-conditioned: the reference
+    # itself moves by as much under a rotation of its inputs. The two agree
+    # within the O(sqrt(eps)) budget of the shift.
+    for a, b in _singular_pairs(rotate=True):
+        scale = max(1.0, spectral_norm(a), spectral_norm(b))
+        diff = spectral_norm(geometric_mean(a, b) - geometric_mean_six_decompositions(a, b))
+        assert diff <= np.sqrt(1e-10) * scale
+
+
+def test_geometric_mean_takes_three_decompositions(linalg_calls):
+    definite = random_psd(3, 4) + 0.1 * np.eye(4)
+    singular = np.diag([1.0, 0.5, 0.0, 0.0]).astype(complex)
+    for a, b in ((definite, definite.T), (singular, definite), (singular, singular)):
+        linalg_calls.clear()
+        geometric_mean(a, b)
+        assert linalg_calls == {"eigh": 2, "eigvalsh": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,16 @@ def test_rep_stores_one_stack():
     assert [k.shape for k in pmap.kraus_ops] == [(3, 2), (3, 2)]
 
 
+def test_rep_keeps_a_private_read_only_stack():
+    ops = np.ones((1, 2, 2), dtype=complex)
+    pmap = PositiveMapRep(2, 2, ops)
+    before = apply(pmap, np.eye(2))
+    ops[:] = 0.0
+    np.testing.assert_array_equal(apply(pmap, np.eye(2)), before)
+    with pytest.raises(ValueError):
+        pmap.kraus_ops[0, 0, 0] = np.nan
+
+
 def test_apply_schur_family():
     beta = 1.0
     a = np.array([[2 * beta, 1.0], [1.0, 1 / (2 * beta)]])
