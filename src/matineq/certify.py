@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     MajorizationReport,
+    _loewner_floor,
     _loewner_verdict,
     as_matrix,
     conj_real_part,
@@ -212,10 +213,6 @@ def _require_contraction(z, name="z") -> np.ndarray:
     return z
 
 
-def _clip_desc(values) -> np.ndarray:
-    return np.maximum(np.asarray(values, dtype=float), 0.0)
-
-
 def witness_unitary(y) -> np.ndarray:
     """The unitary v with ``y = v* |y|``: the adjoint of the polar unitary factor.
 
@@ -225,64 +222,64 @@ def witness_unitary(y) -> np.ndarray:
     return polar(y).unitary_factor.conj().T
 
 
-def _orbit(image, arg):
-    """``(|image|, v, v arg v*)`` from one polar decomposition of ``image``.
+class _Orbit(NamedTuple):
+    """An image ``y`` and its comparison argument ``a``, with the polar data of ``y``.
 
-    ``v`` is the witness of ``witness_unitary(image)`` and ``|image|`` the
-    positive polar factor, so every orbit bound takes its left-hand side and
-    its witness from the same factorisation.
+    ``lhs`` is ``|y|``, ``witness`` is ``v = witness_unitary(y)`` and ``orbit``
+    is ``v a v*``. Every orbit statement is the theorem on one such pair:
+    ``|y| <= a # v a v* <= beta a + (1/(4 beta)) v a v*``.
     """
+
+    image: np.ndarray
+    arg: np.ndarray
+    lhs: np.ndarray
+    witness: np.ndarray
+    orbit: np.ndarray
+
+
+def _orbit(image, arg) -> _Orbit:
+    """The orbit data of ``(image, arg)`` from one polar decomposition of ``image``."""
     unitary, lhs = polar(image)
     v = unitary.conj().T
-    return lhs, v, hermitian_part(v @ arg @ v.conj().T)
+    return _Orbit(image, arg, lhs, v, hermitian_part(v @ arg @ v.conj().T))
+
+
+def _arith(statement_id, o: _Orbit, beta: float, tol: float, sign: float = 1.0) -> Certificate:
+    """The arithmetic bound ``beta arg + sign orbit/(4 beta)``.
+
+    ``sign = -1`` negates the orbit term: the fault the sweep injects on request.
+    """
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    rhs = beta * o.arg + sign * o.orbit / (4.0 * beta)
+    return _certificate(statement_id, o.lhs, rhs, witness=o.witness, beta=beta, tol=tol)
+
+
+def _geom(statement_id, o: _Orbit, tol: float, beta: Optional[float] = None) -> Certificate:
+    """The geometric-mean bound ``arg # orbit``; it has no weight, which ``beta`` only records."""
+    rhs = geometric_mean(o.arg, o.orbit)
+    return _certificate(statement_id, o.lhs, rhs, witness=o.witness, beta=beta, tol=tol)
+
+
+def _logmaj(singular, spectrum) -> MajorizationReport:
+    """Singular values weakly log-majorized by a spectrum clipped at zero."""
+    return weak_log_majorize(singular, np.maximum(spectrum, 0.0), tol=1e-9)
 
 
 class _NormalImage(NamedTuple):
     """Weight-independent data of a positive map applied to a normal matrix."""
 
-    nmat: np.ndarray
-    image: np.ndarray
-    image_abs: np.ndarray
-    lhs: np.ndarray
-    witness: np.ndarray
-    orbit: np.ndarray
-    geomean: np.ndarray
+    orbit: _Orbit
     singular_values: np.ndarray
     abs_spectrum: np.ndarray
 
 
 def _normal_image(pmap: PositiveMapRep, nmat) -> _NormalImage:
-    """``map(n)``, ``map(|n|)``, their polar orbit data and spectra, computed once."""
+    """``(map(n), map(|n|))`` as an orbit pair, with its two spectra, computed once."""
     nmat = _require_normal(nmat, "nmat")
     image = apply(pmap, nmat)
     image_abs = apply(pmap, mat_abs(nmat))
-    lhs, v, orbit = _orbit(image, image_abs)
-    geomean = geometric_mean(image_abs, orbit)
-    return _NormalImage(
-        nmat, image, image_abs, lhs, v, orbit, geomean, singular_values(image), _eig_desc(image_abs)
-    )
-
-
-def _main_arith(inst: _NormalImage, beta: float, tol: float, inject_mutant: bool = False):
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    # The injected fault negates the orbit term of the arithmetic bound.
-    sign = -1.0 if inject_mutant else 1.0
-    return _certificate(
-        "main-arith",
-        inst.lhs,
-        beta * inst.image_abs + sign * inst.orbit / (4.0 * beta),
-        witness=inst.witness,
-        beta=beta,
-        tol=tol,
-    )
-
-
-def _main_geom(inst: _NormalImage, tol: float, beta: Optional[float] = None) -> Certificate:
-    """The geometric-mean bound; it does not depend on the weight, which ``beta`` only records."""
-    return _certificate(
-        "main-geom", inst.lhs, inst.geomean, witness=inst.witness, beta=beta, tol=tol
-    )
+    return _NormalImage(_orbit(image, image_abs), singular_values(image), _eig_desc(image_abs))
 
 
 def check_theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float = DEFAULT_TOL):
@@ -293,8 +290,8 @@ def check_theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float = DEF
     geometric-mean refinement ``|map(n)| <= map(|n|) # v map(|n|) v*``,
     both with the polar witness ``v`` of ``map(n)``.
     """
-    inst = _normal_image(pmap, nmat)
-    return _main_arith(inst, beta, tol), _main_geom(inst, tol, beta)
+    o = _normal_image(pmap, nmat).orbit
+    return _arith("main-arith", o, beta, tol), _geom("main-geom", o, tol, beta)
 
 
 def chain_certificate(geom: Certificate, arith: Certificate, tol: float = DEFAULT_TOL) -> Certificate:
@@ -304,7 +301,8 @@ def chain_certificate(geom: Certificate, arith: Certificate, tol: float = DEFAUL
 
 def _block_psd(inst: _NormalImage, tol: float) -> Certificate:
     # A Kraus map commutes with the adjoint: map(n*) = map(n)*.
-    block = np.block([[inst.image_abs, inst.image], [inst.image.conj().T, inst.image_abs]])
+    o = inst.orbit
+    block = np.block([[o.arg, o.image], [o.image.conj().T, o.arg]])
     return _psd_certificate("block-psd", block, tol=tol)
 
 
@@ -322,7 +320,7 @@ def _diagonal_certificate(statement_id, lhs, rhs, *, beta=None, tol=DEFAULT_TOL)
     the certificate keeps as its two sides.
     """
     slack = np.sort(rhs - lhs)[::-1]
-    passed = bool(slack[-1] >= -tol * max(1.0, float(np.abs(rhs).max())))
+    passed = bool(slack[-1] >= _loewner_floor(tol, float(np.abs(rhs).max())))
     return Certificate(
         statement_id=statement_id,
         lhs=np.diag(lhs).astype(complex),
@@ -337,8 +335,8 @@ def _diagonal_certificate(statement_id, lhs, rhs, *, beta=None, tol=DEFAULT_TOL)
 def _eigen_fixed(inst: _NormalImage, tol: float):
     """The weight-independent eigenvalue reports: log-majorization and pair bounds."""
     s = inst.singular_values
-    t_clip = _clip_desc(inst.abs_spectrum)
-    logmaj = weak_log_majorize(s, t_clip, tol=1e-9)
+    t_clip = np.maximum(inst.abs_spectrum, 0.0)
+    logmaj = _logmaj(s, inst.abs_spectrum)
     # The pairs (j, k), 0-based, with j + k < m, in row-major order.
     m = s.size
     j, k = np.nonzero(np.add.outer(np.arange(m), np.arange(m)) < m)
@@ -349,7 +347,7 @@ def _eigen_fixed(inst: _NormalImage, tol: float):
 def _eigen_shift(inst: _NormalImage, beta: float, tol: float) -> Certificate:
     if not beta > 0:
         raise ValueError("beta must be positive")
-    shifted = _eig_desc(inst.lhs - beta * inst.image_abs)
+    shifted = _eig_desc(inst.orbit.lhs - beta * inst.orbit.arg)
     return _diagonal_certificate(
         "eigen-shift", 4.0 * beta * shifted, inst.abs_spectrum, beta=beta, tol=tol
     )
@@ -386,15 +384,11 @@ def check_real_part(a, tol: float = DEFAULT_TOL) -> RealPartReport:
     averager = corner_block_map("diag_average", n)
     image = apply(averager, doubled)
     image_abs_arg = apply(averager, mat_abs(doubled))
-    construction = weak_log_majorize(
-        singular_values(image), _clip_desc(_eig_desc(image_abs_arg)), tol=1e-9
-    )
+    construction = _logmaj(singular_values(image), _eig_desc(image_abs_arg))
 
     real_a = conj_real_part(a)
     real_abs = conj_real_part(mat_abs(a))
-    direct = weak_log_majorize(
-        singular_values(real_a), _clip_desc(_eig_desc(real_abs)), tol=1e-9
-    )
+    direct = _logmaj(singular_values(real_a), _eig_desc(real_abs))
 
     det_lhs = float(abs(np.linalg.det(real_a)))
     det_rhs = float(np.linalg.det(real_abs).real)
@@ -410,11 +404,8 @@ def check_partial_trace(nmat, d: int, n: int, tol: float = DEFAULT_TOL) -> Certi
     if nmat.shape[0] != d * n:
         raise ValueError(f"matrix of dimension {nmat.shape[0]}, expected {d * n}")
     trace_map = partial_trace_first(d, n)
-    traced_abs = apply(trace_map, mat_abs(nmat))
-    lhs, v, orbit = _orbit(apply(trace_map, nmat), traced_abs)
-    return _certificate(
-        "ptrace-geom", lhs, geometric_mean(traced_abs, orbit), witness=v, tol=tol
-    )
+    o = _orbit(apply(trace_map, nmat), apply(trace_map, mat_abs(nmat)))
+    return _geom("ptrace-geom", o, tol)
 
 
 def check_sum_of_normals(mats: Sequence, tol: float = DEFAULT_TOL):
@@ -431,15 +422,8 @@ def check_sum_of_normals(mats: Sequence, tol: float = DEFAULT_TOL):
         raise ValueError("all matrices must share one dimension")
     block = direct_sum(mats)
     trace_map = partial_trace_first(len(mats), n)
-    total_abs = apply(trace_map, mat_abs(block))
-    lhs, v, orbit = _orbit(apply(trace_map, block), total_abs)
-    geom = _certificate(
-        "sum-normals-geom", lhs, geometric_mean(total_abs, orbit), witness=v, tol=tol
-    )
-    arith = _certificate(
-        "sum-normals-arith", lhs, (total_abs + orbit) / 2.0, witness=v, tol=tol
-    )
-    return geom, arith
+    o = _orbit(apply(trace_map, block), apply(trace_map, mat_abs(block)))
+    return _geom("sum-normals-geom", o, tol), _arith("sum-normals-arith", o, 0.5, tol)
 
 
 def check_russo_dye(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL) -> RussoDyeReports:
@@ -454,19 +438,13 @@ def check_russo_dye(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL) -> RussoD
     z = _require_contraction(z)
     if z.shape[0] != pmap.input_dim:
         raise ValueError("dimension mismatch between map and contraction")
-    image = apply(pmap, z)
     image_id = hermitian_part(apply(pmap, np.eye(z.shape[0], dtype=complex)))
-    lhs, v, orbit = _orbit(image, image_id)
-    arith = _certificate(
-        "contraction-arith", lhs, (image_id + orbit) / 2.0, witness=v, tol=tol
+    o = _orbit(apply(pmap, z), image_id)
+    return RussoDyeReports(
+        _arith("contraction-arith", o, 0.5, tol),
+        _geom("contraction-geom", o, tol),
+        _logmaj(singular_values(o.image), _eig_desc(image_id)),
     )
-    geom = _certificate(
-        "contraction-geom", lhs, geometric_mean(image_id, orbit), witness=v, tol=tol
-    )
-    logmaj = weak_log_majorize(
-        singular_values(image), _clip_desc(_eig_desc(image_id)), tol=1e-9
-    )
-    return RussoDyeReports(arith, geom, logmaj)
 
 
 def check_weighted_sum(xs: Sequence, zs: Sequence, tol: float = DEFAULT_TOL):
@@ -492,9 +470,7 @@ def check_weighted_sum(xs: Sequence, zs: Sequence, tol: float = DEFAULT_TOL):
 
     weighted = sum(x.conj().T @ z @ x for x, z in zip(xs, zs))
     gram = hermitian_part(sum(x.conj().T @ x for x in xs))
-    logmaj = weak_log_majorize(
-        singular_values(weighted), _clip_desc(_eig_desc(gram)), tol=1e-9
-    )
+    logmaj = _logmaj(singular_values(weighted), _eig_desc(gram))
     abs_zs, abs_adjoints = zip(*(_abs_pair(z) for z in zs))
     upper_left = sum(x.conj().T @ a @ x for x, a in zip(xs, abs_adjoints))
     lower_right = sum(x.conj().T @ a @ x for x, a in zip(xs, abs_zs))
@@ -511,10 +487,8 @@ def check_schur_diagonal(a, z, tol: float = DEFAULT_TOL) -> Certificate:
     z = _require_contraction(z)
     if a.shape != z.shape:
         raise ValueError("a and z must share one dimension")
-    product = schur_prod(a, z)
-    diag_part = schur_prod(a, np.eye(a.shape[0], dtype=complex))
-    lhs, v, orbit = _orbit(product, diag_part)
-    return _certificate("schur-diagonal", lhs, (diag_part + orbit) / 2.0, witness=v, tol=tol)
+    o = _orbit(schur_prod(a, z), schur_prod(a, np.eye(a.shape[0], dtype=complex)))
+    return _arith("schur-diagonal", o, 0.5, tol)
 
 
 def _abs_pair(x: np.ndarray):
@@ -537,16 +511,16 @@ def check_schur_normal(a, b, tol: float = DEFAULT_TOL) -> Certificate:
     b = _require_normal(b, "b")
     if a.shape != b.shape:
         raise ValueError("a and b must share one dimension")
-    comparison = schur_prod(mat_abs(a), mat_abs(b))
-    lhs, v, orbit = _orbit(schur_prod(a, b), comparison)
-    return _certificate(
-        "schur-normal",
-        lhs,
-        comparison + orbit / 4.0,
-        witness=v,
-        beta=1.0,
-        tol=tol,
-    )
+    o = _orbit(schur_prod(a, b), schur_prod(mat_abs(a), mat_abs(b)))
+    return _arith("schur-normal", o, 1.0, tol)
+
+
+def _map_input(pmap: PositiveMapRep, x) -> np.ndarray:
+    """``x`` as a square matrix on the input space of ``pmap``."""
+    x = as_matrix(x, square=True, name="x")
+    if x.shape[0] != pmap.input_dim:
+        raise ValueError("dimension mismatch between map and matrix")
+    return x
 
 
 def check_hermitian_sum(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Certificate:
@@ -556,15 +530,13 @@ def check_hermitian_sum(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Ce
     whose absolute value is ``|x*| (+) |x|``; the comparison argument is the
     image of its block sum, ``map(|x| + |x*|)``.
     """
-    x = as_matrix(x, square=True, name="x")
-    if x.shape[0] != pmap.input_dim:
-        raise ValueError("dimension mismatch between map and matrix")
-    abs_x, abs_adjoint = _abs_pair(x)
-    arg = hermitian_part(apply(pmap, abs_x + abs_adjoint))
-    lhs, v, orbit = _orbit(apply(pmap, x + x.conj().T), arg)
-    return _certificate(
-        "hermitian-sum-geom", lhs, geometric_mean(arg, orbit), witness=v, tol=tol
-    )
+    x = _map_input(pmap, x)
+    return _hermitian_sum(pmap, x, _abs_pair(x), tol)
+
+
+def _hermitian_sum(pmap: PositiveMapRep, x: np.ndarray, abs_pair, tol: float) -> Certificate:
+    arg = hermitian_part(apply(pmap, abs_pair[0] + abs_pair[1]))
+    return _geom("hermitian-sum-geom", _orbit(apply(pmap, x + x.conj().T), arg), tol)
 
 
 def check_schur_square(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Certificate:
@@ -575,14 +547,13 @@ def check_schur_square(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Cer
     the absolute values of those carriers are ``|x| (+) |x*|`` and
     ``|x*| (+) |x|``, so the comparison argument is ``map(|x| o |x*|)``.
     """
-    x = as_matrix(x, square=True, name="x")
-    if x.shape[0] != pmap.input_dim:
-        raise ValueError("dimension mismatch between map and matrix")
-    arg = hermitian_part(apply(pmap, schur_prod(*_abs_pair(x))))
-    lhs, v, orbit = _orbit(apply(pmap, schur_prod(x, x.conj().T)), arg)
-    return _certificate(
-        "schur-square-geom", lhs, geometric_mean(arg, orbit), witness=v, tol=tol
-    )
+    x = _map_input(pmap, x)
+    return _schur_square(pmap, x, _abs_pair(x), tol)
+
+
+def _schur_square(pmap: PositiveMapRep, x: np.ndarray, abs_pair, tol: float) -> Certificate:
+    arg = hermitian_part(apply(pmap, schur_prod(*abs_pair)))
+    return _geom("schur-square-geom", _orbit(apply(pmap, schur_prod(x, x.conj().T)), arg), tol)
 
 
 def check_two_positive_unital(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL) -> Certificate:
@@ -843,12 +814,11 @@ def minimal_orbit_constant(pmap: PositiveMapRep, nmat, beta: float, *, iteration
     nmat = _require_normal(nmat, "nmat")
     if not beta > 0:
         raise ValueError("beta must be positive")
-    image_abs = hermitian_part(apply(pmap, mat_abs(nmat)))
-    lhs, _, orbit = _orbit(apply(pmap, nmat), image_abs)
-    floor = -1e-12 * max(1.0, spectral_norm(image_abs))
+    o = _orbit(apply(pmap, nmat), hermitian_part(apply(pmap, mat_abs(nmat))))
+    floor = -1e-12 * max(1.0, spectral_norm(o.arg))
 
     def feasible(c: float) -> bool:
-        slack = beta * image_abs + c * orbit - lhs
+        slack = beta * o.arg + c * o.orbit - o.lhs
         return float(np.linalg.eigvalsh(hermitian_part(slack)).min()) >= floor
 
     hi = 1.0 / (2.0 * beta)
@@ -930,7 +900,7 @@ class _Trial(NamedTuple):
 
 
 def _main_bounds(t: _Trial, beta: float):
-    arith = _main_arith(t.main, beta, t.tol, t.inject_mutant)
+    arith = _arith("main-arith", t.main.orbit, beta, t.tol, -1.0 if t.inject_mutant else 1.0)
     return arith, t.main_geom, chain_certificate(t.main_geom, arith, t.tol)
 
 
@@ -948,6 +918,13 @@ def _weighted_sum(t: _Trial):
     xs = [random_matrix(t.sub(8 + i), t.m, t.n) for i in range(3)]
     zs = [random_contraction(t.sub(11 + i), t.m) for i in range(3)]
     return check_weighted_sum(xs, zs, t.tol)
+
+
+def _symmetrized(t: _Trial):
+    # Both statements on x + x* and x o x* share one SVD of x.
+    x = random_matrix(t.sub(18), t.n)
+    abs_pair = _abs_pair(x)
+    return _hermitian_sum(t.pmap, x, abs_pair, t.tol), _schur_square(t.pmap, x, abs_pair, t.tol)
 
 
 # The sweep's statements in run order, which fixes the order of a report's
@@ -985,16 +962,7 @@ _STATEMENTS = (
             check_schur_normal(random_normal(t.sub(16), t.n), random_normal(t.sub(17), t.n), t.tol)
         ],
     ),
-    (
-        ("hermitian-sum-geom",),
-        False,
-        lambda t: [check_hermitian_sum(t.pmap, random_matrix(t.sub(18), t.n), t.tol)],
-    ),
-    (
-        ("schur-square-geom",),
-        False,
-        lambda t: [check_schur_square(t.pmap, random_matrix(t.sub(18), t.n), t.tol)],
-    ),
+    (("hermitian-sum-geom", "schur-square-geom"), False, _symmetrized),
     (
         ("two-positive-quarter",),
         False,
@@ -1032,7 +1000,7 @@ def run_trial(
     """
     pmap = random_cp_map([master_seed, trial_index, 0], n, m)
     main = _normal_image(pmap, random_normal([master_seed, trial_index, 1], n))
-    geom = _main_geom(main, tol)
+    geom = _geom("main-geom", main.orbit, tol)
     trial = _Trial(master_seed, trial_index, n, m, tol, inject_mutant, pmap, main, geom)
     out: dict = {}
     for keys, per_weight, outcomes in _STATEMENTS:

@@ -284,9 +284,6 @@ def main(argv=None) -> int:
         return code
 
     if args.command == "repro":
-        if args.name == "sharpness-beta" and args.beta is not None:
-            if any(b < 0.5 for b in args.beta):
-                parser.error("sharpness-beta requires betas >= 0.5")
         try:
             _, code = cmd_repro(args.name, args.beta, args.json, args.out)
         except ValueError as exc:
@@ -294,10 +291,6 @@ def main(argv=None) -> int:
         return code
 
     if args.command == "search":
-        if args.trials < 1:
-            parser.error("--trials must be >= 1")
-        if any(not (0.0 < b <= 0.5 + 1e-12) for b in args.beta):
-            parser.error("search betas must lie in (0, 1/2]")
         if len(args.dims) != 1:
             parser.error("search takes a single --dims pair n,m")
         try:

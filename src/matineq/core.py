@@ -235,9 +235,14 @@ def _loewner_verdict(a: np.ndarray, b: np.ndarray, tol: float) -> LoewnerCheck:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     diff = b - a
     slack = np.sort(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0))[::-1]
-    scale = max(1.0, float(np.linalg.norm(b, 2)))
-    passed = bool(slack[-1] >= -tol * scale) if slack.size else True
+    floor = _loewner_floor(tol, float(np.linalg.norm(b, 2)))
+    passed = bool(slack[-1] >= floor) if slack.size else True
     return LoewnerCheck(passed, slack)
+
+
+def _loewner_floor(tol: float, rhs_norm: float) -> float:
+    """The least slack eigenvalue a Loewner verdict accepts: ``-tol * max(1, ||rhs||)``."""
+    return -tol * max(1.0, rhs_norm)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from matineq.core import (
+    direct_sum,
     geometric_mean,
     haar_unitary,
     hermitian_part,
@@ -17,6 +18,7 @@ from matineq.core import (
     random_matrix,
     random_normal,
     random_psd,
+    schur_prod,
     spectral_norm,
 )
 from matineq.maps import (
@@ -94,6 +96,62 @@ def test_witness_polar_relation_sweep():
         scale = max(1.0, spectral_norm(y))
         assert spectral_norm(v.conj().T @ v - np.eye(3)) <= 1e-9
         assert spectral_norm(v.conj().T @ mat_abs(y) - y) <= 1e-9 * scale
+
+
+def _orbit_certificates(seed, n=3):
+    """(certificate, image) for every orbit certificate of the public checkers."""
+    pmap = random_cp_map([seed, 0], n, n)
+    nmat = random_normal([seed, 1], n)
+    blocks = [random_normal([seed, 2 + i], n) for i in range(3)]
+    stacked = random_normal([seed, 5], 2 * n)
+    z = random_contraction([seed, 6], n)
+    a = random_psd([seed, 7], n)
+    b = random_normal([seed, 8], n)
+    x = random_matrix([seed, 9], n)
+    main = apply(pmap, nmat)
+    summed = apply(partial_trace_first(3, n), direct_sum(blocks))
+    contracted = apply(pmap, z)
+    dye = check_russo_dye(pmap, z)
+    return [
+        *((cert, main) for cert in check_theorem_main(pmap, nmat, 0.75)),
+        (check_partial_trace(stacked, 2, n), apply(partial_trace_first(2, n), stacked)),
+        *((cert, summed) for cert in check_sum_of_normals(blocks)),
+        (dye.arithmetic, contracted),
+        (dye.geometric, contracted),
+        (check_schur_diagonal(a, z), schur_prod(a, z)),
+        (check_schur_normal(nmat, b), schur_prod(nmat, b)),
+        (check_hermitian_sum(pmap, x), apply(pmap, x + x.conj().T)),
+        (check_schur_square(pmap, x), apply(pmap, schur_prod(x, x.conj().T))),
+    ]
+
+
+def test_orbit_certificates_carry_the_witness_of_their_image():
+    for seed in range(3):
+        for cert, image in _orbit_certificates(seed):
+            assert cert.passed, (seed, cert.statement_id)
+            np.testing.assert_array_equal(cert.witness, witness_unitary(image), cert.statement_id)
+
+
+def test_arithmetic_bounds_record_their_weight():
+    # Each arithmetic orbit bound is beta a + v a v*/(4 beta) at a fixed
+    # weight: (a + v a v*)/2 is beta = 1/2, and a + v a v*/4 is beta = 1.
+    weights = {
+        cert.statement_id: cert.beta
+        for cert, _ in _orbit_certificates(0)
+        if cert.statement_id != "main-arith"
+    }
+    assert weights == {
+        "main-geom": 0.75,
+        "ptrace-geom": None,
+        "sum-normals-geom": None,
+        "sum-normals-arith": 0.5,
+        "contraction-arith": 0.5,
+        "contraction-geom": None,
+        "schur-diagonal": 0.5,
+        "schur-normal": 1.0,
+        "hermitian-sum-geom": None,
+        "schur-square-geom": None,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -707,12 +765,24 @@ def test_run_trial_covers_statements_and_passes():
 
 def test_run_trial_decomposition_budget(linalg_calls):
     # Each geometric mean takes three decompositions, the weight-free
-    # main-geom certificate is built once, and each contraction's |z| and
-    # |z*| come from one SVD.
+    # main-geom certificate is built once, each contraction's |z| and |z*|
+    # come from one SVD, and one SVD of x serves both x + x* and x o x*.
     for n in (2, 3):
         linalg_calls.clear()
         run_trial(5, n, n, n, (0.25, 0.5, 1.0, 2.0))
-        assert sum(linalg_calls.values()) <= 129, dict(linalg_calls)
+        assert sum(linalg_calls.values()) <= 128, dict(linalg_calls)
+
+
+def test_run_trial_symmetrized_statements_match_public_checkers():
+    # The sweep builds hermitian-sum-geom and schur-square-geom from one
+    # shared |x|, |x*| pair instead of calling the two checkers.
+    for trial in range(4):
+        n, m = 2 + trial % 3, 2 + trial % 2
+        out = run_trial(11, trial, n, m, (0.5,))
+        pmap = random_cp_map([11, trial, 0], n, m)
+        x = random_matrix([11, trial, 18], n)
+        assert out["hermitian-sum-geom"].min_slack == check_hermitian_sum(pmap, x).min_slack
+        assert out["schur-square-geom"].min_slack == check_schur_square(pmap, x).min_slack
 
 
 def test_fault_injection_affects_only_its_call():

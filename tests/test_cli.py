@@ -173,9 +173,10 @@ def test_repro_unknown_name_is_usage_error(capsys):
 
 
 def test_repro_sharpness_rejects_small_beta(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["repro", "sharpness-beta", "--beta", "0.25"])
-    assert exc.value.code == 2
+    for name in ("sharpness-beta", "all"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["repro", name, "--beta", "0.25"])
+        assert exc.value.code == 2, name
 
 
 @pytest.mark.parametrize(
@@ -216,6 +217,12 @@ def test_search_csv_and_bounds(capsys):
 def test_search_rejects_beta_outside_range(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--beta", "0.75"])
+    assert exc.value.code == 2
+
+
+def test_search_rejects_zero_trials(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--trials", "0"])
     assert exc.value.code == 2
 
 
