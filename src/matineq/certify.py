@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .core import (
     MajorizationReport,
@@ -805,35 +806,28 @@ def search_nonnormal_counterexample(seed, trials: int, threshold: float = 1e-9) 
     )
 
 
-def minimal_orbit_constant(pmap: PositiveMapRep, nmat, beta: float, *, iterations: int = 60) -> float:
+def minimal_orbit_constant(pmap: PositiveMapRep, nmat, beta: float) -> float:
     """Smallest c with ``|map(n)| <= beta map(|n|) + c v map(|n|) v*`` for the polar witness.
 
-    Feasibility is monotone in c, so bisection over [0, 1/(2 beta)] (twice the
-    guaranteed constant) pins the value to near machine precision.
+    With ``a = map(|n|)``, ``b = v a v*`` and ``hi = 1/(2 beta)`` (twice the
+    guaranteed constant), the slack at c, shifted by the verdict floor, is
+    ``d - (hi - c) b`` with ``d`` the shifted slack at ``hi``. When the
+    guaranteed constant holds, ``d`` is positive definite and the value is
+    ``max(0, hi - 1/mu)`` for the top eigenvalue ``mu`` of the pencil ``(b, d)``;
+    a singular ``b`` is allowed there.
     """
     nmat = _require_normal(nmat, "nmat")
     if not beta > 0:
         raise ValueError("beta must be positive")
     o = _orbit(apply(pmap, nmat), hermitian_part(apply(pmap, mat_abs(nmat))))
-    floor = -1e-12 * max(1.0, spectral_norm(o.arg))
-
-    def feasible(c: float) -> bool:
-        slack = beta * o.arg + c * o.orbit - o.lhs
-        return float(np.linalg.eigvalsh(hermitian_part(slack)).min()) >= floor
-
+    floor = _loewner_floor(1e-12, spectral_norm(o.arg))
     hi = 1.0 / (2.0 * beta)
-    if not feasible(hi):
-        raise RuntimeError("guaranteed constant infeasible; this indicates a bug")
-    lo = 0.0
-    if feasible(lo):
-        return 0.0
-    for _ in range(iterations):
-        mid = (lo + hi) / 2.0
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    d = hermitian_part(beta * o.arg + hi * o.orbit - o.lhs) - floor * np.eye(len(o.arg))
+    try:
+        mu = scipy.linalg.eigh(o.orbit, d, eigvals_only=True)[-1]
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("guaranteed constant infeasible; this indicates a bug") from exc
+    return 0.0 if mu <= 1.0 / hi else float(hi - 1.0 / mu)
 
 
 def estimate_constant(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -87,15 +88,19 @@ class RunReport:
 
 
 def _emit(text: str, path: str) -> None:
+    """Write ``text`` to stdout (``-``) or to ``path``; a failed write is a ValueError."""
     if path == "-":
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc.strerror}") from exc
 
 
 def cmd_verify(config: RunConfig, inject_mutant: bool = False):
@@ -211,8 +216,8 @@ def _parse_betas(text: str):
         betas = tuple(float(b) for b in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad beta list {text!r}") from exc
-    if not betas or any(b <= 0 for b in betas):
-        raise argparse.ArgumentTypeError("betas must be positive")
+    if not betas or not all(math.isfinite(b) and b > 0 for b in betas):
+        raise argparse.ArgumentTypeError("betas must be finite and positive")
     return betas
 
 
@@ -262,8 +267,8 @@ def main(argv=None) -> int:
     if args.command == "verify":
         if args.trials < 1:
             parser.error("--trials must be >= 1")
-        if args.tol <= 0:
-            parser.error("--tol must be positive")
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            parser.error("--tol must be finite and positive")
         if args.seed < 0 or args.trial_offset < 0:
             parser.error("--seed and --trial-offset must be nonnegative")
         tags = [certify.weight_tag(beta) for beta in args.beta]
@@ -280,7 +285,10 @@ def main(argv=None) -> int:
             trial_offset=args.trial_offset,
         )
         report, code = cmd_verify(config, inject_mutant=args.inject_mutant)
-        _emit(json.dumps(report.to_json(), indent=2), args.out)
+        try:
+            _emit(json.dumps(report.to_json(), indent=2), args.out)
+        except ValueError as exc:
+            parser.error(str(exc))
         return code
 
     if args.command == "repro":
@@ -300,9 +308,10 @@ def main(argv=None) -> int:
         return code
 
     if args.command == "counterexample":
-        if args.trials < 1:
-            parser.error("--trials must be >= 1")
-        _, code = cmd_counterexample(args.seed, args.trials, args.out)
+        try:
+            _, code = cmd_counterexample(args.seed, args.trials, args.out)
+        except ValueError as exc:
+            parser.error(str(exc))
         return code
 
     parser.error(f"unknown command {args.command!r}")

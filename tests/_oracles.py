@@ -6,11 +6,15 @@ geometric mean is cross-checked through the arithmetic-harmonic iteration
 eigendecomposition of x* x or, for normal matrices, a complex Schur form.
 The tensor constructions of the entrywise-product certificates are kept here
 in plain numpy as the reference for their closed forms, and the Kraus-map
-operations one factor at a time as the reference for the stacked ones.
+operations one factor at a time as the reference for the stacked ones. The
+search constant's bisection is the reference for its closed form.
 """
 
 import numpy as np
 import scipy.linalg
+
+from matineq.core import hermitian_part, mat_abs, polar, spectral_norm
+from matineq.maps import apply
 
 
 def arithmetic_harmonic_mean(a, b, iterations=60):
@@ -141,3 +145,32 @@ def geometric_mean_six_decompositions(a, b):
     mw, mv = np.linalg.eigh(_herm(inv_root @ _herm(b) @ inv_root))
     middle = (mv * np.sqrt(np.maximum(mw, 0.0))) @ mv.conj().T
     return _herm(root @ _herm(middle) @ root)
+
+
+def minimal_orbit_constant_by_bisection(pmap, nmat, beta, iterations=60):
+    """The search constant as first implemented: 60 halvings of [0, 1/(2 beta)].
+
+    Feasibility of c, ``lambda_min(beta a + c v a v* - |map(n)|) >= floor`` with
+    ``a = map(|n|)``, is monotone in c; each step takes one ``eigvalsh``.
+    """
+    unitary, lhs = polar(apply(pmap, nmat))
+    v = unitary.conj().T
+    arg = hermitian_part(apply(pmap, mat_abs(nmat)))
+    orbit = hermitian_part(v @ arg @ v.conj().T)
+    floor = -1e-12 * max(1.0, spectral_norm(arg))
+
+    def feasible(c):
+        return float(np.linalg.eigvalsh(hermitian_part(beta * arg + c * orbit - lhs)).min()) >= floor
+
+    lo, hi = 0.0, 1.0 / (2.0 * beta)
+    if not feasible(hi):
+        raise RuntimeError("guaranteed constant infeasible")
+    if feasible(lo):
+        return 0.0
+    for _ in range(iterations):
+        mid = (lo + hi) / 2.0
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -4,6 +4,7 @@ import collections
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 
 def _counting(name, original, counts):
@@ -18,12 +19,16 @@ def _counting(name, original, counts):
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """A Counter of the decompositions made through ``np.linalg`` while the test runs.
+    """A Counter of the decompositions made while the test runs.
 
-    Keys are ``svd``, ``eigh``, ``eigvalsh``, ``det`` and ``norm``, the last
-    counting ``norm(x, 2)`` calls only.
+    Keys are ``svd``, ``eigh``, ``eigvalsh``, ``det`` and ``norm`` for calls
+    through ``np.linalg``, the last counting ``norm(x, 2)`` calls only, and
+    ``scipy.linalg.eigh`` for calls through scipy.
     """
     counts = collections.Counter()
     for name in ("svd", "eigh", "eigvalsh", "det", "norm"):
         monkeypatch.setattr(np.linalg, name, _counting(name, getattr(np.linalg, name), counts))
+    monkeypatch.setattr(
+        scipy.linalg, "eigh", _counting("scipy.linalg.eigh", scipy.linalg.eigh, counts)
+    )
     return counts

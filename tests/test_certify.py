@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from matineq import certify
 from matineq.core import (
     direct_sum,
     geometric_mean,
@@ -63,6 +64,7 @@ from matineq.certify import (
 
 from _oracles import (
     hermitian_sum_term_via_block,
+    minimal_orbit_constant_by_bisection,
     schur_normal_terms_via_kron,
     schur_square_terms_via_kron,
 )
@@ -725,10 +727,62 @@ def test_minimal_constant_identity_map_psd():
 
 
 def test_minimal_constant_family_attains_bound():
-    for beta in (0.25, 0.5):
+    # The verdict floor keeps the value a hair below 1/(4 beta): the search's
+    # rows on this family report a ratio <= 1.
+    for beta in (0.05, 0.1, 0.25, 0.4, 0.5, 1.0, 2.0):
         a, r = sharpness_family(beta)
         c = minimal_orbit_constant(schur_multiplier(a), r, beta)
-        assert abs(c - 1.0 / (4.0 * beta)) <= 1e-9
+        assert 1.0 - 1e-10 <= 4.0 * beta * c <= 1.0, beta
+
+
+def _orbit_constant_instances():
+    """Seeded search pools, rank-deficient normal matrices at several scales, and 0."""
+    for n in (2, 3, 4):
+        for t in range(10):
+            yield random_cp_map([11, n, t, 0], n, n), random_normal([11, n, t, 1], n)
+    for n in (2, 3):
+        for seed in range(3):
+            u = haar_unitary([12, n, seed], n)
+            spectrum = np.exp(2j * np.pi * np.arange(n) / n) * np.r_[np.arange(1, n), 0.0]
+            singular = (u * spectrum) @ u.conj().T
+            maps = (identity_map(n), random_cp_map([13, n, seed], n, n, terms=1))
+            maps += (random_cp_map([14, n, seed], n, n, terms=2),)
+            for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+                for pmap in maps:
+                    yield pmap, scale * singular
+    yield identity_map(3), np.zeros((3, 3), dtype=complex)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.25, 0.5, 2.0])
+def test_minimal_constant_matches_bisection(beta):
+    for pmap, nmat in _orbit_constant_instances():
+        c = minimal_orbit_constant(pmap, nmat, beta)
+        reference = minimal_orbit_constant_by_bisection(pmap, nmat, beta)
+        assert abs(c - reference) <= 1e-13 / (4.0 * beta), (c, reference)
+    assert minimal_orbit_constant(identity_map(3), np.zeros((3, 3)), beta) == 0.0
+
+
+def test_minimal_constant_refuses_an_infeasible_guaranteed_constant(monkeypatch):
+    beta = 0.25
+    orbit = certify._orbit
+
+    def exceeding(image, arg):
+        o = orbit(image, arg)
+        return o._replace(lhs=beta * o.arg + o.orbit / beta)
+
+    monkeypatch.setattr(certify, "_orbit", exceeding)
+    p = random_psd(3, 3) + 0.2 * np.eye(3)
+    with pytest.raises(RuntimeError, match="infeasible"):
+        minimal_orbit_constant(identity_map(3), p, beta)
+
+
+def test_minimal_constant_takes_one_generalized_eigensolve(linalg_calls):
+    a, r = sharpness_family(0.25)
+    for pmap, nmat in ((random_cp_map(1, 3, 3), random_normal(2, 3)), (schur_multiplier(a), r)):
+        linalg_calls.clear()
+        minimal_orbit_constant(pmap, nmat, 0.25)
+        assert linalg_calls["scipy.linalg.eigh"] == 1, dict(linalg_calls)
+        assert sum(linalg_calls.values()) <= 6, dict(linalg_calls)
 
 
 def test_estimate_constant_rows():

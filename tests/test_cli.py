@@ -138,6 +138,33 @@ def test_verify_reports_are_deterministic(capsys):
     assert rep1 == rep2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--trials", "1", "--tol", "inf", "--inject-mutant"],
+        ["verify", "--trials", "1", "--tol", "nan"],
+        ["verify", "--trials", "1", "--beta", "inf"],
+        ["verify", "--trials", "1", "--beta", "0.5,nan"],
+        ["search", "--trials", "1", "--beta", "nan"],
+        ["repro", "sharpness-beta", "--beta", "inf"],
+    ],
+)
+def test_non_finite_weights_and_tolerance_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--trials", "1", "--dims", "2,2"], ["repro", "all"]])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(path)])
+    assert exc.value.code == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_verify_writes_output_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code = cli.main(["verify", "--trials", "1", "--out", str(path)])
@@ -258,6 +285,13 @@ def test_counterexample_finds_violation(capsys):
     payload = json.loads(out)
     assert payload["computed"]["found"] == 1.0
     assert payload["computed"]["margin"] > 1e-6
+
+
+@pytest.mark.parametrize("argv", [["--seed", "-1"], ["--trials", "0"]])
+def test_counterexample_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["counterexample"] + argv)
+    assert exc.value.code == 2
 
 
 def test_counterexample_golden_replays_exactly():
