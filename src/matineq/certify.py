@@ -10,6 +10,7 @@ constant at small weights round out the module.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -19,6 +20,9 @@ import scipy.linalg
 
 from .core import (
     MajorizationReport,
+    _abs_from_svd,
+    _adjoint,
+    _hermitian,
     _loewner_floor,
     _loewner_verdict,
     as_matrix,
@@ -49,6 +53,7 @@ from .maps import (
     random_unital_cp_map,
     schur_multiplier,
 )
+from .staging import Ask, run as run_staged
 
 __all__ = [
     "DEFAULT_TOL",
@@ -176,42 +181,71 @@ class ReproResult:
 
 
 def _eig_desc(x) -> np.ndarray:
-    return np.sort(np.linalg.eigvalsh(hermitian_part(x)))[::-1]
+    """Descending eigenvalues of the Hermitian part, along the last axis for a stack."""
+    return np.sort(np.linalg.eigvalsh(_hermitian(x)), axis=-1)[..., ::-1]
 
 
-def _certificate(statement_id, lhs, rhs, *, witness=None, beta=None, tol=DEFAULT_TOL) -> Certificate:
-    lhs = hermitian_part(lhs)
-    rhs = hermitian_part(rhs)
-    passed, slack = _loewner_verdict(lhs, rhs, tol)
-    return Certificate(
-        statement_id=statement_id,
-        lhs=lhs,
-        rhs=rhs,
-        slack_spectrum=slack,
-        passed=passed,
-        tol=tol,
-        witness=witness,
-        beta=beta,
+# ---------------------------------------------------------------------------
+# Staged evaluation (see ``staging``). Each statement is a task that asks for
+# primitives one matrix at a time; ``_run`` drives tasks together, so a sweep
+# trial makes one call per stage and matrix shape. Each public checker
+# ``check_x`` runs its task ``_x`` alone.
+# ---------------------------------------------------------------------------
+
+
+def _run(*tasks) -> list:
+    """Run statement tasks together; returns their results."""
+    # The primitives the tasks ask for, in the order their asks are served.
+    stages = (
+        "is_normal",
+        "is_contraction",
+        "mat_abs",
+        "_abs_pair",
+        "apply",
+        "_orbit",
+        "singular_values",
+        "_eig_desc",
+        "geometric_mean",
+        "_loewner_verdict",
     )
+    return run_staged(stages, tasks)
 
 
-def _psd_certificate(statement_id, block, *, tol=DEFAULT_TOL) -> Certificate:
-    zero = np.zeros_like(block)
-    return _certificate(statement_id, zero, block, tol=tol)
+def _applied(pmap: PositiveMapRep, mats) -> list:
+    """Asks for the images of ``mats`` under ``pmap``."""
+    return [Ask(apply, (pmap, x)) for x in mats]
 
 
-def _require_normal(x, name="matrix", tol=1e-8) -> np.ndarray:
-    x = as_matrix(x, square=True, name=name)
-    if not is_normal(x, tol):
-        raise ValueError(f"{name} must be normal")
-    return x
+def _require(check, mats, names, what: str):
+    """Task: raise ValueError naming the first of ``mats`` that fails ``check``."""
+    passed = yield [Ask(check, (x,)) for x in mats]
+    for ok, name in zip(passed, names):
+        if not ok:
+            raise ValueError(f"{name} must be {what}")
 
 
-def _require_contraction(z, name="z") -> np.ndarray:
-    z = as_matrix(z, square=True, name=name)
-    if not is_contraction(z):
-        raise ValueError(f"{name} must be a contraction")
-    return z
+class _Claim(NamedTuple):
+    """A Loewner certificate ``lhs <= rhs`` before its verdict."""
+
+    statement_id: str
+    lhs: np.ndarray
+    rhs: np.ndarray
+    tol: float
+    witness: Optional[np.ndarray] = None
+    beta: Optional[float] = None
+
+
+def _decide(claims):
+    """Task: the certificates of ``claims``, each side taken as its Hermitian part."""
+    sides = [(hermitian_part(c.lhs), hermitian_part(c.rhs)) for c in claims]
+    checks = yield [Ask(_loewner_verdict, (lhs, rhs, c.tol)) for c, (lhs, rhs) in zip(claims, sides)]
+    return [
+        Certificate(
+            c.statement_id, lhs, rhs, check.slack_spectrum, bool(check.passed), c.tol,
+            c.witness, c.beta,
+        )
+        for c, (lhs, rhs), check in zip(claims, sides, checks)
+    ]
 
 
 def witness_unitary(y) -> np.ndarray:
@@ -239,13 +273,45 @@ class _Orbit(NamedTuple):
 
 
 def _orbit(image, arg) -> _Orbit:
-    """The orbit data of ``(image, arg)`` from one polar decomposition of ``image``."""
+    """The orbit data of ``(image, arg)`` from one polar decomposition of ``image``, per member."""
     unitary, lhs = polar(image)
-    v = unitary.conj().T
-    return _Orbit(image, arg, lhs, v, hermitian_part(v @ arg @ v.conj().T))
+    v = _adjoint(unitary)
+    return _Orbit(image, arg, lhs, v, _hermitian(v @ arg @ _adjoint(v)))
 
 
-def _arith(statement_id, o: _Orbit, beta: float, tol: float, sign: float = 1.0) -> Certificate:
+class _AbsPair(NamedTuple):
+    """``|x|`` and ``|x*|``."""
+
+    right: np.ndarray
+    left: np.ndarray
+
+
+def _abs_pair(x) -> _AbsPair:
+    """``(|x|, |x*|)`` from one SVD ``x = u s vh``: ``vh* s vh`` and ``u s u*``, per member."""
+    u, s, vh = np.linalg.svd(x)
+    return _AbsPair(_abs_from_svd(s, vh), _hermitian((u * s[..., None, :]) @ _adjoint(u)))
+
+
+def _image_orbit(pmap: PositiveMapRep, x: np.ndarray):
+    """Task: the orbit pair ``(map(x), map(|x|))``."""
+    (abs_x,) = yield [Ask(mat_abs, (x,))]
+    image, image_abs = yield _applied(pmap, [x, abs_x])
+    (o,) = yield [Ask(_orbit, (image, image_abs))]
+    return o
+
+
+def _normal_orbit(pmap: PositiveMapRep, nmat):
+    """Task: the orbit pair ``(map(n), map(|n|))`` of a normal matrix."""
+    nmat = as_matrix(nmat, square=True, name="nmat")
+    yield from _require(is_normal, [nmat], ["nmat"], "normal")
+    return (yield from _image_orbit(pmap, nmat))
+
+
+def _mean(o: _Orbit) -> Ask:
+    return Ask(geometric_mean, (o.arg, o.orbit))
+
+
+def _arith(statement_id, o: _Orbit, beta: float, tol: float, sign: float = 1.0) -> _Claim:
     """The arithmetic bound ``beta arg + sign orbit/(4 beta)``.
 
     ``sign = -1`` negates the orbit term: the fault the sweep injects on request.
@@ -253,13 +319,16 @@ def _arith(statement_id, o: _Orbit, beta: float, tol: float, sign: float = 1.0) 
     if not beta > 0:
         raise ValueError("beta must be positive")
     rhs = beta * o.arg + sign * o.orbit / (4.0 * beta)
-    return _certificate(statement_id, o.lhs, rhs, witness=o.witness, beta=beta, tol=tol)
+    return _Claim(statement_id, o.lhs, rhs, tol, o.witness, beta)
 
 
-def _geom(statement_id, o: _Orbit, tol: float, beta: Optional[float] = None) -> Certificate:
+def _geom(statement_id, o: _Orbit, mean: np.ndarray, tol: float, beta: Optional[float] = None):
     """The geometric-mean bound ``arg # orbit``; it has no weight, which ``beta`` only records."""
-    rhs = geometric_mean(o.arg, o.orbit)
-    return _certificate(statement_id, o.lhs, rhs, witness=o.witness, beta=beta, tol=tol)
+    return _Claim(statement_id, o.lhs, mean, tol, o.witness, beta)
+
+
+def _chain(geom, arith, tol: float) -> _Claim:
+    return _Claim("main-chain", geom.rhs, arith.rhs, tol, beta=arith.beta)
 
 
 def _logmaj(singular, spectrum) -> MajorizationReport:
@@ -267,20 +336,12 @@ def _logmaj(singular, spectrum) -> MajorizationReport:
     return weak_log_majorize(singular, np.maximum(spectrum, 0.0), tol=1e-9)
 
 
-class _NormalImage(NamedTuple):
-    """Weight-independent data of a positive map applied to a normal matrix."""
-
-    orbit: _Orbit
-    singular_values: np.ndarray
-    abs_spectrum: np.ndarray
-
-
-def _normal_image(pmap: PositiveMapRep, nmat) -> _NormalImage:
-    """``(map(n), map(|n|))`` as an orbit pair, with its two spectra, computed once."""
-    nmat = _require_normal(nmat, "nmat")
-    image = apply(pmap, nmat)
-    image_abs = apply(pmap, mat_abs(nmat))
-    return _NormalImage(_orbit(image, image_abs), singular_values(image), _eig_desc(image_abs))
+def _theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float):
+    o = yield from _normal_orbit(pmap, nmat)
+    (mean,) = yield [_mean(o)]
+    claims = [_arith("main-arith", o, beta, tol), _geom("main-geom", o, mean, tol, beta)]
+    arith, geom = yield from _decide(claims)
+    return arith, geom
 
 
 def check_theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float = DEFAULT_TOL):
@@ -291,25 +352,29 @@ def check_theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float = DEF
     geometric-mean refinement ``|map(n)| <= map(|n|) # v map(|n|) v*``,
     both with the polar witness ``v`` of ``map(n)``.
     """
-    o = _normal_image(pmap, nmat).orbit
-    return _arith("main-arith", o, beta, tol), _geom("main-geom", o, tol, beta)
+    return _run(_theorem_main(pmap, nmat, beta, tol))[0]
 
 
 def chain_certificate(geom: Certificate, arith: Certificate, tol: float = DEFAULT_TOL) -> Certificate:
     """The geometric-mean bound never exceeds the arithmetic one (AM-GM chain)."""
-    return _certificate("main-chain", geom.rhs, arith.rhs, beta=arith.beta, tol=tol)
+    return _run(_decide([_chain(geom, arith, tol)]))[0][0]
 
 
-def _block_psd(inst: _NormalImage, tol: float) -> Certificate:
+def _block_psd(o: _Orbit, tol: float) -> _Claim:
     # A Kraus map commutes with the adjoint: map(n*) = map(n)*.
-    o = inst.orbit
     block = np.block([[o.arg, o.image], [o.image.conj().T, o.arg]])
-    return _psd_certificate("block-psd", block, tol=tol)
+    return _Claim("block-psd", np.zeros_like(block), block, tol)
+
+
+def _block_certificate(pmap: PositiveMapRep, nmat, tol: float):
+    o = yield from _normal_orbit(pmap, nmat)
+    (cert,) = yield from _decide([_block_psd(o, tol)])
+    return cert
 
 
 def check_block_certificate(pmap: PositiveMapRep, nmat, tol: float = DEFAULT_TOL) -> Certificate:
     """The 2x2 block matrix [[map(|n|), map(n)], [map(n*), map(|n|)]] is PSD."""
-    return _block_psd(_normal_image(pmap, nmat), tol)
+    return _run(_block_certificate(pmap, nmat, tol))[0]
 
 
 def _diagonal_certificate(statement_id, lhs, rhs, *, beta=None, tol=DEFAULT_TOL) -> Certificate:
@@ -333,11 +398,23 @@ def _diagonal_certificate(statement_id, lhs, rhs, *, beta=None, tol=DEFAULT_TOL)
     )
 
 
-def _eigen_fixed(inst: _NormalImage, tol: float):
-    """The weight-independent eigenvalue reports: log-majorization and pair bounds."""
-    s = inst.singular_values
-    t_clip = np.maximum(inst.abs_spectrum, 0.0)
-    logmaj = _logmaj(s, inst.abs_spectrum)
+def _spectra(o: _Orbit) -> list:
+    """Asks for the singular values of ``map(n)`` and the spectrum of ``map(|n|)``."""
+    return [Ask(singular_values, (o.image,)), Ask(_eig_desc, (o.arg,))]
+
+
+def _shifted(o: _Orbit, beta: float) -> Ask:
+    return Ask(_eig_desc, (o.lhs - beta * o.arg,))
+
+
+def _eigen_fixed(s: np.ndarray, spectrum: np.ndarray, tol: float):
+    """The weight-independent eigenvalue reports: log-majorization and pair bounds.
+
+    ``s`` holds the singular values of ``map(n)``, ``spectrum`` the
+    eigenvalues of ``map(|n|)``.
+    """
+    t_clip = np.maximum(spectrum, 0.0)
+    logmaj = _logmaj(s, spectrum)
     # The pairs (j, k), 0-based, with j + k < m, in row-major order.
     m = s.size
     j, k = np.nonzero(np.add.outer(np.arange(m), np.arange(m)) < m)
@@ -345,13 +422,17 @@ def _eigen_fixed(inst: _NormalImage, tol: float):
     return logmaj, pair_cert
 
 
-def _eigen_shift(inst: _NormalImage, beta: float, tol: float) -> Certificate:
+def _eigen_shift(shifted: np.ndarray, spectrum: np.ndarray, beta: float, tol: float) -> Certificate:
     if not beta > 0:
         raise ValueError("beta must be positive")
-    shifted = _eig_desc(inst.orbit.lhs - beta * inst.orbit.arg)
-    return _diagonal_certificate(
-        "eigen-shift", 4.0 * beta * shifted, inst.abs_spectrum, beta=beta, tol=tol
-    )
+    return _diagonal_certificate("eigen-shift", 4.0 * beta * shifted, spectrum, beta=beta, tol=tol)
+
+
+def _corollary_eigen(pmap: PositiveMapRep, nmat, beta: float, tol: float):
+    o = yield from _normal_orbit(pmap, nmat)
+    singular, spectrum, shifted = yield _spectra(o) + [_shifted(o, beta)]
+    shift = _eigen_shift(shifted, spectrum, beta, tol)
+    return EigenCorollaryReports(*_eigen_fixed(singular, spectrum, tol), shift)
 
 
 def check_corollary_eigen(
@@ -365,8 +446,33 @@ def check_corollary_eigen(
     and k-th eigenvalues; (c) the eigenvalues of ``|map(n)| - beta map(|n|)``
     scaled by ``4 beta`` stay below those of ``map(|n|)``.
     """
-    inst = _normal_image(pmap, nmat)
-    return EigenCorollaryReports(*_eigen_fixed(inst, tol), _eigen_shift(inst, beta, tol))
+    return _run(_corollary_eigen(pmap, nmat, beta, tol))[0]
+
+
+def _real_part(a, tol: float):
+    a = as_matrix(a, square=True, name="a")
+    yield from _require(is_normal, [a], ["a"], "normal")
+    doubled = direct_sum([a, np.conj(a)])
+    abs_doubled, abs_a = yield [Ask(mat_abs, (doubled,)), Ask(mat_abs, (a,))]
+    averager = corner_block_map("diag_average", a.shape[0])
+    image, image_abs_arg = yield _applied(averager, [doubled, abs_doubled])
+    real_a = conj_real_part(a)
+    real_abs = conj_real_part(abs_a)
+    s_image, t_image, s_real, t_real = yield [
+        Ask(singular_values, (image,)),
+        Ask(_eig_desc, (image_abs_arg,)),
+        Ask(singular_values, (real_a,)),
+        Ask(_eig_desc, (real_abs,)),
+    ]
+    dets = np.linalg.det(np.stack([real_a, real_abs]))
+    det_lhs = float(abs(dets[0]))
+    det_rhs = float(dets[1].real)
+    margin = det_rhs - det_lhs
+    # the real part of a PSD matrix is PSD, so the right determinant is >= 0
+    det_ok = margin >= -tol * max(1.0, abs(det_rhs)) and det_rhs >= -tol
+    det_check = ScalarCheck(bool(det_ok), margin)
+    construction, direct = _logmaj(s_image, t_image), _logmaj(s_real, t_real)
+    return RealPartReport(construction, direct, det_lhs, det_rhs, det_check)
 
 
 def check_real_part(a, tol: float = DEFAULT_TOL) -> RealPartReport:
@@ -379,34 +485,38 @@ def check_real_part(a, tol: float = DEFAULT_TOL) -> RealPartReport:
     part of a PSD matrix is again PSD, so the right-hand determinant is
     nonnegative.
     """
-    a = _require_normal(a, "a")
-    n = a.shape[0]
-    doubled = direct_sum([a, np.conj(a)])
-    averager = corner_block_map("diag_average", n)
-    image = apply(averager, doubled)
-    image_abs_arg = apply(averager, mat_abs(doubled))
-    construction = _logmaj(singular_values(image), _eig_desc(image_abs_arg))
+    return _run(_real_part(a, tol))[0]
 
-    real_a = conj_real_part(a)
-    real_abs = conj_real_part(mat_abs(a))
-    direct = _logmaj(singular_values(real_a), _eig_desc(real_abs))
 
-    det_lhs = float(abs(np.linalg.det(real_a)))
-    det_rhs = float(np.linalg.det(real_abs).real)
-    margin = det_rhs - det_lhs
-    # the real part of a PSD matrix is PSD, so the right determinant is >= 0
-    det_ok = margin >= -tol * max(1.0, abs(det_rhs)) and det_rhs >= -tol
-    return RealPartReport(construction, direct, det_lhs, det_rhs, ScalarCheck(bool(det_ok), margin))
+def _partial_trace(nmat, d: int, n: int, tol: float):
+    nmat = as_matrix(nmat, square=True, name="nmat")
+    yield from _require(is_normal, [nmat], ["nmat"], "normal")
+    if nmat.shape[0] != d * n:
+        raise ValueError(f"matrix of dimension {nmat.shape[0]}, expected {d * n}")
+    o = yield from _image_orbit(partial_trace_first(d, n), nmat)
+    (mean,) = yield [_mean(o)]
+    (cert,) = yield from _decide([_geom("ptrace-geom", o, mean, tol)])
+    return cert
 
 
 def check_partial_trace(nmat, d: int, n: int, tol: float = DEFAULT_TOL) -> Certificate:
     """Geometric-mean orbit bound for the partial trace of a normal block matrix."""
-    nmat = _require_normal(nmat, "nmat")
-    if nmat.shape[0] != d * n:
-        raise ValueError(f"matrix of dimension {nmat.shape[0]}, expected {d * n}")
-    trace_map = partial_trace_first(d, n)
-    o = _orbit(apply(trace_map, nmat), apply(trace_map, mat_abs(nmat)))
-    return _geom("ptrace-geom", o, tol)
+    return _run(_partial_trace(nmat, d, n, tol))[0]
+
+
+def _sum_of_normals(mats: Sequence, tol: float):
+    mats = [as_matrix(m, square=True, name=f"mats[{i}]") for i, m in enumerate(mats)]
+    if not mats:
+        raise ValueError("need at least one matrix")
+    yield from _require(is_normal, mats, [f"mats[{i}]" for i in range(len(mats))], "normal")
+    n = mats[0].shape[0]
+    if any(m.shape != (n, n) for m in mats):
+        raise ValueError("all matrices must share one dimension")
+    o = yield from _image_orbit(partial_trace_first(len(mats), n), direct_sum(mats))
+    (mean,) = yield [_mean(o)]
+    claims = [_geom("sum-normals-geom", o, mean, tol), _arith("sum-normals-arith", o, 0.5, tol)]
+    geom, arith = yield from _decide(claims)
+    return geom, arith
 
 
 def check_sum_of_normals(mats: Sequence, tol: float = DEFAULT_TOL):
@@ -415,16 +525,25 @@ def check_sum_of_normals(mats: Sequence, tol: float = DEFAULT_TOL):
     Returns the geometric-mean certificate and the weaker arithmetic one on
     ``sum |n_i|`` and its unitary conjugate.
     """
-    mats = [_require_normal(m, f"mats[{i}]") for i, m in enumerate(mats)]
-    if not mats:
-        raise ValueError("need at least one matrix")
-    n = mats[0].shape[0]
-    if any(m.shape != (n, n) for m in mats):
-        raise ValueError("all matrices must share one dimension")
-    block = direct_sum(mats)
-    trace_map = partial_trace_first(len(mats), n)
-    o = _orbit(apply(trace_map, block), apply(trace_map, mat_abs(block)))
-    return _geom("sum-normals-geom", o, tol), _arith("sum-normals-arith", o, 0.5, tol)
+    return _run(_sum_of_normals(mats, tol))[0]
+
+
+def _russo_dye(pmap: PositiveMapRep, z, tol: float):
+    z = as_matrix(z, square=True, name="z")
+    yield from _require(is_contraction, [z], ["z"], "a contraction")
+    if z.shape[0] != pmap.input_dim:
+        raise ValueError("dimension mismatch between map and contraction")
+    image_id, image = yield _applied(pmap, [np.eye(z.shape[0], dtype=complex), z])
+    image_id = hermitian_part(image_id)
+    o, singular, spectrum = yield [
+        Ask(_orbit, (image, image_id)),
+        Ask(singular_values, (image,)),
+        Ask(_eig_desc, (image_id,)),
+    ]
+    (mean,) = yield [_mean(o)]
+    claims = [_arith("contraction-arith", o, 0.5, tol), _geom("contraction-geom", o, mean, tol)]
+    arith, geom = yield from _decide(claims)
+    return RussoDyeReports(arith, geom, _logmaj(singular, spectrum))
 
 
 def check_russo_dye(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL) -> RussoDyeReports:
@@ -436,16 +555,35 @@ def check_russo_dye(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL) -> RussoD
     ``apply(compose(pmap, upper_left), halmos_dilation(z)) == apply(pmap, z)``.
     So the image is computed as ``map(z)`` and the dilation is never formed.
     """
-    z = _require_contraction(z)
-    if z.shape[0] != pmap.input_dim:
-        raise ValueError("dimension mismatch between map and contraction")
-    image_id = hermitian_part(apply(pmap, np.eye(z.shape[0], dtype=complex)))
-    o = _orbit(apply(pmap, z), image_id)
-    return RussoDyeReports(
-        _arith("contraction-arith", o, 0.5, tol),
-        _geom("contraction-geom", o, tol),
-        _logmaj(singular_values(o.image), _eig_desc(image_id)),
-    )
+    return _run(_russo_dye(pmap, z, tol))[0]
+
+
+def _weighted_sum(xs: Sequence, zs: Sequence, tol: float):
+    if len(xs) != len(zs):
+        raise ValueError("xs and zs must have equal length")
+    if not xs:
+        raise ValueError("need at least one summand")
+    xs = [as_matrix(x, name=f"xs[{i}]") for i, x in enumerate(xs)]
+    rows, cols = xs[0].shape
+    if any(x.shape != (rows, cols) for x in xs):
+        raise ValueError("all xs must share one shape")
+    zs = [as_matrix(z, square=True, name=f"zs[{i}]") for i, z in enumerate(zs)]
+    yield from _require(is_contraction, zs, [f"zs[{i}]" for i in range(len(zs))], "a contraction")
+    if any(z.shape != (rows, rows) for z in zs):
+        raise ValueError("each z must act on the row space of the xs")
+
+    weighted = sum(x.conj().T @ z @ x for x, z in zip(xs, zs))
+    gram = hermitian_part(sum(x.conj().T @ x for x in xs))
+    singular, spectrum, *pairs = yield [
+        Ask(singular_values, (weighted,)),
+        Ask(_eig_desc, (gram,)),
+        *(Ask(_abs_pair, (z,)) for z in zs),
+    ]
+    upper_left = sum(x.conj().T @ pair.left @ x for x, pair in zip(xs, pairs))
+    lower_right = sum(x.conj().T @ pair.right @ x for x, pair in zip(xs, pairs))
+    block = np.block([[upper_left, weighted], [weighted.conj().T, lower_right]])
+    (cert,) = yield from _decide([_Claim("weighted-sum-block", np.zeros_like(block), block, tol)])
+    return _logmaj(singular, spectrum), cert
 
 
 def check_weighted_sum(xs: Sequence, zs: Sequence, tol: float = DEFAULT_TOL):
@@ -457,47 +595,43 @@ def check_weighted_sum(xs: Sequence, zs: Sequence, tol: float = DEFAULT_TOL):
     ``sum x_i* x_i``; the associated 2x2 block matrix is PSD, which carries
     the factorization through a contraction.
     """
-    if len(xs) != len(zs):
-        raise ValueError("xs and zs must have equal length")
-    if not xs:
-        raise ValueError("need at least one summand")
-    xs = [as_matrix(x, name=f"xs[{i}]") for i, x in enumerate(xs)]
-    rows, cols = xs[0].shape
-    if any(x.shape != (rows, cols) for x in xs):
-        raise ValueError("all xs must share one shape")
-    zs = [_require_contraction(z, f"zs[{i}]") for i, z in enumerate(zs)]
-    if any(z.shape != (rows, rows) for z in zs):
-        raise ValueError("each z must act on the row space of the xs")
+    return _run(_weighted_sum(xs, zs, tol))[0]
 
-    weighted = sum(x.conj().T @ z @ x for x, z in zip(xs, zs))
-    gram = hermitian_part(sum(x.conj().T @ x for x in xs))
-    logmaj = _logmaj(singular_values(weighted), _eig_desc(gram))
-    abs_zs, abs_adjoints = zip(*(_abs_pair(z) for z in zs))
-    upper_left = sum(x.conj().T @ a @ x for x, a in zip(xs, abs_adjoints))
-    lower_right = sum(x.conj().T @ a @ x for x, a in zip(xs, abs_zs))
-    block = np.block([[upper_left, weighted], [weighted.conj().T, lower_right]])
-    return logmaj, _psd_certificate("weighted-sum-block", block, tol=tol)
+
+def _schur_diagonal(a, z, tol: float):
+    a = as_matrix(a, square=True, name="a")
+    z = as_matrix(z, square=True, name="z")
+    if a.shape != z.shape:
+        raise ValueError("a and z must share one dimension")
+    # The checks are asked with the orbit, so that it joins the other orbits.
+    w, contracting, o = yield [
+        Ask(_eig_desc, (a,)),
+        Ask(is_contraction, (z,)),
+        Ask(_orbit, (schur_prod(a, z), schur_prod(a, np.eye(a.shape[0], dtype=complex)))),
+    ]
+    if w.min() < -1e-9 * max(1.0, float(np.abs(w).max())):
+        raise ValueError("a must be PSD")
+    if not contracting:
+        raise ValueError("z must be a contraction")
+    (cert,) = yield from _decide([_arith("schur-diagonal", o, 0.5, tol)])
+    return cert
 
 
 def check_schur_diagonal(a, z, tol: float = DEFAULT_TOL) -> Certificate:
     """Entrywise product of a PSD matrix with a contraction against the diagonal part."""
+    return _run(_schur_diagonal(a, z, tol))[0]
+
+
+def _schur_normal(a, b, tol: float):
     a = as_matrix(a, square=True, name="a")
-    w = np.linalg.eigvalsh(hermitian_part(a))
-    if w.min() < -1e-9 * max(1.0, float(np.abs(w).max())):
-        raise ValueError("a must be PSD")
-    z = _require_contraction(z)
-    if a.shape != z.shape:
-        raise ValueError("a and z must share one dimension")
-    o = _orbit(schur_prod(a, z), schur_prod(a, np.eye(a.shape[0], dtype=complex)))
-    return _arith("schur-diagonal", o, 0.5, tol)
-
-
-def _abs_pair(x: np.ndarray):
-    """``(|x|, |x*|)`` from one SVD ``x = u s vh``: ``vh* s vh`` and ``u s u*``."""
-    u, s, vh = np.linalg.svd(x)
-    right = (vh.conj().T * s) @ vh
-    left = (u * s) @ u.conj().T
-    return (right + right.conj().T) / 2.0, (left + left.conj().T) / 2.0
+    b = as_matrix(b, square=True, name="b")
+    yield from _require(is_normal, [a, b], ["a", "b"], "normal")
+    if a.shape != b.shape:
+        raise ValueError("a and b must share one dimension")
+    abs_a, abs_b = yield [Ask(mat_abs, (a,)), Ask(mat_abs, (b,))]
+    (o,) = yield [Ask(_orbit, (schur_prod(a, b), schur_prod(abs_a, abs_b)))]
+    (cert,) = yield from _decide([_arith("schur-normal", o, 1.0, tol)])
+    return cert
 
 
 def check_schur_normal(a, b, tol: float = DEFAULT_TOL) -> Certificate:
@@ -508,20 +642,36 @@ def check_schur_normal(a, b, tol: float = DEFAULT_TOL) -> Certificate:
     for the compression of ``a (x) b`` to its paired diagonal indices, which
     is ``a o b``, using ``|a (x) b| = |a| (x) |b|``; no tensor is formed.
     """
-    a = _require_normal(a, "a")
-    b = _require_normal(b, "b")
-    if a.shape != b.shape:
-        raise ValueError("a and b must share one dimension")
-    o = _orbit(schur_prod(a, b), schur_prod(mat_abs(a), mat_abs(b)))
-    return _arith("schur-normal", o, 1.0, tol)
+    return _run(_schur_normal(a, b, tol))[0]
 
 
-def _map_input(pmap: PositiveMapRep, x) -> np.ndarray:
-    """``x`` as a square matrix on the input space of ``pmap``."""
+def _symmetrized(pmap: PositiveMapRep, x, tol: float):
+    """Task: the hermitian-sum-geom and schur-square-geom certificates, from one SVD of ``x``."""
     x = as_matrix(x, square=True, name="x")
     if x.shape[0] != pmap.input_dim:
         raise ValueError("dimension mismatch between map and matrix")
-    return x
+    (pair,) = yield [Ask(_abs_pair, (x,))]
+    herm_image, herm_arg, square_image, square_arg = yield _applied(
+        pmap,
+        [
+            x + x.conj().T,
+            pair.right + pair.left,
+            schur_prod(x, x.conj().T),
+            schur_prod(pair.right, pair.left),
+        ],
+    )
+    herm, square = yield [
+        Ask(_orbit, (herm_image, hermitian_part(herm_arg))),
+        Ask(_orbit, (square_image, hermitian_part(square_arg))),
+    ]
+    herm_mean, square_mean = yield [_mean(herm), _mean(square)]
+    herm_cert, square_cert = yield from _decide(
+        [
+            _geom("hermitian-sum-geom", herm, herm_mean, tol),
+            _geom("schur-square-geom", square, square_mean, tol),
+        ]
+    )
+    return herm_cert, square_cert
 
 
 def check_hermitian_sum(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Certificate:
@@ -531,13 +681,7 @@ def check_hermitian_sum(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Ce
     whose absolute value is ``|x*| (+) |x|``; the comparison argument is the
     image of its block sum, ``map(|x| + |x*|)``.
     """
-    x = _map_input(pmap, x)
-    return _hermitian_sum(pmap, x, _abs_pair(x), tol)
-
-
-def _hermitian_sum(pmap: PositiveMapRep, x: np.ndarray, abs_pair, tol: float) -> Certificate:
-    arg = hermitian_part(apply(pmap, abs_pair[0] + abs_pair[1]))
-    return _geom("hermitian-sum-geom", _orbit(apply(pmap, x + x.conj().T), arg), tol)
+    return _run(_symmetrized(pmap, x, tol))[0][0]
 
 
 def check_schur_square(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Certificate:
@@ -548,13 +692,22 @@ def check_schur_square(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Cer
     the absolute values of those carriers are ``|x| (+) |x*|`` and
     ``|x*| (+) |x|``, so the comparison argument is ``map(|x| o |x*|)``.
     """
-    x = _map_input(pmap, x)
-    return _schur_square(pmap, x, _abs_pair(x), tol)
+    return _run(_symmetrized(pmap, x, tol))[0][1]
 
 
-def _schur_square(pmap: PositiveMapRep, x: np.ndarray, abs_pair, tol: float) -> Certificate:
-    arg = hermitian_part(apply(pmap, schur_prod(*abs_pair)))
-    return _geom("schur-square-geom", _orbit(apply(pmap, schur_prod(x, x.conj().T)), arg), tol)
+def _two_positive_unital(pmap: PositiveMapRep, z, tol: float):
+    if not is_unital(pmap):
+        raise ValueError("the quarter bound requires a unital map")
+    z = as_matrix(z, square=True, name="z")
+    yield from _require(is_contraction, [z], ["z"], "a contraction")
+    if z.shape[0] != pmap.input_dim:
+        raise ValueError("dimension mismatch between map and contraction")
+    (abs_z,) = yield [Ask(mat_abs, (z,))]
+    image, image_abs = yield _applied(pmap, [z, abs_z])
+    (abs_image,) = yield [Ask(mat_abs, (image,))]
+    rhs = np.eye(pmap.output_dim, dtype=complex) / 4.0 + image_abs
+    (cert,) = yield from _decide([_Claim("two-positive-quarter", abs_image, rhs, tol)])
+    return cert
 
 
 def check_two_positive_unital(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL) -> Certificate:
@@ -563,14 +716,9 @@ def check_two_positive_unital(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL)
     No witness is needed; the statement requires unitality, so a non-unital
     map is rejected.
     """
-    if not is_unital(pmap):
-        raise ValueError("the quarter bound requires a unital map")
-    z = _require_contraction(z)
-    if z.shape[0] != pmap.input_dim:
-        raise ValueError("dimension mismatch between map and contraction")
-    image = apply(pmap, z)
-    rhs = np.eye(pmap.output_dim, dtype=complex) / 4.0 + apply(pmap, mat_abs(z))
-    return _certificate("two-positive-quarter", mat_abs(image), rhs, tol=tol)
+    return _run(_two_positive_unital(pmap, z, tol))[0]
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +964,9 @@ def minimal_orbit_constant(pmap: PositiveMapRep, nmat, beta: float) -> float:
     ``max(0, hi - 1/mu)`` for the top eigenvalue ``mu`` of the pencil ``(b, d)``;
     a singular ``b`` is allowed there.
     """
-    nmat = _require_normal(nmat, "nmat")
+    nmat = as_matrix(nmat, square=True, name="nmat")
+    if not is_normal(nmat):
+        raise ValueError("nmat must be normal")
     if not beta > 0:
         raise ValueError("beta must be positive")
     o = _orbit(apply(pmap, nmat), hermitian_part(apply(pmap, mat_abs(nmat))))
@@ -877,94 +1027,109 @@ def estimate_constant(
 
 
 class _Trial(NamedTuple):
-    """The seeded instances of one sweep trial that several statements share."""
+    """The seeds, sizes and settings of one sweep trial, and the map several statements share."""
 
     master_seed: int
     trial_index: int
     n: int
     m: int
+    betas: tuple
     tol: float
     inject_mutant: bool
     pmap: PositiveMapRep
-    main: _NormalImage
-    main_geom: Certificate
 
     def sub(self, k: int) -> list:
         return [self.master_seed, self.trial_index, k]
 
 
-def _main_bounds(t: _Trial, beta: float):
-    arith = _arith("main-arith", t.main.orbit, beta, t.tol, -1.0 if t.inject_mutant else 1.0)
-    return arith, t.main_geom, chain_certificate(t.main_geom, arith, t.tol)
+def _main_statements(t: _Trial):
+    """Task: every statement on ``(map(n), map(|n|))``, in the order of its table row."""
+    o = yield from _normal_orbit(t.pmap, random_normal(t.sub(1), t.n))
+    asks = [_mean(o)] + _spectra(o) + [_shifted(o, beta) for beta in t.betas]
+    mean, singular, spectrum, *shifted = yield asks
+    sign = -1.0 if t.inject_mutant else 1.0
+    geom = _geom("main-geom", o, mean, t.tol)
+    ariths = [_arith("main-arith", o, beta, t.tol, sign) for beta in t.betas]
+    chains = [_chain(geom, arith, t.tol) for arith in ariths]
+    geom, block, *certs = yield from _decide([geom, _block_psd(o, t.tol), *ariths, *chains])
+    k = len(t.betas)
+    bounds = [cert for i in range(k) for cert in (certs[i], geom, certs[k + i])]
+    shifts = [_eigen_shift(s, spectrum, beta, t.tol) for s, beta in zip(shifted, t.betas)]
+    return [*bounds, block, *_eigen_fixed(singular, spectrum, t.tol), *shifts]
 
 
-def _real_part(t: _Trial):
-    report = check_real_part(random_normal(t.sub(2), t.n), t.tol)
+def _real_part_statements(t: _Trial):
+    report = yield from _real_part(random_normal(t.sub(2), t.n), t.tol)
     return report.construction_route, report.direct_route, report.det_check
 
 
-def _russo_dye(t: _Trial):
-    reports = check_russo_dye(t.pmap, random_contraction(t.sub(7), t.n), t.tol)
+def _russo_dye_statements(t: _Trial):
+    reports = yield from _russo_dye(t.pmap, random_contraction(t.sub(7), t.n), t.tol)
     return reports.arithmetic, reports.geometric, reports.log_majorization
 
 
-def _weighted_sum(t: _Trial):
+def _weighted_sum_statements(t: _Trial):
     xs = [random_matrix(t.sub(8 + i), t.m, t.n) for i in range(3)]
     zs = [random_contraction(t.sub(11 + i), t.m) for i in range(3)]
-    return check_weighted_sum(xs, zs, t.tol)
+    return (yield from _weighted_sum(xs, zs, t.tol))
 
 
-def _symmetrized(t: _Trial):
-    # Both statements on x + x* and x o x* share one SVD of x.
-    x = random_matrix(t.sub(18), t.n)
-    abs_pair = _abs_pair(x)
-    return _hermitian_sum(t.pmap, x, abs_pair, t.tol), _schur_square(t.pmap, x, abs_pair, t.tol)
+def _one(task):
+    """Task: the result of ``task`` as a list of one outcome."""
+    return [(yield from task)]
 
 
 # The sweep's statements in run order, which fixes the order of a report's
-# failures. Each row is (keys, per_weight, outcomes): outcomes(trial), or
-# outcomes(trial, beta) once per weight, returns one outcome per key.
+# failures. Each row is (task, keys): task(trial) returns one outcome per
+# key, and each run of keys ending in "@" repeats once per weight, as in
+# main-arith@beta=0.25, main-geom@beta=0.25, main-chain@beta=0.25,
+# main-arith@beta=0.5, ... The tasks of a trial run together.
 _STATEMENTS = (
-    (("main-arith", "main-geom", "main-chain"), True, _main_bounds),
-    (("block-psd",), False, lambda t: [_block_psd(t.main, t.tol)]),
-    (("eigen-logmaj", "eigen-pairs"), False, lambda t: _eigen_fixed(t.main, t.tol)),
-    (("eigen-shift",), True, lambda t, beta: [_eigen_shift(t.main, beta, t.tol)]),
-    (("realpart-construction-logmaj", "realpart-direct-logmaj", "realpart-det"), False, _real_part),
     (
+        _main_statements,
+        (
+            "main-arith@", "main-geom@", "main-chain@",
+            "block-psd", "eigen-logmaj", "eigen-pairs",
+            "eigen-shift@",
+        ),
+    ),
+    (
+        _real_part_statements,
+        ("realpart-construction-logmaj", "realpart-direct-logmaj", "realpart-det"),
+    ),
+    (
+        lambda t: _one(_partial_trace(random_normal(t.sub(3), 2 * t.n), 2, t.n, t.tol)),
         ("ptrace-geom",),
-        False,
-        lambda t: [check_partial_trace(random_normal(t.sub(3), 2 * t.n), 2, t.n, t.tol)],
     ),
     (
+        lambda t: _sum_of_normals([random_normal(t.sub(4 + i), t.n) for i in range(3)], t.tol),
         ("sum-normals-geom", "sum-normals-arith"),
-        False,
-        lambda t: check_sum_of_normals([random_normal(t.sub(4 + i), t.n) for i in range(3)], t.tol),
     ),
-    (("contraction-arith", "contraction-geom", "contraction-logmaj"), False, _russo_dye),
-    (("weighted-sum-logmaj", "weighted-sum-block"), False, _weighted_sum),
+    (_russo_dye_statements, ("contraction-arith", "contraction-geom", "contraction-logmaj")),
+    (_weighted_sum_statements, ("weighted-sum-logmaj", "weighted-sum-block")),
     (
+        lambda t: _one(
+            _schur_diagonal(random_psd(t.sub(14), t.n), random_contraction(t.sub(15), t.n), t.tol)
+        ),
         ("schur-diagonal",),
-        False,
-        lambda t: [
-            check_schur_diagonal(random_psd(t.sub(14), t.n), random_contraction(t.sub(15), t.n), t.tol)
-        ],
     ),
     (
+        lambda t: _one(
+            _schur_normal(random_normal(t.sub(16), t.n), random_normal(t.sub(17), t.n), t.tol)
+        ),
         ("schur-normal",),
-        False,
-        lambda t: [
-            check_schur_normal(random_normal(t.sub(16), t.n), random_normal(t.sub(17), t.n), t.tol)
-        ],
     ),
-    (("hermitian-sum-geom", "schur-square-geom"), False, _symmetrized),
     (
-        ("two-positive-quarter",),
-        False,
-        lambda t: [
-            check_two_positive_unital(
+        lambda t: _symmetrized(t.pmap, random_matrix(t.sub(18), t.n), t.tol),
+        ("hermitian-sum-geom", "schur-square-geom"),
+    ),
+    (
+        lambda t: _one(
+            _two_positive_unital(
                 random_unital_cp_map(t.sub(19), t.n, t.m), random_contraction(t.sub(20), t.n), t.tol
             )
-        ],
+        ),
+        ("two-positive-quarter",),
     ),
 )
 
@@ -974,11 +1139,13 @@ def weight_tag(beta: float) -> str:
     return f"beta={beta:g}"
 
 
-def _evaluations(keys: tuple, per_weight: bool, betas: Sequence[float]) -> list:
-    """(keys, extra arguments) of each evaluation of one table row."""
-    if per_weight:
-        return [([f"{key}@{weight_tag(beta)}" for key in keys], (beta,)) for beta in betas]
-    return [(list(keys), ())]
+def _expand(keys: tuple, betas: Sequence[float]) -> list:
+    """The report keys of one table row, in run order."""
+    out = []
+    for per_weight, run in itertools.groupby(keys, key=lambda key: key.endswith("@")):
+        run = list(run)
+        out += [key + weight_tag(beta) for beta in betas for key in run] if per_weight else run
+    return out
 
 
 def run_trial(
@@ -993,21 +1160,14 @@ def run_trial(
     side of the arithmetic bound, a fault the sweep must report.
     """
     pmap = random_cp_map([master_seed, trial_index, 0], n, m)
-    main = _normal_image(pmap, random_normal([master_seed, trial_index, 1], n))
-    geom = _geom("main-geom", main.orbit, tol)
-    trial = _Trial(master_seed, trial_index, n, m, tol, inject_mutant, pmap, main, geom)
+    trial = _Trial(master_seed, trial_index, n, m, tuple(betas), tol, inject_mutant, pmap)
+    results = _run(*(task(trial) for task, _ in _STATEMENTS))
     out: dict = {}
-    for keys, per_weight, outcomes in _STATEMENTS:
-        for evaluated_keys, args in _evaluations(keys, per_weight, betas):
-            out.update(zip(evaluated_keys, outcomes(trial, *args), strict=True))
+    for (_, keys), outcomes in zip(_STATEMENTS, results):
+        out.update(zip(_expand(keys, betas), outcomes, strict=True))
     return out
 
 
 def trial_statements(betas: Sequence[float]) -> list:
     """Statement keys run_trial produces for a given weight list, in run order."""
-    return [
-        key
-        for keys, per_weight, _ in _STATEMENTS
-        for evaluated_keys, _ in _evaluations(keys, per_weight, betas)
-        for key in evaluated_keys
-    ]
+    return [key for _, keys in _STATEMENTS for key in _expand(keys, betas)]

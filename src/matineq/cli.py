@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -101,6 +102,20 @@ def _emit(text: str, path: str) -> None:
                 fh.write("\n")
     except OSError as exc:
         raise ValueError(f"cannot write --out {path}: {exc.strerror}") from exc
+
+
+def _out_problem(path: str):
+    """Why a report could not be written to ``path``, checked before any work; None if it can."""
+    if path == "-":
+        return None
+    if os.path.isdir(path):
+        return f"cannot write --out {path}: it is a directory"
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return f"cannot write --out {path}: no directory {parent}"
+    if not os.access(parent, os.W_OK):
+        return f"cannot write --out {path}: directory {parent} is not writable"
+    return None
 
 
 def cmd_verify(config: RunConfig, inject_mutant: bool = False):
@@ -263,14 +278,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    problem = _out_problem(args.out)
+    if problem:
+        parser.error(problem)
+    if getattr(args, "seed", 0) < 0:
+        parser.error("--seed must be nonnegative")
 
     if args.command == "verify":
         if args.trials < 1:
             parser.error("--trials must be >= 1")
         if not (math.isfinite(args.tol) and args.tol > 0):
             parser.error("--tol must be finite and positive")
-        if args.seed < 0 or args.trial_offset < 0:
-            parser.error("--seed and --trial-offset must be nonnegative")
+        if args.trial_offset < 0:
+            parser.error("--trial-offset must be nonnegative")
         tags = [certify.weight_tag(beta) for beta in args.beta]
         if len(set(tags)) < len(tags):
             parser.error(f"weights that print alike share report keys: {', '.join(tags)}")

@@ -5,7 +5,12 @@ Conventions used throughout:
 * matrices are numpy arrays of dtype complex128, row major;
 * spectra and singular values are reported in descending order;
 * polar factors satisfy ``x = unitary_factor @ positive_factor``;
-* tolerances are relative to ``max(1, scale)`` of the quantity they guard.
+* tolerances are relative to ``max(1, scale)`` of the quantity they guard;
+* ``spectral_norm``, ``singular_values``, ``is_normal``, ``is_contraction``,
+  ``mat_abs``, ``polar`` and ``geometric_mean`` take one matrix or a stack of
+  shape ``(..., k, k)``, as ``numpy.linalg`` does, and decide every rule
+  (the zero convention, scales, shifts, floors) per member. A stacked call
+  returns the bits of the calls on its members one at a time.
 
 Tolerance tiers: construction identities 1e-12, reconstructions 1e-10,
 Loewner / positivity checks 1e-9.
@@ -17,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "CONSTRUCTION_TOL",
@@ -61,26 +65,52 @@ def as_matrix(x, *, square: bool = False, name: str = "matrix") -> np.ndarray:
     a = np.asarray(x, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
+    return _as_stack(a, name, square=square)
+
+
+def _as_stack(x, name: str, *, square: bool = True) -> np.ndarray:
+    """Coerce ``x`` to a finite complex array of one matrix or a stack of matrices."""
+    a = np.asarray(x, dtype=complex)
+    if a.ndim < 2:
+        raise ValueError(f"{name} must be a matrix or a stack of matrices, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
-    if square and a.shape[0] != a.shape[1]:
+    if square and a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     return a
 
 
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(x.conj(), -1, -2)
+
+
+def _hermitian(x: np.ndarray) -> np.ndarray:
+    return (x + _adjoint(x)) / 2.0
+
+
+def _item(value):
+    """A per-member result: a Python scalar for one matrix, an array for a stack."""
+    value = np.asarray(value)
+    return value.item() if value.ndim == 0 else value
+
+
 def hermitian_part(x) -> np.ndarray:
     """(x + x*)/2 with ``*`` the adjoint; not to be confused with conj_real_part."""
-    x = as_matrix(x, square=True)
-    return (x + x.conj().T) / 2.0
+    return _hermitian(as_matrix(x, square=True))
 
 
-def spectral_norm(x) -> float:
-    return float(np.linalg.norm(as_matrix(x), 2))
+def spectral_norm(x):
+    """Largest singular value: a float for one matrix, an array for a stack.
+
+    ``svd(x, compute_uv=False)[..., 0]`` has the bits of ``norm(x, 2)``.
+    """
+    return _item(np.linalg.svd(_as_stack(x, "x", square=False), compute_uv=False)[..., 0])
 
 
 def singular_values(x) -> np.ndarray:
-    """Singular values in descending order."""
-    return np.linalg.svd(as_matrix(x), compute_uv=False)
+    """Singular values in descending order, along the last axis for a stack."""
+    return np.linalg.svd(_as_stack(x, "x", square=False), compute_uv=False)
 
 
 def is_hermitian(x, tol: float = CONSTRUCTION_TOL) -> bool:
@@ -92,16 +122,20 @@ def is_hermitian(x, tol: float = CONSTRUCTION_TOL) -> bool:
     return float(np.abs(x - x.conj().T).max()) <= tol * scale
 
 
-def is_normal(x, tol: float = 1e-8) -> bool:
-    """Whether ``x`` commutes with its adjoint, relative to ``max(1, ||x||^2)``."""
-    x = as_matrix(x, square=True)
-    comm = x @ x.conj().T - x.conj().T @ x
-    scale = max(1.0, spectral_norm(x) ** 2)
-    return spectral_norm(comm) <= tol * scale
+def is_normal(x, tol: float = 1e-8):
+    """Whether ``x`` commutes with its adjoint, relative to ``max(1, ||x||^2)``.
+
+    A bool for one matrix, a bool array for a stack.
+    """
+    x = _as_stack(x, "x")
+    comm = x @ _adjoint(x) - _adjoint(x) @ x
+    scale = np.maximum(1.0, spectral_norm(x) ** 2)
+    return _item(spectral_norm(comm) <= tol * scale)
 
 
-def is_contraction(z, tol: float = CONSTRUCTION_TOL) -> bool:
-    return spectral_norm(z) <= 1.0 + tol
+def is_contraction(z, tol: float = CONSTRUCTION_TOL):
+    """Whether the spectral norm is at most ``1 + tol``: per member for a stack."""
+    return _item(spectral_norm(z) <= 1.0 + tol)
 
 
 class SpectralData(NamedTuple):
@@ -152,65 +186,66 @@ def herm_eig(h, *, herm_tol: float = CONSTRUCTION_TOL) -> SpectralData:
     return SpectralData(w[order], _fix_phases(v[:, order]))
 
 
+def _abs_from_svd(s: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """``|x| = vh* diag(s) vh`` from the SVD ``x = u diag(s) vh``, as a Hermitian part."""
+    return _hermitian((_adjoint(vh) * s[..., None, :]) @ vh)
+
+
 def mat_abs(x) -> np.ndarray:
     """Matrix absolute value ``(x* x)^(1/2)``, computed from the SVD of ``x``."""
-    x = as_matrix(x, square=True, name="x")
-    _, s, vh = np.linalg.svd(x)
-    a = (vh.conj().T * s) @ vh
-    return (a + a.conj().T) / 2.0
+    _, s, vh = np.linalg.svd(_as_stack(x, "x"))
+    return _abs_from_svd(s, vh)
 
 
 def polar(x) -> PolarFactors:
     """Polar decomposition ``x = w @ p`` with ``w`` unitary and ``p = |x|``.
 
     The unitary factor is completed from the singular bases, so it stays fully
-    unitary for singular inputs; by convention ``polar(0) = (identity, 0)``.
+    unitary for singular inputs; by convention ``polar(0) = (identity, 0)``,
+    decided per member of a stack.
     """
-    x = as_matrix(x, square=True, name="x")
-    n = x.shape[0]
+    x = _as_stack(x, "x")
     u, s, vh = np.linalg.svd(x)
-    if not s.size or s[0] == 0.0:
-        return PolarFactors(np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex))
-    w = u @ vh
-    p = (vh.conj().T * s) @ vh
-    return PolarFactors(w, (p + p.conj().T) / 2.0)
+    zero = np.all(s[..., :1] == 0.0, axis=-1)[..., None, None]
+    unitary = np.where(zero, np.eye(x.shape[-1]), u @ vh)
+    return PolarFactors(unitary, np.where(zero, 0.0, _abs_from_svd(s, vh)))
 
 
 def geometric_mean(a, b) -> np.ndarray:
-    """Loewner geometric mean of two PSD matrices of equal size.
+    """Loewner geometric mean of two PSD matrices of equal size, or of two stacks.
 
     For an invertible pair this is ``a^(1/2) (a^(-1/2) b a^(-1/2))^(1/2) a^(1/2)``,
     from eigendecompositions of ``a``, ``b`` and the middle factor. The input
     checks use ``scale = max(1, |eigenvalues of a and b|)``. Near-singular
     pairs are shifted once by ``eps * I`` with ``eps = 1e-10 * scale``; that
     value defines the result, and callers comparing against it on singular
-    inputs must budget an O(sqrt(eps)) perturbation.
+    inputs must budget an O(sqrt(eps)) perturbation. Scale, checks and shift
+    are each member's own.
     """
-    a = as_matrix(a, square=True, name="a")
-    b = as_matrix(b, square=True, name="b")
+    a = _as_stack(a, "a")
+    b = _as_stack(b, "b")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    hb = hermitian_part(b)
-    w, v = np.linalg.eigh(hermitian_part(a))
+    hb = _hermitian(b)
+    w, v = np.linalg.eigh(_hermitian(a))
     wb = np.linalg.eigvalsh(hb)
-    scale = max(1.0, float(np.abs(w).max()), float(np.abs(wb).max()))
+    scale = np.maximum(1.0, np.maximum(np.abs(w).max(axis=-1), np.abs(wb).max(axis=-1)))
     for name, x in (("a", a), ("b", b)):
-        if float(np.abs(x - x.conj().T).max()) > 1e-8 * scale:
+        if np.any(np.abs(x - _adjoint(x)).max(axis=(-2, -1)) > 1e-8 * scale):
             raise ValueError(f"{name} is not Hermitian")
-    if w.min() < -PSD_TOL * scale or wb.min() < -PSD_TOL * scale:
+    if np.any((w.min(axis=-1) < -PSD_TOL * scale) | (wb.min(axis=-1) < -PSD_TOL * scale)):
         raise ValueError("geometric mean needs positive semidefinite inputs")
-    eps = _GEOMEAN_REG * scale
-    if w.min() < eps or wb.min() < eps:
-        # a + eps I has the eigenvectors of a.
-        w = w + eps
-        hb = hb + eps * np.eye(a.shape[0])
+    eps = (_GEOMEAN_REG * scale)[..., None]
+    shift = (w.min(axis=-1, keepdims=True) < eps) | (wb.min(axis=-1, keepdims=True) < eps)
+    # a + eps I has the eigenvectors of a; unshifted members keep their bits.
+    w = np.where(shift, w + eps, w)
+    hb = np.where(shift[..., None], hb + eps[..., None] * np.eye(a.shape[-1]), hb)
     w = np.maximum(w, eps)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    inv_root = (v / np.sqrt(w)) @ v.conj().T
-    mw, mv = np.linalg.eigh(hermitian_part(inv_root @ hb @ inv_root))
-    middle = (mv * np.sqrt(np.maximum(mw, 0.0))) @ mv.conj().T
-    g = root @ ((middle + middle.conj().T) / 2.0) @ root
-    return (g + g.conj().T) / 2.0
+    root = (v * np.sqrt(w)[..., None, :]) @ _adjoint(v)
+    inv_root = (v / np.sqrt(w)[..., None, :]) @ _adjoint(v)
+    mw, mv = np.linalg.eigh(_hermitian(inv_root @ hb @ inv_root))
+    middle = (mv * np.sqrt(np.maximum(mw, 0.0))[..., None, :]) @ _adjoint(mv)
+    return _hermitian(root @ _hermitian(middle) @ root)
 
 
 def loewner_leq(a, b, tol: float = PSD_TOL) -> LoewnerCheck:
@@ -230,19 +265,21 @@ def loewner_leq(a, b, tol: float = PSD_TOL) -> LoewnerCheck:
 
 
 def _loewner_verdict(a: np.ndarray, b: np.ndarray, tol: float) -> LoewnerCheck:
-    """``loewner_leq`` without its Hermitian checks, for sides just formed as Hermitian parts."""
+    """``loewner_leq`` without its Hermitian checks, for sides just formed as Hermitian parts.
+
+    On two stacks, ``passed`` and the floor are per member and ``slack_spectrum``
+    has one descending row per member.
+    """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = b - a
-    slack = np.sort(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0))[::-1]
-    floor = _loewner_floor(tol, float(np.linalg.norm(b, 2)))
-    passed = bool(slack[-1] >= floor) if slack.size else True
-    return LoewnerCheck(passed, slack)
+    slack = np.sort(np.linalg.eigvalsh(_hermitian(b - a)), axis=-1)[..., ::-1]
+    floor = _loewner_floor(tol, spectral_norm(b))
+    return LoewnerCheck(_item(slack[..., -1] >= floor), slack)
 
 
-def _loewner_floor(tol: float, rhs_norm: float) -> float:
+def _loewner_floor(tol: float, rhs_norm):
     """The least slack eigenvalue a Loewner verdict accepts: ``-tol * max(1, ||rhs||)``."""
-    return -tol * max(1.0, rhs_norm)
+    return -tol * np.maximum(1.0, rhs_norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,7 +355,12 @@ def direct_sum(mats: Sequence) -> np.ndarray:
     mats = [as_matrix(m, name=f"mats[{i}]") for i, m in enumerate(mats)]
     if not mats:
         raise ValueError("direct_sum needs at least one matrix")
-    return scipy.linalg.block_diag(*mats).astype(complex)
+    out = np.zeros(tuple(np.sum([m.shape for m in mats], axis=0)), dtype=complex)
+    r = c = 0
+    for m in mats:
+        out[r : r + m.shape[0], c : c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
 
 
 def conj_real_part(a) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import PSD_TOL, as_matrix, hermitian_part, herm_eig, spectral_norm
+from .core import PSD_TOL, _as_stack, as_matrix, hermitian_part, herm_eig, spectral_norm
 
 __all__ = [
     "PositiveMapRep",
@@ -80,17 +80,30 @@ class ChoiData(NamedTuple):
 
 
 def apply(pmap: PositiveMapRep, x) -> np.ndarray:
-    """Evaluate the map: sum over Kraus factors of ``k* x k``."""
-    x = as_matrix(x, square=True, name="x")
-    if x.shape[0] != pmap.input_dim:
-        raise ValueError(f"input of dimension {x.shape[0]}, map expects {pmap.input_dim}")
-    # Two products: y_t = x k_t for every t, then the factors folded into the
-    # row index, conj(out) = [k_1; ...; k_T]^T [conj(y_1); ...; conj(y_T)].
+    """Evaluate the map: sum over Kraus factors of ``k* x k``.
+
+    ``x`` is one matrix or a stack of shape ``(..., input_dim, input_dim)``;
+    the images have the same leading shape.
+    """
+    x = _as_stack(x, "x")
+    if x.shape[-1] != pmap.input_dim:
+        raise ValueError(f"input of dimension {x.shape[-1]}, map expects {pmap.input_dim}")
+    m = pmap.output_dim
     ops = pmap.kraus_ops
-    y = x @ ops
-    np.conjugate(y, out=y)
-    flat = ops.reshape(-1, pmap.output_dim)
-    return (flat.T @ y.reshape(-1, pmap.output_dim)).conj()
+    flat = ops.reshape(-1, m)
+    members = x.reshape((-1,) + x.shape[-2:])
+    out = np.empty((len(members), m, m), dtype=complex)
+    # Each member's products hold as many entries as the Kraus stack, so
+    # members go through in chunks of at most 2^16 such entries (1 MiB): a
+    # stack of large inputs needs no more memory than one of them.
+    step = max(1, 2**16 // ops.size)
+    for start in range(0, len(members), step):
+        # Two products: y_t = x k_t for every t, then the factors folded into
+        # the row index, conj(out) = [k_1; ...; k_T]^T [conj(y_1); ...; conj(y_T)].
+        y = members[start : start + step, None] @ ops
+        np.conjugate(y, out=y)
+        out[start : start + step] = (flat.T @ y.reshape(len(y), -1, m)).conj()
+    return out.reshape(x.shape[:-2] + (m, m))
 
 
 def _prune(ops: np.ndarray) -> np.ndarray:

@@ -165,6 +165,38 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--trials", "2", "--dims", "2,2"],
+        ["repro", "all"],
+        ["search", "--trials", "2"],
+        ["counterexample", "--trials", "2"],
+    ],
+)
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_out_stops_before_any_work(capsys, monkeypatch, tmp_path, argv, target):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the --out check must stop the run before any work")
+
+    for name in ("run_trial", "estimate_constant", "search_nonnormal_counterexample"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(cli, "_repro_results", refuse)
+    path = tmp_path / "missing" / "r.json" if target == "missing" else tmp_path
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(path)])
+    assert exc.value.code == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "search", "counterexample"])
+def test_negative_seed_is_a_usage_error_naming_the_option(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--seed", "-1", "--trials", "1"])
+    assert exc.value.code == 2
+    assert "--seed must be nonnegative" in capsys.readouterr().err
+
+
 def test_verify_writes_output_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code = cli.main(["verify", "--trials", "1", "--out", str(path)])

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matineq.core import (
+    _loewner_verdict,
     conj_real_part,
     direct_sum,
     geometric_mean,
     haar_unitary,
     herm_eig,
+    is_contraction,
     is_normal,
     loewner_leq,
     mat_abs,
@@ -400,6 +402,80 @@ def test_schur_shape_mismatch():
 def test_direct_sum_empty():
     with pytest.raises(ValueError):
         direct_sum([])
+
+
+def test_direct_sum_places_mixed_blocks_exactly():
+    blocks = [random_matrix(0, 2), np.array([[3.0]]), random_matrix(1, 3, 2), random_matrix(2, 1, 3)]
+    out = direct_sum(blocks)
+    assert out.shape == (7, 8) and out.dtype == complex
+    expected = np.zeros((7, 8), dtype=complex)
+    expected[:2, :2] = blocks[0]
+    expected[2, 2] = 3.0
+    expected[3:6, 3:5] = blocks[2]
+    expected[6:, 5:] = blocks[3]
+    np.testing.assert_array_equal(out, expected)
+
+
+# ---------------------------------------------------------------------------
+# stacks: one call on (..., k, k) decides each member as a call on it alone
+# ---------------------------------------------------------------------------
+
+
+def _assert_members(stacked, single, members):
+    """``stacked`` on the stack of ``members`` has the bits of ``single`` on each member."""
+    got = stacked(*(np.stack(column) for column in zip(*members)))
+    for k, member in enumerate(members):
+        want = single(*member)
+        if isinstance(want, tuple):
+            for field_got, field_want in zip(got, want):
+                np.testing.assert_array_equal(field_got[k], field_want)
+        else:
+            np.testing.assert_array_equal(np.asarray(got)[k], want)
+
+
+def test_stacked_decompositions_match_per_matrix_calls():
+    zero = np.zeros((3, 3), dtype=complex)
+    singular = np.diag([1.0, 0.5, 0.0]).astype(complex)
+    mats = [random_matrix(1, 3), zero, singular, random_normal(2, 3), random_contraction(3, 3)]
+    members = [(m,) for m in mats]
+    for fn in (polar, mat_abs, singular_values, spectral_norm, is_normal, is_contraction):
+        _assert_members(fn, fn, members)
+    # polar(0) = (I, 0) for the zero member only
+    w, p = polar(np.stack(mats))
+    np.testing.assert_array_equal(w[1], np.eye(3))
+    np.testing.assert_array_equal(p[1], zero)
+    assert spectral_norm(w[0] - np.eye(3)) > 0.1
+    # One matrix keeps its Python scalar types.
+    assert type(spectral_norm(zero)) is float and type(is_normal(zero)) is bool
+
+
+def test_stacked_geometric_mean_decides_each_shift_alone():
+    definite = random_psd(3, 4) + 0.1 * np.eye(4)
+    singular = np.diag([1.0, 0.5, 0.0, 0.0]).astype(complex)
+    u = haar_unitary(5, 4)
+    rotated = u @ np.diag([0.0, 2.0, 1.0, 0.0]) @ u.conj().T
+    members = [
+        (definite, definite.T), (singular, singular), (definite, rotated), (1e6 * definite, definite)
+    ]
+    _assert_members(geometric_mean, geometric_mean, members)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        geometric_mean(np.stack([definite, -definite]), np.stack([definite, definite]))
+
+
+def test_stacked_loewner_verdict_decides_each_floor_alone():
+    # With tol = 1/4 the floor of rhs diag(2, 1) is exactly -1/2: the first
+    # member sits on it and passes, the second is one ulp below and fails.
+    rhs = np.diag([2.0, 1.0]).astype(complex)
+    at_floor = np.diag([2.0, 1.5]).astype(complex)
+    below = np.diag([2.0, np.nextafter(1.5, 2.0)]).astype(complex)
+    members = [(at_floor, rhs, 0.25), (below, rhs, 0.25), (np.eye(2) * 1e-3, rhs * 1e3, 0.25)]
+    lhs, rhs = (np.stack(side) for side in zip(*(member[:2] for member in members)))
+    passed, slack = _loewner_verdict(lhs, rhs, 0.25)
+    np.testing.assert_array_equal(passed, [True, False, True])
+    for k, member in enumerate(members):
+        single = _loewner_verdict(*member)
+        assert single.passed is bool(passed[k])
+        np.testing.assert_array_equal(slack[k], single.slack_spectrum)
 
 
 def test_conj_real_part_cases():

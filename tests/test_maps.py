@@ -171,6 +171,15 @@ def test_apply_matches_per_factor_oracle(pmap):
             assert err <= 1e-13 * max(1.0, spectral_norm(expected)), (pmap.label, seed, scale)
 
 
+@pytest.mark.parametrize("pmap", _PARITY_MAPS)
+def test_apply_on_a_stack_has_the_bits_of_each_member(pmap):
+    xs = np.stack([random_matrix([seed, 12], pmap.input_dim) for seed in range(3)])
+    images = apply(pmap, xs.reshape((3, 1) + xs.shape[1:]))
+    assert images.shape == (3, 1, pmap.output_dim, pmap.output_dim)
+    for k, x in enumerate(xs):
+        np.testing.assert_array_equal(images[k, 0], apply(pmap, x))
+
+
 def test_maps_pruned_to_zero_keep_one_zero_factor():
     multiplier = schur_multiplier(np.zeros((3, 3)))
     composed = compose(schur_multiplier(np.zeros((2, 2))), random_cp_map(0, 3, 2))
