@@ -19,6 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import (
+    PSD_TOL,
     MajorizationReport,
     _abs_from_svd,
     _adjoint,
@@ -89,7 +90,6 @@ __all__ = [
     "estimate_constant",
     "run_trial",
     "trial_statements",
-    "weight_tag",
 ]
 
 DEFAULT_TOL = 1e-8
@@ -182,7 +182,7 @@ class ReproResult:
 
 def _eig_desc(x) -> np.ndarray:
     """Descending eigenvalues of the Hermitian part, along the last axis for a stack."""
-    return np.sort(np.linalg.eigvalsh(_hermitian(x)), axis=-1)[..., ::-1]
+    return np.linalg.eigvalsh(_hermitian(x))[..., ::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +333,7 @@ def _chain(geom, arith, tol: float) -> _Claim:
 
 def _logmaj(singular, spectrum) -> MajorizationReport:
     """Singular values weakly log-majorized by a spectrum clipped at zero."""
-    return weak_log_majorize(singular, np.maximum(spectrum, 0.0), tol=1e-9)
+    return weak_log_majorize(singular, np.maximum(spectrum, 0.0))
 
 
 def _theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float):
@@ -469,7 +469,7 @@ def _real_part(a, tol: float):
     det_rhs = float(dets[1].real)
     margin = det_rhs - det_lhs
     # the real part of a PSD matrix is PSD, so the right determinant is >= 0
-    det_ok = margin >= -tol * max(1.0, abs(det_rhs)) and det_rhs >= -tol
+    det_ok = margin >= _loewner_floor(tol, abs(det_rhs)) and det_rhs >= -tol
     det_check = ScalarCheck(bool(det_ok), margin)
     construction, direct = _logmaj(s_image, t_image), _logmaj(s_real, t_real)
     return RealPartReport(construction, direct, det_lhs, det_rhs, det_check)
@@ -609,7 +609,7 @@ def _schur_diagonal(a, z, tol: float):
         Ask(is_contraction, (z,)),
         Ask(_orbit, (schur_prod(a, z), schur_prod(a, np.eye(a.shape[0], dtype=complex)))),
     ]
-    if w.min() < -1e-9 * max(1.0, float(np.abs(w).max())):
+    if w.min() < -PSD_TOL * max(1.0, float(np.abs(w).max())):
         raise ValueError("a must be PSD")
     if not contracting:
         raise ValueError("z must be a contraction")
@@ -793,8 +793,6 @@ def repro_no_single_unitary(angles) -> ReproResult:
     ``(1 - cos a)/sin a = tan(a/2)`` tends to zero, so no constant times a
     single unitary orbit element can give an upper bound.
     """
-    if np.isscalar(angles):
-        angles = [float(angles)]
     angles = [float(a) for a in angles]
     if not angles:
         raise ValueError("need at least one angle")
@@ -914,11 +912,11 @@ def _real_part_margin(a) -> float:
     return float(abs(np.linalg.det(real_a)) - np.linalg.det(real_abs).real)
 
 
-def search_nonnormal_counterexample(seed, trials: int, threshold: float = 1e-9) -> ReproResult:
+def search_nonnormal_counterexample(seed, trials: int) -> ReproResult:
     """Random search for a nonnormal 2x2 matrix breaking the determinant bound.
 
     The determinant comparison that holds for every normal matrix can fail
-    off the normal cone; the first random matrix exceeding the threshold is
+    off the normal cone; the first random matrix whose margin exceeds 1e-9 is
     reported. Exhausting the budget is a reported outcome, not an error.
     """
     if trials < 1:
@@ -927,7 +925,7 @@ def search_nonnormal_counterexample(seed, trials: int, threshold: float = 1e-9) 
     for index in range(trials):
         candidate = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2.0)
         margin = _real_part_margin(candidate)
-        if margin > threshold:
+        if margin > 1e-9:
             real_abs = conj_real_part(mat_abs(candidate))
             return ReproResult(
                 example_id="nonnormal-det",
@@ -1134,17 +1132,20 @@ _STATEMENTS = (
 )
 
 
-def weight_tag(beta: float) -> str:
-    """The weight part of a per-weight statement key; weights with one tag share keys."""
-    return f"beta={beta:g}"
+def _weight_tags(betas: Sequence[float]) -> list:
+    """The weight parts of per-weight statement keys; a ValueError if two weights share one."""
+    tags = [f"beta={beta:g}" for beta in betas]
+    if len(set(tags)) < len(tags):
+        raise ValueError(f"weights that print alike share report keys: {', '.join(tags)}")
+    return tags
 
 
-def _expand(keys: tuple, betas: Sequence[float]) -> list:
+def _expand(keys: tuple, tags: list) -> list:
     """The report keys of one table row, in run order."""
     out = []
     for per_weight, run in itertools.groupby(keys, key=lambda key: key.endswith("@")):
         run = list(run)
-        out += [key + weight_tag(beta) for beta in betas for key in run] if per_weight else run
+        out += [key + tag for tag in tags for key in run] if per_weight else run
     return out
 
 
@@ -1157,17 +1158,23 @@ def run_trial(
     Returns a mapping from statement keys to outcome objects exposing
     ``passed`` and ``min_slack``; weight-dependent statements carry the weight
     in their key. ``inject_mutant`` negates the orbit term on the right-hand
-    side of the arithmetic bound, a fault the sweep must report.
+    side of the arithmetic bound, a fault the sweep must report. Weights that
+    print alike under ``%g`` would share keys and are refused with a ValueError.
     """
+    tags = _weight_tags(betas)
     pmap = random_cp_map([master_seed, trial_index, 0], n, m)
     trial = _Trial(master_seed, trial_index, n, m, tuple(betas), tol, inject_mutant, pmap)
     results = _run(*(task(trial) for task, _ in _STATEMENTS))
     out: dict = {}
     for (_, keys), outcomes in zip(_STATEMENTS, results):
-        out.update(zip(_expand(keys, betas), outcomes, strict=True))
+        out.update(zip(_expand(keys, tags), outcomes, strict=True))
     return out
 
 
 def trial_statements(betas: Sequence[float]) -> list:
-    """Statement keys run_trial produces for a given weight list, in run order."""
-    return [key for _, keys in _STATEMENTS for key in _expand(keys, betas)]
+    """Statement keys run_trial produces for a given weight list, in run order.
+
+    Raises ValueError, as run_trial does, if two weights share a key.
+    """
+    tags = _weight_tags(betas)
+    return [key for _, keys in _STATEMENTS for key in _expand(keys, tags)]

@@ -13,7 +13,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import __version__
 from . import certify
@@ -42,111 +41,46 @@ REPRO_NAMES = ("sharpness-beta", "no-single-unitary", "psi-quarter", "all")
 MAX_KRAUS_BYTES = 64 * 2**20
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echoed verbatim into every report."""
-
-    command: str
-    master_seed: int
-    dims: tuple
-    trials: int
-    beta_list: tuple
-    tol: float
-    output_path: str
-    trial_offset: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "masterSeed": self.master_seed,
-            "dims": [list(d) for d in self.dims],
-            "trials": self.trials,
-            "betaList": list(self.beta_list),
-            "tol": self.tol,
-            "outputPath": self.output_path,
-            "trialOffset": self.trial_offset,
-        }
-
-
-@dataclass
-class RunReport:
-    config: RunConfig
-    pass_counts: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-    wall_time_ms: float = 0.0
-    artifact_version: str = ARTIFACT_VERSION
-
-    def to_json(self) -> dict:
-        return {
-            "artifactVersion": self.artifact_version,
-            "config": self.config.to_json(),
-            "statements": sorted(self.pass_counts),
-            "passCounts": {k: self.pass_counts[k] for k in sorted(self.pass_counts)},
-            "failures": self.failures,
-            "totalChecks": sum(self.pass_counts.values()) + len(self.failures),
-            "wallTimeMs": self.wall_time_ms,
-        }
-
-
-def _emit(text: str, path: str) -> None:
-    """Write ``text`` to stdout (``-``) or to ``path``; a failed write is a ValueError."""
-    if path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    except OSError as exc:
-        raise ValueError(f"cannot write --out {path}: {exc.strerror}") from exc
-
-
-def _out_problem(path: str):
-    """Why a report could not be written to ``path``, checked before any work; None if it can."""
-    if path == "-":
-        return None
-    if os.path.isdir(path):
-        return f"cannot write --out {path}: it is a directory"
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        return f"cannot write --out {path}: no directory {parent}"
-    if not os.access(parent, os.W_OK):
-        return f"cannot write --out {path}: directory {parent} is not writable"
-    return None
-
-
-def cmd_verify(config: RunConfig, inject_mutant: bool = False):
-    """Run the full statement sweep; returns (report, exit_code)."""
+def cmd_verify(args):
+    """Run the full statement sweep; returns (JSON report, exit code)."""
     start = time.perf_counter()
-    report = RunReport(config=config)
+    pass_counts, failures = {}, []
     # dims cycle by absolute trial index so a recorded failure replays with
     # --trials 1 --trial-offset <index>.
-    for trial in range(config.trial_offset, config.trial_offset + config.trials):
-        n, m = config.dims[trial % len(config.dims)]
-        outcomes = run_trial(
-            config.master_seed, trial, n, m, config.beta_list, config.tol, inject_mutant=inject_mutant
-        )
+    for trial in range(args.trial_offset, args.trial_offset + args.trials):
+        n, m = args.dims[trial % len(args.dims)]
+        outcomes = run_trial(args.seed, trial, n, m, args.beta, args.tol, inject_mutant=args.inject_mutant)
         for key, outcome in outcomes.items():
-            if outcome.passed:
-                report.pass_counts[key] = report.pass_counts.get(key, 0) + 1
-            else:
-                report.pass_counts.setdefault(key, 0)
-                report.failures.append(
-                    {
-                        "statementId": key,
-                        "seed": config.master_seed,
-                        "trialIndex": trial,
-                        "minSlack": float(outcome.min_slack),
-                    }
+            pass_counts[key] = pass_counts.get(key, 0) + bool(outcome.passed)
+            if not outcome.passed:
+                min_slack = float(outcome.min_slack)
+                failures.append(
+                    {"statementId": key, "seed": args.seed, "trialIndex": trial, "minSlack": min_slack}
                 )
-    report.wall_time_ms = (time.perf_counter() - start) * 1000.0
-    return report, (0 if not report.failures else 1)
+    report = {
+        "artifactVersion": ARTIFACT_VERSION,
+        "config": {
+            "command": "verify",
+            "masterSeed": args.seed,
+            "dims": [list(d) for d in args.dims],
+            "trials": args.trials,
+            "betaList": list(args.beta),
+            "tol": args.tol,
+            "outputPath": args.out,
+            "trialOffset": args.trial_offset,
+        },
+        "statements": sorted(pass_counts),
+        "passCounts": dict(sorted(pass_counts.items())),
+        "failures": failures,
+        "totalChecks": sum(pass_counts.values()) + len(failures),
+        "wallTimeMs": (time.perf_counter() - start) * 1000.0,
+    }
+    return json.dumps(report, indent=2), (1 if failures else 0)
 
 
 def _repro_results(name: str, betas):
+    if betas and name not in ("sharpness-beta", "all"):
+        raise ValueError(f"--beta applies to sharpness-beta and all, not to {name}")
     results = []
     if name in ("sharpness-beta", "all"):
         for beta in betas or DEFAULT_SHARPNESS_BETAS:
@@ -176,35 +110,46 @@ def _format_repro_table(results) -> str:
     return "\n".join(lines)
 
 
-def cmd_repro(name: str, betas, as_json: bool, output_path: str):
-    results = _repro_results(name, betas)
-    if as_json:
-        _emit(json.dumps([repro_to_json(r) for r in results], indent=2), output_path)
+def cmd_repro(args):
+    results = _repro_results(args.name, args.beta)
+    if args.json:
+        text = json.dumps([repro_to_json(r) for r in results], indent=2)
     else:
-        _emit(_format_repro_table(results), output_path)
-    return results, (0 if all(r.passed for r in results) else 1)
+        text = _format_repro_table(results)
+    return text, (0 if all(r.passed for r in results) else 1)
 
 
-def cmd_search(betas, seed, trials, dims, as_json: bool, output_path: str):
-    n, m = dims[0]
-    rows = estimate_constant(betas, seed=seed, trials=trials, n=n, m=m)
-    if as_json:
-        _emit(json.dumps(rows, indent=2), output_path)
-    else:
-        lines = ["beta,empirical_c,bound,ratio"]
-        for row in rows:
-            lines.append(
-                f"{row['beta']:.17g},{row['empirical_c']:.17g},"
-                f"{row['bound']:.17g},{row['ratio']:.17g}"
-            )
-        _emit("\n".join(lines), output_path)
-    return rows, 0
+def cmd_search(args):
+    ((n, m),) = args.dims
+    rows = estimate_constant(args.beta, seed=args.seed, trials=args.trials, n=n, m=m)
+    if args.json:
+        return json.dumps(rows, indent=2), 0
+    lines = ["beta,empirical_c,bound,ratio"]
+    for row in rows:
+        lines.append(
+            f"{row['beta']:.17g},{row['empirical_c']:.17g},"
+            f"{row['bound']:.17g},{row['ratio']:.17g}"
+        )
+    return "\n".join(lines), 0
 
 
-def cmd_counterexample(seed, trials, output_path: str):
-    result = search_nonnormal_counterexample(seed, trials)
-    _emit(json.dumps(repro_to_json(result), indent=2), output_path)
-    return result, 0
+def cmd_counterexample(args):
+    result = search_nonnormal_counterexample(args.seed, args.trials)
+    return json.dumps(repro_to_json(result), indent=2), 0
+
+
+def _checked(convert, ok, message: str):
+    """An argparse type: ``convert`` the text, then refuse a value failing ``ok``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    # argparse names the type in its "invalid <type> value" message
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def _parse_dims(text: str):
@@ -236,6 +181,32 @@ def _parse_betas(text: str):
     return betas
 
 
+def _parse_sweep_betas(text: str):
+    """A ``verify --beta`` list: weights whose statement keys ``certify`` can tell apart."""
+    betas = _parse_betas(text)
+    try:
+        certify.trial_statements(betas)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return betas
+
+
+def _parse_out(path: str) -> str:
+    """A report path, checked before any work: no directory there, and a writable parent."""
+    if path == "-":
+        return path
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"cannot write --out {path}: it is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"cannot write --out {path}: no directory {parent}")
+    if not os.access(parent, os.W_OK):
+        raise argparse.ArgumentTypeError(
+            f"cannot write --out {path}: directory {parent} is not writable"
+        )
+    return path
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matineq",
@@ -243,99 +214,66 @@ def _build_parser() -> argparse.ArgumentParser:
         "examples, and search for empirical constants",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = _checked(int, lambda s: s >= 0, "--seed must be nonnegative")
+    trials = _checked(int, lambda t: t >= 1, "--trials must be >= 1")
+    tol = _checked(float, lambda t: math.isfinite(t) and t > 0, "--tol must be finite and positive")
+    offset = _checked(int, lambda i: i >= 0, "--trial-offset must be nonnegative")
+    pair = _checked(_parse_dims, lambda dims: len(dims) == 1, "search takes a single --dims pair n,m")
 
     verify = sub.add_parser("verify", help="run the statement sweep")
-    verify.add_argument("--seed", type=int, default=42, help="master seed")
-    verify.add_argument("--trials", type=int, default=100)
+    verify.set_defaults(run=cmd_verify)
+    verify.add_argument("--seed", type=seed, default=42, help="master seed")
+    verify.add_argument("--trials", type=trials, default=100)
     verify.add_argument("--dims", type=_parse_dims, default=DEFAULT_DIMS, metavar="n,m[;n,m...]")
-    verify.add_argument("--beta", type=_parse_betas, default=DEFAULT_BETAS, metavar="b[,b...]")
-    verify.add_argument("--tol", type=float, default=certify.DEFAULT_TOL)
-    verify.add_argument("--out", default="-", metavar="PATH")
-    verify.add_argument("--trial-offset", type=int, default=0, help="first trial index (replay)")
+    verify.add_argument("--beta", type=_parse_sweep_betas, default=DEFAULT_BETAS, metavar="b[,b...]")
+    verify.add_argument("--tol", type=tol, default=certify.DEFAULT_TOL)
+    verify.add_argument("--out", type=_parse_out, default="-", metavar="PATH")
+    verify.add_argument("--trial-offset", type=offset, default=0, help="first trial index (replay)")
     verify.add_argument("--inject-mutant", action="store_true", help=argparse.SUPPRESS)
 
     repro = sub.add_parser("repro", help="reproduce a worked example")
+    repro.set_defaults(run=cmd_repro)
     repro.add_argument("name", choices=REPRO_NAMES)
-    repro.add_argument("--beta", type=_parse_betas, default=None, metavar="b[,b...]")
-    repro.add_argument("--out", default="-", metavar="PATH")
+    repro.add_argument("--beta", type=_parse_betas, metavar="b[,b...]", help="sharpness-beta and all only")
+    repro.add_argument("--out", type=_parse_out, default="-", metavar="PATH")
     repro.add_argument("--json", action="store_true")
 
     search = sub.add_parser("search", help="empirical constants for small weights")
-    search.add_argument("--seed", type=int, default=42)
+    search.set_defaults(run=cmd_search)
+    search.add_argument("--seed", type=seed, default=42)
     search.add_argument("--trials", type=int, default=200)
     search.add_argument("--beta", type=_parse_betas, default=(0.1, 0.25, 0.5), metavar="b[,b...]")
-    search.add_argument("--dims", type=_parse_dims, default=((2, 2),), metavar="n,m")
-    search.add_argument("--out", default="-", metavar="PATH")
+    search.add_argument("--dims", type=pair, default=((2, 2),), metavar="n,m")
+    search.add_argument("--out", type=_parse_out, default="-", metavar="PATH")
     search.add_argument("--json", action="store_true")
 
     counter = sub.add_parser("counterexample", help="search for a nonnormal determinant violation")
-    counter.add_argument("--seed", type=int, default=42)
+    counter.set_defaults(run=cmd_counterexample)
+    counter.add_argument("--seed", type=seed, default=42)
     counter.add_argument("--trials", type=int, default=100000)
-    counter.add_argument("--out", default="-", metavar="PATH")
+    counter.add_argument("--out", type=_parse_out, default="-", metavar="PATH")
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    problem = _out_problem(args.out)
-    if problem:
-        parser.error(problem)
-    if getattr(args, "seed", 0) < 0:
-        parser.error("--seed must be nonnegative")
-
-    if args.command == "verify":
-        if args.trials < 1:
-            parser.error("--trials must be >= 1")
-        if not (math.isfinite(args.tol) and args.tol > 0):
-            parser.error("--tol must be finite and positive")
-        if args.trial_offset < 0:
-            parser.error("--trial-offset must be nonnegative")
-        tags = [certify.weight_tag(beta) for beta in args.beta]
-        if len(set(tags)) < len(tags):
-            parser.error(f"weights that print alike share report keys: {', '.join(tags)}")
-        config = RunConfig(
-            command="verify",
-            master_seed=args.seed,
-            dims=args.dims,
-            trials=args.trials,
-            beta_list=args.beta,
-            tol=args.tol,
-            output_path=args.out,
-            trial_offset=args.trial_offset,
-        )
-        report, code = cmd_verify(config, inject_mutant=args.inject_mutant)
-        try:
-            _emit(json.dumps(report.to_json(), indent=2), args.out)
-        except ValueError as exc:
-            parser.error(str(exc))
+    try:
+        text, code = args.run(args)
+    except ValueError as exc:
+        # An error inside the sweep is a fault of the library, not of the usage.
+        if args.command == "verify":
+            raise
+        parser.error(str(exc))
+    if args.out == "-":
+        print(text)
         return code
-
-    if args.command == "repro":
-        try:
-            _, code = cmd_repro(args.name, args.beta, args.json, args.out)
-        except ValueError as exc:
-            parser.error(str(exc))
-        return code
-
-    if args.command == "search":
-        if len(args.dims) != 1:
-            parser.error("search takes a single --dims pair n,m")
-        try:
-            _, code = cmd_search(args.beta, args.seed, args.trials, args.dims, args.json, args.out)
-        except ValueError as exc:
-            parser.error(str(exc))
-        return code
-
-    if args.command == "counterexample":
-        try:
-            _, code = cmd_counterexample(args.seed, args.trials, args.out)
-        except ValueError as exc:
-            parser.error(str(exc))
-        return code
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            print(text, file=fh)
+    except OSError as exc:
+        parser.error(f"cannot write --out {args.out}: {exc.strerror}")
+    return code
 
 
 if __name__ == "__main__":

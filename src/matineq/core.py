@@ -122,20 +122,20 @@ def is_hermitian(x, tol: float = CONSTRUCTION_TOL) -> bool:
     return float(np.abs(x - x.conj().T).max()) <= tol * scale
 
 
-def is_normal(x, tol: float = 1e-8):
-    """Whether ``x`` commutes with its adjoint, relative to ``max(1, ||x||^2)``.
+def is_normal(x):
+    """Whether ``x`` commutes with its adjoint, to 1e-8 relative to ``max(1, ||x||^2)``.
 
     A bool for one matrix, a bool array for a stack.
     """
     x = _as_stack(x, "x")
     comm = x @ _adjoint(x) - _adjoint(x) @ x
     scale = np.maximum(1.0, spectral_norm(x) ** 2)
-    return _item(spectral_norm(comm) <= tol * scale)
+    return _item(spectral_norm(comm) <= 1e-8 * scale)
 
 
-def is_contraction(z, tol: float = CONSTRUCTION_TOL):
-    """Whether the spectral norm is at most ``1 + tol``: per member for a stack."""
-    return _item(spectral_norm(z) <= 1.0 + tol)
+def is_contraction(z):
+    """Whether the spectral norm is at most ``1 + CONSTRUCTION_TOL``: per member for a stack."""
+    return _item(spectral_norm(z) <= 1.0 + CONSTRUCTION_TOL)
 
 
 class SpectralData(NamedTuple):
@@ -272,7 +272,7 @@ def _loewner_verdict(a: np.ndarray, b: np.ndarray, tol: float) -> LoewnerCheck:
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    slack = np.sort(np.linalg.eigvalsh(_hermitian(b - a)), axis=-1)[..., ::-1]
+    slack = np.linalg.eigvalsh(_hermitian(b - a))[..., ::-1]
     floor = _loewner_floor(tol, spectral_norm(b))
     return LoewnerCheck(_item(slack[..., -1] >= floor), slack)
 

@@ -190,13 +190,13 @@ def choi(pmap: PositiveMapRep) -> ChoiData:
     return ChoiData(c, float(np.linalg.eigvalsh(c).min()))
 
 
-def is_unital(pmap: PositiveMapRep, tol: float = PSD_TOL) -> bool:
-    """Whether the map sends the identity to the identity within ``tol``."""
+def is_unital(pmap: PositiveMapRep) -> bool:
+    """Whether the map sends the identity to the identity within ``PSD_TOL``."""
     image = apply(pmap, np.eye(pmap.input_dim, dtype=complex))
-    return spectral_norm(image - np.eye(pmap.output_dim)) <= tol
+    return spectral_norm(image - np.eye(pmap.output_dim)) <= PSD_TOL
 
 
-def halmos_dilation(z, *, tol: float = 1e-12) -> np.ndarray:
+def halmos_dilation(z) -> np.ndarray:
     """Unitary 2n x 2n dilation of a contraction, placed in the upper-left block.
 
     Both defect square roots are built from a single SVD of ``z`` so the block
@@ -205,7 +205,7 @@ def halmos_dilation(z, *, tol: float = 1e-12) -> np.ndarray:
     """
     z = as_matrix(z, square=True, name="z")
     u, s, vh = np.linalg.svd(z)
-    if s.size and s[0] > 1.0 + tol:
+    if s.size and s[0] > 1.0 + 1e-12:
         raise ValueError(f"not a contraction: largest singular value {s[0]}")
     c = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
     left_defect = (u * c) @ u.conj().T

@@ -817,6 +817,16 @@ def test_run_trial_covers_statements_and_passes():
             assert outcome.passed, (trial, key, outcome.min_slack)
 
 
+@pytest.mark.parametrize("betas", [(1.0, 1.0000001), (0.5, 0.25, 0.5)])
+def test_weights_sharing_a_key_are_refused(betas):
+    # Two weights that print alike under %g would share every per-weight key,
+    # so run_trial would silently keep one outcome of each pair.
+    with pytest.raises(ValueError, match="share report keys"):
+        trial_statements(betas)
+    with pytest.raises(ValueError, match="share report keys"):
+        run_trial(1, 0, 2, 2, betas)
+
+
 def test_run_trial_decomposition_budget(linalg_calls):
     # A trial makes one stacked call per stage and matrix shape: 7 calls draw
     # the instances, 7 check inputs (normality takes two at each of n and

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line harness: exit codes, report schema,
 determinism, failure injection, and the stored golden reports."""
 
+import argparse
 import json
 import math
 import os
@@ -189,6 +190,20 @@ def test_unwritable_out_stops_before_any_work(capsys, monkeypatch, tmp_path, arg
     assert str(path) in capsys.readouterr().err
 
 
+def test_failed_write_is_usage_error_naming_the_path(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    # A write that fails after the --out check passed, as on a full disk.
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    path = tmp_path / "r.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["repro", "psi-quarter", "--out", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Permission denied" in err
+
+
 @pytest.mark.parametrize("command", ["verify", "search", "counterexample"])
 def test_negative_seed_is_a_usage_error_naming_the_option(capsys, command):
     with pytest.raises(SystemExit) as exc:
@@ -252,6 +267,14 @@ def test_repro_matches_golden(capsys, name, golden):
     with open(os.path.join(GOLDEN_DIR, golden)) as fh:
         expected = json.load(fh)
     assert approx_equal(json.loads(out), expected)
+
+
+@pytest.mark.parametrize("name", ["no-single-unitary", "psi-quarter"])
+def test_repro_beta_outside_its_scope_is_usage_error(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["repro", name, "--beta", "7"])
+    assert exc.value.code == 2
+    assert "sharpness-beta" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -337,3 +360,35 @@ def test_counterexample_golden_replays_exactly():
     result = search_nonnormal_counterexample(golden["searchSeed"], golden["searchTrials"])
     np.testing.assert_array_equal(result.matrices["matrix"], frozen)
     assert result.computed["trial_index"] == golden["computed"]["trial_index"]
+
+
+# ---------------------------------------------------------------------------
+# option inventory
+# ---------------------------------------------------------------------------
+
+
+def test_option_inventory():
+    # Every option each subcommand accepts, in order: adding or dropping one
+    # must show up here.
+    expected = {
+        "verify": [
+            "--seed", "--trials", "--dims", "--beta", "--tol", "--out", "--trial-offset",
+            "--inject-mutant",
+        ],
+        "repro": ["name", "--beta", "--out", "--json"],
+        "search": ["--seed", "--trials", "--beta", "--dims", "--out", "--json"],
+        "counterexample": ["--seed", "--trials", "--out"],
+    }
+    (subparsers,) = [
+        action for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    found = {
+        command: [
+            action.option_strings[0] if action.option_strings else action.dest
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+        ]
+        for command, parser in subparsers.choices.items()
+    }
+    assert found == expected
