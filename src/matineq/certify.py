@@ -19,13 +19,16 @@ import numpy as np
 import scipy.linalg
 
 from .core import (
+    CONSTRUCTION_TOL,
     PSD_TOL,
     MajorizationReport,
+    _CHECK_TOL,
     _abs_from_svd,
     _adjoint,
     _hermitian,
-    _loewner_floor,
+    _is_psd,
     _loewner_verdict,
+    _threshold,
     as_matrix,
     conj_real_part,
     direct_sum,
@@ -92,7 +95,7 @@ __all__ = [
     "trial_statements",
 ]
 
-DEFAULT_TOL = 1e-8
+DEFAULT_TOL = _CHECK_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,10 +173,13 @@ class ReproResult:
     example_id: str
     computed: dict
     expected: dict
-    max_abs_error: float
     tol: float
     notes: dict = field(default_factory=dict)
     matrices: dict = field(default_factory=dict)
+
+    @property
+    def max_abs_error(self) -> float:
+        return max(abs(self.computed[k] - self.expected[k]) for k in self.expected)
 
     @property
     def passed(self) -> bool:
@@ -331,9 +337,9 @@ def _chain(geom, arith, tol: float) -> _Claim:
     return _Claim("main-chain", geom.rhs, arith.rhs, tol, beta=arith.beta)
 
 
-def _logmaj(singular, spectrum) -> MajorizationReport:
+def _logmaj(singular, spectrum, tol: float) -> MajorizationReport:
     """Singular values weakly log-majorized by a spectrum clipped at zero."""
-    return weak_log_majorize(singular, np.maximum(spectrum, 0.0))
+    return weak_log_majorize(singular, np.maximum(spectrum, 0.0), tol)
 
 
 def _theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float):
@@ -386,7 +392,7 @@ def _diagonal_certificate(statement_id, lhs, rhs, *, beta=None, tol=DEFAULT_TOL)
     the certificate keeps as its two sides.
     """
     slack = np.sort(rhs - lhs)[::-1]
-    passed = bool(slack[-1] >= _loewner_floor(tol, float(np.abs(rhs).max())))
+    passed = bool(slack[-1] >= -_threshold(tol, float(np.abs(rhs).max())))
     return Certificate(
         statement_id=statement_id,
         lhs=np.diag(lhs).astype(complex),
@@ -414,7 +420,7 @@ def _eigen_fixed(s: np.ndarray, spectrum: np.ndarray, tol: float):
     eigenvalues of ``map(|n|)``.
     """
     t_clip = np.maximum(spectrum, 0.0)
-    logmaj = _logmaj(s, spectrum)
+    logmaj = _logmaj(s, spectrum, tol)
     # The pairs (j, k), 0-based, with j + k < m, in row-major order.
     m = s.size
     j, k = np.nonzero(np.add.outer(np.arange(m), np.arange(m)) < m)
@@ -464,14 +470,12 @@ def _real_part(a, tol: float):
         Ask(singular_values, (real_a,)),
         Ask(_eig_desc, (real_abs,)),
     ]
-    dets = np.linalg.det(np.stack([real_a, real_abs]))
-    det_lhs = float(abs(dets[0]))
-    det_rhs = float(dets[1].real)
+    det_lhs, det_rhs, _ = _det_excess(real_a, real_abs)
     margin = det_rhs - det_lhs
     # the real part of a PSD matrix is PSD, so the right determinant is >= 0
-    det_ok = margin >= _loewner_floor(tol, abs(det_rhs)) and det_rhs >= -tol
+    det_ok = margin >= -_threshold(tol, abs(det_rhs)) and det_rhs >= -tol
     det_check = ScalarCheck(bool(det_ok), margin)
-    construction, direct = _logmaj(s_image, t_image), _logmaj(s_real, t_real)
+    construction, direct = _logmaj(s_image, t_image, tol), _logmaj(s_real, t_real, tol)
     return RealPartReport(construction, direct, det_lhs, det_rhs, det_check)
 
 
@@ -543,7 +547,7 @@ def _russo_dye(pmap: PositiveMapRep, z, tol: float):
     (mean,) = yield [_mean(o)]
     claims = [_arith("contraction-arith", o, 0.5, tol), _geom("contraction-geom", o, mean, tol)]
     arith, geom = yield from _decide(claims)
-    return RussoDyeReports(arith, geom, _logmaj(singular, spectrum))
+    return RussoDyeReports(arith, geom, _logmaj(singular, spectrum, tol))
 
 
 def check_russo_dye(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL) -> RussoDyeReports:
@@ -583,7 +587,7 @@ def _weighted_sum(xs: Sequence, zs: Sequence, tol: float):
     lower_right = sum(x.conj().T @ pair.right @ x for x, pair in zip(xs, pairs))
     block = np.block([[upper_left, weighted], [weighted.conj().T, lower_right]])
     (cert,) = yield from _decide([_Claim("weighted-sum-block", np.zeros_like(block), block, tol)])
-    return _logmaj(singular, spectrum), cert
+    return _logmaj(singular, spectrum, tol), cert
 
 
 def check_weighted_sum(xs: Sequence, zs: Sequence, tol: float = DEFAULT_TOL):
@@ -609,7 +613,7 @@ def _schur_diagonal(a, z, tol: float):
         Ask(is_contraction, (z,)),
         Ask(_orbit, (schur_prod(a, z), schur_prod(a, np.eye(a.shape[0], dtype=complex)))),
     ]
-    if w.min() < -PSD_TOL * max(1.0, float(np.abs(w).max())):
+    if not _is_psd(w, np.abs(w).max()):
         raise ValueError("a must be PSD")
     if not contracting:
         raise ValueError("z must be a contraction")
@@ -702,11 +706,9 @@ def _two_positive_unital(pmap: PositiveMapRep, z, tol: float):
     yield from _require(is_contraction, [z], ["z"], "a contraction")
     if z.shape[0] != pmap.input_dim:
         raise ValueError("dimension mismatch between map and contraction")
-    (abs_z,) = yield [Ask(mat_abs, (z,))]
-    image, image_abs = yield _applied(pmap, [z, abs_z])
-    (abs_image,) = yield [Ask(mat_abs, (image,))]
-    rhs = np.eye(pmap.output_dim, dtype=complex) / 4.0 + image_abs
-    (cert,) = yield from _decide([_Claim("two-positive-quarter", abs_image, rhs, tol)])
+    o = yield from _image_orbit(pmap, z)
+    rhs = np.eye(pmap.output_dim, dtype=complex) / 4.0 + o.arg
+    (cert,) = yield from _decide([_Claim("two-positive-quarter", o.lhs, rhs, tol)])
     return cert
 
 
@@ -717,8 +719,6 @@ def check_two_positive_unital(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL)
     map is rejected.
     """
     return _run(_two_positive_unital(pmap, z, tol))[0]
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +768,6 @@ def repro_sharpness_beta(beta: float) -> ReproResult:
         "orbit_bound_second": 1.0 / (8.0 * beta**2),
         "c_min_forced": 1.0,
     }
-    err = max(abs(computed[k] - expected[k]) for k in expected)
     notes = {
         "c_min_forced": "comparing top eigenvalues forces the constant to be at least 1",
     }
@@ -778,7 +777,6 @@ def repro_sharpness_beta(beta: float) -> ReproResult:
         example_id=f"sharpness-beta-{beta:g}",
         computed=computed,
         expected=expected,
-        max_abs_error=float(err),
         tol=1e-12,
         notes=notes,
     )
@@ -824,12 +822,10 @@ def repro_no_single_unitary(angles) -> ReproResult:
     decreasing = all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
     computed["monotone_decreasing"] = 1.0 if decreasing else 0.0
     expected["monotone_decreasing"] = 1.0
-    err = max(abs(computed[k] - expected[k]) for k in expected)
     return ReproResult(
         example_id="no-single-unitary",
         computed=computed,
         expected=expected,
-        max_abs_error=float(err),
         tol=1e-9,
         notes={
             "limit": "the ratio equals tan(a/2) and collapses to zero with the angle",
@@ -887,12 +883,10 @@ def repro_psi_sharpness() -> ReproResult:
         "image_abs_arg_22": 0.25,
         "stated_identity_gap": 0.5,
     }
-    err = max(abs(computed[k] - expected[k]) for k in expected)
     return ReproResult(
         example_id="psi-quarter",
         computed=computed,
         expected=expected,
-        max_abs_error=float(err),
         tol=1e-12,
         notes={
             "stated_identity": (
@@ -906,38 +900,43 @@ def repro_psi_sharpness() -> ReproResult:
     )
 
 
+def _det_excess(real_a, real_abs) -> tuple:
+    """``|det Re a|``, ``det Re|a|`` and their difference, which is at most 0 for normal ``a``."""
+    dets = np.linalg.det(np.stack([real_a, real_abs]))
+    det_lhs, det_rhs = float(abs(dets[0])), float(dets[1].real)
+    return det_lhs, det_rhs, det_lhs - det_rhs
+
+
 def _real_part_margin(a) -> float:
-    real_a = conj_real_part(a)
-    real_abs = conj_real_part(mat_abs(a))
-    return float(abs(np.linalg.det(real_a)) - np.linalg.det(real_abs).real)
+    """``|det Re a| - det Re|a|``: by how much ``a`` breaks the normal-matrix bound."""
+    return _det_excess(conj_real_part(a), conj_real_part(mat_abs(a)))[2]
 
 
 def search_nonnormal_counterexample(seed, trials: int) -> ReproResult:
     """Random search for a nonnormal 2x2 matrix breaking the determinant bound.
 
     The determinant comparison that holds for every normal matrix can fail
-    off the normal cone; the first random matrix whose margin exceeds 1e-9 is
-    reported. Exhausting the budget is a reported outcome, not an error.
+    off the normal cone; the first random matrix whose margin exceeds
+    ``PSD_TOL`` is reported. An exhausted budget is reported, not raised.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     for index in range(trials):
         candidate = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2.0)
-        margin = _real_part_margin(candidate)
-        if margin > 1e-9:
-            real_abs = conj_real_part(mat_abs(candidate))
+        real_parts = conj_real_part(candidate), conj_real_part(mat_abs(candidate))
+        det_lhs, det_rhs, margin = _det_excess(*real_parts)
+        if margin > PSD_TOL:
             return ReproResult(
                 example_id="nonnormal-det",
                 computed={
                     "found": 1.0,
                     "trial_index": float(index),
                     "margin": margin,
-                    "det_real_part": float(abs(np.linalg.det(conj_real_part(candidate)))),
-                    "det_abs_real_part": float(np.linalg.det(real_abs).real),
+                    "det_real_part": det_lhs,
+                    "det_abs_real_part": det_rhs,
                 },
                 expected={"found": 1.0},
-                max_abs_error=0.0,
                 tol=0.5,
                 notes={"margin": "violation of the normal-matrix determinant bound"},
                 matrices={"matrix": candidate},
@@ -946,7 +945,6 @@ def search_nonnormal_counterexample(seed, trials: int) -> ReproResult:
         example_id="nonnormal-det",
         computed={"found": 0.0, "trials": float(trials)},
         expected={"found": 1.0},
-        max_abs_error=1.0,
         tol=0.5,
         notes={"outcome": "no violation found within the trial budget"},
     )
@@ -968,7 +966,7 @@ def minimal_orbit_constant(pmap: PositiveMapRep, nmat, beta: float) -> float:
     if not beta > 0:
         raise ValueError("beta must be positive")
     o = _orbit(apply(pmap, nmat), hermitian_part(apply(pmap, mat_abs(nmat))))
-    floor = _loewner_floor(1e-12, spectral_norm(o.arg))
+    floor = -_threshold(CONSTRUCTION_TOL, spectral_norm(o.arg))
     hi = 1.0 / (2.0 * beta)
     d = hermitian_part(beta * o.arg + hi * o.orbit - o.lhs) - floor * np.eye(len(o.arg))
     try:
@@ -995,7 +993,7 @@ def estimate_constant(
     betas = [float(b) for b in beta_grid]
     if not betas:
         raise ValueError("beta grid must be nonempty")
-    if any(not (0.0 < b <= 0.5 + 1e-12) for b in betas):
+    if any(not (0.0 < b <= 0.5 + CONSTRUCTION_TOL) for b in betas):
         raise ValueError("beta grid must lie in (0, 1/2]")
     if trials < 1:
         raise ValueError("trials must be >= 1")

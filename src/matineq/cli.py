@@ -221,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pair = _checked(_parse_dims, lambda dims: len(dims) == 1, "search takes a single --dims pair n,m")
 
     verify = sub.add_parser("verify", help="run the statement sweep")
-    verify.set_defaults(run=cmd_verify)
+    verify.set_defaults(run=cmd_verify, parser=verify)
     verify.add_argument("--seed", type=seed, default=42, help="master seed")
     verify.add_argument("--trials", type=trials, default=100)
     verify.add_argument("--dims", type=_parse_dims, default=DEFAULT_DIMS, metavar="n,m[;n,m...]")
@@ -232,14 +232,14 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--inject-mutant", action="store_true", help=argparse.SUPPRESS)
 
     repro = sub.add_parser("repro", help="reproduce a worked example")
-    repro.set_defaults(run=cmd_repro)
+    repro.set_defaults(run=cmd_repro, parser=repro)
     repro.add_argument("name", choices=REPRO_NAMES)
     repro.add_argument("--beta", type=_parse_betas, metavar="b[,b...]", help="sharpness-beta and all only")
     repro.add_argument("--out", type=_parse_out, default="-", metavar="PATH")
     repro.add_argument("--json", action="store_true")
 
     search = sub.add_parser("search", help="empirical constants for small weights")
-    search.set_defaults(run=cmd_search)
+    search.set_defaults(run=cmd_search, parser=search)
     search.add_argument("--seed", type=seed, default=42)
     search.add_argument("--trials", type=int, default=200)
     search.add_argument("--beta", type=_parse_betas, default=(0.1, 0.25, 0.5), metavar="b[,b...]")
@@ -248,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--json", action="store_true")
 
     counter = sub.add_parser("counterexample", help="search for a nonnormal determinant violation")
-    counter.set_defaults(run=cmd_counterexample)
+    counter.set_defaults(run=cmd_counterexample, parser=counter)
     counter.add_argument("--seed", type=seed, default=42)
     counter.add_argument("--trials", type=int, default=100000)
     counter.add_argument("--out", type=_parse_out, default="-", metavar="PATH")
@@ -256,15 +256,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         text, code = args.run(args)
     except ValueError as exc:
         # An error inside the sweep is a fault of the library, not of the usage.
         if args.command == "verify":
             raise
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     if args.out == "-":
         print(text)
         return code
@@ -272,7 +271,7 @@ def main(argv=None) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             print(text, file=fh)
     except OSError as exc:
-        parser.error(f"cannot write --out {args.out}: {exc.strerror}")
+        args.parser.error(f"cannot write --out {args.out}: {exc.strerror}")
     return code
 
 

@@ -5,15 +5,14 @@ Conventions used throughout:
 * matrices are numpy arrays of dtype complex128, row major;
 * spectra and singular values are reported in descending order;
 * polar factors satisfy ``x = unitary_factor @ positive_factor``;
-* tolerances are relative to ``max(1, scale)`` of the quantity they guard;
+* tolerances are the named constants ``_DROP_TOL`` 1e-14, ``CONSTRUCTION_TOL``
+  1e-12, ``_REG_TOL`` 1e-10, ``PSD_TOL`` 1e-9 and ``_CHECK_TOL`` 1e-8; every
+  scaled check compares against ``_threshold``, ``tol * max(1, magnitude)``;
 * ``spectral_norm``, ``singular_values``, ``is_normal``, ``is_contraction``,
   ``mat_abs``, ``polar`` and ``geometric_mean`` take one matrix or a stack of
   shape ``(..., k, k)``, as ``numpy.linalg`` does, and decide every rule
   (the zero convention, scales, shifts, floors) per member. A stacked call
   returns the bits of the calls on its members one at a time.
-
-Tolerance tiers: construction identities 1e-12, reconstructions 1e-10,
-Loewner / positivity checks 1e-9.
 """
 
 from __future__ import annotations
@@ -53,11 +52,31 @@ __all__ = [
     "random_contraction",
 ]
 
-CONSTRUCTION_TOL = 1e-12
-PSD_TOL = 1e-9
+_DROP_TOL = 1e-14  # Kraus factors at or below it are dropped, so compositions stay small
+CONSTRUCTION_TOL = 1e-12  # identities that hold by construction, the phase gauge, the search floor
+_REG_TOL = 1e-10  # the geometric mean's shift, the Hermitian check of a Schur symbol
+PSD_TOL = 1e-9  # PSD spectra, unitality, the Loewner and log-majorization defaults
+_CHECK_TOL = 1e-8  # Hermitian and normal input checks, certify.DEFAULT_TOL
 
-# Shift used when the geometric mean has to handle (near-)singular inputs.
-_GEOMEAN_REG = 1e-10
+
+def _threshold(tol: float, magnitude):
+    """The scaled threshold of every tolerance check: ``tol * max(1, magnitude)``, per member."""
+    return tol * np.maximum(1.0, magnitude)
+
+
+def _is_psd(spectrum, magnitude):
+    """Whether ``min(spectrum) >= -_threshold(PSD_TOL, magnitude)``, per member."""
+    return spectrum.min(axis=-1) >= -_threshold(PSD_TOL, magnitude)
+
+
+def _hermitian_within(x, tol: float, magnitude):
+    """Whether ``max |x - x*|`` is within ``_threshold(tol, magnitude)``, per member."""
+    return np.abs(x - _adjoint(x)).max(axis=(-2, -1)) <= _threshold(tol, magnitude)
+
+
+def _contracting(norm):
+    """The contraction rule: a spectral norm of at most ``1 + CONSTRUCTION_TOL``."""
+    return norm <= 1.0 + CONSTRUCTION_TOL
 
 
 def as_matrix(x, *, square: bool = False, name: str = "matrix") -> np.ndarray:
@@ -118,24 +137,19 @@ def is_hermitian(x, tol: float = CONSTRUCTION_TOL) -> bool:
     x = as_matrix(x)
     if x.shape[0] != x.shape[1]:
         return False
-    scale = max(1.0, float(np.abs(x).max()))
-    return float(np.abs(x - x.conj().T).max()) <= tol * scale
+    return bool(_hermitian_within(x, tol, np.abs(x).max()))
 
 
 def is_normal(x):
-    """Whether ``x`` commutes with its adjoint, to 1e-8 relative to ``max(1, ||x||^2)``.
-
-    A bool for one matrix, a bool array for a stack.
-    """
+    """Whether ``||x x* - x* x||`` is within ``_threshold(_CHECK_TOL, ||x||^2)``, per member."""
     x = _as_stack(x, "x")
     comm = x @ _adjoint(x) - _adjoint(x) @ x
-    scale = np.maximum(1.0, spectral_norm(x) ** 2)
-    return _item(spectral_norm(comm) <= 1e-8 * scale)
+    return _item(spectral_norm(comm) <= _threshold(_CHECK_TOL, spectral_norm(x) ** 2))
 
 
 def is_contraction(z):
     """Whether the spectral norm is at most ``1 + CONSTRUCTION_TOL``: per member for a stack."""
-    return _item(spectral_norm(z) <= 1.0 + CONSTRUCTION_TOL)
+    return _item(_contracting(spectral_norm(z)))
 
 
 class SpectralData(NamedTuple):
@@ -164,7 +178,7 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     v = vectors.copy()
     for j in range(v.shape[1]):
         col = v[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        nz = np.flatnonzero(np.abs(col) > CONSTRUCTION_TOL)
         if nz.size:
             pivot = col[nz[0]]
             v[:, j] = col * (np.conj(pivot) / abs(pivot))
@@ -216,8 +230,8 @@ def geometric_mean(a, b) -> np.ndarray:
 
     For an invertible pair this is ``a^(1/2) (a^(-1/2) b a^(-1/2))^(1/2) a^(1/2)``,
     from eigendecompositions of ``a``, ``b`` and the middle factor. The input
-    checks use ``scale = max(1, |eigenvalues of a and b|)``. Near-singular
-    pairs are shifted once by ``eps * I`` with ``eps = 1e-10 * scale``; that
+    checks read the magnitude ``|eigenvalues of a and b|``. Near-singular pairs
+    are shifted once by ``eps * I``, ``eps = 1e-10 * max(1, magnitude)``; that
     value defines the result, and callers comparing against it on singular
     inputs must budget an O(sqrt(eps)) perturbation. Scale, checks and shift
     are each member's own.
@@ -229,13 +243,13 @@ def geometric_mean(a, b) -> np.ndarray:
     hb = _hermitian(b)
     w, v = np.linalg.eigh(_hermitian(a))
     wb = np.linalg.eigvalsh(hb)
-    scale = np.maximum(1.0, np.maximum(np.abs(w).max(axis=-1), np.abs(wb).max(axis=-1)))
+    magnitude = np.maximum(np.abs(w).max(axis=-1), np.abs(wb).max(axis=-1))
     for name, x in (("a", a), ("b", b)):
-        if np.any(np.abs(x - _adjoint(x)).max(axis=(-2, -1)) > 1e-8 * scale):
+        if not np.all(_hermitian_within(x, _CHECK_TOL, magnitude)):
             raise ValueError(f"{name} is not Hermitian")
-    if np.any((w.min(axis=-1) < -PSD_TOL * scale) | (wb.min(axis=-1) < -PSD_TOL * scale)):
+    if not np.all(_is_psd(w, magnitude) & _is_psd(wb, magnitude)):
         raise ValueError("geometric mean needs positive semidefinite inputs")
-    eps = (_GEOMEAN_REG * scale)[..., None]
+    eps = _threshold(_REG_TOL, magnitude)[..., None]
     shift = (w.min(axis=-1, keepdims=True) < eps) | (wb.min(axis=-1, keepdims=True) < eps)
     # a + eps I has the eigenvectors of a; unshifted members keep their bits.
     w = np.where(shift, w + eps, w)
@@ -259,7 +273,7 @@ def loewner_leq(a, b, tol: float = PSD_TOL) -> LoewnerCheck:
     a = as_matrix(a, square=True, name="a")
     b = as_matrix(b, square=True, name="b")
     for name, x in (("a", a), ("b", b)):
-        if not is_hermitian(x, 1e-8):
+        if not is_hermitian(x, _CHECK_TOL):
             raise ValueError(f"{name} is not Hermitian")
     return _loewner_verdict(a, b, tol)
 
@@ -273,13 +287,7 @@ def _loewner_verdict(a: np.ndarray, b: np.ndarray, tol: float) -> LoewnerCheck:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     slack = np.linalg.eigvalsh(_hermitian(b - a))[..., ::-1]
-    floor = _loewner_floor(tol, spectral_norm(b))
-    return LoewnerCheck(_item(slack[..., -1] >= floor), slack)
-
-
-def _loewner_floor(tol: float, rhs_norm):
-    """The least slack eigenvalue a Loewner verdict accepts: ``-tol * max(1, ||rhs||)``."""
-    return -tol * np.maximum(1.0, rhs_norm)
+    return LoewnerCheck(_item(slack[..., -1] >= -_threshold(tol, spectral_norm(b))), slack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,10 +314,8 @@ def _descending_nonneg(seq, name: str) -> np.ndarray:
         raise ValueError(f"{name} has non-finite entries")
     if arr.size and arr.min() < 0.0:
         raise ValueError(f"{name} must be nonnegative")
-    if arr.size > 1:
-        slack = 1e-12 * max(1.0, float(arr[0]))
-        if np.any(np.diff(arr) > slack):
-            raise ValueError(f"{name} must be sorted in descending order")
+    if arr.size and np.any(np.diff(arr) > _threshold(CONSTRUCTION_TOL, arr[0])):
+        raise ValueError(f"{name} must be sorted in descending order")
     return arr
 
 

@@ -16,7 +16,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import PSD_TOL, _as_stack, as_matrix, hermitian_part, herm_eig, spectral_norm
+from .core import CONSTRUCTION_TOL, PSD_TOL, _DROP_TOL, _REG_TOL, _contracting, _is_psd, _threshold
+from .core import _as_stack, as_matrix, hermitian_part, herm_eig, spectral_norm
 
 __all__ = [
     "PositiveMapRep",
@@ -33,10 +34,6 @@ __all__ = [
     "random_cp_map",
     "random_unital_cp_map",
 ]
-
-# Kraus factors below this Frobenius norm carry no information and are dropped
-# so compositions do not explode in term count.
-_KRAUS_DROP_TOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +104,7 @@ def apply(pmap: PositiveMapRep, x) -> np.ndarray:
 
 
 def _prune(ops: np.ndarray) -> np.ndarray:
-    kept = ops[np.linalg.norm(ops, axis=(1, 2)) > _KRAUS_DROP_TOL]
+    kept = ops[np.linalg.norm(ops, axis=(1, 2)) > _DROP_TOL]
     return kept if len(kept) else np.zeros((1,) + ops.shape[1:], dtype=complex)
 
 
@@ -129,11 +126,10 @@ def schur_multiplier(a) -> PositiveMapRep:
     """
     a = as_matrix(a, square=True, name="a")
     n = a.shape[0]
-    w, v = herm_eig(a, herm_tol=1e-10)
-    scale = max(1.0, float(abs(w[0])) if w.size else 1.0)
-    if w.size and w[-1] < -PSD_TOL * scale:
+    w, v = herm_eig(a, herm_tol=_REG_TOL)
+    if not _is_psd(w, abs(w[0])):
         raise ValueError("schur_multiplier needs a PSD matrix")
-    keep = w > _KRAUS_DROP_TOL * scale
+    keep = w > _threshold(_DROP_TOL, abs(w[0]))
     diagonals = np.conj(np.sqrt(w[keep]) * v[:, keep]).T
     ops = diagonals[:, :, None] * np.eye(n)
     return PositiveMapRep(n, n, _prune(ops), label=f"schur({n})")
@@ -205,7 +201,7 @@ def halmos_dilation(z) -> np.ndarray:
     """
     z = as_matrix(z, square=True, name="z")
     u, s, vh = np.linalg.svd(z)
-    if s.size and s[0] > 1.0 + 1e-12:
+    if s.size and not _contracting(s[0]):
         raise ValueError(f"not a contraction: largest singular value {s[0]}")
     c = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
     left_defect = (u * c) @ u.conj().T
@@ -231,6 +227,6 @@ def random_unital_cp_map(seed, n: int, m: int, terms: Optional[int] = None) -> P
     base = random_cp_map(seed, n, m, terms)
     image = apply(base, np.eye(n, dtype=complex))
     w, v = np.linalg.eigh(hermitian_part(image))
-    w = np.maximum(w, 1e-12 * max(1.0, float(w.max())))
+    w = np.maximum(w, _threshold(CONSTRUCTION_TOL, w.max()))
     inv_root = (v / np.sqrt(w)) @ v.conj().T
     return PositiveMapRep(n, m, base.kraus_ops @ inv_root, label=f"random-unital-cp({n},{m})")

@@ -466,6 +466,22 @@ def test_weighted_sum_identity_contractions():
     np.testing.assert_allclose(maj.prefix_a, maj.prefix_b, rtol=1e-10)
 
 
+def test_log_majorization_reports_use_the_callers_tol():
+    tol = 0.25
+    pmap, z = random_cp_map(0, 3, 3), random_contraction(2, 3)
+    real = check_real_part(random_normal(3, 3), tol=tol)
+    reports = [
+        check_corollary_eigen(pmap, random_normal(1, 3), 0.5, tol=tol).log_majorization,
+        real.construction_route,
+        real.direct_route,
+        check_russo_dye(pmap, z, tol=tol).log_majorization,
+        check_weighted_sum([random_matrix(4, 3)], [z], tol=tol)[0],
+    ]
+    out = run_trial(5, 0, 2, 2, (0.5,), tol)
+    reports += [out[key] for key in trial_statements((0.5,)) if key.endswith("-logmaj")]
+    assert [report.tol for report in reports] == [tol] * 10
+
+
 def test_weighted_sum_random_rectangular():
     for seed in range(25):
         xs = [random_matrix([seed, i, 0], 3, 2) for i in range(3)]
@@ -830,14 +846,15 @@ def test_weights_sharing_a_key_are_refused(betas):
 def test_run_trial_decomposition_budget(linalg_calls):
     # A trial makes one stacked call per stage and matrix shape: 7 calls draw
     # the instances, 7 check inputs (normality takes two at each of n and
-    # 2n), 5 take absolute values (|x| at n, 2n and 3n, |x| with |x*| at n,
-    # and |map(z)| once map(z) is known), 1 polar serves all 8 orbit pairs,
-    # 1 + 1 + 1 take spectra and determinants, 3 serve the 6 geometric means
-    # and 2 + 2 decide the 21 Loewner certificates (shapes n and 2n).
+    # 2n), 4 take absolute values (|x| at n, 2n and 3n, |x| with |x*| at n),
+    # 1 polar serves all 9 orbit pairs (|map(z)| of two-positive-quarter is
+    # one of its positive factors), 1 + 1 + 1 take spectra and determinants,
+    # 3 serve the 6 geometric means and 2 + 2 decide the 21 Loewner
+    # certificates (shapes n and 2n).
     for n in (2, 3):
         linalg_calls.clear()
         run_trial(5, n, n, n, (0.25, 0.5, 1.0, 2.0))
-        assert sum(linalg_calls.values()) <= 29, dict(linalg_calls)
+        assert sum(linalg_calls.values()) <= 28, dict(linalg_calls)
 
 
 def test_run_trial_symmetrized_statements_match_public_checkers():

@@ -202,6 +202,7 @@ def test_failed_write_is_usage_error_naming_the_path(capsys, monkeypatch, tmp_pa
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert str(path) in err and "Permission denied" in err
+    assert "matineq repro: error:" in err
 
 
 @pytest.mark.parametrize("command", ["verify", "search", "counterexample"])
@@ -251,6 +252,7 @@ def test_repro_sharpness_rejects_small_beta(capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["repro", name, "--beta", "0.25"])
         assert exc.value.code == 2, name
+        assert "matineq repro: error:" in capsys.readouterr().err, name
 
 
 @pytest.mark.parametrize(
@@ -274,7 +276,9 @@ def test_repro_beta_outside_its_scope_is_usage_error(capsys, name):
     with pytest.raises(SystemExit) as exc:
         cli.main(["repro", name, "--beta", "7"])
     assert exc.value.code == 2
-    assert "sharpness-beta" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "sharpness-beta" in err
+    assert "matineq repro: error:" in err
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +304,14 @@ def test_search_rejects_beta_outside_range(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--beta", "0.75"])
     assert exc.value.code == 2
+    assert "matineq search: error:" in capsys.readouterr().err
 
 
 def test_search_rejects_zero_trials(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--trials", "0"])
     assert exc.value.code == 2
+    assert "matineq search: error:" in capsys.readouterr().err
 
 
 def test_search_rejects_several_dims_pairs(capsys):
@@ -347,6 +353,7 @@ def test_counterexample_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(["counterexample"] + argv)
     assert exc.value.code == 2
+    assert "matineq counterexample: error:" in capsys.readouterr().err
 
 
 def test_counterexample_golden_replays_exactly():

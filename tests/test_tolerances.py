@@ -1,0 +1,141 @@
+"""Where the tolerance rule lives, and where each scaled check flips.
+
+Every scaled check compares against ``tol * max(1, magnitude)``. The
+boundary tests put the guarded quantity of a (mostly diagonal) input on the
+threshold and one ``np.nextafter`` step to either side, and pin the verdict
+of each: on the threshold and inside it the input is accepted, one step
+outside it is refused. A change to the rule moves these verdicts.
+"""
+
+import ast
+
+import numpy as np
+import pytest
+
+from matineq import certify, maps
+from matineq.certify import _diagonal_certificate, check_schur_diagonal
+from matineq.core import (
+    CONSTRUCTION_TOL,
+    PSD_TOL,
+    geometric_mean,
+    is_contraction,
+    is_hermitian,
+    is_normal,
+    loewner_leq,
+)
+from matineq.maps import halmos_dilation, schur_multiplier
+
+# The tolerance of the Hermitian and normal input checks.
+INPUT_TOL = 1e-8
+# Magnitudes above and below one, where max(1, magnitude) takes either side.
+MAGNITUDES = (4.0, 0.25)
+
+
+def _small_float_literals(module) -> list:
+    """Float literals below 1e-6 in ``module``, apart from ``ReproResult(..., tol=...)``."""
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    reporting = {
+        id(keyword.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ReproResult"
+        for keyword in node.keywords
+        if keyword.arg == "tol"
+    }
+    return [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, float)
+        and 0.0 < abs(node.value) < 1e-6
+        and id(node) not in reporting
+    ]
+
+
+@pytest.mark.parametrize("module", [maps, certify], ids=lambda m: m.__name__)
+def test_thresholds_are_named_in_core(module):
+    assert _small_float_literals(module) == []
+
+
+def _flanks(threshold: float):
+    """``threshold`` and its two neighbours, each with its verdict: inside, on, outside."""
+    return [
+        (np.nextafter(threshold, 0.0), True),
+        (threshold, True),
+        (np.nextafter(threshold, np.inf), False),
+    ]
+
+
+def _cases(tol: float):
+    """``(magnitude, value, verdict)`` around ``tol * max(1, magnitude)`` for each magnitude."""
+    return [(mag, v, ok) for mag in MAGNITUDES for v, ok in _flanks(tol * max(1.0, mag))]
+
+
+def _accepts(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("magnitude,depth,accepted", _cases(PSD_TOL))
+def test_psd_checks_flip_at_the_scaled_threshold(magnitude, depth, accepted):
+    # Least eigenvalue -depth: refused below -PSD_TOL * max(1, magnitude).
+    a = np.diag([magnitude, -depth]).astype(complex)
+    assert _accepts(lambda: geometric_mean(a, magnitude * np.eye(2))) is accepted
+    assert _accepts(lambda: schur_multiplier(a)) is accepted
+    assert _accepts(lambda: check_schur_diagonal(a, 0.5 * np.eye(2))) is accepted
+
+
+@pytest.mark.parametrize("norm,accepted", _flanks(1.0 + CONSTRUCTION_TOL))
+def test_contraction_checks_flip_at_one_plus_construction_tol(norm, accepted):
+    # The contraction rule is absolute: no magnitude scales it.
+    z = np.diag([0.5, norm]).astype(complex)
+    assert is_contraction(z) is accepted
+    assert _accepts(lambda: halmos_dilation(z)) is accepted
+
+
+@pytest.mark.parametrize(
+    "tol,magnitude,error,accepted",
+    [(tol, *case) for tol in (CONSTRUCTION_TOL, INPUT_TOL) for case in _cases(tol)],
+)
+def test_hermitian_check_flips_at_the_scaled_threshold(tol, magnitude, error, accepted):
+    # diag(magnitude, 0.1 + i error/2) has max |x - x*| = error and largest entry magnitude.
+    x = np.diag([magnitude, 0.1 + 0.5j * error])
+    assert is_hermitian(x, tol) is accepted
+    if tol == INPUT_TOL:
+        assert _accepts(lambda: loewner_leq(x, 5.0 * np.eye(2))) is accepted
+
+
+@pytest.mark.parametrize("magnitude,error,accepted", _cases(INPUT_TOL))
+def test_geometric_mean_hermitian_check_flips_at_the_scaled_threshold(magnitude, error, accepted):
+    # The Hermitian parts diag(magnitude, 0.1) and magnitude * I give the magnitude.
+    a = np.diag([magnitude, 0.1 + 0.5j * error])
+    assert _accepts(lambda: geometric_mean(a, magnitude * np.eye(2))) is accepted
+
+
+@pytest.mark.parametrize("corner", [2.0, 0.5])
+def test_normality_check_flips_at_the_scaled_threshold(corner):
+    # x = [[0, b], [0, 0]] (+) [corner] has commutator diag(b^2, -b^2, 0) and
+    # ||x|| = corner, so it is normal iff b^2 <= 1e-8 * max(1, corner^2). A
+    # non-normal input cannot be diagonal; b steps one float at a time across
+    # the threshold.
+    threshold = INPUT_TOL * max(1.0, corner**2)
+    b = np.sqrt(threshold)
+    while b * b > threshold:
+        b = np.nextafter(b, 0.0)
+    while np.nextafter(b, 1.0) ** 2 <= threshold:
+        b = np.nextafter(b, 1.0)
+    for entry, normal in ((np.nextafter(b, 0.0), True), (b, True), (np.nextafter(b, 1.0), False)):
+        x = np.zeros((3, 3), dtype=complex)
+        x[0, 1], x[2, 2] = entry, corner
+        assert is_normal(x) is normal, entry
+
+
+@pytest.mark.parametrize("magnitude,depth,accepted", _cases(PSD_TOL))
+def test_loewner_floor_flips_at_the_scaled_threshold(magnitude, depth, accepted):
+    # b - a = diag(magnitude, -depth) and ||b|| = magnitude.
+    lhs, rhs = np.array([0.0, depth]), np.array([magnitude, 0.0])
+    assert loewner_leq(np.diag(lhs), np.diag(rhs), PSD_TOL).passed is accepted
+    assert _diagonal_certificate("diag", lhs, rhs, tol=PSD_TOL).passed is accepted
