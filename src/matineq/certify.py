@@ -25,9 +25,12 @@ from .core import (
     _CHECK_TOL,
     _abs_from_svd,
     _adjoint,
+    _complex_gaussian,
+    _contractions,
     _hermitian,
     _is_psd,
     _loewner_verdict,
+    _normals,
     _threshold,
     as_matrix,
     conj_real_part,
@@ -38,7 +41,6 @@ from .core import (
     is_normal,
     mat_abs,
     polar,
-    random_contraction,
     random_matrix,
     random_normal,
     random_psd,
@@ -49,9 +51,9 @@ from .core import (
 )
 from .maps import (
     PositiveMapRep,
+    _unital,
     apply,
     corner_block_map,
-    is_unital,
     partial_trace_first,
     random_cp_map,
     random_unital_cp_map,
@@ -700,14 +702,18 @@ def check_schur_square(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Cer
 
 
 def _two_positive_unital(pmap: PositiveMapRep, z, tol: float):
-    if not is_unital(pmap):
-        raise ValueError("the quarter bound requires a unital map")
     z = as_matrix(z, square=True, name="z")
     yield from _require(is_contraction, [z], ["z"], "a contraction")
     if z.shape[0] != pmap.input_dim:
         raise ValueError("dimension mismatch between map and contraction")
-    o = yield from _image_orbit(pmap, z)
-    rhs = np.eye(pmap.output_dim, dtype=complex) / 4.0 + o.arg
+    (abs_z,) = yield [Ask(mat_abs, (z,))]
+    eye = np.eye(pmap.output_dim, dtype=complex)
+    # maps.is_unital, with map(I) and its defect asked in the stages of map(z).
+    image, image_abs, image_id = yield _applied(pmap, [z, abs_z, np.eye(z.shape[0], dtype=complex)])
+    o, defect = yield [Ask(_orbit, (image, image_abs)), Ask(singular_values, (image_id - eye,))]
+    if not _unital(defect[0]):
+        raise ValueError("the quarter bound requires a unital map")
+    rhs = eye / 4.0 + o.arg
     (cert,) = yield from _decide([_Claim("two-positive-quarter", o.lhs, rhs, tol)])
     return cert
 
@@ -1023,24 +1029,60 @@ def estimate_constant(
 
 
 class _Trial(NamedTuple):
-    """The seeds, sizes and settings of one sweep trial, and the map several statements share."""
+    """The sizes and settings of one sweep trial, and the instances drawn for it.
 
-    master_seed: int
-    trial_index: int
+    Each instance field is named for the statements that read it; the normal
+    matrices, Gaussian matrices and contractions are ``n x n`` unless noted.
+    """
+
     n: int
     m: int
     betas: tuple
     tol: float
     inject_mutant: bool
-    pmap: PositiveMapRep
+    pmap: PositiveMapRep  # the sweep map, n -> m
+    unital: PositiveMapRep  # two-positive-quarter's unital map, n -> m
+    main: np.ndarray  # normal: main-*, block-psd and eigen-*
+    real: np.ndarray  # normal: realpart-*
+    summands: np.ndarray  # 3 normals: sum-normals-*
+    schur_pair: np.ndarray  # 2 normals: schur-normal
+    block: np.ndarray  # normal, 2n x 2n: ptrace-geom
+    russo_z: np.ndarray  # contraction: contraction-*
+    schur_z: np.ndarray  # contraction: schur-diagonal
+    quarter_z: np.ndarray  # contraction: two-positive-quarter
+    zs: np.ndarray  # 3 contractions, m x m: weighted-sum-*
+    xs: np.ndarray  # 3 Gaussian matrices, m x n: weighted-sum-*
+    x: np.ndarray  # Gaussian matrix: hermitian-sum-geom and schur-square-geom
+    psd: np.ndarray  # PSD matrix: schur-diagonal
 
-    def sub(self, k: int) -> list:
-        return [self.master_seed, self.trial_index, k]
+
+def _draw(
+    master_seed: int, trial_index: int, n: int, m: int, betas, tol: float, inject_mutant: bool,
+) -> _Trial:
+    """One trial, every instance drawn up front from one generator seeded ``[seed, index]``.
+
+    The order is fixed: the two maps, 8 normal matrices (7 of size n, then one
+    of size 2n), 6 contractions (3 of size n, then 3 of size m), 4 Gaussian
+    matrices (3 of shape m x n, then one of size n) and a PSD matrix. The
+    unitaries of one size come from one stacked QR, and the contractions of
+    one size are scaled by one stacked spectral norm.
+    """
+    rng = np.random.default_rng([master_seed, trial_index])
+    pmaps = random_cp_map(rng, n, m), random_unital_cp_map(rng, n, m)
+    normals, block = _normals(rng, 7, n), _normals(rng, 1, 2 * n)[0]
+    g_n, g_m = _complex_gaussian(rng, 3, n, n), _complex_gaussian(rng, 3, m, m)
+    # One SVD call when the sizes agree; each member's bits are the same either way.
+    z_n, z_m = _contractions(np.stack([g_n, g_m])) if n == m else map(_contractions, (g_n, g_m))
+    xs, x, psd = _complex_gaussian(rng, 3, m, n), random_matrix(rng, n), random_psd(rng, n)
+    return _Trial(
+        n, m, tuple(betas), tol, inject_mutant, *pmaps,
+        normals[0], normals[1], normals[2:5], normals[5:7], block, *z_n, z_m, xs, x, psd,
+    )
 
 
 def _main_statements(t: _Trial):
     """Task: every statement on ``(map(n), map(|n|))``, in the order of its table row."""
-    o = yield from _normal_orbit(t.pmap, random_normal(t.sub(1), t.n))
+    o = yield from _normal_orbit(t.pmap, t.main)
     asks = [_mean(o)] + _spectra(o) + [_shifted(o, beta) for beta in t.betas]
     mean, singular, spectrum, *shifted = yield asks
     sign = -1.0 if t.inject_mutant else 1.0
@@ -1055,19 +1097,13 @@ def _main_statements(t: _Trial):
 
 
 def _real_part_statements(t: _Trial):
-    report = yield from _real_part(random_normal(t.sub(2), t.n), t.tol)
+    report = yield from _real_part(t.real, t.tol)
     return report.construction_route, report.direct_route, report.det_check
 
 
 def _russo_dye_statements(t: _Trial):
-    reports = yield from _russo_dye(t.pmap, random_contraction(t.sub(7), t.n), t.tol)
+    reports = yield from _russo_dye(t.pmap, t.russo_z, t.tol)
     return reports.arithmetic, reports.geometric, reports.log_majorization
-
-
-def _weighted_sum_statements(t: _Trial):
-    xs = [random_matrix(t.sub(8 + i), t.m, t.n) for i in range(3)]
-    zs = [random_contraction(t.sub(11 + i), t.m) for i in range(3)]
-    return (yield from _weighted_sum(xs, zs, t.tol))
 
 
 def _one(task):
@@ -1093,38 +1129,21 @@ _STATEMENTS = (
         _real_part_statements,
         ("realpart-construction-logmaj", "realpart-direct-logmaj", "realpart-det"),
     ),
-    (
-        lambda t: _one(_partial_trace(random_normal(t.sub(3), 2 * t.n), 2, t.n, t.tol)),
-        ("ptrace-geom",),
-    ),
-    (
-        lambda t: _sum_of_normals([random_normal(t.sub(4 + i), t.n) for i in range(3)], t.tol),
-        ("sum-normals-geom", "sum-normals-arith"),
-    ),
+    (lambda t: _one(_partial_trace(t.block, 2, t.n, t.tol)), ("ptrace-geom",)),
+    (lambda t: _sum_of_normals(t.summands, t.tol), ("sum-normals-geom", "sum-normals-arith")),
     (_russo_dye_statements, ("contraction-arith", "contraction-geom", "contraction-logmaj")),
-    (_weighted_sum_statements, ("weighted-sum-logmaj", "weighted-sum-block")),
     (
-        lambda t: _one(
-            _schur_diagonal(random_psd(t.sub(14), t.n), random_contraction(t.sub(15), t.n), t.tol)
-        ),
-        ("schur-diagonal",),
+        lambda t: _weighted_sum(list(t.xs), list(t.zs), t.tol),
+        ("weighted-sum-logmaj", "weighted-sum-block"),
     ),
+    (lambda t: _one(_schur_diagonal(t.psd, t.schur_z, t.tol)), ("schur-diagonal",)),
+    (lambda t: _one(_schur_normal(*t.schur_pair, t.tol)), ("schur-normal",)),
     (
-        lambda t: _one(
-            _schur_normal(random_normal(t.sub(16), t.n), random_normal(t.sub(17), t.n), t.tol)
-        ),
-        ("schur-normal",),
-    ),
-    (
-        lambda t: _symmetrized(t.pmap, random_matrix(t.sub(18), t.n), t.tol),
+        lambda t: _symmetrized(t.pmap, t.x, t.tol),
         ("hermitian-sum-geom", "schur-square-geom"),
     ),
     (
-        lambda t: _one(
-            _two_positive_unital(
-                random_unital_cp_map(t.sub(19), t.n, t.m), random_contraction(t.sub(20), t.n), t.tol
-            )
-        ),
+        lambda t: _one(_two_positive_unital(t.unital, t.quarter_z, t.tol)),
         ("two-positive-quarter",),
     ),
 )
@@ -1160,8 +1179,7 @@ def run_trial(
     print alike under ``%g`` would share keys and are refused with a ValueError.
     """
     tags = _weight_tags(betas)
-    pmap = random_cp_map([master_seed, trial_index, 0], n, m)
-    trial = _Trial(master_seed, trial_index, n, m, tuple(betas), tol, inject_mutant, pmap)
+    trial = _draw(master_seed, trial_index, n, m, betas, tol, inject_mutant)
     results = _run(*(task(trial) for task, _ in _STATEMENTS))
     out: dict = {}
     for (_, keys), outcomes in zip(_STATEMENTS, results):

@@ -88,10 +88,12 @@ def as_matrix(x, *, square: bool = False, name: str = "matrix") -> np.ndarray:
 
 
 def _as_stack(x, name: str, *, square: bool = True) -> np.ndarray:
-    """Coerce ``x`` to a finite complex array of one matrix or a stack of matrices."""
+    """Coerce ``x`` to a finite, nonempty complex array of one matrix or a stack of matrices."""
     a = np.asarray(x, dtype=complex)
     if a.ndim < 2:
         raise ValueError(f"{name} must be a matrix or a stack of matrices, got shape {a.shape}")
+    if a.size == 0:
+        raise ValueError(f"{name} must not be empty, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
     if square and a.shape[-1] != a.shape[-2]:
@@ -101,7 +103,7 @@ def _as_stack(x, name: str, *, square: bool = True) -> np.ndarray:
 
 def _adjoint(x: np.ndarray) -> np.ndarray:
     """The conjugate transpose of a matrix or of each matrix in a stack."""
-    return np.swapaxes(x.conj(), -1, -2)
+    return x.conj().swapaxes(-1, -2)
 
 
 def _hermitian(x: np.ndarray) -> np.ndarray:
@@ -134,7 +136,7 @@ def singular_values(x) -> np.ndarray:
 
 def is_hermitian(x, tol: float = CONSTRUCTION_TOL) -> bool:
     """Entrywise Hermitian test relative to the largest entry."""
-    x = as_matrix(x)
+    x = as_matrix(x, name="x")
     if x.shape[0] != x.shape[1]:
         return False
     return bool(_hermitian_within(x, tol, np.abs(x).max()))
@@ -149,7 +151,7 @@ def is_normal(x):
 
 def is_contraction(z):
     """Whether the spectral norm is at most ``1 + CONSTRUCTION_TOL``: per member for a stack."""
-    return _item(_contracting(spectral_norm(z)))
+    return _item(_contracting(spectral_norm(_as_stack(z, "z", square=False))))
 
 
 class SpectralData(NamedTuple):
@@ -380,8 +382,9 @@ def conj_real_part(a) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Seeded generators. ``seed`` may be an int or a sequence of ints and fully
-# determines the output.
+# Seeded generators. ``seed`` may be an int or a sequence of ints, which fully
+# determines the output, or a ``numpy.random.Generator``, which is drawn from
+# in place. The private helpers draw a stack of ``count`` members at once.
 # ---------------------------------------------------------------------------
 
 
@@ -389,16 +392,34 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+def _complex_gaussian(rng: np.random.Generator, count: int, rows: int, cols: int) -> np.ndarray:
+    shape = (count, rows, cols)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def _haar(rng: np.random.Generator, n: int) -> np.ndarray:
-    # QR of a complex Gaussian with the R-diagonal phase fix.
-    q, r = np.linalg.qr(_complex_gaussian(rng, n, n))
-    d = np.diagonal(r)
-    phases = np.where(np.abs(d) > 0, d / np.abs(np.where(np.abs(d) > 0, d, 1.0)), 1.0)
-    return q * phases
+def _haar(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    # One stacked QR of complex Gaussians, with the R-diagonal phase fix.
+    q, r = np.linalg.qr(_complex_gaussian(rng, count, n, n))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    size = np.abs(d)
+    phases = np.where(size > 0, d / np.where(size > 0, size, 1.0), 1.0)
+    return q * phases[..., None, :]
+
+
+def _normals(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """``count`` normal matrices ``u diag(z) u*``, all unitaries drawn first."""
+    u = _haar(rng, count, n)
+    z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    # Column k of u[i] times z[i, k], taken through a broadcast of the (n, count, n)
+    # view: numpy then runs the elementwise loop of the one-matrix product u * z,
+    # whose bits ``random_normal`` keeps (a same-shape product rounds differently at n = 1).
+    scaled = (u.transpose(1, 0, 2) * z).transpose(1, 0, 2)
+    return scaled @ _adjoint(u)
+
+
+def _contractions(g: np.ndarray) -> np.ndarray:
+    """Each member of a stack rescaled to spectral norm at most one, by one stacked SVD."""
+    return g / np.maximum(1.0, spectral_norm(g))[..., None, None]
 
 
 def random_matrix(seed, rows: int, cols: Optional[int] = None) -> np.ndarray:
@@ -408,7 +429,7 @@ def random_matrix(seed, rows: int, cols: Optional[int] = None) -> np.ndarray:
     cols = rows if cols is None else cols
     if cols < 1:
         raise ValueError("cols must be >= 1")
-    return _complex_gaussian(_rng(seed), rows, cols)
+    return _complex_gaussian(_rng(seed), 1, rows, cols)[0]
 
 
 def random_normal(seed, n: int) -> np.ndarray:
@@ -418,17 +439,14 @@ def random_normal(seed, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = _rng(seed)
-    u = _haar(rng, n)
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return (u * z) @ u.conj().T
+    return _normals(_rng(seed), 1, n)[0]
 
 
 def random_psd(seed, n: int) -> np.ndarray:
     """Random positive semidefinite matrix g g* / n, exactly Hermitian."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = _complex_gaussian(_rng(seed), n, n)
+    g = _complex_gaussian(_rng(seed), 1, n, n)[0]
     p = g @ g.conj().T / n
     return (p + p.conj().T) / 2.0
 
@@ -436,12 +454,11 @@ def random_psd(seed, n: int) -> np.ndarray:
 def haar_unitary(seed, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _haar(_rng(seed), n)
+    return _haar(_rng(seed), 1, n)[0]
 
 
 def random_contraction(seed, n: int) -> np.ndarray:
     """Gaussian matrix rescaled to spectral norm at most one."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = _complex_gaussian(_rng(seed), n, n)
-    return g / max(1.0, float(np.linalg.norm(g, 2)))
+    return _contractions(_complex_gaussian(_rng(seed), 1, n, n))[0]

@@ -186,10 +186,15 @@ def choi(pmap: PositiveMapRep) -> ChoiData:
     return ChoiData(c, float(np.linalg.eigvalsh(c).min()))
 
 
+def _unital(defect_norm) -> bool:
+    """The unitality rule: ``||map(I) - I||`` at most ``PSD_TOL``, not scaled."""
+    return defect_norm <= PSD_TOL
+
+
 def is_unital(pmap: PositiveMapRep) -> bool:
     """Whether the map sends the identity to the identity within ``PSD_TOL``."""
     image = apply(pmap, np.eye(pmap.input_dim, dtype=complex))
-    return spectral_norm(image - np.eye(pmap.output_dim)) <= PSD_TOL
+    return _unital(spectral_norm(image - np.eye(pmap.output_dim)))
 
 
 def halmos_dilation(z) -> np.ndarray:
@@ -201,7 +206,7 @@ def halmos_dilation(z) -> np.ndarray:
     """
     z = as_matrix(z, square=True, name="z")
     u, s, vh = np.linalg.svd(z)
-    if s.size and not _contracting(s[0]):
+    if not _contracting(s[0]):
         raise ValueError(f"not a contraction: largest singular value {s[0]}")
     c = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
     left_defect = (u * c) @ u.conj().T

@@ -59,6 +59,7 @@ from matineq.certify import (
     trial_statements,
     witness_unitary,
     _diagonal_certificate,
+    _draw,
     _real_part_margin,
 )
 
@@ -651,6 +652,20 @@ def test_two_positive_random_hermitian_contractions():
         assert check_two_positive_unital(pmap, z).passed, seed
 
 
+def test_two_positive_asks_for_the_identity_with_its_images(monkeypatch):
+    # Unitality is decided from map(I), applied in one call with z and |z|.
+    shapes = []
+
+    def counted(pmap, x):
+        shapes.append(np.shape(x))
+        return apply(pmap, x)
+
+    counted.__name__ = "apply"
+    monkeypatch.setattr(certify, "apply", counted)
+    assert check_two_positive_unital(random_unital_cp_map(3, 3, 2), random_contraction(4, 3)).passed
+    assert shapes == [(3, 3, 3)]
+
+
 def test_two_positive_rejects_nonunital():
     with pytest.raises(ValueError):
         check_two_positive_unital(partial_trace_first(2, 2), np.eye(4))
@@ -844,17 +859,37 @@ def test_weights_sharing_a_key_are_refused(betas):
 
 
 def test_run_trial_decomposition_budget(linalg_calls):
-    # A trial makes one stacked call per stage and matrix shape: 7 calls draw
-    # the instances, 7 check inputs (normality takes two at each of n and
-    # 2n), 4 take absolute values (|x| at n, 2n and 3n, |x| with |x*| at n),
-    # 1 polar serves all 9 orbit pairs (|map(z)| of two-positive-quarter is
-    # one of its positive factors), 1 + 1 + 1 take spectra and determinants,
-    # 3 serve the 6 geometric means and 2 + 2 decide the 21 Loewner
-    # certificates (shapes n and 2n).
-    for n in (2, 3):
+    # A trial makes one stacked call per stage and matrix shape. At n = m, 2
+    # calls draw the instances (1 stacked SVD scales the 6 contractions, 1
+    # eigh makes the unital map), 7 check inputs (normality takes two at each
+    # of n and 2n), 4 take absolute values (|x| at n, 2n and 3n, |x| with |x*|
+    # at n), 1 polar serves all 9 orbit pairs, 1 + 1 + 1 take spectra (the
+    # unital map's defect among the singular values) and determinants, 3 serve
+    # the 6 geometric means and 2 + 2 decide the 21 Loewner certificates
+    # (shapes n and 2n). With n != m the calls at n and at m are separate.
+    for n, m, budget in ((2, 2, 22), (3, 3, 22), (2, 3, 35), (3, 2, 35)):
         linalg_calls.clear()
-        run_trial(5, n, n, n, (0.25, 0.5, 1.0, 2.0))
-        assert sum(linalg_calls.values()) <= 28, dict(linalg_calls)
+        run_trial(5, n, n, m, (0.25, 0.5, 1.0, 2.0))
+        assert sum(linalg_calls.values()) <= budget, (n, m, dict(linalg_calls))
+        assert linalg_calls["norm"] == 0, dict(linalg_calls)
+
+
+def test_run_trial_builds_one_seeded_generator(monkeypatch):
+    # Every instance of a trial is drawn from one generator; the draws take
+    # it as their seed, which numpy passes through without building another.
+    built = []
+    default_rng = np.random.default_rng
+
+    def counted(seed=None):
+        if not isinstance(seed, np.random.Generator):
+            built.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    for n, m in ((2, 2), (3, 2)):
+        built.clear()
+        run_trial(5, 7, n, m, (0.25, 1.0))
+        assert built == [[5, 7]], built
 
 
 def test_run_trial_symmetrized_statements_match_public_checkers():
@@ -863,8 +898,8 @@ def test_run_trial_symmetrized_statements_match_public_checkers():
     for trial in range(4):
         n, m = 2 + trial % 3, 2 + trial % 2
         out = run_trial(11, trial, n, m, (0.5,))
-        pmap = random_cp_map([11, trial, 0], n, m)
-        x = random_matrix([11, trial, 18], n)
+        drawn = _draw(11, trial, n, m, (0.5,), DEFAULT_TOL, False)
+        pmap, x = drawn.pmap, drawn.x
         assert out["hermitian-sum-geom"].min_slack == check_hermitian_sum(pmap, x).min_slack
         assert out["schur-square-geom"].min_slack == check_schur_square(pmap, x).min_slack
 

@@ -1,10 +1,17 @@
 """End-to-end tests for the command line harness: exit codes, report schema,
-determinism, failure injection, and the stored golden reports."""
+determinism, failure injection, and the stored golden reports.
+
+A change that means to move the seeded sweep rewrites
+``golden/verify_mutant.json`` with ``python tests/test_cli.py``.
+"""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -114,15 +121,24 @@ def test_verify_mutant_hook_fails_and_replays(capsys):
     assert replayed and replayed[0]["minSlack"] == first["minSlack"]
 
 
-def test_verify_mutant_matches_golden(capsys):
-    code, out = run_cli(
-        capsys,
-        ["verify", "--seed", "7", "--trials", "3", "--dims", "2,2;3,3;4,4", "--inject-mutant"],
-    )
-    assert code == 1
-    report = json.loads(out)
+MUTANT_GOLDEN = os.path.join(GOLDEN_DIR, "verify_mutant.json")
+MUTANT_ARGS = ["verify", "--seed", "7", "--trials", "3", "--dims", "2,2;3,3;4,4", "--inject-mutant"]
+
+
+def _mutant_report():
+    """The exit code and the report, minus ``wallTimeMs``, of the golden mutant sweep."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(MUTANT_ARGS)
+    report = json.loads(out.getvalue())
     report.pop("wallTimeMs")
-    with open(os.path.join(GOLDEN_DIR, "verify_mutant.json")) as fh:
+    return code, report
+
+
+def test_verify_mutant_matches_golden():
+    code, report = _mutant_report()
+    assert code == 1
+    with open(MUTANT_GOLDEN) as fh:
         expected = json.load(fh)
     keys = [(f["statementId"], f["trialIndex"]) for f in report["failures"]]
     assert keys == [(f["statementId"], f["trialIndex"]) for f in expected["failures"]]
@@ -399,3 +415,9 @@ def test_option_inventory():
         for command, parser in subparsers.choices.items()
     }
     assert found == expected
+
+
+if __name__ == "__main__":
+    with open(MUTANT_GOLDEN, "w") as fh:
+        fh.write(json.dumps(_mutant_report()[1], indent=2) + "\n")
+    sys.exit(0)

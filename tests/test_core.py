@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matineq.core import (
+    _haar,
     _loewner_verdict,
+    _normals,
     conj_real_part,
     direct_sum,
     geometric_mean,
     haar_unitary,
     herm_eig,
     is_contraction,
+    is_hermitian,
     is_normal,
     loewner_leq,
     mat_abs,
@@ -26,6 +29,7 @@ from matineq.core import (
     spectral_norm,
     weak_log_majorize,
 )
+from matineq.maps import halmos_dilation, schur_multiplier
 
 from _oracles import abs_via_eig, arithmetic_harmonic_mean, geometric_mean_six_decompositions
 
@@ -404,6 +408,29 @@ def test_direct_sum_empty():
         direct_sum([])
 
 
+EMPTY = np.zeros((0, 0), dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: is_contraction(np.zeros((2, 0))), "z", id="is_contraction"),
+        pytest.param(lambda: is_hermitian(EMPTY), "x", id="is_hermitian"),
+        pytest.param(lambda: herm_eig(EMPTY), "h", id="herm_eig"),
+        pytest.param(lambda: loewner_leq(EMPTY, EMPTY), "a", id="loewner_leq-a"),
+        pytest.param(lambda: loewner_leq(np.eye(2), EMPTY), "b", id="loewner_leq-b"),
+        pytest.param(lambda: schur_multiplier(EMPTY), "a", id="schur_multiplier"),
+        pytest.param(lambda: halmos_dilation(EMPTY), "z", id="halmos_dilation"),
+        pytest.param(lambda: mat_abs(EMPTY), "x", id="mat_abs"),
+        pytest.param(lambda: mat_abs(np.zeros((3, 0, 0))), "x", id="mat_abs-stack"),
+        pytest.param(lambda: mat_abs(np.zeros((0, 3, 3))), "x", id="mat_abs-no-members"),
+    ],
+)
+def test_empty_matrices_are_refused_by_name(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} must not be empty"):
+        call()
+
+
 def test_direct_sum_places_mixed_blocks_exactly():
     blocks = [random_matrix(0, 2), np.array([[3.0]]), random_matrix(1, 3, 2), random_matrix(2, 1, 3)]
     out = direct_sum(blocks)
@@ -476,6 +503,37 @@ def test_stacked_loewner_verdict_decides_each_floor_alone():
         single = _loewner_verdict(*member)
         assert single.passed is bool(passed[k])
         np.testing.assert_array_equal(slack[k], single.slack_spectrum)
+
+
+class _Replay:
+    """A stand-in generator whose ``standard_normal`` returns the given draws in turn."""
+
+    def __init__(self, *draws):
+        self.draws = iter(draws)
+
+    def standard_normal(self, shape):
+        out = next(self.draws)
+        assert out.shape == tuple(np.atleast_1d(shape)), (out.shape, shape)
+        return out
+
+
+def test_stacked_haar_and_normals_match_per_member_draws():
+    # A stack of k unitaries (one QR) or normal matrices has, member by
+    # member, the bits of a stack of one drawn from that member's numbers;
+    # the zero member takes the identity phase.
+    k, n = 5, 3
+    rng = np.random.default_rng(17)
+    real, imag = rng.standard_normal((k, n, n)), rng.standard_normal((k, n, n))
+    real[2] = imag[2] = 0.0
+    z_real, z_imag = rng.standard_normal((k, n)), rng.standard_normal((k, n))
+    unitaries = _haar(_Replay(real, imag), k, n)
+    normals = _normals(_Replay(real, imag, z_real, z_imag), k, n)
+    for j in range(k):
+        member = [draw[j : j + 1] for draw in (real, imag, z_real, z_imag)]
+        np.testing.assert_array_equal(unitaries[j], _haar(_Replay(*member[:2]), 1, n)[0])
+        np.testing.assert_array_equal(normals[j], _normals(_Replay(*member), 1, n)[0])
+    assert spectral_norm(unitaries[0].conj().T @ unitaries[0] - np.eye(n)) <= 1e-12
+    assert np.all(is_normal(normals))
 
 
 def test_conj_real_part_cases():
