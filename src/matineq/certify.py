@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -159,9 +159,8 @@ class RealPartReport:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class RussoDyeReports:
-    """Contraction bounds: arithmetic, geometric-mean and log-majorization forms."""
+class RussoDyeReports(NamedTuple):
+    """Contraction bounds in key order: arithmetic, geometric-mean and log-majorization forms."""
 
     arithmetic: Certificate
     geometric: Certificate
@@ -196,8 +195,9 @@ def _eig_desc(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Staged evaluation (see ``staging``). Each statement is a task that asks for
 # primitives one matrix at a time; ``_run`` drives tasks together, so a sweep
-# trial makes one call per stage and matrix shape. Each public checker
-# ``check_x`` runs its task ``_x`` alone.
+# trial makes one call per stage and matrix shape. The sweep's table rows and
+# the public checkers run the same tasks: a checker runs its row's task alone
+# and picks its outcomes.
 # ---------------------------------------------------------------------------
 
 
@@ -324,15 +324,13 @@ def _arith(statement_id, o: _Orbit, beta: float, tol: float, sign: float = 1.0) 
 
     ``sign = -1`` negates the orbit term: the fault the sweep injects on request.
     """
-    if not beta > 0:
-        raise ValueError("beta must be positive")
     rhs = beta * o.arg + sign * o.orbit / (4.0 * beta)
     return _Claim(statement_id, o.lhs, rhs, tol, o.witness, beta)
 
 
-def _geom(statement_id, o: _Orbit, mean: np.ndarray, tol: float, beta: Optional[float] = None):
-    """The geometric-mean bound ``arg # orbit``; it has no weight, which ``beta`` only records."""
-    return _Claim(statement_id, o.lhs, mean, tol, o.witness, beta)
+def _geom(statement_id, o: _Orbit, mean: np.ndarray, tol: float) -> _Claim:
+    """The geometric-mean bound ``arg # orbit``, which has no weight."""
+    return _Claim(statement_id, o.lhs, mean, tol, o.witness)
 
 
 def _chain(geom, arith, tol: float) -> _Claim:
@@ -342,47 +340,6 @@ def _chain(geom, arith, tol: float) -> _Claim:
 def _logmaj(singular, spectrum, tol: float) -> MajorizationReport:
     """Singular values weakly log-majorized by a spectrum clipped at zero."""
     return weak_log_majorize(singular, np.maximum(spectrum, 0.0), tol)
-
-
-def _theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float):
-    o = yield from _normal_orbit(pmap, nmat)
-    (mean,) = yield [_mean(o)]
-    claims = [_arith("main-arith", o, beta, tol), _geom("main-geom", o, mean, tol, beta)]
-    arith, geom = yield from _decide(claims)
-    return arith, geom
-
-
-def check_theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float = DEFAULT_TOL):
-    """Both orbit bounds for a normal matrix under a positive map at weight ``beta``.
-
-    Returns the arithmetic certificate
-    ``|map(n)| <= beta map(|n|) + (1/(4 beta)) v map(|n|) v*`` and the
-    geometric-mean refinement ``|map(n)| <= map(|n|) # v map(|n|) v*``,
-    both with the polar witness ``v`` of ``map(n)``.
-    """
-    return _run(_theorem_main(pmap, nmat, beta, tol))[0]
-
-
-def chain_certificate(geom: Certificate, arith: Certificate, tol: float = DEFAULT_TOL) -> Certificate:
-    """The geometric-mean bound never exceeds the arithmetic one (AM-GM chain)."""
-    return _run(_decide([_chain(geom, arith, tol)]))[0][0]
-
-
-def _block_psd(o: _Orbit, tol: float) -> _Claim:
-    # A Kraus map commutes with the adjoint: map(n*) = map(n)*.
-    block = np.block([[o.arg, o.image], [o.image.conj().T, o.arg]])
-    return _Claim("block-psd", np.zeros_like(block), block, tol)
-
-
-def _block_certificate(pmap: PositiveMapRep, nmat, tol: float):
-    o = yield from _normal_orbit(pmap, nmat)
-    (cert,) = yield from _decide([_block_psd(o, tol)])
-    return cert
-
-
-def check_block_certificate(pmap: PositiveMapRep, nmat, tol: float = DEFAULT_TOL) -> Certificate:
-    """The 2x2 block matrix [[map(|n|), map(n)], [map(n*), map(|n|)]] is PSD."""
-    return _run(_block_certificate(pmap, nmat, tol))[0]
 
 
 def _diagonal_certificate(statement_id, lhs, rhs, *, beta=None, tol=DEFAULT_TOL) -> Certificate:
@@ -406,41 +363,68 @@ def _diagonal_certificate(statement_id, lhs, rhs, *, beta=None, tol=DEFAULT_TOL)
     )
 
 
-def _spectra(o: _Orbit) -> list:
-    """Asks for the singular values of ``map(n)`` and the spectrum of ``map(|n|)``."""
-    return [Ask(singular_values, (o.image,)), Ask(_eig_desc, (o.arg,))]
+def _orbit_statements(
+    pmap: PositiveMapRep, nmat, betas: Sequence[float], tol: float, sign: float = 1.0
+):
+    """Task: every statement on the orbit pair ``(map(n), map(|n|))`` of a normal ``n``.
 
-
-def _shifted(o: _Orbit, beta: float) -> Ask:
-    return Ask(_eig_desc, (o.lhs - beta * o.arg,))
-
-
-def _eigen_fixed(s: np.ndarray, spectrum: np.ndarray, tol: float):
-    """The weight-independent eigenvalue reports: log-majorization and pair bounds.
-
-    ``s`` holds the singular values of ``map(n)``, ``spectrum`` the
-    eigenvalues of ``map(|n|)``.
+    The outcomes come in key order: main-arith, main-geom and main-chain for
+    each weight; then block-psd, eigen-logmaj and eigen-pairs; then
+    eigen-shift for each weight. ``main-geom`` has no weight and records
+    none. ``sign = -1`` negates the orbit term of the arithmetic bound: the
+    fault the sweep injects on request.
     """
-    t_clip = np.maximum(spectrum, 0.0)
-    logmaj = _logmaj(s, spectrum, tol)
-    # The pairs (j, k), 0-based, with j + k < m, in row-major order.
-    m = s.size
-    j, k = np.nonzero(np.add.outer(np.arange(m), np.arange(m)) < m)
-    pair_cert = _diagonal_certificate("eigen-pairs", s[j + k], np.sqrt(t_clip[j] * t_clip[k]), tol=tol)
-    return logmaj, pair_cert
-
-
-def _eigen_shift(shifted: np.ndarray, spectrum: np.ndarray, beta: float, tol: float) -> Certificate:
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    return _diagonal_certificate("eigen-shift", 4.0 * beta * shifted, spectrum, beta=beta, tol=tol)
-
-
-def _corollary_eigen(pmap: PositiveMapRep, nmat, beta: float, tol: float):
     o = yield from _normal_orbit(pmap, nmat)
-    singular, spectrum, shifted = yield _spectra(o) + [_shifted(o, beta)]
-    shift = _eigen_shift(shifted, spectrum, beta, tol)
-    return EigenCorollaryReports(*_eigen_fixed(singular, spectrum, tol), shift)
+    if not all(beta > 0 for beta in betas):
+        raise ValueError("beta must be positive")
+    mean, singular, spectrum, *shifted = yield [
+        _mean(o),
+        Ask(singular_values, (o.image,)),
+        Ask(_eig_desc, (o.arg,)),
+        *(Ask(_eig_desc, (o.lhs - beta * o.arg,)) for beta in betas),
+    ]
+    geom = _geom("main-geom", o, mean, tol)
+    ariths = [_arith("main-arith", o, beta, tol, sign) for beta in betas]
+    chains = [_chain(geom, arith, tol) for arith in ariths]
+    # A Kraus map commutes with the adjoint: map(n*) = map(n)*.
+    block = np.block([[o.arg, o.image], [o.image.conj().T, o.arg]])
+    block = _Claim("block-psd", np.zeros_like(block), block, tol)
+    geom, block, *certs = yield from _decide([geom, block, *ariths, *chains])
+    k = len(betas)
+    bounds = [cert for i in range(k) for cert in (certs[i], geom, certs[k + i])]
+    # The pairs (j, i), 0-based, with j + i < m, in row-major order.
+    m = singular.size
+    j, i = np.nonzero(np.add.outer(np.arange(m), np.arange(m)) < m)
+    t_clip = np.maximum(spectrum, 0.0)
+    pair_bound = np.sqrt(t_clip[j] * t_clip[i])
+    pairs = _diagonal_certificate("eigen-pairs", singular[j + i], pair_bound, tol=tol)
+    shifts = [
+        _diagonal_certificate("eigen-shift", 4.0 * beta * s, spectrum, beta=beta, tol=tol)
+        for s, beta in zip(shifted, betas)
+    ]
+    return [*bounds, block, _logmaj(singular, spectrum, tol), pairs, *shifts]
+
+
+def check_theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float = DEFAULT_TOL):
+    """Both orbit bounds for a normal matrix under a positive map at weight ``beta``.
+
+    Returns the arithmetic certificate
+    ``|map(n)| <= beta map(|n|) + (1/(4 beta)) v map(|n|) v*`` and the
+    geometric-mean refinement ``|map(n)| <= map(|n|) # v map(|n|) v*``,
+    both with the polar witness ``v`` of ``map(n)``.
+    """
+    arith, geom = _run(_orbit_statements(pmap, nmat, (beta,), tol))[0][:2]
+    return arith, replace(geom, beta=beta)
+
+
+def chain_certificate(geom: Certificate, arith: Certificate, tol: float = DEFAULT_TOL) -> Certificate:
+    """The geometric-mean bound never exceeds the arithmetic one (AM-GM chain)."""
+    return _run(_decide([_chain(geom, arith, tol)]))[0][0]
+
+
+def check_block_certificate(pmap: PositiveMapRep, nmat, tol: float = DEFAULT_TOL) -> Certificate:
+    """The 2x2 block matrix [[map(|n|), map(n)], [map(n*), map(|n|)]] is PSD."""
+    return _run(_orbit_statements(pmap, nmat, (), tol))[0][0]
 
 
 def check_corollary_eigen(
@@ -454,7 +438,7 @@ def check_corollary_eigen(
     and k-th eigenvalues; (c) the eigenvalues of ``|map(n)| - beta map(|n|)``
     scaled by ``4 beta`` stay below those of ``map(|n|)``.
     """
-    return _run(_corollary_eigen(pmap, nmat, beta, tol))[0]
+    return EigenCorollaryReports(*_run(_orbit_statements(pmap, nmat, (beta,), tol))[0][4:])
 
 
 def _real_part(a, tol: float):
@@ -1080,30 +1064,9 @@ def _draw(
     )
 
 
-def _main_statements(t: _Trial):
-    """Task: every statement on ``(map(n), map(|n|))``, in the order of its table row."""
-    o = yield from _normal_orbit(t.pmap, t.main)
-    asks = [_mean(o)] + _spectra(o) + [_shifted(o, beta) for beta in t.betas]
-    mean, singular, spectrum, *shifted = yield asks
-    sign = -1.0 if t.inject_mutant else 1.0
-    geom = _geom("main-geom", o, mean, t.tol)
-    ariths = [_arith("main-arith", o, beta, t.tol, sign) for beta in t.betas]
-    chains = [_chain(geom, arith, t.tol) for arith in ariths]
-    geom, block, *certs = yield from _decide([geom, _block_psd(o, t.tol), *ariths, *chains])
-    k = len(t.betas)
-    bounds = [cert for i in range(k) for cert in (certs[i], geom, certs[k + i])]
-    shifts = [_eigen_shift(s, spectrum, beta, t.tol) for s, beta in zip(shifted, t.betas)]
-    return [*bounds, block, *_eigen_fixed(singular, spectrum, t.tol), *shifts]
-
-
 def _real_part_statements(t: _Trial):
     report = yield from _real_part(t.real, t.tol)
     return report.construction_route, report.direct_route, report.det_check
-
-
-def _russo_dye_statements(t: _Trial):
-    reports = yield from _russo_dye(t.pmap, t.russo_z, t.tol)
-    return reports.arithmetic, reports.geometric, reports.log_majorization
 
 
 def _one(task):
@@ -1118,7 +1081,7 @@ def _one(task):
 # main-arith@beta=0.5, ... The tasks of a trial run together.
 _STATEMENTS = (
     (
-        _main_statements,
+        lambda t: _orbit_statements(t.pmap, t.main, t.betas, t.tol, -1.0 if t.inject_mutant else 1.0),
         (
             "main-arith@", "main-geom@", "main-chain@",
             "block-psd", "eigen-logmaj", "eigen-pairs",
@@ -1131,7 +1094,10 @@ _STATEMENTS = (
     ),
     (lambda t: _one(_partial_trace(t.block, 2, t.n, t.tol)), ("ptrace-geom",)),
     (lambda t: _sum_of_normals(t.summands, t.tol), ("sum-normals-geom", "sum-normals-arith")),
-    (_russo_dye_statements, ("contraction-arith", "contraction-geom", "contraction-logmaj")),
+    (
+        lambda t: _russo_dye(t.pmap, t.russo_z, t.tol),
+        ("contraction-arith", "contraction-geom", "contraction-logmaj"),
+    ),
     (
         lambda t: _weighted_sum(list(t.xs), list(t.zs), t.tol),
         ("weighted-sum-logmaj", "weighted-sum-block"),

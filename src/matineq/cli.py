@@ -241,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search = sub.add_parser("search", help="empirical constants for small weights")
     search.set_defaults(run=cmd_search, parser=search)
     search.add_argument("--seed", type=seed, default=42)
-    search.add_argument("--trials", type=int, default=200)
+    search.add_argument("--trials", type=trials, default=200)
     search.add_argument("--beta", type=_parse_betas, default=(0.1, 0.25, 0.5), metavar="b[,b...]")
     search.add_argument("--dims", type=pair, default=((2, 2),), metavar="n,m")
     search.add_argument("--out", type=_parse_out, default="-", metavar="PATH")
@@ -250,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     counter = sub.add_parser("counterexample", help="search for a nonnormal determinant violation")
     counter.set_defaults(run=cmd_counterexample, parser=counter)
     counter.add_argument("--seed", type=seed, default=42)
-    counter.add_argument("--trials", type=int, default=100000)
+    counter.add_argument("--trials", type=trials, default=100000)
     counter.add_argument("--out", type=_parse_out, default="-", metavar="PATH")
     return parser
 

@@ -54,9 +54,9 @@ __all__ = [
 
 _DROP_TOL = 1e-14  # Kraus factors at or below it are dropped, so compositions stay small
 CONSTRUCTION_TOL = 1e-12  # identities that hold by construction, the phase gauge, the search floor
-_REG_TOL = 1e-10  # the geometric mean's shift, the Hermitian check of a Schur symbol
+_REG_TOL = 1e-10  # the geometric mean's shift
 PSD_TOL = 1e-9  # PSD spectra, unitality, the Loewner and log-majorization defaults
-_CHECK_TOL = 1e-8  # Hermitian and normal input checks, certify.DEFAULT_TOL
+_CHECK_TOL = 1e-8  # every Hermitian-input check, the normal input check, certify.DEFAULT_TOL
 
 
 def _threshold(tol: float, magnitude):
@@ -69,9 +69,10 @@ def _is_psd(spectrum, magnitude):
     return spectrum.min(axis=-1) >= -_threshold(PSD_TOL, magnitude)
 
 
-def _hermitian_within(x, tol: float, magnitude):
-    """Whether ``max |x - x*|`` is within ``_threshold(tol, magnitude)``, per member."""
-    return np.abs(x - _adjoint(x)).max(axis=(-2, -1)) <= _threshold(tol, magnitude)
+def _hermitian_within(x):
+    """The Hermitian-input rule: ``max |x - x*| <= _threshold(_CHECK_TOL, max |x|)``, per member."""
+    largest = np.abs(x).max(axis=(-2, -1))
+    return np.abs(x - _adjoint(x)).max(axis=(-2, -1)) <= _threshold(_CHECK_TOL, largest)
 
 
 def _contracting(norm):
@@ -134,12 +135,12 @@ def singular_values(x) -> np.ndarray:
     return np.linalg.svd(_as_stack(x, "x", square=False), compute_uv=False)
 
 
-def is_hermitian(x, tol: float = CONSTRUCTION_TOL) -> bool:
-    """Entrywise Hermitian test relative to the largest entry."""
+def is_hermitian(x) -> bool:
+    """Whether ``x`` is square and passes the Hermitian-input rule of ``_hermitian_within``."""
     x = as_matrix(x, name="x")
     if x.shape[0] != x.shape[1]:
         return False
-    return bool(_hermitian_within(x, tol, np.abs(x).max()))
+    return bool(_hermitian_within(x))
 
 
 def is_normal(x):
@@ -187,7 +188,7 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return v
 
 
-def herm_eig(h, *, herm_tol: float = CONSTRUCTION_TOL) -> SpectralData:
+def herm_eig(h) -> SpectralData:
     """Eigendecomposition of a Hermitian matrix, descending, with a fixed phase gauge.
 
     Ties in the eigenvalue order keep the LAPACK basis; every eigenvector is
@@ -195,7 +196,7 @@ def herm_eig(h, *, herm_tol: float = CONSTRUCTION_TOL) -> SpectralData:
     output reproducible for golden tests.
     """
     h = as_matrix(h, square=True, name="h")
-    if not is_hermitian(h, herm_tol):
+    if not is_hermitian(h):
         raise ValueError("herm_eig requires a Hermitian input")
     w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
     order = np.argsort(-w, kind="stable")
@@ -231,9 +232,10 @@ def geometric_mean(a, b) -> np.ndarray:
     """Loewner geometric mean of two PSD matrices of equal size, or of two stacks.
 
     For an invertible pair this is ``a^(1/2) (a^(-1/2) b a^(-1/2))^(1/2) a^(1/2)``,
-    from eigendecompositions of ``a``, ``b`` and the middle factor. The input
-    checks read the magnitude ``|eigenvalues of a and b|``. Near-singular pairs
-    are shifted once by ``eps * I``, ``eps = 1e-10 * max(1, magnitude)``; that
+    from eigendecompositions of ``a``, ``b`` and the middle factor. Each input
+    must pass the Hermitian-input rule of ``is_hermitian``; the PSD checks read
+    the magnitude ``|eigenvalues of a and b|``. Near-singular pairs are
+    shifted once by ``eps * I``, ``eps = 1e-10 * max(1, magnitude)``; that
     value defines the result, and callers comparing against it on singular
     inputs must budget an O(sqrt(eps)) perturbation. Scale, checks and shift
     are each member's own.
@@ -242,13 +244,13 @@ def geometric_mean(a, b) -> np.ndarray:
     b = _as_stack(b, "b")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    for name, x in (("a", a), ("b", b)):
+        if not np.all(_hermitian_within(x)):
+            raise ValueError(f"{name} is not Hermitian")
     hb = _hermitian(b)
     w, v = np.linalg.eigh(_hermitian(a))
     wb = np.linalg.eigvalsh(hb)
     magnitude = np.maximum(np.abs(w).max(axis=-1), np.abs(wb).max(axis=-1))
-    for name, x in (("a", a), ("b", b)):
-        if not np.all(_hermitian_within(x, _CHECK_TOL, magnitude)):
-            raise ValueError(f"{name} is not Hermitian")
     if not np.all(_is_psd(w, magnitude) & _is_psd(wb, magnitude)):
         raise ValueError("geometric mean needs positive semidefinite inputs")
     eps = _threshold(_REG_TOL, magnitude)[..., None]
@@ -275,7 +277,7 @@ def loewner_leq(a, b, tol: float = PSD_TOL) -> LoewnerCheck:
     a = as_matrix(a, square=True, name="a")
     b = as_matrix(b, square=True, name="b")
     for name, x in (("a", a), ("b", b)):
-        if not is_hermitian(x, _CHECK_TOL):
+        if not is_hermitian(x):
             raise ValueError(f"{name} is not Hermitian")
     return _loewner_verdict(a, b, tol)
 

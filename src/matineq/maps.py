@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import CONSTRUCTION_TOL, PSD_TOL, _DROP_TOL, _REG_TOL, _contracting, _is_psd, _threshold
+from .core import CONSTRUCTION_TOL, PSD_TOL, _DROP_TOL, _contracting, _is_psd, _threshold
 from .core import _as_stack, as_matrix, hermitian_part, herm_eig, spectral_norm
 
 __all__ = [
@@ -126,7 +126,7 @@ def schur_multiplier(a) -> PositiveMapRep:
     """
     a = as_matrix(a, square=True, name="a")
     n = a.shape[0]
-    w, v = herm_eig(a, herm_tol=_REG_TOL)
+    w, v = herm_eig(a)
     if not _is_psd(w, abs(w[0])):
         raise ValueError("schur_multiplier needs a PSD matrix")
     keep = w > _threshold(_DROP_TOL, abs(w[0]))

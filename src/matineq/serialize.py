@@ -1,8 +1,9 @@
 """JSON interchange for matrices, maps, certificates and reproduction reports.
 
 Matrix literals are ``{"rows": n, "cols": m, "re": [...], "im": [...]}`` with
-both arrays of length ``n * m`` in row-major order; the other schemas embed
-these literals.
+integer dimensions and both arrays flat lists of ``n * m`` numbers in
+row-major order; the other schemas embed these literals. A malformed literal
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -34,17 +35,28 @@ def matrix_to_json(x) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def matrix_from_json(data: dict) -> np.ndarray:
     try:
-        rows, cols = int(data["rows"]), int(data["cols"])
-        re, im = data["re"], data["im"]
+        rows, cols, re, im = data["rows"], data["cols"], data["re"], data["im"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix literal: {exc}") from exc
+    if not (_is_int(rows) and _is_int(cols)):
+        raise ValueError("matrix literal dimensions must be integers")
     if rows < 1 or cols < 1:
         raise ValueError("matrix literal dimensions must be positive")
+    for array in (re, im):
+        if not (isinstance(array, list) and all(_is_int(v) or isinstance(v, float) for v in array)):
+            raise ValueError("matrix literal arrays must be flat lists of numbers")
     if len(re) != rows * cols or len(im) != rows * cols:
         raise ValueError("matrix literal arrays must have length rows * cols")
-    values = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+    try:
+        values = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"matrix literal has non-finite entries: {exc}") from exc
     return as_matrix(values.reshape(rows, cols), name="matrix literal")
 
 
@@ -60,9 +72,10 @@ def map_to_json(pmap: PositiveMapRep) -> dict:
 def map_from_json(data: dict) -> PositiveMapRep:
     try:
         ops = tuple(matrix_from_json(k) for k in data["kraus"])
-        return PositiveMapRep(
-            int(data["inputDim"]), int(data["outputDim"]), ops, label=str(data.get("label", ""))
-        )
+        dims, label = (data["inputDim"], data["outputDim"]), data.get("label", "")
+        if not (all(_is_int(d) for d in dims) and isinstance(label, str)):
+            raise ValueError("map literal dimensions must be integers and its label a string")
+        return PositiveMapRep(*dims, ops, label=label)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed map literal: {exc}") from exc
 

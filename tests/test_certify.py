@@ -892,16 +892,52 @@ def test_run_trial_builds_one_seeded_generator(monkeypatch):
         assert built == [[5, 7]], built
 
 
+def _public_outcomes(t) -> dict:
+    """Every statement of the drawn trial ``t``, from the public checkers one at a time."""
+    out = {}
+    for beta in t.betas:
+        tag = f"@beta={beta:g}"
+        arith, geom = check_theorem_main(t.pmap, t.main, beta, t.tol)
+        out["main-arith" + tag], out["main-geom" + tag] = arith, geom
+        out["main-chain" + tag] = chain_certificate(geom, arith, t.tol)
+        eigen = check_corollary_eigen(t.pmap, t.main, beta, t.tol)
+        out["eigen-logmaj"], out["eigen-pairs"] = eigen.log_majorization, eigen.pair_bounds
+        out["eigen-shift" + tag] = eigen.shifted_bounds
+    out["block-psd"] = check_block_certificate(t.pmap, t.main, t.tol)
+    real = check_real_part(t.real, t.tol)
+    out["realpart-construction-logmaj"] = real.construction_route
+    out["realpart-direct-logmaj"] = real.direct_route
+    out["realpart-det"] = real.det_check
+    out["ptrace-geom"] = check_partial_trace(t.block, 2, t.n, t.tol)
+    out["sum-normals-geom"], out["sum-normals-arith"] = check_sum_of_normals(list(t.summands), t.tol)
+    dye = check_russo_dye(t.pmap, t.russo_z, t.tol)
+    out["contraction-arith"], out["contraction-geom"] = dye.arithmetic, dye.geometric
+    out["contraction-logmaj"] = dye.log_majorization
+    weighted = check_weighted_sum(list(t.xs), list(t.zs), t.tol)
+    out["weighted-sum-logmaj"], out["weighted-sum-block"] = weighted
+    out["schur-diagonal"] = check_schur_diagonal(t.psd, t.schur_z, t.tol)
+    out["schur-normal"] = check_schur_normal(*t.schur_pair, t.tol)
+    out["hermitian-sum-geom"] = check_hermitian_sum(t.pmap, t.x, t.tol)
+    out["schur-square-geom"] = check_schur_square(t.pmap, t.x, t.tol)
+    out["two-positive-quarter"] = check_two_positive_unital(t.unital, t.quarter_z, t.tol)
+    return out
+
+
 def test_run_trial_symmetrized_statements_match_public_checkers():
-    # The sweep builds hermitian-sum-geom and schur-square-geom from one
-    # shared |x|, |x*| pair instead of calling the two checkers.
-    for trial in range(4):
-        n, m = 2 + trial % 3, 2 + trial % 2
-        out = run_trial(11, trial, n, m, (0.5,))
-        drawn = _draw(11, trial, n, m, (0.5,), DEFAULT_TOL, False)
-        pmap, x = drawn.pmap, drawn.x
-        assert out["hermitian-sum-geom"].min_slack == check_hermitian_sum(pmap, x).min_slack
-        assert out["schur-square-geom"].min_slack == check_schur_square(pmap, x).min_slack
+    # The sweep runs each statement's task together with the others; every
+    # public checker runs the same task alone and must give the same bits.
+    betas = (0.25, 0.5, 1.0, 2.0)
+    for trial, (n, m) in enumerate(((2, 2), (3, 3), (4, 4), (2, 3), (3, 2))):
+        out = run_trial(11, trial, n, m, betas)
+        public = _public_outcomes(_draw(11, trial, n, m, betas, DEFAULT_TOL, False))
+        assert set(public) == set(out)
+        for key, outcome in out.items():
+            mine = public[key]
+            assert (mine.passed, mine.min_slack) == (outcome.passed, outcome.min_slack), key
+            for spectrum in ("slack_spectrum", "margins"):
+                if hasattr(outcome, spectrum):
+                    expected = getattr(outcome, spectrum)
+                    np.testing.assert_array_equal(getattr(mine, spectrum), expected, key)
 
 
 def test_fault_injection_affects_only_its_call():

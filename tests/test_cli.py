@@ -327,7 +327,10 @@ def test_search_rejects_zero_trials(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--trials", "0"])
     assert exc.value.code == 2
-    assert "matineq search: error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "matineq search: error:" in err
+    # refused at parse time, as verify --trials is, not by the library
+    assert "argument --trials" in err
 
 
 def test_search_rejects_several_dims_pairs(capsys):
@@ -369,7 +372,9 @@ def test_counterexample_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(["counterexample"] + argv)
     assert exc.value.code == 2
-    assert "matineq counterexample: error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "matineq counterexample: error:" in err
+    assert f"argument {argv[0]}" in err
 
 
 def test_counterexample_golden_replays_exactly():

@@ -59,6 +59,34 @@ def test_map_literal_validation():
         map_from_json({"inputDim": 2, "outputDim": 2})
 
 
+ONE = {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}
+MAP = {"inputDim": 1, "outputDim": 1, "kraus": [ONE]}
+
+
+@pytest.mark.parametrize(
+    "parse,literal",
+    [
+        pytest.param(matrix_from_json, {**ONE, "re": None}, id="re-null"),
+        pytest.param(matrix_from_json, {**ONE, "re": "1"}, id="re-string"),
+        pytest.param(matrix_from_json, {**ONE, "re": ["1"]}, id="re-string-entry"),
+        pytest.param(matrix_from_json, {**ONE, "re": [[1.0]]}, id="re-nested"),
+        pytest.param(matrix_from_json, {**ONE, "im": [True]}, id="im-bool"),
+        pytest.param(matrix_from_json, {**ONE, "re": [10**400]}, id="re-int-overflow"),
+        pytest.param(matrix_from_json, {**ONE, "rows": 1.7}, id="rows-float"),
+        pytest.param(matrix_from_json, {**ONE, "cols": True}, id="cols-bool"),
+        pytest.param(matrix_from_json, {**ONE, "rows": "1"}, id="rows-string"),
+        pytest.param(matrix_from_json, [ONE], id="matrix-not-object"),
+        pytest.param(map_from_json, {**MAP, "inputDim": 1.5}, id="input-dim-float"),
+        pytest.param(map_from_json, {**MAP, "outputDim": None}, id="output-dim-null"),
+        pytest.param(map_from_json, {**MAP, "label": None}, id="label-null"),
+        pytest.param(map_from_json, {**MAP, "kraus": [{**ONE, "im": None}]}, id="kraus-im-null"),
+    ],
+)
+def test_malformed_literals_raise_value_error(parse, literal):
+    with pytest.raises(ValueError):
+        parse(literal)
+
+
 def test_certificate_schema():
     pmap = random_cp_map(0, 2, 2)
     arith, _ = check_theorem_main(pmap, random_normal(1, 2), 1.0)

@@ -18,6 +18,7 @@ from matineq.core import (
     CONSTRUCTION_TOL,
     PSD_TOL,
     geometric_mean,
+    herm_eig,
     is_contraction,
     is_hermitian,
     is_normal,
@@ -25,7 +26,7 @@ from matineq.core import (
 )
 from matineq.maps import halmos_dilation, schur_multiplier
 
-# The tolerance of the Hermitian and normal input checks.
+# The tolerance of every Hermitian-input check and of the normal input check.
 INPUT_TOL = 1e-8
 # Magnitudes above and below one, where max(1, magnitude) takes either side.
 MAGNITUDES = (4.0, 0.25)
@@ -96,23 +97,41 @@ def test_contraction_checks_flip_at_one_plus_construction_tol(norm, accepted):
     assert _accepts(lambda: halmos_dilation(z)) is accepted
 
 
+def _hermitian_verdicts(x) -> list:
+    """Whether each of the five Hermitian-input checks accepts ``x``, whose Hermitian part is PSD."""
+    return [
+        is_hermitian(x),
+        _accepts(lambda: herm_eig(x)),
+        _accepts(lambda: schur_multiplier(x)),
+        _accepts(lambda: loewner_leq(x, 5.0 * np.eye(2))),
+        _accepts(lambda: geometric_mean(x, np.eye(2))),
+    ]
+
+
 @pytest.mark.parametrize(
-    "tol,magnitude,error,accepted",
-    [(tol, *case) for tol in (CONSTRUCTION_TOL, INPUT_TOL) for case in _cases(tol)],
+    "tol,magnitude,error,accepted", [(INPUT_TOL, *case) for case in _cases(INPUT_TOL)]
 )
 def test_hermitian_check_flips_at_the_scaled_threshold(tol, magnitude, error, accepted):
-    # diag(magnitude, 0.1 + i error/2) has max |x - x*| = error and largest entry magnitude.
+    # diag(magnitude, 0.1 + i error/2) has max |x - x*| = error and largest
+    # entry magnitude; every Hermitian-input check flips at tol * max(1, magnitude),
+    # with tol the one input tolerance.
     x = np.diag([magnitude, 0.1 + 0.5j * error])
-    assert is_hermitian(x, tol) is accepted
-    if tol == INPUT_TOL:
-        assert _accepts(lambda: loewner_leq(x, 5.0 * np.eye(2))) is accepted
+    assert _hermitian_verdicts(x) == [accepted] * 5
+
+
+def test_hermitian_checks_decide_one_matrix_alike():
+    # An error of 5e-9 against a largest entry of 0.25: within 1e-8 * max(1, 0.25).
+    x = np.diag([0.25, 0.1 + 2.5e-9j])
+    assert _hermitian_verdicts(x) == [True] * 5
 
 
 @pytest.mark.parametrize("magnitude,error,accepted", _cases(INPUT_TOL))
 def test_geometric_mean_hermitian_check_flips_at_the_scaled_threshold(magnitude, error, accepted):
-    # The Hermitian parts diag(magnitude, 0.1) and magnitude * I give the magnitude.
+    # Each input's check reads its own largest entry, not the pair's spectrum:
+    # the larger partner 16 I leaves the threshold of a at tol * max(1, magnitude).
     a = np.diag([magnitude, 0.1 + 0.5j * error])
-    assert _accepts(lambda: geometric_mean(a, magnitude * np.eye(2))) is accepted
+    assert _accepts(lambda: geometric_mean(a, 16.0 * np.eye(2))) is accepted
+    assert _accepts(lambda: geometric_mean(16.0 * np.eye(2), a)) is accepted
 
 
 @pytest.mark.parametrize("corner", [2.0, 0.5])
