@@ -28,8 +28,9 @@ from .core import (
     _complex_gaussian,
     _contractions,
     _hermitian,
+    _hermitian_verdict,
     _is_psd,
-    _loewner_verdict,
+    _log_majorizations,
     _normals,
     _threshold,
     as_matrix,
@@ -47,7 +48,6 @@ from .core import (
     schur_prod,
     singular_values,
     spectral_norm,
-    weak_log_majorize,
 )
 from .maps import (
     PositiveMapRep,
@@ -214,7 +214,8 @@ def _run(*tasks) -> list:
         "singular_values",
         "_eig_desc",
         "geometric_mean",
-        "_loewner_verdict",
+        "_hermitian_verdict",
+        "_log_majorizations",
     )
     return run_staged(stages, tasks)
 
@@ -245,14 +246,13 @@ class _Claim(NamedTuple):
 
 def _decide(claims):
     """Task: the certificates of ``claims``, each side taken as its Hermitian part."""
-    sides = [(hermitian_part(c.lhs), hermitian_part(c.rhs)) for c in claims]
-    checks = yield [Ask(_loewner_verdict, (lhs, rhs, c.tol)) for c, (lhs, rhs) in zip(claims, sides)]
+    verdicts = yield [Ask(_hermitian_verdict, (c.lhs, c.rhs, c.tol)) for c in claims]
     return [
         Certificate(
-            c.statement_id, lhs, rhs, check.slack_spectrum, bool(check.passed), c.tol,
+            c.statement_id, v.lhs, v.rhs, v.slack_spectrum, bool(v.passed), c.tol,
             c.witness, c.beta,
         )
-        for c, (lhs, rhs), check in zip(claims, sides, checks)
+        for c, v in zip(claims, verdicts)
     ]
 
 
@@ -337,9 +337,9 @@ def _chain(geom, arith, tol: float) -> _Claim:
     return _Claim("main-chain", geom.rhs, arith.rhs, tol, beta=arith.beta)
 
 
-def _logmaj(singular, spectrum, tol: float) -> MajorizationReport:
-    """Singular values weakly log-majorized by a spectrum clipped at zero."""
-    return weak_log_majorize(singular, np.maximum(spectrum, 0.0), tol)
+def _logmaj(singular, spectrum, tol: float) -> Ask:
+    """Ask: singular values weakly log-majorized by a spectrum clipped at zero."""
+    return Ask(_log_majorizations, (singular, np.maximum(spectrum, 0.0), tol))
 
 
 def _diagonal_certificate(statement_id, lhs, rhs, *, beta=None, tol=DEFAULT_TOL) -> Certificate:
@@ -402,7 +402,8 @@ def _orbit_statements(
         _diagonal_certificate("eigen-shift", 4.0 * beta * s, spectrum, beta=beta, tol=tol)
         for s, beta in zip(shifted, betas)
     ]
-    return [*bounds, block, _logmaj(singular, spectrum, tol), pairs, *shifts]
+    (logmaj,) = yield [_logmaj(singular, spectrum, tol)]
+    return [*bounds, block, logmaj, pairs, *shifts]
 
 
 def check_theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float = DEFAULT_TOL):
@@ -461,7 +462,7 @@ def _real_part(a, tol: float):
     # the real part of a PSD matrix is PSD, so the right determinant is >= 0
     det_ok = margin >= -_threshold(tol, abs(det_rhs)) and det_rhs >= -tol
     det_check = ScalarCheck(bool(det_ok), margin)
-    construction, direct = _logmaj(s_image, t_image, tol), _logmaj(s_real, t_real, tol)
+    construction, direct = yield [_logmaj(s_image, t_image, tol), _logmaj(s_real, t_real, tol)]
     return RealPartReport(construction, direct, det_lhs, det_rhs, det_check)
 
 
@@ -533,7 +534,8 @@ def _russo_dye(pmap: PositiveMapRep, z, tol: float):
     (mean,) = yield [_mean(o)]
     claims = [_arith("contraction-arith", o, 0.5, tol), _geom("contraction-geom", o, mean, tol)]
     arith, geom = yield from _decide(claims)
-    return RussoDyeReports(arith, geom, _logmaj(singular, spectrum, tol))
+    (logmaj,) = yield [_logmaj(singular, spectrum, tol)]
+    return RussoDyeReports(arith, geom, logmaj)
 
 
 def check_russo_dye(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL) -> RussoDyeReports:
@@ -573,7 +575,8 @@ def _weighted_sum(xs: Sequence, zs: Sequence, tol: float):
     lower_right = sum(x.conj().T @ pair.right @ x for x, pair in zip(xs, pairs))
     block = np.block([[upper_left, weighted], [weighted.conj().T, lower_right]])
     (cert,) = yield from _decide([_Claim("weighted-sum-block", np.zeros_like(block), block, tol)])
-    return _logmaj(singular, spectrum, tol), cert
+    (logmaj,) = yield [_logmaj(singular, spectrum, tol)]
+    return logmaj, cert
 
 
 def check_weighted_sum(xs: Sequence, zs: Sequence, tol: float = DEFAULT_TOL):

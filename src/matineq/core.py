@@ -12,7 +12,8 @@ Conventions used throughout:
   ``mat_abs``, ``polar`` and ``geometric_mean`` take one matrix or a stack of
   shape ``(..., k, k)``, as ``numpy.linalg`` does, and decide every rule
   (the zero convention, scales, shifts, floors) per member. A stacked call
-  returns the bits of the calls on its members one at a time.
+  returns the bits of the calls on its members one at a time;
+  ``weak_log_majorize`` does the same for stacks of sequences ``(..., k)``.
 """
 
 from __future__ import annotations
@@ -147,7 +148,8 @@ def is_normal(x):
     """Whether ``||x x* - x* x||`` is within ``_threshold(_CHECK_TOL, ||x||^2)``, per member."""
     x = _as_stack(x, "x")
     comm = x @ _adjoint(x) - _adjoint(x) @ x
-    return _item(spectral_norm(comm) <= _threshold(_CHECK_TOL, spectral_norm(x) ** 2))
+    comm_norm, norm = spectral_norm(np.array([comm, x]))
+    return _item(comm_norm <= _threshold(_CHECK_TOL, norm**2))
 
 
 def is_contraction(z):
@@ -294,6 +296,26 @@ def _loewner_verdict(a: np.ndarray, b: np.ndarray, tol: float) -> LoewnerCheck:
     return LoewnerCheck(_item(slack[..., -1] >= -_threshold(tol, spectral_norm(b))), slack)
 
 
+class _HermitianVerdict(NamedTuple):
+    """Two sides taken as their Hermitian parts, and the Loewner verdict on them."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    passed: np.ndarray
+    slack_spectrum: np.ndarray
+
+
+def _hermitian_verdict(a, b, tol: float) -> _HermitianVerdict:
+    """``_loewner_verdict`` on the Hermitian parts of two square matrices or stacks.
+
+    Each side is checked finite and square and taken as ``hermitian_part`` does,
+    once for the whole stack, so a member has the bits of its call alone.
+    """
+    a = _hermitian(_as_stack(a, "lhs"))
+    b = _hermitian(_as_stack(b, "rhs"))
+    return _HermitianVerdict(a, b, *_loewner_verdict(a, b, tol))
+
+
 @dataclass(frozen=True, eq=False)
 class MajorizationReport:
     """Prefix-product comparison of two descending nonnegative sequences."""
@@ -313,12 +335,15 @@ class MajorizationReport:
 
 
 def _descending_nonneg(seq, name: str) -> np.ndarray:
-    arr = np.asarray(seq, dtype=float).ravel()
+    """``seq`` as floats: one sequence, or a stack of them along the last axis."""
+    arr = np.asarray(seq, dtype=float)
+    if arr.ndim < 1:
+        raise ValueError(f"{name} must be a sequence or a stack of sequences, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite entries")
-    if arr.size and arr.min() < 0.0:
+    if np.any(arr < 0.0):
         raise ValueError(f"{name} must be nonnegative")
-    if arr.size and np.any(np.diff(arr) > _threshold(CONSTRUCTION_TOL, arr[0])):
+    if np.any(np.diff(arr) > _threshold(CONSTRUCTION_TOL, arr[..., :1])):
         raise ValueError(f"{name} must be sorted in descending order")
     return arr
 
@@ -328,17 +353,23 @@ def weak_log_majorize(a, b, tol: float = PSD_TOL) -> MajorizationReport:
 
     Passes iff for every k the product of the k largest entries of ``a`` is at
     most ``(1 + tol)^k`` times the corresponding product for ``b``. Comparing
-    products directly (no logarithms) keeps zero entries unproblematic.
+    products directly (no logarithms) keeps zero entries unproblematic. Two
+    stacks of shape ``(..., k)`` are decided per member, with ``passed`` a bool
+    array and ``first_violation`` an object array of ints and ``None``; each
+    member has the bits of its call alone. Every input must be finite,
+    nonnegative and descending within ``_threshold(CONSTRUCTION_TOL, first entry)``.
     """
     a = _descending_nonneg(a, "a")
     b = _descending_nonneg(b, "b")
     if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    prefix_a = np.cumprod(a)
-    prefix_b = np.cumprod(b)
-    bound = prefix_b * (1.0 + tol) ** np.arange(1, a.size + 1)
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    prefix_a = np.cumprod(a, axis=-1)
+    prefix_b = np.cumprod(b, axis=-1)
+    bound = prefix_b * (1.0 + tol) ** np.arange(1, a.shape[-1] + 1)
     ok = prefix_a <= bound
-    bad = np.flatnonzero(~ok)
+    passed = ok.all(axis=-1)
+    # The first violation, counted from 1, follows the leading run of prefixes that hold.
+    first = np.where(passed, None, np.logical_and.accumulate(ok, axis=-1).sum(axis=-1) + 1)
     return MajorizationReport(
         a=a,
         b=b,
@@ -346,9 +377,19 @@ def weak_log_majorize(a, b, tol: float = PSD_TOL) -> MajorizationReport:
         prefix_b=prefix_b,
         margins=bound - prefix_a,
         tol=tol,
-        passed=bool(ok.all()),
-        first_violation=int(bad[0]) + 1 if bad.size else None,
+        passed=_item(passed),
+        first_violation=_item(first),
     )
+
+
+def _log_majorizations(a, b, tol: float) -> list:
+    """``weak_log_majorize`` on two ``(s, k)`` stacks, as the ``s`` reports of its members."""
+    r = weak_log_majorize(a, b, tol)
+    rows = zip(r.a, r.b, r.prefix_a, r.prefix_b, r.margins, r.passed, r.first_violation)
+    return [
+        MajorizationReport(a, b, prefix_a, prefix_b, margins, tol, bool(passed), first)
+        for a, b, prefix_a, prefix_b, margins, passed, first in rows
+    ]
 
 
 def schur_prod(a, b) -> np.ndarray:

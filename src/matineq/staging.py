@@ -2,7 +2,9 @@
 
 A task is a generator that yields a nonempty list of asks and is sent the list
 of their answers; its return value is its result. An ask is one member's call
-of a primitive that takes stacks, such as ``core.polar`` on one matrix.
+of a primitive that takes stacks, such as ``core.polar`` on one matrix, and
+its answer is the member's row of the stacked result: of an array or a list,
+or of each field of a named tuple.
 ``run`` drives tasks together: each round answers the open asks of the
 earliest stage, and asks to one function whose array arguments share shapes
 and whose other arguments are equal are answered by one call on their stacked
@@ -31,20 +33,15 @@ class Ask(NamedTuple):
         return (self.fn,) + tuple(a.shape if isinstance(a, np.ndarray) else a for a in self.args)
 
 
-def _member(out, k: int):
-    """Member ``k`` of a stacked answer: an array's row, or the rows of a named tuple's fields."""
-    return type(out)._make(field[k] for field in out) if isinstance(out, tuple) else out[k]
-
-
 def _answer(asks: list) -> list:
     """Answer like asks with one call on their stacked arrays."""
     fn, first = asks[0].fn, asks[0].args
     args = [
-        np.stack([ask.args[p] for ask in asks]) if isinstance(arg, np.ndarray) else arg
+        np.array([ask.args[p] for ask in asks]) if isinstance(arg, np.ndarray) else arg
         for p, arg in enumerate(first)
     ]
     out = fn(*args)
-    return [_member(out, k) for k in range(len(asks))]
+    return list(map(type(out)._make, zip(*out))) if isinstance(out, tuple) else list(out)
 
 
 def run(stages: Sequence[str], tasks: Sequence) -> list:
@@ -56,6 +53,7 @@ def run(stages: Sequence[str], tasks: Sequence) -> list:
     function objects, so that a wrapped function keeps its place.
     """
     results = [None] * len(tasks)
+    stage_of = {name: k for k, name in enumerate(stages)}
     answers, missing = {}, {}
     waiting = [[] for _ in stages]  # open (task, slot, ask) entries by stage
 
@@ -67,7 +65,7 @@ def run(stages: Sequence[str], tasks: Sequence) -> list:
             return
         answers[i], missing[i] = [None] * len(asks), len(asks)
         for slot, ask in enumerate(asks):
-            waiting[stages.index(ask.fn.__name__)].append((i, slot, ask))
+            waiting[stage_of[ask.fn.__name__]].append((i, slot, ask))
 
     for i in range(len(tasks)):
         advance(i, None)

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from matineq import certify
+from matineq import certify, staging
 from matineq.core import (
     direct_sum,
     geometric_mean,
@@ -813,7 +813,7 @@ def test_minimal_constant_takes_one_generalized_eigensolve(linalg_calls):
         linalg_calls.clear()
         minimal_orbit_constant(pmap, nmat, 0.25)
         assert linalg_calls["scipy.linalg.eigh"] == 1, dict(linalg_calls)
-        assert sum(linalg_calls.values()) <= 6, dict(linalg_calls)
+        assert sum(linalg_calls.values()) <= 5, dict(linalg_calls)
 
 
 def test_estimate_constant_rows():
@@ -861,17 +861,47 @@ def test_weights_sharing_a_key_are_refused(betas):
 def test_run_trial_decomposition_budget(linalg_calls):
     # A trial makes one stacked call per stage and matrix shape. At n = m, 2
     # calls draw the instances (1 stacked SVD scales the 6 contractions, 1
-    # eigh makes the unital map), 7 check inputs (normality takes two at each
-    # of n and 2n), 4 take absolute values (|x| at n, 2n and 3n, |x| with |x*|
-    # at n), 1 polar serves all 9 orbit pairs, 1 + 1 + 1 take spectra (the
-    # unital map's defect among the singular values) and determinants, 3 serve
-    # the 6 geometric means and 2 + 2 decide the 21 Loewner certificates
-    # (shapes n and 2n). With n != m the calls at n and at m are separate.
-    for n, m, budget in ((2, 2, 22), (3, 3, 22), (2, 3, 35), (3, 2, 35)):
+    # eigh makes the unital map), 5 check inputs (normality takes one SVD of
+    # the commutators and the inputs at each of n and 2n), 4 take absolute
+    # values (|x| at n, 2n and 3n, |x| with |x*| at n), 1 polar serves all 9
+    # orbit pairs, 1 + 1 + 1 take spectra (the unital map's defect among the
+    # singular values) and determinants, 3 serve the 6 geometric means and
+    # 2 + 2 decide the 21 Loewner certificates (shapes n and 2n). With n != m
+    # the calls at n and at m are separate.
+    for n, m, budget in ((2, 2, 20), (3, 3, 20), (2, 3, 33), (3, 2, 33)):
         linalg_calls.clear()
         run_trial(5, n, n, m, (0.25, 0.5, 1.0, 2.0))
         assert sum(linalg_calls.values()) <= budget, (n, m, dict(linalg_calls))
         assert linalg_calls["norm"] == 0, dict(linalg_calls)
+
+
+def test_run_trial_stacked_calls(monkeypatch):
+    # One engine call per stage and shape: at n = m, 18 serve the checks,
+    # absolute values, images, polar decompositions, spectra, means and
+    # verdicts, and 1 the 5 log-majorizations; at n != m, the calls at n and
+    # at m are separate, and the log-majorizations take one call per length.
+    # The verdict stage takes the 21 certificates' sides as Hermitian parts,
+    # so hermitian_part runs only on the 4 comparison arguments formed in tasks.
+    answered, hermitian = [], []
+    answer = staging._answer
+
+    def counted_answer(asks):
+        answered.append(asks[0].fn.__name__)
+        return answer(asks)
+
+    def counted_hermitian(x):
+        hermitian.append(x.shape)
+        return hermitian_part(x)
+
+    monkeypatch.setattr(staging, "_answer", counted_answer)
+    monkeypatch.setattr(certify, "hermitian_part", counted_hermitian)
+    for n, m, calls, lengths in ((3, 3, 19, 1), (2, 3, 28, 2)):
+        answered.clear()
+        hermitian.clear()
+        run_trial(5, n, n, m, (0.25, 0.5, 1.0, 2.0))
+        assert len(answered) == calls, answered
+        assert answered.count("_log_majorizations") == lengths, answered
+        assert len(hermitian) == 4, hermitian
 
 
 def test_run_trial_builds_one_seeded_generator(monkeypatch):

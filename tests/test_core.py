@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matineq.core import (
+    PSD_TOL,
     _haar,
+    _hermitian_verdict,
+    _log_majorizations,
     _loewner_verdict,
     _normals,
     conj_real_part,
@@ -14,6 +17,7 @@ from matineq.core import (
     geometric_mean,
     haar_unitary,
     herm_eig,
+    hermitian_part,
     is_contraction,
     is_hermitian,
     is_normal,
@@ -358,6 +362,57 @@ def test_weak_log_majorize_input_validation():
         weak_log_majorize([1.0], [1.0, 0.5])
 
 
+def test_stacked_weak_log_majorize_decides_each_member_alone():
+    # A passing member, one failing at k = 1, one with zeros and one failing
+    # at k = 3; then a stack of empty sequences.
+    stacks = [
+        [
+            ([2.0, 1.0, 0.5], [2.0, 1.0, 0.5]),
+            ([2.0, 0.5, 0.25], [1.0, 1.0, 1.0]),
+            ([3.0, 0.0, 0.0], [4.0, 1.0, 0.0]),
+            ([1.0, 1.0, 1.0], [2.0, 0.5, 0.0]),
+        ],
+        [([], []), ([], [])],
+    ]
+    for members, first_violations in zip(stacks, ([None, 1, None, 3], [None, None])):
+        a, b = (np.array(side, dtype=float) for side in zip(*members))
+        stacked = weak_log_majorize(a, b)
+        rows = _log_majorizations(a, b, PSD_TOL)
+        assert [row.first_violation for row in rows] == first_violations
+        for k, member in enumerate(members):
+            single = weak_log_majorize(*member)
+            for name in ("a", "b", "prefix_a", "prefix_b", "margins"):
+                want = getattr(single, name)
+                np.testing.assert_array_equal(getattr(stacked, name)[k], want)
+                np.testing.assert_array_equal(getattr(rows[k], name), want)
+            assert stacked.passed[k] == single.passed
+            assert stacked.first_violation[k] == single.first_violation
+            assert (rows[k].passed, rows[k].first_violation) == (single.passed, single.first_violation)
+            assert type(rows[k].passed) is bool and rows[k].tol == single.tol
+    # One unsorted member raises the error of its call alone.
+    a = np.array([[2.0, 1.0], [1.0, 2.0]])
+    b = np.array([[2.0, 1.0], [2.0, 1.0]])
+    with pytest.raises(ValueError) as alone:
+        weak_log_majorize(a[1], b[1])
+    with pytest.raises(ValueError) as stacked_error:
+        weak_log_majorize(a, b)
+    assert str(stacked_error.value) == str(alone.value)
+
+
+def test_weak_log_majorize_reads_a_2d_input_as_a_stack():
+    # Each row is one sequence. The rows below are each descending, though
+    # their concatenation is not; a 0-d input is no sequence.
+    a = [[2.0, 1.0], [4.0, 3.0]]
+    report = weak_log_majorize(a, a)
+    assert report.prefix_a.shape == (2, 2)
+    np.testing.assert_array_equal(report.prefix_a, [[2.0, 2.0], [4.0, 12.0]])
+    np.testing.assert_array_equal(report.passed, [True, True])
+    with pytest.raises(ValueError, match="stack of sequences"):
+        weak_log_majorize(1.0, 1.0)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        weak_log_majorize(a, a[0])
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=6))
 def test_weak_log_majorize_reflexive(values):
@@ -503,6 +558,27 @@ def test_stacked_loewner_verdict_decides_each_floor_alone():
         single = _loewner_verdict(*member)
         assert single.passed is bool(passed[k])
         np.testing.assert_array_equal(slack[k], single.slack_spectrum)
+
+
+def test_hermitian_verdict_takes_each_side_as_hermitian_part():
+    # The verdict stage returns the Hermitian sides hermitian_part makes and
+    # the verdict on them, member by member.
+    lhs = [random_matrix(k, 3) for k in range(3)]
+    rhs = [random_psd(k, 3) + 2.0 * np.eye(3) for k in range(3)]
+    members = [(x, y, PSD_TOL) for x, y in zip(lhs, rhs)]
+    for x, y, tol in members:
+        sides = hermitian_part(x), hermitian_part(y)
+        got = _hermitian_verdict(x, y, tol)
+        for field, want in zip(got, (*sides, *_loewner_verdict(*sides, tol))):
+            np.testing.assert_array_equal(field, want)
+    stacked = _hermitian_verdict(np.stack(lhs), np.stack(rhs), PSD_TOL)
+    for k, (x, y, tol) in enumerate(members):
+        for field_got, field_want in zip(stacked, _hermitian_verdict(x, y, tol)):
+            np.testing.assert_array_equal(field_got[k], field_want)
+    with pytest.raises(ValueError, match="rhs must be square"):
+        _hermitian_verdict(np.eye(2), np.ones((2, 3)), PSD_TOL)
+    with pytest.raises(ValueError, match="lhs has non-finite entries"):
+        _hermitian_verdict(np.full((2, 2), np.nan), np.eye(2), PSD_TOL)
 
 
 class _Replay:
