@@ -29,6 +29,7 @@ from .core import (
     _contractions,
     _hermitian,
     _hermitian_verdict,
+    _hermitian_within,
     _is_psd,
     _log_majorizations,
     _normals,
@@ -553,7 +554,7 @@ def check_russo_dye(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL) -> RussoD
 def _weighted_sum(xs: Sequence, zs: Sequence, tol: float):
     if len(xs) != len(zs):
         raise ValueError("xs and zs must have equal length")
-    if not xs:
+    if len(xs) == 0:
         raise ValueError("need at least one summand")
     xs = [as_matrix(x, name=f"xs[{i}]") for i, x in enumerate(xs)]
     rows, cols = xs[0].shape
@@ -596,6 +597,8 @@ def _schur_diagonal(a, z, tol: float):
     z = as_matrix(z, square=True, name="z")
     if a.shape != z.shape:
         raise ValueError("a and z must share one dimension")
+    if not _hermitian_within(a):
+        raise ValueError("a is not Hermitian")
     # The checks are asked with the orbit, so that it joins the other orbits.
     w, contracting, o = yield [
         Ask(_eig_desc, (a,)),
@@ -739,10 +742,9 @@ def repro_sharpness_beta(beta: float) -> ReproResult:
     if beta < 0.5:
         raise ValueError("the sharpness family is stated for beta >= 1/2")
     a, r = sharpness_family(beta)
-    pmap = schur_multiplier(a)
-    product = apply(pmap, r)
-    product_abs_arg = hermitian_part(apply(pmap, mat_abs(r)))
-    gap = _eig_desc(mat_abs(product) - beta * product_abs_arg)
+    (o,) = _run(_image_orbit(schur_multiplier(a), r))
+    product_abs_arg = hermitian_part(o.arg)
+    gap = _eig_desc(o.lhs - beta * product_abs_arg)
     orbit_spectrum = _eig_desc(product_abs_arg)
     bound_top = orbit_spectrum[0] / (4.0 * beta)
     bound_second = orbit_spectrum[1] / (4.0 * beta)
@@ -790,28 +792,18 @@ def repro_no_single_unitary(angles) -> ReproResult:
     for a in angles:
         if not (0.0 < a <= math.pi / 2.0):
             raise ValueError("angles must lie in (0, pi/2]")
-    trace_map = partial_trace_first(2, 2)
-    computed, expected = {}, {}
-    ratios = []
+    p = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    blocks = []
     for a in angles:
-        p = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        q = np.array(
-            [
-                [math.cos(a) ** 2, math.sin(a) * math.cos(a)],
-                [math.sin(a) * math.cos(a), math.sin(a) ** 2],
-            ],
-            dtype=complex,
-        )
-        block = direct_sum([p, -q])
-        traced = apply(trace_map, block)
-        traced_abs = apply(trace_map, mat_abs(block))
-        lam2_abs = float(_eig_desc(traced_abs)[-1])
-        lam2_image = float(singular_values(traced)[-1])
-        ratio = lam2_abs / lam2_image
-        key = f"ratio_a={a:g}"
-        computed[key] = ratio
-        expected[key] = math.tan(a / 2.0)
-        ratios.append(ratio)
+        c, s = math.cos(a), math.sin(a)
+        blocks.append(direct_sum([p, -np.array([[c**2, s * c], [s * c, s**2]], dtype=complex)]))
+    trace_map = partial_trace_first(2, 2)
+    orbits = _run(*(_image_orbit(trace_map, block) for block in blocks))
+    lam2_abs = _eig_desc(np.array([o.arg for o in orbits]))[:, -1]
+    lam2_image = singular_values(np.array([o.image for o in orbits]))[:, -1]
+    ratios = [float(x) for x in lam2_abs / lam2_image]
+    computed = {f"ratio_a={a:g}": ratio for a, ratio in zip(angles, ratios)}
+    expected = {f"ratio_a={a:g}": math.tan(a / 2.0) for a in angles}
     decreasing = all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
     computed["monotone_decreasing"] = 1.0 if decreasing else 0.0
     expected["monotone_decreasing"] = 1.0
@@ -855,8 +847,8 @@ def repro_psi_sharpness() -> ReproResult:
     """
     pmap = quarter_sharpness_map()
     h = quarter_sharpness_hermitian()
-    image_abs = mat_abs(apply(pmap, h))
-    abs_image = hermitian_part(apply(pmap, mat_abs(h)))
+    (o,) = _run(_image_orbit(pmap, h))
+    image_abs, abs_image = o.lhs, hermitian_part(o.arg)
     c_min = float(_eig_desc(image_abs - abs_image)[0])
     stated_rhs = np.diag([0.0, 0.25]).astype(complex) + abs_image
     identity_gap = spectral_norm(image_abs - stated_rhs)
@@ -916,7 +908,7 @@ def search_nonnormal_counterexample(seed, trials: int) -> ReproResult:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     for index in range(trials):
-        candidate = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2.0)
+        candidate = _complex_gaussian(rng, 1, 2, 2)[0]
         real_parts = conj_real_part(candidate), conj_real_part(mat_abs(candidate))
         det_lhs, det_rhs, margin = _det_excess(*real_parts)
         if margin > PSD_TOL:

@@ -200,7 +200,7 @@ def herm_eig(h) -> SpectralData:
     h = as_matrix(h, square=True, name="h")
     if not is_hermitian(h):
         raise ValueError("herm_eig requires a Hermitian input")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    w, v = np.linalg.eigh(_hermitian(h))
     order = np.argsort(-w, kind="stable")
     return SpectralData(w[order], _fix_phases(v[:, order]))
 
@@ -274,26 +274,16 @@ def loewner_leq(a, b, tol: float = PSD_TOL) -> LoewnerCheck:
     Passes iff the smallest eigenvalue of ``b - a`` is at least
     ``-tol * max(1, ||b||)``: the tolerance scales with the right-hand side,
     the bound being certified. The full descending slack spectrum is always
-    returned for reporting.
+    returned for reporting. Each input must pass the Hermitian-input rule of
+    ``is_hermitian`` and is then taken as its Hermitian part, as the sides of
+    every certificate are: this is the checked entry to their one verdict.
     """
     a = as_matrix(a, square=True, name="a")
     b = as_matrix(b, square=True, name="b")
     for name, x in (("a", a), ("b", b)):
         if not is_hermitian(x):
             raise ValueError(f"{name} is not Hermitian")
-    return _loewner_verdict(a, b, tol)
-
-
-def _loewner_verdict(a: np.ndarray, b: np.ndarray, tol: float) -> LoewnerCheck:
-    """``loewner_leq`` without its Hermitian checks, for sides just formed as Hermitian parts.
-
-    On two stacks, ``passed`` and the floor are per member and ``slack_spectrum``
-    has one descending row per member.
-    """
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    slack = np.linalg.eigvalsh(_hermitian(b - a))[..., ::-1]
-    return LoewnerCheck(_item(slack[..., -1] >= -_threshold(tol, spectral_norm(b))), slack)
+    return LoewnerCheck(*_hermitian_verdict(a, b, tol)[2:])
 
 
 class _HermitianVerdict(NamedTuple):
@@ -306,14 +296,21 @@ class _HermitianVerdict(NamedTuple):
 
 
 def _hermitian_verdict(a, b, tol: float) -> _HermitianVerdict:
-    """``_loewner_verdict`` on the Hermitian parts of two square matrices or stacks.
+    """The verdict of ``loewner_leq`` on the Hermitian parts of two square matrices or stacks.
 
     Each side is checked finite and square and taken as ``hermitian_part`` does,
-    once for the whole stack, so a member has the bits of its call alone.
+    once for the whole stack, so a member has the bits of its call alone. On
+    two stacks, ``passed`` and the floor are per member and ``slack_spectrum``
+    has one descending row per member.
     """
     a = _hermitian(_as_stack(a, "lhs"))
     b = _hermitian(_as_stack(b, "rhs"))
-    return _HermitianVerdict(a, b, *_loewner_verdict(a, b, tol))
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    # b - a of two Hermitian parts is exactly Hermitian.
+    slack = np.linalg.eigvalsh(b - a)[..., ::-1]
+    passed = _item(slack[..., -1] >= -_threshold(tol, spectral_norm(b)))
+    return _HermitianVerdict(a, b, passed, slack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -490,8 +487,7 @@ def random_psd(seed, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     g = _complex_gaussian(_rng(seed), 1, n, n)[0]
-    p = g @ g.conj().T / n
-    return (p + p.conj().T) / 2.0
+    return _hermitian(g @ _adjoint(g) / n)
 
 
 def haar_unitary(seed, n: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import CONSTRUCTION_TOL, PSD_TOL, _DROP_TOL, _contracting, _is_psd, _threshold
-from .core import _as_stack, as_matrix, hermitian_part, herm_eig, spectral_norm
+from .core import _as_stack, _hermitian, as_matrix, hermitian_part, herm_eig, spectral_norm
 
 __all__ = [
     "PositiveMapRep",
@@ -182,7 +182,7 @@ def choi(pmap: PositiveMapRep) -> ChoiData:
             e = np.zeros((n, n), dtype=complex)
             e[i, j] = 1.0
             c[i * m : (i + 1) * m, j * m : (j + 1) * m] = apply(pmap, e)
-    c = (c + c.conj().T) / 2.0
+    c = _hermitian(c)
     return ChoiData(c, float(np.linalg.eigvalsh(c).min()))
 
 

@@ -496,6 +496,21 @@ def test_weighted_sum_validation():
         check_weighted_sum([np.eye(2)], [np.eye(2), np.eye(2)])
     with pytest.raises(ValueError):
         check_weighted_sum([np.eye(2)], [np.eye(3)])
+    with pytest.raises(ValueError, match="need at least one summand"):
+        check_weighted_sum([], [])
+    with pytest.raises(ValueError, match="need at least one summand"):
+        check_weighted_sum(np.zeros((0, 3, 2)), np.zeros((0, 3, 3)))
+
+
+def test_weighted_sum_takes_a_stack_as_a_list():
+    # A (k, m, n) stack of factors and a (k, m, m) stack of contractions give
+    # the bits of the lists of their members.
+    xs = np.stack([random_matrix([7, i], 3, 2) for i in range(3)])
+    zs = np.stack([random_contraction([7, i, 1], 3) for i in range(3)])
+    stacked, listed = check_weighted_sum(xs, zs), check_weighted_sum(list(xs), list(zs))
+    for got, want in zip(stacked, listed):
+        for name in got.__dataclass_fields__:
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +721,23 @@ def test_repro_no_single_unitary_small_angles():
     for a in (1e-1, 1e-2, 1e-3):
         ratio = result.computed[f"ratio_a={a:g}"]
         assert abs(ratio - a / 2.0) <= 0.01 * (a / 2.0)
+
+
+def test_repro_no_single_unitary_runs_every_angle_in_one_call_per_stage(monkeypatch):
+    # Every angle's orbit pair comes from one run: one stacked call each for
+    # |x|, the images and the polar decompositions, however many angles.
+    answered = []
+    answer = staging._answer
+
+    def counted_answer(asks):
+        answered.append(asks[0].fn.__name__)
+        return answer(asks)
+
+    monkeypatch.setattr(staging, "_answer", counted_answer)
+    for angles in ([0.5], [1.2, 0.8, 0.4]):
+        answered.clear()
+        repro_no_single_unitary(angles)
+        assert answered == ["mat_abs", "apply", "_orbit"], (angles, answered)
 
 
 def test_repro_no_single_unitary_rejects_bad_angles():

@@ -10,7 +10,6 @@ from matineq.core import (
     _haar,
     _hermitian_verdict,
     _log_majorizations,
-    _loewner_verdict,
     _normals,
     conj_real_part,
     direct_sum,
@@ -552,10 +551,10 @@ def test_stacked_loewner_verdict_decides_each_floor_alone():
     below = np.diag([2.0, np.nextafter(1.5, 2.0)]).astype(complex)
     members = [(at_floor, rhs, 0.25), (below, rhs, 0.25), (np.eye(2) * 1e-3, rhs * 1e3, 0.25)]
     lhs, rhs = (np.stack(side) for side in zip(*(member[:2] for member in members)))
-    passed, slack = _loewner_verdict(lhs, rhs, 0.25)
+    _, _, passed, slack = _hermitian_verdict(lhs, rhs, 0.25)
     np.testing.assert_array_equal(passed, [True, False, True])
     for k, member in enumerate(members):
-        single = _loewner_verdict(*member)
+        single = loewner_leq(*member)
         assert single.passed is bool(passed[k])
         np.testing.assert_array_equal(slack[k], single.slack_spectrum)
 
@@ -569,7 +568,7 @@ def test_hermitian_verdict_takes_each_side_as_hermitian_part():
     for x, y, tol in members:
         sides = hermitian_part(x), hermitian_part(y)
         got = _hermitian_verdict(x, y, tol)
-        for field, want in zip(got, (*sides, *_loewner_verdict(*sides, tol))):
+        for field, want in zip(got, (*sides, *loewner_leq(*sides, tol))):
             np.testing.assert_array_equal(field, want)
     stacked = _hermitian_verdict(np.stack(lhs), np.stack(rhs), PSD_TOL)
     for k, (x, y, tol) in enumerate(members):
@@ -579,6 +578,19 @@ def test_hermitian_verdict_takes_each_side_as_hermitian_part():
         _hermitian_verdict(np.eye(2), np.ones((2, 3)), PSD_TOL)
     with pytest.raises(ValueError, match="lhs has non-finite entries"):
         _hermitian_verdict(np.full((2, 2), np.nan), np.eye(2), PSD_TOL)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        _hermitian_verdict(np.eye(2), np.eye(3), PSD_TOL)
+
+
+def test_loewner_leq_decides_on_the_hermitian_parts():
+    # An input Hermitian within tolerance but not exactly is taken as its
+    # Hermitian part, as every certificate's sides are.
+    x, y = random_psd(1, 3), random_psd(2, 3) + np.eye(3)
+    skew = 1e-10j * np.triu(np.ones((3, 3)), 1)
+    check = loewner_leq(x + skew, y - skew)
+    want = loewner_leq(hermitian_part(x + skew), hermitian_part(y - skew))
+    assert check.passed is want.passed
+    np.testing.assert_array_equal(check.slack_spectrum, want.slack_spectrum)
 
 
 class _Replay:

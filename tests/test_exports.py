@@ -8,9 +8,9 @@ import re
 import pytest
 
 import matineq
-from matineq import certify, core, maps
+from matineq import certify, core, maps, serialize, staging
 
-MODULES = (core, maps, certify)
+MODULES = (core, maps, certify, serialize, staging)
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -29,6 +29,14 @@ def test_package_exports_are_listed_names():
     assert set(exported) <= set(listed), sorted(set(exported) - set(listed))
     for name, value in exported.items():
         assert value is listed[name], name
+
+
+def test_package_version_matches_pyproject():
+    # The report's artifactVersion reads __version__, so the two must not drift.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(path, encoding="utf-8") as fh:
+        project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", fh.read(), re.M | re.S).group(1)
+    assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == matineq.__version__
 
 
 def test_benchmark_times_every_public_checker():

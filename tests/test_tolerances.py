@@ -98,14 +98,23 @@ def test_contraction_checks_flip_at_one_plus_construction_tol(norm, accepted):
 
 
 def _hermitian_verdicts(x) -> list:
-    """Whether each of the five Hermitian-input checks accepts ``x``, whose Hermitian part is PSD."""
+    """Whether each of the six Hermitian-input checks accepts ``x``, whose Hermitian part is PSD."""
     return [
         is_hermitian(x),
         _accepts(lambda: herm_eig(x)),
         _accepts(lambda: schur_multiplier(x)),
         _accepts(lambda: loewner_leq(x, 5.0 * np.eye(2))),
         _accepts(lambda: geometric_mean(x, np.eye(2))),
+        _accepts(lambda: check_schur_diagonal(x, 0.5 * np.eye(2))),
     ]
+
+
+def test_schur_diagonal_refuses_a_non_hermitian_multiplier():
+    # The Hermitian part [[1, 1], [1, 1]] is PSD, but a itself is not Hermitian,
+    # so the theorem's hypothesis fails and no certificate is made.
+    a = np.array([[1.0, 2.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="a is not Hermitian"):
+        check_schur_diagonal(a, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 @pytest.mark.parametrize(
@@ -116,13 +125,13 @@ def test_hermitian_check_flips_at_the_scaled_threshold(tol, magnitude, error, ac
     # entry magnitude; every Hermitian-input check flips at tol * max(1, magnitude),
     # with tol the one input tolerance.
     x = np.diag([magnitude, 0.1 + 0.5j * error])
-    assert _hermitian_verdicts(x) == [accepted] * 5
+    assert _hermitian_verdicts(x) == [accepted] * 6
 
 
 def test_hermitian_checks_decide_one_matrix_alike():
     # An error of 5e-9 against a largest entry of 0.25: within 1e-8 * max(1, 0.25).
     x = np.diag([0.25, 0.1 + 2.5e-9j])
-    assert _hermitian_verdicts(x) == [True] * 5
+    assert _hermitian_verdicts(x) == [True] * 6
 
 
 @pytest.mark.parametrize("magnitude,error,accepted", _cases(INPUT_TOL))
