@@ -269,8 +269,10 @@ def witness_unitary(y) -> np.ndarray:
 class _Orbit(NamedTuple):
     """An image ``y`` and its comparison argument ``a``, with the polar data of ``y``.
 
-    ``lhs`` is ``|y|``, ``witness`` is ``v = witness_unitary(y)`` and ``orbit``
-    is ``v a v*``. Every orbit statement is the theorem on one such pair:
+    ``arg`` is ``a``, the Hermitian part of what ``_orbit`` is given; ``lhs`` is
+    ``|y|``, ``witness`` is ``v = witness_unitary(y)`` and ``orbit`` is ``v a v*``.
+    ``arg``, ``lhs`` and ``orbit`` are exactly Hermitian. Every orbit statement
+    is the theorem on one such pair:
     ``|y| <= a # v a v* <= beta a + (1/(4 beta)) v a v*``.
     """
 
@@ -283,6 +285,7 @@ class _Orbit(NamedTuple):
 
 def _orbit(image, arg) -> _Orbit:
     """The orbit data of ``(image, arg)`` from one polar decomposition of ``image``, per member."""
+    arg = _hermitian(arg)
     unitary, lhs = polar(image)
     v = _adjoint(unitary)
     return _Orbit(image, arg, lhs, v, _hermitian(v @ arg @ _adjoint(v)))
@@ -375,9 +378,9 @@ def _orbit_statements(
     none. ``sign = -1`` negates the orbit term of the arithmetic bound: the
     fault the sweep injects on request.
     """
+    if not all(0 < beta < math.inf for beta in betas):
+        raise ValueError("beta must be positive and finite")
     o = yield from _normal_orbit(pmap, nmat)
-    if not all(beta > 0 for beta in betas):
-        raise ValueError("beta must be positive")
     mean, singular, spectrum, *shifted = yield [
         _mean(o),
         Ask(singular_values, (o.image,)),
@@ -526,7 +529,6 @@ def _russo_dye(pmap: PositiveMapRep, z, tol: float):
     if z.shape[0] != pmap.input_dim:
         raise ValueError("dimension mismatch between map and contraction")
     image_id, image = yield _applied(pmap, [np.eye(z.shape[0], dtype=complex), z])
-    image_id = hermitian_part(image_id)
     o, singular, spectrum = yield [
         Ask(_orbit, (image, image_id)),
         Ask(singular_values, (image,)),
@@ -656,10 +658,7 @@ def _symmetrized(pmap: PositiveMapRep, x, tol: float):
             schur_prod(pair.right, pair.left),
         ],
     )
-    herm, square = yield [
-        Ask(_orbit, (herm_image, hermitian_part(herm_arg))),
-        Ask(_orbit, (square_image, hermitian_part(square_arg))),
-    ]
+    herm, square = yield [Ask(_orbit, (herm_image, herm_arg)), Ask(_orbit, (square_image, square_arg))]
     herm_mean, square_mean = yield [_mean(herm), _mean(square)]
     herm_cert, square_cert = yield from _decide(
         [
@@ -724,8 +723,8 @@ def check_two_positive_unital(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL)
 
 def sharpness_family(beta: float):
     """The rank-one PSD multiplier and the flip reflexion of the sharpness family."""
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
     a = np.array([[2.0 * beta, 1.0], [1.0, 1.0 / (2.0 * beta)]], dtype=complex)
     r = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     return a, r
@@ -743,9 +742,8 @@ def repro_sharpness_beta(beta: float) -> ReproResult:
         raise ValueError("the sharpness family is stated for beta >= 1/2")
     a, r = sharpness_family(beta)
     (o,) = _run(_image_orbit(schur_multiplier(a), r))
-    product_abs_arg = hermitian_part(o.arg)
-    gap = _eig_desc(o.lhs - beta * product_abs_arg)
-    orbit_spectrum = _eig_desc(product_abs_arg)
+    gap = _eig_desc(o.lhs - beta * o.arg)
+    orbit_spectrum = _eig_desc(o.arg)
     bound_top = orbit_spectrum[0] / (4.0 * beta)
     bound_second = orbit_spectrum[1] / (4.0 * beta)
     forced_c = float(gap[0] / bound_top)
@@ -848,7 +846,7 @@ def repro_psi_sharpness() -> ReproResult:
     pmap = quarter_sharpness_map()
     h = quarter_sharpness_hermitian()
     (o,) = _run(_image_orbit(pmap, h))
-    image_abs, abs_image = o.lhs, hermitian_part(o.arg)
+    image_abs, abs_image = o.lhs, o.arg
     c_min = float(_eig_desc(image_abs - abs_image)[0])
     stated_rhs = np.diag([0.0, 0.25]).astype(complex) + abs_image
     identity_gap = spectral_norm(image_abs - stated_rhs)
@@ -948,12 +946,13 @@ def minimal_orbit_constant(pmap: PositiveMapRep, nmat, beta: float) -> float:
     nmat = as_matrix(nmat, square=True, name="nmat")
     if not is_normal(nmat):
         raise ValueError("nmat must be normal")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    o = _orbit(apply(pmap, nmat), hermitian_part(apply(pmap, mat_abs(nmat))))
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
+    # _image_orbit's pair, built directly: the staging engine costs more than it pools here.
+    o = _orbit(*apply(pmap, np.stack([nmat, mat_abs(nmat)])))
     floor = -_threshold(CONSTRUCTION_TOL, spectral_norm(o.arg))
     hi = 1.0 / (2.0 * beta)
-    d = hermitian_part(beta * o.arg + hi * o.orbit - o.lhs) - floor * np.eye(len(o.arg))
+    d = beta * o.arg + hi * o.orbit - o.lhs - floor * np.eye(len(o.arg))
     try:
         mu = scipy.linalg.eigh(o.orbit, d, eigvals_only=True)[-1]
     except np.linalg.LinAlgError as exc:

@@ -1,5 +1,6 @@
 """Tests for the inequality certificates and the worked sharpness examples."""
 
+import functools
 import math
 import time
 
@@ -866,6 +867,24 @@ def test_estimate_constant_validation():
         estimate_constant([0.5], trials=0)
 
 
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+def test_weight_must_be_positive_and_finite(linalg_calls, beta):
+    # An infinite weight used to reach LAPACK (or give the sharpness family
+    # infinite entries); the checkers refuse it before any decomposition.
+    def refused(call, *args):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            call(*args)
+
+    pmap, nmat = random_cp_map(1, 3, 3), random_normal(2, 3)
+    linalg_calls.clear()
+    refused(check_theorem_main, pmap, nmat, beta)
+    refused(check_corollary_eigen, pmap, nmat, beta)
+    refused(sharpness_family, beta)
+    assert sum(linalg_calls.values()) == 0, dict(linalg_calls)
+    refused(minimal_orbit_constant, pmap, nmat, beta)
+    refused(run_trial, 1, 0, 2, 2, (0.5, beta))
+
+
 # ---------------------------------------------------------------------------
 # sweep assembly
 # ---------------------------------------------------------------------------
@@ -912,8 +931,9 @@ def test_run_trial_stacked_calls(monkeypatch):
     # absolute values, images, polar decompositions, spectra, means and
     # verdicts, and 1 the 5 log-majorizations; at n != m, the calls at n and
     # at m are separate, and the log-majorizations take one call per length.
-    # The verdict stage takes the 21 certificates' sides as Hermitian parts,
-    # so hermitian_part runs only on the 4 comparison arguments formed in tasks.
+    # The verdict stage takes the 21 certificates' sides as Hermitian parts
+    # and _orbit every comparison argument, so hermitian_part runs only on
+    # the Gram matrix of the weighted sum.
     answered, hermitian = [], []
     answer = staging._answer
 
@@ -933,7 +953,40 @@ def test_run_trial_stacked_calls(monkeypatch):
         run_trial(5, n, n, m, (0.25, 0.5, 1.0, 2.0))
         assert len(answered) == calls, answered
         assert answered.count("_log_majorizations") == lengths, answered
-        assert len(hermitian) == 4, hermitian
+        assert len(hermitian) == 1, hermitian
+
+
+def test_every_orbit_pair_is_exactly_hermitian(monkeypatch):
+    # _orbit takes the Hermitian part of every comparison argument, so each
+    # pair's argument, |image| and orbit term are Hermitian bit for bit, for
+    # the sweep, the worked examples and the search alike.
+    orbits = []
+    orbit = certify._orbit
+
+    @functools.wraps(orbit)  # the engine finds the stage by __name__
+    def recorded(image, arg):
+        orbits.append(orbit(image, arg))
+        return orbits[-1]
+
+    monkeypatch.setattr(certify, "_orbit", recorded)
+    runs = [
+        functools.partial(run_trial, 5, n, n, m, (0.25, 1.0), inject_mutant=mutant)
+        for n, m in ((2, 2), (2, 3), (3, 2))
+        for mutant in (False, True)
+    ]
+    runs += [
+        functools.partial(repro_sharpness_beta, 0.5),
+        repro_psi_sharpness,
+        functools.partial(repro_no_single_unitary, [0.5, 1.0]),
+        functools.partial(minimal_orbit_constant, random_cp_map(1, 3, 3), random_normal(2, 3), 0.25),
+    ]
+    for run in runs:
+        before = len(orbits)
+        run()
+        assert len(orbits) > before
+    for o in orbits:
+        for x in (o.arg, o.lhs, o.orbit):
+            assert np.array_equal(x, x.conj().swapaxes(-1, -2))
 
 
 def test_run_trial_builds_one_seeded_generator(monkeypatch):
