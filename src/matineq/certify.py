@@ -65,7 +65,6 @@ from .staging import Ask, run as run_staged
 __all__ = [
     "DEFAULT_TOL",
     "Certificate",
-    "ScalarCheck",
     "EigenCorollaryReports",
     "RealPartReport",
     "RussoDyeReports",
@@ -125,13 +124,6 @@ class Certificate:
         return float(self.slack_spectrum.min()) if self.slack_spectrum.size else 0.0
 
 
-class ScalarCheck(NamedTuple):
-    """A scalar inequality outcome with the same (passed, min_slack) surface."""
-
-    passed: bool
-    min_slack: float
-
-
 @dataclass(frozen=True, eq=False)
 class EigenCorollaryReports:
     """Eigenvalue-level consequences: log-majorization, pair bounds, shifted bounds."""
@@ -149,7 +141,7 @@ class RealPartReport:
     direct_route: MajorizationReport
     det_lhs: float
     det_rhs: float
-    det_check: ScalarCheck
+    det_check: Certificate
 
     @property
     def passed(self) -> bool:
@@ -226,6 +218,12 @@ def _applied(pmap: PositiveMapRep, mats) -> list:
     return [Ask(apply, (pmap, x)) for x in mats]
 
 
+def _check_input(pmap: PositiveMapRep, x: np.ndarray, name: str) -> None:
+    """Refuse a square ``x`` that ``pmap`` does not take, as ``apply`` would, before any work on it."""
+    if x.shape[-1] != pmap.input_dim:
+        raise ValueError(f"{name} of dimension {x.shape[-1]}, map expects {pmap.input_dim}")
+
+
 def _require(check, mats, names, what: str):
     """Task: raise ValueError naming the first of ``mats`` that fails ``check``."""
     passed = yield [Ask(check, (x,)) for x in mats]
@@ -283,6 +281,16 @@ class _Orbit(NamedTuple):
     orbit: np.ndarray
 
 
+def _check_weights(betas: Sequence[float]) -> None:
+    """Refuse a weight unless it is positive and ``4 beta`` and ``1/beta`` are finite.
+
+    Then ``2 beta``, ``4 beta``, ``1/(2 beta)`` and ``1/(4 beta)`` are finite and nonzero.
+    """
+    for beta in map(float, betas):
+        if not (beta > 0 and math.isfinite(4.0 * beta) and math.isfinite(1.0 / beta)):
+            raise ValueError(f"beta must be positive and finite, and so must 4 beta and 1/beta: {beta!r}")
+
+
 def _orbit(image, arg) -> _Orbit:
     """The orbit data of ``(image, arg)`` from one polar decomposition of ``image``, per member."""
     arg = _hermitian(arg)
@@ -315,6 +323,7 @@ def _image_orbit(pmap: PositiveMapRep, x: np.ndarray):
 def _normal_orbit(pmap: PositiveMapRep, nmat):
     """Task: the orbit pair ``(map(n), map(|n|))`` of a normal matrix."""
     nmat = as_matrix(nmat, square=True, name="nmat")
+    _check_input(pmap, nmat, "nmat")
     yield from _require(is_normal, [nmat], ["nmat"], "normal")
     return (yield from _image_orbit(pmap, nmat))
 
@@ -378,8 +387,7 @@ def _orbit_statements(
     none. ``sign = -1`` negates the orbit term of the arithmetic bound: the
     fault the sweep injects on request.
     """
-    if not all(0 < beta < math.inf for beta in betas):
-        raise ValueError("beta must be positive and finite")
+    _check_weights(betas)
     o = yield from _normal_orbit(pmap, nmat)
     mean, singular, spectrum, *shifted = yield [
         _mean(o),
@@ -462,10 +470,7 @@ def _real_part(a, tol: float):
         Ask(_eig_desc, (real_abs,)),
     ]
     det_lhs, det_rhs, _ = _det_excess(real_a, real_abs)
-    margin = det_rhs - det_lhs
-    # the real part of a PSD matrix is PSD, so the right determinant is >= 0
-    det_ok = margin >= -_threshold(tol, abs(det_rhs)) and det_rhs >= -tol
-    det_check = ScalarCheck(bool(det_ok), margin)
+    det_check = _diagonal_certificate("realpart-det", np.array([det_lhs]), np.array([det_rhs]), tol=tol)
     construction, direct = yield [_logmaj(s_image, t_image, tol), _logmaj(s_real, t_real, tol)]
     return RealPartReport(construction, direct, det_lhs, det_rhs, det_check)
 
@@ -476,18 +481,18 @@ def check_real_part(a, tol: float = DEFAULT_TOL) -> RealPartReport:
     Route one runs the block construction: the direct sum with the conjugate
     matrix, averaged over the diagonal blocks. Route two compares singular
     values of the real part with the eigenvalues of the (PSD) real part of
-    the absolute value directly. Both determinants are reported; the real
-    part of a PSD matrix is again PSD, so the right-hand determinant is
-    nonnegative.
+    the absolute value directly. ``det_check`` certifies ``|det Re a| <=
+    det Re|a|``; the real part of a PSD matrix is again PSD, so the
+    right-hand determinant is nonnegative.
     """
     return _run(_real_part(a, tol))[0]
 
 
 def _partial_trace(nmat, d: int, n: int, tol: float):
     nmat = as_matrix(nmat, square=True, name="nmat")
-    yield from _require(is_normal, [nmat], ["nmat"], "normal")
     if nmat.shape[0] != d * n:
         raise ValueError(f"matrix of dimension {nmat.shape[0]}, expected {d * n}")
+    yield from _require(is_normal, [nmat], ["nmat"], "normal")
     o = yield from _image_orbit(partial_trace_first(d, n), nmat)
     (mean,) = yield [_mean(o)]
     (cert,) = yield from _decide([_geom("ptrace-geom", o, mean, tol)])
@@ -503,10 +508,10 @@ def _sum_of_normals(mats: Sequence, tol: float):
     mats = [as_matrix(m, square=True, name=f"mats[{i}]") for i, m in enumerate(mats)]
     if not mats:
         raise ValueError("need at least one matrix")
-    yield from _require(is_normal, mats, [f"mats[{i}]" for i in range(len(mats))], "normal")
     n = mats[0].shape[0]
     if any(m.shape != (n, n) for m in mats):
         raise ValueError("all matrices must share one dimension")
+    yield from _require(is_normal, mats, [f"mats[{i}]" for i in range(len(mats))], "normal")
     o = yield from _image_orbit(partial_trace_first(len(mats), n), direct_sum(mats))
     (mean,) = yield [_mean(o)]
     claims = [_geom("sum-normals-geom", o, mean, tol), _arith("sum-normals-arith", o, 0.5, tol)]
@@ -525,9 +530,8 @@ def check_sum_of_normals(mats: Sequence, tol: float = DEFAULT_TOL):
 
 def _russo_dye(pmap: PositiveMapRep, z, tol: float):
     z = as_matrix(z, square=True, name="z")
+    _check_input(pmap, z, "z")
     yield from _require(is_contraction, [z], ["z"], "a contraction")
-    if z.shape[0] != pmap.input_dim:
-        raise ValueError("dimension mismatch between map and contraction")
     image_id, image = yield _applied(pmap, [np.eye(z.shape[0], dtype=complex), z])
     o, singular, spectrum = yield [
         Ask(_orbit, (image, image_id)),
@@ -563,9 +567,9 @@ def _weighted_sum(xs: Sequence, zs: Sequence, tol: float):
     if any(x.shape != (rows, cols) for x in xs):
         raise ValueError("all xs must share one shape")
     zs = [as_matrix(z, square=True, name=f"zs[{i}]") for i, z in enumerate(zs)]
-    yield from _require(is_contraction, zs, [f"zs[{i}]" for i in range(len(zs))], "a contraction")
     if any(z.shape != (rows, rows) for z in zs):
         raise ValueError("each z must act on the row space of the xs")
+    yield from _require(is_contraction, zs, [f"zs[{i}]" for i in range(len(zs))], "a contraction")
 
     weighted = sum(x.conj().T @ z @ x for x, z in zip(xs, zs))
     gram = hermitian_part(sum(x.conj().T @ x for x in xs))
@@ -623,9 +627,9 @@ def check_schur_diagonal(a, z, tol: float = DEFAULT_TOL) -> Certificate:
 def _schur_normal(a, b, tol: float):
     a = as_matrix(a, square=True, name="a")
     b = as_matrix(b, square=True, name="b")
-    yield from _require(is_normal, [a, b], ["a", "b"], "normal")
     if a.shape != b.shape:
         raise ValueError("a and b must share one dimension")
+    yield from _require(is_normal, [a, b], ["a", "b"], "normal")
     abs_a, abs_b = yield [Ask(mat_abs, (a,)), Ask(mat_abs, (b,))]
     (o,) = yield [Ask(_orbit, (schur_prod(a, b), schur_prod(abs_a, abs_b)))]
     (cert,) = yield from _decide([_arith("schur-normal", o, 1.0, tol)])
@@ -646,8 +650,7 @@ def check_schur_normal(a, b, tol: float = DEFAULT_TOL) -> Certificate:
 def _symmetrized(pmap: PositiveMapRep, x, tol: float):
     """Task: the hermitian-sum-geom and schur-square-geom certificates, from one SVD of ``x``."""
     x = as_matrix(x, square=True, name="x")
-    if x.shape[0] != pmap.input_dim:
-        raise ValueError("dimension mismatch between map and matrix")
+    _check_input(pmap, x, "x")
     (pair,) = yield [Ask(_abs_pair, (x,))]
     herm_image, herm_arg, square_image, square_arg = yield _applied(
         pmap,
@@ -692,9 +695,8 @@ def check_schur_square(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Cer
 
 def _two_positive_unital(pmap: PositiveMapRep, z, tol: float):
     z = as_matrix(z, square=True, name="z")
+    _check_input(pmap, z, "z")
     yield from _require(is_contraction, [z], ["z"], "a contraction")
-    if z.shape[0] != pmap.input_dim:
-        raise ValueError("dimension mismatch between map and contraction")
     (abs_z,) = yield [Ask(mat_abs, (z,))]
     eye = np.eye(pmap.output_dim, dtype=complex)
     # maps.is_unital, with map(I) and its defect asked in the stages of map(z).
@@ -723,8 +725,7 @@ def check_two_positive_unital(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL)
 
 def sharpness_family(beta: float):
     """The rank-one PSD multiplier and the flip reflexion of the sharpness family."""
-    if not 0 < beta < math.inf:
-        raise ValueError("beta must be positive and finite")
+    _check_weights([beta])
     a = np.array([[2.0 * beta, 1.0], [1.0, 1.0 / (2.0 * beta)]], dtype=complex)
     r = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     return a, r
@@ -943,11 +944,11 @@ def minimal_orbit_constant(pmap: PositiveMapRep, nmat, beta: float) -> float:
     ``max(0, hi - 1/mu)`` for the top eigenvalue ``mu`` of the pencil ``(b, d)``;
     a singular ``b`` is allowed there.
     """
+    _check_weights([beta])
     nmat = as_matrix(nmat, square=True, name="nmat")
+    _check_input(pmap, nmat, "nmat")
     if not is_normal(nmat):
         raise ValueError("nmat must be normal")
-    if not 0 < beta < math.inf:
-        raise ValueError("beta must be positive and finite")
     # _image_orbit's pair, built directly: the staging engine costs more than it pools here.
     o = _orbit(*apply(pmap, np.stack([nmat, mat_abs(nmat)])))
     floor = -_threshold(CONSTRUCTION_TOL, spectral_norm(o.arg))
@@ -977,7 +978,8 @@ def estimate_constant(
     betas = [float(b) for b in beta_grid]
     if not betas:
         raise ValueError("beta grid must be nonempty")
-    if any(not (0.0 < b <= 0.5 + CONSTRUCTION_TOL) for b in betas):
+    _check_weights(betas)
+    if any(b > 0.5 + CONSTRUCTION_TOL for b in betas):
         raise ValueError("beta grid must lie in (0, 1/2]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -1110,7 +1112,8 @@ _STATEMENTS = (
 
 
 def _weight_tags(betas: Sequence[float]) -> list:
-    """The weight parts of per-weight statement keys; a ValueError if two weights share one."""
+    """The weight parts of per-weight statement keys; a ValueError for a bad weight or a shared key."""
+    _check_weights(betas)
     tags = [f"beta={beta:g}" for beta in betas]
     if len(set(tags)) < len(tags):
         raise ValueError(f"weights that print alike share report keys: {', '.join(tags)}")

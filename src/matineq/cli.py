@@ -176,8 +176,6 @@ def _parse_betas(text: str):
         betas = tuple(float(b) for b in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad beta list {text!r}") from exc
-    if not betas or not all(math.isfinite(b) and b > 0 for b in betas):
-        raise argparse.ArgumentTypeError("betas must be finite and positive")
     return betas
 
 

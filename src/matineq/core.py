@@ -60,8 +60,15 @@ PSD_TOL = 1e-9  # PSD spectra, unitality, the Loewner and log-majorization defau
 _CHECK_TOL = 1e-8  # every Hermitian-input check, the normal input check, certify.DEFAULT_TOL
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance outside ``[0, inf)``: a negative, infinite or NaN one decides every check alike."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
 def _threshold(tol: float, magnitude):
     """The scaled threshold of every tolerance check: ``tol * max(1, magnitude)``, per member."""
+    _check_tol(tol)
     return tol * np.maximum(1.0, magnitude)
 
 
@@ -354,8 +361,10 @@ def weak_log_majorize(a, b, tol: float = PSD_TOL) -> MajorizationReport:
     stacks of shape ``(..., k)`` are decided per member, with ``passed`` a bool
     array and ``first_violation`` an object array of ints and ``None``; each
     member has the bits of its call alone. Every input must be finite,
-    nonnegative and descending within ``_threshold(CONSTRUCTION_TOL, first entry)``.
+    nonnegative and descending within ``_threshold(CONSTRUCTION_TOL, first entry)``,
+    and ``tol`` must lie in ``[0, inf)``.
     """
+    _check_tol(tol)
     a = _descending_nonneg(a, "a")
     b = _descending_nonneg(b, "b")
     if a.shape != b.shape:

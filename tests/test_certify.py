@@ -867,10 +867,11 @@ def test_estimate_constant_validation():
         estimate_constant([0.5], trials=0)
 
 
-@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf, 1e308, 1e-309])
 def test_weight_must_be_positive_and_finite(linalg_calls, beta):
     # An infinite weight used to reach LAPACK (or give the sharpness family
-    # infinite entries); the checkers refuse it before any decomposition.
+    # infinite entries), and 1e308 made 1/(2 beta) underflow; every entry
+    # refuses a weight out of scale before any decomposition.
     def refused(call, *args):
         with pytest.raises(ValueError, match="beta must be positive and finite"):
             call(*args)
@@ -880,9 +881,55 @@ def test_weight_must_be_positive_and_finite(linalg_calls, beta):
     refused(check_theorem_main, pmap, nmat, beta)
     refused(check_corollary_eigen, pmap, nmat, beta)
     refused(sharpness_family, beta)
-    assert sum(linalg_calls.values()) == 0, dict(linalg_calls)
     refused(minimal_orbit_constant, pmap, nmat, beta)
     refused(run_trial, 1, 0, 2, 2, (0.5, beta))
+    assert sum(linalg_calls.values()) == 0, dict(linalg_calls)
+
+
+def _pmap3():
+    return random_cp_map(1, 3, 3)
+
+
+# (entry, arguments, message): each refusal, on inputs drawn before counting.
+_REFUSALS = {
+    "theorem-size": lambda: (check_theorem_main, (_pmap3(), random_normal(2, 2), 0.5), "map expects 3"),
+    "block-size": lambda: (check_block_certificate, (_pmap3(), random_normal(2, 2)), "map expects 3"),
+    "search-size": lambda: (minimal_orbit_constant, (_pmap3(), random_normal(2, 2), 0.25), "map expects 3"),
+    "russo-dye-size": lambda: (check_russo_dye, (_pmap3(), random_contraction(2, 2)), "map expects 3"),
+    "two-positive-size": lambda: (
+        check_two_positive_unital,
+        (random_unital_cp_map(1, 3, 3), random_contraction(2, 2)),
+        "map expects 3",
+    ),
+    "hermitian-sum-size": lambda: (check_hermitian_sum, (_pmap3(), random_matrix(2, 2)), "map expects 3"),
+    "partial-trace-size": lambda: (check_partial_trace, (random_normal(0, 4), 2, 3), "expected 6"),
+    "weighted-sum-size": lambda: (
+        check_weighted_sum,
+        ([random_matrix(3, 3)[:2]], [random_contraction(4, 3)]),
+        "row space",
+    ),
+    "sum-of-normals-size": lambda: (
+        check_sum_of_normals,
+        ([random_normal(5, 2), random_normal(6, 3)],),
+        "share one dimension",
+    ),
+    "schur-normal-size": lambda: (check_schur_normal, (random_normal(5, 2), random_normal(6, 3)), "share one"),
+    "trial-weight": lambda: (run_trial, (1, 0, 2, 2, (0.5, math.inf)), "beta must be positive"),
+    "search-weight": lambda: (minimal_orbit_constant, (_pmap3(), random_normal(2, 3), math.inf), "beta must"),
+    "search-huge-weight": lambda: (minimal_orbit_constant, (_pmap3(), random_normal(2, 3), 1e308), "beta must"),
+    "estimate-weight": lambda: (estimate_constant, ([0.25, 1e-309],), "beta must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_refusals_come_before_any_decomposition(linalg_calls, case):
+    # A size or weight that an entry cannot take is refused before its first
+    # decomposition, not after the work on its other inputs.
+    call, args, message = _REFUSALS[case]()
+    linalg_calls.clear()
+    with pytest.raises(ValueError, match=message):
+        call(*args)
+    assert sum(linalg_calls.values()) == 0, dict(linalg_calls)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,10 @@ def test_verify_reports_are_deterministic(capsys):
         ["verify", "--trials", "1", "--beta", "0.5,nan"],
         ["search", "--trials", "1", "--beta", "nan"],
         ["repro", "sharpness-beta", "--beta", "inf"],
+        ["verify", "--trials", "1", "--beta", "0.5,1e308"],
+        ["search", "--trials", "1", "--beta", "1e-309"],
+        ["search", "--trials", "1", "--beta", "0"],
+        ["repro", "sharpness-beta", "--beta", "1e308"],
     ],
 )
 def test_non_finite_weights_and_tolerance_are_usage_errors(capsys, argv):

@@ -23,6 +23,7 @@ from matineq.core import (
     is_hermitian,
     is_normal,
     loewner_leq,
+    weak_log_majorize,
 )
 from matineq.maps import halmos_dilation, schur_multiplier
 
@@ -167,3 +168,29 @@ def test_loewner_floor_flips_at_the_scaled_threshold(magnitude, depth, accepted)
     lhs, rhs = np.array([0.0, depth]), np.array([magnitude, 0.0])
     assert loewner_leq(np.diag(lhs), np.diag(rhs), PSD_TOL).passed is accepted
     assert _diagonal_certificate("diag", lhs, rhs, tol=PSD_TOL).passed is accepted
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+def test_tolerance_outside_its_range_is_refused(tol):
+    # An infinite tolerance passed every certificate, the injected fault's
+    # included, and a NaN or negative one failed all of them.
+    eye = np.eye(2)
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        certify.run_trial(1, 0, 3, 3, (0.25, 0.5), tol=tol, inject_mutant=True)
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        loewner_leq(5.0 * eye, eye, tol)
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        weak_log_majorize([2.0, 1.0], [1.0, 1.0], tol)
+
+
+def test_zero_tolerance_decides_exactly():
+    eye = np.eye(2)
+    below = np.diag([1.0, np.nextafter(1.0, 0.0)])
+    assert loewner_leq(below, eye, 0.0).passed and not loewner_leq(eye, below, 0.0).passed
+    assert weak_log_majorize([2.0, 1.0], [2.0, 1.0], 0.0).passed
+    assert not weak_log_majorize([2.0, 1.0], [2.0, np.nextafter(1.0, 0.0)], 0.0).passed
+    for tol in (0.0, certify.DEFAULT_TOL):
+        clean = certify.run_trial(1, 0, 3, 3, (0.25, 0.5), tol=tol)
+        mutant = certify.run_trial(1, 0, 3, 3, (0.25, 0.5), tol=tol, inject_mutant=True)
+        assert all(outcome.passed for outcome in clean.values()), tol
+        assert sum(not outcome.passed for outcome in mutant.values()) == 4, tol
