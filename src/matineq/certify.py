@@ -124,23 +124,19 @@ class Certificate:
         return float(self.slack_spectrum.min()) if self.slack_spectrum.size else 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class EigenCorollaryReports:
-    """Eigenvalue-level consequences: log-majorization, pair bounds, shifted bounds."""
+class EigenCorollaryReports(NamedTuple):
+    """Eigenvalue-level consequences in key order: log-majorization, pair bounds, shifted bounds."""
 
     log_majorization: MajorizationReport
     pair_bounds: Certificate
     shifted_bounds: Certificate
 
 
-@dataclass(frozen=True, eq=False)
-class RealPartReport:
-    """Entrywise-real-part comparison for a normal matrix, via two routes."""
+class RealPartReport(NamedTuple):
+    """Entrywise-real-part comparison for a normal matrix in key order: two routes, then the determinants."""
 
     construction_route: MajorizationReport
     direct_route: MajorizationReport
-    det_lhs: float
-    det_rhs: float
     det_check: Certificate
 
     @property
@@ -162,7 +158,11 @@ class RussoDyeReports(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ReproResult:
-    """Named reproduction of a worked example: computed vs expected quantities."""
+    """Named reproduction of a worked example: computed vs expected quantities.
+
+    Each quantity passes when it is within ``core._threshold(tol, |expected|)``
+    of its expected value, so large expected values are held to their scale.
+    """
 
     example_id: str
     computed: dict
@@ -177,7 +177,10 @@ class ReproResult:
 
     @property
     def passed(self) -> bool:
-        return self.max_abs_error <= self.tol
+        return all(
+            abs(self.computed[k] - self.expected[k]) <= _threshold(self.tol, abs(self.expected[k]))
+            for k in self.expected
+        )
 
 
 def _eig_desc(x) -> np.ndarray:
@@ -282,13 +285,14 @@ class _Orbit(NamedTuple):
 
 
 def _check_weights(betas: Sequence[float]) -> None:
-    """Refuse a weight unless it is positive and ``4 beta`` and ``1/beta`` are finite.
+    """Refuse a weight unless it is positive and ``4 beta^2`` and ``1/beta`` are finite.
 
-    Then ``2 beta``, ``4 beta``, ``1/(2 beta)`` and ``1/(4 beta)`` are finite and nonzero.
+    Then ``2 beta``, ``4 beta``, ``1/(2 beta)`` and ``1/(4 beta)`` are finite and
+    nonzero, and so is ``4 beta`` times a ``beta``-sized side, as eigen-shift forms.
     """
     for beta in map(float, betas):
-        if not (beta > 0 and math.isfinite(4.0 * beta) and math.isfinite(1.0 / beta)):
-            raise ValueError(f"beta must be positive and finite, and so must 4 beta and 1/beta: {beta!r}")
+        if not (beta > 0 and math.isfinite(4.0 * beta * beta) and math.isfinite(1.0 / beta)):
+            raise ValueError(f"beta must be positive and finite, and so must 4 beta^2 and 1/beta: {beta!r}")
 
 
 def _orbit(image, arg) -> _Orbit:
@@ -361,9 +365,12 @@ def _diagonal_certificate(statement_id, lhs, rhs, *, beta=None, tol=DEFAULT_TOL)
     The slack spectrum of two diagonal matrices is the entrywise difference
     sorted in descending order, and ``||diag(rhs)||`` is ``max |rhs|``, so the
     verdict is the ``core.loewner_leq`` rule on the diagonal matrices, which
-    the certificate keeps as its two sides.
+    the certificate keeps as its two sides. A side that is not finite, or a
+    difference that overflows, is refused with a ValueError.
     """
     slack = np.sort(rhs - lhs)[::-1]
+    if not np.isfinite(slack).all():
+        raise ValueError(f"{statement_id} has non-finite sides")
     passed = bool(slack[-1] >= -_threshold(tol, float(np.abs(rhs).max())))
     return Certificate(
         statement_id=statement_id,
@@ -472,7 +479,7 @@ def _real_part(a, tol: float):
     det_lhs, det_rhs, _ = _det_excess(real_a, real_abs)
     det_check = _diagonal_certificate("realpart-det", np.array([det_lhs]), np.array([det_rhs]), tol=tol)
     construction, direct = yield [_logmaj(s_image, t_image, tol), _logmaj(s_real, t_real, tol)]
-    return RealPartReport(construction, direct, det_lhs, det_rhs, det_check)
+    return RealPartReport(construction, direct, det_check)
 
 
 def check_real_part(a, tol: float = DEFAULT_TOL) -> RealPartReport:
@@ -482,8 +489,8 @@ def check_real_part(a, tol: float = DEFAULT_TOL) -> RealPartReport:
     matrix, averaged over the diagonal blocks. Route two compares singular
     values of the real part with the eigenvalues of the (PSD) real part of
     the absolute value directly. ``det_check`` certifies ``|det Re a| <=
-    det Re|a|``; the real part of a PSD matrix is again PSD, so the
-    right-hand determinant is nonnegative.
+    det Re|a|``, the single entries of its two sides; the real part of a PSD
+    matrix is again PSD, so the right-hand determinant is nonnegative.
     """
     return _run(_real_part(a, tol))[0]
 
@@ -495,13 +502,12 @@ def _partial_trace(nmat, d: int, n: int, tol: float):
     yield from _require(is_normal, [nmat], ["nmat"], "normal")
     o = yield from _image_orbit(partial_trace_first(d, n), nmat)
     (mean,) = yield [_mean(o)]
-    (cert,) = yield from _decide([_geom("ptrace-geom", o, mean, tol)])
-    return cert
+    return (yield from _decide([_geom("ptrace-geom", o, mean, tol)]))
 
 
 def check_partial_trace(nmat, d: int, n: int, tol: float = DEFAULT_TOL) -> Certificate:
     """Geometric-mean orbit bound for the partial trace of a normal block matrix."""
-    return _run(_partial_trace(nmat, d, n, tol))[0]
+    return _run(_partial_trace(nmat, d, n, tol))[0][0]
 
 
 def _sum_of_normals(mats: Sequence, tol: float):
@@ -615,13 +621,12 @@ def _schur_diagonal(a, z, tol: float):
         raise ValueError("a must be PSD")
     if not contracting:
         raise ValueError("z must be a contraction")
-    (cert,) = yield from _decide([_arith("schur-diagonal", o, 0.5, tol)])
-    return cert
+    return (yield from _decide([_arith("schur-diagonal", o, 0.5, tol)]))
 
 
 def check_schur_diagonal(a, z, tol: float = DEFAULT_TOL) -> Certificate:
     """Entrywise product of a PSD matrix with a contraction against the diagonal part."""
-    return _run(_schur_diagonal(a, z, tol))[0]
+    return _run(_schur_diagonal(a, z, tol))[0][0]
 
 
 def _schur_normal(a, b, tol: float):
@@ -632,8 +637,7 @@ def _schur_normal(a, b, tol: float):
     yield from _require(is_normal, [a, b], ["a", "b"], "normal")
     abs_a, abs_b = yield [Ask(mat_abs, (a,)), Ask(mat_abs, (b,))]
     (o,) = yield [Ask(_orbit, (schur_prod(a, b), schur_prod(abs_a, abs_b)))]
-    (cert,) = yield from _decide([_arith("schur-normal", o, 1.0, tol)])
-    return cert
+    return (yield from _decide([_arith("schur-normal", o, 1.0, tol)]))
 
 
 def check_schur_normal(a, b, tol: float = DEFAULT_TOL) -> Certificate:
@@ -644,7 +648,7 @@ def check_schur_normal(a, b, tol: float = DEFAULT_TOL) -> Certificate:
     for the compression of ``a (x) b`` to its paired diagonal indices, which
     is ``a o b``, using ``|a (x) b| = |a| (x) |b|``; no tensor is formed.
     """
-    return _run(_schur_normal(a, b, tol))[0]
+    return _run(_schur_normal(a, b, tol))[0][0]
 
 
 def _symmetrized(pmap: PositiveMapRep, x, tol: float):
@@ -705,8 +709,7 @@ def _two_positive_unital(pmap: PositiveMapRep, z, tol: float):
     if not _unital(defect[0]):
         raise ValueError("the quarter bound requires a unital map")
     rhs = eye / 4.0 + o.arg
-    (cert,) = yield from _decide([_Claim("two-positive-quarter", o.lhs, rhs, tol)])
-    return cert
+    return (yield from _decide([_Claim("two-positive-quarter", o.lhs, rhs, tol)]))
 
 
 def check_two_positive_unital(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL) -> Certificate:
@@ -715,7 +718,7 @@ def check_two_positive_unital(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL)
     No witness is needed; the statement requires unitality, so a non-unital
     map is rejected.
     """
-    return _run(_two_positive_unital(pmap, z, tol))[0]
+    return _run(_two_positive_unital(pmap, z, tol))[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +786,9 @@ def repro_no_single_unitary(angles) -> ReproResult:
     rank-one projections has second singular value ``sin(a)`` while the traced
     absolute value has second eigenvalue ``1 - cos(a)``; their ratio
     ``(1 - cos a)/sin a = tan(a/2)`` tends to zero, so no constant times a
-    single unitary orbit element can give an upper bound.
+    single unitary orbit element can give an upper bound. Angles may come in
+    any order; angles that print alike under ``%g`` would share a key and are
+    refused with a ValueError.
     """
     angles = [float(a) for a in angles]
     if not angles:
@@ -791,6 +796,7 @@ def repro_no_single_unitary(angles) -> ReproResult:
     for a in angles:
         if not (0.0 < a <= math.pi / 2.0):
             raise ValueError("angles must lie in (0, pi/2]")
+    keys = _distinct_tags("ratio_a", angles, "angles")
     p = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     blocks = []
     for a in angles:
@@ -801,9 +807,11 @@ def repro_no_single_unitary(angles) -> ReproResult:
     lam2_abs = _eig_desc(np.array([o.arg for o in orbits]))[:, -1]
     lam2_image = singular_values(np.array([o.image for o in orbits]))[:, -1]
     ratios = [float(x) for x in lam2_abs / lam2_image]
-    computed = {f"ratio_a={a:g}": ratio for a, ratio in zip(angles, ratios)}
-    expected = {f"ratio_a={a:g}": math.tan(a / 2.0) for a in angles}
-    decreasing = all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
+    computed = dict(zip(keys, ratios))
+    expected = {key: math.tan(a / 2.0) for key, a in zip(keys, angles)}
+    # The ratio falls as the angle falls: compared in descending angle order.
+    by_angle = [ratio for _, ratio in sorted(zip(angles, ratios), reverse=True)]
+    decreasing = all(r1 > r2 for r1, r2 in zip(by_angle, by_angle[1:]))
     computed["monotone_decreasing"] = 1.0 if decreasing else 0.0
     expected["monotone_decreasing"] = 1.0
     return ReproResult(
@@ -1060,16 +1068,6 @@ def _draw(
     )
 
 
-def _real_part_statements(t: _Trial):
-    report = yield from _real_part(t.real, t.tol)
-    return report.construction_route, report.direct_route, report.det_check
-
-
-def _one(task):
-    """Task: the result of ``task`` as a list of one outcome."""
-    return [(yield from task)]
-
-
 # The sweep's statements in run order, which fixes the order of a report's
 # failures. Each row is (task, keys): task(trial) returns one outcome per
 # key, and each run of keys ending in "@" repeats once per weight, as in
@@ -1085,10 +1083,10 @@ _STATEMENTS = (
         ),
     ),
     (
-        _real_part_statements,
+        lambda t: _real_part(t.real, t.tol),
         ("realpart-construction-logmaj", "realpart-direct-logmaj", "realpart-det"),
     ),
-    (lambda t: _one(_partial_trace(t.block, 2, t.n, t.tol)), ("ptrace-geom",)),
+    (lambda t: _partial_trace(t.block, 2, t.n, t.tol), ("ptrace-geom",)),
     (lambda t: _sum_of_normals(t.summands, t.tol), ("sum-normals-geom", "sum-normals-arith")),
     (
         lambda t: _russo_dye(t.pmap, t.russo_z, t.tol),
@@ -1098,26 +1096,28 @@ _STATEMENTS = (
         lambda t: _weighted_sum(list(t.xs), list(t.zs), t.tol),
         ("weighted-sum-logmaj", "weighted-sum-block"),
     ),
-    (lambda t: _one(_schur_diagonal(t.psd, t.schur_z, t.tol)), ("schur-diagonal",)),
-    (lambda t: _one(_schur_normal(*t.schur_pair, t.tol)), ("schur-normal",)),
+    (lambda t: _schur_diagonal(t.psd, t.schur_z, t.tol), ("schur-diagonal",)),
+    (lambda t: _schur_normal(*t.schur_pair, t.tol), ("schur-normal",)),
     (
         lambda t: _symmetrized(t.pmap, t.x, t.tol),
         ("hermitian-sum-geom", "schur-square-geom"),
     ),
-    (
-        lambda t: _one(_two_positive_unital(t.unital, t.quarter_z, t.tol)),
-        ("two-positive-quarter",),
-    ),
+    (lambda t: _two_positive_unital(t.unital, t.quarter_z, t.tol), ("two-positive-quarter",)),
 )
+
+
+def _distinct_tags(name: str, values, what: str) -> list:
+    """The tags ``name=value`` under ``%g``; a ValueError naming ``what`` if two print alike."""
+    tags = [f"{name}={value:g}" for value in values]
+    if len(set(tags)) < len(tags):
+        raise ValueError(f"{what} that print alike share report keys: {', '.join(tags)}")
+    return tags
 
 
 def _weight_tags(betas: Sequence[float]) -> list:
     """The weight parts of per-weight statement keys; a ValueError for a bad weight or a shared key."""
     _check_weights(betas)
-    tags = [f"beta={beta:g}" for beta in betas]
-    if len(set(tags)) < len(tags):
-        raise ValueError(f"weights that print alike share report keys: {', '.join(tags)}")
-    return tags
+    return _distinct_tags("beta", betas, "weights")
 
 
 def _expand(keys: tuple, tags: list) -> list:

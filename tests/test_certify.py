@@ -335,6 +335,26 @@ def test_diagonal_certificate_matches_loewner_test():
     assert verdicts["equal"] == verdicts["zero"] == {True}
 
 
+@pytest.mark.parametrize(
+    "lhs,rhs",
+    [([-math.inf, 0.0], [1.0, 1.0]), ([0.0, 0.0], [math.inf, 1.0]), ([math.nan, 0.0], [1.0, 1.0])],
+)
+def test_diagonal_certificate_refuses_non_finite_sides(lhs, rhs):
+    # As the Loewner verdict does: an infinite side would pass with an infinite slack.
+    with pytest.raises(ValueError, match="diag has non-finite sides"):
+        _diagonal_certificate("diag", np.array(lhs), np.array(rhs))
+
+
+def test_eigen_shift_refuses_an_overflowed_side():
+    # An accepted weight can still overflow 4 beta times the shifted spectrum
+    # of a large Phi(|N|); that side is refused, where it once passed with
+    # every lhs entry -inf and a min slack of inf.
+    pmap, nmat = random_cp_map(1, 3, 3), 1e150 * random_normal(2, 3)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match="eigen-shift has non-finite sides"):
+            check_corollary_eigen(pmap, nmat, 1e150)
+
+
 # ---------------------------------------------------------------------------
 # entrywise real part
 # ---------------------------------------------------------------------------
@@ -343,8 +363,8 @@ def test_diagonal_certificate_matches_loewner_test():
 def test_real_part_pure_imaginary_diagonal():
     report = check_real_part(np.diag([1j, -1j]))
     assert report.passed
-    assert abs(report.det_lhs) <= 1e-12
-    assert abs(report.det_rhs - 1.0) <= 1e-12
+    assert abs(report.det_check.lhs[0, 0]) <= 1e-12
+    assert abs(report.det_check.rhs[0, 0] - 1.0) <= 1e-12
 
 
 def test_real_part_real_symmetric():
@@ -703,6 +723,14 @@ def test_repro_sharpness_values():
     assert abs(result.computed["orbit_bound_second"] - 1.0 / 32.0) <= 1e-15
 
 
+@pytest.mark.parametrize("beta", [100.0, 1e3, 1e6])
+def test_repro_sharpness_decides_each_quantity_at_its_scale(beta):
+    # lambda2 = 1 - 2 beta^2 is off by about one ulp of itself, which exceeds
+    # an absolute 1e-12 from beta = 100 on.
+    result = repro_sharpness_beta(beta)
+    assert result.passed, result.max_abs_error
+
+
 def test_repro_sharpness_rejects_small_weight():
     with pytest.raises(ValueError):
         repro_sharpness_beta(0.25)
@@ -722,6 +750,23 @@ def test_repro_no_single_unitary_small_angles():
     for a in (1e-1, 1e-2, 1e-3):
         ratio = result.computed[f"ratio_a={a:g}"]
         assert abs(ratio - a / 2.0) <= 0.01 * (a / 2.0)
+
+
+def test_repro_no_single_unitary_compares_in_angle_order():
+    # The ratio falls with the angle whatever order the angles come in.
+    for angles in ([1e-3, 1e-2, 1e-1], [1e-2, 1e-1, 1e-3], [1e-1, 1e-2, 1e-3]):
+        result = repro_no_single_unitary(angles)
+        assert result.passed, angles
+        assert result.computed["monotone_decreasing"] == 1.0
+
+
+@pytest.mark.parametrize("angles", [[0.1, 0.1], [0.1, 0.10000001]])
+def test_repro_no_single_unitary_refuses_angles_sharing_a_key(linalg_calls, angles):
+    # Angles that print alike under %g would share one ratio key.
+    linalg_calls.clear()
+    with pytest.raises(ValueError, match="angles that print alike share report keys"):
+        repro_no_single_unitary(angles)
+    assert sum(linalg_calls.values()) == 0, dict(linalg_calls)
 
 
 def test_repro_no_single_unitary_runs_every_angle_in_one_call_per_stage(monkeypatch):
@@ -867,7 +912,7 @@ def test_estimate_constant_validation():
         estimate_constant([0.5], trials=0)
 
 
-@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf, 1e308, 1e-309])
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf, 1e308, 1e154, 1e-309])
 def test_weight_must_be_positive_and_finite(linalg_calls, beta):
     # An infinite weight used to reach LAPACK (or give the sharpness family
     # infinite entries), and 1e308 made 1/(2 beta) underflow; every entry
@@ -917,6 +962,7 @@ _REFUSALS = {
     "trial-weight": lambda: (run_trial, (1, 0, 2, 2, (0.5, math.inf)), "beta must be positive"),
     "search-weight": lambda: (minimal_orbit_constant, (_pmap3(), random_normal(2, 3), math.inf), "beta must"),
     "search-huge-weight": lambda: (minimal_orbit_constant, (_pmap3(), random_normal(2, 3), 1e308), "beta must"),
+    "eigen-huge-weight": lambda: (check_corollary_eigen, (_pmap3(), random_normal(2, 3), 1e154), "beta must"),
     "estimate-weight": lambda: (estimate_constant, ([0.25, 1e-309],), "beta must be positive"),
 }
 

@@ -168,6 +168,9 @@ def test_verify_reports_are_deterministic(capsys):
         ["search", "--trials", "1", "--beta", "1e-309"],
         ["search", "--trials", "1", "--beta", "0"],
         ["repro", "sharpness-beta", "--beta", "1e308"],
+        # 4 beta^2 overflows: eigen-shift scales a beta-sized side by 4 beta.
+        ["verify", "--trials", "1", "--beta", "0.5,1e154"],
+        ["repro", "sharpness-beta", "--beta", "1e200"],
     ],
 )
 def test_non_finite_weights_and_tolerance_are_usage_errors(capsys, argv):
@@ -273,6 +276,13 @@ def test_repro_sharpness_rejects_small_beta(capsys):
             cli.main(["repro", name, "--beta", "0.25"])
         assert exc.value.code == 2, name
         assert "matineq repro: error:" in capsys.readouterr().err, name
+
+
+def test_repro_sharpness_passes_at_large_weights(capsys):
+    # lambda2 = 1 - 2 beta^2 = -19999 is decided at its own scale, not by an
+    # absolute 1e-12 that its rounding already exceeds.
+    code, out = run_cli(capsys, ["repro", "sharpness-beta", "--beta", "100"])
+    assert code == 0, out
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Every exported name resolves, so a stale export fails the suite."""
 
+import ast
+import glob
 import inspect
 import json
 import os
@@ -11,6 +13,13 @@ import matineq
 from matineq import certify, core, maps, serialize, staging
 
 MODULES = (core, maps, certify, serialize, staging)
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def _project() -> str:
+    """The ``[project]`` table of pyproject.toml, as text."""
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+        return re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", fh.read(), re.M | re.S).group(1)
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -33,17 +42,25 @@ def test_package_exports_are_listed_names():
 
 def test_package_version_matches_pyproject():
     # The report's artifactVersion reads __version__, so the two must not drift.
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
-    with open(path, encoding="utf-8") as fh:
-        project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", fh.read(), re.M | re.S).group(1)
-    assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == matineq.__version__
+    assert re.search(r'^version = "([^"]+)"$', _project(), re.M).group(1) == matineq.__version__
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # requires-python names the oldest supported interpreter; every module of
+    # the package and of the tests must at least parse with its grammar.
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', _project(), re.M).groups()
+    paths = sorted(glob.glob(os.path.join(ROOT, "src", "matineq", "*.py")))
+    paths += sorted(glob.glob(os.path.join(ROOT, "tests", "*.py")))
+    assert len(paths) > 10
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            ast.parse(fh.read(), filename=path, feature_version=tuple(map(int, floor)))
 
 
 def test_benchmark_times_every_public_checker():
     # The benchmark names one per-layer metric after each check_* export, so
     # renaming or merging a public checker must be mirrored in BENCHMARK.json.
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "BENCHMARK.json")
-    with open(path, encoding="utf-8") as fh:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         names = [entry["name"] for entry in json.load(fh)["per_layer"]]
     pattern = re.compile(r"certify\.(check_\w+)\.ms_per_unit")
     timed = {m.group(1) for m in map(pattern.fullmatch, names) if m}
