@@ -52,6 +52,7 @@ from .core import (
 )
 from .maps import (
     PositiveMapRep,
+    _check_fit,
     _unital,
     apply,
     corner_block_map,
@@ -221,12 +222,6 @@ def _applied(pmap: PositiveMapRep, mats) -> list:
     return [Ask(apply, (pmap, x)) for x in mats]
 
 
-def _check_input(pmap: PositiveMapRep, x: np.ndarray, name: str) -> None:
-    """Refuse a square ``x`` that ``pmap`` does not take, as ``apply`` would, before any work on it."""
-    if x.shape[-1] != pmap.input_dim:
-        raise ValueError(f"{name} of dimension {x.shape[-1]}, map expects {pmap.input_dim}")
-
-
 def _require(check, mats, names, what: str):
     """Task: raise ValueError naming the first of ``mats`` that fails ``check``."""
     passed = yield [Ask(check, (x,)) for x in mats]
@@ -327,7 +322,7 @@ def _image_orbit(pmap: PositiveMapRep, x: np.ndarray):
 def _normal_orbit(pmap: PositiveMapRep, nmat):
     """Task: the orbit pair ``(map(n), map(|n|))`` of a normal matrix."""
     nmat = as_matrix(nmat, square=True, name="nmat")
-    _check_input(pmap, nmat, "nmat")
+    _check_fit(pmap, nmat, "nmat")
     yield from _require(is_normal, [nmat], ["nmat"], "normal")
     return (yield from _image_orbit(pmap, nmat))
 
@@ -497,10 +492,10 @@ def check_real_part(a, tol: float = DEFAULT_TOL) -> RealPartReport:
 
 def _partial_trace(nmat, d: int, n: int, tol: float):
     nmat = as_matrix(nmat, square=True, name="nmat")
-    if nmat.shape[0] != d * n:
-        raise ValueError(f"matrix of dimension {nmat.shape[0]}, expected {d * n}")
+    pmap = partial_trace_first(d, n)
+    _check_fit(pmap, nmat, "nmat")
     yield from _require(is_normal, [nmat], ["nmat"], "normal")
-    o = yield from _image_orbit(partial_trace_first(d, n), nmat)
+    o = yield from _image_orbit(pmap, nmat)
     (mean,) = yield [_mean(o)]
     return (yield from _decide([_geom("ptrace-geom", o, mean, tol)]))
 
@@ -536,7 +531,7 @@ def check_sum_of_normals(mats: Sequence, tol: float = DEFAULT_TOL):
 
 def _russo_dye(pmap: PositiveMapRep, z, tol: float):
     z = as_matrix(z, square=True, name="z")
-    _check_input(pmap, z, "z")
+    _check_fit(pmap, z, "z")
     yield from _require(is_contraction, [z], ["z"], "a contraction")
     image_id, image = yield _applied(pmap, [np.eye(z.shape[0], dtype=complex), z])
     o, singular, spectrum = yield [
@@ -654,7 +649,7 @@ def check_schur_normal(a, b, tol: float = DEFAULT_TOL) -> Certificate:
 def _symmetrized(pmap: PositiveMapRep, x, tol: float):
     """Task: the hermitian-sum-geom and schur-square-geom certificates, from one SVD of ``x``."""
     x = as_matrix(x, square=True, name="x")
-    _check_input(pmap, x, "x")
+    _check_fit(pmap, x, "x")
     (pair,) = yield [Ask(_abs_pair, (x,))]
     herm_image, herm_arg, square_image, square_arg = yield _applied(
         pmap,
@@ -699,7 +694,7 @@ def check_schur_square(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Cer
 
 def _two_positive_unital(pmap: PositiveMapRep, z, tol: float):
     z = as_matrix(z, square=True, name="z")
-    _check_input(pmap, z, "z")
+    _check_fit(pmap, z, "z")
     yield from _require(is_contraction, [z], ["z"], "a contraction")
     (abs_z,) = yield [Ask(mat_abs, (z,))]
     eye = np.eye(pmap.output_dim, dtype=complex)
@@ -832,7 +827,7 @@ def quarter_sharpness_map() -> PositiveMapRep:
     """
     k1 = np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]], dtype=complex)
     k2 = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, math.sqrt(3.0) / 2.0]], dtype=complex)
-    return PositiveMapRep(3, 2, (k1, k2), label="quarter-sharpness")
+    return PositiveMapRep((k1, k2), label="quarter-sharpness")
 
 
 def quarter_sharpness_hermitian() -> np.ndarray:
@@ -945,28 +940,27 @@ def search_nonnormal_counterexample(seed, trials: int) -> ReproResult:
 def minimal_orbit_constant(pmap: PositiveMapRep, nmat, beta: float) -> float:
     """Smallest c with ``|map(n)| <= beta map(|n|) + c v map(|n|) v*`` for the polar witness.
 
-    With ``a = map(|n|)``, ``b = v a v*`` and ``hi = 1/(2 beta)`` (twice the
-    guaranteed constant), the slack at c, shifted by the verdict floor, is
-    ``d - (hi - c) b`` with ``d`` the shifted slack at ``hi``. When the
-    guaranteed constant holds, ``d`` is positive definite and the value is
-    ``max(0, hi - 1/mu)`` for the top eigenvalue ``mu`` of the pencil ``(b, d)``;
-    a singular ``b`` is allowed there.
+    With ``a = map(|n|)``, ``b = v a v*``, ``hi = 1/(2 beta)`` (twice the guaranteed
+    constant) and ``s0``, ``d = s0 + hi b`` the slacks at 0 and ``hi`` shifted by the
+    verdict floor, the slack at ``c = t hi`` is ``(1 - t) s0 + t d``. ``d`` is positive
+    definite when the guaranteed constant holds, and the value is ``hi nu / (1 + nu)``
+    for the top eigenvalue ``nu > 0`` of the pencil ``(-s0, d)``, else 0: nothing cancels.
     """
     _check_weights([beta])
     nmat = as_matrix(nmat, square=True, name="nmat")
-    _check_input(pmap, nmat, "nmat")
+    _check_fit(pmap, nmat, "nmat")
     if not is_normal(nmat):
         raise ValueError("nmat must be normal")
     # _image_orbit's pair, built directly: the staging engine costs more than it pools here.
     o = _orbit(*apply(pmap, np.stack([nmat, mat_abs(nmat)])))
     floor = -_threshold(CONSTRUCTION_TOL, spectral_norm(o.arg))
     hi = 1.0 / (2.0 * beta)
-    d = beta * o.arg + hi * o.orbit - o.lhs - floor * np.eye(len(o.arg))
+    s0 = beta * o.arg - o.lhs - floor * np.eye(len(o.arg))
     try:
-        mu = scipy.linalg.eigh(o.orbit, d, eigvals_only=True)[-1]
+        nu = scipy.linalg.eigh(-s0, s0 + hi * o.orbit, eigvals_only=True)[-1]
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("guaranteed constant infeasible; this indicates a bug") from exc
-    return 0.0 if mu <= 1.0 / hi else float(hi - 1.0 / mu)
+    return 0.0 if nu <= 0.0 else float(hi * nu / (1.0 + nu))
 
 
 def estimate_constant(

@@ -193,6 +193,8 @@ def _parse_out(path: str) -> str:
     """A report path, checked before any work: no directory there, and a writable parent."""
     if path == "-":
         return path
+    if not path:
+        raise argparse.ArgumentTypeError("--out needs a path, or - for standard output")
     if os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"cannot write --out {path}: it is a directory")
     parent = os.path.dirname(os.path.abspath(path))

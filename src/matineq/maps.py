@@ -42,31 +42,31 @@ class PositiveMapRep:
 
     ``kraus_ops`` is stored as one finite, read-only complex array of shape
     ``(terms, input_dim, output_dim)``, copied from the argument; any
-    nonempty sequence of equally shaped factors is accepted.
+    nonempty sequence of equally shaped factors is accepted. The map's sizes
+    are the stack's.
     """
 
-    input_dim: int
-    output_dim: int
     kraus_ops: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError("map dimensions must be >= 1")
         # A ragged sequence of factors raises ValueError here. A read-only copy
         # keeps the checked stack from changing through the caller's array.
         ops = np.array(self.kraus_ops, dtype=complex, order="C")
-        if ops.ndim != 3 or ops.shape[0] == 0:
-            raise ValueError(f"kraus_ops must be a nonempty stack of matrices, got shape {ops.shape}")
-        if ops.shape[1:] != (self.input_dim, self.output_dim):
-            raise ValueError(
-                f"kraus ops of shape {ops.shape[1:]}, expected "
-                f"({self.input_dim}, {self.output_dim})"
-            )
+        if ops.ndim != 3 or 0 in ops.shape:
+            raise ValueError(f"kraus_ops must be a nonempty stack of nonempty matrices, got {ops.shape}")
         if not np.isfinite(ops).all():
             raise ValueError("kraus ops have non-finite entries")
         ops.flags.writeable = False
         object.__setattr__(self, "kraus_ops", ops)
+
+    @property
+    def input_dim(self) -> int:
+        return self.kraus_ops.shape[1]
+
+    @property
+    def output_dim(self) -> int:
+        return self.kraus_ops.shape[2]
 
 
 class ChoiData(NamedTuple):
@@ -76,6 +76,12 @@ class ChoiData(NamedTuple):
     min_eigenvalue: float
 
 
+def _check_fit(pmap: PositiveMapRep, x: np.ndarray, name: str) -> None:
+    """Refuse square ``x`` (or a stack of them) unless ``pmap`` takes its size."""
+    if x.shape[-1] != pmap.input_dim:
+        raise ValueError(f"{name} of dimension {x.shape[-1]}, map expects {pmap.input_dim}")
+
+
 def apply(pmap: PositiveMapRep, x) -> np.ndarray:
     """Evaluate the map: sum over Kraus factors of ``k* x k``.
 
@@ -83,8 +89,7 @@ def apply(pmap: PositiveMapRep, x) -> np.ndarray:
     the images have the same leading shape.
     """
     x = _as_stack(x, "x")
-    if x.shape[-1] != pmap.input_dim:
-        raise ValueError(f"input of dimension {x.shape[-1]}, map expects {pmap.input_dim}")
+    _check_fit(pmap, x, "input")
     m = pmap.output_dim
     ops = pmap.kraus_ops
     flat = ops.reshape(-1, m)
@@ -114,7 +119,7 @@ def _block_rows(d: int, n: int) -> np.ndarray:
 
 
 def identity_map(n: int) -> PositiveMapRep:
-    return PositiveMapRep(n, n, (np.eye(n, dtype=complex),), label=f"id({n})")
+    return PositiveMapRep((np.eye(n, dtype=complex),), label=f"id({n})")
 
 
 def schur_multiplier(a) -> PositiveMapRep:
@@ -132,14 +137,14 @@ def schur_multiplier(a) -> PositiveMapRep:
     keep = w > _threshold(_DROP_TOL, abs(w[0]))
     diagonals = np.conj(np.sqrt(w[keep]) * v[:, keep]).T
     ops = diagonals[:, :, None] * np.eye(n)
-    return PositiveMapRep(n, n, _prune(ops), label=f"schur({n})")
+    return PositiveMapRep(_prune(ops), label=f"schur({n})")
 
 
 def partial_trace_first(d: int, n: int) -> PositiveMapRep:
     """Partial trace over the first tensor factor: block matrix to sum of diagonal blocks."""
     if d < 1 or n < 1:
         raise ValueError("dimensions must be >= 1")
-    return PositiveMapRep(d * n, n, _block_rows(d, n), label=f"ptrace1({d},{n})")
+    return PositiveMapRep(_block_rows(d, n), label=f"ptrace1({d},{n})")
 
 
 def corner_block_map(variant: str, n: int) -> PositiveMapRep:
@@ -156,7 +161,7 @@ def corner_block_map(variant: str, n: int) -> PositiveMapRep:
         ops = _block_rows(2, n) / np.sqrt(2.0)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return PositiveMapRep(2 * n, n, ops, label=f"{variant}({n})")
+    return PositiveMapRep(ops, label=f"{variant}({n})")
 
 
 def compose(outer: PositiveMapRep, inner: PositiveMapRep) -> PositiveMapRep:
@@ -170,19 +175,15 @@ def compose(outer: PositiveMapRep, inner: PositiveMapRep) -> PositiveMapRep:
         -1, inner.input_dim, outer.output_dim
     )
     label = f"{outer.label or 'outer'}.{inner.label or 'inner'}"
-    return PositiveMapRep(inner.input_dim, outer.output_dim, _prune(ops), label=label)
+    return PositiveMapRep(_prune(ops), label=label)
 
 
 def choi(pmap: PositiveMapRep) -> ChoiData:
     """Choi matrix sum_ij E_ij (x) map(E_ij) and its least eigenvalue."""
     n, m = pmap.input_dim, pmap.output_dim
-    c = np.zeros((n * m, n * m), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            c[i * m : (i + 1) * m, j * m : (j + 1) * m] = apply(pmap, e)
-    c = _hermitian(c)
+    # Block (i, j) is map(E_ij): the images of the stacked units E_ij, entries (i, a, j, b).
+    units = np.eye(n * n, dtype=complex).reshape(n, n, n, n)
+    c = _hermitian(apply(pmap, units).transpose(0, 2, 1, 3).reshape(n * m, n * m))
     return ChoiData(c, float(np.linalg.eigvalsh(c).min()))
 
 
@@ -224,7 +225,7 @@ def random_cp_map(seed, n: int, m: int, terms: Optional[int] = None) -> Positive
     # The per-term draw order (real part, then imaginary part), so a seed keeps its factors.
     draws = np.random.default_rng(seed).standard_normal((terms, 2, n, m))
     ops = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0 * n * terms)
-    return PositiveMapRep(n, m, ops, label=f"random-cp({n},{m})")
+    return PositiveMapRep(ops, label=f"random-cp({n},{m})")
 
 
 def random_unital_cp_map(seed, n: int, m: int, terms: Optional[int] = None) -> PositiveMapRep:
@@ -234,4 +235,4 @@ def random_unital_cp_map(seed, n: int, m: int, terms: Optional[int] = None) -> P
     w, v = np.linalg.eigh(hermitian_part(image))
     w = np.maximum(w, _threshold(CONSTRUCTION_TOL, w.max()))
     inv_root = (v / np.sqrt(w)) @ v.conj().T
-    return PositiveMapRep(n, m, base.kraus_ops @ inv_root, label=f"random-unital-cp({n},{m})")
+    return PositiveMapRep(base.kraus_ops @ inv_root, label=f"random-unital-cp({n},{m})")

@@ -75,7 +75,10 @@ def map_from_json(data: dict) -> PositiveMapRep:
         dims, label = (data["inputDim"], data["outputDim"]), data.get("label", "")
         if not (all(_is_int(d) for d in dims) and isinstance(label, str)):
             raise ValueError("map literal dimensions must be integers and its label a string")
-        return PositiveMapRep(*dims, ops, label=label)
+        pmap = PositiveMapRep(ops, label=label)
+        if (pmap.input_dim, pmap.output_dim) != dims:
+            raise ValueError(f"map literal dimensions {dims} disagree with its factors")
+        return pmap
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed map literal: {exc}") from exc
 

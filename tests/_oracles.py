@@ -6,8 +6,9 @@ geometric mean is cross-checked through the arithmetic-harmonic iteration
 eigendecomposition of x* x or, for normal matrices, a complex Schur form.
 The tensor constructions of the entrywise-product certificates are kept here
 in plain numpy as the reference for their closed forms, and the Kraus-map
-operations one factor at a time as the reference for the stacked ones. The
-search constant's bisection is the reference for its closed form.
+operations one factor (or one matrix unit) at a time as the reference for
+the stacked ones. The search constant's bisection is the reference for its
+closed form.
 """
 
 import numpy as np
@@ -94,6 +95,18 @@ def apply_by_factors(ops, x):
     """``sum_t k_t* x k_t``, one factor at a time."""
     x = np.asarray(x, dtype=complex)
     return sum(k.conj().T @ x @ k for k in ops)
+
+
+def choi_by_units(pmap):
+    """The Hermitian part of ``sum_ij E_ij (x) map(E_ij)``, one ``apply`` call per matrix unit."""
+    n, m = pmap.input_dim, pmap.output_dim
+    c = np.zeros((n * m, n * m), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = 1.0
+            c[i * m : (i + 1) * m, j * m : (j + 1) * m] = apply(pmap, e)
+    return (c + c.conj().T) / 2.0
 
 
 def compose_by_factors(outer_ops, inner_ops):

@@ -871,6 +871,22 @@ def test_minimal_constant_matches_bisection(beta):
     assert minimal_orbit_constant(identity_map(3), np.zeros((3, 3)), beta) == 0.0
 
 
+@pytest.mark.parametrize("beta", [1e-4, 1e-8])
+def test_minimal_constant_keeps_its_digits_at_small_weights(beta):
+    # The constant is far below 1/(2 beta) here; a closed form that subtracts
+    # from 1/(2 beta) loses about log10(1/beta) of its digits.
+    pmap, nmat = random_cp_map(1, 3, 3), random_normal(2, 3)
+    c = minimal_orbit_constant(pmap, nmat, beta)
+    reference = minimal_orbit_constant_by_bisection(pmap, nmat, beta)
+    assert abs(c - reference) <= 1e-9 * reference, (c, reference)
+
+
+def test_minimal_constant_settles_as_the_weight_vanishes():
+    pmap, nmat = random_cp_map(1, 3, 3), random_normal(2, 3)
+    settled = minimal_orbit_constant(pmap, nmat, 1e-8)
+    assert abs(minimal_orbit_constant(pmap, nmat, 1e-16) - settled) <= 1e-6
+
+
 def test_minimal_constant_refuses_an_infeasible_guaranteed_constant(monkeypatch):
     beta = 0.25
     orbit = certify._orbit
@@ -947,7 +963,7 @@ _REFUSALS = {
         "map expects 3",
     ),
     "hermitian-sum-size": lambda: (check_hermitian_sum, (_pmap3(), random_matrix(2, 2)), "map expects 3"),
-    "partial-trace-size": lambda: (check_partial_trace, (random_normal(0, 4), 2, 3), "expected 6"),
+    "partial-trace-size": lambda: (check_partial_trace, (random_normal(0, 4), 2, 3), "map expects 6"),
     "weighted-sum-size": lambda: (
         check_weighted_sum,
         ([random_matrix(3, 3)[:2]], [random_contraction(4, 3)]),

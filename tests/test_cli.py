@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from matineq import cli
+from matineq import certify, cli
 from matineq.certify import _real_part_margin, search_nonnormal_counterexample
 from matineq.serialize import matrix_from_json
 
@@ -211,6 +211,26 @@ def test_unwritable_out_stops_before_any_work(capsys, monkeypatch, tmp_path, arg
         cli.main(argv + ["--out", str(path)])
     assert exc.value.code == 2
     assert str(path) in capsys.readouterr().err
+
+
+def test_empty_out_is_refused_before_any_trial(capsys, monkeypatch):
+    # Every matineq module that holds run_trial gets the counting wrapper, so
+    # a call through any of them is seen.
+    calls, original = [], certify.run_trial
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("matineq") and getattr(module, "run_trial", None) is original:
+            monkeypatch.setattr(module, "run_trial", counted)
+    assert cli.run_trial is counted
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--trials", "2", "--dims", "2,2", "--out", ""])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_failed_write_is_usage_error_naming_the_path(capsys, monkeypatch, tmp_path):

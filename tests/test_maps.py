@@ -27,10 +27,12 @@ from matineq.maps import (
     random_unital_cp_map,
     schur_multiplier,
 )
+from matineq import maps
 from matineq.certify import quarter_sharpness_map
 
 from _oracles import (
     apply_by_factors,
+    choi_by_units,
     compose_by_factors,
     gaussian_kraus_draws,
     unital_normalisation,
@@ -52,32 +54,36 @@ def random_hermitian(seed, n):
 
 def test_rep_validation():
     with pytest.raises(ValueError):
-        PositiveMapRep(2, 2, ())
+        PositiveMapRep(())
     with pytest.raises(ValueError):
-        PositiveMapRep(2, 2, np.zeros((0, 2, 2)))
+        PositiveMapRep(np.zeros((0, 2, 2)))
+    for shape in ((1, 0, 2), (1, 2, 0)):  # a zero size
+        with pytest.raises(ValueError, match="nonempty matrices"):
+            PositiveMapRep(np.zeros(shape))
     with pytest.raises(ValueError):
-        PositiveMapRep(2, 2, (np.eye(3),))
+        PositiveMapRep((np.eye(2), np.eye(3)))  # ragged
     with pytest.raises(ValueError):
-        PositiveMapRep(0, 2, (np.eye(2),))
+        PositiveMapRep(np.eye(2))  # one matrix, not a stack
     with pytest.raises(ValueError):
-        PositiveMapRep(2, 2, (np.eye(2), np.eye(3)))  # ragged
-    with pytest.raises(ValueError):
-        PositiveMapRep(2, 2, np.eye(2))  # one matrix, not a stack
-    with pytest.raises(ValueError):
-        PositiveMapRep(2, 2, (np.full((2, 2), np.nan),))
+        PositiveMapRep((np.full((2, 2), np.nan),))
 
 
 def test_rep_stores_one_stack():
-    pmap = PositiveMapRep(3, 2, [np.ones((3, 2)), np.zeros((3, 2))])
+    pmap = PositiveMapRep([np.ones((3, 2)), np.zeros((3, 2))])
     assert pmap.kraus_ops.shape == (2, 3, 2)
     assert pmap.kraus_ops.dtype == complex
     assert len(pmap.kraus_ops) == 2
     assert [k.shape for k in pmap.kraus_ops] == [(3, 2), (3, 2)]
+    assert (pmap.input_dim, pmap.output_dim) == (3, 2)
+    for name in ("input_dim", "output_dim"):
+        with pytest.raises(AttributeError):
+            setattr(pmap, name, 4)
+    assert (pmap.input_dim, pmap.output_dim) == (3, 2)
 
 
 def test_rep_keeps_a_private_read_only_stack():
     ops = np.ones((1, 2, 2), dtype=complex)
-    pmap = PositiveMapRep(2, 2, ops)
+    pmap = PositiveMapRep(ops)
     before = apply(pmap, np.eye(2))
     ops[:] = 0.0
     np.testing.assert_array_equal(apply(pmap, np.eye(2)), before)
@@ -370,8 +376,8 @@ def test_compose_block_sum_after_extraction_doubles_schur_square():
     left = np.block([[zero, x.conj().T], [x, zero]])
     right = np.block([[zero, x], [x.conj().T, zero]])
     selection = np.eye(16, dtype=complex)[:, [5 * i for i in range(4)]]
-    extraction = PositiveMapRep(16, 4, (selection,))
-    block_sum = PositiveMapRep(4, 2, (np.vstack([np.eye(2), np.eye(2)]),))
+    extraction = PositiveMapRep((selection,))
+    block_sum = PositiveMapRep((np.vstack([np.eye(2), np.eye(2)]),))
     composed = compose(block_sum, extraction)
     out = apply(composed, np.kron(left, right))
     direct = apply(block_sum, apply(extraction, np.kron(left, right)))
@@ -416,6 +422,34 @@ def test_choi_psd_for_every_constructor():
         data = choi(pmap)
         scale = max(1.0, spectral_norm(data.choi_matrix))
         assert data.min_eigenvalue >= -1e-9 * scale, pmap.label
+
+
+def _choi_maps():
+    for n, m in [(1, 1), (2, 3), (3, 2), (4, 4)]:
+        yield pytest.param(lambda n=n, m=m: random_cp_map([n, m], n, m), id=f"random-{n}x{m}")
+        yield pytest.param(lambda n=n, m=m: random_unital_cp_map([n, m], n, m), id=f"unital-{n}x{m}")
+    for n in (1, 2, 3, 4):
+        yield pytest.param(lambda n=n: schur_multiplier(random_psd([n, 5], n)), id=f"schur-{n}")
+
+
+@pytest.mark.parametrize("make", _choi_maps())
+def test_choi_has_the_bits_of_one_apply_per_matrix_unit(make):
+    pmap = make()
+    data = choi(pmap)
+    np.testing.assert_array_equal(data.choi_matrix, choi_by_units(pmap))
+    assert data.min_eigenvalue == float(np.linalg.eigvalsh(data.choi_matrix).min())
+
+
+def test_choi_makes_one_apply_call(monkeypatch):
+    calls = []
+
+    def counted(pmap, x):
+        calls.append(np.shape(x))
+        return apply(pmap, x)
+
+    monkeypatch.setattr(maps, "apply", counted)
+    choi(random_cp_map(0, 3, 2))
+    assert calls == [(3, 3, 3, 3)]
 
 
 # ---------------------------------------------------------------------------

@@ -69,5 +69,5 @@ def test_slack_spectra_are_unitarily_covariant(instance):
     seed, n, m, beta = instance
     pmap, nmat = random_cp_map([seed, 0], n, m), random_normal([seed, 1], n)
     w, u = haar_unitary([seed, 2], n), haar_unitary([seed, 3], m)
-    moved = PositiveMapRep(n, m, w @ pmap.kraus_ops @ u)
+    moved = PositiveMapRep(w @ pmap.kraus_ops @ u)
     _assert_slacks(_certificates(moved, w @ nmat @ w.conj().T, beta), _certificates(pmap, nmat, beta))

@@ -79,6 +79,8 @@ MAP = {"inputDim": 1, "outputDim": 1, "kraus": [ONE]}
         pytest.param(map_from_json, {**MAP, "inputDim": 1.5}, id="input-dim-float"),
         pytest.param(map_from_json, {**MAP, "outputDim": None}, id="output-dim-null"),
         pytest.param(map_from_json, {**MAP, "label": None}, id="label-null"),
+        pytest.param(map_from_json, {**MAP, "inputDim": 2}, id="input-dim-not-the-factors"),
+        pytest.param(map_from_json, {**MAP, "outputDim": 2}, id="output-dim-not-the-factors"),
         pytest.param(map_from_json, {**MAP, "kraus": [{**ONE, "im": None}]}, id="kraus-im-null"),
     ],
 )
