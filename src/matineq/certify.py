@@ -25,6 +25,9 @@ from .core import (
     _CHECK_TOL,
     _abs_from_svd,
     _adjoint,
+    _check_nonempty,
+    _check_same_shape,
+    _check_size,
     _complex_gaussian,
     _contractions,
     _hermitian,
@@ -204,7 +207,6 @@ def _run(*tasks) -> list:
     stages = (
         "is_normal",
         "is_contraction",
-        "mat_abs",
         "_abs_pair",
         "apply",
         "_orbit",
@@ -313,8 +315,8 @@ def _abs_pair(x) -> _AbsPair:
 
 def _image_orbit(pmap: PositiveMapRep, x: np.ndarray):
     """Task: the orbit pair ``(map(x), map(|x|))``."""
-    (abs_x,) = yield [Ask(mat_abs, (x,))]
-    image, image_abs = yield _applied(pmap, [x, abs_x])
+    (pair,) = yield [Ask(_abs_pair, (x,))]
+    image, image_abs = yield _applied(pmap, [x, pair.right])
     (o,) = yield [Ask(_orbit, (image, image_abs))]
     return o
 
@@ -460,11 +462,11 @@ def _real_part(a, tol: float):
     a = as_matrix(a, square=True, name="a")
     yield from _require(is_normal, [a], ["a"], "normal")
     doubled = direct_sum([a, np.conj(a)])
-    abs_doubled, abs_a = yield [Ask(mat_abs, (doubled,)), Ask(mat_abs, (a,))]
+    pair_doubled, pair_a = yield [Ask(_abs_pair, (doubled,)), Ask(_abs_pair, (a,))]
     averager = corner_block_map("diag_average", a.shape[0])
-    image, image_abs_arg = yield _applied(averager, [doubled, abs_doubled])
+    image, image_abs_arg = yield _applied(averager, [doubled, pair_doubled.right])
     real_a = conj_real_part(a)
-    real_abs = conj_real_part(abs_a)
+    real_abs = conj_real_part(pair_a.right)
     s_image, t_image, s_real, t_real = yield [
         Ask(singular_values, (image,)),
         Ask(_eig_desc, (image_abs_arg,)),
@@ -491,11 +493,7 @@ def check_real_part(a, tol: float = DEFAULT_TOL) -> RealPartReport:
 
 
 def _partial_trace(nmat, d: int, n: int, tol: float):
-    nmat = as_matrix(nmat, square=True, name="nmat")
-    pmap = partial_trace_first(d, n)
-    _check_fit(pmap, nmat, "nmat")
-    yield from _require(is_normal, [nmat], ["nmat"], "normal")
-    o = yield from _image_orbit(pmap, nmat)
+    o = yield from _normal_orbit(partial_trace_first(d, n), nmat)
     (mean,) = yield [_mean(o)]
     return (yield from _decide([_geom("ptrace-geom", o, mean, tol)]))
 
@@ -507,13 +505,11 @@ def check_partial_trace(nmat, d: int, n: int, tol: float = DEFAULT_TOL) -> Certi
 
 def _sum_of_normals(mats: Sequence, tol: float):
     mats = [as_matrix(m, square=True, name=f"mats[{i}]") for i, m in enumerate(mats)]
-    if not mats:
-        raise ValueError("need at least one matrix")
-    n = mats[0].shape[0]
-    if any(m.shape != (n, n) for m in mats):
-        raise ValueError("all matrices must share one dimension")
-    yield from _require(is_normal, mats, [f"mats[{i}]" for i in range(len(mats))], "normal")
-    o = yield from _image_orbit(partial_trace_first(len(mats), n), direct_sum(mats))
+    _check_nonempty(mats, "mats")
+    names = [f"mats[{i}]" for i in range(len(mats))]
+    _check_same_shape(mats, names)
+    yield from _require(is_normal, mats, names, "normal")
+    o = yield from _image_orbit(partial_trace_first(len(mats), len(mats[0])), direct_sum(mats))
     (mean,) = yield [_mean(o)]
     claims = [_geom("sum-normals-geom", o, mean, tol), _arith("sum-normals-arith", o, 0.5, tol)]
     geom, arith = yield from _decide(claims)
@@ -561,12 +557,10 @@ def check_russo_dye(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL) -> RussoD
 def _weighted_sum(xs: Sequence, zs: Sequence, tol: float):
     if len(xs) != len(zs):
         raise ValueError("xs and zs must have equal length")
-    if len(xs) == 0:
-        raise ValueError("need at least one summand")
+    _check_nonempty(xs, "xs")
     xs = [as_matrix(x, name=f"xs[{i}]") for i, x in enumerate(xs)]
-    rows, cols = xs[0].shape
-    if any(x.shape != (rows, cols) for x in xs):
-        raise ValueError("all xs must share one shape")
+    _check_same_shape(xs, [f"xs[{i}]" for i in range(len(xs))])
+    rows = xs[0].shape[0]
     zs = [as_matrix(z, square=True, name=f"zs[{i}]") for i, z in enumerate(zs)]
     if any(z.shape != (rows, rows) for z in zs):
         raise ValueError("each z must act on the row space of the xs")
@@ -602,8 +596,7 @@ def check_weighted_sum(xs: Sequence, zs: Sequence, tol: float = DEFAULT_TOL):
 def _schur_diagonal(a, z, tol: float):
     a = as_matrix(a, square=True, name="a")
     z = as_matrix(z, square=True, name="z")
-    if a.shape != z.shape:
-        raise ValueError("a and z must share one dimension")
+    _check_same_shape((a, z), ("a", "z"))
     if not _hermitian_within(a):
         raise ValueError("a is not Hermitian")
     # The checks are asked with the orbit, so that it joins the other orbits.
@@ -627,11 +620,10 @@ def check_schur_diagonal(a, z, tol: float = DEFAULT_TOL) -> Certificate:
 def _schur_normal(a, b, tol: float):
     a = as_matrix(a, square=True, name="a")
     b = as_matrix(b, square=True, name="b")
-    if a.shape != b.shape:
-        raise ValueError("a and b must share one dimension")
+    _check_same_shape((a, b), ("a", "b"))
     yield from _require(is_normal, [a, b], ["a", "b"], "normal")
-    abs_a, abs_b = yield [Ask(mat_abs, (a,)), Ask(mat_abs, (b,))]
-    (o,) = yield [Ask(_orbit, (schur_prod(a, b), schur_prod(abs_a, abs_b)))]
+    pair_a, pair_b = yield [Ask(_abs_pair, (a,)), Ask(_abs_pair, (b,))]
+    (o,) = yield [Ask(_orbit, (schur_prod(a, b), schur_prod(pair_a.right, pair_b.right)))]
     return (yield from _decide([_arith("schur-normal", o, 1.0, tol)]))
 
 
@@ -696,10 +688,10 @@ def _two_positive_unital(pmap: PositiveMapRep, z, tol: float):
     z = as_matrix(z, square=True, name="z")
     _check_fit(pmap, z, "z")
     yield from _require(is_contraction, [z], ["z"], "a contraction")
-    (abs_z,) = yield [Ask(mat_abs, (z,))]
+    (pair,) = yield [Ask(_abs_pair, (z,))]
     eye = np.eye(pmap.output_dim, dtype=complex)
     # maps.is_unital, with map(I) and its defect asked in the stages of map(z).
-    image, image_abs, image_id = yield _applied(pmap, [z, abs_z, np.eye(z.shape[0], dtype=complex)])
+    image, image_abs, image_id = yield _applied(pmap, [z, pair.right, np.eye(z.shape[0], dtype=complex)])
     o, defect = yield [Ask(_orbit, (image, image_abs)), Ask(singular_values, (image_id - eye,))]
     if not _unital(defect[0]):
         raise ValueError("the quarter bound requires a unital map")
@@ -786,8 +778,7 @@ def repro_no_single_unitary(angles) -> ReproResult:
     refused with a ValueError.
     """
     angles = [float(a) for a in angles]
-    if not angles:
-        raise ValueError("need at least one angle")
+    _check_nonempty(angles, "angles")
     for a in angles:
         if not (0.0 < a <= math.pi / 2.0):
             raise ValueError("angles must lie in (0, pi/2]")
@@ -906,8 +897,7 @@ def search_nonnormal_counterexample(seed, trials: int) -> ReproResult:
     off the normal cone; the first random matrix whose margin exceeds
     ``PSD_TOL`` is reported. An exhausted budget is reported, not raised.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_size(trials, "trials")
     rng = np.random.default_rng(seed)
     for index in range(trials):
         candidate = _complex_gaussian(rng, 1, 2, 2)[0]
@@ -978,13 +968,12 @@ def estimate_constant(
     bound ``1/(4 beta)``.
     """
     betas = [float(b) for b in beta_grid]
-    if not betas:
-        raise ValueError("beta grid must be nonempty")
+    _check_nonempty(betas, "beta_grid")
     _check_weights(betas)
     if any(b > 0.5 + CONSTRUCTION_TOL for b in betas):
         raise ValueError("beta grid must lie in (0, 1/2]")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    for value, name in ((trials, "trials"), (n, "n"), (m, "m")):
+        _check_size(value, name)
     rows = []
     for bi, beta in enumerate(betas):
         a, r = sharpness_family(beta)

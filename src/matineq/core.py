@@ -66,6 +66,25 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
 
 
+def _check_size(value, name: str) -> None:
+    """Refuse a size or count unless it is an integer (a numpy one too, not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_nonempty(items, name: str) -> None:
+    """Refuse a list (or any sequence) of length 0."""
+    if len(items) == 0:
+        raise ValueError(f"{name} must not be empty")
+
+
+def _check_same_shape(arrays: Sequence, names: Sequence[str]) -> None:
+    """Refuse arrays unless each has the shape of the first, naming the first that differs."""
+    for a, name in zip(arrays[1:], names[1:]):
+        if a.shape != arrays[0].shape:
+            raise ValueError(f"shape mismatch: {names[0]} {arrays[0].shape} vs {name} {a.shape}")
+
+
 def _threshold(tol: float, magnitude):
     """The scaled threshold of every tolerance check: ``tol * max(1, magnitude)``, per member."""
     _check_tol(tol)
@@ -251,8 +270,7 @@ def geometric_mean(a, b) -> np.ndarray:
     """
     a = _as_stack(a, "a")
     b = _as_stack(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    _check_same_shape((a, b), ("a", "b"))
     for name, x in (("a", a), ("b", b)):
         if not np.all(_hermitian_within(x)):
             raise ValueError(f"{name} is not Hermitian")
@@ -312,8 +330,7 @@ def _hermitian_verdict(a, b, tol: float) -> _HermitianVerdict:
     """
     a = _hermitian(_as_stack(a, "lhs"))
     b = _hermitian(_as_stack(b, "rhs"))
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    _check_same_shape((a, b), ("lhs", "rhs"))
     # b - a of two Hermitian parts is exactly Hermitian.
     slack = np.linalg.eigvalsh(b - a)[..., ::-1]
     passed = _item(slack[..., -1] >= -_threshold(tol, spectral_norm(b)))
@@ -367,8 +384,7 @@ def weak_log_majorize(a, b, tol: float = PSD_TOL) -> MajorizationReport:
     _check_tol(tol)
     a = _descending_nonneg(a, "a")
     b = _descending_nonneg(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    _check_same_shape((a, b), ("a", "b"))
     prefix_a = np.cumprod(a, axis=-1)
     prefix_b = np.cumprod(b, axis=-1)
     bound = prefix_b * (1.0 + tol) ** np.arange(1, a.shape[-1] + 1)
@@ -402,16 +418,14 @@ def schur_prod(a, b) -> np.ndarray:
     """Entrywise (Hadamard) product of two matrices of identical shape."""
     a = as_matrix(a, name="a")
     b = as_matrix(b, name="b")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    _check_same_shape((a, b), ("a", "b"))
     return a * b
 
 
 def direct_sum(mats: Sequence) -> np.ndarray:
     """Block-diagonal stacking of a nonempty list of matrices."""
     mats = [as_matrix(m, name=f"mats[{i}]") for i, m in enumerate(mats)]
-    if not mats:
-        raise ValueError("direct_sum needs at least one matrix")
+    _check_nonempty(mats, "mats")
     out = np.zeros(tuple(np.sum([m.shape for m in mats], axis=0)), dtype=complex)
     r = c = 0
     for m in mats:
@@ -473,11 +487,9 @@ def _contractions(g: np.ndarray) -> np.ndarray:
 
 def random_matrix(seed, rows: int, cols: Optional[int] = None) -> np.ndarray:
     """Complex Gaussian matrix with unit-variance entries."""
-    if rows < 1:
-        raise ValueError("rows must be >= 1")
     cols = rows if cols is None else cols
-    if cols < 1:
-        raise ValueError("cols must be >= 1")
+    _check_size(rows, "rows")
+    _check_size(cols, "cols")
     return _complex_gaussian(_rng(seed), 1, rows, cols)[0]
 
 
@@ -486,27 +498,23 @@ def random_normal(seed, n: int) -> np.ndarray:
 
     ``u`` is approximately Haar distributed and ``z`` is complex Gaussian.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size(n, "n")
     return _normals(_rng(seed), 1, n)[0]
 
 
 def random_psd(seed, n: int) -> np.ndarray:
     """Random positive semidefinite matrix g g* / n, exactly Hermitian."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size(n, "n")
     g = _complex_gaussian(_rng(seed), 1, n, n)[0]
     return _hermitian(g @ _adjoint(g) / n)
 
 
 def haar_unitary(seed, n: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size(n, "n")
     return _haar(_rng(seed), 1, n)[0]
 
 
 def random_contraction(seed, n: int) -> np.ndarray:
     """Gaussian matrix rescaled to spectral norm at most one."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size(n, "n")
     return _contractions(_complex_gaussian(_rng(seed), 1, n, n))[0]

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import CONSTRUCTION_TOL, PSD_TOL, _DROP_TOL, _contracting, _is_psd, _threshold
+from .core import CONSTRUCTION_TOL, PSD_TOL, _DROP_TOL, _check_size, _contracting, _is_psd, _threshold
 from .core import _as_stack, _hermitian, as_matrix, hermitian_part, herm_eig, spectral_norm
 
 __all__ = [
@@ -119,6 +119,7 @@ def _block_rows(d: int, n: int) -> np.ndarray:
 
 
 def identity_map(n: int) -> PositiveMapRep:
+    _check_size(n, "n")
     return PositiveMapRep((np.eye(n, dtype=complex),), label=f"id({n})")
 
 
@@ -142,8 +143,8 @@ def schur_multiplier(a) -> PositiveMapRep:
 
 def partial_trace_first(d: int, n: int) -> PositiveMapRep:
     """Partial trace over the first tensor factor: block matrix to sum of diagonal blocks."""
-    if d < 1 or n < 1:
-        raise ValueError("dimensions must be >= 1")
+    _check_size(d, "d")
+    _check_size(n, "n")
     return PositiveMapRep(_block_rows(d, n), label=f"ptrace1({d},{n})")
 
 
@@ -153,8 +154,7 @@ def corner_block_map(variant: str, n: int) -> PositiveMapRep:
     ``"upper_left"`` extracts the (1,1) block and ``"diag_average"`` returns
     the mean of the two diagonal blocks.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size(n, "n")
     if variant == "upper_left":
         ops = _block_rows(2, n)[:1]
     elif variant == "diag_average":
@@ -217,11 +217,10 @@ def halmos_dilation(z) -> np.ndarray:
 
 def random_cp_map(seed, n: int, m: int, terms: Optional[int] = None) -> PositiveMapRep:
     """Seeded completely positive map with Gaussian Kraus factors."""
-    if n < 1 or m < 1:
-        raise ValueError("dimensions must be >= 1")
+    _check_size(n, "n")
+    _check_size(m, "m")
     terms = n * m if terms is None else terms
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    _check_size(terms, "terms")
     # The per-term draw order (real part, then imaginary part), so a seed keeps its factors.
     draws = np.random.default_rng(seed).standard_normal((terms, 2, n, m))
     ops = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0 * n * terms)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .certify import Certificate, ReproResult
-from .core import MajorizationReport, as_matrix
+from .core import MajorizationReport, _check_size, as_matrix
 from .maps import PositiveMapRep
 
 __all__ = [
@@ -44,10 +44,8 @@ def matrix_from_json(data: dict) -> np.ndarray:
         rows, cols, re, im = data["rows"], data["cols"], data["re"], data["im"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix literal: {exc}") from exc
-    if not (_is_int(rows) and _is_int(cols)):
-        raise ValueError("matrix literal dimensions must be integers")
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix literal dimensions must be positive")
+    _check_size(rows, "rows")
+    _check_size(cols, "cols")
     for array in (re, im):
         if not (isinstance(array, list) and all(_is_int(v) or isinstance(v, float) for v in array)):
             raise ValueError("matrix literal arrays must be flat lists of numbers")
@@ -73,8 +71,10 @@ def map_from_json(data: dict) -> PositiveMapRep:
     try:
         ops = tuple(matrix_from_json(k) for k in data["kraus"])
         dims, label = (data["inputDim"], data["outputDim"]), data.get("label", "")
-        if not (all(_is_int(d) for d in dims) and isinstance(label, str)):
-            raise ValueError("map literal dimensions must be integers and its label a string")
+        _check_size(dims[0], "inputDim")
+        _check_size(dims[1], "outputDim")
+        if not isinstance(label, str):
+            raise ValueError("map literal label must be a string")
         pmap = PositiveMapRep(ops, label=label)
         if (pmap.input_dim, pmap.output_dim) != dims:
             raise ValueError(f"map literal dimensions {dims} disagree with its factors")

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import time
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from matineq import certify, staging
 from matineq.core import (
+    MajorizationReport,
     direct_sum,
     geometric_mean,
     haar_unitary,
@@ -22,17 +24,21 @@ from matineq.core import (
     random_psd,
     schur_prod,
     spectral_norm,
+    weak_log_majorize,
 )
 from matineq.maps import (
     apply,
+    corner_block_map,
     identity_map,
     partial_trace_first,
     random_cp_map,
     random_unital_cp_map,
     schur_multiplier,
 )
+from matineq.serialize import map_from_json, matrix_from_json
 from matineq.certify import (
     DEFAULT_TOL,
+    Certificate,
     chain_certificate,
     check_block_certificate,
     check_corollary_eigen,
@@ -517,9 +523,9 @@ def test_weighted_sum_validation():
         check_weighted_sum([np.eye(2)], [np.eye(2), np.eye(2)])
     with pytest.raises(ValueError):
         check_weighted_sum([np.eye(2)], [np.eye(3)])
-    with pytest.raises(ValueError, match="need at least one summand"):
+    with pytest.raises(ValueError, match="xs must not be empty"):
         check_weighted_sum([], [])
-    with pytest.raises(ValueError, match="need at least one summand"):
+    with pytest.raises(ValueError, match="xs must not be empty"):
         check_weighted_sum(np.zeros((0, 3, 2)), np.zeros((0, 3, 3)))
 
 
@@ -552,6 +558,11 @@ def test_schur_diagonal_random():
             random_psd([seed, 0], 3), random_contraction([seed, 1], 3)
         )
         assert cert.passed, seed
+
+
+def test_schur_diagonal_refuses_a_non_contraction():
+    with pytest.raises(ValueError, match="z must be a contraction"):
+        check_schur_diagonal(random_psd(0, 3), 2.0 * np.eye(3))
 
 
 def test_schur_normal_flip_pair():
@@ -783,7 +794,7 @@ def test_repro_no_single_unitary_runs_every_angle_in_one_call_per_stage(monkeypa
     for angles in ([0.5], [1.2, 0.8, 0.4]):
         answered.clear()
         repro_no_single_unitary(angles)
-        assert answered == ["mat_abs", "apply", "_orbit"], (angles, answered)
+        assert answered == ["_abs_pair", "apply", "_orbit"], (angles, answered)
 
 
 def test_repro_no_single_unitary_rejects_bad_angles():
@@ -901,6 +912,12 @@ def test_minimal_constant_refuses_an_infeasible_guaranteed_constant(monkeypatch)
         minimal_orbit_constant(identity_map(3), p, beta)
 
 
+def test_minimal_constant_refuses_a_non_normal_matrix():
+    shift = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="nmat must be normal"):
+        minimal_orbit_constant(identity_map(2), shift, 0.25)
+
+
 def test_minimal_constant_takes_one_generalized_eigensolve(linalg_calls):
     a, r = sharpness_family(0.25)
     for pmap, nmat in ((random_cp_map(1, 3, 3), random_normal(2, 3)), (schur_multiplier(a), r)):
@@ -972,9 +989,9 @@ _REFUSALS = {
     "sum-of-normals-size": lambda: (
         check_sum_of_normals,
         ([random_normal(5, 2), random_normal(6, 3)],),
-        "share one dimension",
+        "shape mismatch",
     ),
-    "schur-normal-size": lambda: (check_schur_normal, (random_normal(5, 2), random_normal(6, 3)), "share one"),
+    "schur-normal-size": lambda: (check_schur_normal, (random_normal(5, 2), random_normal(6, 3)), "shape mismatch"),
     "trial-weight": lambda: (run_trial, (1, 0, 2, 2, (0.5, math.inf)), "beta must be positive"),
     "search-weight": lambda: (minimal_orbit_constant, (_pmap3(), random_normal(2, 3), math.inf), "beta must"),
     "search-huge-weight": lambda: (minimal_orbit_constant, (_pmap3(), random_normal(2, 3), 1e308), "beta must"),
@@ -994,6 +1011,98 @@ def test_refusals_come_before_any_decomposition(linalg_calls, case):
     assert sum(linalg_calls.values()) == 0, dict(linalg_calls)
 
 
+_ONE = {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}
+
+# (entry, arguments, message) for the three argument rules of core: a size is
+# an integer >= 1, a list is not empty, and matrices compared entrywise or
+# side by side share one shape. Inputs are drawn before counting.
+_ARGUMENT_REFUSALS = {
+    "random-matrix-rows": lambda: (random_matrix, (0, 0), "rows must be an integer >= 1, got 0"),
+    "random-matrix-cols": lambda: (random_matrix, (0, 2, 2.5), "cols must be an integer >= 1, got 2.5"),
+    "random-normal-float": lambda: (random_normal, (0, 2.5), "n must be an integer >= 1, got 2.5"),
+    "random-normal-bool": lambda: (random_normal, (0, True), "n must be an integer >= 1, got True"),
+    "random-psd": lambda: (random_psd, (0, 0), "n must be an integer >= 1, got 0"),
+    "haar-unitary": lambda: (haar_unitary, (0, -1), "n must be an integer >= 1, got -1"),
+    "random-contraction": lambda: (random_contraction, (0, np.int64(0)), "n must be an integer >= 1"),
+    "partial-trace-d": lambda: (partial_trace_first, (2.0, 2), "d must be an integer >= 1, got 2.0"),
+    "partial-trace-n": lambda: (partial_trace_first, (2, 0), "n must be an integer >= 1, got 0"),
+    "corner-block": lambda: (corner_block_map, ("upper_left", 0), "n must be an integer >= 1, got 0"),
+    "identity-map": lambda: (identity_map, (0,), "n must be an integer >= 1, got 0"),
+    "random-cp-n": lambda: (random_cp_map, (0, 0, 2), "n must be an integer >= 1, got 0"),
+    "random-cp-m": lambda: (random_cp_map, (0, 2, False), "m must be an integer >= 1, got False"),
+    "random-cp-terms": lambda: (random_cp_map, (0, 2, 2, 0), "terms must be an integer >= 1, got 0"),
+    "unital-cp-n": lambda: (random_unital_cp_map, (0, 1.0, 2), "n must be an integer >= 1, got 1.0"),
+    "ptrace-check-d": lambda: (check_partial_trace, (random_normal(0, 4), 0, 2), "d must be an integer >= 1"),
+    "counterexample-trials": lambda: (
+        search_nonnormal_counterexample, (0, 0), "trials must be an integer >= 1, got 0"
+    ),
+    "counterexample-float-trials": lambda: (
+        search_nonnormal_counterexample, (0, 1.5), "trials must be an integer >= 1, got 1.5"
+    ),
+    "estimate-trials": lambda: (estimate_constant, ([0.25], 0, 0), "trials must be an integer >= 1, got 0"),
+    "estimate-n": lambda: (estimate_constant, ([0.25], 0, 1, 0), "n must be an integer >= 1, got 0"),
+    "estimate-m": lambda: (estimate_constant, ([0.25], 0, 1, 2, 1.5), "m must be an integer >= 1, got 1.5"),
+    "literal-rows": lambda: (matrix_from_json, ({**_ONE, "rows": 0},), "rows must be an integer >= 1, got 0"),
+    "literal-cols": lambda: (matrix_from_json, ({**_ONE, "cols": True},), "cols must be an integer >= 1"),
+    "map-literal-input-dim": lambda: (
+        map_from_json,
+        ({"inputDim": 0, "outputDim": 1, "kraus": [_ONE]},),
+        "inputDim must be an integer >= 1, got 0",
+    ),
+    "map-literal-output-dim": lambda: (
+        map_from_json,
+        ({"inputDim": 1, "outputDim": 1.5, "kraus": [_ONE]},),
+        "outputDim must be an integer >= 1, got 1.5",
+    ),
+    "direct-sum-empty": lambda: (direct_sum, ([],), "mats must not be empty"),
+    "sum-of-normals-empty": lambda: (check_sum_of_normals, ([],), "mats must not be empty"),
+    "weighted-sum-empty": lambda: (check_weighted_sum, ([], []), "xs must not be empty"),
+    "angles-empty": lambda: (repro_no_single_unitary, ([],), "angles must not be empty"),
+    "beta-grid-empty": lambda: (estimate_constant, ([],), "beta_grid must not be empty"),
+    "geometric-mean-shape": lambda: (
+        geometric_mean, (np.eye(2), np.eye(3)), "shape mismatch: a (2, 2) vs b (3, 3)"
+    ),
+    "verdict-shape": lambda: (loewner_leq, (np.eye(2), np.eye(3)), "shape mismatch: lhs (2, 2) vs rhs (3, 3)"),
+    "logmaj-shape": lambda: (weak_log_majorize, ([1.0], [1.0, 0.5]), "shape mismatch: a (1,) vs b (2,)"),
+    "schur-prod-shape": lambda: (schur_prod, (np.eye(2), np.ones((2, 3))), "shape mismatch: a (2, 2) vs b (2, 3)"),
+    "sum-of-normals-shape": lambda: (
+        check_sum_of_normals,
+        ([random_normal(5, 2), random_normal(6, 2), random_normal(7, 3)],),
+        "shape mismatch: mats[0] (2, 2) vs mats[2] (3, 3)",
+    ),
+    "weighted-sum-xs-shape": lambda: (
+        check_weighted_sum,
+        ([random_matrix(3, 3, 2), random_matrix(4, 3, 3)], [random_contraction(5, 3)] * 2),
+        "shape mismatch: xs[0] (3, 2) vs xs[1] (3, 3)",
+    ),
+    "schur-diagonal-shape": lambda: (
+        check_schur_diagonal, (random_psd(5, 2), random_contraction(6, 3)), "shape mismatch: a (2, 2) vs z (3, 3)"
+    ),
+    "schur-normal-shape": lambda: (
+        check_schur_normal, (random_normal(5, 2), random_normal(6, 3)), "shape mismatch: a (2, 2) vs b (3, 3)"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ARGUMENT_REFUSALS))
+def test_argument_rules_refuse_by_name_before_any_decomposition(linalg_calls, case):
+    # Each rule is one helper in core; every entry that takes a size, a list
+    # or two matrices of one shape refuses through it, naming the argument.
+    call, args, message = _ARGUMENT_REFUSALS[case]()
+    linalg_calls.clear()
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call(*args)
+    assert sum(linalg_calls.values()) == 0, dict(linalg_calls)
+
+
+def test_numpy_integer_sizes_are_accepted():
+    size = np.int64(2)
+    np.testing.assert_array_equal(random_normal(0, size), random_normal(0, 2))
+    np.testing.assert_array_equal(random_matrix(0, size, np.int32(3)), random_matrix(0, 2, 3))
+    np.testing.assert_array_equal(random_cp_map(0, size, size).kraus_ops, random_cp_map(0, 2, 2).kraus_ops)
+    assert partial_trace_first(size, size).input_dim == 4
+
+
 # ---------------------------------------------------------------------------
 # sweep assembly
 # ---------------------------------------------------------------------------
@@ -1006,6 +1115,27 @@ def test_run_trial_covers_statements_and_passes():
         assert list(out) == trial_statements(betas)
         for key, outcome in out.items():
             assert outcome.passed, (trial, key, outcome.min_slack)
+
+
+def test_report_keys_and_certificates_name_the_same_statement():
+    # A statement's name is written in its task (the claim's id) and in the
+    # statement table (the report key); the two must agree.
+    betas = (0.25, 0.5, 1.0, 2.0)
+    weights = {f"beta={beta:g}": beta for beta in betas}
+    for n, m in ((2, 2), (2, 3), (3, 2)):
+        out = run_trial(3, n, n, m, betas)
+        logmaj = [key for key in out if key.endswith("-logmaj")]
+        assert len(logmaj) == 5, logmaj
+        for key, outcome in out.items():
+            if key in logmaj:
+                assert isinstance(outcome, MajorizationReport), key
+                continue
+            assert isinstance(outcome, Certificate), key
+            name, _, tag = key.partition("@")
+            assert outcome.statement_id == name, key
+            if tag:
+                # main-geom has no weight: the sweep builds it once for all weights.
+                assert outcome.beta == (None if name == "main-geom" else weights[tag]), key
 
 
 @pytest.mark.parametrize("betas", [(1.0, 1.0000001), (0.5, 0.25, 0.5)])
@@ -1021,24 +1151,26 @@ def test_weights_sharing_a_key_are_refused(betas):
 def test_run_trial_decomposition_budget(linalg_calls):
     # A trial makes one stacked call per stage and matrix shape. At n = m, 2
     # calls draw the instances (1 stacked SVD scales the 6 contractions, 1
-    # eigh makes the unital map), 5 check inputs (normality takes one SVD of
-    # the commutators and the inputs at each of n and 2n), 4 take absolute
-    # values (|x| at n, 2n and 3n, |x| with |x*| at n), 1 polar serves all 9
+    # eigh makes the unital map), 3 check inputs (normality takes one SVD of
+    # the commutators and the inputs at each of n and 2n, and 1 checks the
+    # contractions), 3 take absolute values (|x| with |x*| at n, 2n and 3n),
+    # 1 polar serves all 9
     # orbit pairs, 1 + 1 + 1 take spectra (the unital map's defect among the
     # singular values) and determinants, 3 serve the 6 geometric means and
     # 2 + 2 decide the 21 Loewner certificates (shapes n and 2n). With n != m
     # the calls at n and at m are separate.
-    for n, m, budget in ((2, 2, 20), (3, 3, 20), (2, 3, 33), (3, 2, 33)):
+    for n, m, budget in ((2, 2, 19), (3, 3, 19), (2, 3, 32), (3, 2, 32)):
         linalg_calls.clear()
         run_trial(5, n, n, m, (0.25, 0.5, 1.0, 2.0))
-        assert sum(linalg_calls.values()) <= budget, (n, m, dict(linalg_calls))
+        assert sum(linalg_calls.values()) == budget, (n, m, dict(linalg_calls))
         assert linalg_calls["norm"] == 0, dict(linalg_calls)
 
 
 def test_run_trial_stacked_calls(monkeypatch):
-    # One engine call per stage and shape: at n = m, 18 serve the checks,
-    # absolute values, images, polar decompositions, spectra, means and
-    # verdicts, and 1 the 5 log-majorizations; at n != m, the calls at n and
+    # One engine call per stage and shape: at n = m, 17 serve the checks,
+    # absolute values (one stage gives both |x| and |x*|), images, polar
+    # decompositions, spectra, means and verdicts, and 1 the 5
+    # log-majorizations; at n != m, the calls at n and
     # at m are separate, and the log-majorizations take one call per length.
     # The verdict stage takes the 21 certificates' sides as Hermitian parts
     # and _orbit every comparison argument, so hermitian_part runs only on
@@ -1056,7 +1188,7 @@ def test_run_trial_stacked_calls(monkeypatch):
 
     monkeypatch.setattr(staging, "_answer", counted_answer)
     monkeypatch.setattr(certify, "hermitian_part", counted_hermitian)
-    for n, m, calls, lengths in ((3, 3, 19, 1), (2, 3, 28, 2)):
+    for n, m, calls, lengths in ((3, 3, 18, 1), (2, 3, 27, 2)):
         answered.clear()
         hermitian.clear()
         run_trial(5, n, n, m, (0.25, 0.5, 1.0, 2.0))

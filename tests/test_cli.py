@@ -70,6 +70,33 @@ def test_verify_rejects_bad_dims(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_rejects_a_zero_dimension(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--trials", "1", "--dims", "0,2"])
+    assert exc.value.code == 2
+    assert "dims must be positive pairs n,m" in capsys.readouterr().err
+
+
+def test_verify_runs_an_accepted_beta_list(capsys):
+    code, out = run_cli(capsys, ["verify", "--trials", "1", "--dims", "2,2", "--beta", "0.25,1"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["betaList"] == [0.25, 1.0]
+    assert {"main-arith@beta=0.25", "main-arith@beta=1"} <= set(report["statements"])
+    assert report["totalChecks"] == len(certify.trial_statements((0.25, 1.0)))
+
+
+def test_a_library_error_inside_the_sweep_propagates(capsys, monkeypatch):
+    # An error inside the sweep is a fault of the library, not of the usage,
+    # so verify lets it out of main as it is rather than exiting with 2.
+    def fail(*args, **kwargs):
+        raise ValueError("inside the sweep")
+
+    monkeypatch.setattr(cli, "run_trial", fail)
+    with pytest.raises(ValueError, match="inside the sweep"):
+        cli.main(["verify", "--trials", "1", "--dims", "2,2"])
+
+
 @pytest.mark.parametrize("betas", ["1,1", "0.1234561,0.1234562"])
 def test_verify_rejects_weights_sharing_a_key(capsys, betas):
     with pytest.raises(SystemExit) as exc:

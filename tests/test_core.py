@@ -11,6 +11,7 @@ from matineq.core import (
     _hermitian_verdict,
     _log_majorizations,
     _normals,
+    as_matrix,
     conj_real_part,
     direct_sum,
     geometric_mean,
@@ -460,6 +461,36 @@ def test_schur_shape_mismatch():
 def test_direct_sum_empty():
     with pytest.raises(ValueError):
         direct_sum([])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: as_matrix(np.ones(3)), "matrix must be 2-dimensional", id="as_matrix-1d"),
+        pytest.param(
+            lambda: as_matrix(np.ones((2, 2, 2)), name="y"), "y must be 2-dimensional", id="as_matrix-3d"
+        ),
+        pytest.param(
+            lambda: singular_values(np.ones(3)),
+            "x must be a matrix or a stack of matrices",
+            id="singular_values-1d",
+        ),
+        pytest.param(
+            lambda: weak_log_majorize([1.0, np.inf], [1.0, 1.0]), "a has non-finite entries", id="logmaj-inf"
+        ),
+        pytest.param(
+            lambda: weak_log_majorize([1.0, 0.5], [np.nan, 1.0]), "b has non-finite entries", id="logmaj-nan"
+        ),
+    ],
+)
+def test_malformed_arrays_are_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
+
+
+def test_a_non_square_matrix_is_not_hermitian():
+    assert is_hermitian(np.zeros((2, 3))) is False
+    assert is_hermitian(np.ones((1, 2))) is False
 
 
 EMPTY = np.zeros((0, 0), dtype=complex)
