@@ -207,6 +207,7 @@ def _run(*tasks) -> list:
     stages = (
         "is_normal",
         "is_contraction",
+        "mat_abs",
         "_abs_pair",
         "apply",
         "_orbit",
@@ -315,8 +316,8 @@ def _abs_pair(x) -> _AbsPair:
 
 def _image_orbit(pmap: PositiveMapRep, x: np.ndarray):
     """Task: the orbit pair ``(map(x), map(|x|))``."""
-    (pair,) = yield [Ask(_abs_pair, (x,))]
-    image, image_abs = yield _applied(pmap, [x, pair.right])
+    (abs_x,) = yield [Ask(mat_abs, (x,))]
+    image, image_abs = yield _applied(pmap, [x, abs_x])
     (o,) = yield [Ask(_orbit, (image, image_abs))]
     return o
 
@@ -462,11 +463,11 @@ def _real_part(a, tol: float):
     a = as_matrix(a, square=True, name="a")
     yield from _require(is_normal, [a], ["a"], "normal")
     doubled = direct_sum([a, np.conj(a)])
-    pair_doubled, pair_a = yield [Ask(_abs_pair, (doubled,)), Ask(_abs_pair, (a,))]
+    abs_doubled, abs_a = yield [Ask(mat_abs, (doubled,)), Ask(mat_abs, (a,))]
     averager = corner_block_map("diag_average", a.shape[0])
-    image, image_abs_arg = yield _applied(averager, [doubled, pair_doubled.right])
+    image, image_abs_arg = yield _applied(averager, [doubled, abs_doubled])
     real_a = conj_real_part(a)
-    real_abs = conj_real_part(pair_a.right)
+    real_abs = conj_real_part(abs_a)
     s_image, t_image, s_real, t_real = yield [
         Ask(singular_values, (image,)),
         Ask(_eig_desc, (image_abs_arg,)),
@@ -622,8 +623,8 @@ def _schur_normal(a, b, tol: float):
     b = as_matrix(b, square=True, name="b")
     _check_same_shape((a, b), ("a", "b"))
     yield from _require(is_normal, [a, b], ["a", "b"], "normal")
-    pair_a, pair_b = yield [Ask(_abs_pair, (a,)), Ask(_abs_pair, (b,))]
-    (o,) = yield [Ask(_orbit, (schur_prod(a, b), schur_prod(pair_a.right, pair_b.right)))]
+    abs_a, abs_b = yield [Ask(mat_abs, (a,)), Ask(mat_abs, (b,))]
+    (o,) = yield [Ask(_orbit, (schur_prod(a, b), schur_prod(abs_a, abs_b)))]
     return (yield from _decide([_arith("schur-normal", o, 1.0, tol)]))
 
 
@@ -688,10 +689,10 @@ def _two_positive_unital(pmap: PositiveMapRep, z, tol: float):
     z = as_matrix(z, square=True, name="z")
     _check_fit(pmap, z, "z")
     yield from _require(is_contraction, [z], ["z"], "a contraction")
-    (pair,) = yield [Ask(_abs_pair, (z,))]
+    (abs_z,) = yield [Ask(mat_abs, (z,))]
     eye = np.eye(pmap.output_dim, dtype=complex)
     # maps.is_unital, with map(I) and its defect asked in the stages of map(z).
-    image, image_abs, image_id = yield _applied(pmap, [z, pair.right, np.eye(z.shape[0], dtype=complex)])
+    image, image_abs, image_id = yield _applied(pmap, [z, abs_z, np.eye(z.shape[0], dtype=complex)])
     o, defect = yield [Ask(_orbit, (image, image_abs)), Ask(singular_values, (image_id - eye,))]
     if not _unital(defect[0]):
         raise ValueError("the quarter bound requires a unital map")
