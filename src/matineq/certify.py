@@ -23,7 +23,6 @@ from .core import (
     PSD_TOL,
     MajorizationReport,
     _CHECK_TOL,
-    _abs_from_svd,
     _adjoint,
     _check_nonempty,
     _check_same_shape,
@@ -208,7 +207,6 @@ def _run(*tasks) -> list:
         "is_normal",
         "is_contraction",
         "mat_abs",
-        "_abs_pair",
         "apply",
         "_orbit",
         "singular_values",
@@ -301,23 +299,16 @@ def _orbit(image, arg) -> _Orbit:
     return _Orbit(image, arg, lhs, v, _hermitian(v @ arg @ _adjoint(v)))
 
 
-class _AbsPair(NamedTuple):
-    """``|x|`` and ``|x*|``."""
+def _image_orbit(pmap: PositiveMapRep, *blocks):
+    """Task: the orbit pair ``(map(x), map(|x|))`` of ``x = b_1 (+) b_2 (+) ...``.
 
-    right: np.ndarray
-    left: np.ndarray
-
-
-def _abs_pair(x) -> _AbsPair:
-    """``(|x|, |x*|)`` from one SVD ``x = u s vh``: ``vh* s vh`` and ``u s u*``, per member."""
-    u, s, vh = np.linalg.svd(x)
-    return _AbsPair(_abs_from_svd(s, vh), _hermitian((u * s[..., None, :]) @ _adjoint(u)))
-
-
-def _image_orbit(pmap: PositiveMapRep, x: np.ndarray):
-    """Task: the orbit pair ``(map(x), map(|x|))``."""
-    (abs_x,) = yield [Ask(mat_abs, (x,))]
-    image, image_abs = yield _applied(pmap, [x, abs_x])
+    ``|x|`` is taken block by block, ``|b_1 (+) b_2| = |b_1| (+) |b_2|``, so a
+    direct sum costs no decomposition of its own size.
+    """
+    abs_blocks = yield [Ask(mat_abs, (b,)) for b in blocks]
+    if len(blocks) > 1:
+        blocks, abs_blocks = [direct_sum(blocks)], [direct_sum(abs_blocks)]
+    image, image_abs = yield _applied(pmap, [*blocks, *abs_blocks])
     (o,) = yield [Ask(_orbit, (image, image_abs))]
     return o
 
@@ -462,8 +453,10 @@ def check_corollary_eigen(
 def _real_part(a, tol: float):
     a = as_matrix(a, square=True, name="a")
     yield from _require(is_normal, [a], ["a"], "normal")
+    (abs_a,) = yield [Ask(mat_abs, (a,))]
+    # |a (+) conj(a)| = |a| (+) |conj(a)|, and |conj(a)| = conj(|a|).
     doubled = direct_sum([a, np.conj(a)])
-    abs_doubled, abs_a = yield [Ask(mat_abs, (doubled,)), Ask(mat_abs, (a,))]
+    abs_doubled = direct_sum([abs_a, np.conj(abs_a)])
     averager = corner_block_map("diag_average", a.shape[0])
     image, image_abs_arg = yield _applied(averager, [doubled, abs_doubled])
     real_a = conj_real_part(a)
@@ -510,7 +503,7 @@ def _sum_of_normals(mats: Sequence, tol: float):
     names = [f"mats[{i}]" for i in range(len(mats))]
     _check_same_shape(mats, names)
     yield from _require(is_normal, mats, names, "normal")
-    o = yield from _image_orbit(partial_trace_first(len(mats), len(mats[0])), direct_sum(mats))
+    o = yield from _image_orbit(partial_trace_first(len(mats), len(mats[0])), *mats)
     (mean,) = yield [_mean(o)]
     claims = [_geom("sum-normals-geom", o, mean, tol), _arith("sum-normals-arith", o, 0.5, tol)]
     geom, arith = yield from _decide(claims)
@@ -569,13 +562,13 @@ def _weighted_sum(xs: Sequence, zs: Sequence, tol: float):
 
     weighted = sum(x.conj().T @ z @ x for x, z in zip(xs, zs))
     gram = hermitian_part(sum(x.conj().T @ x for x in xs))
-    singular, spectrum, *pairs = yield [
+    singular, spectrum, *abs_zs = yield [
         Ask(singular_values, (weighted,)),
         Ask(_eig_desc, (gram,)),
-        *(Ask(_abs_pair, (z,)) for z in zs),
+        *(Ask(mat_abs, (w,)) for z in zs for w in (z, _adjoint(z))),
     ]
-    upper_left = sum(x.conj().T @ pair.left @ x for x, pair in zip(xs, pairs))
-    lower_right = sum(x.conj().T @ pair.right @ x for x, pair in zip(xs, pairs))
+    upper_left = sum(x.conj().T @ abs_z_adj @ x for x, abs_z_adj in zip(xs, abs_zs[1::2]))
+    lower_right = sum(x.conj().T @ abs_z @ x for x, abs_z in zip(xs, abs_zs[0::2]))
     block = np.block([[upper_left, weighted], [weighted.conj().T, lower_right]])
     (cert,) = yield from _decide([_Claim("weighted-sum-block", np.zeros_like(block), block, tol)])
     (logmaj,) = yield [_logmaj(singular, spectrum, tol)]
@@ -640,18 +633,14 @@ def check_schur_normal(a, b, tol: float = DEFAULT_TOL) -> Certificate:
 
 
 def _symmetrized(pmap: PositiveMapRep, x, tol: float):
-    """Task: the hermitian-sum-geom and schur-square-geom certificates, from one SVD of ``x``."""
+    """Task: the hermitian-sum-geom and schur-square-geom certificates, from ``|x|`` and ``|x*|``."""
     x = as_matrix(x, square=True, name="x")
     _check_fit(pmap, x, "x")
-    (pair,) = yield [Ask(_abs_pair, (x,))]
+    x_adj = _adjoint(x)
+    abs_x, abs_x_adj = yield [Ask(mat_abs, (x,)), Ask(mat_abs, (x_adj,))]
     herm_image, herm_arg, square_image, square_arg = yield _applied(
         pmap,
-        [
-            x + x.conj().T,
-            pair.right + pair.left,
-            schur_prod(x, x.conj().T),
-            schur_prod(pair.right, pair.left),
-        ],
+        [x + x_adj, abs_x + abs_x_adj, schur_prod(x, x_adj), schur_prod(abs_x, abs_x_adj)],
     )
     herm, square = yield [Ask(_orbit, (herm_image, herm_arg)), Ask(_orbit, (square_image, square_arg))]
     herm_mean, square_mean = yield [_mean(herm), _mean(square)]
@@ -785,12 +774,12 @@ def repro_no_single_unitary(angles) -> ReproResult:
             raise ValueError("angles must lie in (0, pi/2]")
     keys = _distinct_tags("ratio_a", angles, "angles")
     p = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    blocks = []
+    qs = []
     for a in angles:
         c, s = math.cos(a), math.sin(a)
-        blocks.append(direct_sum([p, -np.array([[c**2, s * c], [s * c, s**2]], dtype=complex)]))
+        qs.append(np.array([[c**2, s * c], [s * c, s**2]], dtype=complex))
     trace_map = partial_trace_first(2, 2)
-    orbits = _run(*(_image_orbit(trace_map, block) for block in blocks))
+    orbits = _run(*(_image_orbit(trace_map, p, -q) for q in qs))
     lam2_abs = _eig_desc(np.array([o.arg for o in orbits]))[:, -1]
     lam2_image = singular_values(np.array([o.image for o in orbits]))[:, -1]
     ratios = [float(x) for x in lam2_abs / lam2_image]
@@ -886,9 +875,9 @@ def _det_excess(real_a, real_abs) -> tuple:
     return det_lhs, det_rhs, det_lhs - det_rhs
 
 
-def _real_part_margin(a) -> float:
-    """``|det Re a| - det Re|a|``: by how much ``a`` breaks the normal-matrix bound."""
-    return _det_excess(conj_real_part(a), conj_real_part(mat_abs(a)))[2]
+def _real_part_margin(a) -> tuple:
+    """``_det_excess`` of ``a``: the margin is by how much ``a`` breaks the normal-matrix bound."""
+    return _det_excess(conj_real_part(a), conj_real_part(mat_abs(a)))
 
 
 def search_nonnormal_counterexample(seed, trials: int) -> ReproResult:
@@ -902,8 +891,7 @@ def search_nonnormal_counterexample(seed, trials: int) -> ReproResult:
     rng = np.random.default_rng(seed)
     for index in range(trials):
         candidate = _complex_gaussian(rng, 1, 2, 2)[0]
-        real_parts = conj_real_part(candidate), conj_real_part(mat_abs(candidate))
-        det_lhs, det_rhs, margin = _det_excess(*real_parts)
+        det_lhs, det_rhs, margin = _real_part_margin(candidate)
         if margin > PSD_TOL:
             return ReproResult(
                 example_id="nonnormal-det",

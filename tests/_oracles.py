@@ -5,7 +5,10 @@ geometric mean is cross-checked through the arithmetic-harmonic iteration
 (matrix inverses only) and the matrix absolute value through an
 eigendecomposition of x* x or, for normal matrices, a complex Schur form.
 The tensor constructions of the entrywise-product certificates are kept here
-in plain numpy as the reference for their closed forms, and the Kraus-map
+in plain numpy as the reference for their closed forms, as are ``|x*|`` from
+the SVD of ``x`` and the absolute value of a direct sum from one SVD of the
+whole (the library asks ``|x*|`` of ``x*`` and takes a direct sum's block by
+block), and the Kraus-map
 operations one factor (or one matrix unit) at a time as the reference for
 the stacked ones. The search constant's bisection is the reference for its
 closed form.
@@ -44,6 +47,18 @@ def abs_via_schur(x):
     """
     t, z = scipy.linalg.schur(np.asarray(x, dtype=complex), output="complex")
     return (z * np.abs(np.diagonal(t))) @ z.conj().T
+
+
+def abs_pair_via_one_svd(x):
+    """``(|x|, |x*|)`` from one SVD ``x = u s vh``: ``vh* s vh`` and ``u s u*``."""
+    u, s, vh = np.linalg.svd(np.asarray(x, dtype=complex))
+    return _herm((vh.conj().T * s) @ vh), _herm((u * s) @ u.conj().T)
+
+
+def abs_direct_sum_via_svd(blocks):
+    """``|b_1 (+) b_2 (+) ...|`` from one SVD of the direct sum."""
+    _, s, vh = np.linalg.svd(scipy.linalg.block_diag(*blocks).astype(complex))
+    return _herm((vh.conj().T * s) @ vh)
 
 
 def _paired_diagonal(big, n):

@@ -6,16 +6,19 @@ and times ``run_trial`` for its scaling curve. A wrapped name that is gone,
 a unit that is no longer called in-process, or outcomes without ``passed``
 make a traced benchmark run crash rather than report. These tests read the
 worker's name lists with ``ast``, without importing it, and check each
-against the library.
+against the library. The benchmark's own self-test counts one traced
+``core.mat_abs`` call in ``check_block_certificate``; the tests at the end
+guard that count and that every stage of a trial is asked for.
 """
 
 import ast
+import functools
 import sys
 from pathlib import Path
 
 import pytest
 
-from matineq import certify, cli, core, maps, serialize
+from matineq import certify, cli, core, maps, serialize, staging
 
 WORKER = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
 MODULES = {"certify": certify, "core": core, "maps": maps, "serialize": serialize}
@@ -106,6 +109,7 @@ def _count_everywhere(monkeypatch, fn) -> list:
     """Wrap ``fn`` in every loaded ``matineq`` module that binds it; returns the call log."""
     calls = []
 
+    @functools.wraps(fn)  # the staging engine finds a stage by __name__
     def counted(*args, **kwargs):
         calls.append(args)
         return fn(*args, **kwargs)
@@ -134,3 +138,29 @@ def test_each_unit_is_one_in_process_call(capsys, monkeypatch, fn, argv, units):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert len(calls) == units, argv
+
+
+def test_block_certificate_makes_one_mat_abs_call(monkeypatch):
+    calls = _count_everywhere(monkeypatch, core.mat_abs)
+    certify.check_block_certificate(maps.random_cp_map(0, 2, 2), core.random_normal(1, 2))
+    assert len(calls) == 1
+
+
+def test_a_trial_asks_every_stage(monkeypatch):
+    stages, asked = [], set()
+    run_staged, answer = certify.run_staged, staging._answer
+
+    def recorded_run(names, tasks):
+        stages.append(tuple(names))
+        return run_staged(names, tasks)
+
+    def recorded_answer(asks):
+        asked.add(asks[0].fn.__name__)
+        return answer(asks)
+
+    monkeypatch.setattr(certify, "run_staged", recorded_run)
+    monkeypatch.setattr(staging, "_answer", recorded_answer)
+    for n, m in ((3, 3), (2, 3)):
+        certify.run_trial(1, 0, n, m, cli.DEFAULT_BETAS)
+    assert len(set(stages)) == 1
+    assert asked == set(stages[0])
