@@ -5,12 +5,11 @@ geometric mean is cross-checked through the arithmetic-harmonic iteration
 (matrix inverses only) and the matrix absolute value through an
 eigendecomposition of x* x or, for normal matrices, a complex Schur form.
 The tensor constructions of the entrywise-product certificates are kept here
-in plain numpy as the reference for their closed forms, as are ``|x*|`` from
-the SVD of ``x`` and the absolute value of a direct sum from one SVD of the
-whole (the library asks ``|x*|`` of ``x*`` and takes a direct sum's block by
-block), and the Kraus-map
-operations one factor (or one matrix unit) at a time as the reference for
-the stacked ones. The search constant's bisection is the reference for its
+in plain numpy as the reference for their closed forms. ``|x*|`` as ``u s u*``
+from the SVD of ``x``, and a direct sum's absolute value from one SVD of the
+whole, are the references for ``mat_abs`` of ``x*`` and of each block. The
+Kraus-map operations one factor (or one matrix unit) at a time are the
+reference for the stacked ones. The search constant's bisection is the reference for its
 closed form.
 """
 

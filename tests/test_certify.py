@@ -643,7 +643,7 @@ def _orbit_sides(pmap, source, comparison):
     return lhs, arg, hermitian_part(w.conj().T @ arg @ w)
 
 
-def _retired_abs_cases(n):
+def _one_svd_oracle_cases(n):
     """(library outcome, oracle sides, oracle verdict) for each statement built from |x*| or a direct sum's |x|."""
     pmap = random_cp_map([n, 40], n, n)
     x = random_matrix([n, 41], n)
@@ -688,7 +688,7 @@ def test_absolute_values_match_the_one_svd_oracles(n):
     def norm(v):
         return float(np.abs(v).max()) if v.ndim == 1 else spectral_norm(v)
 
-    for outcome, (lhs, rhs), passed in _retired_abs_cases(n):
+    for outcome, (lhs, rhs), passed in _one_svd_oracle_cases(n):
         if isinstance(outcome, MajorizationReport):
             got = outcome.a, outcome.b
         else:
