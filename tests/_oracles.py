@@ -10,7 +10,8 @@ from the SVD of ``x``, and a direct sum's absolute value from one SVD of the
 whole, are the references for ``mat_abs`` of ``x*`` and of each block. The
 Kraus-map operations one factor (or one matrix unit) at a time are the
 reference for the stacked ones. The search constant's bisection is the reference for its
-closed form.
+closed form, and scipy's generalized eigensolve of the same pencil the reference for its
+Cholesky reduction.
 """
 
 import numpy as np
@@ -174,17 +175,22 @@ def geometric_mean_six_decompositions(a, b):
     return _herm(root @ _herm(middle) @ root)
 
 
+def _search_pair(pmap, nmat):
+    """``(a, |map(n)|, v a v*, floor)`` with ``a = map(|n|)`` and the search's verdict floor."""
+    unitary, lhs = polar(apply(pmap, nmat))
+    v = unitary.conj().T
+    arg = hermitian_part(apply(pmap, mat_abs(nmat)))
+    orbit = hermitian_part(v @ arg @ v.conj().T)
+    return arg, lhs, orbit, -1e-12 * max(1.0, spectral_norm(arg))
+
+
 def minimal_orbit_constant_by_bisection(pmap, nmat, beta, iterations=60):
     """The search constant as first implemented: 60 halvings of [0, 1/(2 beta)].
 
     Feasibility of c, ``lambda_min(beta a + c v a v* - |map(n)|) >= floor`` with
     ``a = map(|n|)``, is monotone in c; each step takes one ``eigvalsh``.
     """
-    unitary, lhs = polar(apply(pmap, nmat))
-    v = unitary.conj().T
-    arg = hermitian_part(apply(pmap, mat_abs(nmat)))
-    orbit = hermitian_part(v @ arg @ v.conj().T)
-    floor = -1e-12 * max(1.0, spectral_norm(arg))
+    arg, lhs, orbit, floor = _search_pair(pmap, nmat)
 
     def feasible(c):
         return float(np.linalg.eigvalsh(hermitian_part(beta * arg + c * orbit - lhs)).min()) >= floor
@@ -201,3 +207,17 @@ def minimal_orbit_constant_by_bisection(pmap, nmat, beta, iterations=60):
         else:
             lo = mid
     return hi
+
+
+def minimal_orbit_constant_by_pencil(pmap, nmat, beta):
+    """The search constant from scipy's generalized eigensolver, as first closed.
+
+    With ``hi = 1/(2 beta)`` and ``s0``, ``d = s0 + hi v a v*`` the slacks at 0 and
+    ``hi`` shifted by the floor, the value is ``hi nu / (1 + nu)`` for the top
+    eigenvalue ``nu > 0`` of ``scipy.linalg.eigh(-s0, d)``, else 0.
+    """
+    arg, lhs, orbit, floor = _search_pair(pmap, nmat)
+    hi = 1.0 / (2.0 * beta)
+    s0 = beta * arg - lhs - floor * np.eye(len(arg))
+    nu = scipy.linalg.eigh(-s0, s0 + hi * orbit, eigvals_only=True)[-1]
+    return 0.0 if nu <= 0.0 else float(hi * nu / (1.0 + nu))

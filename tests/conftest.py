@@ -4,7 +4,6 @@ import collections
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 
 def _counting(name, original, counts):
@@ -21,14 +20,11 @@ def _counting(name, original, counts):
 def linalg_calls(monkeypatch):
     """A Counter of the decompositions made while the test runs.
 
-    Keys are ``svd``, ``eigh``, ``eigvalsh``, ``det`` and ``norm`` for calls
-    through ``np.linalg``, the last counting ``norm(x, 2)`` calls only, and
-    ``scipy.linalg.eigh`` for calls through scipy.
+    Keys are ``svd``, ``eigh``, ``eigvalsh``, ``det``, ``norm``, ``cholesky``
+    and ``inv`` for calls through ``np.linalg``, ``norm`` counting ``norm(x, 2)``
+    calls only.
     """
     counts = collections.Counter()
-    for name in ("svd", "eigh", "eigvalsh", "det", "norm"):
+    for name in ("svd", "eigh", "eigvalsh", "det", "norm", "cholesky", "inv"):
         monkeypatch.setattr(np.linalg, name, _counting(name, getattr(np.linalg, name), counts))
-    monkeypatch.setattr(
-        scipy.linalg, "eigh", _counting("scipy.linalg.eigh", scipy.linalg.eigh, counts)
-    )
     return counts

@@ -987,8 +987,25 @@ def test_minimal_constant_takes_one_generalized_eigensolve(linalg_calls):
     for pmap, nmat in ((random_cp_map(1, 3, 3), random_normal(2, 3)), (schur_multiplier(a), r)):
         linalg_calls.clear()
         minimal_orbit_constant(pmap, nmat, 0.25)
-        assert linalg_calls["scipy.linalg.eigh"] == 1, dict(linalg_calls)
-        assert sum(linalg_calls.values()) <= 5, dict(linalg_calls)
+        # The pencil is reduced by one Cholesky factor and its inverse, then one eigvalsh.
+        assert dict(linalg_calls) == {"svd": 4, "cholesky": 1, "inv": 1, "eigvalsh": 1}
+
+
+def test_estimate_constant_solves_its_pool_in_chunks(monkeypatch):
+    # Chunks change neither the instances solved, nor their order, nor the rows.
+    solved = []
+
+    def recorded(*args):
+        solved.append(minimal_orbit_constant(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(certify, "minimal_orbit_constant", recorded)
+    whole = estimate_constant([0.1, 0.5], trials=20, seed=4, n=3, m=2)
+    whole_solved = solved.copy()
+    solved.clear()
+    monkeypatch.setattr(certify, "_SEARCH_CHUNK", 7)
+    assert estimate_constant([0.1, 0.5], trials=20, seed=4, n=3, m=2) == whole
+    assert solved == whole_solved and len(solved) == 2 * 21
 
 
 def test_estimate_constant_rows():

@@ -6,6 +6,8 @@ import inspect
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -43,6 +45,42 @@ def test_package_exports_are_listed_names():
 def test_package_version_matches_pyproject():
     # The report's artifactVersion reads __version__, so the two must not drift.
     assert re.search(r'^version = "([^"]+)"$', _project(), re.M).group(1) == matineq.__version__
+
+
+def test_package_depends_on_numpy_alone():
+    # Every import in the package is of the standard library, numpy or the
+    # package itself, and numpy is the one declared runtime dependency.
+    paths = sorted(glob.glob(os.path.join(ROOT, "src", "matineq", "*.py")))
+    assert len(paths) > 5
+    foreign = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top not in ("numpy", "matineq"):
+                    foreign.append((os.path.basename(path), name))
+    assert foreign == []
+    block = re.search(r"^dependencies = \[(.*?)\]", _project(), re.M | re.S).group(1)
+    assert re.findall(r'"([A-Za-z0-9_.-]+)', block) == ["numpy"]
+
+
+def test_cli_import_loads_no_scipy():
+    path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    # Any scipy submodule loads the top-level package too.
+    probe = "import sys, matineq.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_sources_parse_at_the_declared_python_floor():

@@ -6,7 +6,8 @@ one ``estimate_constant`` call. The rows alone would not show drift: the
 sharpness-family member of each pool attains the guaranteed constant, so the
 random pairs never set a row. A change that means to move a constant rewrites
 the file with ``python tests/test_search_golden.py``; any other change must
-replay it bit for bit.
+replay it bit for bit. The same pairs check the closed form against scipy's
+generalized eigensolve of its pencil.
 """
 
 import json
@@ -17,6 +18,8 @@ from matineq.certify import estimate_constant, minimal_orbit_constant
 from matineq.core import random_normal
 from matineq.maps import random_cp_map
 
+from _oracles import minimal_orbit_constant_by_pencil
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "search_constants.json")
 SEED = 42
 DIMS = ((2, 2), (3, 3), (2, 3))
@@ -24,14 +27,19 @@ BETAS = (0.1, 0.25, 0.5)
 PAIRS = 40
 
 
+def _pairs(k, n, m):
+    """The seeded map/matrix pairs of the k-th shape."""
+    return [
+        (random_cp_map([SEED, k, t, 0], n, m), random_normal([SEED, k, t, 1], n))
+        for t in range(PAIRS)
+    ]
+
+
 def _constants():
     """One record per (shape, weight): the constants of the shape's seeded pairs, as reprs."""
     records = []
     for k, (n, m) in enumerate(DIMS):
-        pairs = [
-            (random_cp_map([SEED, k, t, 0], n, m), random_normal([SEED, k, t, 1], n))
-            for t in range(PAIRS)
-        ]
+        pairs = _pairs(k, n, m)
         for beta in BETAS:
             constants = [repr(minimal_orbit_constant(pmap, nmat, beta)) for pmap, nmat in pairs]
             records.append({"n": n, "m": m, "beta": beta, "constants": constants})
@@ -56,6 +64,19 @@ def test_minimal_orbit_constant_replays_every_recorded_constant():
 
 def test_estimate_constant_replays_its_rows():
     assert _golden()["rows"] == _rows()
+
+
+def test_minimal_orbit_constant_matches_scipys_pencil():
+    # The Cholesky reduction against scipy's generalized eigensolve of the same
+    # pencil, down to weights where the constant is far below 1/(2 beta).
+    for k, (n, m) in enumerate(DIMS):
+        pairs = _pairs(k, n, m)
+        for beta in BETAS + (1e-8, 1e-16):
+            for pmap, nmat in pairs:
+                c = minimal_orbit_constant(pmap, nmat, beta)
+                reference = minimal_orbit_constant_by_pencil(pmap, nmat, beta)
+                assert abs(c - reference) <= 1e-14 * max(1.0, c), (n, m, beta, c, reference)
+                assert (c == 0.0) == (reference == 0.0), (n, m, beta, c, reference)
 
 
 if __name__ == "__main__":
