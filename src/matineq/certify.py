@@ -19,10 +19,12 @@ import numpy as np
 
 from .core import (
     CONSTRUCTION_TOL,
+    MAX_KRAUS_BYTES,
     PSD_TOL,
     MajorizationReport,
     _CHECK_TOL,
     _adjoint,
+    _as_stack,
     _check_nonempty,
     _check_same_shape,
     _check_size,
@@ -33,7 +35,9 @@ from .core import (
     _hermitian_within,
     _is_psd,
     _log_majorizations,
+    _normal_draws,
     _normals,
+    _normals_of,
     _threshold,
     as_matrix,
     conj_real_part,
@@ -45,7 +49,6 @@ from .core import (
     mat_abs,
     polar,
     random_matrix,
-    random_normal,
     random_psd,
     schur_prod,
     singular_values,
@@ -53,7 +56,10 @@ from .core import (
 )
 from .maps import (
     PositiveMapRep,
+    _apply_stack,
     _check_fit,
+    _cp_draws,
+    _cp_maps,
     _unital,
     apply,
     corner_block_map,
@@ -915,7 +921,7 @@ def search_nonnormal_counterexample(seed, trials: int) -> ReproResult:
     )
 
 
-def minimal_orbit_constant(pmap: PositiveMapRep, nmat, beta: float) -> float:
+def minimal_orbit_constant(pmap: PositiveMapRep | Sequence[PositiveMapRep], nmat, beta: float):
     """Smallest c with ``|map(n)| <= beta map(|n|) + c v map(|n|) v*`` for the polar witness.
 
     With ``a = map(|n|)``, ``b = v a v*``, ``hi = 1/(2 beta)`` (twice the guaranteed
@@ -923,30 +929,71 @@ def minimal_orbit_constant(pmap: PositiveMapRep, nmat, beta: float) -> float:
     verdict floor, the slack at ``c = t hi`` is ``(1 - t) s0 + t d``. ``d`` is positive
     definite when the guaranteed constant holds, and the value is ``hi nu / (1 + nu)``
     for the top eigenvalue ``nu > 0`` of the pencil ``(-s0, d)``, else 0: nothing cancels.
+
+    Takes one pair and returns a float, or a chunk, a sequence of ``k`` maps of one
+    Kraus shape and a ``(k, n, n)`` stack of matrices, and returns ``k`` constants.
+    A chunk is solved in one stacked call per decomposition; fit, normality, the
+    floor and the value are each member's own, and each constant has the bits of
+    its pair solved alone.
     """
     _check_weights([beta])
-    nmat = as_matrix(nmat, square=True, name="nmat")
-    _check_fit(pmap, nmat, "nmat")
-    if not is_normal(nmat):
+    single = isinstance(pmap, PositiveMapRep)
+    if single:
+        pmaps, nmats = [pmap], as_matrix(nmat, square=True, name="nmat")[None]
+    else:
+        pmaps, nmats = list(pmap), _as_stack(nmat, "nmat")
+        if nmats.ndim != 3 or len(nmats) != len(pmaps):
+            k = len(pmaps)
+            raise ValueError(f"a chunk of {k} maps needs nmat of shape ({k}, n, n), got {nmats.shape}")
+    stacks = [p.kraus_ops for p in pmaps]
+    _check_same_shape(stacks, [f"pmap[{i}].kraus_ops" for i in range(len(stacks))])
+    ops = np.stack(stacks)
+    _check_fit(pmaps[0], nmats, "nmat")
+    if not np.all(is_normal(nmats)):
         raise ValueError("nmat must be normal")
-    # _image_orbit's pair, built directly: the staging engine costs more than it pools here.
-    o = _orbit(*apply(pmap, np.stack([nmat, mat_abs(nmat)])))
+    # _image_orbit's pair of every member, built directly: the chunk is one stack already.
+    images = _apply_stack(ops, np.stack([nmats, mat_abs(nmats)], axis=1))
+    o = _orbit(images[:, 0], images[:, 1])
     floor = -_threshold(CONSTRUCTION_TOL, spectral_norm(o.arg))
     hi = 1.0 / (2.0 * beta)
-    s0 = beta * o.arg - o.lhs - floor * np.eye(len(o.arg))
+    s0 = beta * o.arg - o.lhs - floor[:, None, None] * np.eye(o.arg.shape[-1])
     try:
         low = np.linalg.cholesky(s0 + hi * o.orbit)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError("guaranteed constant infeasible; this indicates a bug") from exc
     # The pencil (-s0, d) reduced by d = L L*, as LAPACK's hegv does: L^-1 (-s0) L^-*.
     inv = np.linalg.inv(low)
-    nu = np.linalg.eigvalsh(_hermitian(inv @ -s0 @ _adjoint(inv)))[-1]
-    return 0.0 if nu <= 0.0 else float(hi * nu / (1.0 + nu))
+    nu = np.linalg.eigvalsh(_hermitian(inv @ -s0 @ _adjoint(inv)))[:, -1]
+    positive = np.maximum(nu, 0.0)  # keeps 1 + nu away from 0 in the branch np.where drops
+    c = np.where(nu <= 0.0, 0.0, hi * positive / (1.0 + positive))
+    return float(c[0]) if single else c
 
 
-# Instances of a search pool drawn and solved at a time, so memory stays bounded as
-# trials grow; whole chunks, because solving one instance as it is drawn costs more.
-_SEARCH_CHUNK = 4096
+# Arrays the size of a search chunk's Kraus factors that it holds at once: the
+# draws, the factors and the maps' copies while it is built; the maps, their
+# stack and _apply_stack's products (two images' worth at most) while it is solved.
+_FACTOR_COPIES = 4
+
+
+def _search_chunk(n: int, m: int) -> int:
+    """Drawn pairs solved in one call, at least one.
+
+    As many as keep ``_FACTOR_COPIES`` copies of their Kraus factors, ``16 (n m)^2``
+    bytes a pair, within ``MAX_KRAUS_BYTES``.
+    """
+    return max(1, MAX_KRAUS_BYTES // (_FACTOR_COPIES * 16 * (n * m) ** 2))
+
+
+def _search_pairs(seed, bi: int, ts: range, n: int, m: int):
+    """The drawn pairs ``ts`` of weight ``bi``'s pool, as ``(maps, (k, n, n) normals)``.
+
+    Each instance keeps its two generators, seeded ``[seed, bi, t, 0]`` for the map
+    and ``[seed, bi, t, 1]`` for the matrix, so it is the pair ``random_cp_map`` and
+    ``random_normal`` draw from those seeds; what follows the draws runs once a chunk.
+    """
+    seeds = [[seed, bi, t] for t in ts]
+    pmaps = _cp_maps(np.stack([_cp_draws(np.random.default_rng(s + [0]), n, m, n * m) for s in seeds]))
+    return pmaps, _normals_of([_normal_draws(np.random.default_rng(s + [1]), 1, n) for s in seeds])
 
 
 def estimate_constant(
@@ -960,8 +1007,9 @@ def estimate_constant(
 
     For each weight the pool holds the 2x2 sharpness-family instance (which
     attains the guaranteed constant with the polar witness) plus seeded random
-    map/matrix pairs, drawn and solved in chunks of ``_SEARCH_CHUNK``; rows report
-    the observed maximum against the guaranteed bound ``1/(4 beta)``.
+    map/matrix pairs, drawn and solved in chunks of ``_search_chunk(n, m)``, one
+    ``minimal_orbit_constant`` call a chunk; rows report the observed maximum
+    against the guaranteed bound ``1/(4 beta)``.
     """
     betas = [float(b) for b in beta_grid]
     _check_nonempty(betas, "beta_grid")
@@ -970,23 +1018,20 @@ def estimate_constant(
         raise ValueError("beta grid must lie in (0, 1/2]")
     for value, name in ((trials, "trials"), (n, "n"), (m, "m")):
         _check_size(value, name)
+    chunk = _search_chunk(n, m)
     rows = []
     for bi, beta in enumerate(betas):
         a, r = sharpness_family(beta)
-        draws = (
-            (random_cp_map([seed, bi, t, 0], n, m), random_normal([seed, bi, t, 1], n))
-            for t in range(trials)
-        )
-        instances = itertools.chain([(schur_multiplier(a), r)], draws)
-        chunks = iter(lambda: list(itertools.islice(instances, _SEARCH_CHUNK)), [])
-        best = max(
-            max(minimal_orbit_constant(pmap, nm, beta) for pmap, nm in pool) for pool in chunks
-        )
+        best = minimal_orbit_constant(schur_multiplier(a), r, beta)
+        for start in range(0, trials, chunk):
+            pairs = _search_pairs(seed, bi, range(start, min(trials, start + chunk)), n, m)
+            best = max(best, float(minimal_orbit_constant(*pairs, beta).max()))
+            del pairs  # freed before the next chunk is drawn, not after
         bound = 1.0 / (4.0 * beta)
         rows.append(
             {
                 "beta": beta,
-                "empirical_c": float(best),
+                "empirical_c": best,
                 "bound": bound,
                 "ratio": float(best / bound),
             }

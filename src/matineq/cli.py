@@ -24,6 +24,7 @@ from .certify import (
     run_trial,
     search_nonnormal_counterexample,
 )
+from .core import MAX_KRAUS_BYTES
 from .serialize import repro_to_json
 
 ARTIFACT_VERSION = f"matineq-{__version__}"
@@ -34,11 +35,6 @@ DEFAULT_SHARPNESS_BETAS = (0.5, 1.0, 2.0)
 DEFAULT_ANGLES = (1e-1, 1e-2, 1e-3)
 
 REPRO_NAMES = ("sharpness-beta", "no-single-unitary", "psi-quarter", "all")
-
-# Bytes allowed for the largest intermediate of a --dims pair n,m: the n*m
-# complex Kraus factors of random_cp_map, 16 n^2 m^2 bytes. A sweep trial
-# holds a few maps of that size at once.
-MAX_KRAUS_BYTES = 64 * 2**20
 
 
 def cmd_verify(args):

@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "CONSTRUCTION_TOL",
     "PSD_TOL",
+    "MAX_KRAUS_BYTES",
     "SpectralData",
     "PolarFactors",
     "LoewnerCheck",
@@ -58,6 +59,10 @@ CONSTRUCTION_TOL = 1e-12  # identities that hold by construction, the phase gaug
 _REG_TOL = 1e-10  # the geometric mean's shift
 PSD_TOL = 1e-9  # PSD spectra, unitality, the Loewner and log-majorization defaults
 _CHECK_TOL = 1e-8  # every Hermitian-input check, the normal input check, certify.DEFAULT_TOL
+
+# Bytes of Kraus factors held at once: a CLI --dims pair's random_cp_map, whose n m
+# complex factors of shape (n, m) take 16 n^2 m^2 bytes, and a search chunk's maps.
+MAX_KRAUS_BYTES = 64 * 2**20
 
 
 def _check_tol(tol: float) -> None:
@@ -460,24 +465,58 @@ def _complex_gaussian(rng: np.random.Generator, count: int, rows: int, cols: int
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def _haar(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    # One stacked QR of complex Gaussians, with the R-diagonal phase fix.
-    q, r = np.linalg.qr(_complex_gaussian(rng, count, n, n))
+def _haar_from(g: np.ndarray) -> np.ndarray:
+    """The Haar unitaries of a stack of complex Gaussians: one stacked QR, with the R-diagonal phase fix."""
+    q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     size = np.abs(d)
     phases = np.where(size > 0, d / np.where(size > 0, size, 1.0), 1.0)
     return q * phases[..., None, :]
 
 
-def _normals(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """``count`` normal matrices ``u diag(z) u*``, all unitaries drawn first."""
-    u = _haar(rng, count, n)
-    z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+def _haar(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    return _haar_from(_complex_gaussian(rng, count, n, n))
+
+
+def _normal_draws(rng: np.random.Generator, count: int, n: int) -> list:
+    """The standard normals of ``count`` normal matrices, in draw order.
+
+    The real, then imaginary, parts of the unitaries' Gaussians ``(count, n, n)``,
+    then of the eigenvalues ``(count, n)``: draws of several generators
+    concatenate member by member.
+    """
+    return [rng.standard_normal((count, n, n)) for _ in range(2)] + [
+        rng.standard_normal((count, n)) for _ in range(2)
+    ]
+
+
+def _normals_from(draws: list) -> np.ndarray:
+    """The normal matrices ``u diag(z) u*`` of ``_normal_draws``, one per member."""
+    g_re, g_im, z_re, z_im = draws
+    u = _haar_from((g_re + 1j * g_im) / np.sqrt(2.0))
+    z = z_re + 1j * z_im
     # Column k of u[i] times z[i, k], taken through a broadcast of the (n, count, n)
     # view: numpy then runs the elementwise loop of the one-matrix product u * z,
     # whose bits ``random_normal`` keeps (a same-shape product rounds differently at n = 1).
     scaled = (u.transpose(1, 0, 2) * z).transpose(1, 0, 2)
     return scaled @ _adjoint(u)
+
+
+def _normals_of(draws: list) -> np.ndarray:
+    """The normals of several generators' ``_normal_draws(rng, 1, n)``, each with the bits of its own build.
+
+    At ``n = 1`` the view's rows of one entry coalesce into one loop over the
+    members, which numpy's vector kernel rounds otherwise than a lone entry, so
+    there each draw is built on its own.
+    """
+    if draws[0][0].shape[-1] == 1:
+        return np.concatenate([_normals_from(d) for d in draws])
+    return _normals_from([np.concatenate(field) for field in zip(*draws)])
+
+
+def _normals(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """``count`` normal matrices ``u diag(z) u*``, all unitaries drawn first."""
+    return _normals_from(_normal_draws(rng, count, n))
 
 
 def _contractions(g: np.ndarray) -> np.ndarray:

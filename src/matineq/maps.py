@@ -86,26 +86,42 @@ def apply(pmap: PositiveMapRep, x) -> np.ndarray:
     """Evaluate the map: sum over Kraus factors of ``k* x k``.
 
     ``x`` is one matrix or a stack of shape ``(..., input_dim, input_dim)``;
-    the images have the same leading shape.
+    the images have the same leading shape. This is ``_apply_stack`` on a
+    stack of one map.
     """
     x = _as_stack(x, "x")
     _check_fit(pmap, x, "input")
-    m = pmap.output_dim
-    ops = pmap.kraus_ops
-    flat = ops.reshape(-1, m)
-    members = x.reshape((-1,) + x.shape[-2:])
-    out = np.empty((len(members), m, m), dtype=complex)
-    # Each member's products hold as many entries as the Kraus stack, so
-    # members go through in chunks of at most 2^16 such entries (1 MiB): a
-    # stack of large inputs needs no more memory than one of them.
-    step = max(1, 2**16 // ops.size)
-    for start in range(0, len(members), step):
-        # Two products: y_t = x k_t for every t, then the factors folded into
-        # the row index, conj(out) = [k_1; ...; k_T]^T [conj(y_1); ...; conj(y_T)].
-        y = members[start : start + step, None] @ ops
-        np.conjugate(y, out=y)
-        out[start : start + step] = (flat.T @ y.reshape(len(y), -1, m)).conj()
-    return out.reshape(x.shape[:-2] + (m, m))
+    members = x.reshape((1, -1) + x.shape[-2:])
+    return _apply_stack(pmap.kraus_ops[None], members).reshape(x.shape[:-2] + (pmap.output_dim,) * 2)
+
+
+def _apply_stack(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The images ``sum_t k_t* x k_t`` of map ``i``'s factors ``ops[i]`` on its inputs ``x[i]``.
+
+    ``ops`` has shape ``(k, terms, n, m)`` and ``x`` ``(k, r, n, n)``; the images
+    have shape ``(k, r, m, m)``, and each has the bits of its map and input alone.
+    """
+    k, r = x.shape[:2]
+    m = ops.shape[-1]
+    # Column-stacked factors, [k_1; ...; k_T] of shape (T n, m), one per map.
+    flat = ops.reshape(k, 1, -1, m)
+    out = np.empty((k, r, m, m), dtype=complex)
+    # Each image's products hold as many entries as its map's Kraus stack, so
+    # images go through at most 2^16 such entries (1 MiB) a pass: a stack of
+    # large inputs or maps needs no more memory than one of them.
+    per_pass = max(1, 2**16 // ops[0].size)
+    step_r = min(r, per_pass)
+    step_k = max(1, per_pass // step_r)
+    for i in range(0, k, step_k):
+        for j in range(0, r, step_r):
+            # Two products: y_t = x k_t for every t, then the factors folded into
+            # the row index, conj(out) = [k_1; ...; k_T]^T [conj(y_1); ...; conj(y_T)].
+            y = x[i : i + step_k, j : j + step_r, None] @ ops[i : i + step_k, None]
+            np.conjugate(y, out=y)
+            images = flat[i : i + step_k].swapaxes(-1, -2) @ y.reshape(y.shape[:2] + (-1, m))
+            out[i : i + step_k, j : j + step_r] = images.conj()
+            del y  # freed before the next pass forms its products, not after
+    return out
 
 
 def _prune(ops: np.ndarray) -> np.ndarray:
@@ -215,16 +231,25 @@ def halmos_dilation(z) -> np.ndarray:
     return np.block([[z, -left_defect], [right_defect, z.conj().T]])
 
 
+def _cp_draws(rng: np.random.Generator, n: int, m: int, terms: int) -> np.ndarray:
+    """The standard normals of one ``random_cp_map``, each term's real part then its imaginary part."""
+    return rng.standard_normal((terms, 2, n, m))
+
+
+def _cp_maps(draws: np.ndarray) -> list:
+    """The maps ``random_cp_map`` builds from a stack ``(k, terms, 2, n, m)`` of its draws, one per member."""
+    _, terms, _, n, m = draws.shape
+    ops = (draws[:, :, 0] + 1j * draws[:, :, 1]) / np.sqrt(2.0 * n * terms)
+    return [PositiveMapRep(member, label=f"random-cp({n},{m})") for member in ops]
+
+
 def random_cp_map(seed, n: int, m: int, terms: Optional[int] = None) -> PositiveMapRep:
     """Seeded completely positive map with Gaussian Kraus factors."""
     _check_size(n, "n")
     _check_size(m, "m")
     terms = n * m if terms is None else terms
     _check_size(terms, "terms")
-    # The per-term draw order (real part, then imaginary part), so a seed keeps its factors.
-    draws = np.random.default_rng(seed).standard_normal((terms, 2, n, m))
-    ops = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0 * n * terms)
-    return PositiveMapRep(ops, label=f"random-cp({n},{m})")
+    return _cp_maps(_cp_draws(np.random.default_rng(seed), n, m, terms)[None])[0]
 
 
 def random_unital_cp_map(seed, n: int, m: int, terms: Optional[int] = None) -> PositiveMapRep:

@@ -1,8 +1,9 @@
 """What the benchmark's traced worker reads of the library.
 
-``bench/worker.py`` wraps library functions by name, counts a work unit per
-call of ``run_trial`` (``verify``) or ``minimal_orbit_constant`` (``search``)
-and times ``run_trial`` for its scaling curve. A wrapped name that is gone,
+``bench/worker.py`` wraps library functions by name. Its unit span is a call
+of ``run_trial`` (``verify``, one unit) or of ``minimal_orbit_constant``
+(``search``, one pair or a chunk of pairs, each pair a unit), and it times
+``run_trial`` for its scaling curve. A wrapped name that is gone,
 a unit that is no longer called in-process, or outcomes without ``passed``
 make a traced benchmark run crash rather than report. These tests read the
 worker's name lists with ``ast``, without importing it, and check each
@@ -125,19 +126,27 @@ def _count_everywhere(monkeypatch, fn) -> list:
     return calls
 
 
+def _members(args) -> int:
+    """Units in one call: a trial, one search pair, or the pairs of a search chunk."""
+    return len(args[0]) if isinstance(args[0], (list, tuple)) else 1
+
+
 @pytest.mark.parametrize(
-    "fn, argv, units",
+    "fn, argv, count, units",
     [
-        (certify.run_trial, ["verify", "--trials", "3", "--dims", "2,2"], 3),
-        (certify.minimal_orbit_constant, ["search", "--trials", "2", "--beta", "0.1,0.25", "--json"], 6),
+        (certify.run_trial, ["verify", "--trials", "3", "--dims", "2,2"], 3, 3),
+        # Per weight, one call for the sharpness-family pair and one for the chunk
+        # of 2 drawn pairs: 4 calls solve the 6 units.
+        (certify.minimal_orbit_constant, ["search", "--trials", "2", "--beta", "0.1,0.25", "--json"], 4, 6),
     ],
     ids=["verify", "search"],
 )
-def test_each_unit_is_one_in_process_call(capsys, monkeypatch, fn, argv, units):
+def test_each_unit_is_one_in_process_call(capsys, monkeypatch, fn, argv, count, units):
     calls = _count_everywhere(monkeypatch, fn)
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert len(calls) == units, argv
+    assert len(calls) == count, argv
+    assert sum(map(_members, calls)) == units, argv
 
 
 def test_block_certificate_makes_one_mat_abs_call(monkeypatch):

@@ -962,6 +962,12 @@ def test_minimal_constant_settles_as_the_weight_vanishes():
     assert abs(minimal_orbit_constant(pmap, nmat, 1e-16) - settled) <= 1e-6
 
 
+def _chunk(size, n=3, m=3, seed=15):
+    """``size`` seeded map/matrix pairs as a chunk: a list of maps and a ``(size, n, n)`` stack."""
+    pmaps = [random_cp_map([seed, t, 0], n, m) for t in range(size)]
+    return pmaps, np.stack([random_normal([seed, t, 1], n) for t in range(size)])
+
+
 def test_minimal_constant_refuses_an_infeasible_guaranteed_constant(monkeypatch):
     beta = 0.25
     orbit = certify._orbit
@@ -974,38 +980,141 @@ def test_minimal_constant_refuses_an_infeasible_guaranteed_constant(monkeypatch)
     p = random_psd(3, 3) + 0.2 * np.eye(3)
     with pytest.raises(RuntimeError, match="infeasible"):
         minimal_orbit_constant(identity_map(3), p, beta)
+    with pytest.raises(RuntimeError, match="infeasible"):
+        minimal_orbit_constant(*_chunk(5), beta)
 
 
 def test_minimal_constant_refuses_a_non_normal_matrix():
     shift = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="nmat must be normal"):
         minimal_orbit_constant(identity_map(2), shift, 0.25)
+    pmaps, nmats = _chunk(5)
+    nmats[2] = random_matrix(3, 3)
+    with pytest.raises(ValueError, match="nmat must be normal"):
+        minimal_orbit_constant(pmaps, nmats, 0.25)
+
+
+def test_minimal_constant_refuses_a_chunk_it_cannot_stack(linalg_calls):
+    pmaps, nmats = _chunk(4)
+    mixed = pmaps[:2] + [random_cp_map(1, 3, 3, terms=2)] + pmaps[3:]
+    cases = {
+        "shape mismatch: pmap\\[0\\].kraus_ops \\(9, 3, 3\\) vs pmap\\[2\\].kraus_ops \\(2, 3, 3\\)": (mixed, nmats),
+        "a chunk of 4 maps needs nmat of shape \\(4, n, n\\), got \\(3, 3, 3\\)": (pmaps, nmats[:3]),
+        "a chunk of 3 maps": (pmaps[:3], nmats),
+        "got \\(3, 3\\)": (pmaps, nmats[0]),
+        "nmat must not be empty": ([], nmats[:0]),
+        "map expects 3": (pmaps, np.stack([random_normal(t, 2) for t in range(4)])),
+    }
+    for message, (chunk_maps, chunk_nmats) in cases.items():
+        with pytest.raises(ValueError, match=message):
+            minimal_orbit_constant(chunk_maps, chunk_nmats, 0.25)
+    assert sum(linalg_calls.values()) == 0, dict(linalg_calls)
+
+
+def test_search_pairs_are_the_public_generators_draws():
+    # Drawn one generator an instance and built once a chunk, the pairs have the
+    # bits of random_cp_map and random_normal at the same seeds; n = 1 included,
+    # where a stacked build of the normals would round otherwise.
+    for n, m in ((1, 1), (1, 3), (3, 2), (4, 4)):
+        pmaps, nmats = certify._search_pairs(5, 2, range(3, 40), n, m)
+        assert len(pmaps) == len(nmats) == 37
+        for t, pmap, nmat in zip(range(3, 40), pmaps, nmats):
+            expected = random_cp_map([5, 2, t, 0], n, m)
+            assert np.array_equal(pmap.kraus_ops, expected.kraus_ops) and pmap.label == expected.label
+            assert np.array_equal(nmat, random_normal([5, 2, t, 1], n))
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (1, 2), (2, 1)])
+def test_a_chunk_returns_the_constants_of_its_members(n, m):
+    pmaps, nmats = _chunk(12, n, m)
+    for beta in (0.1, 0.5, 1e-8):
+        constants = minimal_orbit_constant(pmaps, nmats, beta)
+        assert isinstance(constants, np.ndarray) and constants.shape == (12,)
+        alone = [minimal_orbit_constant(pmap, nmat, beta) for pmap, nmat in zip(pmaps, nmats)]
+        assert all(isinstance(c, float) for c in alone)
+        assert constants.tolist() == alone
 
 
 def test_minimal_constant_takes_one_generalized_eigensolve(linalg_calls):
     a, r = sharpness_family(0.25)
-    for pmap, nmat in ((random_cp_map(1, 3, 3), random_normal(2, 3)), (schur_multiplier(a), r)):
+    for pmap, nmat in ((random_cp_map(1, 3, 3), random_normal(2, 3)), (schur_multiplier(a), r), _chunk(50)):
         linalg_calls.clear()
         minimal_orbit_constant(pmap, nmat, 0.25)
-        # The pencil is reduced by one Cholesky factor and its inverse, then one eigvalsh.
+        # The pencil is reduced by one Cholesky factor and its inverse, then one
+        # eigvalsh; a chunk of 50 pairs makes the same calls as one pair.
         assert dict(linalg_calls) == {"svd": 4, "cholesky": 1, "inv": 1, "eigvalsh": 1}
+
+
+def _chunk_budget(size, n, m):
+    """A ``MAX_KRAUS_BYTES`` that makes ``_search_chunk(n, m)`` exactly ``size``."""
+    return size * certify._FACTOR_COPIES * 16 * (n * m) ** 2
 
 
 def test_estimate_constant_solves_its_pool_in_chunks(monkeypatch):
     # Chunks change neither the instances solved, nor their order, nor the rows.
-    solved = []
+    def solve(budget):
+        monkeypatch.setattr(certify, "MAX_KRAUS_BYTES", budget)
+        calls = []
 
-    def recorded(*args):
-        solved.append(minimal_orbit_constant(*args))
-        return solved[-1]
+        def recorded(pmap, nmat, beta):
+            constants = minimal_orbit_constant(pmap, nmat, beta)
+            pmaps = [pmap] if isinstance(pmap, certify.PositiveMapRep) else pmap
+            calls.append(
+                [
+                    (p.kraus_ops.tobytes(), x.tobytes(), c)
+                    for p, x, c in zip(pmaps, np.reshape(nmat, (-1,) + np.shape(nmat)[-2:]), np.atleast_1d(constants))
+                ]
+            )
+            return constants
 
-    monkeypatch.setattr(certify, "minimal_orbit_constant", recorded)
-    whole = estimate_constant([0.1, 0.5], trials=20, seed=4, n=3, m=2)
-    whole_solved = solved.copy()
-    solved.clear()
-    monkeypatch.setattr(certify, "_SEARCH_CHUNK", 7)
-    assert estimate_constant([0.1, 0.5], trials=20, seed=4, n=3, m=2) == whole
-    assert solved == whole_solved and len(solved) == 2 * 21
+        monkeypatch.setattr(certify, "minimal_orbit_constant", recorded)
+        rows = estimate_constant([0.1, 0.5], trials=20, seed=4, n=3, m=2)
+        monkeypatch.setattr(certify, "minimal_orbit_constant", minimal_orbit_constant)
+        return rows, [member for call in calls for member in call], [len(call) for call in calls]
+
+    whole, whole_solved, sizes = solve(certify.MAX_KRAUS_BYTES)
+    # Per weight, the sharpness-family member alone, then the 20 drawn pairs in one call.
+    assert sizes == [1, 20] * 2 and len(whole_solved) == 2 * 21
+    for chunk, chunk_sizes in ((1, [1] * 21), (7, [1, 7, 7, 6])):
+        rows, solved, sizes = solve(_chunk_budget(chunk, 3, 2))
+        assert certify._search_chunk(3, 2) == chunk
+        assert rows == whole
+        assert solved == whole_solved
+        assert sizes == chunk_sizes * 2
+
+
+def test_search_chunks_fit_the_byte_budget():
+    # By arithmetic: every copy a chunk holds of its Kraus factors, 16 (n m)^2
+    # bytes an instance, fits MAX_KRAUS_BYTES, and a chunk holds one instance at least.
+    assert certify.MAX_KRAUS_BYTES == 64 * 2**20
+    per = lambda n, m: certify._FACTOR_COPIES * 16 * (n * m) ** 2  # noqa: E731
+    for n, m in ((2, 2), (3, 3), (2, 3), (4, 4), (8, 8), (16, 16), (12, 30), (30, 40), (45, 45)):
+        chunk = certify._search_chunk(n, m)
+        assert chunk >= 1
+        assert chunk * per(n, m) <= certify.MAX_KRAUS_BYTES or chunk == 1
+        assert (chunk + 1) * per(n, m) > certify.MAX_KRAUS_BYTES
+    # The benchmark's search: each weight's 200 drawn 3x3 pairs in one chunk.
+    assert certify._search_chunk(3, 3) >= 200
+    # The largest --dims pair the CLI admits holds 65 MB of factors alone.
+    assert certify._search_chunk(16, 16) == 16 and certify._search_chunk(45, 45) == 1
+    assert 16 * (45 * 45) ** 2 <= certify.MAX_KRAUS_BYTES < 16 * (46 * 46) ** 2
+
+
+def test_search_chunks_stay_within_the_byte_budget(monkeypatch):
+    # Measured: the peak traced memory of a chunked search at 16 x 16 (1 MiB of
+    # factors an instance) stays within the budget that sizes its chunks.
+    import tracemalloc
+
+    estimate_constant([0.25], trials=1, n=2, m=2)  # one-time allocations first
+    for chunk in (1, 2):
+        monkeypatch.setattr(certify, "MAX_KRAUS_BYTES", _chunk_budget(chunk, 16, 16))
+        tracemalloc.start()
+        try:
+            estimate_constant([0.25], seed=3, trials=2 * chunk + 1, n=16, m=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 2 * chunk * 2**20 < peak <= certify.MAX_KRAUS_BYTES, (chunk, peak)
 
 
 def test_estimate_constant_rows():

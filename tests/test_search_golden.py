@@ -7,16 +7,19 @@ sharpness-family member of each pool attains the guaranteed constant, so the
 random pairs never set a row. A change that means to move a constant rewrites
 the file with ``python tests/test_search_golden.py``; any other change must
 replay it bit for bit. The same pairs check the closed form against scipy's
-generalized eigensolve of its pencil.
+generalized eigensolve of its pencil, and solved as one chunk they give the
+constants of their members solved alone, bit for bit.
 """
 
 import json
 import os
 import sys
 
-from matineq.certify import estimate_constant, minimal_orbit_constant
+import numpy as np
+
+from matineq.certify import estimate_constant, minimal_orbit_constant, sharpness_family
 from matineq.core import random_normal
-from matineq.maps import random_cp_map
+from matineq.maps import random_cp_map, schur_multiplier
 
 from _oracles import minimal_orbit_constant_by_pencil
 
@@ -77,6 +80,26 @@ def test_minimal_orbit_constant_matches_scipys_pencil():
                 reference = minimal_orbit_constant_by_pencil(pmap, nmat, beta)
                 assert abs(c - reference) <= 1e-14 * max(1.0, c), (n, m, beta, c, reference)
                 assert (c == 0.0) == (reference == 0.0), (n, m, beta, c, reference)
+
+
+def test_a_chunk_has_the_bits_of_its_members_solved_alone():
+    # Each shape's seeded pairs as one chunk, at the recorded weights and far
+    # below them; (3, 2) is not recorded and is drawn like the others.
+    recorded = {(r["n"], r["m"], r["beta"]): r["constants"] for r in _golden()["constants"]}
+    small = (1e-8, 1e-16)
+    for k, (n, m) in enumerate(DIMS + ((3, 2),)):
+        pairs = _pairs(k, n, m)
+        pmaps, nmats = [pmap for pmap, _ in pairs], np.stack([nmat for _, nmat in pairs])
+        for beta in BETAS + small:
+            chunk = list(map(repr, minimal_orbit_constant(pmaps, nmats, beta).tolist()))
+            assert chunk == [repr(minimal_orbit_constant(pmap, nmat, beta)) for pmap, nmat in pairs]
+            assert chunk == recorded.get((n, m, beta), chunk), (n, m, beta)
+    # The sharpness-family members of every weight, as one chunk at each weight.
+    family = [sharpness_family(beta) for beta in BETAS + small]
+    pmaps, nmats = [schur_multiplier(a) for a, _ in family], np.stack([r for _, r in family])
+    for beta in BETAS + small:
+        chunk = minimal_orbit_constant(pmaps, nmats, beta).tolist()
+        assert chunk == [minimal_orbit_constant(pmap, nmat, beta) for pmap, nmat in zip(pmaps, nmats)]
 
 
 if __name__ == "__main__":
