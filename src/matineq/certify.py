@@ -37,7 +37,7 @@ from .core import (
     _log_majorizations,
     _normal_draws,
     _normals,
-    _normals_of,
+    _normals_from,
     _threshold,
     as_matrix,
     conj_real_part,
@@ -969,19 +969,26 @@ def minimal_orbit_constant(pmap: PositiveMapRep | Sequence[PositiveMapRep], nmat
     return float(c[0]) if single else c
 
 
-# Arrays the size of a search chunk's Kraus factors that it holds at once: the
-# draws, the factors and the maps' copies while it is built; the maps, their
-# stack and _apply_stack's products (two images' worth at most) while it is solved.
-_FACTOR_COPIES = 4
+# What one drawn pair of a search chunk holds at the chunk's peak: four arrays the
+# size of its Kraus factors (the draws, the factors and the maps' copies while the
+# chunk is built; the maps, their stack and _apply_stack's products while it is
+# solved), six n x n (the normal's draws, Haar factor and modulus) and twelve m x m
+# (the images, polar factors, orbit and pencil of the solve), and the bytes of its
+# Python objects: the map, its label and its draws' headers. The counts bound the
+# peaks tracemalloc measures from 1 x 1 to 32 x 1, 1 x 32 and 8 x 8.
+_PAIR_COPIES = (4, 6, 12)
+_PAIR_OBJECT_BYTES = 1536
+
+
+def _pair_bytes(n: int, m: int) -> int:
+    """The bytes one drawn ``n -> m`` pair of a search chunk holds at its peak."""
+    factors, squares_n, squares_m = _PAIR_COPIES
+    return 16 * (factors * (n * m) ** 2 + squares_n * n * n + squares_m * m * m) + _PAIR_OBJECT_BYTES
 
 
 def _search_chunk(n: int, m: int) -> int:
-    """Drawn pairs solved in one call, at least one.
-
-    As many as keep ``_FACTOR_COPIES`` copies of their Kraus factors, ``16 (n m)^2``
-    bytes a pair, within ``MAX_KRAUS_BYTES``.
-    """
-    return max(1, MAX_KRAUS_BYTES // (_FACTOR_COPIES * 16 * (n * m) ** 2))
+    """Drawn pairs solved in one call, at least one: as many as fit ``MAX_KRAUS_BYTES``."""
+    return max(1, MAX_KRAUS_BYTES // _pair_bytes(n, m))
 
 
 def _search_pairs(seed, bi: int, ts: range, n: int, m: int):
@@ -989,11 +996,13 @@ def _search_pairs(seed, bi: int, ts: range, n: int, m: int):
 
     Each instance keeps its two generators, seeded ``[seed, bi, t, 0]`` for the map
     and ``[seed, bi, t, 1]`` for the matrix, so it is the pair ``random_cp_map`` and
-    ``random_normal`` draw from those seeds; what follows the draws runs once a chunk.
+    ``random_normal`` draw from those seeds (at ``n = 1`` up to the last bit of the
+    matrix); what follows the draws runs once a chunk.
     """
     seeds = [[seed, bi, t] for t in ts]
     pmaps = _cp_maps(np.stack([_cp_draws(np.random.default_rng(s + [0]), n, m, n * m) for s in seeds]))
-    return pmaps, _normals_of([_normal_draws(np.random.default_rng(s + [1]), 1, n) for s in seeds])
+    draws = [_normal_draws(np.random.default_rng(s + [1]), 1, n) for s in seeds]
+    return pmaps, _normals_from([np.concatenate(field) for field in zip(*draws)])
 
 
 def estimate_constant(

@@ -60,8 +60,8 @@ _REG_TOL = 1e-10  # the geometric mean's shift
 PSD_TOL = 1e-9  # PSD spectra, unitality, the Loewner and log-majorization defaults
 _CHECK_TOL = 1e-8  # every Hermitian-input check, the normal input check, certify.DEFAULT_TOL
 
-# Bytes of Kraus factors held at once: a CLI --dims pair's random_cp_map, whose n m
-# complex factors of shape (n, m) take 16 n^2 m^2 bytes, and a search chunk's maps.
+# Bytes held at once: a CLI --dims pair's random_cp_map, whose n m complex factors
+# of shape (n, m) take 16 n^2 m^2 bytes, and a search chunk's pairs.
 MAX_KRAUS_BYTES = 64 * 2**20
 
 
@@ -496,22 +496,12 @@ def _normals_from(draws: list) -> np.ndarray:
     u = _haar_from((g_re + 1j * g_im) / np.sqrt(2.0))
     z = z_re + 1j * z_im
     # Column k of u[i] times z[i, k], taken through a broadcast of the (n, count, n)
-    # view: numpy then runs the elementwise loop of the one-matrix product u * z,
-    # whose bits ``random_normal`` keeps (a same-shape product rounds differently at n = 1).
+    # view: numpy then runs the elementwise loop of the one-matrix product u * z, so
+    # for n > 1 each member has the bits of its own build. At n = 1 the view's rows
+    # of one entry coalesce into one loop over the members, which may round the
+    # last bit otherwise.
     scaled = (u.transpose(1, 0, 2) * z).transpose(1, 0, 2)
     return scaled @ _adjoint(u)
-
-
-def _normals_of(draws: list) -> np.ndarray:
-    """The normals of several generators' ``_normal_draws(rng, 1, n)``, each with the bits of its own build.
-
-    At ``n = 1`` the view's rows of one entry coalesce into one loop over the
-    members, which numpy's vector kernel rounds otherwise than a lone entry, so
-    there each draw is built on its own.
-    """
-    if draws[0][0].shape[-1] == 1:
-        return np.concatenate([_normals_from(d) for d in draws])
-    return _normals_from([np.concatenate(field) for field in zip(*draws)])
 
 
 def _normals(rng: np.random.Generator, count: int, n: int) -> np.ndarray:

@@ -1013,15 +1013,17 @@ def test_minimal_constant_refuses_a_chunk_it_cannot_stack(linalg_calls):
 
 def test_search_pairs_are_the_public_generators_draws():
     # Drawn one generator an instance and built once a chunk, the pairs have the
-    # bits of random_cp_map and random_normal at the same seeds; n = 1 included,
-    # where a stacked build of the normals would round otherwise.
+    # bits of random_cp_map and random_normal at the same seeds. At n = 1 the
+    # stacked u diag(z) u* may round the last bit otherwise, so there the
+    # normals are only close.
     for n, m in ((1, 1), (1, 3), (3, 2), (4, 4)):
         pmaps, nmats = certify._search_pairs(5, 2, range(3, 40), n, m)
         assert len(pmaps) == len(nmats) == 37
+        same = np.array_equal if n > 1 else np.allclose
         for t, pmap, nmat in zip(range(3, 40), pmaps, nmats):
             expected = random_cp_map([5, 2, t, 0], n, m)
             assert np.array_equal(pmap.kraus_ops, expected.kraus_ops) and pmap.label == expected.label
-            assert np.array_equal(nmat, random_normal([5, 2, t, 1], n))
+            assert same(nmat, random_normal([5, 2, t, 1], n))
 
 
 @pytest.mark.parametrize("n, m", [(3, 3), (1, 2), (2, 1)])
@@ -1047,7 +1049,7 @@ def test_minimal_constant_takes_one_generalized_eigensolve(linalg_calls):
 
 def _chunk_budget(size, n, m):
     """A ``MAX_KRAUS_BYTES`` that makes ``_search_chunk(n, m)`` exactly ``size``."""
-    return size * certify._FACTOR_COPIES * 16 * (n * m) ** 2
+    return size * certify._pair_bytes(n, m)
 
 
 def test_estimate_constant_solves_its_pool_in_chunks(monkeypatch):
@@ -1084,37 +1086,45 @@ def test_estimate_constant_solves_its_pool_in_chunks(monkeypatch):
 
 
 def test_search_chunks_fit_the_byte_budget():
-    # By arithmetic: every copy a chunk holds of its Kraus factors, 16 (n m)^2
-    # bytes an instance, fits MAX_KRAUS_BYTES, and a chunk holds one instance at least.
+    # By arithmetic: the bytes a chunk's pairs hold fit MAX_KRAUS_BYTES, and a
+    # chunk holds one pair at least.
     assert certify.MAX_KRAUS_BYTES == 64 * 2**20
-    per = lambda n, m: certify._FACTOR_COPIES * 16 * (n * m) ** 2  # noqa: E731
-    for n, m in ((2, 2), (3, 3), (2, 3), (4, 4), (8, 8), (16, 16), (12, 30), (30, 40), (45, 45)):
+    for n, m in ((1, 1), (2, 2), (3, 3), (2, 3), (1, 16), (4, 4), (8, 8), (16, 16), (12, 30), (30, 40), (45, 45)):
         chunk = certify._search_chunk(n, m)
+        per = certify._pair_bytes(n, m)
+        assert per >= 4 * 16 * (n * m) ** 2 + certify._PAIR_OBJECT_BYTES
         assert chunk >= 1
-        assert chunk * per(n, m) <= certify.MAX_KRAUS_BYTES or chunk == 1
-        assert (chunk + 1) * per(n, m) > certify.MAX_KRAUS_BYTES
+        assert chunk * per <= certify.MAX_KRAUS_BYTES or chunk == 1
+        assert (chunk + 1) * per > certify.MAX_KRAUS_BYTES
     # The benchmark's search: each weight's 200 drawn 3x3 pairs in one chunk.
     assert certify._search_chunk(3, 3) >= 200
     # The largest --dims pair the CLI admits holds 65 MB of factors alone.
-    assert certify._search_chunk(16, 16) == 16 and certify._search_chunk(45, 45) == 1
+    assert certify._search_chunk(16, 16) == 15 and certify._search_chunk(45, 45) == 1
     assert 16 * (45 * 45) ** 2 <= certify.MAX_KRAUS_BYTES < 16 * (46 * 46) ** 2
 
 
-def test_search_chunks_stay_within_the_byte_budget(monkeypatch):
-    # Measured: the peak traced memory of a chunked search at 16 x 16 (1 MiB of
-    # factors an instance) stays within the budget that sizes its chunks.
+@pytest.mark.parametrize(
+    "n, m, budget_pairs", [(16, 16, 1), (16, 16, 2), (2, 2, None), (3, 3, None), (1, 16, None), (16, 1, None)]
+)
+def test_search_chunks_stay_within_the_byte_budget(monkeypatch, n, m, budget_pairs):
+    # Measured: the peak traced memory of a search one pair past a whole chunk
+    # stays within the budget that sizes its chunks. At 16 x 16 (1 MiB of factors
+    # a pair) the budgets hold 1 and 2 pairs; at small shapes the default budget
+    # holds thousands, whose n x n and m x m arrays and Python objects weigh as
+    # much as their factors.
     import tracemalloc
 
+    if budget_pairs is not None:
+        monkeypatch.setattr(certify, "MAX_KRAUS_BYTES", _chunk_budget(budget_pairs, n, m))
+    chunk = certify._search_chunk(n, m)
     estimate_constant([0.25], trials=1, n=2, m=2)  # one-time allocations first
-    for chunk in (1, 2):
-        monkeypatch.setattr(certify, "MAX_KRAUS_BYTES", _chunk_budget(chunk, 16, 16))
-        tracemalloc.start()
-        try:
-            estimate_constant([0.25], seed=3, trials=2 * chunk + 1, n=16, m=16)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 2 * chunk * 2**20 < peak <= certify.MAX_KRAUS_BYTES, (chunk, peak)
+    tracemalloc.start()
+    try:
+        estimate_constant([0.25], seed=3, trials=chunk + 1, n=n, m=m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * chunk * 16 * (n * m) ** 2 < peak <= certify.MAX_KRAUS_BYTES, (chunk, peak)
 
 
 def test_estimate_constant_rows():
