@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import (
     CONSTRUCTION_TOL,
-    MAX_KRAUS_BYTES,
     PSD_TOL,
     MajorizationReport,
     _CHECK_TOL,
@@ -38,6 +37,7 @@ from .core import (
     _normal_draws,
     _normals,
     _normals_from,
+    _refuse,
     _threshold,
     as_matrix,
     conj_real_part,
@@ -55,11 +55,14 @@ from .core import (
     spectral_norm,
 )
 from .maps import (
+    MAX_KRAUS_BYTES,
     PositiveMapRep,
     _apply_stack,
     _check_fit,
+    _check_kraus_budget,
     _cp_draws,
     _cp_maps,
+    _kraus_bytes,
     _unital,
     apply,
     corner_block_map,
@@ -229,11 +232,10 @@ def _applied(pmap: PositiveMapRep, mats) -> list:
 
 
 def _require(check, mats, names, what: str):
-    """Task: raise ValueError naming the first of ``mats`` that fails ``check``."""
+    """Task: refuse the first of ``mats`` that fails ``check``, by name."""
     passed = yield [Ask(check, (x,)) for x in mats]
     for ok, name in zip(passed, names):
-        if not ok:
-            raise ValueError(f"{name} must be {what}")
+        _refuse(ok, name, what)
 
 
 class _Claim(NamedTuple):
@@ -363,8 +365,7 @@ def _diagonal_certificate(statement_id, lhs, rhs, *, beta=None, tol=DEFAULT_TOL)
     difference that overflows, is refused with a ValueError.
     """
     slack = np.sort(rhs - lhs)[::-1]
-    if not np.isfinite(slack).all():
-        raise ValueError(f"{statement_id} has non-finite sides")
+    _refuse(np.isfinite(slack).all(), f"the sides of {statement_id}", "finite")
     passed = bool(slack[-1] >= -_threshold(tol, float(np.abs(rhs).max())))
     return Certificate(
         statement_id=statement_id,
@@ -596,18 +597,15 @@ def _schur_diagonal(a, z, tol: float):
     a = as_matrix(a, square=True, name="a")
     z = as_matrix(z, square=True, name="z")
     _check_same_shape((a, z), ("a", "z"))
-    if not _hermitian_within(a):
-        raise ValueError("a is not Hermitian")
+    _refuse(_hermitian_within(a), "a", "Hermitian")
     # The checks are asked with the orbit, so that it joins the other orbits.
     w, contracting, o = yield [
         Ask(_eig_desc, (a,)),
         Ask(is_contraction, (z,)),
         Ask(_orbit, (schur_prod(a, z), schur_prod(a, np.eye(a.shape[0], dtype=complex)))),
     ]
-    if not _is_psd(w, np.abs(w).max()):
-        raise ValueError("a must be PSD")
-    if not contracting:
-        raise ValueError("z must be a contraction")
+    _refuse(_is_psd(w, np.abs(w).max()), "a", "positive semidefinite")
+    _refuse(contracting, "z", "a contraction")
     return (yield from _decide([_arith("schur-diagonal", o, 0.5, tol)]))
 
 
@@ -688,8 +686,7 @@ def _two_positive_unital(pmap: PositiveMapRep, z, tol: float):
     # maps.is_unital, with map(I) and its defect asked in the stages of map(z).
     image, image_abs, image_id = yield _applied(pmap, [z, abs_z, np.eye(z.shape[0], dtype=complex)])
     o, defect = yield [Ask(_orbit, (image, image_abs)), Ask(singular_values, (image_id - eye,))]
-    if not _unital(defect[0]):
-        raise ValueError("the quarter bound requires a unital map")
+    _refuse(_unital(defect[0]), "pmap", "unital")
     rhs = eye / 4.0 + o.arg
     return (yield from _decide([_Claim("two-positive-quarter", o.lhs, rhs, tol)]))
 
@@ -949,8 +946,7 @@ def minimal_orbit_constant(pmap: PositiveMapRep | Sequence[PositiveMapRep], nmat
     _check_same_shape(stacks, [f"pmap[{i}].kraus_ops" for i in range(len(stacks))])
     ops = np.stack(stacks)
     _check_fit(pmaps[0], nmats, "nmat")
-    if not np.all(is_normal(nmats)):
-        raise ValueError("nmat must be normal")
+    _refuse(np.all(is_normal(nmats)), "nmat", "normal")
     # _image_orbit's pair of every member, built directly: the chunk is one stack already.
     images = _apply_stack(ops, np.stack([nmats, mat_abs(nmats)], axis=1))
     o = _orbit(images[:, 0], images[:, 1])
@@ -983,7 +979,8 @@ _PAIR_OBJECT_BYTES = 1536
 def _pair_bytes(n: int, m: int) -> int:
     """The bytes one drawn ``n -> m`` pair of a search chunk holds at its peak."""
     factors, squares_n, squares_m = _PAIR_COPIES
-    return 16 * (factors * (n * m) ** 2 + squares_n * n * n + squares_m * m * m) + _PAIR_OBJECT_BYTES
+    squares = 16 * (squares_n * n * n + squares_m * m * m)
+    return factors * _kraus_bytes(n, m, n * m) + squares + _PAIR_OBJECT_BYTES
 
 
 def _search_chunk(n: int, m: int) -> int:
@@ -1027,6 +1024,7 @@ def estimate_constant(
         raise ValueError("beta grid must lie in (0, 1/2]")
     for value, name in ((trials, "trials"), (n, "n"), (m, "m")):
         _check_size(value, name)
+    _check_kraus_budget(n, m)
     chunk = _search_chunk(n, m)
     rows = []
     for bi, beta in enumerate(betas):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -24,7 +23,8 @@ from .certify import (
     run_trial,
     search_nonnormal_counterexample,
 )
-from .core import MAX_KRAUS_BYTES
+from .core import _check_size, _check_tol, _refuse
+from .maps import _check_kraus_budget
 from .serialize import repro_to_json
 
 ARTIFACT_VERSION = f"matineq-{__version__}"
@@ -134,13 +134,19 @@ def cmd_counterexample(args):
     return json.dumps(repro_to_json(result), indent=2), 0
 
 
-def _checked(convert, ok, message: str):
-    """An argparse type: ``convert`` the text, then refuse a value failing ``ok``."""
+def _checked(convert, check):
+    """An argparse type: ``convert`` the text, then ``check`` the value.
+
+    The check's ValueError is the usage error, so an option that a library
+    rule checks accepts what the library accepts.
+    """
 
     def parse(text: str):
         value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(message)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
         return value
 
     # argparse names the type in its "invalid <type> value" message
@@ -159,11 +165,10 @@ def _parse_dims(text: str):
     if not pairs or any(n < 1 or m < 1 for n, m in pairs):
         raise argparse.ArgumentTypeError("dims must be positive pairs n,m")
     for n, m in pairs:
-        if 16 * (n * m) ** 2 > MAX_KRAUS_BYTES:
-            raise argparse.ArgumentTypeError(
-                f"dims {n},{m} need {16 * (n * m) ** 2} bytes of Kraus factors, "
-                f"over the budget of {MAX_KRAUS_BYTES} bytes"
-            )
+        try:
+            _check_kraus_budget(n, m)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"dims {n},{m}: {exc}") from exc
     return tuple(pairs)
 
 
@@ -172,16 +177,6 @@ def _parse_betas(text: str):
         betas = tuple(float(b) for b in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad beta list {text!r}") from exc
-    return betas
-
-
-def _parse_sweep_betas(text: str):
-    """A ``verify --beta`` list: weights whose statement keys ``certify`` can tell apart."""
-    betas = _parse_betas(text)
-    try:
-        certify.trial_statements(betas)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
     return betas
 
 
@@ -210,18 +205,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "examples, and search for empirical constants",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _checked(int, lambda s: s >= 0, "--seed must be nonnegative")
-    trials = _checked(int, lambda t: t >= 1, "--trials must be >= 1")
-    tol = _checked(float, lambda t: math.isfinite(t) and t > 0, "--tol must be finite and positive")
-    offset = _checked(int, lambda i: i >= 0, "--trial-offset must be nonnegative")
-    pair = _checked(_parse_dims, lambda dims: len(dims) == 1, "search takes a single --dims pair n,m")
+    seed = _checked(int, lambda s: _refuse(s >= 0, "--seed", "nonnegative"))
+    trials = _checked(int, lambda t: _check_size(t, "--trials"))
+    tol = _checked(float, _check_tol)
+    # verify weights: those whose statement keys certify can tell apart.
+    sweep_betas = _checked(_parse_betas, certify.trial_statements)
+    offset = _checked(int, lambda i: _refuse(i >= 0, "--trial-offset", "nonnegative"))
+    pair = _checked(_parse_dims, lambda dims: _refuse(len(dims) == 1, "search --dims", "a single pair n,m"))
 
     verify = sub.add_parser("verify", help="run the statement sweep")
     verify.set_defaults(run=cmd_verify, parser=verify)
     verify.add_argument("--seed", type=seed, default=42, help="master seed")
     verify.add_argument("--trials", type=trials, default=100)
     verify.add_argument("--dims", type=_parse_dims, default=DEFAULT_DIMS, metavar="n,m[;n,m...]")
-    verify.add_argument("--beta", type=_parse_sweep_betas, default=DEFAULT_BETAS, metavar="b[,b...]")
+    verify.add_argument("--beta", type=sweep_betas, default=DEFAULT_BETAS, metavar="b[,b...]")
     verify.add_argument("--tol", type=tol, default=certify.DEFAULT_TOL)
     verify.add_argument("--out", type=_parse_out, default="-", metavar="PATH")
     verify.add_argument("--trial-offset", type=offset, default=0, help="first trial index (replay)")

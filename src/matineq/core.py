@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "CONSTRUCTION_TOL",
     "PSD_TOL",
-    "MAX_KRAUS_BYTES",
     "SpectralData",
     "PolarFactors",
     "LoewnerCheck",
@@ -60,9 +59,11 @@ _REG_TOL = 1e-10  # the geometric mean's shift
 PSD_TOL = 1e-9  # PSD spectra, unitality, the Loewner and log-majorization defaults
 _CHECK_TOL = 1e-8  # every Hermitian-input check, the normal input check, certify.DEFAULT_TOL
 
-# Bytes held at once: a CLI --dims pair's random_cp_map, whose n m complex factors
-# of shape (n, m) take 16 n^2 m^2 bytes, and a search chunk's pairs.
-MAX_KRAUS_BYTES = 64 * 2**20
+
+def _refuse(ok, name: str, what: str) -> None:
+    """Refuse an input that lacks a property its statement assumes: ``{name} must be {what}``."""
+    if not ok:
+        raise ValueError(f"{name} must be {what}")
 
 
 def _check_tol(tol: float) -> None:
@@ -127,8 +128,7 @@ def _as_stack(x, name: str, *, square: bool = True) -> np.ndarray:
         raise ValueError(f"{name} must be a matrix or a stack of matrices, got shape {a.shape}")
     if a.size == 0:
         raise ValueError(f"{name} must not be empty, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} has non-finite entries")
+    _refuse(np.isfinite(a).all(), name, "finite")
     if square and a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     return a
@@ -228,9 +228,13 @@ def herm_eig(h) -> SpectralData:
     rescaled so its first nonzero component is real positive, which makes the
     output reproducible for golden tests.
     """
-    h = as_matrix(h, square=True, name="h")
-    if not is_hermitian(h):
-        raise ValueError("herm_eig requires a Hermitian input")
+    return _herm_eig(h, "h")
+
+
+def _herm_eig(h, name: str) -> SpectralData:
+    """``herm_eig`` of an input its caller calls ``name``."""
+    h = as_matrix(h, square=True, name=name)
+    _refuse(is_hermitian(h), name, "Hermitian")
     w, v = np.linalg.eigh(_hermitian(h))
     order = np.argsort(-w, kind="stable")
     return SpectralData(w[order], _fix_phases(v[:, order]))
@@ -277,14 +281,13 @@ def geometric_mean(a, b) -> np.ndarray:
     b = _as_stack(b, "b")
     _check_same_shape((a, b), ("a", "b"))
     for name, x in (("a", a), ("b", b)):
-        if not np.all(_hermitian_within(x)):
-            raise ValueError(f"{name} is not Hermitian")
+        _refuse(np.all(_hermitian_within(x)), name, "Hermitian")
     hb = _hermitian(b)
     w, v = np.linalg.eigh(_hermitian(a))
     wb = np.linalg.eigvalsh(hb)
     magnitude = np.maximum(np.abs(w).max(axis=-1), np.abs(wb).max(axis=-1))
-    if not np.all(_is_psd(w, magnitude) & _is_psd(wb, magnitude)):
-        raise ValueError("geometric mean needs positive semidefinite inputs")
+    for name, spectrum in (("a", w), ("b", wb)):
+        _refuse(np.all(_is_psd(spectrum, magnitude)), name, "positive semidefinite")
     eps = _threshold(_REG_TOL, magnitude)[..., None]
     shift = (w.min(axis=-1, keepdims=True) < eps) | (wb.min(axis=-1, keepdims=True) < eps)
     # a + eps I has the eigenvectors of a; unshifted members keep their bits.
@@ -311,8 +314,7 @@ def loewner_leq(a, b, tol: float = PSD_TOL) -> LoewnerCheck:
     a = as_matrix(a, square=True, name="a")
     b = as_matrix(b, square=True, name="b")
     for name, x in (("a", a), ("b", b)):
-        if not is_hermitian(x):
-            raise ValueError(f"{name} is not Hermitian")
+        _refuse(is_hermitian(x), name, "Hermitian")
     return LoewnerCheck(*_hermitian_verdict(a, b, tol)[2:])
 
 
@@ -365,10 +367,8 @@ def _descending_nonneg(seq, name: str) -> np.ndarray:
     arr = np.asarray(seq, dtype=float)
     if arr.ndim < 1:
         raise ValueError(f"{name} must be a sequence or a stack of sequences, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} has non-finite entries")
-    if np.any(arr < 0.0):
-        raise ValueError(f"{name} must be nonnegative")
+    _refuse(np.isfinite(arr).all(), name, "finite")
+    _refuse(not np.any(arr < 0.0), name, "nonnegative")
     if np.any(np.diff(arr) > _threshold(CONSTRUCTION_TOL, arr[..., :1])):
         raise ValueError(f"{name} must be sorted in descending order")
     return arr

@@ -17,9 +17,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .core import CONSTRUCTION_TOL, PSD_TOL, _DROP_TOL, _check_size, _contracting, _is_psd, _threshold
-from .core import _as_stack, _hermitian, as_matrix, hermitian_part, herm_eig, spectral_norm
+from .core import _as_stack, _herm_eig, _hermitian, _refuse, as_matrix, hermitian_part, spectral_norm
 
 __all__ = [
+    "MAX_KRAUS_BYTES",
     "PositiveMapRep",
     "ChoiData",
     "apply",
@@ -34,6 +35,25 @@ __all__ = [
     "random_cp_map",
     "random_unital_cp_map",
 ]
+
+# Bytes held at once: the Kraus factors of one drawn map, and a search chunk's pairs.
+MAX_KRAUS_BYTES = 64 * 2**20
+
+
+def _kraus_bytes(n: int, m: int, terms: int) -> int:
+    """The bytes of ``terms`` complex Kraus factors of shape ``(n, m)``."""
+    return 16 * terms * n * m
+
+
+def _check_kraus_budget(n: int, m: int, terms: Optional[int] = None) -> None:
+    """Refuse an ``n -> m`` map whose ``terms`` (``n m`` by default) factors exceed ``MAX_KRAUS_BYTES``."""
+    terms = n * m if terms is None else terms
+    size = _kraus_bytes(n, m, terms)
+    if size > MAX_KRAUS_BYTES:
+        raise ValueError(
+            f"{terms} Kraus factors of shape ({n}, {m}) need {size} bytes, "
+            f"over the budget of {MAX_KRAUS_BYTES} bytes"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +75,7 @@ class PositiveMapRep:
         ops = np.array(self.kraus_ops, dtype=complex, order="C")
         if ops.ndim != 3 or 0 in ops.shape:
             raise ValueError(f"kraus_ops must be a nonempty stack of nonempty matrices, got {ops.shape}")
-        if not np.isfinite(ops).all():
-            raise ValueError("kraus ops have non-finite entries")
+        _refuse(np.isfinite(ops).all(), "kraus_ops", "finite")
         ops.flags.writeable = False
         object.__setattr__(self, "kraus_ops", ops)
 
@@ -148,9 +167,8 @@ def schur_multiplier(a) -> PositiveMapRep:
     """
     a = as_matrix(a, square=True, name="a")
     n = a.shape[0]
-    w, v = herm_eig(a)
-    if not _is_psd(w, abs(w[0])):
-        raise ValueError("schur_multiplier needs a PSD matrix")
+    w, v = _herm_eig(a, "a")
+    _refuse(_is_psd(w, abs(w[0])), "a", "positive semidefinite")
     keep = w > _threshold(_DROP_TOL, abs(w[0]))
     diagonals = np.conj(np.sqrt(w[keep]) * v[:, keep]).T
     ops = diagonals[:, :, None] * np.eye(n)
@@ -223,8 +241,7 @@ def halmos_dilation(z) -> np.ndarray:
     """
     z = as_matrix(z, square=True, name="z")
     u, s, vh = np.linalg.svd(z)
-    if not _contracting(s[0]):
-        raise ValueError(f"not a contraction: largest singular value {s[0]}")
+    _refuse(_contracting(s[0]), "z", "a contraction")
     c = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
     left_defect = (u * c) @ u.conj().T
     right_defect = (vh.conj().T * c) @ vh
@@ -249,6 +266,7 @@ def random_cp_map(seed, n: int, m: int, terms: Optional[int] = None) -> Positive
     _check_size(m, "m")
     terms = n * m if terms is None else terms
     _check_size(terms, "terms")
+    _check_kraus_budget(n, m, terms)
     return _cp_maps(_cp_draws(np.random.default_rng(seed), n, m, terms)[None])[0]
 
 

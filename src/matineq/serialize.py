@@ -1,4 +1,4 @@
-"""JSON interchange for matrices, maps, certificates and reproduction reports.
+"""JSON interchange for matrices, maps and reproduction reports.
 
 Matrix literals are ``{"rows": n, "cols": m, "re": [...], "im": [...]}`` with
 integer dimensions and both arrays flat lists of ``n * m`` numbers in
@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .certify import Certificate, ReproResult
-from .core import MajorizationReport, _check_size, as_matrix
+from .certify import ReproResult
+from .core import _check_size, as_matrix
 from .maps import PositiveMapRep
 
 __all__ = [
@@ -19,8 +19,6 @@ __all__ = [
     "matrix_from_json",
     "map_to_json",
     "map_from_json",
-    "majorization_to_json",
-    "certificate_to_json",
     "repro_to_json",
 ]
 
@@ -54,7 +52,7 @@ def matrix_from_json(data: dict) -> np.ndarray:
     try:
         values = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
     except OverflowError as exc:  # an integer beyond the float range
-        raise ValueError(f"matrix literal has non-finite entries: {exc}") from exc
+        raise ValueError(f"matrix literal must be finite: {exc}") from exc
     return as_matrix(values.reshape(rows, cols), name="matrix literal")
 
 
@@ -81,32 +79,6 @@ def map_from_json(data: dict) -> PositiveMapRep:
         return pmap
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed map literal: {exc}") from exc
-
-
-def majorization_to_json(report: MajorizationReport) -> dict:
-    return {
-        "a": report.a.tolist(),
-        "b": report.b.tolist(),
-        "prefixProductsA": report.prefix_a.tolist(),
-        "prefixProductsB": report.prefix_b.tolist(),
-        "margins": report.margins.tolist(),
-        "tol": report.tol,
-        "pass": report.passed,
-        "firstViolation": report.first_violation,
-    }
-
-
-def certificate_to_json(cert: Certificate) -> dict:
-    return {
-        "statementId": cert.statement_id,
-        "pass": cert.passed,
-        "tol": cert.tol,
-        "beta": cert.beta,
-        "slackSpectrum": cert.slack_spectrum.tolist(),
-        "witness": matrix_to_json(cert.witness) if cert.witness is not None else None,
-        "lhs": matrix_to_json(cert.lhs),
-        "rhs": matrix_to_json(cert.rhs),
-    }
 
 
 def repro_to_json(result: ReproResult) -> dict:

@@ -1,19 +1,24 @@
 """Tests for the inequality certificates and the worked sharpness examples."""
 
+import ast
 import functools
+import glob
 import math
+import os
 import re
 import time
 
 import numpy as np
 import pytest
 
+import matineq
 from matineq import certify, staging
 from matineq.core import (
     MajorizationReport,
     direct_sum,
     geometric_mean,
     haar_unitary,
+    herm_eig,
     hermitian_part,
     loewner_leq,
     mat_abs,
@@ -27,8 +32,10 @@ from matineq.core import (
     weak_log_majorize,
 )
 from matineq.maps import (
+    PositiveMapRep,
     apply,
     corner_block_map,
+    halmos_dilation,
     identity_map,
     partial_trace_first,
     random_cp_map,
@@ -349,7 +356,7 @@ def test_diagonal_certificate_matches_loewner_test():
 )
 def test_diagonal_certificate_refuses_non_finite_sides(lhs, rhs):
     # As the Loewner verdict does: an infinite side would pass with an infinite slack.
-    with pytest.raises(ValueError, match="diag has non-finite sides"):
+    with pytest.raises(ValueError, match="the sides of diag must be finite"):
         _diagonal_certificate("diag", np.array(lhs), np.array(rhs))
 
 
@@ -359,7 +366,7 @@ def test_eigen_shift_refuses_an_overflowed_side():
     # every lhs entry -inf and a min slack of inf.
     pmap, nmat = random_cp_map(1, 3, 3), 1e150 * random_normal(2, 3)
     with pytest.warns(RuntimeWarning, match="overflow"):
-        with pytest.raises(ValueError, match="eigen-shift has non-finite sides"):
+        with pytest.raises(ValueError, match="the sides of eigen-shift must be finite"):
             check_corollary_eigen(pmap, nmat, 1e150)
 
 
@@ -1197,6 +1204,10 @@ _REFUSALS = {
     "search-huge-weight": lambda: (minimal_orbit_constant, (_pmap3(), random_normal(2, 3), 1e308), "beta must"),
     "eigen-huge-weight": lambda: (check_corollary_eigen, (_pmap3(), random_normal(2, 3), 1e154), "beta must"),
     "estimate-weight": lambda: (estimate_constant, ([0.25, 1e-309],), "beta must be positive"),
+    # 2116 Kraus factors of shape 46 x 46 take 72 MB, over the 64 MiB budget.
+    "random-cp-budget": lambda: (random_cp_map, (0, 46, 46), "over the budget"),
+    "trial-budget": lambda: (run_trial, (1, 0, 46, 46, (0.5,)), "over the budget"),
+    "estimate-budget": lambda: (estimate_constant, ([0.25], 0, 100, 46, 46), "over the budget"),
 }
 
 
@@ -1293,6 +1304,112 @@ def test_argument_rules_refuse_by_name_before_any_decomposition(linalg_calls, ca
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         call(*args)
     assert sum(linalg_calls.values()) == 0, dict(linalg_calls)
+
+
+_SHIFT = np.array([[0.0, 1.0], [0.0, 0.0]])  # nilpotent, so not normal
+_NON_HERMITIAN = np.array([[1.0, 2.0], [0.0, 1.0]])  # its Hermitian part is PSD
+_INDEFINITE = np.diag([1.0, -1.0])
+_EYE = np.eye(2)
+
+# (entry, arguments, message): one row per place that refuses an input lacking
+# a property its statement assumes, each through core._refuse and naming the
+# argument its caller passed.
+_PROPERTY_REFUSALS = {
+    "as-stack-finite": lambda: (mat_abs, (np.full((2, 2), np.nan),), "x must be finite"),
+    "herm-eig-hermitian": lambda: (herm_eig, (_NON_HERMITIAN,), "h must be Hermitian"),
+    "schur-multiplier-hermitian": lambda: (schur_multiplier, (_NON_HERMITIAN,), "a must be Hermitian"),
+    "geometric-mean-hermitian": lambda: (geometric_mean, (_EYE, _NON_HERMITIAN), "b must be Hermitian"),
+    "geometric-mean-psd-a": lambda: (geometric_mean, (_INDEFINITE, _EYE), "a must be positive semidefinite"),
+    "geometric-mean-psd-b": lambda: (geometric_mean, (_EYE, _INDEFINITE), "b must be positive semidefinite"),
+    "loewner-hermitian": lambda: (loewner_leq, (_EYE, _NON_HERMITIAN), "b must be Hermitian"),
+    "logmaj-finite": lambda: (weak_log_majorize, ([1.0, 0.5], [np.nan, 1.0]), "b must be finite"),
+    "logmaj-nonnegative": lambda: (weak_log_majorize, ([1.0, -0.5], [1.0, 1.0]), "a must be nonnegative"),
+    "schur-multiplier-psd": lambda: (schur_multiplier, (_INDEFINITE,), "a must be positive semidefinite"),
+    "halmos-contraction": lambda: (halmos_dilation, (2.0 * _EYE,), "z must be a contraction"),
+    "kraus-finite": lambda: (PositiveMapRep, ([np.full((1, 1), np.nan)],), "kraus_ops must be finite"),
+    "theorem-normal": lambda: (check_theorem_main, (random_cp_map(1, 2, 2), _SHIFT, 0.5), "nmat must be normal"),
+    "sum-of-normals-normal": lambda: (check_sum_of_normals, ([_EYE, _SHIFT],), "mats[1] must be normal"),
+    "weighted-sum-contraction": lambda: (
+        check_weighted_sum, ([_EYE], [2.0 * _EYE]), "zs[0] must be a contraction"
+    ),
+    "search-normal": lambda: (
+        minimal_orbit_constant, (random_cp_map(1, 2, 2), _SHIFT, 0.25), "nmat must be normal"
+    ),
+    "schur-diagonal-hermitian": lambda: (check_schur_diagonal, (_NON_HERMITIAN, _EYE), "a must be Hermitian"),
+    "schur-diagonal-psd": lambda: (check_schur_diagonal, (_INDEFINITE, _EYE), "a must be positive semidefinite"),
+    "schur-diagonal-contraction": lambda: (check_schur_diagonal, (_EYE, 2.0 * _EYE), "z must be a contraction"),
+    "two-positive-unital": lambda: (
+        check_two_positive_unital, (random_cp_map(1, 2, 2), 0.5 * _EYE), "pmap must be unital"
+    ),
+    "diagonal-finite": lambda: (
+        _diagonal_certificate, ("diag", np.array([np.inf, 0.0]), np.ones(2)), "the sides of diag must be finite"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PROPERTY_REFUSALS))
+def test_property_refusals_name_the_argument(case):
+    call, args, message = _PROPERTY_REFUSALS[case]()
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call(*args)
+
+
+def test_the_kraus_budget_is_refused_before_any_draw():
+    # Drawing 46 x 46 factors would allocate 72 MB; each entry refuses first.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        for case in ("random-cp-budget", "trial-budget", "estimate-budget"):
+            call, args, _ = _REFUSALS[case]()
+            with pytest.raises(ValueError, match="over the budget of 67108864 bytes"):
+                call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+# Words that name an input property a statement assumes.
+_PROPERTY_WORDS = re.compile(r"hermitian|semidefinite|\bpsd\b|\bnormal\b|contraction|unital|finite", re.I)
+# The argument rules, and serialize's translation of an integer overflow, phrase their own refusals.
+_OWN_REFUSALS = {"_check_tol", "_check_weights", "matrix_from_json"}
+
+
+def _property_raises(path) -> list:
+    """``(function, line)`` of each ``raise ValueError`` in ``path`` whose message names an input property."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            exc = child.exc if isinstance(child, ast.Raise) else None
+            if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "ValueError" and exc.args:
+                # The literal parts of the message, an f-string's included.
+                text = " ".join(str(n.value) for n in ast.walk(exc.args[0]) if isinstance(n, ast.Constant))
+                if _PROPERTY_WORDS.search(text):
+                    found.append((function, child.lineno))
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_input_properties_are_refused_in_one_form():
+    # A missing property is refused by core._refuse alone, as "<name> must be
+    # <property>"; no other raise names one.
+    found = {}
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(matineq.__file__), "*.py"))):
+        for function, line in _property_raises(path):
+            found.setdefault(function, []).append(f"{os.path.basename(path)}:{line}")
+    offenders = {function: lines for function, lines in found.items() if function not in _OWN_REFUSALS}
+    assert offenders == {}
+    # The guard reads f-string messages: it sees the refusals it allows.
+    assert set(found) == _OWN_REFUSALS
 
 
 def test_numpy_integer_sizes_are_accepted():

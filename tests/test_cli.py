@@ -207,6 +207,13 @@ def test_non_finite_weights_and_tolerance_are_usage_errors(capsys, argv):
     assert "finite" in capsys.readouterr().err
 
 
+def test_zero_tolerance_is_accepted_as_the_library_accepts_it(capsys):
+    # --tol takes the library's range [0, inf), as run_trial(..., tol=0) does.
+    code, out = run_cli(capsys, ["verify", "--trials", "1", "--dims", "2,2", "--tol", "0"])
+    assert code != 2
+    assert json.loads(out)["config"]["tol"] == 0.0
+
+
 @pytest.mark.parametrize("argv", [["verify", "--trials", "1", "--dims", "2,2"], ["repro", "all"]])
 def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
     path = tmp_path / "missing" / "r.json"

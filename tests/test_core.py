@@ -244,7 +244,7 @@ def test_geometric_mean_rejects_non_psd():
         geometric_mean(np.diag([1.0, -1.0]), np.eye(2))
     with pytest.raises(ValueError):
         geometric_mean(np.eye(2), np.eye(3))
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(ValueError, match="b must be Hermitian"):
         geometric_mean(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
@@ -476,10 +476,10 @@ def test_direct_sum_empty():
             id="singular_values-1d",
         ),
         pytest.param(
-            lambda: weak_log_majorize([1.0, np.inf], [1.0, 1.0]), "a has non-finite entries", id="logmaj-inf"
+            lambda: weak_log_majorize([1.0, np.inf], [1.0, 1.0]), "a must be finite", id="logmaj-inf"
         ),
         pytest.param(
-            lambda: weak_log_majorize([1.0, 0.5], [np.nan, 1.0]), "b has non-finite entries", id="logmaj-nan"
+            lambda: weak_log_majorize([1.0, 0.5], [np.nan, 1.0]), "b must be finite", id="logmaj-nan"
         ),
     ],
 )
@@ -607,7 +607,7 @@ def test_hermitian_verdict_takes_each_side_as_hermitian_part():
             np.testing.assert_array_equal(field_got[k], field_want)
     with pytest.raises(ValueError, match="rhs must be square"):
         _hermitian_verdict(np.eye(2), np.ones((2, 3)), PSD_TOL)
-    with pytest.raises(ValueError, match="lhs has non-finite entries"):
+    with pytest.raises(ValueError, match="lhs must be finite"):
         _hermitian_verdict(np.full((2, 2), np.nan), np.eye(2), PSD_TOL)
     with pytest.raises(ValueError, match="shape mismatch"):
         _hermitian_verdict(np.eye(2), np.eye(3), PSD_TOL)

@@ -5,12 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from matineq.core import random_matrix, random_normal, spectral_norm
+from matineq.core import random_matrix, spectral_norm
 from matineq.maps import apply, random_cp_map
-from matineq.certify import check_theorem_main, repro_psi_sharpness
+from matineq.certify import repro_psi_sharpness
 from matineq.serialize import (
-    certificate_to_json,
-    majorization_to_json,
     map_from_json,
     map_to_json,
     matrix_from_json,
@@ -87,37 +85,6 @@ MAP = {"inputDim": 1, "outputDim": 1, "kraus": [ONE]}
 def test_malformed_literals_raise_value_error(parse, literal):
     with pytest.raises(ValueError):
         parse(literal)
-
-
-def test_certificate_schema():
-    pmap = random_cp_map(0, 2, 2)
-    arith, _ = check_theorem_main(pmap, random_normal(1, 2), 1.0)
-    data = certificate_to_json(arith)
-    assert set(data) == {
-        "statementId",
-        "pass",
-        "tol",
-        "beta",
-        "slackSpectrum",
-        "witness",
-        "lhs",
-        "rhs",
-    }
-    assert data["pass"] is True
-    assert data["beta"] == 1.0
-    assert len(data["slackSpectrum"]) == 2
-    json.dumps(data)  # must be serializable as-is
-    np.testing.assert_array_equal(matrix_from_json(data["witness"]), arith.witness)
-
-
-def test_majorization_schema():
-    from matineq.core import weak_log_majorize
-
-    report = weak_log_majorize([2.0, 1.0], [2.0, 1.0])
-    data = majorization_to_json(report)
-    assert data["pass"] is True
-    assert data["firstViolation"] is None
-    json.dumps(data)
 
 
 def test_repro_schema_carries_matrices_and_notes():

@@ -114,7 +114,7 @@ def test_schur_diagonal_refuses_a_non_hermitian_multiplier():
     # The Hermitian part [[1, 1], [1, 1]] is PSD, but a itself is not Hermitian,
     # so the theorem's hypothesis fails and no certificate is made.
     a = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="a is not Hermitian"):
+    with pytest.raises(ValueError, match="a must be Hermitian"):
         check_schur_diagonal(a, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
