@@ -201,10 +201,10 @@ def _eig_desc(x) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Staged evaluation (see ``staging``). Each statement is a task that asks for
-# primitives one matrix at a time; ``_run`` drives tasks together, so a sweep
-# trial makes one call per stage and matrix shape. The sweep's table rows and
-# the public checkers run the same tasks: a checker runs its row's task alone
-# and picks its outcomes.
+# primitives one matrix at a time and lists its claims for ``_decide``, the one
+# step that decides them; ``_run`` drives tasks together, so a sweep trial makes
+# one call per stage and matrix shape. The sweep's table rows and the public
+# checkers run the same tasks: a checker runs its row's task alone.
 # ---------------------------------------------------------------------------
 
 
@@ -239,26 +239,42 @@ def _require(check, mats, names, what: str):
 
 
 class _Claim(NamedTuple):
-    """A Loewner certificate ``lhs <= rhs`` before its verdict."""
+    """A certificate ``lhs <= rhs`` before its verdict: of matrices, or of vectors as diagonals."""
 
     statement_id: str
     lhs: np.ndarray
     rhs: np.ndarray
-    tol: float
     witness: Optional[np.ndarray] = None
     beta: Optional[float] = None
 
 
-def _decide(claims):
-    """Task: the certificates of ``claims``, each side taken as its Hermitian part."""
-    verdicts = yield [Ask(_hermitian_verdict, (c.lhs, c.rhs, c.tol)) for c in claims]
-    return [
-        Certificate(
-            c.statement_id, v.lhs, v.rhs, v.slack_spectrum, bool(v.passed), c.tol,
-            c.witness, c.beta,
-        )
-        for c, v in zip(claims, verdicts)
+class _LogMaj(NamedTuple):
+    """Singular values weakly log-majorized by a spectrum, before its verdict."""
+
+    singular: np.ndarray
+    spectrum: np.ndarray
+
+
+def _decide(claims, tol: float):
+    """Task: the outcome of each of ``claims``, in order; a claim listed twice is decided once.
+
+    A ``_Claim`` of vectors is decided by ``_diagonal_certificate`` before any ask, so a
+    side that is not finite is refused first; a ``_LogMaj`` against its spectrum clipped at 0.
+    """
+    unique = list({id(c): c for c in claims}.values())
+    diagonal = [c for c in unique if isinstance(c, _Claim) and c.lhs.ndim == 1]
+    decided = {id(c): _diagonal_certificate(*c[:3], beta=c.beta, tol=tol) for c in diagonal}
+    staged = [c for c in unique if id(c) not in decided]
+    answers = yield [
+        Ask(_log_majorizations, (c.singular, np.maximum(c.spectrum, 0.0), tol)) if isinstance(c, _LogMaj)
+        else Ask(_hermitian_verdict, (c.lhs, c.rhs, tol))
+        for c in staged
     ]
+    for c, a in zip(staged, answers):
+        decided[id(c)] = a if isinstance(c, _LogMaj) else Certificate(
+            c.statement_id, a.lhs, a.rhs, a.slack_spectrum, bool(a.passed), tol, c.witness, c.beta
+        )
+    return [decided[id(c)] for c in claims]
 
 
 def witness_unitary(y) -> np.ndarray:
@@ -332,27 +348,22 @@ def _mean(o: _Orbit) -> Ask:
     return Ask(geometric_mean, (o.arg, o.orbit))
 
 
-def _arith(statement_id, o: _Orbit, beta: float, tol: float, sign: float = 1.0) -> _Claim:
+def _arith(statement_id, o: _Orbit, beta: float, sign: float = 1.0) -> _Claim:
     """The arithmetic bound ``beta arg + sign orbit/(4 beta)``.
 
     ``sign = -1`` negates the orbit term: the fault the sweep injects on request.
     """
     rhs = beta * o.arg + sign * o.orbit / (4.0 * beta)
-    return _Claim(statement_id, o.lhs, rhs, tol, o.witness, beta)
+    return _Claim(statement_id, o.lhs, rhs, o.witness, beta)
 
 
-def _geom(statement_id, o: _Orbit, mean: np.ndarray, tol: float) -> _Claim:
+def _geom(statement_id, o: _Orbit, mean: np.ndarray) -> _Claim:
     """The geometric-mean bound ``arg # orbit``, which has no weight."""
-    return _Claim(statement_id, o.lhs, mean, tol, o.witness)
+    return _Claim(statement_id, o.lhs, mean, o.witness)
 
 
-def _chain(geom, arith, tol: float) -> _Claim:
-    return _Claim("main-chain", geom.rhs, arith.rhs, tol, beta=arith.beta)
-
-
-def _logmaj(singular, spectrum, tol: float) -> Ask:
-    """Ask: singular values weakly log-majorized by a spectrum clipped at zero."""
-    return Ask(_log_majorizations, (singular, np.maximum(spectrum, 0.0), tol))
+def _chain(geom, arith) -> _Claim:
+    return _Claim("main-chain", geom.rhs, arith.rhs, beta=arith.beta)
 
 
 def _diagonal_certificate(statement_id, lhs, rhs, *, beta=None, tol=DEFAULT_TOL) -> Certificate:
@@ -397,27 +408,22 @@ def _orbit_statements(
         Ask(_eig_desc, (o.arg,)),
         *(Ask(_eig_desc, (o.lhs - beta * o.arg,)) for beta in betas),
     ]
-    geom = _geom("main-geom", o, mean, tol)
-    ariths = [_arith("main-arith", o, beta, tol, sign) for beta in betas]
-    chains = [_chain(geom, arith, tol) for arith in ariths]
+    geom = _geom("main-geom", o, mean)
+    ariths = [_arith("main-arith", o, beta, sign) for beta in betas]
     # A Kraus map commutes with the adjoint: map(n*) = map(n)*.
     block = np.block([[o.arg, o.image], [o.image.conj().T, o.arg]])
-    block = _Claim("block-psd", np.zeros_like(block), block, tol)
-    geom, block, *certs = yield from _decide([geom, block, *ariths, *chains])
-    k = len(betas)
-    bounds = [cert for i in range(k) for cert in (certs[i], geom, certs[k + i])]
     # The pairs (j, i), 0-based, with j + i < m, in row-major order.
     m = singular.size
     j, i = np.nonzero(np.add.outer(np.arange(m), np.arange(m)) < m)
     t_clip = np.maximum(spectrum, 0.0)
-    pair_bound = np.sqrt(t_clip[j] * t_clip[i])
-    pairs = _diagonal_certificate("eigen-pairs", singular[j + i], pair_bound, tol=tol)
-    shifts = [
-        _diagonal_certificate("eigen-shift", 4.0 * beta * s, spectrum, beta=beta, tol=tol)
-        for s, beta in zip(shifted, betas)
+    claims = [
+        *(claim for arith in ariths for claim in (arith, geom, _chain(geom, arith))),
+        _Claim("block-psd", np.zeros_like(block), block),
+        _LogMaj(singular, spectrum),
+        _Claim("eigen-pairs", singular[j + i], np.sqrt(t_clip[j] * t_clip[i])),
+        *(_Claim("eigen-shift", 4.0 * beta * s, spectrum, beta=beta) for s, beta in zip(shifted, betas)),
     ]
-    (logmaj,) = yield [_logmaj(singular, spectrum, tol)]
-    return [*bounds, block, logmaj, pairs, *shifts]
+    return (yield from _decide(claims, tol))
 
 
 def check_theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float = DEFAULT_TOL):
@@ -434,7 +440,7 @@ def check_theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float = DEF
 
 def chain_certificate(geom: Certificate, arith: Certificate, tol: float = DEFAULT_TOL) -> Certificate:
     """The geometric-mean bound never exceeds the arithmetic one (AM-GM chain)."""
-    return _run(_decide([_chain(geom, arith, tol)]))[0][0]
+    return _run(_decide([_chain(geom, arith)], tol))[0][0]
 
 
 def check_block_certificate(pmap: PositiveMapRep, nmat, tol: float = DEFAULT_TOL) -> Certificate:
@@ -474,9 +480,8 @@ def _real_part(a, tol: float):
         Ask(_eig_desc, (real_abs,)),
     ]
     det_lhs, det_rhs, _ = _det_excess(real_a, real_abs)
-    det_check = _diagonal_certificate("realpart-det", np.array([det_lhs]), np.array([det_rhs]), tol=tol)
-    construction, direct = yield [_logmaj(s_image, t_image, tol), _logmaj(s_real, t_real, tol)]
-    return RealPartReport(construction, direct, det_check)
+    det = _Claim("realpart-det", np.array([det_lhs]), np.array([det_rhs]))
+    return (yield from _decide([_LogMaj(s_image, t_image), _LogMaj(s_real, t_real), det], tol))
 
 
 def check_real_part(a, tol: float = DEFAULT_TOL) -> RealPartReport:
@@ -489,13 +494,13 @@ def check_real_part(a, tol: float = DEFAULT_TOL) -> RealPartReport:
     det Re|a|``, the single entries of its two sides; the real part of a PSD
     matrix is again PSD, so the right-hand determinant is nonnegative.
     """
-    return _run(_real_part(a, tol))[0]
+    return RealPartReport(*_run(_real_part(a, tol))[0])
 
 
 def _partial_trace(nmat, d: int, n: int, tol: float):
     o = yield from _normal_orbit(partial_trace_first(d, n), nmat)
     (mean,) = yield [_mean(o)]
-    return (yield from _decide([_geom("ptrace-geom", o, mean, tol)]))
+    return (yield from _decide([_geom("ptrace-geom", o, mean)], tol))
 
 
 def check_partial_trace(nmat, d: int, n: int, tol: float = DEFAULT_TOL) -> Certificate:
@@ -511,9 +516,8 @@ def _sum_of_normals(mats: Sequence, tol: float):
     yield from _require(is_normal, mats, names, "normal")
     o = yield from _image_orbit(partial_trace_first(len(mats), len(mats[0])), *mats)
     (mean,) = yield [_mean(o)]
-    claims = [_geom("sum-normals-geom", o, mean, tol), _arith("sum-normals-arith", o, 0.5, tol)]
-    geom, arith = yield from _decide(claims)
-    return geom, arith
+    claims = [_geom("sum-normals-geom", o, mean), _arith("sum-normals-arith", o, 0.5)]
+    return (yield from _decide(claims, tol))
 
 
 def check_sum_of_normals(mats: Sequence, tol: float = DEFAULT_TOL):
@@ -522,7 +526,7 @@ def check_sum_of_normals(mats: Sequence, tol: float = DEFAULT_TOL):
     Returns the geometric-mean certificate and the weaker arithmetic one on
     ``sum |n_i|`` and its unitary conjugate.
     """
-    return _run(_sum_of_normals(mats, tol))[0]
+    return tuple(_run(_sum_of_normals(mats, tol))[0])
 
 
 def _russo_dye(pmap: PositiveMapRep, z, tol: float):
@@ -536,10 +540,8 @@ def _russo_dye(pmap: PositiveMapRep, z, tol: float):
         Ask(_eig_desc, (image_id,)),
     ]
     (mean,) = yield [_mean(o)]
-    claims = [_arith("contraction-arith", o, 0.5, tol), _geom("contraction-geom", o, mean, tol)]
-    arith, geom = yield from _decide(claims)
-    (logmaj,) = yield [_logmaj(singular, spectrum, tol)]
-    return RussoDyeReports(arith, geom, logmaj)
+    claims = [_arith("contraction-arith", o, 0.5), _geom("contraction-geom", o, mean)]
+    return (yield from _decide([*claims, _LogMaj(singular, spectrum)], tol))
 
 
 def check_russo_dye(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL) -> RussoDyeReports:
@@ -551,7 +553,7 @@ def check_russo_dye(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL) -> RussoD
     ``apply(compose(pmap, upper_left), halmos_dilation(z)) == apply(pmap, z)``.
     So the image is computed as ``map(z)`` and the dilation is never formed.
     """
-    return _run(_russo_dye(pmap, z, tol))[0]
+    return RussoDyeReports(*_run(_russo_dye(pmap, z, tol))[0])
 
 
 def _weighted_sum(xs: Sequence, zs: Sequence, tol: float):
@@ -576,9 +578,8 @@ def _weighted_sum(xs: Sequence, zs: Sequence, tol: float):
     upper_left = sum(x.conj().T @ abs_z_adj @ x for x, abs_z_adj in zip(xs, abs_zs[1::2]))
     lower_right = sum(x.conj().T @ abs_z @ x for x, abs_z in zip(xs, abs_zs[0::2]))
     block = np.block([[upper_left, weighted], [weighted.conj().T, lower_right]])
-    (cert,) = yield from _decide([_Claim("weighted-sum-block", np.zeros_like(block), block, tol)])
-    (logmaj,) = yield [_logmaj(singular, spectrum, tol)]
-    return logmaj, cert
+    claims = [_LogMaj(singular, spectrum), _Claim("weighted-sum-block", np.zeros_like(block), block)]
+    return (yield from _decide(claims, tol))
 
 
 def check_weighted_sum(xs: Sequence, zs: Sequence, tol: float = DEFAULT_TOL):
@@ -590,7 +591,7 @@ def check_weighted_sum(xs: Sequence, zs: Sequence, tol: float = DEFAULT_TOL):
     ``sum x_i* x_i``; the associated 2x2 block matrix is PSD, which carries
     the factorization through a contraction.
     """
-    return _run(_weighted_sum(xs, zs, tol))[0]
+    return tuple(_run(_weighted_sum(xs, zs, tol))[0])
 
 
 def _schur_diagonal(a, z, tol: float):
@@ -606,7 +607,7 @@ def _schur_diagonal(a, z, tol: float):
     ]
     _refuse(_is_psd(w, np.abs(w).max()), "a", "positive semidefinite")
     _refuse(contracting, "z", "a contraction")
-    return (yield from _decide([_arith("schur-diagonal", o, 0.5, tol)]))
+    return (yield from _decide([_arith("schur-diagonal", o, 0.5)], tol))
 
 
 def check_schur_diagonal(a, z, tol: float = DEFAULT_TOL) -> Certificate:
@@ -621,7 +622,7 @@ def _schur_normal(a, b, tol: float):
     yield from _require(is_normal, [a, b], ["a", "b"], "normal")
     abs_a, abs_b = yield [Ask(mat_abs, (a,)), Ask(mat_abs, (b,))]
     (o,) = yield [Ask(_orbit, (schur_prod(a, b), schur_prod(abs_a, abs_b)))]
-    return (yield from _decide([_arith("schur-normal", o, 1.0, tol)]))
+    return (yield from _decide([_arith("schur-normal", o, 1.0)], tol))
 
 
 def check_schur_normal(a, b, tol: float = DEFAULT_TOL) -> Certificate:
@@ -647,13 +648,8 @@ def _symmetrized(pmap: PositiveMapRep, x, tol: float):
     )
     herm, square = yield [Ask(_orbit, (herm_image, herm_arg)), Ask(_orbit, (square_image, square_arg))]
     herm_mean, square_mean = yield [_mean(herm), _mean(square)]
-    herm_cert, square_cert = yield from _decide(
-        [
-            _geom("hermitian-sum-geom", herm, herm_mean, tol),
-            _geom("schur-square-geom", square, square_mean, tol),
-        ]
-    )
-    return herm_cert, square_cert
+    claims = [_geom("hermitian-sum-geom", herm, herm_mean), _geom("schur-square-geom", square, square_mean)]
+    return (yield from _decide(claims, tol))
 
 
 def check_hermitian_sum(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Certificate:
@@ -688,7 +684,7 @@ def _two_positive_unital(pmap: PositiveMapRep, z, tol: float):
     o, defect = yield [Ask(_orbit, (image, image_abs)), Ask(singular_values, (image_id - eye,))]
     _refuse(_unital(defect[0]), "pmap", "unital")
     rhs = eye / 4.0 + o.arg
-    return (yield from _decide([_Claim("two-positive-quarter", o.lhs, rhs, tol)]))
+    return (yield from _decide([_Claim("two-positive-quarter", o.lhs, rhs)], tol))
 
 
 def check_two_positive_unital(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL) -> Certificate:
@@ -886,15 +882,17 @@ def search_nonnormal_counterexample(seed, trials: int) -> ReproResult:
     """Random search for a nonnormal 2x2 matrix breaking the determinant bound.
 
     The determinant comparison that holds for every normal matrix can fail
-    off the normal cone; the first random matrix whose margin exceeds
-    ``PSD_TOL`` is reported. An exhausted budget is reported, not raised.
+    off the normal cone; the first random matrix that fails the sweep's
+    realpart-det rule at ``PSD_TOL`` is reported. An exhausted budget is
+    reported, not raised.
     """
     _check_size(trials, "trials")
     rng = np.random.default_rng(seed)
     for index in range(trials):
         candidate = _complex_gaussian(rng, 1, 2, 2)[0]
         det_lhs, det_rhs, margin = _real_part_margin(candidate)
-        if margin > PSD_TOL:
+        sides = np.array([det_lhs]), np.array([det_rhs])
+        if not _diagonal_certificate("realpart-det", *sides, tol=PSD_TOL).passed:
             return ReproResult(
                 example_id="nonnormal-det",
                 computed={
@@ -1015,7 +1013,8 @@ def estimate_constant(
     attains the guaranteed constant with the polar witness) plus seeded random
     map/matrix pairs, drawn and solved in chunks of ``_search_chunk(n, m)``, one
     ``minimal_orbit_constant`` call a chunk; rows report the observed maximum
-    against the guaranteed bound ``1/(4 beta)``.
+    against the guaranteed bound ``1/(4 beta)``. A shape whose one pair alone
+    holds more than ``MAX_KRAUS_BYTES`` is refused before any draw.
     """
     betas = [float(b) for b in beta_grid]
     _check_nonempty(betas, "beta_grid")
@@ -1025,6 +1024,11 @@ def estimate_constant(
     for value, name in ((trials, "trials"), (n, "n"), (m, "m")):
         _check_size(value, name)
     _check_kraus_budget(n, m)
+    if _pair_bytes(n, m) > MAX_KRAUS_BYTES:
+        raise ValueError(
+            f"one drawn ({n}, {m}) search pair holds {_pair_bytes(n, m)} bytes, "
+            f"over the budget of {MAX_KRAUS_BYTES} bytes"
+        )
     chunk = _search_chunk(n, m)
     rows = []
     for bi, beta in enumerate(betas):

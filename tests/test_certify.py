@@ -1208,6 +1208,10 @@ _REFUSALS = {
     "random-cp-budget": lambda: (random_cp_map, (0, 46, 46), "over the budget"),
     "trial-budget": lambda: (run_trial, (1, 0, 46, 46, (0.5,)), "over the budget"),
     "estimate-budget": lambda: (estimate_constant, ([0.25], 0, 100, 46, 46), "over the budget"),
+    # Each map of these shapes fits the budget, but one drawn search pair holds
+    # 1.004x (32 x 32) and 16x (1 x 2048) of it.
+    "estimate-pair-budget": lambda: (estimate_constant, ([0.25], 0, 100, 32, 32), "search pair holds"),
+    "estimate-thin-pair-budget": lambda: (estimate_constant, ([0.25], 0, 100, 1, 2048), "search pair holds"),
 }
 
 
@@ -1355,12 +1359,15 @@ def test_property_refusals_name_the_argument(case):
 
 
 def test_the_kraus_budget_is_refused_before_any_draw():
-    # Drawing 46 x 46 factors would allocate 72 MB; each entry refuses first.
+    # Drawing 46 x 46 factors would allocate 72 MB, and one 1 x 2048 search
+    # pair about 1 GB; each entry refuses first.
     import tracemalloc
 
     tracemalloc.start()
     try:
-        for case in ("random-cp-budget", "trial-budget", "estimate-budget"):
+        for case in (
+            "random-cp-budget", "trial-budget", "estimate-budget", "estimate-pair-budget", "estimate-thin-pair-budget",
+        ):
             call, args, _ = _REFUSALS[case]()
             with pytest.raises(ValueError, match="over the budget of 67108864 bytes"):
                 call(*args)
@@ -1410,6 +1417,44 @@ def test_input_properties_are_refused_in_one_form():
     assert offenders == {}
     # The guard reads f-string messages: it sees the refusals it allows.
     assert set(found) == _OWN_REFUSALS
+
+
+# The primitives that decide a statement: only certify._decide asks for them.
+_VERDICTS = {"_hermitian_verdict", "_log_majorizations", "_diagonal_certificate"}
+
+
+def test_every_task_decides_through_one_step():
+    # Every statement task lists its claims for _decide; no other generator
+    # names a verdict primitive, so a verdict rule changes in one place.
+    with open(certify.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    named = {
+        node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & _VERDICTS
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(node))
+    }
+    assert {"_orbit_statements", "_real_part", "_russo_dye", "_weighted_sum"} <= set(named)
+    assert {task: verdicts for task, verdicts in named.items() if verdicts} == {"_decide": _VERDICTS}
+
+
+def test_a_claim_listed_twice_is_decided_once(monkeypatch):
+    # main-geom is listed under every weight: it is one outcome, and one member
+    # of the m x m verdict call beside the 4 arithmetic and 4 chain claims.
+    betas = (0.25, 0.5, 1.0, 2.0)
+    out = run_trial(5, 0, 2, 3, betas)
+    assert len({id(out[f"main-geom@beta={beta:g}"]) for beta in betas}) == 1
+    calls = []
+    answer = staging._answer
+
+    def recorded(asks):
+        if asks[0].fn.__name__ == "_hermitian_verdict":
+            calls.append((asks[0].args[0].shape, len(asks)))
+        return answer(asks)
+
+    monkeypatch.setattr(staging, "_answer", recorded)
+    certify._run(certify._orbit_statements(random_cp_map(1, 2, 3), random_normal(2, 2), betas, DEFAULT_TOL))
+    assert calls == [((3, 3), 9), ((6, 6), 1)]
 
 
 def test_numpy_integer_sizes_are_accepted():

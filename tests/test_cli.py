@@ -118,6 +118,15 @@ def test_dims_over_the_memory_budget_are_usage_errors(capsys, monkeypatch, comma
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dims", ["32,32", "1,2048"])
+def test_search_pairs_over_the_memory_budget_are_usage_errors(capsys, dims):
+    # Each map fits the budget, but one drawn search pair does not.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--dims", dims, "--trials", "1"])
+    assert exc.value.code == 2
+    assert "over the budget of 67108864 bytes" in capsys.readouterr().err
+
+
 def test_verify_mutant_hook_fails_and_replays(capsys):
     code, out = run_cli(
         capsys, ["verify", "--trials", "2", "--seed", "3", "--inject-mutant"]
