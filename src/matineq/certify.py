@@ -981,6 +981,12 @@ def _pair_bytes(n: int, m: int) -> int:
     return factors * _kraus_bytes(n, m, n * m) + squares + _PAIR_OBJECT_BYTES
 
 
+def _refuse_unit_bytes(size: int, unit: str) -> None:
+    """Refuse a unit of work, a drawn search pair or sweep trial, that alone holds ``size > MAX_KRAUS_BYTES``."""
+    if size > MAX_KRAUS_BYTES:
+        raise ValueError(f"one drawn {unit} holds {size} bytes, over the budget of {MAX_KRAUS_BYTES} bytes")
+
+
 def _search_chunk(n: int, m: int) -> int:
     """Drawn pairs solved in one call, at least one: as many as fit ``MAX_KRAUS_BYTES``."""
     return max(1, MAX_KRAUS_BYTES // _pair_bytes(n, m))
@@ -1024,11 +1030,7 @@ def estimate_constant(
     for value, name in ((trials, "trials"), (n, "n"), (m, "m")):
         _check_size(value, name)
     _check_kraus_budget(n, m)
-    if _pair_bytes(n, m) > MAX_KRAUS_BYTES:
-        raise ValueError(
-            f"one drawn ({n}, {m}) search pair holds {_pair_bytes(n, m)} bytes, "
-            f"over the budget of {MAX_KRAUS_BYTES} bytes"
-        )
+    _refuse_unit_bytes(_pair_bytes(n, m), f"({n}, {m}) search pair")
     chunk = _search_chunk(n, m)
     rows = []
     for bi, beta in enumerate(betas):
@@ -1168,25 +1170,73 @@ def _expand(keys: tuple, tags: list) -> list:
     return out
 
 
-def run_trial(
-    master_seed: int, trial_index: int, n: int, m: int, betas: Sequence[float],
-    tol: float = DEFAULT_TOL, *, inject_mutant: bool = False,
-) -> dict:
-    """All statement checks for one trial; instances derive from (seed, index).
+# What one sweep trial holds at its peak, counted as ``_pair_bytes`` counts a search
+# pair: seven arrays the size of one map's Kraus factors (the sweep and unital maps,
+# the draws and scaling of the unital one, and ``_apply_stack``'s products of up to
+# eight images of a map), 144 n x n and 144 m x m (the drawn instances, their images,
+# absolute values, orbits and certificate sides), three of side m(m+1)/2 (the
+# diagonal sides eigen-pairs keeps, and their float draft), and the bytes of its
+# Python objects: generators, asks and 27 outcomes. The counts bound the single-trial
+# peaks tracemalloc measures from 1 x 1 to 24 x 24, 1 x 64 and 64 x 1; a trial of a
+# batch holds no more.
+_TRIAL_COPIES = (7, 144, 144, 3)
+_TRIAL_OBJECT_BYTES = 65536
 
-    Returns a mapping from statement keys to outcome objects exposing
-    ``passed`` and ``min_slack``; weight-dependent statements carry the weight
-    in their key. ``inject_mutant`` negates the orbit term on the right-hand
-    side of the arithmetic bound, a fault the sweep must report. Weights that
-    print alike under ``%g`` would share keys and are refused with a ValueError.
+
+def _trial_bytes(n: int, m: int) -> int:
+    """The bytes one ``n -> m`` sweep trial holds at its peak."""
+    factors, squares_n, squares_m, pair_sides = _TRIAL_COPIES
+    pairs = m * (m + 1) // 2
+    squares = 16 * (squares_n * n * n + squares_m * m * m + pair_sides * pairs * pairs)
+    return factors * _kraus_bytes(n, m, n * m) + squares + _TRIAL_OBJECT_BYTES
+
+
+def _check_trial_bytes(n: int, m: int) -> None:
+    """Refuse an ``n -> m`` sweep shape whose one trial holds more than ``MAX_KRAUS_BYTES``."""
+    _refuse_unit_bytes(_trial_bytes(n, m), f"({n}, {m}) sweep trial")
+
+
+def _sweep_batch(n: int, m: int) -> int:
+    """Sweep trials of one shape run in one call, at least one: as many as fit 1/32 of ``MAX_KRAUS_BYTES``.
+
+    That is 12 to 24 trials at n = m <= 4, where a batch shares the engine's
+    Python cost (twice as many ran 6% faster, holding twice the memory), and
+    one trial from 12 x 12 up.
     """
+    return max(1, MAX_KRAUS_BYTES // 32 // _trial_bytes(n, m))
+
+
+def run_trial(
+    master_seed: int, trial_index: int | Sequence[int], n: int, m: int, betas: Sequence[float],
+    tol: float = DEFAULT_TOL, *, inject_mutant: bool = False,
+) -> dict | list:
+    """All statement checks for one trial, or for a batch of trials of one shape.
+
+    Each trial's instances derive from ``(seed, index)``. Returns, for one index,
+    a mapping from statement keys to outcome objects exposing ``passed`` and
+    ``min_slack``; weight-dependent statements carry the weight in their key.
+    For a sequence of indices it returns one such mapping per index, in order:
+    the tasks of every trial run together, one stacked call per stage and
+    shape, and each outcome has the bits of its trial run alone.
+    ``inject_mutant`` negates the orbit term on the right-hand side of the
+    arithmetic bound, a fault the sweep must report. Weights that print alike
+    under ``%g`` would share keys, and a shape whose one trial holds more than
+    ``MAX_KRAUS_BYTES``, are refused with a ValueError before any draw.
+    """
+    single = np.ndim(trial_index) == 0
     tags = _weight_tags(betas)
-    trial = _draw(master_seed, trial_index, n, m, betas, tol, inject_mutant)
-    results = _run(*(task(trial) for task, _ in _STATEMENTS))
-    out: dict = {}
-    for (_, keys), outcomes in zip(_STATEMENTS, results):
-        out.update(zip(_expand(keys, tags), outcomes, strict=True))
-    return out
+    _check_trial_bytes(n, m)
+    indices = [trial_index] if single else list(trial_index)
+    trials = [_draw(master_seed, i, n, m, betas, tol, inject_mutant) for i in indices]
+    results = _run(*(task(trial) for trial in trials for task, _ in _STATEMENTS))
+    rows = [_expand(keys, tags) for _, keys in _STATEMENTS]
+    out = []
+    for start in range(0, len(results), len(rows)):
+        outcomes: dict = {}
+        for keys, row in zip(rows, results[start : start + len(rows)]):
+            outcomes.update(zip(keys, row, strict=True))
+        out.append(outcomes)
+    return out[0] if single else out
 
 
 def trial_statements(betas: Sequence[float]) -> list:

@@ -40,19 +40,30 @@ REPRO_NAMES = ("sharpness-beta", "no-single-unitary", "psi-quarter", "all")
 def cmd_verify(args):
     """Run the full statement sweep; returns (JSON report, exit code)."""
     start = time.perf_counter()
-    pass_counts, failures = {}, []
+    trials = range(args.trial_offset, args.trial_offset + args.trials)
     # dims cycle by absolute trial index so a recorded failure replays with
-    # --trials 1 --trial-offset <index>.
-    for trial in range(args.trial_offset, args.trial_offset + args.trials):
-        n, m = args.dims[trial % len(args.dims)]
-        outcomes = run_trial(args.seed, trial, n, m, args.beta, args.tol, inject_mutant=args.inject_mutant)
-        for key, outcome in outcomes.items():
-            pass_counts[key] = pass_counts.get(key, 0) + bool(outcome.passed)
-            if not outcome.passed:
-                min_slack = float(outcome.min_slack)
-                failures.append(
-                    {"statementId": key, "seed": args.seed, "trialIndex": trial, "minSlack": min_slack}
-                )
+    # --trials 1 --trial-offset <index>; the trials of one shape run in batches.
+    by_shape: dict = {}
+    for trial in trials:
+        by_shape.setdefault(args.dims[trial % len(args.dims)], []).append(trial)
+    pass_counts, failures_of = {}, {}
+    for (n, m), indices in by_shape.items():
+        # As few batches as the byte budget allows, of even sizes.
+        count = -(-len(indices) // certify._sweep_batch(n, m))
+        for b in range(count):
+            batch = indices[b * len(indices) // count : (b + 1) * len(indices) // count]
+            outcomes = run_trial(args.seed, batch, n, m, args.beta, args.tol, inject_mutant=args.inject_mutant)
+            for trial, trial_outcomes in zip(batch, outcomes):
+                failures_of[trial] = []
+                for key, outcome in trial_outcomes.items():
+                    pass_counts[key] = pass_counts.get(key, 0) + bool(outcome.passed)
+                    if not outcome.passed:
+                        min_slack = float(outcome.min_slack)
+                        failures_of[trial].append(
+                            {"statementId": key, "seed": args.seed, "trialIndex": trial, "minSlack": min_slack}
+                        )
+            del outcomes, trial_outcomes  # freed before the next batch runs, not after
+    failures = [failure for trial in trials for failure in failures_of[trial]]
     report = {
         "artifactVersion": ARTIFACT_VERSION,
         "config": {
@@ -211,13 +222,15 @@ def _build_parser() -> argparse.ArgumentParser:
     # verify weights: those whose statement keys certify can tell apart.
     sweep_betas = _checked(_parse_betas, certify.trial_statements)
     offset = _checked(int, lambda i: _refuse(i >= 0, "--trial-offset", "nonnegative"))
+    # verify shapes: those whose one trial fits the byte budget.
+    sweep_dims = _checked(_parse_dims, lambda dims: [certify._check_trial_bytes(n, m) for n, m in dims])
     pair = _checked(_parse_dims, lambda dims: _refuse(len(dims) == 1, "search --dims", "a single pair n,m"))
 
     verify = sub.add_parser("verify", help="run the statement sweep")
     verify.set_defaults(run=cmd_verify, parser=verify)
     verify.add_argument("--seed", type=seed, default=42, help="master seed")
     verify.add_argument("--trials", type=trials, default=100)
-    verify.add_argument("--dims", type=_parse_dims, default=DEFAULT_DIMS, metavar="n,m[;n,m...]")
+    verify.add_argument("--dims", type=sweep_dims, default=DEFAULT_DIMS, metavar="n,m[;n,m...]")
     verify.add_argument("--beta", type=sweep_betas, default=DEFAULT_BETAS, metavar="b[,b...]")
     verify.add_argument("--tol", type=tol, default=certify.DEFAULT_TOL)
     verify.add_argument("--out", type=_parse_out, default="-", metavar="PATH")

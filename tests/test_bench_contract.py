@@ -1,8 +1,9 @@
 """What the benchmark's traced worker reads of the library.
 
 ``bench/worker.py`` wraps library functions by name. Its unit span is a call
-of ``run_trial`` (``verify``, one unit) or of ``minimal_orbit_constant``
-(``search``, one pair or a chunk of pairs, each pair a unit), and it times
+of ``run_trial`` (``verify``, one trial or a batch of trials of one shape,
+each trial a unit) or of ``minimal_orbit_constant`` (``search``, one pair or
+a chunk of pairs, each pair a unit), and it times
 ``run_trial`` for its scaling curve. A wrapped name that is gone,
 a unit that is no longer called in-process, or outcomes without ``passed``
 make a traced benchmark run crash rather than report. These tests read the
@@ -126,15 +127,21 @@ def _count_everywhere(monkeypatch, fn) -> list:
     return calls
 
 
-def _members(args) -> int:
-    """Units in one call: a trial, one search pair, or the pairs of a search chunk."""
-    return len(args[0]) if isinstance(args[0], (list, tuple)) else 1
+def _members(fn, args) -> int:
+    """Units in one call: a trial or the trials of a sweep batch, one search pair or the pairs of a chunk.
+
+    ``run_trial`` takes its index or indices second, ``minimal_orbit_constant``
+    its map or maps first.
+    """
+    unit = args[1] if fn.__name__ == "run_trial" else args[0]
+    return len(unit) if isinstance(unit, (list, tuple)) else 1
 
 
 @pytest.mark.parametrize(
     "fn, argv, count, units",
     [
-        (certify.run_trial, ["verify", "--trials", "3", "--dims", "2,2"], 3, 3),
+        # The 3 trials of one shape are one batch.
+        (certify.run_trial, ["verify", "--trials", "3", "--dims", "2,2"], 1, 3),
         # Per weight, one call for the sharpness-family pair and one for the chunk
         # of 2 drawn pairs: 4 calls solve the 6 units.
         (certify.minimal_orbit_constant, ["search", "--trials", "2", "--beta", "0.1,0.25", "--json"], 4, 6),
@@ -146,7 +153,7 @@ def test_each_unit_is_one_in_process_call(capsys, monkeypatch, fn, argv, count, 
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert len(calls) == count, argv
-    assert sum(map(_members, calls)) == units, argv
+    assert sum(_members(fn, args) for args in calls) == units, argv
 
 
 def test_block_certificate_makes_one_mat_abs_call(monkeypatch):

@@ -1212,6 +1212,10 @@ _REFUSALS = {
     # 1.004x (32 x 32) and 16x (1 x 2048) of it.
     "estimate-pair-budget": lambda: (estimate_constant, ([0.25], 0, 100, 32, 32), "search pair holds"),
     "estimate-thin-pair-budget": lambda: (estimate_constant, ([0.25], 0, 100, 1, 2048), "search pair holds"),
+    # And one sweep trial holds 2.02x (32 x 32) and 3.1e6x (1 x 2048) of it,
+    # through eigen-pairs' diagonal sides of side m(m + 1)/2.
+    "trial-square-budget": lambda: (run_trial, (1, 0, 32, 32, (0.5,)), "sweep trial holds"),
+    "trial-thin-budget": lambda: (run_trial, (1, [0, 1], 1, 2048, (0.5,)), "sweep trial holds"),
 }
 
 
@@ -1359,14 +1363,15 @@ def test_property_refusals_name_the_argument(case):
 
 
 def test_the_kraus_budget_is_refused_before_any_draw():
-    # Drawing 46 x 46 factors would allocate 72 MB, and one 1 x 2048 search
-    # pair about 1 GB; each entry refuses first.
+    # Drawing 46 x 46 factors would allocate 72 MB, one 1 x 2048 search pair
+    # about 1 GB, and one 1 x 2048 sweep trial far more; each entry refuses first.
     import tracemalloc
 
     tracemalloc.start()
     try:
         for case in (
             "random-cp-budget", "trial-budget", "estimate-budget", "estimate-pair-budget", "estimate-thin-pair-budget",
+            "trial-square-budget", "trial-thin-budget",
         ):
             call, args, _ = _REFUSALS[case]()
             with pytest.raises(ValueError, match="over the budget of 67108864 bytes"):
@@ -1526,6 +1531,16 @@ def test_run_trial_decomposition_budget(linalg_calls):
         run_trial(5, n, n, m, (0.25, 0.5, 1.0, 2.0))
         assert sum(linalg_calls.values()) == budget, (n, m, dict(linalg_calls))
         assert linalg_calls["norm"] == 0, dict(linalg_calls)
+    # A batch of k trials makes each stacked call once, except that each trial
+    # draws its own instances (the contractions' SVD, one per size, and the
+    # unital map's eigh) and takes realpart-det's det: 15 + 3k decompositions
+    # at n = m and 27 + 4k at n != m.
+    for k in (2, 33):
+        for n, m, fixed, per_trial in ((3, 3, 15, 3), (2, 3, 27, 4)):
+            linalg_calls.clear()
+            run_trial(5, list(range(k)), n, m, (0.25, 0.5, 1.0, 2.0))
+            assert sum(linalg_calls.values()) == fixed + per_trial * k, (k, n, m, dict(linalg_calls))
+            assert (linalg_calls["det"], linalg_calls["norm"]) == (k, 0), dict(linalg_calls)
 
 
 def test_run_trial_stacked_calls(monkeypatch):
@@ -1556,6 +1571,14 @@ def test_run_trial_stacked_calls(monkeypatch):
         assert len(answered) == calls, answered
         assert answered.count("_log_majorizations") == lengths, answered
         assert len(hermitian) == 1, hermitian
+    # A batch of k trials shares every call but apply's: asks to apply are
+    # grouped by map object, and each trial has 5 maps (its sweep and unital
+    # maps, the real-part averager and two partial traces), so 12 + 5k calls.
+    for k in (2, 33):
+        answered.clear()
+        run_trial(5, list(range(k)), 3, 3, (0.25, 0.5, 1.0, 2.0))
+        assert len(answered) == 12 + 5 * k, answered
+        assert answered.count("apply") == 5 * k, answered
 
 
 def test_every_orbit_pair_is_exactly_hermitian(monkeypatch):

@@ -5,12 +5,15 @@ statement's pass flag and min slack (as the float's ``repr``), with and
 without the injected fault. The dims include ``n != m`` pairs, which put
 matrices of two sizes in one trial, and 12 x 12. A change that means to move
 an outcome rewrites the file with ``python tests/test_sweep_golden.py``; any
-other change must replay it bit for bit.
+other change must replay it bit for bit. A batch of trials, as ``verify``
+runs them, gives each trial the outcomes it has alone.
 """
 
 import json
 import os
 import sys
+
+import pytest
 
 from matineq.certify import run_trial
 
@@ -21,18 +24,31 @@ BETAS = (0.25, 0.5, 1.0, 2.0)
 TRIALS = 2 * len(DIMS)
 
 
+def _bits(outcomes: dict) -> list:
+    """``[key, passed, repr(min_slack)]`` for each outcome of one trial, in run order."""
+    return [[key, bool(o.passed), repr(float(o.min_slack))] for key, o in outcomes.items()]
+
+
 def _records():
     """One record per (trial, mutant): the trial's place and its outcomes in run order."""
     records = []
     for trial in range(TRIALS):
         n, m = DIMS[trial % len(DIMS)]
         for mutant in (False, True):
-            out = run_trial(SEED, trial, n, m, BETAS, inject_mutant=mutant)
-            outcomes = [[key, bool(o.passed), repr(float(o.min_slack))] for key, o in out.items()]
+            outcomes = _bits(run_trial(SEED, trial, n, m, BETAS, inject_mutant=mutant))
             records.append(
                 {"trialIndex": trial, "n": n, "m": m, "injectMutant": mutant, "outcomes": outcomes}
             )
     return records
+
+
+@pytest.mark.parametrize("mutant", [False, True], ids=["clean", "mutant"])
+@pytest.mark.parametrize("n, m", DIMS)
+def test_a_batch_gives_each_trial_its_outcomes_alone(n, m, mutant):
+    indices = [5, 0, 3]  # out of order: a batch is any list of indices
+    batch = run_trial(SEED, indices, n, m, BETAS, inject_mutant=mutant)
+    alone = [run_trial(SEED, i, n, m, BETAS, inject_mutant=mutant) for i in indices]
+    assert [_bits(out) for out in batch] == [_bits(out) for out in alone]
 
 
 def test_run_trial_replays_every_recorded_slack():
