@@ -59,7 +59,6 @@ from .maps import (
     PositiveMapRep,
     _apply_stack,
     _check_fit,
-    _check_kraus_budget,
     _cp_draws,
     _cp_maps,
     _kraus_bytes,
@@ -118,7 +117,10 @@ class Certificate:
     ``lhs`` and ``rhs`` are stored as their Hermitian parts, and
     ``slack_spectrum`` holds the descending eigenvalues of ``rhs - lhs``. The
     pass flag is the verdict of ``core.loewner_leq``: the minimum slack is at
-    least ``-tol * max(1, ||rhs||)``.
+    least ``-tol * max(1, ||rhs||)``. A comparison of diagonal matrices
+    (``eigen-pairs``, ``eigen-shift``, ``realpart-det``) keeps its sides as
+    the real vectors of their diagonals, so ``det_check.lhs[0]`` is
+    ``|det Re a|``.
     """
 
     statement_id: str
@@ -144,7 +146,10 @@ class EigenCorollaryReports(NamedTuple):
 
 
 class RealPartReport(NamedTuple):
-    """Entrywise-real-part comparison for a normal matrix in key order: two routes, then the determinants."""
+    """Entrywise-real-part comparison for a normal matrix in key order: two routes, then the determinants.
+
+    ``det_check.lhs[0]`` is ``|det Re a|`` and ``det_check.rhs[0]`` is ``det Re|a|``.
+    """
 
     construction_route: MajorizationReport
     direct_route: MajorizationReport
@@ -371,22 +376,14 @@ def _diagonal_certificate(statement_id, lhs, rhs, *, beta=None, tol=DEFAULT_TOL)
 
     The slack spectrum of two diagonal matrices is the entrywise difference
     sorted in descending order, and ``||diag(rhs)||`` is ``max |rhs|``, so the
-    verdict is the ``core.loewner_leq`` rule on the diagonal matrices, which
-    the certificate keeps as its two sides. A side that is not finite, or a
-    difference that overflows, is refused with a ValueError.
+    verdict is the ``core.loewner_leq`` rule on the diagonal matrices. The
+    certificate keeps the two vectors as its sides. A side that is not
+    finite, or a difference that overflows, is refused with a ValueError.
     """
     slack = np.sort(rhs - lhs)[::-1]
     _refuse(np.isfinite(slack).all(), f"the sides of {statement_id}", "finite")
     passed = bool(slack[-1] >= -_threshold(tol, float(np.abs(rhs).max())))
-    return Certificate(
-        statement_id=statement_id,
-        lhs=np.diag(lhs).astype(complex),
-        rhs=np.diag(rhs).astype(complex),
-        slack_spectrum=slack,
-        passed=passed,
-        tol=tol,
-        beta=beta,
-    )
+    return Certificate(statement_id, lhs, rhs, slack, passed, tol, beta=beta)
 
 
 def _orbit_statements(
@@ -462,14 +459,12 @@ def check_corollary_eigen(
     return EigenCorollaryReports(*_run(_orbit_statements(pmap, nmat, (beta,), tol))[0][4:])
 
 
-def _real_part(a, tol: float):
-    a = as_matrix(a, square=True, name="a")
+def _real_part(averager: PositiveMapRep, a, tol: float):
     yield from _require(is_normal, [a], ["a"], "normal")
     (abs_a,) = yield [Ask(mat_abs, (a,))]
     # |a (+) conj(a)| = |a| (+) |conj(a)|, and |conj(a)| = conj(|a|).
     doubled = direct_sum([a, np.conj(a)])
     abs_doubled = direct_sum([abs_a, np.conj(abs_a)])
-    averager = corner_block_map("diag_average", a.shape[0])
     image, image_abs_arg = yield _applied(averager, [doubled, abs_doubled])
     real_a = conj_real_part(a)
     real_abs = conj_real_part(abs_a)
@@ -494,27 +489,24 @@ def check_real_part(a, tol: float = DEFAULT_TOL) -> RealPartReport:
     det Re|a|``, the single entries of its two sides; the real part of a PSD
     matrix is again PSD, so the right-hand determinant is nonnegative.
     """
-    return RealPartReport(*_run(_real_part(a, tol))[0])
+    a = as_matrix(a, square=True, name="a")
+    return RealPartReport(*_run(_real_part(corner_block_map("diag_average", a.shape[0]), a, tol))[0])
 
 
-def _partial_trace(nmat, d: int, n: int, tol: float):
-    o = yield from _normal_orbit(partial_trace_first(d, n), nmat)
+def _partial_trace(trace: PositiveMapRep, nmat, tol: float):
+    o = yield from _normal_orbit(trace, nmat)
     (mean,) = yield [_mean(o)]
     return (yield from _decide([_geom("ptrace-geom", o, mean)], tol))
 
 
 def check_partial_trace(nmat, d: int, n: int, tol: float = DEFAULT_TOL) -> Certificate:
     """Geometric-mean orbit bound for the partial trace of a normal block matrix."""
-    return _run(_partial_trace(nmat, d, n, tol))[0][0]
+    return _run(_partial_trace(partial_trace_first(d, n), nmat, tol))[0][0]
 
 
-def _sum_of_normals(mats: Sequence, tol: float):
-    mats = [as_matrix(m, square=True, name=f"mats[{i}]") for i, m in enumerate(mats)]
-    _check_nonempty(mats, "mats")
-    names = [f"mats[{i}]" for i in range(len(mats))]
-    _check_same_shape(mats, names)
-    yield from _require(is_normal, mats, names, "normal")
-    o = yield from _image_orbit(partial_trace_first(len(mats), len(mats[0])), *mats)
+def _sum_of_normals(trace: PositiveMapRep, mats: Sequence, tol: float):
+    yield from _require(is_normal, mats, [f"mats[{i}]" for i in range(len(mats))], "normal")
+    o = yield from _image_orbit(trace, *mats)
     (mean,) = yield [_mean(o)]
     claims = [_geom("sum-normals-geom", o, mean), _arith("sum-normals-arith", o, 0.5)]
     return (yield from _decide(claims, tol))
@@ -526,7 +518,11 @@ def check_sum_of_normals(mats: Sequence, tol: float = DEFAULT_TOL):
     Returns the geometric-mean certificate and the weaker arithmetic one on
     ``sum |n_i|`` and its unitary conjugate.
     """
-    return tuple(_run(_sum_of_normals(mats, tol))[0])
+    mats = [as_matrix(m, square=True, name=f"mats[{i}]") for i, m in enumerate(mats)]
+    _check_nonempty(mats, "mats")
+    _check_same_shape(mats, [f"mats[{i}]" for i in range(len(mats))])
+    trace = partial_trace_first(len(mats), len(mats[0]))
+    return tuple(_run(_sum_of_normals(trace, mats, tol))[0])
 
 
 def _russo_dye(pmap: PositiveMapRep, z, tol: float):
@@ -963,33 +959,59 @@ def minimal_orbit_constant(pmap: PositiveMapRep | Sequence[PositiveMapRep], nmat
     return float(c[0]) if single else c
 
 
-# What one drawn pair of a search chunk holds at the chunk's peak: four arrays the
-# size of its Kraus factors (the draws, the factors and the maps' copies while the
-# chunk is built; the maps, their stack and _apply_stack's products while it is
-# solved), six n x n (the normal's draws, Haar factor and modulus) and twelve m x m
-# (the images, polar factors, orbit and pencil of the solve), and the bytes of its
-# Python objects: the map, its label and its draws' headers. The counts bound the
-# peaks tracemalloc measures from 1 x 1 to 32 x 1, 1 x 32 and 8 x 8.
-_PAIR_COPIES = (4, 6, 12)
-_PAIR_OBJECT_BYTES = 1536
+class _Unit(NamedTuple):
+    """A unit of work, a drawn search pair or a sweep trial: what one holds at its peak, and a call's share.
+
+    One ``n -> m`` unit holds ``factors`` arrays the size of a map's Kraus factors,
+    ``squares_n`` n x n and ``squares_m`` m x m complex arrays and ``object_bytes`` of
+    Python objects; a call holds at most ``MAX_KRAUS_BYTES // share`` of units.
+    """
+
+    name: str
+    factors: int
+    squares_n: int
+    squares_m: int
+    object_bytes: int
+    share: int
 
 
-def _pair_bytes(n: int, m: int) -> int:
-    """The bytes one drawn ``n -> m`` pair of a search chunk holds at its peak."""
-    factors, squares_n, squares_m = _PAIR_COPIES
-    squares = 16 * (squares_n * n * n + squares_m * m * m)
-    return factors * _kraus_bytes(n, m, n * m) + squares + _PAIR_OBJECT_BYTES
+# A drawn pair of a search chunk holds four arrays the size of its Kraus factors (the
+# draws, the factors and the maps' copies while the chunk is built; the maps, their
+# stack and _apply_stack's products while it is solved), six n x n (the normal's
+# draws, Haar factor and modulus) and twelve m x m (the images, polar factors, orbit
+# and pencil of the solve), and its map, label and draws' headers. The counts bound
+# the peaks tracemalloc measures from 1 x 1 to 32 x 1, 1 x 32 and 8 x 8.
+_SEARCH_PAIR = _Unit("search pair", 4, 6, 12, 1536, 1)
+# A sweep trial holds seven arrays the size of one map's Kraus factors (the sweep and
+# unital maps, the draws and scaling of the unital one, and _apply_stack's products),
+# 144 n x n and 144 m x m (the drawn instances, their images, absolute values, orbits
+# and certificate sides), and its generators, asks and 27 outcomes. The counts bound
+# the single-trial peaks tracemalloc measures on squares up to 27 x 27 and on shapes
+# up to 1 x 166 and 166 x 1, by 1.01-2.1x, but near 9 x 9 (8 x 9 to 10 x 9), where one
+# pass of _apply_stack over eight images reaches 1.1x; a trial of a batch holds no
+# more. A batch gets 1/32 of the budget: 12 to 24 trials at n = m <= 4, where a batch
+# shares the engine's Python cost, and one trial from 12 x 12 up.
+_SWEEP_TRIAL = _Unit("sweep trial", 7, 144, 144, 65536, 32)
 
 
-def _refuse_unit_bytes(size: int, unit: str) -> None:
-    """Refuse a unit of work, a drawn search pair or sweep trial, that alone holds ``size > MAX_KRAUS_BYTES``."""
+def _unit_bytes(unit: _Unit, n: int, m: int) -> int:
+    """The bytes one ``n -> m`` ``unit`` holds at its peak."""
+    squares = 16 * (unit.squares_n * n * n + unit.squares_m * m * m)
+    return unit.factors * _kraus_bytes(n, m, n * m) + squares + unit.object_bytes
+
+
+def _check_unit_bytes(unit: _Unit, n: int, m: int) -> None:
+    """Refuse an ``n -> m`` shape whose one ``unit`` alone holds more than ``MAX_KRAUS_BYTES``."""
+    size = _unit_bytes(unit, n, m)
     if size > MAX_KRAUS_BYTES:
-        raise ValueError(f"one drawn {unit} holds {size} bytes, over the budget of {MAX_KRAUS_BYTES} bytes")
+        raise ValueError(
+            f"one drawn ({n}, {m}) {unit.name} holds {size} bytes, over the budget of {MAX_KRAUS_BYTES} bytes"
+        )
 
 
-def _search_chunk(n: int, m: int) -> int:
-    """Drawn pairs solved in one call, at least one: as many as fit ``MAX_KRAUS_BYTES``."""
-    return max(1, MAX_KRAUS_BYTES // _pair_bytes(n, m))
+def _units_per_call(unit: _Unit, n: int, m: int) -> int:
+    """``n -> m`` units run in one call, at least one: as many as fit the unit's share of ``MAX_KRAUS_BYTES``."""
+    return max(1, MAX_KRAUS_BYTES // unit.share // _unit_bytes(unit, n, m))
 
 
 def _search_pairs(seed, bi: int, ts: range, n: int, m: int):
@@ -1017,10 +1039,11 @@ def estimate_constant(
 
     For each weight the pool holds the 2x2 sharpness-family instance (which
     attains the guaranteed constant with the polar witness) plus seeded random
-    map/matrix pairs, drawn and solved in chunks of ``_search_chunk(n, m)``, one
-    ``minimal_orbit_constant`` call a chunk; rows report the observed maximum
-    against the guaranteed bound ``1/(4 beta)``. A shape whose one pair alone
-    holds more than ``MAX_KRAUS_BYTES`` is refused before any draw.
+    map/matrix pairs, drawn and solved in chunks of as many as fit
+    ``MAX_KRAUS_BYTES``, one ``minimal_orbit_constant`` call a chunk; rows report
+    the observed maximum against the guaranteed bound ``1/(4 beta)``. A shape
+    whose one pair alone holds more than ``MAX_KRAUS_BYTES`` is refused before
+    any draw.
     """
     betas = [float(b) for b in beta_grid]
     _check_nonempty(betas, "beta_grid")
@@ -1029,9 +1052,8 @@ def estimate_constant(
         raise ValueError("beta grid must lie in (0, 1/2]")
     for value, name in ((trials, "trials"), (n, "n"), (m, "m")):
         _check_size(value, name)
-    _check_kraus_budget(n, m)
-    _refuse_unit_bytes(_pair_bytes(n, m), f"({n}, {m}) search pair")
-    chunk = _search_chunk(n, m)
+    _check_unit_bytes(_SEARCH_PAIR, n, m)
+    chunk = _units_per_call(_SEARCH_PAIR, n, m)
     rows = []
     for bi, beta in enumerate(betas):
         a, r = sharpness_family(beta)
@@ -1109,14 +1131,22 @@ def _draw(
     )
 
 
+class _Structural(NamedTuple):
+    """A call's structural maps, built once: ``staging`` answers a batch's asks to one map in one call."""
+
+    averager: PositiveMapRep  # the diagonal-block average: realpart-*
+    trace2: PositiveMapRep  # the partial trace over 2 blocks: ptrace-geom
+    trace3: PositiveMapRep  # the partial trace over 3 blocks: sum-normals-*
+
+
 # The sweep's statements in run order, which fixes the order of a report's
-# failures. Each row is (task, keys): task(trial) returns one outcome per
-# key, and each run of keys ending in "@" repeats once per weight, as in
-# main-arith@beta=0.25, main-geom@beta=0.25, main-chain@beta=0.25,
+# failures. Each row is (task, keys): task(trial, structural) returns one
+# outcome per key, and each run of keys ending in "@" repeats once per weight,
+# as in main-arith@beta=0.25, main-geom@beta=0.25, main-chain@beta=0.25,
 # main-arith@beta=0.5, ... The tasks of a trial run together.
 _STATEMENTS = (
     (
-        lambda t: _orbit_statements(t.pmap, t.main, t.betas, t.tol, -1.0 if t.inject_mutant else 1.0),
+        lambda t, s: _orbit_statements(t.pmap, t.main, t.betas, t.tol, -1.0 if t.inject_mutant else 1.0),
         (
             "main-arith@", "main-geom@", "main-chain@",
             "block-psd", "eigen-logmaj", "eigen-pairs",
@@ -1124,26 +1154,26 @@ _STATEMENTS = (
         ),
     ),
     (
-        lambda t: _real_part(t.real, t.tol),
+        lambda t, s: _real_part(s.averager, t.real, t.tol),
         ("realpart-construction-logmaj", "realpart-direct-logmaj", "realpart-det"),
     ),
-    (lambda t: _partial_trace(t.block, 2, t.n, t.tol), ("ptrace-geom",)),
-    (lambda t: _sum_of_normals(t.summands, t.tol), ("sum-normals-geom", "sum-normals-arith")),
+    (lambda t, s: _partial_trace(s.trace2, t.block, t.tol), ("ptrace-geom",)),
+    (lambda t, s: _sum_of_normals(s.trace3, t.summands, t.tol), ("sum-normals-geom", "sum-normals-arith")),
     (
-        lambda t: _russo_dye(t.pmap, t.russo_z, t.tol),
+        lambda t, s: _russo_dye(t.pmap, t.russo_z, t.tol),
         ("contraction-arith", "contraction-geom", "contraction-logmaj"),
     ),
     (
-        lambda t: _weighted_sum(list(t.xs), list(t.zs), t.tol),
+        lambda t, s: _weighted_sum(list(t.xs), list(t.zs), t.tol),
         ("weighted-sum-logmaj", "weighted-sum-block"),
     ),
-    (lambda t: _schur_diagonal(t.psd, t.schur_z, t.tol), ("schur-diagonal",)),
-    (lambda t: _schur_normal(*t.schur_pair, t.tol), ("schur-normal",)),
+    (lambda t, s: _schur_diagonal(t.psd, t.schur_z, t.tol), ("schur-diagonal",)),
+    (lambda t, s: _schur_normal(*t.schur_pair, t.tol), ("schur-normal",)),
     (
-        lambda t: _symmetrized(t.pmap, t.x, t.tol),
+        lambda t, s: _symmetrized(t.pmap, t.x, t.tol),
         ("hermitian-sum-geom", "schur-square-geom"),
     ),
-    (lambda t: _two_positive_unital(t.unital, t.quarter_z, t.tol), ("two-positive-quarter",)),
+    (lambda t, s: _two_positive_unital(t.unital, t.quarter_z, t.tol), ("two-positive-quarter",)),
 )
 
 
@@ -1170,42 +1200,6 @@ def _expand(keys: tuple, tags: list) -> list:
     return out
 
 
-# What one sweep trial holds at its peak, counted as ``_pair_bytes`` counts a search
-# pair: seven arrays the size of one map's Kraus factors (the sweep and unital maps,
-# the draws and scaling of the unital one, and ``_apply_stack``'s products of up to
-# eight images of a map), 144 n x n and 144 m x m (the drawn instances, their images,
-# absolute values, orbits and certificate sides), three of side m(m+1)/2 (the
-# diagonal sides eigen-pairs keeps, and their float draft), and the bytes of its
-# Python objects: generators, asks and 27 outcomes. The counts bound the single-trial
-# peaks tracemalloc measures from 1 x 1 to 24 x 24, 1 x 64 and 64 x 1; a trial of a
-# batch holds no more.
-_TRIAL_COPIES = (7, 144, 144, 3)
-_TRIAL_OBJECT_BYTES = 65536
-
-
-def _trial_bytes(n: int, m: int) -> int:
-    """The bytes one ``n -> m`` sweep trial holds at its peak."""
-    factors, squares_n, squares_m, pair_sides = _TRIAL_COPIES
-    pairs = m * (m + 1) // 2
-    squares = 16 * (squares_n * n * n + squares_m * m * m + pair_sides * pairs * pairs)
-    return factors * _kraus_bytes(n, m, n * m) + squares + _TRIAL_OBJECT_BYTES
-
-
-def _check_trial_bytes(n: int, m: int) -> None:
-    """Refuse an ``n -> m`` sweep shape whose one trial holds more than ``MAX_KRAUS_BYTES``."""
-    _refuse_unit_bytes(_trial_bytes(n, m), f"({n}, {m}) sweep trial")
-
-
-def _sweep_batch(n: int, m: int) -> int:
-    """Sweep trials of one shape run in one call, at least one: as many as fit 1/32 of ``MAX_KRAUS_BYTES``.
-
-    That is 12 to 24 trials at n = m <= 4, where a batch shares the engine's
-    Python cost (twice as many ran 6% faster, holding twice the memory), and
-    one trial from 12 x 12 up.
-    """
-    return max(1, MAX_KRAUS_BYTES // 32 // _trial_bytes(n, m))
-
-
 def run_trial(
     master_seed: int, trial_index: int | Sequence[int], n: int, m: int, betas: Sequence[float],
     tol: float = DEFAULT_TOL, *, inject_mutant: bool = False,
@@ -1225,10 +1219,11 @@ def run_trial(
     """
     single = np.ndim(trial_index) == 0
     tags = _weight_tags(betas)
-    _check_trial_bytes(n, m)
+    _check_unit_bytes(_SWEEP_TRIAL, n, m)
     indices = [trial_index] if single else list(trial_index)
     trials = [_draw(master_seed, i, n, m, betas, tol, inject_mutant) for i in indices]
-    results = _run(*(task(trial) for trial in trials for task, _ in _STATEMENTS))
+    s = _Structural(corner_block_map("diag_average", n), partial_trace_first(2, n), partial_trace_first(3, n))
+    results = _run(*(task(trial, s) for trial in trials for task, _ in _STATEMENTS))
     rows = [_expand(keys, tags) for _, keys in _STATEMENTS]
     out = []
     for start in range(0, len(results), len(rows)):

@@ -24,7 +24,6 @@ from .certify import (
     search_nonnormal_counterexample,
 )
 from .core import _check_size, _check_tol, _refuse
-from .maps import _check_kraus_budget
 from .serialize import repro_to_json
 
 ARTIFACT_VERSION = f"matineq-{__version__}"
@@ -49,7 +48,7 @@ def cmd_verify(args):
     pass_counts, failures_of = {}, {}
     for (n, m), indices in by_shape.items():
         # As few batches as the byte budget allows, of even sizes.
-        count = -(-len(indices) // certify._sweep_batch(n, m))
+        count = -(-len(indices) // certify._units_per_call(certify._SWEEP_TRIAL, n, m))
         for b in range(count):
             batch = indices[b * len(indices) // count : (b + 1) * len(indices) // count]
             outcomes = run_trial(args.seed, batch, n, m, args.beta, args.tol, inject_mutant=args.inject_mutant)
@@ -175,11 +174,6 @@ def _parse_dims(text: str):
         raise argparse.ArgumentTypeError(f"bad dims {text!r}: expected n,m[;n,m...]") from exc
     if not pairs or any(n < 1 or m < 1 for n, m in pairs):
         raise argparse.ArgumentTypeError("dims must be positive pairs n,m")
-    for n, m in pairs:
-        try:
-            _check_kraus_budget(n, m)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"dims {n},{m}: {exc}") from exc
     return tuple(pairs)
 
 
@@ -222,9 +216,17 @@ def _build_parser() -> argparse.ArgumentParser:
     # verify weights: those whose statement keys certify can tell apart.
     sweep_betas = _checked(_parse_betas, certify.trial_statements)
     offset = _checked(int, lambda i: _refuse(i >= 0, "--trial-offset", "nonnegative"))
-    # verify shapes: those whose one trial fits the byte budget.
-    sweep_dims = _checked(_parse_dims, lambda dims: [certify._check_trial_bytes(n, m) for n, m in dims])
-    pair = _checked(_parse_dims, lambda dims: _refuse(len(dims) == 1, "search --dims", "a single pair n,m"))
+    # Shapes whose one unit of work, a sweep trial or a search pair, fits the byte budget.
+    sweep_dims = _checked(
+        _parse_dims, lambda dims: [certify._check_unit_bytes(certify._SWEEP_TRIAL, n, m) for n, m in dims]
+    )
+    pair = _checked(
+        _parse_dims,
+        lambda dims: (
+            _refuse(len(dims) == 1, "search --dims", "a single pair n,m"),
+            certify._check_unit_bytes(certify._SEARCH_PAIR, *dims[0]),
+        ),
+    )
 
     verify = sub.add_parser("verify", help="run the statement sweep")
     verify.set_defaults(run=cmd_verify, parser=verify)

@@ -275,12 +275,8 @@ def test_eigen_family_hand_values():
     assert reports.pair_bounds.passed
     assert reports.shifted_bounds.passed
     # shifted: 4 * eig(|image| - image_abs_arg) = (2, -4) vs (2, 1/2)
-    np.testing.assert_allclose(
-        np.diag(reports.shifted_bounds.lhs).real, [2.0, -4.0], atol=1e-12
-    )
-    np.testing.assert_allclose(
-        np.diag(reports.shifted_bounds.rhs).real, [2.0, 0.5], atol=1e-12
-    )
+    np.testing.assert_allclose(reports.shifted_bounds.lhs, [2.0, -4.0], atol=1e-12)
+    np.testing.assert_allclose(reports.shifted_bounds.rhs, [2.0, 0.5], atol=1e-12)
 
 
 def test_eigen_top_pair_is_norm_bound():
@@ -289,7 +285,7 @@ def test_eigen_top_pair_is_norm_bound():
         nmat = random_normal([seed, 1], 3)
         reports = check_corollary_eigen(pmap, nmat, 1.0)
         assert reports.pair_bounds.passed
-        top_lhs = float(np.diag(reports.pair_bounds.lhs)[0].real)
+        top_lhs = float(reports.pair_bounds.lhs[0])
         assert abs(top_lhs - spectral_norm(apply(pmap, nmat))) <= 1e-12
 
 
@@ -344,8 +340,8 @@ def test_diagonal_certificate_matches_loewner_test():
         verdicts.setdefault(case, set()).add(cert.passed)
         scale = max(1.0, float(np.abs(rhs).max()))
         np.testing.assert_allclose(cert.slack_spectrum, ref.slack_spectrum, rtol=0, atol=1e-14 * scale)
-        np.testing.assert_array_equal(cert.lhs, np.diag(lhs))
-        np.testing.assert_array_equal(cert.rhs, np.diag(rhs))
+        # The certificate keeps the two vectors themselves as its sides.
+        assert cert.lhs is lhs and cert.rhs is rhs
     assert verdicts["within-tol"] == {True} and verdicts["beyond-tol"] == {False}
     assert verdicts["equal"] == verdicts["zero"] == {True}
 
@@ -378,8 +374,8 @@ def test_eigen_shift_refuses_an_overflowed_side():
 def test_real_part_pure_imaginary_diagonal():
     report = check_real_part(np.diag([1j, -1j]))
     assert report.passed
-    assert abs(report.det_check.lhs[0, 0]) <= 1e-12
-    assert abs(report.det_check.rhs[0, 0] - 1.0) <= 1e-12
+    assert abs(report.det_check.lhs[0]) <= 1e-12
+    assert abs(report.det_check.rhs[0] - 1.0) <= 1e-12
 
 
 def test_real_part_real_symmetric():
@@ -1055,8 +1051,12 @@ def test_minimal_constant_takes_one_generalized_eigensolve(linalg_calls):
 
 
 def _chunk_budget(size, n, m):
-    """A ``MAX_KRAUS_BYTES`` that makes ``_search_chunk(n, m)`` exactly ``size``."""
-    return size * certify._pair_bytes(n, m)
+    """A ``MAX_KRAUS_BYTES`` that makes the search chunk of ``(n, m)`` exactly ``size``."""
+    return size * certify._unit_bytes(certify._SEARCH_PAIR, n, m)
+
+
+def _search_chunk(n, m):
+    return certify._units_per_call(certify._SEARCH_PAIR, n, m)
 
 
 def test_estimate_constant_solves_its_pool_in_chunks(monkeypatch):
@@ -1086,7 +1086,7 @@ def test_estimate_constant_solves_its_pool_in_chunks(monkeypatch):
     assert sizes == [1, 20] * 2 and len(whole_solved) == 2 * 21
     for chunk, chunk_sizes in ((1, [1] * 21), (7, [1, 7, 7, 6])):
         rows, solved, sizes = solve(_chunk_budget(chunk, 3, 2))
-        assert certify._search_chunk(3, 2) == chunk
+        assert _search_chunk(3, 2) == chunk
         assert rows == whole
         assert solved == whole_solved
         assert sizes == chunk_sizes * 2
@@ -1097,16 +1097,16 @@ def test_search_chunks_fit_the_byte_budget():
     # chunk holds one pair at least.
     assert certify.MAX_KRAUS_BYTES == 64 * 2**20
     for n, m in ((1, 1), (2, 2), (3, 3), (2, 3), (1, 16), (4, 4), (8, 8), (16, 16), (12, 30), (30, 40), (45, 45)):
-        chunk = certify._search_chunk(n, m)
-        per = certify._pair_bytes(n, m)
-        assert per >= 4 * 16 * (n * m) ** 2 + certify._PAIR_OBJECT_BYTES
+        chunk = _search_chunk(n, m)
+        per = certify._unit_bytes(certify._SEARCH_PAIR, n, m)
+        assert per >= 4 * 16 * (n * m) ** 2 + certify._SEARCH_PAIR.object_bytes
         assert chunk >= 1
         assert chunk * per <= certify.MAX_KRAUS_BYTES or chunk == 1
         assert (chunk + 1) * per > certify.MAX_KRAUS_BYTES
     # The benchmark's search: each weight's 200 drawn 3x3 pairs in one chunk.
-    assert certify._search_chunk(3, 3) >= 200
-    # The largest --dims pair the CLI admits holds 65 MB of factors alone.
-    assert certify._search_chunk(16, 16) == 15 and certify._search_chunk(45, 45) == 1
+    assert _search_chunk(3, 3) >= 200
+    # A 45 x 45 map, the largest the Kraus budget admits, makes a chunk of one pair.
+    assert _search_chunk(16, 16) == 15 and _search_chunk(45, 45) == 1
     assert 16 * (45 * 45) ** 2 <= certify.MAX_KRAUS_BYTES < 16 * (46 * 46) ** 2
 
 
@@ -1123,7 +1123,7 @@ def test_search_chunks_stay_within_the_byte_budget(monkeypatch, n, m, budget_pai
 
     if budget_pairs is not None:
         monkeypatch.setattr(certify, "MAX_KRAUS_BYTES", _chunk_budget(budget_pairs, n, m))
-    chunk = certify._search_chunk(n, m)
+    chunk = _search_chunk(n, m)
     estimate_constant([0.25], trials=1, n=2, m=2)  # one-time allocations first
     tracemalloc.start()
     try:
@@ -1132,6 +1132,23 @@ def test_search_chunks_stay_within_the_byte_budget(monkeypatch, n, m, budget_pai
     finally:
         tracemalloc.stop()
     assert 2 * chunk * 16 * (n * m) ** 2 < peak <= certify.MAX_KRAUS_BYTES, (chunk, peak)
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (16, 16), (1, 64), (64, 1)])
+def test_a_sweep_trial_stays_within_its_byte_count(n, m):
+    # Measured: the peak traced memory of one trial lies within what the sweep
+    # trial record counts (0.10 of 0.12, 4.28 of 8.59, 9.20 of 9.96 and 8.49 of
+    # 9.96 MB), and holds the factors of the trial's two maps at least.
+    import tracemalloc
+
+    run_trial(1, 0, 2, 2, (0.5,))  # one-time allocations first
+    tracemalloc.start()
+    try:
+        run_trial(3, 0, n, m, (0.25, 0.5, 1.0, 2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * 16 * (n * m) ** 2 < peak <= certify._unit_bytes(certify._SWEEP_TRIAL, n, m), peak
 
 
 def test_estimate_constant_rows():
@@ -1212,8 +1229,7 @@ _REFUSALS = {
     # 1.004x (32 x 32) and 16x (1 x 2048) of it.
     "estimate-pair-budget": lambda: (estimate_constant, ([0.25], 0, 100, 32, 32), "search pair holds"),
     "estimate-thin-pair-budget": lambda: (estimate_constant, ([0.25], 0, 100, 1, 2048), "search pair holds"),
-    # And one sweep trial holds 2.02x (32 x 32) and 3.1e6x (1 x 2048) of it,
-    # through eigen-pairs' diagonal sides of side m(m + 1)/2.
+    # And one sweep trial holds 1.82x (32 x 32) and 151x (1 x 2048) of it.
     "trial-square-budget": lambda: (run_trial, (1, 0, 32, 32, (0.5,)), "sweep trial holds"),
     "trial-thin-budget": lambda: (run_trial, (1, [0, 1], 1, 2048, (0.5,)), "sweep trial holds"),
 }
@@ -1424,6 +1440,26 @@ def test_input_properties_are_refused_in_one_form():
     assert set(found) == _OWN_REFUSALS
 
 
+def test_only_the_byte_rules_read_the_budget():
+    # MAX_KRAUS_BYTES is read by the Kraus rule that guards random_cp_map and by
+    # the refusal and the units per call of certify's unit records, and by no
+    # other function, so a third byte rule cannot come back unnoticed.
+    readers = set()
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(matineq.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+
+        def visit(node, function):
+            for child in ast.iter_child_nodes(node):
+                name = getattr(child, "id", getattr(child, "attr", None))
+                if name == "MAX_KRAUS_BYTES" and isinstance(child.ctx, ast.Load):
+                    readers.add(f"{os.path.basename(path)}:{function}")
+                visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+        visit(tree, None)
+    assert readers == {"maps.py:_check_kraus_budget", "certify.py:_check_unit_bytes", "certify.py:_units_per_call"}
+
+
 # The primitives that decide a statement: only certify._decide asks for them.
 _VERDICTS = {"_hermitian_verdict", "_log_majorizations", "_diagonal_certificate"}
 
@@ -1572,13 +1608,14 @@ def test_run_trial_stacked_calls(monkeypatch):
         assert answered.count("_log_majorizations") == lengths, answered
         assert len(hermitian) == 1, hermitian
     # A batch of k trials shares every call but apply's: asks to apply are
-    # grouped by map object, and each trial has 5 maps (its sweep and unital
-    # maps, the real-part averager and two partial traces), so 12 + 5k calls.
-    for k in (2, 33):
+    # grouped by map object, and each trial has its own sweep and unital maps,
+    # while the real-part averager and the two partial traces are built once a
+    # call, so 15 + 2k calls.
+    for k in (2, 17, 33):
         answered.clear()
         run_trial(5, list(range(k)), 3, 3, (0.25, 0.5, 1.0, 2.0))
-        assert len(answered) == 12 + 5 * k, answered
-        assert answered.count("apply") == 5 * k, answered
+        assert len(answered) == 15 + 2 * k, answered
+        assert answered.count("apply") == 3 + 2 * k, answered
 
 
 def test_every_orbit_pair_is_exactly_hermitian(monkeypatch):

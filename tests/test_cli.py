@@ -119,15 +119,19 @@ def test_dims_over_the_memory_budget_are_usage_errors(capsys, monkeypatch, comma
 
 
 @pytest.mark.parametrize("dims", ["32,32", "1,2048"])
-def test_search_pairs_over_the_memory_budget_are_usage_errors(capsys, dims):
-    # Each map fits the budget, but one drawn search pair does not.
+def test_search_pairs_over_the_memory_budget_are_usage_errors(capsys, monkeypatch, dims):
+    # Each map fits the budget, but one drawn search pair does not: refused at parse time.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the size guard must stop the run before any work")
+
+    monkeypatch.setattr(cli, "estimate_constant", refuse)
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--dims", dims, "--trials", "1"])
     assert exc.value.code == 2
     assert "over the budget of 67108864 bytes" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("dims", ["32,32", "1,2048", "2,2;1,2048"])
+@pytest.mark.parametrize("dims", ["32,32", "1,2048", "2,2;1,2048", "28,28", "1,167", "167,1"])
 def test_verify_trials_over_the_memory_budget_are_usage_errors(capsys, monkeypatch, dims):
     # Each map fits the budget, but one sweep trial does not: refused before any trial.
     def refuse(*args, **kwargs):
@@ -138,6 +142,17 @@ def test_verify_trials_over_the_memory_budget_are_usage_errors(capsys, monkeypat
         cli.main(["verify", "--dims", dims, "--trials", "1"])
     assert exc.value.code == 2
     assert "sweep trial holds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, dims",
+    [("verify", "27,27"), ("verify", "1,166"), ("verify", "166,1")]
+    + [("search", "31,31"), ("search", "1,511"), ("search", "647,1")],
+)
+def test_the_largest_shapes_fit_the_memory_budget(command, dims):
+    # One unit of work of each shape, a sweep trial or a search pair, fits the budget.
+    args = cli._build_parser().parse_args([command, "--dims", dims])
+    assert args.dims == (tuple(map(int, dims.split(","))),)
 
 
 def test_verify_mutant_hook_fails_and_replays(capsys):
@@ -223,7 +238,7 @@ def _single_trial_sweep(seed, trials, offset, dims, betas, mutant):
 def test_verify_batches_report_what_single_trials_report(capsys, offset, mutant):
     # verify runs a shape's trials in batches (here 2, 2 and 3 of them) and
     # reports each failure in trial order, as one call a trial would.
-    assert [certify._sweep_batch(n, n) for n in (2, 3, 4)] == [24, 17, 12]
+    assert [certify._units_per_call(certify._SWEEP_TRIAL, n, n) for n in (2, 3, 4)] == [24, 18, 12]
     argv = SWEEP_SMALL + ["--trial-offset", str(offset)] + (["--inject-mutant"] if mutant else [])
     code, out = run_cli(capsys, argv)
     report = json.loads(out)

@@ -1,9 +1,10 @@
 """A broken ingredient of a statement is caught by the sweep.
 
 Each row breaks one ingredient through a patch of a private helper of
-``certify`` and pins the smallest seeded configuration in which the sweep
-reports its target statement as failed: one trial, the first of seed 1. The
-same configuration passes with the ingredient intact.
+``certify`` and pins the smallest configuration in which its target
+statements are reported as failed: one sweep trial, the first of seed 1, or
+for the constant the sharpness family, which attains the bound. The same
+configuration passes with the ingredient intact.
 """
 
 import functools
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from matineq import certify
-from matineq.certify import run_trial
+from matineq.certify import check_theorem_main, run_trial, sharpness_family
+from matineq.maps import schur_multiplier
 
 
 def _adjoint(v):
@@ -59,3 +61,65 @@ def test_a_broken_witness_is_caught(monkeypatch, fault):
     assert all(target_passes())
     monkeypatch.setattr(certify, "_orbit", _broken_witness(broken))
     assert not all(target_passes())
+
+
+def _scaled_orbit_term(factor):
+    """``certify._arith`` with the orbit term of every arithmetic bound scaled by ``factor``."""
+    arith = certify._arith
+
+    def patched(statement_id, o, beta, sign=1.0):
+        return arith(statement_id, o, beta, factor * sign)
+
+    return "_arith", patched
+
+
+def _swapped_sides():
+    """``certify._diagonal_certificate`` deciding ``rhs <= lhs`` in place of ``lhs <= rhs``."""
+    diagonal = certify._diagonal_certificate
+
+    def patched(statement_id, lhs, rhs, **kwargs):
+        return diagonal(statement_id, rhs, lhs, **kwargs)
+
+    return "_diagonal_certificate", patched
+
+
+def _sweep():
+    return run_trial(1, 0, 2, 3, (0.5,))
+
+
+def _sharpness():
+    """The arithmetic certificate of the sharpness family, whose min slack is 0.0 at each weight."""
+    out = {}
+    for beta in (0.5, 1.0, 2.0):
+        a, r = sharpness_family(beta)
+        out[f"main-arith@beta={beta:g}"] = check_theorem_main(schur_multiplier(a), r, beta)[0]
+    return out
+
+
+# fault: (patch, configuration, the keys that then fail and no others).
+_BOUND_FAULTS = {
+    # main-chain compares the geometric mean with the arithmetic bound, so it fails too.
+    "orbit-term-dropped": (
+        lambda: _scaled_orbit_term(0.0),
+        _sweep,
+        {
+            "main-arith@beta=0.5", "main-chain@beta=0.5", "contraction-arith", "sum-normals-arith",
+            "schur-diagonal", "schur-normal",
+        },
+    ),
+    "diagonal-sides-swapped": (_swapped_sides, _sweep, {"eigen-pairs", "eigen-shift@beta=0.5", "realpart-det"}),
+    # 1/(4 beta) shrunk by a factor 1 - 1e-3: the min slack falls to -5e-4 at each weight.
+    "constant-shrunk": (
+        lambda: _scaled_orbit_term(1.0 - 1e-3),
+        _sharpness,
+        {"main-arith@beta=0.5", "main-arith@beta=1", "main-arith@beta=2"},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_BOUND_FAULTS))
+def test_a_broken_bound_is_caught(monkeypatch, fault):
+    patch, configuration, keys = _BOUND_FAULTS[fault]
+    assert all(o.passed for o in configuration().values())
+    monkeypatch.setattr(certify, *patch())
+    assert {key for key, o in configuration().items() if not o.passed} == keys
