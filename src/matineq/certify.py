@@ -55,13 +55,14 @@ from .core import (
     spectral_norm,
 )
 from .maps import (
-    MAX_KRAUS_BYTES,
     PositiveMapRep,
+    _Unit,
     _apply_stack,
+    _calls,
     _check_fit,
+    _check_unit_bytes,
     _cp_draws,
     _cp_maps,
-    _kraus_bytes,
     _unital,
     apply,
     corner_block_map,
@@ -286,9 +287,9 @@ def witness_unitary(y) -> np.ndarray:
     """The unitary v with ``y = v* |y|``: the adjoint of the polar unitary factor.
 
     Singular inputs use the completed polar decomposition, so the zero matrix
-    gives the identity.
+    gives the identity. A stack gives the stack of its members' unitaries.
     """
-    return polar(y).unitary_factor.conj().T
+    return _adjoint(polar(y).unitary_factor)
 
 
 class _Orbit(NamedTuple):
@@ -959,22 +960,6 @@ def minimal_orbit_constant(pmap: PositiveMapRep | Sequence[PositiveMapRep], nmat
     return float(c[0]) if single else c
 
 
-class _Unit(NamedTuple):
-    """A unit of work, a drawn search pair or a sweep trial: what one holds at its peak, and a call's share.
-
-    One ``n -> m`` unit holds ``factors`` arrays the size of a map's Kraus factors,
-    ``squares_n`` n x n and ``squares_m`` m x m complex arrays and ``object_bytes`` of
-    Python objects; a call holds at most ``MAX_KRAUS_BYTES // share`` of units.
-    """
-
-    name: str
-    factors: int
-    squares_n: int
-    squares_m: int
-    object_bytes: int
-    share: int
-
-
 # A drawn pair of a search chunk holds four arrays the size of its Kraus factors (the
 # draws, the factors and the maps' copies while the chunk is built; the maps, their
 # stack and _apply_stack's products while it is solved), six n x n (the normal's
@@ -992,26 +977,6 @@ _SEARCH_PAIR = _Unit("search pair", 4, 6, 12, 1536, 1)
 # more. A batch gets 1/32 of the budget: 12 to 24 trials at n = m <= 4, where a batch
 # shares the engine's Python cost, and one trial from 12 x 12 up.
 _SWEEP_TRIAL = _Unit("sweep trial", 7, 144, 144, 65536, 32)
-
-
-def _unit_bytes(unit: _Unit, n: int, m: int) -> int:
-    """The bytes one ``n -> m`` ``unit`` holds at its peak."""
-    squares = 16 * (unit.squares_n * n * n + unit.squares_m * m * m)
-    return unit.factors * _kraus_bytes(n, m, n * m) + squares + unit.object_bytes
-
-
-def _check_unit_bytes(unit: _Unit, n: int, m: int) -> None:
-    """Refuse an ``n -> m`` shape whose one ``unit`` alone holds more than ``MAX_KRAUS_BYTES``."""
-    size = _unit_bytes(unit, n, m)
-    if size > MAX_KRAUS_BYTES:
-        raise ValueError(
-            f"one drawn ({n}, {m}) {unit.name} holds {size} bytes, over the budget of {MAX_KRAUS_BYTES} bytes"
-        )
-
-
-def _units_per_call(unit: _Unit, n: int, m: int) -> int:
-    """``n -> m`` units run in one call, at least one: as many as fit the unit's share of ``MAX_KRAUS_BYTES``."""
-    return max(1, MAX_KRAUS_BYTES // unit.share // _unit_bytes(unit, n, m))
 
 
 def _search_pairs(seed, bi: int, ts: range, n: int, m: int):
@@ -1039,11 +1004,11 @@ def estimate_constant(
 
     For each weight the pool holds the 2x2 sharpness-family instance (which
     attains the guaranteed constant with the polar witness) plus seeded random
-    map/matrix pairs, drawn and solved in chunks of as many as fit
-    ``MAX_KRAUS_BYTES``, one ``minimal_orbit_constant`` call a chunk; rows report
+    map/matrix pairs, drawn and solved in as few even chunks as fit
+    ``maps.MAX_KRAUS_BYTES``, one ``minimal_orbit_constant`` call a chunk; rows report
     the observed maximum against the guaranteed bound ``1/(4 beta)``. A shape
-    whose one pair alone holds more than ``MAX_KRAUS_BYTES`` is refused before
-    any draw.
+    whose one pair alone holds more than ``maps.MAX_KRAUS_BYTES`` is refused
+    before any draw.
     """
     betas = [float(b) for b in beta_grid]
     _check_nonempty(betas, "beta_grid")
@@ -1053,13 +1018,12 @@ def estimate_constant(
     for value, name in ((trials, "trials"), (n, "n"), (m, "m")):
         _check_size(value, name)
     _check_unit_bytes(_SEARCH_PAIR, n, m)
-    chunk = _units_per_call(_SEARCH_PAIR, n, m)
     rows = []
     for bi, beta in enumerate(betas):
         a, r = sharpness_family(beta)
         best = minimal_orbit_constant(schur_multiplier(a), r, beta)
-        for start in range(0, trials, chunk):
-            pairs = _search_pairs(seed, bi, range(start, min(trials, start + chunk)), n, m)
+        for ts in _calls(_SEARCH_PAIR, n, m, range(trials)):
+            pairs = _search_pairs(seed, bi, ts, n, m)
             best = max(best, float(minimal_orbit_constant(*pairs, beta).max()))
             del pairs  # freed before the next chunk is drawn, not after
         bound = 1.0 / (4.0 * beta)
@@ -1080,17 +1044,12 @@ def estimate_constant(
 
 
 class _Trial(NamedTuple):
-    """The sizes and settings of one sweep trial, and the instances drawn for it.
+    """The instances drawn for one sweep trial.
 
-    Each instance field is named for the statements that read it; the normal
-    matrices, Gaussian matrices and contractions are ``n x n`` unless noted.
+    Each field is named for the statements that read it; the normal matrices,
+    Gaussian matrices and contractions are ``n x n`` unless noted.
     """
 
-    n: int
-    m: int
-    betas: tuple
-    tol: float
-    inject_mutant: bool
     pmap: PositiveMapRep  # the sweep map, n -> m
     unital: PositiveMapRep  # two-positive-quarter's unital map, n -> m
     main: np.ndarray  # normal: main-*, block-psd and eigen-*
@@ -1107,9 +1066,7 @@ class _Trial(NamedTuple):
     psd: np.ndarray  # PSD matrix: schur-diagonal
 
 
-def _draw(
-    master_seed: int, trial_index: int, n: int, m: int, betas, tol: float, inject_mutant: bool,
-) -> _Trial:
+def _draw(master_seed: int, trial_index: int, n: int, m: int) -> _Trial:
     """One trial, every instance drawn up front from one generator seeded ``[seed, index]``.
 
     The order is fixed: the two maps, 8 normal matrices (7 of size n, then one
@@ -1125,15 +1082,19 @@ def _draw(
     # One SVD call when the sizes agree; each member's bits are the same either way.
     z_n, z_m = _contractions(np.stack([g_n, g_m])) if n == m else map(_contractions, (g_n, g_m))
     xs, x, psd = _complex_gaussian(rng, 3, m, n), random_matrix(rng, n), random_psd(rng, n)
-    return _Trial(
-        n, m, tuple(betas), tol, inject_mutant, *pmaps,
-        normals[0], normals[1], normals[2:5], normals[5:7], block, *z_n, z_m, xs, x, psd,
-    )
+    return _Trial(*pmaps, normals[0], normals[1], normals[2:5], normals[5:7], block, *z_n, z_m, xs, x, psd)
 
 
-class _Structural(NamedTuple):
-    """A call's structural maps, built once: ``staging`` answers a batch's asks to one map in one call."""
+class _Shared(NamedTuple):
+    """What the trials of one call share: its settings, and its structural maps built once.
 
+    ``staging`` answers a batch's asks to one map in one call, so the maps are
+    one object for every trial.
+    """
+
+    betas: tuple
+    tol: float
+    sign: float  # -1 negates the orbit term of the arithmetic bound: the injected fault
     averager: PositiveMapRep  # the diagonal-block average: realpart-*
     trace2: PositiveMapRep  # the partial trace over 2 blocks: ptrace-geom
     trace3: PositiveMapRep  # the partial trace over 3 blocks: sum-normals-*
@@ -1146,7 +1107,7 @@ class _Structural(NamedTuple):
 # main-arith@beta=0.5, ... The tasks of a trial run together.
 _STATEMENTS = (
     (
-        lambda t, s: _orbit_statements(t.pmap, t.main, t.betas, t.tol, -1.0 if t.inject_mutant else 1.0),
+        lambda t, s: _orbit_statements(t.pmap, t.main, s.betas, s.tol, s.sign),
         (
             "main-arith@", "main-geom@", "main-chain@",
             "block-psd", "eigen-logmaj", "eigen-pairs",
@@ -1154,26 +1115,26 @@ _STATEMENTS = (
         ),
     ),
     (
-        lambda t, s: _real_part(s.averager, t.real, t.tol),
+        lambda t, s: _real_part(s.averager, t.real, s.tol),
         ("realpart-construction-logmaj", "realpart-direct-logmaj", "realpart-det"),
     ),
-    (lambda t, s: _partial_trace(s.trace2, t.block, t.tol), ("ptrace-geom",)),
-    (lambda t, s: _sum_of_normals(s.trace3, t.summands, t.tol), ("sum-normals-geom", "sum-normals-arith")),
+    (lambda t, s: _partial_trace(s.trace2, t.block, s.tol), ("ptrace-geom",)),
+    (lambda t, s: _sum_of_normals(s.trace3, t.summands, s.tol), ("sum-normals-geom", "sum-normals-arith")),
     (
-        lambda t, s: _russo_dye(t.pmap, t.russo_z, t.tol),
+        lambda t, s: _russo_dye(t.pmap, t.russo_z, s.tol),
         ("contraction-arith", "contraction-geom", "contraction-logmaj"),
     ),
     (
-        lambda t, s: _weighted_sum(list(t.xs), list(t.zs), t.tol),
+        lambda t, s: _weighted_sum(list(t.xs), list(t.zs), s.tol),
         ("weighted-sum-logmaj", "weighted-sum-block"),
     ),
-    (lambda t, s: _schur_diagonal(t.psd, t.schur_z, t.tol), ("schur-diagonal",)),
-    (lambda t, s: _schur_normal(*t.schur_pair, t.tol), ("schur-normal",)),
+    (lambda t, s: _schur_diagonal(t.psd, t.schur_z, s.tol), ("schur-diagonal",)),
+    (lambda t, s: _schur_normal(*t.schur_pair, s.tol), ("schur-normal",)),
     (
-        lambda t, s: _symmetrized(t.pmap, t.x, t.tol),
+        lambda t, s: _symmetrized(t.pmap, t.x, s.tol),
         ("hermitian-sum-geom", "schur-square-geom"),
     ),
-    (lambda t, s: _two_positive_unital(t.unital, t.quarter_z, t.tol), ("two-positive-quarter",)),
+    (lambda t, s: _two_positive_unital(t.unital, t.quarter_z, s.tol), ("two-positive-quarter",)),
 )
 
 
@@ -1215,14 +1176,17 @@ def run_trial(
     ``inject_mutant`` negates the orbit term on the right-hand side of the
     arithmetic bound, a fault the sweep must report. Weights that print alike
     under ``%g`` would share keys, and a shape whose one trial holds more than
-    ``MAX_KRAUS_BYTES``, are refused with a ValueError before any draw.
+    ``maps.MAX_KRAUS_BYTES``, are refused with a ValueError before any draw.
     """
     single = np.ndim(trial_index) == 0
     tags = _weight_tags(betas)
     _check_unit_bytes(_SWEEP_TRIAL, n, m)
     indices = [trial_index] if single else list(trial_index)
-    trials = [_draw(master_seed, i, n, m, betas, tol, inject_mutant) for i in indices]
-    s = _Structural(corner_block_map("diag_average", n), partial_trace_first(2, n), partial_trace_first(3, n))
+    trials = [_draw(master_seed, i, n, m) for i in indices]
+    s = _Shared(
+        tuple(betas), tol, -1.0 if inject_mutant else 1.0,
+        corner_block_map("diag_average", n), partial_trace_first(2, n), partial_trace_first(3, n),
+    )
     results = _run(*(task(trial, s) for trial in trials for task, _ in _STATEMENTS))
     rows = [_expand(keys, tags) for _, keys in _STATEMENTS]
     out = []

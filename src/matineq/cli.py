@@ -24,6 +24,7 @@ from .certify import (
     search_nonnormal_counterexample,
 )
 from .core import _check_size, _check_tol, _refuse
+from .maps import _calls, _check_unit_bytes
 from .serialize import repro_to_json
 
 ARTIFACT_VERSION = f"matineq-{__version__}"
@@ -45,24 +46,20 @@ def cmd_verify(args):
     by_shape: dict = {}
     for trial in trials:
         by_shape.setdefault(args.dims[trial % len(args.dims)], []).append(trial)
-    pass_counts, failures_of = {}, {}
+    pass_counts, failures = {}, []
     for (n, m), indices in by_shape.items():
-        # As few batches as the byte budget allows, of even sizes.
-        count = -(-len(indices) // certify._units_per_call(certify._SWEEP_TRIAL, n, m))
-        for b in range(count):
-            batch = indices[b * len(indices) // count : (b + 1) * len(indices) // count]
+        for batch in _calls(certify._SWEEP_TRIAL, n, m, indices):
             outcomes = run_trial(args.seed, batch, n, m, args.beta, args.tol, inject_mutant=args.inject_mutant)
             for trial, trial_outcomes in zip(batch, outcomes):
-                failures_of[trial] = []
                 for key, outcome in trial_outcomes.items():
                     pass_counts[key] = pass_counts.get(key, 0) + bool(outcome.passed)
                     if not outcome.passed:
                         min_slack = float(outcome.min_slack)
-                        failures_of[trial].append(
+                        failures.append(
                             {"statementId": key, "seed": args.seed, "trialIndex": trial, "minSlack": min_slack}
                         )
             del outcomes, trial_outcomes  # freed before the next batch runs, not after
-    failures = [failure for trial in trials for failure in failures_of[trial]]
+    failures.sort(key=lambda failure: failure["trialIndex"])  # stable: a trial's failures keep key order
     report = {
         "artifactVersion": ARTIFACT_VERSION,
         "config": {
@@ -217,14 +214,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_betas = _checked(_parse_betas, certify.trial_statements)
     offset = _checked(int, lambda i: _refuse(i >= 0, "--trial-offset", "nonnegative"))
     # Shapes whose one unit of work, a sweep trial or a search pair, fits the byte budget.
-    sweep_dims = _checked(
-        _parse_dims, lambda dims: [certify._check_unit_bytes(certify._SWEEP_TRIAL, n, m) for n, m in dims]
-    )
+    sweep_dims = _checked(_parse_dims, lambda dims: [_check_unit_bytes(certify._SWEEP_TRIAL, *d) for d in dims])
     pair = _checked(
         _parse_dims,
         lambda dims: (
             _refuse(len(dims) == 1, "search --dims", "a single pair n,m"),
-            certify._check_unit_bytes(certify._SEARCH_PAIR, *dims[0]),
+            _check_unit_bytes(certify._SEARCH_PAIR, *dims[0]),
         ),
     )
 

@@ -12,7 +12,7 @@ partial traces, block compressions and compositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,24 +36,52 @@ __all__ = [
     "random_unital_cp_map",
 ]
 
-# Bytes held at once: the Kraus factors of one drawn map, and a search chunk's pairs.
+# Bytes held at once: by one drawn map, search pair or sweep trial, and by a call's units.
 MAX_KRAUS_BYTES = 64 * 2**20
 
 
-def _kraus_bytes(n: int, m: int, terms: int) -> int:
-    """The bytes of ``terms`` complex Kraus factors of shape ``(n, m)``."""
-    return 16 * terms * n * m
+class _Unit(NamedTuple):
+    """A unit of work, such as a drawn map, search pair or sweep trial: what one holds at its peak, and a call's share.
+
+    One ``n -> m`` unit holds ``factors`` arrays the size of a map's ``terms``
+    (``n m`` by default) Kraus factors, ``squares_n`` n x n and ``squares_m`` m x m
+    complex arrays and ``object_bytes`` of Python objects; a call holds at most
+    ``MAX_KRAUS_BYTES // share`` of units.
+    """
+
+    name: str
+    factors: int
+    squares_n: int = 0
+    squares_m: int = 0
+    object_bytes: int = 0
+    share: int = 1
+    terms: Optional[int] = None
 
 
-def _check_kraus_budget(n: int, m: int, terms: Optional[int] = None) -> None:
-    """Refuse an ``n -> m`` map whose ``terms`` (``n m`` by default) factors exceed ``MAX_KRAUS_BYTES``."""
-    terms = n * m if terms is None else terms
-    size = _kraus_bytes(n, m, terms)
+def _unit_bytes(unit: _Unit, n: int, m: int) -> int:
+    """The bytes one ``n -> m`` ``unit`` holds at its peak."""
+    terms = n * m if unit.terms is None else unit.terms
+    return 16 * (unit.factors * terms * n * m + unit.squares_n * n * n + unit.squares_m * m * m) + unit.object_bytes
+
+
+def _check_unit_bytes(unit: _Unit, n: int, m: int) -> None:
+    """Refuse an ``n -> m`` shape whose one ``unit`` alone holds more than ``MAX_KRAUS_BYTES``."""
+    size = _unit_bytes(unit, n, m)
     if size > MAX_KRAUS_BYTES:
         raise ValueError(
-            f"{terms} Kraus factors of shape ({n}, {m}) need {size} bytes, "
-            f"over the budget of {MAX_KRAUS_BYTES} bytes"
+            f"one drawn ({n}, {m}) {unit.name} holds {size} bytes, over the budget of {MAX_KRAUS_BYTES} bytes"
         )
+
+
+def _units_per_call(unit: _Unit, n: int, m: int) -> int:
+    """``n -> m`` units run in one call, at least one: as many as fit the unit's share of ``MAX_KRAUS_BYTES``."""
+    return max(1, MAX_KRAUS_BYTES // unit.share // _unit_bytes(unit, n, m))
+
+
+def _calls(unit: _Unit, n: int, m: int, units: Sequence) -> list:
+    """``units`` of one ``n -> m`` shape, in order, split into as few calls of even sizes as ``unit`` allows."""
+    count = -(-len(units) // _units_per_call(unit, n, m))
+    return [units[b * len(units) // count : (b + 1) * len(units) // count] for b in range(count)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,7 +294,7 @@ def random_cp_map(seed, n: int, m: int, terms: Optional[int] = None) -> Positive
     _check_size(m, "m")
     terms = n * m if terms is None else terms
     _check_size(terms, "terms")
-    _check_kraus_budget(n, m, terms)
+    _check_unit_bytes(_Unit(f"map of {terms} Kraus factors", 1, terms=terms), n, m)
     return _cp_maps(_cp_draws(np.random.default_rng(seed), n, m, terms)[None])[0]
 
 

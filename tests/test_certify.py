@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import matineq
-from matineq import certify, staging
+from matineq import certify, maps, staging
 from matineq.core import (
     MajorizationReport,
     direct_sum,
@@ -106,6 +106,14 @@ def test_witness_of_flip_is_flip():
 
 def test_witness_of_zero_is_identity():
     np.testing.assert_array_equal(witness_unitary(np.zeros((2, 2))), np.eye(2))
+
+
+def test_witness_of_a_stack_is_the_stack_of_its_members_witnesses():
+    # A zero member keeps the identity, and the rest their own bits.
+    ys = np.stack([random_matrix(1, 3), np.zeros((3, 3)), random_matrix(2, 3)])
+    stacked = witness_unitary(ys)
+    assert stacked.shape == (3, 3, 3)
+    np.testing.assert_array_equal(stacked, [witness_unitary(y) for y in ys])
 
 
 def test_witness_polar_relation_sweep():
@@ -1052,17 +1060,17 @@ def test_minimal_constant_takes_one_generalized_eigensolve(linalg_calls):
 
 def _chunk_budget(size, n, m):
     """A ``MAX_KRAUS_BYTES`` that makes the search chunk of ``(n, m)`` exactly ``size``."""
-    return size * certify._unit_bytes(certify._SEARCH_PAIR, n, m)
+    return size * maps._unit_bytes(certify._SEARCH_PAIR, n, m)
 
 
 def _search_chunk(n, m):
-    return certify._units_per_call(certify._SEARCH_PAIR, n, m)
+    return maps._units_per_call(certify._SEARCH_PAIR, n, m)
 
 
 def test_estimate_constant_solves_its_pool_in_chunks(monkeypatch):
     # Chunks change neither the instances solved, nor their order, nor the rows.
     def solve(budget):
-        monkeypatch.setattr(certify, "MAX_KRAUS_BYTES", budget)
+        monkeypatch.setattr(maps, "MAX_KRAUS_BYTES", budget)
         calls = []
 
         def recorded(pmap, nmat, beta):
@@ -1081,10 +1089,11 @@ def test_estimate_constant_solves_its_pool_in_chunks(monkeypatch):
         monkeypatch.setattr(certify, "minimal_orbit_constant", minimal_orbit_constant)
         return rows, [member for call in calls for member in call], [len(call) for call in calls]
 
-    whole, whole_solved, sizes = solve(certify.MAX_KRAUS_BYTES)
-    # Per weight, the sharpness-family member alone, then the 20 drawn pairs in one call.
+    whole, whole_solved, sizes = solve(maps.MAX_KRAUS_BYTES)
+    # Per weight, the sharpness-family member alone, then the 20 drawn pairs in one
+    # call, or in as few even chunks as the budget allows.
     assert sizes == [1, 20] * 2 and len(whole_solved) == 2 * 21
-    for chunk, chunk_sizes in ((1, [1] * 21), (7, [1, 7, 7, 6])):
+    for chunk, chunk_sizes in ((1, [1] * 21), (7, [1, 6, 7, 7])):
         rows, solved, sizes = solve(_chunk_budget(chunk, 3, 2))
         assert _search_chunk(3, 2) == chunk
         assert rows == whole
@@ -1095,43 +1104,43 @@ def test_estimate_constant_solves_its_pool_in_chunks(monkeypatch):
 def test_search_chunks_fit_the_byte_budget():
     # By arithmetic: the bytes a chunk's pairs hold fit MAX_KRAUS_BYTES, and a
     # chunk holds one pair at least.
-    assert certify.MAX_KRAUS_BYTES == 64 * 2**20
+    assert maps.MAX_KRAUS_BYTES == 64 * 2**20
     for n, m in ((1, 1), (2, 2), (3, 3), (2, 3), (1, 16), (4, 4), (8, 8), (16, 16), (12, 30), (30, 40), (45, 45)):
         chunk = _search_chunk(n, m)
-        per = certify._unit_bytes(certify._SEARCH_PAIR, n, m)
+        per = maps._unit_bytes(certify._SEARCH_PAIR, n, m)
         assert per >= 4 * 16 * (n * m) ** 2 + certify._SEARCH_PAIR.object_bytes
         assert chunk >= 1
-        assert chunk * per <= certify.MAX_KRAUS_BYTES or chunk == 1
-        assert (chunk + 1) * per > certify.MAX_KRAUS_BYTES
+        assert chunk * per <= maps.MAX_KRAUS_BYTES or chunk == 1
+        assert (chunk + 1) * per > maps.MAX_KRAUS_BYTES
     # The benchmark's search: each weight's 200 drawn 3x3 pairs in one chunk.
     assert _search_chunk(3, 3) >= 200
     # A 45 x 45 map, the largest the Kraus budget admits, makes a chunk of one pair.
     assert _search_chunk(16, 16) == 15 and _search_chunk(45, 45) == 1
-    assert 16 * (45 * 45) ** 2 <= certify.MAX_KRAUS_BYTES < 16 * (46 * 46) ** 2
+    assert 16 * (45 * 45) ** 2 <= maps.MAX_KRAUS_BYTES < 16 * (46 * 46) ** 2
 
 
 @pytest.mark.parametrize(
     "n, m, budget_pairs", [(16, 16, 1), (16, 16, 2), (2, 2, None), (3, 3, None), (1, 16, None), (16, 1, None)]
 )
 def test_search_chunks_stay_within_the_byte_budget(monkeypatch, n, m, budget_pairs):
-    # Measured: the peak traced memory of a search one pair past a whole chunk
-    # stays within the budget that sizes its chunks. At 16 x 16 (1 MiB of factors
+    # Measured: the peak traced memory of a search of two whole chunks stays
+    # within the budget that sizes its chunks. At 16 x 16 (1 MiB of factors
     # a pair) the budgets hold 1 and 2 pairs; at small shapes the default budget
     # holds thousands, whose n x n and m x m arrays and Python objects weigh as
     # much as their factors.
     import tracemalloc
 
     if budget_pairs is not None:
-        monkeypatch.setattr(certify, "MAX_KRAUS_BYTES", _chunk_budget(budget_pairs, n, m))
+        monkeypatch.setattr(maps, "MAX_KRAUS_BYTES", _chunk_budget(budget_pairs, n, m))
     chunk = _search_chunk(n, m)
     estimate_constant([0.25], trials=1, n=2, m=2)  # one-time allocations first
     tracemalloc.start()
     try:
-        estimate_constant([0.25], seed=3, trials=chunk + 1, n=n, m=m)
+        estimate_constant([0.25], seed=3, trials=2 * chunk, n=n, m=m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 2 * chunk * 16 * (n * m) ** 2 < peak <= certify.MAX_KRAUS_BYTES, (chunk, peak)
+    assert 2 * chunk * 16 * (n * m) ** 2 < peak <= maps.MAX_KRAUS_BYTES, (chunk, peak)
 
 
 @pytest.mark.parametrize("n, m", [(3, 3), (16, 16), (1, 64), (64, 1)])
@@ -1148,7 +1157,7 @@ def test_a_sweep_trial_stays_within_its_byte_count(n, m):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 2 * 16 * (n * m) ** 2 < peak <= certify._unit_bytes(certify._SWEEP_TRIAL, n, m), peak
+    assert 2 * 16 * (n * m) ** 2 < peak <= maps._unit_bytes(certify._SWEEP_TRIAL, n, m), peak
 
 
 def test_estimate_constant_rows():
@@ -1222,7 +1231,7 @@ _REFUSALS = {
     "eigen-huge-weight": lambda: (check_corollary_eigen, (_pmap3(), random_normal(2, 3), 1e154), "beta must"),
     "estimate-weight": lambda: (estimate_constant, ([0.25, 1e-309],), "beta must be positive"),
     # 2116 Kraus factors of shape 46 x 46 take 72 MB, over the 64 MiB budget.
-    "random-cp-budget": lambda: (random_cp_map, (0, 46, 46), "over the budget"),
+    "random-cp-budget": lambda: (random_cp_map, (0, 46, 46), r"one drawn \(46, 46\) map of 2116 Kraus factors holds"),
     "trial-budget": lambda: (run_trial, (1, 0, 46, 46, (0.5,)), "over the budget"),
     "estimate-budget": lambda: (estimate_constant, ([0.25], 0, 100, 46, 46), "over the budget"),
     # Each map of these shapes fits the budget, but one drawn search pair holds
@@ -1441,9 +1450,9 @@ def test_input_properties_are_refused_in_one_form():
 
 
 def test_only_the_byte_rules_read_the_budget():
-    # MAX_KRAUS_BYTES is read by the Kraus rule that guards random_cp_map and by
-    # the refusal and the units per call of certify's unit records, and by no
-    # other function, so a third byte rule cannot come back unnoticed.
+    # MAX_KRAUS_BYTES is read by the refusal and the units per call of the unit
+    # records in maps (a drawn map's, a search pair's and a sweep trial's), and by
+    # no other function, so a second byte rule cannot come back unnoticed.
     readers = set()
     for path in sorted(glob.glob(os.path.join(os.path.dirname(matineq.__file__), "*.py"))):
         with open(path, encoding="utf-8") as fh:
@@ -1457,7 +1466,7 @@ def test_only_the_byte_rules_read_the_budget():
                 visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
 
         visit(tree, None)
-    assert readers == {"maps.py:_check_kraus_budget", "certify.py:_check_unit_bytes", "certify.py:_units_per_call"}
+    assert readers == {"maps.py:_check_unit_bytes", "maps.py:_units_per_call"}
 
 
 # The primitives that decide a statement: only certify._decide asks for them.
@@ -1669,34 +1678,34 @@ def test_run_trial_builds_one_seeded_generator(monkeypatch):
         assert built == [[5, 7]], built
 
 
-def _public_outcomes(t) -> dict:
+def _public_outcomes(t, betas, tol) -> dict:
     """Every statement of the drawn trial ``t``, from the public checkers one at a time."""
     out = {}
-    for beta in t.betas:
+    for beta in betas:
         tag = f"@beta={beta:g}"
-        arith, geom = check_theorem_main(t.pmap, t.main, beta, t.tol)
+        arith, geom = check_theorem_main(t.pmap, t.main, beta, tol)
         out["main-arith" + tag], out["main-geom" + tag] = arith, geom
-        out["main-chain" + tag] = chain_certificate(geom, arith, t.tol)
-        eigen = check_corollary_eigen(t.pmap, t.main, beta, t.tol)
+        out["main-chain" + tag] = chain_certificate(geom, arith, tol)
+        eigen = check_corollary_eigen(t.pmap, t.main, beta, tol)
         out["eigen-logmaj"], out["eigen-pairs"] = eigen.log_majorization, eigen.pair_bounds
         out["eigen-shift" + tag] = eigen.shifted_bounds
-    out["block-psd"] = check_block_certificate(t.pmap, t.main, t.tol)
-    real = check_real_part(t.real, t.tol)
+    out["block-psd"] = check_block_certificate(t.pmap, t.main, tol)
+    real = check_real_part(t.real, tol)
     out["realpart-construction-logmaj"] = real.construction_route
     out["realpart-direct-logmaj"] = real.direct_route
     out["realpart-det"] = real.det_check
-    out["ptrace-geom"] = check_partial_trace(t.block, 2, t.n, t.tol)
-    out["sum-normals-geom"], out["sum-normals-arith"] = check_sum_of_normals(list(t.summands), t.tol)
-    dye = check_russo_dye(t.pmap, t.russo_z, t.tol)
+    out["ptrace-geom"] = check_partial_trace(t.block, 2, len(t.main), tol)
+    out["sum-normals-geom"], out["sum-normals-arith"] = check_sum_of_normals(list(t.summands), tol)
+    dye = check_russo_dye(t.pmap, t.russo_z, tol)
     out["contraction-arith"], out["contraction-geom"] = dye.arithmetic, dye.geometric
     out["contraction-logmaj"] = dye.log_majorization
-    weighted = check_weighted_sum(list(t.xs), list(t.zs), t.tol)
+    weighted = check_weighted_sum(list(t.xs), list(t.zs), tol)
     out["weighted-sum-logmaj"], out["weighted-sum-block"] = weighted
-    out["schur-diagonal"] = check_schur_diagonal(t.psd, t.schur_z, t.tol)
-    out["schur-normal"] = check_schur_normal(*t.schur_pair, t.tol)
-    out["hermitian-sum-geom"] = check_hermitian_sum(t.pmap, t.x, t.tol)
-    out["schur-square-geom"] = check_schur_square(t.pmap, t.x, t.tol)
-    out["two-positive-quarter"] = check_two_positive_unital(t.unital, t.quarter_z, t.tol)
+    out["schur-diagonal"] = check_schur_diagonal(t.psd, t.schur_z, tol)
+    out["schur-normal"] = check_schur_normal(*t.schur_pair, tol)
+    out["hermitian-sum-geom"] = check_hermitian_sum(t.pmap, t.x, tol)
+    out["schur-square-geom"] = check_schur_square(t.pmap, t.x, tol)
+    out["two-positive-quarter"] = check_two_positive_unital(t.unital, t.quarter_z, tol)
     return out
 
 
@@ -1706,7 +1715,7 @@ def test_run_trial_symmetrized_statements_match_public_checkers():
     betas = (0.25, 0.5, 1.0, 2.0)
     for trial, (n, m) in enumerate(((2, 2), (3, 3), (4, 4), (2, 3), (3, 2))):
         out = run_trial(11, trial, n, m, betas)
-        public = _public_outcomes(_draw(11, trial, n, m, betas, DEFAULT_TOL, False))
+        public = _public_outcomes(_draw(11, trial, n, m), betas, DEFAULT_TOL)
         assert set(public) == set(out)
         for key, outcome in out.items():
             mine = public[key]

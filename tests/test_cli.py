@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from matineq import certify, cli
+from matineq import certify, cli, maps
 from matineq.certify import _real_part_margin, search_nonnormal_counterexample
 from matineq.serialize import matrix_from_json
 
@@ -238,7 +238,7 @@ def _single_trial_sweep(seed, trials, offset, dims, betas, mutant):
 def test_verify_batches_report_what_single_trials_report(capsys, offset, mutant):
     # verify runs a shape's trials in batches (here 2, 2 and 3 of them) and
     # reports each failure in trial order, as one call a trial would.
-    assert [certify._units_per_call(certify._SWEEP_TRIAL, n, n) for n in (2, 3, 4)] == [24, 18, 12]
+    assert [maps._units_per_call(certify._SWEEP_TRIAL, n, n) for n in (2, 3, 4)] == [24, 18, 12]
     argv = SWEEP_SMALL + ["--trial-offset", str(offset)] + (["--inject-mutant"] if mutant else [])
     code, out = run_cli(capsys, argv)
     report = json.loads(out)

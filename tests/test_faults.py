@@ -3,8 +3,11 @@
 Each row breaks one ingredient through a patch of a private helper of
 ``certify`` and pins the smallest configuration in which its target
 statements are reported as failed: one sweep trial, the first of seed 1, or
-for the constant the sharpness family, which attains the bound. The same
-configuration passes with the ingredient intact.
+instances that attain their bounds (the sharpness family, and equality cases
+of the corollaries). The same configuration passes with the ingredient
+intact, and every base key of the sweep's table is the target of some row.
+A fault that changes nothing a statement asserts, another completion of the
+polar witness, must move no verdict.
 """
 
 import functools
@@ -13,30 +16,47 @@ import numpy as np
 import pytest
 
 from matineq import certify
-from matineq.certify import check_theorem_main, run_trial, sharpness_family
-from matineq.maps import schur_multiplier
+from matineq.certify import (
+    DEFAULT_TOL,
+    check_hermitian_sum,
+    check_partial_trace,
+    check_russo_dye,
+    check_schur_square,
+    check_sum_of_normals,
+    check_theorem_main,
+    check_two_positive_unital,
+    check_weighted_sum,
+    quarter_sharpness_hermitian,
+    quarter_sharpness_map,
+    run_trial,
+    sharpness_family,
+    trial_statements,
+)
+from matineq.core import haar_unitary, random_normal
+from matineq.maps import identity_map, random_cp_map, schur_multiplier
 
 
 def _adjoint(v):
     return v.conj().swapaxes(-1, -2)
 
 
-def _identity(v):
-    return np.zeros_like(v) + np.eye(v.shape[-1])
+def _identity(o):
+    return np.zeros_like(o.witness) + np.eye(o.witness.shape[-1])
 
 
 def _broken_witness(broken):
-    """``certify._orbit`` with the witness ``V`` of every pair replaced by ``broken(V)``.
+    """``certify._orbit`` with the witness ``V`` of every pair replaced by ``broken(o)``.
 
-    The orbit term ``V A V*`` is recomputed from the replaced witness, so both
-    sides the certificates read agree with it.
+    ``o`` is the pair's intact orbit data. The orbit term ``V A V*`` is
+    recomputed from the replaced witness, so both sides the certificates read
+    agree with it.
     """
     orbit = certify._orbit
 
     @functools.wraps(orbit)  # the engine finds the stage by __name__
     def patched(image, arg):
         o = orbit(image, arg)
-        v = broken(o.witness)
+        v = broken(o)
         term = v @ o.arg @ _adjoint(v)
         return o._replace(witness=v, orbit=(term + _adjoint(term)) / 2)
 
@@ -47,7 +67,7 @@ def _broken_witness(broken):
 _FAULTS = {
     # The identity in place of V makes the bound beta A + A/(4 beta), which is A at beta = 1/2.
     "witness-identity": ("main-arith@beta=0.5", _identity, 1, 1),
-    "witness-adjoint": ("main-arith@beta=0.5", _adjoint, 1, 1),
+    "witness-adjoint": ("main-arith@beta=0.5", lambda o: _adjoint(o.witness), 1, 1),
 }
 
 
@@ -63,28 +83,42 @@ def test_a_broken_witness_is_caught(monkeypatch, fault):
     assert not all(target_passes())
 
 
+def _patch(name, broken):
+    """``(name, patched)``: ``certify.<name>`` replaced by ``broken(<the intact helper>)``.
+
+    The patch keeps the helper's ``__name__``, by which the engine finds its stage.
+    """
+    intact = getattr(certify, name)
+    return name, functools.wraps(intact)(broken(intact))
+
+
 def _scaled_orbit_term(factor):
     """``certify._arith`` with the orbit term of every arithmetic bound scaled by ``factor``."""
-    arith = certify._arith
-
-    def patched(statement_id, o, beta, sign=1.0):
-        return arith(statement_id, o, beta, factor * sign)
-
-    return "_arith", patched
+    return _patch("_arith", lambda arith: lambda sid, o, beta, sign=1.0: arith(sid, o, beta, factor * sign))
 
 
 def _swapped_sides():
     """``certify._diagonal_certificate`` deciding ``rhs <= lhs`` in place of ``lhs <= rhs``."""
-    diagonal = certify._diagonal_certificate
-
-    def patched(statement_id, lhs, rhs, **kwargs):
-        return diagonal(statement_id, rhs, lhs, **kwargs)
-
-    return "_diagonal_certificate", patched
+    return _patch("_diagonal_certificate", lambda diagonal: lambda sid, lhs, rhs, **kw: diagonal(sid, rhs, lhs, **kw))
 
 
 def _sweep():
     return run_trial(1, 0, 2, 3, (0.5,))
+
+
+def _equality():
+    """Instances that attain the corollaries' bounds: every Loewner min slack is exactly 0.0."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    eye = np.eye(2, dtype=complex)
+    out = {}
+    out["contraction-arith"], out["contraction-geom"], out["contraction-logmaj"] = check_russo_dye(identity_map(2), x)
+    out["hermitian-sum-geom"] = check_hermitian_sum(identity_map(2), np.array([[0, 1], [0, 0]], dtype=complex))
+    out["schur-square-geom"] = check_schur_square(identity_map(2), eye)
+    out["ptrace-geom"] = check_partial_trace(np.eye(4, dtype=complex), 2, 2)
+    out["sum-normals-geom"], out["sum-normals-arith"] = check_sum_of_normals([eye, eye])
+    out["weighted-sum-logmaj"], out["weighted-sum-block"] = check_weighted_sum([eye], [x])
+    out["two-positive-quarter"] = check_two_positive_unital(quarter_sharpness_map(), quarter_sharpness_hermitian())
+    return out
 
 
 def _sharpness():
@@ -114,6 +148,45 @@ _BOUND_FAULTS = {
         _sharpness,
         {"main-arith@beta=0.5", "main-arith@beta=1", "main-arith@beta=2"},
     ),
+    # The singular values weakly log-majorize the spectrum, in place of the converse.
+    "logmaj-sides-swapped": (
+        lambda: _patch("_log_majorizations", lambda logmaj: lambda a, b, tol: logmaj(b, a, tol)),
+        _sweep,
+        {
+            "contraction-logmaj", "eigen-logmaj", "realpart-construction-logmaj", "realpart-direct-logmaj",
+            "weighted-sum-logmaj",
+        },
+    ),
+    # Phi(N) doubled, with its polar data kept: the statements that read the image itself.
+    "image-doubled": (
+        lambda: _patch("_orbit", lambda orbit: lambda image, arg: orbit(image, arg)._replace(image=2 * image)),
+        _sweep,
+        {"block-psd", "eigen-logmaj", "eigen-pairs"},
+    ),
+    # arg # orbit replaced by arg: main-chain compares that mean with the arithmetic bound.
+    "geom-orbit-term-dropped": (
+        lambda: _patch("_geom", lambda geom: lambda statement_id, o, mean: geom(statement_id, o, o.arg)),
+        _sweep,
+        {"main-chain@beta=0.5", "main-geom@beta=0.5", "sum-normals-geom"},
+    ),
+    # Every comparison argument, and so its orbit, shrunk by a factor 1 - 1e-3.
+    "argument-shrunk": (
+        lambda: _patch("_orbit", lambda orbit: lambda image, arg: orbit(image, (1.0 - 1e-3) * arg)),
+        _equality,
+        {
+            "contraction-arith", "contraction-geom", "hermitian-sum-geom", "ptrace-geom", "schur-square-geom",
+            "sum-normals-arith", "sum-normals-geom", "two-positive-quarter",
+        },
+    ),
+    # Every |x| shrunk by a factor 1 - 1e-3.
+    "abs-shrunk": (
+        lambda: _patch("mat_abs", lambda mat_abs: lambda x: (1.0 - 1e-3) * mat_abs(x)),
+        _equality,
+        {
+            "hermitian-sum-geom", "ptrace-geom", "schur-square-geom", "sum-normals-arith", "sum-normals-geom",
+            "two-positive-quarter", "weighted-sum-block",
+        },
+    ),
 }
 
 
@@ -123,3 +196,50 @@ def test_a_broken_bound_is_caught(monkeypatch, fault):
     assert all(o.passed for o in configuration().values())
     monkeypatch.setattr(certify, *patch())
     assert {key for key, o in configuration().items() if not o.passed} == keys
+
+
+def test_every_table_key_has_a_caught_fault():
+    targets = {key for key, *_ in _FAULTS.values()}
+    targets |= {key for *_, keys in _BOUND_FAULTS.values() for key in keys}
+    base = {key.split("@")[0] for key in trial_statements((0.5,))}
+    assert len(base) == 23
+    assert {key.split("@")[0] for key in targets} == base
+
+
+def _completed_witness(rng, kernels):
+    """``V`` replaced by ``(I - Q Q* + Q W Q*) V``, with ``Q`` spanning the kernel of ``|y|``.
+
+    ``W`` is a Haar unitary drawn from ``rng``. Since ``Q* |y| = 0`` this is
+    again a witness, ``y = V* |y|``; the kernel size of each member goes to ``kernels``.
+    """
+
+    def complete(o):
+        out = []
+        for lhs, v in zip(o.lhs, o.witness):
+            w, vectors = np.linalg.eigh(lhs)
+            q = vectors[:, w <= 1e-12 * max(1.0, w[-1])]
+            kernels.append(q.shape[1])
+            if q.shape[1]:
+                v = (np.eye(len(v)) - q @ _adjoint(q) + q @ haar_unitary(rng, q.shape[1]) @ _adjoint(q)) @ v
+            out.append(v)
+        return np.array(out)
+
+    return complete
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (1, 3), (2, 4)])
+def test_another_completion_of_the_witness_moves_no_verdict(monkeypatch, n, m):
+    # One Kraus factor of shape n x m makes every image singular, so the polar
+    # witness is free on its kernel; the theorem holds for every such witness.
+    betas = (0.25, 0.5, 1.0, 2.0)
+
+    def verdicts(seed):
+        pmap = random_cp_map([seed, 0], n, m, terms=1)
+        outcomes = certify._run(certify._orbit_statements(pmap, random_normal([seed, 1], n), betas, DEFAULT_TOL))[0]
+        return [o.passed for o in outcomes]
+
+    intact = [verdicts(seed) for seed in range(4)]
+    kernels = []
+    monkeypatch.setattr(certify, "_orbit", _broken_witness(_completed_witness(np.random.default_rng(7), kernels)))
+    assert [verdicts(seed) for seed in range(4)] == intact
+    assert len(kernels) == 4 and min(kernels) >= 1
