@@ -63,9 +63,9 @@ from .maps import (
     _check_unit_bytes,
     _cp_draws,
     _cp_maps,
-    _unital,
     apply,
     corner_block_map,
+    is_unital,
     partial_trace_first,
     random_cp_map,
     random_unital_cp_map,
@@ -210,7 +210,9 @@ def _eig_desc(x) -> np.ndarray:
 # primitives one matrix at a time and lists its claims for ``_decide``, the one
 # step that decides them; ``_run`` drives tasks together, so a sweep trial makes
 # one call per stage and matrix shape. The sweep's table rows and the public
-# checkers run the same tasks: a checker runs its row's task alone.
+# checkers run the same tasks: a checker runs its row's task alone. A task does
+# only mathematics: a checker refuses inputs that lack a hypothesis as they
+# enter (``_entry``, ``_require``), and the sweep draws inputs that hold them.
 # ---------------------------------------------------------------------------
 
 
@@ -218,8 +220,6 @@ def _run(*tasks) -> list:
     """Run statement tasks together; returns their results."""
     # The primitives the tasks ask for, in the order their asks are served.
     stages = (
-        "is_normal",
-        "is_contraction",
         "mat_abs",
         "apply",
         "_orbit",
@@ -237,10 +237,19 @@ def _applied(pmap: PositiveMapRep, mats) -> list:
     return [Ask(apply, (pmap, x)) for x in mats]
 
 
-def _require(check, mats, names, what: str):
-    """Task: refuse the first of ``mats`` that fails ``check``, by name."""
-    passed = yield [Ask(check, (x,)) for x in mats]
-    for ok, name in zip(passed, names):
+def _entry(x, name: str, pmap: Optional[PositiveMapRep] = None, check=None, what: str = "") -> np.ndarray:
+    """``x`` as a finite square matrix, refused by ``name`` unless it fits ``pmap`` and ``check`` holds (is ``what``)."""
+    x = as_matrix(x, square=True, name=name)
+    if pmap is not None:
+        _check_fit(pmap, x, name)
+    if check is not None:
+        _refuse(check(x), name, what)
+    return x
+
+
+def _require(check, mats, names, what: str) -> None:
+    """Refuse the first of ``mats`` that fails ``check``, by name, from one stacked call."""
+    for ok, name in zip(check(np.array(mats)), names):
         _refuse(ok, name, what)
 
 
@@ -342,14 +351,6 @@ def _image_orbit(pmap: PositiveMapRep, *blocks):
     return o
 
 
-def _normal_orbit(pmap: PositiveMapRep, nmat):
-    """Task: the orbit pair ``(map(n), map(|n|))`` of a normal matrix."""
-    nmat = as_matrix(nmat, square=True, name="nmat")
-    _check_fit(pmap, nmat, "nmat")
-    yield from _require(is_normal, [nmat], ["nmat"], "normal")
-    return (yield from _image_orbit(pmap, nmat))
-
-
 def _mean(o: _Orbit) -> Ask:
     return Ask(geometric_mean, (o.arg, o.orbit))
 
@@ -398,8 +399,7 @@ def _orbit_statements(
     none. ``sign = -1`` negates the orbit term of the arithmetic bound: the
     fault the sweep injects on request.
     """
-    _check_weights(betas)
-    o = yield from _normal_orbit(pmap, nmat)
+    o = yield from _image_orbit(pmap, nmat)
     mean, singular, spectrum, *shifted = yield [
         _mean(o),
         Ask(singular_values, (o.image,)),
@@ -432,6 +432,8 @@ def check_theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float = DEF
     geometric-mean refinement ``|map(n)| <= map(|n|) # v map(|n|) v*``,
     both with the polar witness ``v`` of ``map(n)``.
     """
+    _check_weights([beta])
+    nmat = _entry(nmat, "nmat", pmap, is_normal, "normal")
     arith, geom = _run(_orbit_statements(pmap, nmat, (beta,), tol))[0][:2]
     return arith, replace(geom, beta=beta)
 
@@ -443,6 +445,7 @@ def chain_certificate(geom: Certificate, arith: Certificate, tol: float = DEFAUL
 
 def check_block_certificate(pmap: PositiveMapRep, nmat, tol: float = DEFAULT_TOL) -> Certificate:
     """The 2x2 block matrix [[map(|n|), map(n)], [map(n*), map(|n|)]] is PSD."""
+    nmat = _entry(nmat, "nmat", pmap, is_normal, "normal")
     return _run(_orbit_statements(pmap, nmat, (), tol))[0][0]
 
 
@@ -457,11 +460,12 @@ def check_corollary_eigen(
     and k-th eigenvalues; (c) the eigenvalues of ``|map(n)| - beta map(|n|)``
     scaled by ``4 beta`` stay below those of ``map(|n|)``.
     """
+    _check_weights([beta])
+    nmat = _entry(nmat, "nmat", pmap, is_normal, "normal")
     return EigenCorollaryReports(*_run(_orbit_statements(pmap, nmat, (beta,), tol))[0][4:])
 
 
 def _real_part(averager: PositiveMapRep, a, tol: float):
-    yield from _require(is_normal, [a], ["a"], "normal")
     (abs_a,) = yield [Ask(mat_abs, (a,))]
     # |a (+) conj(a)| = |a| (+) |conj(a)|, and |conj(a)| = conj(|a|).
     doubled = direct_sum([a, np.conj(a)])
@@ -490,23 +494,23 @@ def check_real_part(a, tol: float = DEFAULT_TOL) -> RealPartReport:
     det Re|a|``, the single entries of its two sides; the real part of a PSD
     matrix is again PSD, so the right-hand determinant is nonnegative.
     """
-    a = as_matrix(a, square=True, name="a")
+    a = _entry(a, "a", check=is_normal, what="normal")
     return RealPartReport(*_run(_real_part(corner_block_map("diag_average", a.shape[0]), a, tol))[0])
 
 
 def _partial_trace(trace: PositiveMapRep, nmat, tol: float):
-    o = yield from _normal_orbit(trace, nmat)
+    o = yield from _image_orbit(trace, nmat)
     (mean,) = yield [_mean(o)]
     return (yield from _decide([_geom("ptrace-geom", o, mean)], tol))
 
 
 def check_partial_trace(nmat, d: int, n: int, tol: float = DEFAULT_TOL) -> Certificate:
     """Geometric-mean orbit bound for the partial trace of a normal block matrix."""
-    return _run(_partial_trace(partial_trace_first(d, n), nmat, tol))[0][0]
+    trace = partial_trace_first(d, n)
+    return _run(_partial_trace(trace, _entry(nmat, "nmat", trace, is_normal, "normal"), tol))[0][0]
 
 
 def _sum_of_normals(trace: PositiveMapRep, mats: Sequence, tol: float):
-    yield from _require(is_normal, mats, [f"mats[{i}]" for i in range(len(mats))], "normal")
     o = yield from _image_orbit(trace, *mats)
     (mean,) = yield [_mean(o)]
     claims = [_geom("sum-normals-geom", o, mean), _arith("sum-normals-arith", o, 0.5)]
@@ -519,17 +523,16 @@ def check_sum_of_normals(mats: Sequence, tol: float = DEFAULT_TOL):
     Returns the geometric-mean certificate and the weaker arithmetic one on
     ``sum |n_i|`` and its unitary conjugate.
     """
-    mats = [as_matrix(m, square=True, name=f"mats[{i}]") for i, m in enumerate(mats)]
+    names = [f"mats[{i}]" for i in range(len(mats))]
+    mats = [_entry(m, name) for m, name in zip(mats, names)]
     _check_nonempty(mats, "mats")
-    _check_same_shape(mats, [f"mats[{i}]" for i in range(len(mats))])
+    _check_same_shape(mats, names)
+    _require(is_normal, mats, names, "normal")
     trace = partial_trace_first(len(mats), len(mats[0]))
     return tuple(_run(_sum_of_normals(trace, mats, tol))[0])
 
 
 def _russo_dye(pmap: PositiveMapRep, z, tol: float):
-    z = as_matrix(z, square=True, name="z")
-    _check_fit(pmap, z, "z")
-    yield from _require(is_contraction, [z], ["z"], "a contraction")
     image_id, image = yield _applied(pmap, [np.eye(z.shape[0], dtype=complex), z])
     o, singular, spectrum = yield [
         Ask(_orbit, (image, image_id)),
@@ -550,21 +553,11 @@ def check_russo_dye(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL) -> RussoD
     ``apply(compose(pmap, upper_left), halmos_dilation(z)) == apply(pmap, z)``.
     So the image is computed as ``map(z)`` and the dilation is never formed.
     """
+    z = _entry(z, "z", pmap, is_contraction, "a contraction")
     return RussoDyeReports(*_run(_russo_dye(pmap, z, tol))[0])
 
 
 def _weighted_sum(xs: Sequence, zs: Sequence, tol: float):
-    if len(xs) != len(zs):
-        raise ValueError("xs and zs must have equal length")
-    _check_nonempty(xs, "xs")
-    xs = [as_matrix(x, name=f"xs[{i}]") for i, x in enumerate(xs)]
-    _check_same_shape(xs, [f"xs[{i}]" for i in range(len(xs))])
-    rows = xs[0].shape[0]
-    zs = [as_matrix(z, square=True, name=f"zs[{i}]") for i, z in enumerate(zs)]
-    if any(z.shape != (rows, rows) for z in zs):
-        raise ValueError("each z must act on the row space of the xs")
-    yield from _require(is_contraction, zs, [f"zs[{i}]" for i in range(len(zs))], "a contraction")
-
     weighted = sum(x.conj().T @ z @ x for x, z in zip(xs, zs))
     gram = hermitian_part(sum(x.conj().T @ x for x in xs))
     singular, spectrum, *abs_zs = yield [
@@ -575,7 +568,9 @@ def _weighted_sum(xs: Sequence, zs: Sequence, tol: float):
     upper_left = sum(x.conj().T @ abs_z_adj @ x for x, abs_z_adj in zip(xs, abs_zs[1::2]))
     lower_right = sum(x.conj().T @ abs_z @ x for x, abs_z in zip(xs, abs_zs[0::2]))
     block = np.block([[upper_left, weighted], [weighted.conj().T, lower_right]])
-    claims = [_LogMaj(singular, spectrum), _Claim("weighted-sum-block", np.zeros_like(block), block)]
+    # Both sums have rank at most len(xs) * rows: past it both prefix products are exactly 0.
+    rank = min(len(weighted), len(xs) * len(xs[0]))
+    claims = [_LogMaj(singular[:rank], spectrum[:rank]), _Claim("weighted-sum-block", np.zeros_like(block), block)]
     return (yield from _decide(claims, tol))
 
 
@@ -588,35 +583,37 @@ def check_weighted_sum(xs: Sequence, zs: Sequence, tol: float = DEFAULT_TOL):
     ``sum x_i* x_i``; the associated 2x2 block matrix is PSD, which carries
     the factorization through a contraction.
     """
+    if len(xs) != len(zs):
+        raise ValueError("xs and zs must have equal length")
+    _check_nonempty(xs, "xs")
+    xs = [as_matrix(x, name=f"xs[{i}]") for i, x in enumerate(xs)]
+    _check_same_shape(xs, [f"xs[{i}]" for i in range(len(xs))])
+    rows = xs[0].shape[0]
+    names = [f"zs[{i}]" for i in range(len(zs))]
+    zs = [_entry(z, name) for z, name in zip(zs, names)]
+    if any(z.shape != (rows, rows) for z in zs):
+        raise ValueError("each z must act on the row space of the xs")
+    _require(is_contraction, zs, names, "a contraction")
     return tuple(_run(_weighted_sum(xs, zs, tol))[0])
 
 
 def _schur_diagonal(a, z, tol: float):
-    a = as_matrix(a, square=True, name="a")
-    z = as_matrix(z, square=True, name="z")
-    _check_same_shape((a, z), ("a", "z"))
-    _refuse(_hermitian_within(a), "a", "Hermitian")
-    # The checks are asked with the orbit, so that it joins the other orbits.
-    w, contracting, o = yield [
-        Ask(_eig_desc, (a,)),
-        Ask(is_contraction, (z,)),
-        Ask(_orbit, (schur_prod(a, z), schur_prod(a, np.eye(a.shape[0], dtype=complex)))),
-    ]
-    _refuse(_is_psd(w, np.abs(w).max()), "a", "positive semidefinite")
-    _refuse(contracting, "z", "a contraction")
+    (o,) = yield [Ask(_orbit, (schur_prod(a, z), schur_prod(a, np.eye(a.shape[0], dtype=complex))))]
     return (yield from _decide([_arith("schur-diagonal", o, 0.5)], tol))
 
 
 def check_schur_diagonal(a, z, tol: float = DEFAULT_TOL) -> Certificate:
     """Entrywise product of a PSD matrix with a contraction against the diagonal part."""
+    a, z = _entry(a, "a"), _entry(z, "z")
+    _check_same_shape((a, z), ("a", "z"))
+    _refuse(_hermitian_within(a), "a", "Hermitian")
+    w = _eig_desc(a)
+    _refuse(_is_psd(w, np.abs(w).max()), "a", "positive semidefinite")
+    _refuse(is_contraction(z), "z", "a contraction")
     return _run(_schur_diagonal(a, z, tol))[0][0]
 
 
 def _schur_normal(a, b, tol: float):
-    a = as_matrix(a, square=True, name="a")
-    b = as_matrix(b, square=True, name="b")
-    _check_same_shape((a, b), ("a", "b"))
-    yield from _require(is_normal, [a, b], ["a", "b"], "normal")
     abs_a, abs_b = yield [Ask(mat_abs, (a,)), Ask(mat_abs, (b,))]
     (o,) = yield [Ask(_orbit, (schur_prod(a, b), schur_prod(abs_a, abs_b)))]
     return (yield from _decide([_arith("schur-normal", o, 1.0)], tol))
@@ -630,13 +627,14 @@ def check_schur_normal(a, b, tol: float = DEFAULT_TOL) -> Certificate:
     for the compression of ``a (x) b`` to its paired diagonal indices, which
     is ``a o b``, using ``|a (x) b| = |a| (x) |b|``; no tensor is formed.
     """
+    a, b = _entry(a, "a"), _entry(b, "b")
+    _check_same_shape((a, b), ("a", "b"))
+    _require(is_normal, [a, b], ["a", "b"], "normal")
     return _run(_schur_normal(a, b, tol))[0][0]
 
 
 def _symmetrized(pmap: PositiveMapRep, x, tol: float):
     """Task: the hermitian-sum-geom and schur-square-geom certificates, from ``|x|`` and ``|x*|``."""
-    x = as_matrix(x, square=True, name="x")
-    _check_fit(pmap, x, "x")
     x_adj = _adjoint(x)
     abs_x, abs_x_adj = yield [Ask(mat_abs, (x,)), Ask(mat_abs, (x_adj,))]
     herm_image, herm_arg, square_image, square_arg = yield _applied(
@@ -656,7 +654,7 @@ def check_hermitian_sum(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Ce
     whose absolute value is ``|x*| (+) |x|``; the comparison argument is the
     image of its block sum, ``map(|x| + |x*|)``.
     """
-    return _run(_symmetrized(pmap, x, tol))[0][0]
+    return _run(_symmetrized(pmap, _entry(x, "x", pmap), tol))[0][0]
 
 
 def check_schur_square(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Certificate:
@@ -667,20 +665,14 @@ def check_schur_square(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Cer
     the absolute values of those carriers are ``|x| (+) |x*|`` and
     ``|x*| (+) |x|``, so the comparison argument is ``map(|x| o |x*|)``.
     """
-    return _run(_symmetrized(pmap, x, tol))[0][1]
+    return _run(_symmetrized(pmap, _entry(x, "x", pmap), tol))[0][1]
 
 
 def _two_positive_unital(pmap: PositiveMapRep, z, tol: float):
-    z = as_matrix(z, square=True, name="z")
-    _check_fit(pmap, z, "z")
-    yield from _require(is_contraction, [z], ["z"], "a contraction")
     (abs_z,) = yield [Ask(mat_abs, (z,))]
-    eye = np.eye(pmap.output_dim, dtype=complex)
-    # maps.is_unital, with map(I) and its defect asked in the stages of map(z).
-    image, image_abs, image_id = yield _applied(pmap, [z, abs_z, np.eye(z.shape[0], dtype=complex)])
-    o, defect = yield [Ask(_orbit, (image, image_abs)), Ask(singular_values, (image_id - eye,))]
-    _refuse(_unital(defect[0]), "pmap", "unital")
-    rhs = eye / 4.0 + o.arg
+    image, image_abs = yield _applied(pmap, [z, abs_z])
+    (o,) = yield [Ask(_orbit, (image, image_abs))]
+    rhs = np.eye(pmap.output_dim, dtype=complex) / 4.0 + o.arg
     return (yield from _decide([_Claim("two-positive-quarter", o.lhs, rhs)], tol))
 
 
@@ -690,6 +682,8 @@ def check_two_positive_unital(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL)
     No witness is needed; the statement requires unitality, so a non-unital
     map is rejected.
     """
+    z = _entry(z, "z", pmap, is_contraction, "a contraction")
+    _refuse(is_unital(pmap), "pmap", "unital")
     return _run(_two_positive_unital(pmap, z, tol))[0][0]
 
 

@@ -249,15 +249,10 @@ def choi(pmap: PositiveMapRep) -> ChoiData:
     return ChoiData(c, float(np.linalg.eigvalsh(c).min()))
 
 
-def _unital(defect_norm) -> bool:
-    """The unitality rule: ``||map(I) - I||`` at most ``PSD_TOL``, not scaled."""
-    return defect_norm <= PSD_TOL
-
-
 def is_unital(pmap: PositiveMapRep) -> bool:
-    """Whether the map sends the identity to the identity within ``PSD_TOL``."""
+    """Whether ``||map(I) - I||`` is at most ``PSD_TOL``, not scaled."""
     image = apply(pmap, np.eye(pmap.input_dim, dtype=complex))
-    return _unital(spectral_norm(image - np.eye(pmap.output_dim)))
+    return spectral_norm(image - np.eye(pmap.output_dim)) <= PSD_TOL
 
 
 def halmos_dilation(z) -> np.ndarray:

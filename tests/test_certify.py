@@ -15,11 +15,15 @@ import matineq
 from matineq import certify, maps, staging
 from matineq.core import (
     MajorizationReport,
+    _hermitian_within,
+    _is_psd,
     direct_sum,
     geometric_mean,
     haar_unitary,
     herm_eig,
     hermitian_part,
+    is_contraction,
+    is_normal,
     loewner_leq,
     mat_abs,
     polar,
@@ -37,6 +41,7 @@ from matineq.maps import (
     corner_block_map,
     halmos_dilation,
     identity_map,
+    is_unital,
     partial_trace_first,
     random_cp_map,
     random_unital_cp_map,
@@ -240,6 +245,40 @@ def test_theorem_and_chain_random_sweep():
             assert chain.passed, (seed, beta, chain.min_slack)
             v = arith.witness
             assert spectral_norm(v.conj().T @ v - np.eye(m)) <= 1e-9
+
+
+E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+def test_normality_is_needed_even_for_the_identity_map():
+    # Control: the orbit task runs on the non-normal E12, which the public
+    # checker refuses. The polar witness gives E22 <= beta E22 + E11/(4 beta),
+    # which fails by exactly beta - 1 for beta < 1, whatever the constant.
+    betas = (0.25, 0.5, 1.0, 2.0)
+    outcomes = certify._run(certify._orbit_statements(identity_map(2), E12, betas, DEFAULT_TOL))[0]
+    arith = outcomes[0:12:3]  # main-arith, main-geom and main-chain per weight
+    assert [(o.statement_id, o.beta) for o in arith] == [("main-arith", beta) for beta in betas]
+    assert [o.passed for o in arith] == [False, False, True, True]
+    assert [o.min_slack for o in arith] == [-0.75, -0.5, 0.0, 0.125]
+    with pytest.raises(ValueError, match="^nmat must be normal$"):
+        check_theorem_main(identity_map(2), E12, 0.5)
+
+
+def _compression_control(seed, sign):
+    """main-arith@beta=1 of ``X -> W* X W``, ``W`` a Haar 3 x 2 isometry, on a real symmetric ``A``."""
+    w = haar_unitary([seed, 0], 3)[:, :2]
+    g = np.random.default_rng([seed, 1]).standard_normal((3, 3))
+    pmap = PositiveMapRep(w[None], label="compression")
+    return certify._run(certify._orbit_statements(pmap, g + g.T, (1.0,), DEFAULT_TOL, sign))[0][0]
+
+
+def test_the_orbit_term_is_needed_even_for_a_unital_cp_map():
+    # Control: with the orbit term dropped (sign 0) the bound is
+    # |W* A W| <= W* |A| W, which fails for most seeds; the theorem's bound
+    # holds for every one.
+    seeds = range(12)
+    assert all(_compression_control(seed, 1.0).passed for seed in seeds)
+    assert [seed for seed in seeds if not _compression_control(seed, 0.0).passed] == [1, 3, 4, 5, 6, 7, 8, 10, 11]
 
 
 def test_scalar_block_seed_of_the_certificate():
@@ -531,6 +570,16 @@ def test_weighted_sum_random_rectangular():
         assert maj.passed and block.passed
 
 
+@pytest.mark.parametrize("n, m", [(8, 1), (16, 1), (8, 2), (7, 2)])
+def test_weighted_sum_logmaj_stops_at_the_rank_bound(n, m):
+    # At n > 3m both sums of the sweep's three m x n factors have rank at most
+    # 3m < n, so past 3m both prefix products are exactly 0; comparing them
+    # would let rounding decide, so the report keeps the first 3m entries.
+    for trial in range(5):
+        report = run_trial(0, trial, n, m, (0.5,))["weighted-sum-logmaj"]
+        assert report.passed and len(report.a) == len(report.b) == 3 * m, trial
+
+
 def test_weighted_sum_validation():
     with pytest.raises(ValueError):
         check_weighted_sum([np.eye(2)], [np.eye(2), np.eye(2)])
@@ -774,18 +823,23 @@ def test_two_positive_random_hermitian_contractions():
         assert check_two_positive_unital(pmap, z).passed, seed
 
 
-def test_two_positive_asks_for_the_identity_with_its_images(monkeypatch):
-    # Unitality is decided from map(I), applied in one call with z and |z|.
-    shapes = []
+def test_two_positive_applies_the_unital_map_to_z_and_its_modulus_only(monkeypatch):
+    # Unitality is the checker's hypothesis, refused through maps.is_unital
+    # before the run; the sweep's unital map is unital as drawn, so the sweep
+    # applies it once, to [z, |z|], and never to the identity.
+    stacks = []
 
     def counted(pmap, x):
-        shapes.append(np.shape(x))
+        if pmap.label.startswith("random-unital-cp"):
+            stacks.append(x)
         return apply(pmap, x)
 
     counted.__name__ = "apply"
     monkeypatch.setattr(certify, "apply", counted)
-    assert check_two_positive_unital(random_unital_cp_map(3, 3, 2), random_contraction(4, 3)).passed
-    assert shapes == [(3, 3, 3)]
+    run_trial(5, 3, 3, 3, (0.5,))
+    z = _draw(5, 3, 3, 3).quarter_z
+    assert len(stacks) == 1
+    np.testing.assert_array_equal(stacks[0], [z, mat_abs(z)])
 
 
 def test_two_positive_rejects_nonunital():
@@ -1563,25 +1617,24 @@ def test_weights_sharing_a_key_are_refused(betas):
 def test_run_trial_decomposition_budget(linalg_calls):
     # A trial makes one stacked call per stage and matrix shape. At n = m, 2
     # calls draw the instances (1 stacked SVD scales the 6 contractions, 1
-    # eigh makes the unital map), 3 check inputs (normality takes one SVD of
-    # the commutators and the inputs at each of n and 2n, and 1 checks the
-    # contractions), 2 take absolute values (at n and 2n: a direct sum's is
-    # taken block by block, and |x*| is a member of the n-shaped call), 1
-    # polar serves all 9 orbit pairs, 1 + 1 + 1 take spectra (the unital
-    # map's defect among the singular values) and determinants, 3 serve the
-    # 6 geometric means and 2 + 2 decide the 21 Loewner certificates (shapes
-    # n and 2n). With n != m the calls at n and at m are separate.
-    for n, m, budget in ((2, 2, 18), (3, 3, 18), (2, 3, 31), (3, 2, 31)):
+    # eigh makes the unital map), 2 take absolute values (at n and 2n: a
+    # direct sum's is taken block by block, and |x*| is a member of the
+    # n-shaped call), 1 polar serves all 9 orbit pairs, 1 + 1 + 1 take
+    # spectra and determinants, 3 serve the 6 geometric means and 2 + 2
+    # decide the 21 Loewner certificates (shapes n and 2n). The draws hold
+    # their hypotheses as drawn, so no call checks them. With n != m the
+    # calls at n and at m are separate.
+    for n, m, budget in ((2, 2, 15), (3, 3, 15), (2, 3, 27), (3, 2, 27)):
         linalg_calls.clear()
         run_trial(5, n, n, m, (0.25, 0.5, 1.0, 2.0))
         assert sum(linalg_calls.values()) == budget, (n, m, dict(linalg_calls))
         assert linalg_calls["norm"] == 0, dict(linalg_calls)
     # A batch of k trials makes each stacked call once, except that each trial
     # draws its own instances (the contractions' SVD, one per size, and the
-    # unital map's eigh) and takes realpart-det's det: 15 + 3k decompositions
-    # at n = m and 27 + 4k at n != m.
+    # unital map's eigh) and takes realpart-det's det: 12 + 3k decompositions
+    # at n = m and 23 + 4k at n != m.
     for k in (2, 33):
-        for n, m, fixed, per_trial in ((3, 3, 15, 3), (2, 3, 27, 4)):
+        for n, m, fixed, per_trial in ((3, 3, 12, 3), (2, 3, 23, 4)):
             linalg_calls.clear()
             run_trial(5, list(range(k)), n, m, (0.25, 0.5, 1.0, 2.0))
             assert sum(linalg_calls.values()) == fixed + per_trial * k, (k, n, m, dict(linalg_calls))
@@ -1589,9 +1642,9 @@ def test_run_trial_decomposition_budget(linalg_calls):
 
 
 def test_run_trial_stacked_calls(monkeypatch):
-    # One engine call per stage and shape: at n = m, 16 serve the checks,
-    # absolute values, images, polar decompositions, spectra, means and
-    # verdicts, and 1 the 5 log-majorizations; at n != m, the calls at n and
+    # One engine call per stage and shape: at n = m, 13 serve the absolute
+    # values, images, polar decompositions, spectra, means and verdicts, and
+    # 1 the 5 log-majorizations; at n != m, the calls at n and
     # at m are separate, and the log-majorizations take one call per length.
     # The verdict stage takes the 21 certificates' sides as Hermitian parts
     # and _orbit every comparison argument, so hermitian_part runs only on
@@ -1609,7 +1662,7 @@ def test_run_trial_stacked_calls(monkeypatch):
 
     monkeypatch.setattr(staging, "_answer", counted_answer)
     monkeypatch.setattr(certify, "hermitian_part", counted_hermitian)
-    for n, m, calls, lengths in ((3, 3, 17, 1), (2, 3, 26, 2)):
+    for n, m, calls, lengths in ((3, 3, 14, 1), (2, 3, 22, 2)):
         answered.clear()
         hermitian.clear()
         run_trial(5, n, n, m, (0.25, 0.5, 1.0, 2.0))
@@ -1619,11 +1672,11 @@ def test_run_trial_stacked_calls(monkeypatch):
     # A batch of k trials shares every call but apply's: asks to apply are
     # grouped by map object, and each trial has its own sweep and unital maps,
     # while the real-part averager and the two partial traces are built once a
-    # call, so 15 + 2k calls.
+    # call, so 12 + 2k calls.
     for k in (2, 17, 33):
         answered.clear()
         run_trial(5, list(range(k)), 3, 3, (0.25, 0.5, 1.0, 2.0))
-        assert len(answered) == 15 + 2 * k, answered
+        assert len(answered) == 12 + 2 * k, answered
         assert answered.count("apply") == 3 + 2 * k, answered
 
 
@@ -1676,6 +1729,42 @@ def test_run_trial_builds_one_seeded_generator(monkeypatch):
         built.clear()
         run_trial(5, 7, n, m, (0.25, 1.0))
         assert built == [[5, 7]], built
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (3, 2), (4, 4), (12, 12), (27, 27), (1, 166), (166, 1)])
+def test_every_draw_holds_its_hypotheses(n, m):
+    # The sweep runs its tasks on the draws as drawn, checking nothing: each
+    # instance holds its statement's hypotheses by the library's own rules.
+    for index in range(3):
+        t = _draw(5, index, n, m)
+        normals = [t.main, t.real, *t.summands, *t.schur_pair, t.block]
+        contractions = [t.russo_z, t.schur_z, t.quarter_z, *t.zs]
+        assert (len(normals), len(contractions)) == (8, 6)
+        assert all(is_normal(x) for x in normals), index
+        assert all(is_contraction(z) for z in contractions), index
+        assert is_unital(t.unital), index
+        w = np.linalg.eigvalsh(t.psd)
+        assert _hermitian_within(t.psd) and _is_psd(w, np.abs(w).max()), index
+
+
+# The input rules: coercion, fit, the weight rule and the hypotheses' predicates.
+_INPUT_RULES = {"_refuse", "_check_fit", "as_matrix", "is_normal", "is_contraction", "is_unital", "_check_weights"}
+
+
+def test_no_task_checks_its_inputs():
+    # Every input rule runs where an input enters a public checker; no
+    # generator in certify names one, so a task does only mathematics on
+    # checked inputs and the sweep runs it on its draws as drawn.
+    with open(certify.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    named = {
+        node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & _INPUT_RULES
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(node))
+    }
+    assert {"_orbit_statements", "_real_part", "_weighted_sum", "_schur_diagonal", "_two_positive_unital"} <= set(named)
+    assert {task: rules for task, rules in named.items() if rules} == {}
 
 
 def _public_outcomes(t, betas, tol) -> dict:

@@ -86,6 +86,13 @@ def test_verify_runs_an_accepted_beta_list(capsys):
     assert report["totalChecks"] == len(certify.trial_statements((0.25, 1.0)))
 
 
+def test_verify_passes_where_the_weighted_sums_are_rank_deficient(capsys):
+    # At n > 3m weighted-sum-logmaj compares only within the sums' rank
+    # bound, so rounding against their exact-zero eigenvalues fails no trial.
+    code, out = run_cli(capsys, ["verify", "--trials", "5", "--dims", "8,1"])
+    assert code == 0, json.loads(out)["failures"]
+
+
 def test_a_library_error_inside_the_sweep_propagates(capsys, monkeypatch):
     # An error inside the sweep is a fault of the library, not of the usage,
     # so verify lets it out of main as it is rather than exiting with 2.

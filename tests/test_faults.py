@@ -6,6 +6,7 @@ statements are reported as failed: one sweep trial, the first of seed 1, or
 instances that attain their bounds (the sharpness family, and equality cases
 of the corollaries). The same configuration passes with the ingredient
 intact, and every base key of the sweep's table is the target of some row.
+A row whose set is empty pins that its configuration cannot see the fault.
 A fault that changes nothing a statement asserts, another completion of the
 polar witness, must move no verdict.
 """
@@ -42,6 +43,11 @@ def _adjoint(v):
 
 def _identity(o):
     return np.zeros_like(o.witness) + np.eye(o.witness.shape[-1])
+
+
+def _haar(rng):
+    """A witness that replaces ``V`` by a Haar unitary drawn from ``rng``, one per member."""
+    return lambda o: np.array([haar_unitary(rng, len(v)) for v in o.witness])
 
 
 def _broken_witness(broken):
@@ -102,6 +108,17 @@ def _swapped_sides():
     return _patch("_diagonal_certificate", lambda diagonal: lambda sid, lhs, rhs, **kw: diagonal(sid, rhs, lhs, **kw))
 
 
+def _shrunk_quarter():
+    """``certify._decide`` with ``1e-3 I/4`` taken off the right-hand side of two-positive-quarter."""
+
+    def shrink(claim):
+        if getattr(claim, "statement_id", None) != "two-positive-quarter":
+            return claim
+        return claim._replace(rhs=claim.rhs - 1e-3 * np.eye(len(claim.rhs)) / 4.0)
+
+    return _patch("_decide", lambda decide: lambda claims, tol: decide([shrink(c) for c in claims], tol))
+
+
 def _sweep():
     return run_trial(1, 0, 2, 3, (0.5,))
 
@@ -141,6 +158,11 @@ _BOUND_FAULTS = {
             "schur-diagonal", "schur-normal",
         },
     ),
+    "witness-haar": (
+        lambda: ("_orbit", _broken_witness(_haar(np.random.default_rng(11)))),
+        _sweep,
+        {"main-arith@beta=0.5", "main-geom@beta=0.5", "schur-diagonal", "sum-normals-arith", "sum-normals-geom"},
+    ),
     "diagonal-sides-swapped": (_swapped_sides, _sweep, {"eigen-pairs", "eigen-shift@beta=0.5", "realpart-det"}),
     # 1/(4 beta) shrunk by a factor 1 - 1e-3: the min slack falls to -5e-4 at each weight.
     "constant-shrunk": (
@@ -148,6 +170,16 @@ _BOUND_FAULTS = {
         _sharpness,
         {"main-arith@beta=0.5", "main-arith@beta=1", "main-arith@beta=2"},
     ),
+    # The contraction and sum-normals constants, 1/2 each, shrunk by the same factor.
+    "half-constants-shrunk": (
+        lambda: _scaled_orbit_term(1.0 - 1e-3),
+        _equality,
+        {"contraction-arith", "sum-normals-arith"},
+    ),
+    # The quarter shrunk by a factor 1 - 1e-3: only the sharpness pair attains it,
+    # and the sweep's drawn unital maps stay clear of it.
+    "quarter-shrunk": (_shrunk_quarter, _equality, {"two-positive-quarter"}),
+    "quarter-shrunk-in-the-sweep": (_shrunk_quarter, _sweep, set()),
     # The singular values weakly log-majorize the spectrum, in place of the converse.
     "logmaj-sides-swapped": (
         lambda: _patch("_log_majorizations", lambda logmaj: lambda a, b, tol: logmaj(b, a, tol)),
