@@ -25,14 +25,10 @@ from .core import (
     weak_log_majorize,
 )
 from .maps import (
-    ChoiData,
     PositiveMapRep,
     apply,
-    choi,
     compose,
     corner_block_map,
-    halmos_dilation,
-    identity_map,
     is_unital,
     partial_trace_first,
     random_cp_map,
@@ -61,5 +57,4 @@ from .certify import (
     repro_psi_sharpness,
     repro_sharpness_beta,
     search_nonnormal_counterexample,
-    witness_unitary,
 )

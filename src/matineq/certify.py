@@ -24,6 +24,7 @@ from .core import (
     _CHECK_TOL,
     _adjoint,
     _as_stack,
+    _check_index,
     _check_nonempty,
     _check_same_shape,
     _check_size,
@@ -80,7 +81,6 @@ __all__ = [
     "RealPartReport",
     "RussoDyeReports",
     "ReproResult",
-    "witness_unitary",
     "check_theorem_main",
     "chain_certificate",
     "check_block_certificate",
@@ -292,20 +292,12 @@ def _decide(claims, tol: float):
     return [decided[id(c)] for c in claims]
 
 
-def witness_unitary(y) -> np.ndarray:
-    """The unitary v with ``y = v* |y|``: the adjoint of the polar unitary factor.
-
-    Singular inputs use the completed polar decomposition, so the zero matrix
-    gives the identity. A stack gives the stack of its members' unitaries.
-    """
-    return _adjoint(polar(y).unitary_factor)
-
-
 class _Orbit(NamedTuple):
     """An image ``y`` and its comparison argument ``a``, with the polar data of ``y``.
 
     ``arg`` is ``a``, the Hermitian part of what ``_orbit`` is given; ``lhs`` is
-    ``|y|``, ``witness`` is ``v = witness_unitary(y)`` and ``orbit`` is ``v a v*``.
+    ``|y|``, ``witness`` is the unitary ``v`` with ``y = v* |y|`` (the adjoint of
+    the polar unitary factor, the identity for ``y = 0``) and ``orbit`` is ``v a v*``.
     ``arg``, ``lhs`` and ``orbit`` are exactly Hermitian. Every orbit statement
     is the theorem on one such pair:
     ``|y| <= a # v a v* <= beta a + (1/(4 beta)) v a v*``.
@@ -495,7 +487,7 @@ def check_real_part(a, tol: float = DEFAULT_TOL) -> RealPartReport:
     matrix is again PSD, so the right-hand determinant is nonnegative.
     """
     a = _entry(a, "a", check=is_normal, what="normal")
-    return RealPartReport(*_run(_real_part(corner_block_map("diag_average", a.shape[0]), a, tol))[0])
+    return RealPartReport(*_run(_real_part(corner_block_map(a.shape[0]), a, tol))[0])
 
 
 def _partial_trace(trace: PositiveMapRep, nmat, tol: float):
@@ -549,9 +541,9 @@ def check_russo_dye(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL) -> RussoD
 
     The statement runs through the unitary (Halmos) dilation of ``z``: the
     map composed with upper-left block extraction sends the dilation to
-    ``map(z)``, factor by factor,
-    ``apply(compose(pmap, upper_left), halmos_dilation(z)) == apply(pmap, z)``.
-    So the image is computed as ``map(z)`` and the dilation is never formed.
+    ``map(z)``, factor by factor. So the image is computed as ``map(z)`` and
+    the dilation is never formed; the dilation and the extraction are test
+    oracles (``tests/_oracles.py``), and a test checks the identity on them.
     """
     z = _entry(z, "z", pmap, is_contraction, "a contraction")
     return RussoDyeReports(*_run(_russo_dye(pmap, z, tol))[0])
@@ -669,9 +661,7 @@ def check_schur_square(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Cer
 
 
 def _two_positive_unital(pmap: PositiveMapRep, z, tol: float):
-    (abs_z,) = yield [Ask(mat_abs, (z,))]
-    image, image_abs = yield _applied(pmap, [z, abs_z])
-    (o,) = yield [Ask(_orbit, (image, image_abs))]
+    o = yield from _image_orbit(pmap, z)
     rhs = np.eye(pmap.output_dim, dtype=complex) / 4.0 + o.arg
     return (yield from _decide([_Claim("two-positive-quarter", o.lhs, rhs)], tol))
 
@@ -966,10 +956,9 @@ _SEARCH_PAIR = _Unit("search pair", 4, 6, 12, 1536, 1)
 # 144 n x n and 144 m x m (the drawn instances, their images, absolute values, orbits
 # and certificate sides), and its generators, asks and 27 outcomes. The counts bound
 # the single-trial peaks tracemalloc measures on squares up to 27 x 27 and on shapes
-# up to 1 x 166 and 166 x 1, by 1.01-2.1x, but near 9 x 9 (8 x 9 to 10 x 9), where one
-# pass of _apply_stack over eight images reaches 1.1x; a trial of a batch holds no
-# more. A batch gets 1/32 of the budget: 12 to 24 trials at n = m <= 4, where a batch
-# shares the engine's Python cost, and one trial from 12 x 12 up.
+# up to 1 x 166 and 166 x 1, by 1.09-2.2x; a trial of a batch holds no more. A batch
+# gets 1/32 of the budget: 12 to 24 trials at n = m <= 4, where a batch shares the
+# engine's Python cost, and one trial from 12 x 12 up.
 _SWEEP_TRIAL = _Unit("sweep trial", 7, 144, 144, 65536, 32)
 
 
@@ -1000,15 +989,16 @@ def estimate_constant(
     attains the guaranteed constant with the polar witness) plus seeded random
     map/matrix pairs, drawn and solved in as few even chunks as fit
     ``maps.MAX_KRAUS_BYTES``, one ``minimal_orbit_constant`` call a chunk; rows report
-    the observed maximum against the guaranteed bound ``1/(4 beta)``. A shape
-    whose one pair alone holds more than ``maps.MAX_KRAUS_BYTES`` is refused
-    before any draw.
+    the observed maximum against the guaranteed bound ``1/(4 beta)``. A seed
+    that is not a nonnegative integer, and a shape whose one pair alone holds
+    more than ``maps.MAX_KRAUS_BYTES``, are refused before any draw.
     """
     betas = [float(b) for b in beta_grid]
     _check_nonempty(betas, "beta_grid")
     _check_weights(betas)
     if any(b > 0.5 + CONSTRUCTION_TOL for b in betas):
         raise ValueError("beta grid must lie in (0, 1/2]")
+    _check_index(seed, "seed")
     for value, name in ((trials, "trials"), (n, "n"), (m, "m")):
         _check_size(value, name)
     _check_unit_bytes(_SEARCH_PAIR, n, m)
@@ -1169,17 +1159,21 @@ def run_trial(
     shape, and each outcome has the bits of its trial run alone.
     ``inject_mutant`` negates the orbit term on the right-hand side of the
     arithmetic bound, a fault the sweep must report. Weights that print alike
-    under ``%g`` would share keys, and a shape whose one trial holds more than
-    ``maps.MAX_KRAUS_BYTES``, are refused with a ValueError before any draw.
+    under ``%g`` would share keys, a shape whose one trial holds more than
+    ``maps.MAX_KRAUS_BYTES``, and a seed or index that is not a nonnegative
+    integer, are refused with a ValueError before any draw.
     """
     single = np.ndim(trial_index) == 0
     tags = _weight_tags(betas)
     _check_unit_bytes(_SWEEP_TRIAL, n, m)
+    _check_index(master_seed, "master_seed")
     indices = [trial_index] if single else list(trial_index)
+    for j, i in enumerate(indices):
+        _check_index(i, "trial_index" if single else f"trial_index[{j}]")
     trials = [_draw(master_seed, i, n, m) for i in indices]
     s = _Shared(
         tuple(betas), tol, -1.0 if inject_mutant else 1.0,
-        corner_block_map("diag_average", n), partial_trace_first(2, n), partial_trace_first(3, n),
+        corner_block_map(n), partial_trace_first(2, n), partial_trace_first(3, n),
     )
     results = _run(*(task(trial, s) for trial in trials for task, _ in _STATEMENTS))
     rows = [_expand(keys, tags) for _, keys in _STATEMENTS]

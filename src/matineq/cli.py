@@ -23,7 +23,7 @@ from .certify import (
     run_trial,
     search_nonnormal_counterexample,
 )
-from .core import _check_size, _check_tol, _refuse
+from .core import _check_index, _check_size, _check_tol, _refuse
 from .maps import _calls, _check_unit_bytes
 from .serialize import repro_to_json
 
@@ -207,12 +207,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "examples, and search for empirical constants",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _checked(int, lambda s: _refuse(s >= 0, "--seed", "nonnegative"))
+    seed = _checked(int, lambda s: _check_index(s, "--seed"))
     trials = _checked(int, lambda t: _check_size(t, "--trials"))
     tol = _checked(float, _check_tol)
     # verify weights: those whose statement keys certify can tell apart.
     sweep_betas = _checked(_parse_betas, certify.trial_statements)
-    offset = _checked(int, lambda i: _refuse(i >= 0, "--trial-offset", "nonnegative"))
+    offset = _checked(int, lambda i: _check_index(i, "--trial-offset"))
     # Shapes whose one unit of work, a sweep trial or a search pair, fits the byte budget.
     sweep_dims = _checked(_parse_dims, lambda dims: [_check_unit_bytes(certify._SWEEP_TRIAL, *d) for d in dims])
     pair = _checked(

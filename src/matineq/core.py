@@ -78,6 +78,12 @@ def _check_size(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _check_index(value, name: str) -> None:
+    """Refuse a seed or trial index unless it is an integer (a numpy one too, not a bool) of at least 0."""
+    _refuse(isinstance(value, (int, np.integer)) and not isinstance(value, bool), name, "an integer")
+    _refuse(value >= 0, name, "nonnegative")
+
+
 def _check_nonempty(items, name: str) -> None:
     """Refuse a list (or any sequence) of length 0."""
     if len(items) == 0:

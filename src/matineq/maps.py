@@ -4,9 +4,9 @@ A map acts as ``x -> sum_i k_i* x k_i`` with factors ``k_i`` of shape
 ``(input_dim, output_dim)``, held as one stack of shape
 ``(terms, input_dim, output_dim)``, so every operation below works on the
 whole stack at once. This representation makes positivity and complete
-positivity constructive: the Choi matrix of every map built here is positive
-semidefinite by design, and named constructors cover the Schur multiplier,
-partial traces, block compressions and compositions.
+positivity constructive: every map built here is completely positive by
+design, and named constructors cover the Schur multiplier, partial traces,
+the diagonal-block average and compositions.
 """
 
 from __future__ import annotations
@@ -16,22 +16,18 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import CONSTRUCTION_TOL, PSD_TOL, _DROP_TOL, _check_size, _contracting, _is_psd, _threshold
-from .core import _as_stack, _herm_eig, _hermitian, _refuse, as_matrix, hermitian_part, spectral_norm
+from .core import CONSTRUCTION_TOL, PSD_TOL, _DROP_TOL, _check_size, _is_psd, _threshold
+from .core import _as_stack, _herm_eig, _refuse, as_matrix, hermitian_part, spectral_norm
 
 __all__ = [
     "MAX_KRAUS_BYTES",
     "PositiveMapRep",
-    "ChoiData",
     "apply",
-    "identity_map",
     "schur_multiplier",
     "partial_trace_first",
     "corner_block_map",
     "compose",
-    "choi",
     "is_unital",
-    "halmos_dilation",
     "random_cp_map",
     "random_unital_cp_map",
 ]
@@ -116,13 +112,6 @@ class PositiveMapRep:
         return self.kraus_ops.shape[2]
 
 
-class ChoiData(NamedTuple):
-    """Choi matrix and its smallest eigenvalue (PSD iff the map is CP)."""
-
-    choi_matrix: np.ndarray
-    min_eigenvalue: float
-
-
 def _check_fit(pmap: PositiveMapRep, x: np.ndarray, name: str) -> None:
     """Refuse square ``x`` (or a stack of them) unless ``pmap`` takes its size."""
     if x.shape[-1] != pmap.input_dim:
@@ -154,9 +143,9 @@ def _apply_stack(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
     flat = ops.reshape(k, 1, -1, m)
     out = np.empty((k, r, m, m), dtype=complex)
     # Each image's products hold as many entries as its map's Kraus stack, so
-    # images go through at most 2^16 such entries (1 MiB) a pass: a stack of
+    # images go through at most 2^12 such entries (64 KiB) a pass: a stack of
     # large inputs or maps needs no more memory than one of them.
-    per_pass = max(1, 2**16 // ops[0].size)
+    per_pass = max(1, 2**12 // ops[0].size)
     step_r = min(r, per_pass)
     step_k = max(1, per_pass // step_r)
     for i in range(0, k, step_k):
@@ -179,11 +168,6 @@ def _prune(ops: np.ndarray) -> np.ndarray:
 def _block_rows(d: int, n: int) -> np.ndarray:
     """The ``d`` factors ``e_i (x) I_n`` of shape ``(d n, n)``, as one stack."""
     return np.eye(d * n, dtype=complex).reshape(d * n, d, n).transpose(1, 0, 2)
-
-
-def identity_map(n: int) -> PositiveMapRep:
-    _check_size(n, "n")
-    return PositiveMapRep((np.eye(n, dtype=complex),), label=f"id({n})")
 
 
 def schur_multiplier(a) -> PositiveMapRep:
@@ -210,20 +194,10 @@ def partial_trace_first(d: int, n: int) -> PositiveMapRep:
     return PositiveMapRep(_block_rows(d, n), label=f"ptrace1({d},{n})")
 
 
-def corner_block_map(variant: str, n: int) -> PositiveMapRep:
-    """Block maps on 2x2 block matrices over n x n blocks.
-
-    ``"upper_left"`` extracts the (1,1) block and ``"diag_average"`` returns
-    the mean of the two diagonal blocks.
-    """
+def corner_block_map(n: int) -> PositiveMapRep:
+    """The mean of the two diagonal n x n blocks of a 2n x 2n matrix."""
     _check_size(n, "n")
-    if variant == "upper_left":
-        ops = _block_rows(2, n)[:1]
-    elif variant == "diag_average":
-        ops = _block_rows(2, n) / np.sqrt(2.0)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return PositiveMapRep(ops, label=f"{variant}({n})")
+    return PositiveMapRep(_block_rows(2, n) / np.sqrt(2.0), label=f"diag_average({n})")
 
 
 def compose(outer: PositiveMapRep, inner: PositiveMapRep) -> PositiveMapRep:
@@ -240,35 +214,10 @@ def compose(outer: PositiveMapRep, inner: PositiveMapRep) -> PositiveMapRep:
     return PositiveMapRep(_prune(ops), label=label)
 
 
-def choi(pmap: PositiveMapRep) -> ChoiData:
-    """Choi matrix sum_ij E_ij (x) map(E_ij) and its least eigenvalue."""
-    n, m = pmap.input_dim, pmap.output_dim
-    # Block (i, j) is map(E_ij): the images of the stacked units E_ij, entries (i, a, j, b).
-    units = np.eye(n * n, dtype=complex).reshape(n, n, n, n)
-    c = _hermitian(apply(pmap, units).transpose(0, 2, 1, 3).reshape(n * m, n * m))
-    return ChoiData(c, float(np.linalg.eigvalsh(c).min()))
-
-
 def is_unital(pmap: PositiveMapRep) -> bool:
     """Whether ``||map(I) - I||`` is at most ``PSD_TOL``, not scaled."""
     image = apply(pmap, np.eye(pmap.input_dim, dtype=complex))
     return spectral_norm(image - np.eye(pmap.output_dim)) <= PSD_TOL
-
-
-def halmos_dilation(z) -> np.ndarray:
-    """Unitary 2n x 2n dilation of a contraction, placed in the upper-left block.
-
-    Both defect square roots are built from a single SVD of ``z`` so the block
-    matrix is unitary to machine precision even when the norm is exactly one;
-    defect eigenvalues pushed slightly negative by round-off are clipped at 0.
-    """
-    z = as_matrix(z, square=True, name="z")
-    u, s, vh = np.linalg.svd(z)
-    _refuse(_contracting(s[0]), "z", "a contraction")
-    c = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
-    left_defect = (u * c) @ u.conj().T
-    right_defect = (vh.conj().T * c) @ vh
-    return np.block([[z, -left_defect], [right_defect, z.conj().T]])
 
 
 def _cp_draws(rng: np.random.Generator, n: int, m: int, terms: int) -> np.ndarray:

@@ -11,14 +11,17 @@ whole, are the references for ``mat_abs`` of ``x*`` and of each block. The
 Kraus-map operations one factor (or one matrix unit) at a time are the
 reference for the stacked ones. The search constant's bisection is the reference for its
 closed form, and scipy's generalized eigensolve of the same pencil the reference for its
-Cholesky reduction.
+Cholesky reduction. The identity map, the upper-left block extraction and the unitary
+(Halmos) dilation of a contraction are the reference for the Russo-Dye shortcut, which
+applies the map to the contraction itself, and the polar witness of an image is the
+reference for the witness every orbit certificate carries.
 """
 
 import numpy as np
 import scipy.linalg
 
 from matineq.core import hermitian_part, mat_abs, polar, spectral_norm
-from matineq.maps import apply
+from matineq.maps import PositiveMapRep, apply
 
 
 def arithmetic_harmonic_mean(a, b, iterations=60):
@@ -122,6 +125,35 @@ def choi_by_units(pmap):
             e[i, j] = 1.0
             c[i * m : (i + 1) * m, j * m : (j + 1) * m] = apply(pmap, e)
     return (c + c.conj().T) / 2.0
+
+
+def identity_map(n):
+    """The identity map on n x n matrices: the one factor ``I_n``."""
+    return PositiveMapRep((np.eye(n, dtype=complex),), label=f"id({n})")
+
+
+def upper_left_map(n):
+    """The (1, 1) n x n block of a 2n x 2n matrix: the one factor ``[I_n; 0]``."""
+    return PositiveMapRep(np.eye(2 * n, dtype=complex)[None, :, :n], label=f"upper_left({n})")
+
+
+def halmos_dilation(z):
+    """The unitary ``[[z, -(I - z z*)^1/2], [(I - z* z)^1/2, z*]]`` of a contraction ``z``.
+
+    Both defect roots come from one SVD of ``z``, so the block matrix is unitary
+    to machine precision even at norm one.
+    """
+    z = np.asarray(z, dtype=complex)
+    u, s, vh = np.linalg.svd(z)
+    if s[0] > 1.0 + 1e-12:
+        raise ValueError("z must be a contraction")
+    c = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
+    return np.block([[z, -(u * c) @ u.conj().T], [(vh.conj().T * c) @ vh, z.conj().T]])
+
+
+def witness_unitary(y):
+    """The polar witness ``v`` with ``y = v* |y|``, per member of a stack: the adjoint of the polar unitary."""
+    return polar(y).unitary_factor.conj().swapaxes(-1, -2)
 
 
 def compose_by_factors(outer_ops, inner_ops):

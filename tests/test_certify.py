@@ -39,8 +39,6 @@ from matineq.maps import (
     PositiveMapRep,
     apply,
     corner_block_map,
-    halmos_dilation,
-    identity_map,
     is_unital,
     partial_trace_first,
     random_cp_map,
@@ -76,7 +74,6 @@ from matineq.certify import (
     search_nonnormal_counterexample,
     sharpness_family,
     trial_statements,
-    witness_unitary,
     _diagonal_certificate,
     _draw,
     _real_part_margin,
@@ -86,9 +83,11 @@ from _oracles import (
     abs_direct_sum_via_svd,
     abs_pair_via_one_svd,
     hermitian_sum_term_via_block,
+    identity_map,
     minimal_orbit_constant_by_bisection,
     schur_normal_terms_via_kron,
     schur_square_terms_via_kron,
+    witness_unitary,
 )
 
 R = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -731,7 +730,7 @@ def _one_svd_oracle_cases(n):
     sides.append((check_weighted_sum(xs, zs)[1], np.zeros_like(block), hermitian_part(block)))
     cases = [(cert, (lhs, rhs), loewner_leq(lhs, rhs, DEFAULT_TOL).passed) for cert, lhs, rhs in sides]
     a = random_normal([n, 45], n)
-    averager = corner_block_map("diag_average", n)
+    averager = corner_block_map(n)
     image = apply(averager, direct_sum([a, a.conj()]))
     arg = hermitian_part(apply(averager, abs_direct_sum_via_svd([a, a.conj()])))
     spectrum = np.maximum(np.linalg.eigvalsh(arg)[::-1], 0.0)
@@ -1197,11 +1196,14 @@ def test_search_chunks_stay_within_the_byte_budget(monkeypatch, n, m, budget_pai
     assert 2 * chunk * 16 * (n * m) ** 2 < peak <= maps.MAX_KRAUS_BYTES, (chunk, peak)
 
 
-@pytest.mark.parametrize("n, m", [(3, 3), (16, 16), (1, 64), (64, 1)])
+@pytest.mark.parametrize(
+    "n, m", [(3, 3), (16, 16), (1, 64), (64, 1), (9, 9), (8, 9), (9, 8), (9, 10), (10, 9)]
+)
 def test_a_sweep_trial_stays_within_its_byte_count(n, m):
     # Measured: the peak traced memory of one trial lies within what the sweep
     # trial record counts (0.10 of 0.12, 4.28 of 8.59, 9.20 of 9.96 and 8.49 of
-    # 9.96 MB), and holds the factors of the trial's two maps at least.
+    # 9.96 MB, and 0.49-0.53 of it from 8 x 9 to 10 x 9, where apply's pass size
+    # decides the peak), and holds the factors of the trial's two maps at least.
     import tracemalloc
 
     run_trial(1, 0, 2, 2, (0.5,))  # one-time allocations first
@@ -1311,9 +1313,10 @@ def test_refusals_come_before_any_decomposition(linalg_calls, case):
 
 _ONE = {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}
 
-# (entry, arguments, message) for the three argument rules of core: a size is
-# an integer >= 1, a list is not empty, and matrices compared entrywise or
-# side by side share one shape. Inputs are drawn before counting.
+# (entry, arguments, message) for the four argument rules of core: a size is
+# an integer >= 1, a seed or trial index an integer >= 0, a list is not empty,
+# and matrices compared entrywise or side by side share one shape. Inputs are
+# drawn before counting. A batch refuses its bad index before it draws a trial.
 _ARGUMENT_REFUSALS = {
     "random-matrix-rows": lambda: (random_matrix, (0, 0), "rows must be an integer >= 1, got 0"),
     "random-matrix-cols": lambda: (random_matrix, (0, 2, 2.5), "cols must be an integer >= 1, got 2.5"),
@@ -1324,8 +1327,7 @@ _ARGUMENT_REFUSALS = {
     "random-contraction": lambda: (random_contraction, (0, np.int64(0)), "n must be an integer >= 1"),
     "partial-trace-d": lambda: (partial_trace_first, (2.0, 2), "d must be an integer >= 1, got 2.0"),
     "partial-trace-n": lambda: (partial_trace_first, (2, 0), "n must be an integer >= 1, got 0"),
-    "corner-block": lambda: (corner_block_map, ("upper_left", 0), "n must be an integer >= 1, got 0"),
-    "identity-map": lambda: (identity_map, (0,), "n must be an integer >= 1, got 0"),
+    "corner-block": lambda: (corner_block_map, (0,), "n must be an integer >= 1, got 0"),
     "random-cp-n": lambda: (random_cp_map, (0, 0, 2), "n must be an integer >= 1, got 0"),
     "random-cp-m": lambda: (random_cp_map, (0, 2, False), "m must be an integer >= 1, got False"),
     "random-cp-terms": lambda: (random_cp_map, (0, 2, 2, 0), "terms must be an integer >= 1, got 0"),
@@ -1340,6 +1342,13 @@ _ARGUMENT_REFUSALS = {
     "estimate-trials": lambda: (estimate_constant, ([0.25], 0, 0), "trials must be an integer >= 1, got 0"),
     "estimate-n": lambda: (estimate_constant, ([0.25], 0, 1, 0), "n must be an integer >= 1, got 0"),
     "estimate-m": lambda: (estimate_constant, ([0.25], 0, 1, 2, 1.5), "m must be an integer >= 1, got 1.5"),
+    "estimate-seed": lambda: (estimate_constant, ([0.25], -1), "seed must be nonnegative"),
+    "estimate-bool-seed": lambda: (estimate_constant, ([0.25], True), "seed must be an integer"),
+    "trial-seed": lambda: (run_trial, (-1, 0, 2, 2, (0.5,)), "master_seed must be nonnegative"),
+    "trial-index": lambda: (run_trial, (1, -1, 2, 2, (0.5,)), "trial_index must be nonnegative"),
+    "trial-float-index": lambda: (run_trial, (1, 1.5, 2, 2, (0.5,)), "trial_index must be an integer"),
+    "trial-bool-index": lambda: (run_trial, (1, True, 2, 2, (0.5,)), "trial_index must be an integer"),
+    "trial-batch-index": lambda: (run_trial, (1, [0, -2], 2, 2, (0.5,)), "trial_index[1] must be nonnegative"),
     "literal-rows": lambda: (matrix_from_json, ({**_ONE, "rows": 0},), "rows must be an integer >= 1, got 0"),
     "literal-cols": lambda: (matrix_from_json, ({**_ONE, "cols": True},), "cols must be an integer >= 1"),
     "map-literal-input-dim": lambda: (
@@ -1412,7 +1421,9 @@ _PROPERTY_REFUSALS = {
     "logmaj-finite": lambda: (weak_log_majorize, ([1.0, 0.5], [np.nan, 1.0]), "b must be finite"),
     "logmaj-nonnegative": lambda: (weak_log_majorize, ([1.0, -0.5], [1.0, 1.0]), "a must be nonnegative"),
     "schur-multiplier-psd": lambda: (schur_multiplier, (_INDEFINITE,), "a must be positive semidefinite"),
-    "halmos-contraction": lambda: (halmos_dilation, (2.0 * _EYE,), "z must be a contraction"),
+    "russo-dye-contraction": lambda: (
+        check_russo_dye, (random_cp_map(1, 2, 2), 2.0 * _EYE), "z must be a contraction"
+    ),
     "kraus-finite": lambda: (PositiveMapRep, ([np.full((1, 1), np.nan)],), "kraus_ops must be finite"),
     "theorem-normal": lambda: (check_theorem_main, (random_cp_map(1, 2, 2), _SHIFT, 0.5), "nmat must be normal"),
     "sum-of-normals-normal": lambda: (check_sum_of_normals, ([_EYE, _SHIFT],), "mats[1] must be normal"),

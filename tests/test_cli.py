@@ -384,6 +384,13 @@ def test_negative_seed_is_a_usage_error_naming_the_option(capsys, command):
     assert "--seed must be nonnegative" in capsys.readouterr().err
 
 
+def test_negative_trial_offset_is_a_usage_error_naming_the_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--trial-offset", "-1", "--trials", "1"])
+    assert exc.value.code == 2
+    assert "--trial-offset must be nonnegative" in capsys.readouterr().err
+
+
 def test_verify_writes_output_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code = cli.main(["verify", "--trials", "1", "--out", str(path)])

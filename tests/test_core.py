@@ -33,7 +33,8 @@ from matineq.core import (
     spectral_norm,
     weak_log_majorize,
 )
-from matineq.maps import halmos_dilation, schur_multiplier
+from matineq.certify import check_russo_dye
+from matineq.maps import random_cp_map, schur_multiplier
 
 from _oracles import abs_via_eig, arithmetic_harmonic_mean, geometric_mean_six_decompositions
 
@@ -505,7 +506,7 @@ EMPTY = np.zeros((0, 0), dtype=complex)
         pytest.param(lambda: loewner_leq(EMPTY, EMPTY), "a", id="loewner_leq-a"),
         pytest.param(lambda: loewner_leq(np.eye(2), EMPTY), "b", id="loewner_leq-b"),
         pytest.param(lambda: schur_multiplier(EMPTY), "a", id="schur_multiplier"),
-        pytest.param(lambda: halmos_dilation(EMPTY), "z", id="halmos_dilation"),
+        pytest.param(lambda: check_russo_dye(random_cp_map(0, 2, 2), EMPTY), "z", id="check_russo_dye"),
         pytest.param(lambda: mat_abs(EMPTY), "x", id="mat_abs"),
         pytest.param(lambda: mat_abs(np.zeros((3, 0, 0))), "x", id="mat_abs-stack"),
         pytest.param(lambda: mat_abs(np.zeros((0, 3, 3))), "x", id="mat_abs-no-members"),

@@ -42,6 +42,55 @@ def test_package_exports_are_listed_names():
         assert value is listed[name], name
 
 
+def test_export_inventory():
+    # Every module's __all__ and the package's public names, sorted: adding or
+    # dropping an export must show up here.
+    expected = {
+        "matineq.core": [
+            "CONSTRUCTION_TOL", "LoewnerCheck", "MajorizationReport", "PSD_TOL", "PolarFactors",
+            "SpectralData", "as_matrix", "conj_real_part", "direct_sum", "geometric_mean",
+            "haar_unitary", "herm_eig", "hermitian_part", "is_contraction", "is_hermitian",
+            "is_normal", "loewner_leq", "mat_abs", "polar", "random_contraction", "random_matrix",
+            "random_normal", "random_psd", "schur_prod", "singular_values", "spectral_norm",
+            "weak_log_majorize",
+        ],
+        "matineq.maps": [
+            "MAX_KRAUS_BYTES", "PositiveMapRep", "apply", "compose", "corner_block_map", "is_unital",
+            "partial_trace_first", "random_cp_map", "random_unital_cp_map", "schur_multiplier",
+        ],
+        "matineq.certify": [
+            "Certificate", "DEFAULT_TOL", "EigenCorollaryReports", "RealPartReport", "ReproResult",
+            "RussoDyeReports", "chain_certificate", "check_block_certificate", "check_corollary_eigen",
+            "check_hermitian_sum", "check_partial_trace", "check_real_part", "check_russo_dye",
+            "check_schur_diagonal", "check_schur_normal", "check_schur_square", "check_sum_of_normals",
+            "check_theorem_main", "check_two_positive_unital", "check_weighted_sum", "estimate_constant",
+            "minimal_orbit_constant", "quarter_sharpness_hermitian", "quarter_sharpness_map",
+            "repro_no_single_unitary", "repro_psi_sharpness", "repro_sharpness_beta", "run_trial",
+            "search_nonnormal_counterexample", "sharpness_family", "trial_statements",
+        ],
+        "matineq.serialize": ["map_from_json", "map_to_json", "matrix_from_json", "matrix_to_json", "repro_to_json"],
+        "matineq.staging": ["Ask", "run"],
+        "matineq": [
+            "Certificate", "LoewnerCheck", "MajorizationReport", "PolarFactors", "PositiveMapRep",
+            "ReproResult", "SpectralData", "apply", "check_block_certificate", "check_corollary_eigen",
+            "check_hermitian_sum", "check_partial_trace", "check_real_part", "check_russo_dye",
+            "check_schur_diagonal", "check_schur_normal", "check_schur_square", "check_sum_of_normals",
+            "check_theorem_main", "check_two_positive_unital", "check_weighted_sum", "compose",
+            "conj_real_part", "corner_block_map", "direct_sum", "estimate_constant", "geometric_mean",
+            "haar_unitary", "herm_eig", "is_unital", "loewner_leq", "mat_abs", "minimal_orbit_constant",
+            "partial_trace_first", "polar", "random_contraction", "random_cp_map", "random_matrix",
+            "random_normal", "random_psd", "random_unital_cp_map", "repro_no_single_unitary",
+            "repro_psi_sharpness", "repro_sharpness_beta", "schur_multiplier", "schur_prod",
+            "search_nonnormal_counterexample", "weak_log_majorize",
+        ],
+    }
+    found = {module.__name__: sorted(module.__all__) for module in MODULES}
+    found["matineq"] = sorted(
+        name for name, value in vars(matineq).items() if not name.startswith("_") and not inspect.ismodule(value)
+    )
+    assert found == expected
+
+
 def test_package_version_matches_pyproject():
     # The report's artifactVersion reads __version__, so the two must not drift.
     assert re.search(r'^version = "([^"]+)"$', _project(), re.M).group(1) == matineq.__version__

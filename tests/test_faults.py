@@ -34,7 +34,9 @@ from matineq.certify import (
     trial_statements,
 )
 from matineq.core import haar_unitary, random_normal
-from matineq.maps import identity_map, random_cp_map, schur_multiplier
+from matineq.maps import random_cp_map, schur_multiplier
+
+from _oracles import identity_map
 
 
 def _adjoint(v):
@@ -139,12 +141,23 @@ def _equality():
 
 
 def _sharpness():
-    """The arithmetic certificate of the sharpness family, whose min slack is 0.0 at each weight."""
+    """Both orbit certificates of the sharpness family, whose min slacks are 0.0 at each weight."""
     out = {}
     for beta in (0.5, 1.0, 2.0):
         a, r = sharpness_family(beta)
-        out[f"main-arith@beta={beta:g}"] = check_theorem_main(schur_multiplier(a), r, beta)[0]
+        arith, geom = check_theorem_main(schur_multiplier(a), r, beta)
+        out[f"main-arith@beta={beta:g}"], out[f"main-geom@beta={beta:g}"] = arith, geom
     return out
+
+
+def _harmonic_mean():
+    """``certify.geometric_mean`` replaced by the Hermitian part of the harmonic mean ``2 a (a + b)^-1 b``."""
+
+    def harmonic(a, b):
+        h = 2.0 * a @ np.linalg.solve(a + b, b)
+        return (h + _adjoint(h)) / 2.0
+
+    return _patch("geometric_mean", lambda geometric_mean: harmonic)
 
 
 # fault: (patch, configuration, the keys that then fail and no others).
@@ -180,6 +193,11 @@ _BOUND_FAULTS = {
     # and the sweep's drawn unital maps stay clear of it.
     "quarter-shrunk": (_shrunk_quarter, _equality, {"two-positive-quarter"}),
     "quarter-shrunk-in-the-sweep": (_shrunk_quarter, _sweep, set()),
+    # The harmonic mean in place of #: it lies below the geometric mean, so only a
+    # pair on which # is attained sees it. The sharpness family at beta = 1 and 2
+    # (min slacks -0.2 and -0.529); at beta = 1/2 both means are the same.
+    "harmonic-mean": (_harmonic_mean, _sharpness, {"main-geom@beta=1", "main-geom@beta=2"}),
+    "harmonic-mean-in-the-sweep": (_harmonic_mean, _sweep, set()),
     # The singular values weakly log-majorize the spectrum, in place of the converse.
     "logmaj-sides-swapped": (
         lambda: _patch("_log_majorizations", lambda logmaj: lambda a, b, tol: logmaj(b, a, tol)),

@@ -16,18 +16,14 @@ from matineq.core import (
 from matineq.maps import (
     PositiveMapRep,
     apply,
-    choi,
     compose,
     corner_block_map,
-    halmos_dilation,
-    identity_map,
     is_unital,
     partial_trace_first,
     random_cp_map,
     random_unital_cp_map,
     schur_multiplier,
 )
-from matineq import maps
 from matineq.certify import quarter_sharpness_map
 
 from _oracles import (
@@ -35,7 +31,10 @@ from _oracles import (
     choi_by_units,
     compose_by_factors,
     gaussian_kraus_draws,
+    halmos_dilation,
+    identity_map,
     unital_normalisation,
+    upper_left_map,
 )
 
 R = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -133,7 +132,7 @@ def test_apply_preserves_positivity_per_constructor():
     constructors = [
         ("schur", lambda s: schur_multiplier(random_psd([s, 0], 3))),
         ("ptrace", lambda s: partial_trace_first(2, 3)),
-        ("corner", lambda s: corner_block_map("diag_average", 3)),
+        ("corner", lambda s: corner_block_map(3)),
         ("random-cp", lambda s: random_cp_map([s, 1], 6, 3)),
         ("random-unital", lambda s: random_unital_cp_map([s, 2], 6, 3)),
     ]
@@ -154,8 +153,8 @@ _PARITY_MAPS = [
     pytest.param(schur_multiplier(np.ones((3, 3))), id="schur-rank-one"),
     pytest.param(schur_multiplier(np.zeros((3, 3))), id="zero-multiplier"),
     pytest.param(partial_trace_first(3, 2), id="ptrace"),
-    pytest.param(corner_block_map("upper_left", 2), id="upper-left"),
-    pytest.param(corner_block_map("diag_average", 3), id="diag-average"),
+    pytest.param(upper_left_map(2), id="upper-left"),
+    pytest.param(corner_block_map(3), id="diag-average"),
     pytest.param(identity_map(3), id="identity"),
     pytest.param(random_cp_map(1, 3, 3), id="random-cp"),
     pytest.param(random_cp_map(2, 4, 2), id="random-cp-tall"),
@@ -200,7 +199,7 @@ def test_maps_pruned_to_zero_keep_one_zero_factor():
     [
         (random_cp_map(0, 3, 2), random_cp_map(1, 4, 3)),
         (random_cp_map(2, 2, 2, terms=1), random_cp_map(3, 2, 2)),
-        (partial_trace_first(2, 2), corner_block_map("diag_average", 4)),
+        (partial_trace_first(2, 2), corner_block_map(4)),
         (schur_multiplier(random_psd(4, 2)), random_unital_cp_map(5, 3, 2)),
     ],
 )
@@ -226,9 +225,10 @@ def test_random_maps_are_the_per_term_draws(n, m, terms):
 
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (3, 2), (4, 4)])
 def test_upper_left_of_dilation_is_the_map_of_the_contraction(n, m):
-    # The identity check_russo_dye relies on to skip the dilation.
+    # The identity check_russo_dye relies on to skip the dilation: the map
+    # composed with the upper-left extraction sends the unitary dilation of z to map(z).
     pmap = random_cp_map([n, m], n, m)
-    extended = compose(pmap, corner_block_map("upper_left", n))
+    extended = compose(pmap, upper_left_map(n))
     contractions = [
         0.5 * random_contraction([n, 1], n),
         random_contraction([n, 2], n),
@@ -309,7 +309,7 @@ def test_corner_upper_left_extraction():
     big = np.zeros((4, 4), dtype=complex)
     big[:2, :2] = a
     big[2:, 2:] = d
-    np.testing.assert_allclose(apply(corner_block_map("upper_left", 2), big), a, atol=0)
+    np.testing.assert_allclose(apply(upper_left_map(2), big), a, atol=0)
 
 
 def test_corner_diag_average_builds_real_part():
@@ -317,13 +317,8 @@ def test_corner_diag_average_builds_real_part():
     big = np.zeros((6, 6), dtype=complex)
     big[:3, :3] = a
     big[3:, 3:] = np.conj(a)
-    out = apply(corner_block_map("diag_average", 3), big)
+    out = apply(corner_block_map(3), big)
     np.testing.assert_allclose(out, (a + np.conj(a)) / 2.0, atol=1e-14)
-
-
-def test_corner_unknown_variant():
-    with pytest.raises(ValueError):
-        corner_block_map("bogus", 2)
 
 
 def test_compose_with_identity():
@@ -393,9 +388,7 @@ def test_compose_block_sum_after_extraction_doubles_schur_square():
 def test_quarter_sharpness_map_is_unital_and_cp():
     pmap = quarter_sharpness_map()
     assert is_unital(pmap)
-    data = choi(pmap)
-    assert data.min_eigenvalue >= -1e-9
-    assert spectral_norm(data.choi_matrix - data.choi_matrix.conj().T) <= 1e-14
+    assert np.linalg.eigvalsh(choi_by_units(pmap)).min() >= -1e-9
 
 
 def test_schur_multiplier_unital_iff_unit_diagonal():
@@ -411,17 +404,16 @@ def test_choi_psd_for_every_constructor():
     maps = [
         schur_multiplier(random_psd(0, 3)),
         partial_trace_first(2, 2),
-        corner_block_map("upper_left", 2),
-        corner_block_map("diag_average", 2),
-        compose(random_cp_map(1, 2, 3), corner_block_map("upper_left", 2)),
+        upper_left_map(2),
+        corner_block_map(2),
+        compose(random_cp_map(1, 2, 3), upper_left_map(2)),
         identity_map(3),
         random_cp_map(2, 2, 3),
         random_unital_cp_map(3, 3, 2),
     ]
     for pmap in maps:
-        data = choi(pmap)
-        scale = max(1.0, spectral_norm(data.choi_matrix))
-        assert data.min_eigenvalue >= -1e-9 * scale, pmap.label
+        c = choi_by_units(pmap)
+        assert np.linalg.eigvalsh(c).min() >= -1e-9 * max(1.0, spectral_norm(c)), pmap.label
 
 
 def _choi_maps():
@@ -434,26 +426,19 @@ def _choi_maps():
 
 @pytest.mark.parametrize("make", _choi_maps())
 def test_choi_has_the_bits_of_one_apply_per_matrix_unit(make):
+    # The n^2 matrix units E_ij as one (n, n, n, n) stack: one apply call gives
+    # the blocks map(E_ij) of one call per unit, and the Choi matrix is PSD.
     pmap = make()
-    data = choi(pmap)
-    np.testing.assert_array_equal(data.choi_matrix, choi_by_units(pmap))
-    assert data.min_eigenvalue == float(np.linalg.eigvalsh(data.choi_matrix).min())
-
-
-def test_choi_makes_one_apply_call(monkeypatch):
-    calls = []
-
-    def counted(pmap, x):
-        calls.append(np.shape(x))
-        return apply(pmap, x)
-
-    monkeypatch.setattr(maps, "apply", counted)
-    choi(random_cp_map(0, 3, 2))
-    assert calls == [(3, 3, 3, 3)]
+    n, m = pmap.input_dim, pmap.output_dim
+    units = np.eye(n * n, dtype=complex).reshape(n, n, n, n)
+    stacked = apply(pmap, units).transpose(0, 2, 1, 3).reshape(n * m, n * m)
+    c = choi_by_units(pmap)
+    np.testing.assert_array_equal((stacked + stacked.conj().T) / 2.0, c)
+    assert np.linalg.eigvalsh(c).min() >= -1e-9 * max(1.0, spectral_norm(c))
 
 
 # ---------------------------------------------------------------------------
-# halmos dilation
+# halmos dilation: the oracle the Russo-Dye identity above is checked on
 # ---------------------------------------------------------------------------
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from matineq import certify, maps
-from matineq.certify import _diagonal_certificate, check_schur_diagonal
+from matineq.certify import _diagonal_certificate, check_russo_dye, check_schur_diagonal
 from matineq.core import (
     CONSTRUCTION_TOL,
     PSD_TOL,
@@ -25,7 +25,7 @@ from matineq.core import (
     loewner_leq,
     weak_log_majorize,
 )
-from matineq.maps import halmos_dilation, schur_multiplier
+from matineq.maps import random_cp_map, schur_multiplier
 
 # The tolerance of every Hermitian-input check and of the normal input check.
 INPUT_TOL = 1e-8
@@ -95,7 +95,7 @@ def test_contraction_checks_flip_at_one_plus_construction_tol(norm, accepted):
     # The contraction rule is absolute: no magnitude scales it.
     z = np.diag([0.5, norm]).astype(complex)
     assert is_contraction(z) is accepted
-    assert _accepts(lambda: halmos_dilation(z)) is accepted
+    assert _accepts(lambda: check_russo_dye(random_cp_map(0, 2, 2), z)) is accepted
 
 
 def _hermitian_verdicts(x) -> list:
