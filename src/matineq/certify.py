@@ -787,7 +787,7 @@ def quarter_sharpness_map() -> PositiveMapRep:
     """
     k1 = np.array([[1.0, 0.0], [0.0, 0.5], [0.0, 0.0]], dtype=complex)
     k2 = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, math.sqrt(3.0) / 2.0]], dtype=complex)
-    return PositiveMapRep((k1, k2), label="quarter-sharpness")
+    return PositiveMapRep((k1, k2))
 
 
 def quarter_sharpness_hermitian() -> np.ndarray:
@@ -948,7 +948,7 @@ def minimal_orbit_constant(pmap: PositiveMapRep | Sequence[PositiveMapRep], nmat
 # draws, the factors and the maps' copies while the chunk is built; the maps, their
 # stack and _apply_stack's products while it is solved), six n x n (the normal's
 # draws, Haar factor and modulus) and twelve m x m (the images, polar factors, orbit
-# and pencil of the solve), and its map, label and draws' headers. The counts bound
+# and pencil of the solve), and its map's and draws' headers. The counts bound
 # the peaks tracemalloc measures from 1 x 1 to 32 x 1, 1 x 32 and 8 x 8.
 _SEARCH_PAIR = _Unit("search pair", 4, 6, 12, 1536, 1)
 # A sweep trial holds seven arrays the size of one map's Kraus factors (the sweep and

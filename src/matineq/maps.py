@@ -91,7 +91,6 @@ class PositiveMapRep:
     """
 
     kraus_ops: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         # A ragged sequence of factors raises ValueError here. A read-only copy
@@ -184,20 +183,20 @@ def schur_multiplier(a) -> PositiveMapRep:
     keep = w > _threshold(_DROP_TOL, abs(w[0]))
     diagonals = np.conj(np.sqrt(w[keep]) * v[:, keep]).T
     ops = diagonals[:, :, None] * np.eye(n)
-    return PositiveMapRep(_prune(ops), label=f"schur({n})")
+    return PositiveMapRep(_prune(ops))
 
 
 def partial_trace_first(d: int, n: int) -> PositiveMapRep:
     """Partial trace over the first tensor factor: block matrix to sum of diagonal blocks."""
     _check_size(d, "d")
     _check_size(n, "n")
-    return PositiveMapRep(_block_rows(d, n), label=f"ptrace1({d},{n})")
+    return PositiveMapRep(_block_rows(d, n))
 
 
 def corner_block_map(n: int) -> PositiveMapRep:
     """The mean of the two diagonal n x n blocks of a 2n x 2n matrix."""
     _check_size(n, "n")
-    return PositiveMapRep(_block_rows(2, n) / np.sqrt(2.0), label=f"diag_average({n})")
+    return PositiveMapRep(_block_rows(2, n) / np.sqrt(2.0))
 
 
 def compose(outer: PositiveMapRep, inner: PositiveMapRep) -> PositiveMapRep:
@@ -210,8 +209,7 @@ def compose(outer: PositiveMapRep, inner: PositiveMapRep) -> PositiveMapRep:
     ops = (inner.kraus_ops[:, None] @ outer.kraus_ops[None]).reshape(
         -1, inner.input_dim, outer.output_dim
     )
-    label = f"{outer.label or 'outer'}.{inner.label or 'inner'}"
-    return PositiveMapRep(_prune(ops), label=label)
+    return PositiveMapRep(_prune(ops))
 
 
 def is_unital(pmap: PositiveMapRep) -> bool:
@@ -227,9 +225,9 @@ def _cp_draws(rng: np.random.Generator, n: int, m: int, terms: int) -> np.ndarra
 
 def _cp_maps(draws: np.ndarray) -> list:
     """The maps ``random_cp_map`` builds from a stack ``(k, terms, 2, n, m)`` of its draws, one per member."""
-    _, terms, _, n, m = draws.shape
+    _, terms, _, n, _ = draws.shape
     ops = (draws[:, :, 0] + 1j * draws[:, :, 1]) / np.sqrt(2.0 * n * terms)
-    return [PositiveMapRep(member, label=f"random-cp({n},{m})") for member in ops]
+    return [PositiveMapRep(member) for member in ops]
 
 
 def random_cp_map(seed, n: int, m: int, terms: Optional[int] = None) -> PositiveMapRep:
@@ -249,4 +247,4 @@ def random_unital_cp_map(seed, n: int, m: int, terms: Optional[int] = None) -> P
     w, v = np.linalg.eigh(hermitian_part(image))
     w = np.maximum(w, _threshold(CONSTRUCTION_TOL, w.max()))
     inv_root = (v / np.sqrt(w)) @ v.conj().T
-    return PositiveMapRep(base.kraus_ops @ inv_root, label=f"random-unital-cp({n},{m})")
+    return PositiveMapRep(base.kraus_ops @ inv_root)

@@ -2,8 +2,8 @@
 
 Matrix literals are ``{"rows": n, "cols": m, "re": [...], "im": [...]}`` with
 integer dimensions and both arrays flat lists of ``n * m`` numbers in
-row-major order; the other schemas embed these literals. A malformed literal
-raises ValueError.
+row-major order. A map literal ``{"kraus": [...]}`` holds its Kraus factors'
+literals and no other key, so its sizes are theirs. A malformed literal raises ValueError.
 """
 
 from __future__ import annotations
@@ -57,27 +57,16 @@ def matrix_from_json(data: dict) -> np.ndarray:
 
 
 def map_to_json(pmap: PositiveMapRep) -> dict:
-    return {
-        "label": pmap.label,
-        "inputDim": pmap.input_dim,
-        "outputDim": pmap.output_dim,
-        "kraus": [matrix_to_json(k) for k in pmap.kraus_ops],
-    }
+    return {"kraus": [matrix_to_json(k) for k in pmap.kraus_ops]}
 
 
 def map_from_json(data: dict) -> PositiveMapRep:
+    keys = list(data) if isinstance(data, dict) else type(data).__name__
+    if keys != ["kraus"]:
+        raise ValueError(f"malformed map literal: its one key is kraus, got {keys}")
     try:
-        ops = tuple(matrix_from_json(k) for k in data["kraus"])
-        dims, label = (data["inputDim"], data["outputDim"]), data.get("label", "")
-        _check_size(dims[0], "inputDim")
-        _check_size(dims[1], "outputDim")
-        if not isinstance(label, str):
-            raise ValueError("map literal label must be a string")
-        pmap = PositiveMapRep(ops, label=label)
-        if (pmap.input_dim, pmap.output_dim) != dims:
-            raise ValueError(f"map literal dimensions {dims} disagree with its factors")
-        return pmap
-    except (KeyError, TypeError) as exc:
+        return PositiveMapRep(tuple(matrix_from_json(k) for k in data["kraus"]))
+    except TypeError as exc:
         raise ValueError(f"malformed map literal: {exc}") from exc
 
 

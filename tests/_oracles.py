@@ -129,12 +129,12 @@ def choi_by_units(pmap):
 
 def identity_map(n):
     """The identity map on n x n matrices: the one factor ``I_n``."""
-    return PositiveMapRep((np.eye(n, dtype=complex),), label=f"id({n})")
+    return PositiveMapRep((np.eye(n, dtype=complex),))
 
 
 def upper_left_map(n):
     """The (1, 1) n x n block of a 2n x 2n matrix: the one factor ``[I_n; 0]``."""
-    return PositiveMapRep(np.eye(2 * n, dtype=complex)[None, :, :n], label=f"upper_left({n})")
+    return PositiveMapRep(np.eye(2 * n, dtype=complex)[None, :, :n])
 
 
 def halmos_dilation(z):

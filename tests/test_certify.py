@@ -267,7 +267,7 @@ def _compression_control(seed, sign):
     """main-arith@beta=1 of ``X -> W* X W``, ``W`` a Haar 3 x 2 isometry, on a real symmetric ``A``."""
     w = haar_unitary([seed, 0], 3)[:, :2]
     g = np.random.default_rng([seed, 1]).standard_normal((3, 3))
-    pmap = PositiveMapRep(w[None], label="compression")
+    pmap = PositiveMapRep(w[None])
     return certify._run(certify._orbit_statements(pmap, g + g.T, (1.0,), DEFAULT_TOL, sign))[0][0]
 
 
@@ -827,9 +827,10 @@ def test_two_positive_applies_the_unital_map_to_z_and_its_modulus_only(monkeypat
     # before the run; the sweep's unital map is unital as drawn, so the sweep
     # applies it once, to [z, |z|], and never to the identity.
     stacks = []
+    unital = _draw(5, 3, 3, 3).unital.kraus_ops
 
     def counted(pmap, x):
-        if pmap.label.startswith("random-unital-cp"):
+        if np.array_equal(pmap.kraus_ops, unital):
             stacks.append(x)
         return apply(pmap, x)
 
@@ -1086,7 +1087,7 @@ def test_search_pairs_are_the_public_generators_draws():
         same = np.array_equal if n > 1 else np.allclose
         for t, pmap, nmat in zip(range(3, 40), pmaps, nmats):
             expected = random_cp_map([5, 2, t, 0], n, m)
-            assert np.array_equal(pmap.kraus_ops, expected.kraus_ops) and pmap.label == expected.label
+            assert np.array_equal(pmap.kraus_ops, expected.kraus_ops)
             assert same(nmat, random_normal([5, 2, t, 1], n))
 
 
@@ -1351,15 +1352,12 @@ _ARGUMENT_REFUSALS = {
     "trial-batch-index": lambda: (run_trial, (1, [0, -2], 2, 2, (0.5,)), "trial_index[1] must be nonnegative"),
     "literal-rows": lambda: (matrix_from_json, ({**_ONE, "rows": 0},), "rows must be an integer >= 1, got 0"),
     "literal-cols": lambda: (matrix_from_json, ({**_ONE, "cols": True},), "cols must be an integer >= 1"),
+    # A map literal's sizes are its factors': the rows and columns of its matrix literals.
     "map-literal-input-dim": lambda: (
-        map_from_json,
-        ({"inputDim": 0, "outputDim": 1, "kraus": [_ONE]},),
-        "inputDim must be an integer >= 1, got 0",
+        map_from_json, ({"kraus": [{**_ONE, "rows": 0}]},), "rows must be an integer >= 1, got 0"
     ),
     "map-literal-output-dim": lambda: (
-        map_from_json,
-        ({"inputDim": 1, "outputDim": 1.5, "kraus": [_ONE]},),
-        "outputDim must be an integer >= 1, got 1.5",
+        map_from_json, ({"kraus": [{**_ONE, "cols": 1.5}]},), "cols must be an integer >= 1, got 1.5"
     ),
     "direct-sum-empty": lambda: (direct_sum, ([],), "mats must not be empty"),
     "sum-of-normals-empty": lambda: (check_sum_of_normals, ([],), "mats must not be empty"),

@@ -1,5 +1,7 @@
 """Tests for the Kraus-form positive maps and their constructors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,14 @@ def test_rep_stores_one_stack():
         with pytest.raises(AttributeError):
             setattr(pmap, name, 4)
     assert (pmap.input_dim, pmap.output_dim) == (3, 2)
+
+
+def test_a_map_is_its_kraus_stack_alone():
+    # The stack is the one settable value: the sizes are read off it, and
+    # nothing else (a label, say) is stored beside it.
+    assert [f.name for f in dataclasses.fields(PositiveMapRep)] == ["kraus_ops"]
+    with pytest.raises(TypeError):
+        PositiveMapRep((np.eye(2),), label="id(2)")
 
 
 def test_rep_keeps_a_private_read_only_stack():
@@ -173,7 +183,7 @@ def test_apply_matches_per_factor_oracle(pmap):
             x = scale * random_matrix([seed, 11], pmap.input_dim)
             expected = apply_by_factors(pmap.kraus_ops, x)
             err = spectral_norm(apply(pmap, x) - expected)
-            assert err <= 1e-13 * max(1.0, spectral_norm(expected)), (pmap.label, seed, scale)
+            assert err <= 1e-13 * max(1.0, spectral_norm(expected)), (seed, scale)
 
 
 @pytest.mark.parametrize("pmap", _PARITY_MAPS)
@@ -411,9 +421,9 @@ def test_choi_psd_for_every_constructor():
         random_cp_map(2, 2, 3),
         random_unital_cp_map(3, 3, 2),
     ]
-    for pmap in maps:
+    for index, pmap in enumerate(maps):
         c = choi_by_units(pmap)
-        assert np.linalg.eigvalsh(c).min() >= -1e-9 * max(1.0, spectral_norm(c)), pmap.label
+        assert np.linalg.eigvalsh(c).min() >= -1e-9 * max(1.0, spectral_norm(c)), index
 
 
 def _choi_maps():

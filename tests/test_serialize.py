@@ -43,13 +43,15 @@ def test_matrix_literal_validation():
 
 
 def test_map_round_trip_preserves_action():
+    # A map literal is its Kraus factors alone; the sizes are read off them.
     pmap = random_cp_map(2, 3, 2)
     data = map_to_json(pmap)
-    assert set(data) == {"label", "inputDim", "outputDim", "kraus"}
+    assert list(data) == ["kraus"]
     back = map_from_json(json.loads(json.dumps(data)))
+    assert np.array_equal(back.kraus_ops, pmap.kraus_ops)
+    assert (back.input_dim, back.output_dim) == (3, 2)
     x = random_matrix(3, 3)
     assert spectral_norm(apply(back, x) - apply(pmap, x)) <= 1e-14
-    assert back.label == pmap.label
 
 
 def test_map_literal_validation():
@@ -58,7 +60,8 @@ def test_map_literal_validation():
 
 
 ONE = {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}
-MAP = {"inputDim": 1, "outputDim": 1, "kraus": [ONE]}
+MAP = {"kraus": [ONE]}
+TWO = {"re": [1.0, 0.0], "im": [0.0, 0.0]}
 
 
 @pytest.mark.parametrize(
@@ -74,11 +77,20 @@ MAP = {"inputDim": 1, "outputDim": 1, "kraus": [ONE]}
         pytest.param(matrix_from_json, {**ONE, "cols": True}, id="cols-bool"),
         pytest.param(matrix_from_json, {**ONE, "rows": "1"}, id="rows-string"),
         pytest.param(matrix_from_json, [ONE], id="matrix-not-object"),
+        # A map literal has the one key kraus: a stale size or label is refused,
+        # even one that agrees with the factors.
         pytest.param(map_from_json, {**MAP, "inputDim": 1.5}, id="input-dim-float"),
         pytest.param(map_from_json, {**MAP, "outputDim": None}, id="output-dim-null"),
         pytest.param(map_from_json, {**MAP, "label": None}, id="label-null"),
         pytest.param(map_from_json, {**MAP, "inputDim": 2}, id="input-dim-not-the-factors"),
         pytest.param(map_from_json, {**MAP, "outputDim": 2}, id="output-dim-not-the-factors"),
+        pytest.param(map_from_json, {**MAP, "inputDim": 1, "outputDim": 1}, id="sizes-of-the-factors"),
+        pytest.param(map_from_json, {**MAP, "label": "id(1)"}, id="label-string"),
+        pytest.param(map_from_json, [MAP], id="map-not-object"),
+        pytest.param(map_from_json, {**MAP, "kraus": None}, id="kraus-null"),
+        pytest.param(map_from_json, {**MAP, "kraus": []}, id="kraus-empty"),
+        pytest.param(map_from_json, {**MAP, "kraus": [ONE, {**ONE, "cols": 2, **TWO}]}, id="kraus-ragged"),
+        pytest.param(map_from_json, {**MAP, "kraus": [{**ONE, "re": [float("inf")]}]}, id="kraus-infinite"),
         pytest.param(map_from_json, {**MAP, "kraus": [{**ONE, "im": None}]}, id="kraus-im-null"),
     ],
 )
