@@ -28,6 +28,7 @@ from .core import (
     _check_nonempty,
     _check_same_shape,
     _check_size,
+    _check_tol,
     _complex_gaussian,
     _contractions,
     _hermitian,
@@ -424,6 +425,7 @@ def check_theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float = DEF
     geometric-mean refinement ``|map(n)| <= map(|n|) # v map(|n|) v*``,
     both with the polar witness ``v`` of ``map(n)``.
     """
+    _check_tol(tol)
     _check_weights([beta])
     nmat = _entry(nmat, "nmat", pmap, is_normal, "normal")
     arith, geom = _run(_orbit_statements(pmap, nmat, (beta,), tol))[0][:2]
@@ -432,11 +434,13 @@ def check_theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float = DEF
 
 def chain_certificate(geom: Certificate, arith: Certificate, tol: float = DEFAULT_TOL) -> Certificate:
     """The geometric-mean bound never exceeds the arithmetic one (AM-GM chain)."""
+    _check_tol(tol)
     return _run(_decide([_chain(geom, arith)], tol))[0][0]
 
 
 def check_block_certificate(pmap: PositiveMapRep, nmat, tol: float = DEFAULT_TOL) -> Certificate:
     """The 2x2 block matrix [[map(|n|), map(n)], [map(n*), map(|n|)]] is PSD."""
+    _check_tol(tol)
     nmat = _entry(nmat, "nmat", pmap, is_normal, "normal")
     return _run(_orbit_statements(pmap, nmat, (), tol))[0][0]
 
@@ -452,6 +456,7 @@ def check_corollary_eigen(
     and k-th eigenvalues; (c) the eigenvalues of ``|map(n)| - beta map(|n|)``
     scaled by ``4 beta`` stay below those of ``map(|n|)``.
     """
+    _check_tol(tol)
     _check_weights([beta])
     nmat = _entry(nmat, "nmat", pmap, is_normal, "normal")
     return EigenCorollaryReports(*_run(_orbit_statements(pmap, nmat, (beta,), tol))[0][4:])
@@ -486,6 +491,7 @@ def check_real_part(a, tol: float = DEFAULT_TOL) -> RealPartReport:
     det Re|a|``, the single entries of its two sides; the real part of a PSD
     matrix is again PSD, so the right-hand determinant is nonnegative.
     """
+    _check_tol(tol)
     a = _entry(a, "a", check=is_normal, what="normal")
     return RealPartReport(*_run(_real_part(corner_block_map(a.shape[0]), a, tol))[0])
 
@@ -498,6 +504,7 @@ def _partial_trace(trace: PositiveMapRep, nmat, tol: float):
 
 def check_partial_trace(nmat, d: int, n: int, tol: float = DEFAULT_TOL) -> Certificate:
     """Geometric-mean orbit bound for the partial trace of a normal block matrix."""
+    _check_tol(tol)
     trace = partial_trace_first(d, n)
     return _run(_partial_trace(trace, _entry(nmat, "nmat", trace, is_normal, "normal"), tol))[0][0]
 
@@ -515,6 +522,7 @@ def check_sum_of_normals(mats: Sequence, tol: float = DEFAULT_TOL):
     Returns the geometric-mean certificate and the weaker arithmetic one on
     ``sum |n_i|`` and its unitary conjugate.
     """
+    _check_tol(tol)
     names = [f"mats[{i}]" for i in range(len(mats))]
     mats = [_entry(m, name) for m, name in zip(mats, names)]
     _check_nonempty(mats, "mats")
@@ -545,6 +553,7 @@ def check_russo_dye(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL) -> RussoD
     the dilation is never formed; the dilation and the extraction are test
     oracles (``tests/_oracles.py``), and a test checks the identity on them.
     """
+    _check_tol(tol)
     z = _entry(z, "z", pmap, is_contraction, "a contraction")
     return RussoDyeReports(*_run(_russo_dye(pmap, z, tol))[0])
 
@@ -575,6 +584,7 @@ def check_weighted_sum(xs: Sequence, zs: Sequence, tol: float = DEFAULT_TOL):
     ``sum x_i* x_i``; the associated 2x2 block matrix is PSD, which carries
     the factorization through a contraction.
     """
+    _check_tol(tol)
     if len(xs) != len(zs):
         raise ValueError("xs and zs must have equal length")
     _check_nonempty(xs, "xs")
@@ -596,6 +606,7 @@ def _schur_diagonal(a, z, tol: float):
 
 def check_schur_diagonal(a, z, tol: float = DEFAULT_TOL) -> Certificate:
     """Entrywise product of a PSD matrix with a contraction against the diagonal part."""
+    _check_tol(tol)
     a, z = _entry(a, "a"), _entry(z, "z")
     _check_same_shape((a, z), ("a", "z"))
     _refuse(_hermitian_within(a), "a", "Hermitian")
@@ -619,6 +630,7 @@ def check_schur_normal(a, b, tol: float = DEFAULT_TOL) -> Certificate:
     for the compression of ``a (x) b`` to its paired diagonal indices, which
     is ``a o b``, using ``|a (x) b| = |a| (x) |b|``; no tensor is formed.
     """
+    _check_tol(tol)
     a, b = _entry(a, "a"), _entry(b, "b")
     _check_same_shape((a, b), ("a", "b"))
     _require(is_normal, [a, b], ["a", "b"], "normal")
@@ -646,6 +658,7 @@ def check_hermitian_sum(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Ce
     whose absolute value is ``|x*| (+) |x|``; the comparison argument is the
     image of its block sum, ``map(|x| + |x*|)``.
     """
+    _check_tol(tol)
     return _run(_symmetrized(pmap, _entry(x, "x", pmap), tol))[0][0]
 
 
@@ -657,6 +670,7 @@ def check_schur_square(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Cer
     the absolute values of those carriers are ``|x| (+) |x*|`` and
     ``|x*| (+) |x|``, so the comparison argument is ``map(|x| o |x*|)``.
     """
+    _check_tol(tol)
     return _run(_symmetrized(pmap, _entry(x, "x", pmap), tol))[0][1]
 
 
@@ -672,6 +686,7 @@ def check_two_positive_unital(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL)
     No witness is needed; the statement requires unitality, so a non-unital
     map is rejected.
     """
+    _check_tol(tol)
     z = _entry(z, "z", pmap, is_contraction, "a contraction")
     _refuse(is_unital(pmap), "pmap", "unital")
     return _run(_two_positive_unital(pmap, z, tol))[0][0]
@@ -865,8 +880,10 @@ def search_nonnormal_counterexample(seed, trials: int) -> ReproResult:
     The determinant comparison that holds for every normal matrix can fail
     off the normal cone; the first random matrix that fails the sweep's
     realpart-det rule at ``PSD_TOL`` is reported. An exhausted budget is
-    reported, not raised.
+    reported, not raised. A seed that is not a nonnegative integer is refused
+    before any draw.
     """
+    _check_index(seed, "seed")
     _check_size(trials, "trials")
     rng = np.random.default_rng(seed)
     for index in range(trials):
@@ -953,13 +970,19 @@ def minimal_orbit_constant(pmap: PositiveMapRep | Sequence[PositiveMapRep], nmat
 _SEARCH_PAIR = _Unit("search pair", 4, 6, 12, 1536, 1)
 # A sweep trial holds seven arrays the size of one map's Kraus factors (the sweep and
 # unital maps, the draws and scaling of the unital one, and _apply_stack's products),
-# 144 n x n and 144 m x m (the drawn instances, their images, absolute values, orbits
-# and certificate sides), and its generators, asks and 27 outcomes. The counts bound
-# the single-trial peaks tracemalloc measures on squares up to 27 x 27 and on shapes
-# up to 1 x 166 and 166 x 1, by 1.09-2.2x; a trial of a batch holds no more. A batch
-# gets 1/32 of the budget: 12 to 24 trials at n = m <= 4, where a batch shares the
-# engine's Python cost, and one trial from 12 x 12 up.
-_SWEEP_TRIAL = _Unit("sweep trial", 7, 144, 144, 65536, 32)
+# 144 n x n and 88 m x m (the drawn instances, their images, absolute values, orbits
+# and certificate sides) and 53248 bytes of its generators, asks and 19 weight-free
+# outcomes. Each weight adds 14 m x m (the sides of its main-arith, main-chain and
+# eigen-shift claims and their stacked verdicts) and 3072 bytes of their outcomes,
+# asks and keys: at four weights, 144 m x m and 65536 bytes over 35 outcomes. The
+# counts bound the single-trial peaks tracemalloc measures with 1 to 40 weights on
+# squares up to 27 x 27 and on shapes up to 1 x 166 and 166 x 1, by 1.07-2.2x; a trial
+# of a batch holds no more (0.73-0.91 of it at n = m <= 4). A batch gets 1/32 of the
+# budget: 12 to 24 four-weight trials at n = m <= 4, where a batch shares the engine's
+# Python cost, and one trial from 12 x 12 up.
+def _sweep_trial(weights: int) -> _Unit:
+    """The record of one sweep trial at ``weights`` weights."""
+    return _Unit("sweep trial", 7, 144, 88 + 14 * weights, 53248 + 3072 * weights, 32)
 
 
 def _search_pairs(seed, bi: int, ts: range, n: int, m: int):
@@ -1158,14 +1181,16 @@ def run_trial(
     the tasks of every trial run together, one stacked call per stage and
     shape, and each outcome has the bits of its trial run alone.
     ``inject_mutant`` negates the orbit term on the right-hand side of the
-    arithmetic bound, a fault the sweep must report. Weights that print alike
-    under ``%g`` would share keys, a shape whose one trial holds more than
-    ``maps.MAX_KRAUS_BYTES``, and a seed or index that is not a nonnegative
-    integer, are refused with a ValueError before any draw.
+    arithmetic bound, a fault the sweep must report. A ``tol`` outside
+    ``[0, inf)``, weights that print alike under ``%g`` (they would share keys),
+    a shape whose one trial holds more than ``maps.MAX_KRAUS_BYTES``, and a seed
+    or index that is not a nonnegative integer, are refused with a ValueError
+    before any draw.
     """
+    _check_tol(tol)
     single = np.ndim(trial_index) == 0
     tags = _weight_tags(betas)
-    _check_unit_bytes(_SWEEP_TRIAL, n, m)
+    _check_unit_bytes(_sweep_trial(len(tags)), n, m)
     _check_index(master_seed, "master_seed")
     indices = [trial_index] if single else list(trial_index)
     for j, i in enumerate(indices):

@@ -40,6 +40,14 @@ REPRO_NAMES = ("sharpness-beta", "no-single-unitary", "psi-quarter", "all")
 def cmd_verify(args):
     """Run the full statement sweep; returns (JSON report, exit code)."""
     start = time.perf_counter()
+    unit = certify._sweep_trial(len(args.beta))
+    try:
+        # A usage error, checked here because a trial's bytes grow with its weights,
+        # which the --dims type does not see.
+        for n, m in args.dims:
+            _check_unit_bytes(unit, n, m)
+    except ValueError as exc:
+        args.parser.error(str(exc))
     trials = range(args.trial_offset, args.trial_offset + args.trials)
     # dims cycle by absolute trial index so a recorded failure replays with
     # --trials 1 --trial-offset <index>; the trials of one shape run in batches.
@@ -48,7 +56,7 @@ def cmd_verify(args):
         by_shape.setdefault(args.dims[trial % len(args.dims)], []).append(trial)
     pass_counts, failures = {}, []
     for (n, m), indices in by_shape.items():
-        for batch in _calls(certify._SWEEP_TRIAL, n, m, indices):
+        for batch in _calls(unit, n, m, indices):
             outcomes = run_trial(args.seed, batch, n, m, args.beta, args.tol, inject_mutant=args.inject_mutant)
             for trial, trial_outcomes in zip(batch, outcomes):
                 for key, outcome in trial_outcomes.items():
@@ -213,8 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # verify weights: those whose statement keys certify can tell apart.
     sweep_betas = _checked(_parse_betas, certify.trial_statements)
     offset = _checked(int, lambda i: _check_index(i, "--trial-offset"))
-    # Shapes whose one unit of work, a sweep trial or a search pair, fits the byte budget.
-    sweep_dims = _checked(_parse_dims, lambda dims: [_check_unit_bytes(certify._SWEEP_TRIAL, *d) for d in dims])
+    # Shapes whose one search pair fits the byte budget; a sweep trial's is checked with its weights.
     pair = _checked(
         _parse_dims,
         lambda dims: (
@@ -227,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(run=cmd_verify, parser=verify)
     verify.add_argument("--seed", type=seed, default=42, help="master seed")
     verify.add_argument("--trials", type=trials, default=100)
-    verify.add_argument("--dims", type=sweep_dims, default=DEFAULT_DIMS, metavar="n,m[;n,m...]")
+    verify.add_argument("--dims", type=_parse_dims, default=DEFAULT_DIMS, metavar="n,m[;n,m...]")
     verify.add_argument("--beta", type=sweep_betas, default=DEFAULT_BETAS, metavar="b[,b...]")
     verify.add_argument("--tol", type=tol, default=certify.DEFAULT_TOL)
     verify.add_argument("--out", type=_parse_out, default="-", metavar="PATH")

@@ -316,7 +316,9 @@ def loewner_leq(a, b, tol: float = PSD_TOL) -> LoewnerCheck:
     returned for reporting. Each input must pass the Hermitian-input rule of
     ``is_hermitian`` and is then taken as its Hermitian part, as the sides of
     every certificate are: this is the checked entry to their one verdict.
+    A ``tol`` outside ``[0, inf)`` is refused first.
     """
+    _check_tol(tol)
     a = as_matrix(a, square=True, name="a")
     b = as_matrix(b, square=True, name="b")
     for name, x in (("a", a), ("b", b)):

@@ -3,6 +3,7 @@
 import ast
 import functools
 import glob
+import inspect
 import math
 import os
 import re
@@ -1202,19 +1203,39 @@ def test_search_chunks_stay_within_the_byte_budget(monkeypatch, n, m, budget_pai
 )
 def test_a_sweep_trial_stays_within_its_byte_count(n, m):
     # Measured: the peak traced memory of one trial lies within what the sweep
-    # trial record counts (0.10 of 0.12, 4.28 of 8.59, 9.20 of 9.96 and 8.49 of
-    # 9.96 MB, and 0.49-0.53 of it from 8 x 9 to 10 x 9, where apply's pass size
-    # decides the peak), and holds the factors of the trial's two maps at least.
+    # trial record counts at its number of weights, the default four and 1, 16
+    # and 40 evenly spaced in [0.1, 4] (at 40 weights 0.80 of it at 3 x 3 and
+    # 0.81 at 1 x 64, where each weight's m x m sides decide the peak), and holds
+    # the factors of the trial's two maps at least.
     import tracemalloc
 
     run_trial(1, 0, 2, 2, (0.5,))  # one-time allocations first
-    tracemalloc.start()
-    try:
-        run_trial(3, 0, n, m, (0.25, 0.5, 1.0, 2.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 2 * 16 * (n * m) ** 2 < peak <= maps._unit_bytes(certify._SWEEP_TRIAL, n, m), peak
+    for betas in ((0.25, 0.5, 1.0, 2.0), (0.1,), *(tuple(np.linspace(0.1, 4.0, w)) for w in (16, 40))):
+        tracemalloc.start()
+        try:
+            run_trial(3, 0, n, m, betas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record = maps._unit_bytes(certify._sweep_trial(len(betas)), n, m)
+        assert 2 * 16 * (n * m) ** 2 < peak <= record, (len(betas), peak, record)
+
+
+def test_the_sweep_trial_record_grows_with_its_weights():
+    # At the default four weights the record is the one fitted there, so the
+    # batch sizes and the largest shapes do not move; each further weight adds
+    # 14 m x m and 3072 bytes, and each weight fewer takes them off.
+    assert certify._sweep_trial(4) == maps._Unit("sweep trial", 7, 144, 144, 65536, 32)
+    for weights in (1, 4, 16, 40):
+        grown = maps._unit_bytes(certify._sweep_trial(weights), 3, 5)
+        assert grown - maps._unit_bytes(certify._sweep_trial(4), 3, 5) == (weights - 4) * (16 * 14 * 25 + 3072)
+    four = certify._sweep_trial(4)
+    for n, m in ((27, 27), (1, 166), (166, 1)):
+        assert maps._unit_bytes(four, n, m) <= maps.MAX_KRAUS_BYTES
+    for n, m in ((28, 28), (1, 167), (167, 1)):
+        assert maps._unit_bytes(four, n, m) > maps.MAX_KRAUS_BYTES
+    # 40 weights at 1 x 166 would hold 4.3x the budget: refused before any draw.
+    assert maps._unit_bytes(certify._sweep_trial(40), 1, 166) > 4 * maps.MAX_KRAUS_BYTES
 
 
 def test_estimate_constant_rows():
@@ -1312,6 +1333,54 @@ def test_refusals_come_before_any_decomposition(linalg_calls, case):
     assert sum(linalg_calls.values()) == 0, dict(linalg_calls)
 
 
+# (entry, arguments): inputs each entry accepts, drawn before counting, for
+# every function that takes a tol.
+_TOL_REFUSALS = {
+    "check_theorem_main": lambda: (check_theorem_main, (_pmap3(), random_normal(2, 3), 0.5)),
+    "chain_certificate": lambda: (chain_certificate, check_theorem_main(_pmap3(), random_normal(2, 3), 0.5)[::-1]),
+    "check_block_certificate": lambda: (check_block_certificate, (_pmap3(), random_normal(2, 3))),
+    "check_corollary_eigen": lambda: (check_corollary_eigen, (_pmap3(), random_normal(2, 3), 0.5)),
+    "check_real_part": lambda: (check_real_part, (random_normal(2, 3),)),
+    "check_partial_trace": lambda: (check_partial_trace, (random_normal(0, 4), 2, 2)),
+    "check_sum_of_normals": lambda: (check_sum_of_normals, ([random_normal(5, 2), random_normal(6, 2)],)),
+    "check_russo_dye": lambda: (check_russo_dye, (_pmap3(), random_contraction(2, 3))),
+    "check_weighted_sum": lambda: (check_weighted_sum, ([random_matrix(3, 3, 2)], [random_contraction(4, 3)])),
+    "check_schur_diagonal": lambda: (check_schur_diagonal, (random_psd(5, 2), random_contraction(6, 2))),
+    "check_schur_normal": lambda: (check_schur_normal, (random_normal(5, 2), random_normal(6, 2))),
+    "check_hermitian_sum": lambda: (check_hermitian_sum, (_pmap3(), random_matrix(2, 3))),
+    "check_schur_square": lambda: (check_schur_square, (_pmap3(), random_matrix(2, 3))),
+    "check_two_positive_unital": lambda: (
+        check_two_positive_unital, (random_unital_cp_map(1, 3, 3), random_contraction(2, 3))
+    ),
+    "run_trial": lambda: (run_trial, (1, 0, 2, 2, (0.5,))),
+    "loewner_leq": lambda: (loewner_leq, (np.eye(2), np.eye(2))),
+    "weak_log_majorize": lambda: (weak_log_majorize, ([1.0], [1.0])),
+}
+
+
+def test_every_entry_that_takes_tol_has_a_refusal_row():
+    # Every public function of certify that takes a tol, and the two checked
+    # verdicts of core, has a row below, so a new checker cannot skip the rule.
+    # The records Certificate and ReproResult carry a tol but decide nothing.
+    entries = {
+        name for name in certify.__all__
+        if inspect.isfunction(getattr(certify, name))
+        and "tol" in inspect.signature(getattr(certify, name)).parameters
+    }
+    assert entries | {"loewner_leq", "weak_log_majorize"} == set(_TOL_REFUSALS)
+
+
+@pytest.mark.parametrize("case", sorted(_TOL_REFUSALS))
+def test_a_bad_tol_is_refused_before_any_decomposition(linalg_calls, case):
+    # The tolerance rule runs first in each entry, not at the verdict after the work.
+    call, args = _TOL_REFUSALS[case]()
+    assert call(*args) is not None  # the inputs are accepted with the default tol
+    linalg_calls.clear()
+    with pytest.raises(ValueError, match=r"^tol must be finite and nonnegative, got -1\.0$"):
+        call(*args, tol=-1.0)
+    assert sum(linalg_calls.values()) == 0, dict(linalg_calls)
+
+
 _ONE = {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}
 
 # (entry, arguments, message) for the four argument rules of core: a size is
@@ -1340,6 +1409,8 @@ _ARGUMENT_REFUSALS = {
     "counterexample-float-trials": lambda: (
         search_nonnormal_counterexample, (0, 1.5), "trials must be an integer >= 1, got 1.5"
     ),
+    "counterexample-seed": lambda: (search_nonnormal_counterexample, (-1, 3), "seed must be nonnegative"),
+    "counterexample-bool-seed": lambda: (search_nonnormal_counterexample, (True, 3), "seed must be an integer"),
     "estimate-trials": lambda: (estimate_constant, ([0.25], 0, 0), "trials must be an integer >= 1, got 0"),
     "estimate-n": lambda: (estimate_constant, ([0.25], 0, 1, 0), "n must be an integer >= 1, got 0"),
     "estimate-m": lambda: (estimate_constant, ([0.25], 0, 1, 2, 1.5), "m must be an integer >= 1, got 1.5"),

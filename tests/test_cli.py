@@ -157,9 +157,27 @@ def test_verify_trials_over_the_memory_budget_are_usage_errors(capsys, monkeypat
     + [("search", "31,31"), ("search", "1,511"), ("search", "647,1")],
 )
 def test_the_largest_shapes_fit_the_memory_budget(command, dims):
-    # One unit of work of each shape, a sweep trial or a search pair, fits the budget.
+    # One unit of work of each shape, a sweep trial at the default weights or a
+    # search pair, fits the budget.
     args = cli._build_parser().parse_args([command, "--dims", dims])
     assert args.dims == (tuple(map(int, dims.split(","))),)
+    if command == "verify":
+        maps._check_unit_bytes(certify._sweep_trial(len(args.beta)), *args.dims[0])
+
+
+def test_verify_weights_that_outgrow_the_memory_budget_are_usage_errors(capsys, monkeypatch):
+    # 1 x 166 fits the budget at the default four weights; at 40 weights one
+    # trial would hold 4.3x of it, refused with the weights in view before any trial.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the size guard must stop the run before any work")
+
+    monkeypatch.setattr(cli, "run_trial", refuse)
+    betas = ",".join(f"{0.1 * k:g}" for k in range(1, 41))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--dims", "1,166", "--trials", "1", "--beta", betas])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "matineq verify: error: one drawn (1, 166) sweep trial holds" in err, err
 
 
 def test_verify_mutant_hook_fails_and_replays(capsys):
@@ -245,7 +263,7 @@ def _single_trial_sweep(seed, trials, offset, dims, betas, mutant):
 def test_verify_batches_report_what_single_trials_report(capsys, offset, mutant):
     # verify runs a shape's trials in batches (here 2, 2 and 3 of them) and
     # reports each failure in trial order, as one call a trial would.
-    assert [maps._units_per_call(certify._SWEEP_TRIAL, n, n) for n in (2, 3, 4)] == [24, 18, 12]
+    assert [maps._units_per_call(certify._sweep_trial(4), n, n) for n in (2, 3, 4)] == [24, 18, 12]
     argv = SWEEP_SMALL + ["--trial-offset", str(offset)] + (["--inject-mutant"] if mutant else [])
     code, out = run_cli(capsys, argv)
     report = json.loads(out)
