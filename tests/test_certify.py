@@ -1221,21 +1221,10 @@ def test_a_sweep_trial_stays_within_its_byte_count(n, m):
         assert 2 * 16 * (n * m) ** 2 < peak <= record, (len(betas), peak, record)
 
 
-def test_the_sweep_trial_record_grows_with_its_weights():
+def test_the_sweep_trial_record_is_the_fitted_one_at_four_weights():
     # At the default four weights the record is the one fitted there, so the
-    # batch sizes and the largest shapes do not move; each further weight adds
-    # 14 m x m and 3072 bytes, and each weight fewer takes them off.
+    # default batch sizes and the largest shapes the sweep takes do not move.
     assert certify._sweep_trial(4) == maps._Unit("sweep trial", 7, 144, 144, 65536, 32)
-    for weights in (1, 4, 16, 40):
-        grown = maps._unit_bytes(certify._sweep_trial(weights), 3, 5)
-        assert grown - maps._unit_bytes(certify._sweep_trial(4), 3, 5) == (weights - 4) * (16 * 14 * 25 + 3072)
-    four = certify._sweep_trial(4)
-    for n, m in ((27, 27), (1, 166), (166, 1)):
-        assert maps._unit_bytes(four, n, m) <= maps.MAX_KRAUS_BYTES
-    for n, m in ((28, 28), (1, 167), (167, 1)):
-        assert maps._unit_bytes(four, n, m) > maps.MAX_KRAUS_BYTES
-    # 40 weights at 1 x 166 would hold 4.3x the budget: refused before any draw.
-    assert maps._unit_bytes(certify._sweep_trial(40), 1, 166) > 4 * maps.MAX_KRAUS_BYTES
 
 
 def test_estimate_constant_rows():
