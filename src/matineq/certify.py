@@ -31,14 +31,15 @@ from .core import (
     _check_tol,
     _complex_gaussian,
     _contractions,
+    _gaussian_from,
     _hermitian,
     _hermitian_verdict,
     _hermitian_within,
     _is_psd,
     _log_majorizations,
     _normal_draws,
-    _normals,
     _normals_from,
+    _psd_from,
     _refuse,
     _threshold,
     as_matrix,
@@ -50,8 +51,6 @@ from .core import (
     is_normal,
     mat_abs,
     polar,
-    random_matrix,
-    random_psd,
     schur_prod,
     singular_values,
     spectral_norm,
@@ -63,14 +62,12 @@ from .maps import (
     _calls,
     _check_fit,
     _check_unit_bytes,
-    _cp_draws,
     _cp_maps,
+    _unital,
     apply,
     corner_block_map,
     is_unital,
     partial_trace_first,
-    random_cp_map,
-    random_unital_cp_map,
     schur_multiplier,
 )
 from .staging import Ask, run as run_staged
@@ -223,9 +220,11 @@ def _run(*tasks) -> list:
     stages = (
         "mat_abs",
         "apply",
+        "_apply_members",
         "_orbit",
         "singular_values",
         "_eig_desc",
+        "_det_sides",
         "geometric_mean",
         "_hermitian_verdict",
         "_log_majorizations",
@@ -233,8 +232,40 @@ def _run(*tasks) -> list:
     return run_staged(stages, tasks)
 
 
-def _applied(pmap: PositiveMapRep, mats) -> list:
-    """Asks for the images of ``mats`` under ``pmap``."""
+@dataclass(frozen=True, eq=False)
+class _MapBatch:
+    """A batch's drawn maps as one Kraus stack ``(maps, terms, n, m)``.
+
+    Asks carry it as an argument like any other, by identity, so the engine
+    neither copies nor stacks it, and asks on its members share a call.
+    """
+
+    ops: np.ndarray
+
+
+class _Member(NamedTuple):
+    """Map ``index`` of a batch's drawn maps; read as a map, its factors are a view of the batch's stack."""
+
+    batch: _MapBatch
+    index: int
+
+    @property
+    def kraus_ops(self) -> np.ndarray:
+        return self.batch.ops[self.index]
+
+    input_dim = PositiveMapRep.input_dim
+    output_dim = PositiveMapRep.output_dim
+
+
+def _apply_members(batch: _MapBatch, index, x) -> np.ndarray:
+    """The image of each ``x[i]`` under map ``index[i]`` of ``batch``: one ``_apply_stack`` call."""
+    return _apply_stack(batch.ops, x[:, None], index)[:, 0]
+
+
+def _applied(pmap: PositiveMapRep | _Member, mats) -> list:
+    """Asks for the images of ``mats`` under ``pmap``, a map or a member of a batch's drawn maps."""
+    if isinstance(pmap, _Member):
+        return [Ask(_apply_members, (pmap.batch, np.array(pmap.index), x)) for x in mats]
     return [Ask(apply, (pmap, x)) for x in mats]
 
 
@@ -470,14 +501,14 @@ def _real_part(averager: PositiveMapRep, a, tol: float):
     image, image_abs_arg = yield _applied(averager, [doubled, abs_doubled])
     real_a = conj_real_part(a)
     real_abs = conj_real_part(abs_a)
-    s_image, t_image, s_real, t_real = yield [
+    s_image, t_image, s_real, t_real, det_sides = yield [
         Ask(singular_values, (image,)),
         Ask(_eig_desc, (image_abs_arg,)),
         Ask(singular_values, (real_a,)),
         Ask(_eig_desc, (real_abs,)),
+        Ask(_det_sides, (real_a, real_abs)),
     ]
-    det_lhs, det_rhs, _ = _det_excess(real_a, real_abs)
-    det = _Claim("realpart-det", np.array([det_lhs]), np.array([det_rhs]))
+    det = _Claim("realpart-det", det_sides[:1], det_sides[1:])
     return (yield from _decide([_LogMaj(s_image, t_image), _LogMaj(s_real, t_real), det], tol))
 
 
@@ -862,16 +893,19 @@ def repro_psi_sharpness() -> ReproResult:
     )
 
 
-def _det_excess(real_a, real_abs) -> tuple:
-    """``|det Re a|``, ``det Re|a|`` and their difference, which is at most 0 for normal ``a``."""
-    dets = np.linalg.det(np.stack([real_a, real_abs]))
-    det_lhs, det_rhs = float(abs(dets[0])), float(dets[1].real)
-    return det_lhs, det_rhs, det_lhs - det_rhs
+def _det_sides(real_a, real_abs) -> np.ndarray:
+    """``[|det Re a|, det Re|a|]``, along the last axis for a stack: realpart-det's sides, ``lhs <= rhs`` for normal ``a``.
+
+    One ``det`` call for the stack; LAPACK factors each member alone.
+    """
+    dets = np.linalg.det(np.stack([real_a, real_abs], axis=-3))
+    return np.stack([np.abs(dets[..., 0]), dets[..., 1].real], axis=-1)
 
 
 def _real_part_margin(a) -> tuple:
-    """``_det_excess`` of ``a``: the margin is by how much ``a`` breaks the normal-matrix bound."""
-    return _det_excess(conj_real_part(a), conj_real_part(mat_abs(a)))
+    """``|det Re a|``, ``det Re|a|`` and the margin by which ``a`` breaks the normal-matrix bound ``lhs <= rhs``."""
+    det_lhs, det_rhs = map(float, _det_sides(conj_real_part(a), conj_real_part(mat_abs(a))))
+    return det_lhs, det_rhs, det_lhs - det_rhs
 
 
 def search_nonnormal_counterexample(seed, trials: int) -> ReproResult:
@@ -994,9 +1028,9 @@ def _search_pairs(seed, bi: int, ts: range, n: int, m: int):
     matrix); what follows the draws runs once a chunk.
     """
     seeds = [[seed, bi, t] for t in ts]
-    pmaps = _cp_maps(np.stack([_cp_draws(np.random.default_rng(s + [0]), n, m, n * m) for s in seeds]))
+    ops = _cp_maps(np.stack([np.random.default_rng(s + [0]).standard_normal((n * m, 2, n, m)) for s in seeds]))
     draws = [_normal_draws(np.random.default_rng(s + [1]), 1, n) for s in seeds]
-    return pmaps, _normals_from([np.concatenate(field) for field in zip(*draws)])
+    return [PositiveMapRep(member) for member in ops], _normals_from([np.concatenate(field) for field in zip(*draws)])
 
 
 def estimate_constant(
@@ -1051,14 +1085,15 @@ def estimate_constant(
 
 
 class _Trial(NamedTuple):
-    """The instances drawn for one sweep trial.
+    """The instances drawn for one sweep trial: its row of its batch's record of stacks.
 
     Each field is named for the statements that read it; the normal matrices,
-    Gaussian matrices and contractions are ``n x n`` unless noted.
+    Gaussian matrices and contractions are ``n x n`` unless noted. The arrays
+    are views of the batch's stacks, and the maps members of its drawn maps.
     """
 
-    pmap: PositiveMapRep  # the sweep map, n -> m
-    unital: PositiveMapRep  # two-positive-quarter's unital map, n -> m
+    pmap: _Member  # the sweep map, n -> m
+    unital: _Member  # two-positive-quarter's unital map, n -> m
     main: np.ndarray  # normal: main-*, block-psd and eigen-*
     real: np.ndarray  # normal: realpart-*
     summands: np.ndarray  # 3 normals: sum-normals-*
@@ -1073,30 +1108,68 @@ class _Trial(NamedTuple):
     psd: np.ndarray  # PSD matrix: schur-diagonal
 
 
-def _draw(master_seed: int, trial_index: int, n: int, m: int) -> _Trial:
-    """One trial, every instance drawn up front from one generator seeded ``[seed, index]``.
+def _draw(master_seed: int, trial_index: int | Sequence[int], n: int, m: int) -> _Trial | list:
+    """One trial's instances, or a batch's as one ``_Trial`` per index, drawn as one record of stacks.
 
-    The order is fixed: the two maps, 8 normal matrices (7 of size n, then one
-    of size 2n), 6 contractions (3 of size n, then 3 of size m), 4 Gaussian
-    matrices (3 of shape m x n, then one of size n) and a PSD matrix. The
-    unitaries of one size come from one stacked QR, and the contractions of
-    one size are scaled by one stacked spectral norm.
+    Trial ``index`` draws every instance from its own generator seeded ``[seed,
+    index]``, in a fixed order: the two maps, 8 normal matrices (7 of size n,
+    then one of size 2n), 6 contractions (3 of size n, then 3 of size m), 4
+    Gaussian matrices (3 of shape m x n, then one of size n) and a PSD matrix.
+    Its standard normals go to its row of the batch's stacks, and then each
+    kind is built once a batch by the public generators' builders: one QR per
+    unitary size, one SVD per contraction size, one ``_apply_stack`` and one
+    ``eigh`` for the unital maps. The two maps are drawn and built in turn
+    through one stack of draws. Each trial has the bits of the public
+    generators drawing from its generator in that order.
     """
-    rng = np.random.default_rng([master_seed, trial_index])
-    pmaps = random_cp_map(rng, n, m), random_unital_cp_map(rng, n, m)
-    normals, block = _normals(rng, 7, n), _normals(rng, 1, 2 * n)[0]
-    g_n, g_m = _complex_gaussian(rng, 3, n, n), _complex_gaussian(rng, 3, m, m)
+    single = np.ndim(trial_index) == 0
+    indices = [trial_index] if single else list(trial_index)
+    k, terms = len(indices), n * m
+    rngs = [np.random.default_rng([master_seed, i]) for i in indices]
+
+    def drawn(*shapes) -> list:
+        """Each trial's next standard normals of ``shapes``, in order, into its row of a stack per shape."""
+        stacks = [np.empty((k,) + shape) for shape in shapes]
+        for row, rng in enumerate(rngs):
+            for stack in stacks:
+                rng.standard_normal(out=stack[row])
+        return stacks
+
+    maps = np.empty((2, k, terms, n, m), dtype=complex)
+    for built in maps:  # the sweep maps, then the unital maps' Gaussian bases
+        (draws,) = drawn((terms, 2, n, m))
+        _cp_maps(draws, out=built)
+        del draws  # freed before the next map is drawn
+    maps[1] = _unital(maps[1])
+    normals = _normals_from([d.reshape((7 * k,) + d.shape[2:]) for d in drawn((7, n, n), (7, n, n), (7, n), (7, n))])
+    normals = normals.reshape(k, 7, n, n)
+    block = _normals_from(drawn((2 * n, 2 * n), (2 * n, 2 * n), (2 * n,), (2 * n,)))
+    g_n, g_m, xs, x, g_psd = (
+        _gaussian_from(*drawn(shape, shape)) for shape in ((3, n, n), (3, m, m), (3, m, n), (n, n), (n, n))
+    )
     # One SVD call when the sizes agree; each member's bits are the same either way.
-    z_n, z_m = _contractions(np.stack([g_n, g_m])) if n == m else map(_contractions, (g_n, g_m))
-    xs, x, psd = _complex_gaussian(rng, 3, m, n), random_matrix(rng, n), random_psd(rng, n)
-    return _Trial(*pmaps, normals[0], normals[1], normals[2:5], normals[5:7], block, *z_n, z_m, xs, x, psd)
+    if n == m:
+        z_n, z_m = np.split(_contractions(np.concatenate([g_n, g_m], axis=1)), 2, axis=1)
+    else:
+        z_n, z_m = _contractions(g_n), _contractions(g_m)
+    psd = _psd_from(g_psd)
+    batch = _MapBatch(maps.reshape(2 * k, terms, n, m))
+    trials = [
+        _Trial(
+            _Member(batch, j), _Member(batch, k + j), normals[j, 0], normals[j, 1], normals[j, 2:5],
+            normals[j, 5:7], block[j], *z_n[j], z_m[j], xs[j], x[j], psd[j],
+        )
+        for j in range(k)
+    ]
+    return trials[0] if single else trials
 
 
 class _Shared(NamedTuple):
     """What the trials of one call share: its settings, and its structural maps built once.
 
-    ``staging`` answers a batch's asks to one map in one call, so the maps are
-    one object for every trial.
+    ``staging`` answers a batch's asks to one map in one call, so each
+    structural map is one object for every trial; the trials' drawn maps are
+    members of one ``_MapBatch``, and their asks share one call too.
     """
 
     betas: tuple
@@ -1195,7 +1268,7 @@ def run_trial(
     indices = [trial_index] if single else list(trial_index)
     for j, i in enumerate(indices):
         _check_index(i, "trial_index" if single else f"trial_index[{j}]")
-    trials = [_draw(master_seed, i, n, m) for i in indices]
+    trials = _draw(master_seed, indices, n, m)
     s = _Shared(
         tuple(betas), tol, -1.0 if inject_mutant else 1.0,
         corner_block_map(n), partial_trace_first(2, n), partial_trace_first(3, n),

@@ -470,7 +470,12 @@ def _rng(seed) -> np.random.Generator:
 
 def _complex_gaussian(rng: np.random.Generator, count: int, rows: int, cols: int) -> np.ndarray:
     shape = (count, rows, cols)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return _gaussian_from(rng.standard_normal(shape), rng.standard_normal(shape))
+
+
+def _gaussian_from(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The unit-variance complex Gaussians ``(re + i im) / sqrt 2`` of two stacks of standard normals."""
+    return (re + 1j * im) / np.sqrt(2.0)
 
 
 def _haar_from(g: np.ndarray) -> np.ndarray:
@@ -501,7 +506,7 @@ def _normal_draws(rng: np.random.Generator, count: int, n: int) -> list:
 def _normals_from(draws: list) -> np.ndarray:
     """The normal matrices ``u diag(z) u*`` of ``_normal_draws``, one per member."""
     g_re, g_im, z_re, z_im = draws
-    u = _haar_from((g_re + 1j * g_im) / np.sqrt(2.0))
+    u = _haar_from(_gaussian_from(g_re, g_im))
     z = z_re + 1j * z_im
     # Column k of u[i] times z[i, k], taken through a broadcast of the (n, count, n)
     # view: numpy then runs the elementwise loop of the one-matrix product u * z, so
@@ -539,11 +544,15 @@ def random_normal(seed, n: int) -> np.ndarray:
     return _normals(_rng(seed), 1, n)[0]
 
 
+def _psd_from(g: np.ndarray) -> np.ndarray:
+    """The PSD matrices ``g g* / n`` of a stack of ``n x n`` Gaussians, exactly Hermitian."""
+    return _hermitian(g @ _adjoint(g) / g.shape[-1])
+
+
 def random_psd(seed, n: int) -> np.ndarray:
     """Random positive semidefinite matrix g g* / n, exactly Hermitian."""
     _check_size(n, "n")
-    g = _complex_gaussian(_rng(seed), 1, n, n)[0]
-    return _hermitian(g @ _adjoint(g) / n)
+    return _psd_from(_complex_gaussian(_rng(seed), 1, n, n))[0]
 
 
 def haar_unitary(seed, n: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import CONSTRUCTION_TOL, PSD_TOL, _DROP_TOL, _check_size, _is_psd, _threshold
-from .core import _as_stack, _herm_eig, _refuse, as_matrix, hermitian_part, spectral_norm
+from .core import _adjoint, _as_stack, _herm_eig, _hermitian, _refuse, as_matrix, spectral_norm
 
 __all__ = [
     "MAX_KRAUS_BYTES",
@@ -130,16 +130,16 @@ def apply(pmap: PositiveMapRep, x) -> np.ndarray:
     return _apply_stack(pmap.kraus_ops[None], members).reshape(x.shape[:-2] + (pmap.output_dim,) * 2)
 
 
-def _apply_stack(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _apply_stack(ops: np.ndarray, x: np.ndarray, index: Optional[np.ndarray] = None) -> np.ndarray:
     """The images ``sum_t k_t* x k_t`` of map ``i``'s factors ``ops[i]`` on its inputs ``x[i]``.
 
     ``ops`` has shape ``(k, terms, n, m)`` and ``x`` ``(k, r, n, n)``; the images
     have shape ``(k, r, m, m)``, and each has the bits of its map and input alone.
+    Given ``index``, ``ops`` holds any number of maps and ``x[i]`` goes to map
+    ``index[i]``: each pass gathers only its own maps' factors.
     """
     k, r = x.shape[:2]
     m = ops.shape[-1]
-    # Column-stacked factors, [k_1; ...; k_T] of shape (T n, m), one per map.
-    flat = ops.reshape(k, 1, -1, m)
     out = np.empty((k, r, m, m), dtype=complex)
     # Each image's products hold as many entries as its map's Kraus stack, so
     # images go through at most 2^12 such entries (64 KiB) a pass: a stack of
@@ -148,12 +148,18 @@ def _apply_stack(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
     step_r = min(r, per_pass)
     step_k = max(1, per_pass // step_r)
     for i in range(0, k, step_k):
+        if index is None:
+            maps = ops[i : i + step_k]
+        else:  # a copy of at most 2^12 entries, or a view of one map
+            maps = ops[index[i : i + step_k]] if step_k > 1 else ops[index[i], None]
+        # Column-stacked factors, [k_1; ...; k_T] of shape (T n, m), one per map.
+        flat = maps.reshape(len(maps), 1, -1, m)
         for j in range(0, r, step_r):
             # Two products: y_t = x k_t for every t, then the factors folded into
             # the row index, conj(out) = [k_1; ...; k_T]^T [conj(y_1); ...; conj(y_T)].
-            y = x[i : i + step_k, j : j + step_r, None] @ ops[i : i + step_k, None]
+            y = x[i : i + step_k, j : j + step_r, None] @ maps[:, None]
             np.conjugate(y, out=y)
-            images = flat[i : i + step_k].swapaxes(-1, -2) @ y.reshape(y.shape[:2] + (-1, m))
+            images = flat.swapaxes(-1, -2) @ y.reshape(y.shape[:2] + (-1, m))
             out[i : i + step_k, j : j + step_r] = images.conj()
             del y  # freed before the next pass forms its products, not after
     return out
@@ -218,16 +224,31 @@ def is_unital(pmap: PositiveMapRep) -> bool:
     return spectral_norm(image - np.eye(pmap.output_dim)) <= PSD_TOL
 
 
-def _cp_draws(rng: np.random.Generator, n: int, m: int, terms: int) -> np.ndarray:
-    """The standard normals of one ``random_cp_map``, each term's real part then its imaginary part."""
-    return rng.standard_normal((terms, 2, n, m))
+def _cp_maps(draws: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The Kraus stacks ``(k, terms, n, m)`` ``random_cp_map`` builds from a stack ``(k, terms, 2, n, m)`` of its draws.
 
-
-def _cp_maps(draws: np.ndarray) -> list:
-    """The maps ``random_cp_map`` builds from a stack ``(k, terms, 2, n, m)`` of its draws, one per member."""
+    A term's draws are its real part, then its imaginary part; ``out``, if given,
+    receives the stacks, so a batch builds its maps in place.
+    """
     _, terms, _, n, _ = draws.shape
-    ops = (draws[:, :, 0] + 1j * draws[:, :, 1]) / np.sqrt(2.0 * n * terms)
-    return [PositiveMapRep(member) for member in ops]
+    out = np.multiply(draws[:, :, 1], 1j, out=out)
+    out += draws[:, :, 0]
+    out /= np.sqrt(2.0 * n * terms)
+    return out
+
+
+def _unital(ops: np.ndarray) -> np.ndarray:
+    """Each Kraus stack of ``ops`` ``(k, terms, n, m)`` normalised so the identity maps to the identity.
+
+    One ``_apply_stack`` and one ``eigh`` for the stack: ``k_t -> k_t map(I)^(-1/2)``,
+    with ``map(I)``'s spectrum floored at its scaled ``CONSTRUCTION_TOL``.
+    """
+    k, _, n, _ = ops.shape
+    image = _apply_stack(ops, np.broadcast_to(np.eye(n, dtype=complex), (k, 1, n, n)))[:, 0]
+    w, v = np.linalg.eigh(_hermitian(image))
+    w = np.maximum(w, _threshold(CONSTRUCTION_TOL, w.max(axis=-1, keepdims=True)))
+    inv_root = (v / np.sqrt(w)[:, None]) @ _adjoint(v)
+    return ops @ inv_root[:, None]
 
 
 def random_cp_map(seed, n: int, m: int, terms: Optional[int] = None) -> PositiveMapRep:
@@ -237,14 +258,9 @@ def random_cp_map(seed, n: int, m: int, terms: Optional[int] = None) -> Positive
     terms = n * m if terms is None else terms
     _check_size(terms, "terms")
     _check_unit_bytes(_Unit(f"map of {terms} Kraus factors", 1, terms=terms), n, m)
-    return _cp_maps(_cp_draws(np.random.default_rng(seed), n, m, terms)[None])[0]
+    return PositiveMapRep(_cp_maps(np.random.default_rng(seed).standard_normal((1, terms, 2, n, m)))[0])
 
 
 def random_unital_cp_map(seed, n: int, m: int, terms: Optional[int] = None) -> PositiveMapRep:
     """Seeded CP map normalized so the identity maps to the identity."""
-    base = random_cp_map(seed, n, m, terms)
-    image = apply(base, np.eye(n, dtype=complex))
-    w, v = np.linalg.eigh(hermitian_part(image))
-    w = np.maximum(w, _threshold(CONSTRUCTION_TOL, w.max()))
-    inv_root = (v / np.sqrt(w)) @ v.conj().T
-    return PositiveMapRep(base.kraus_ops @ inv_root)
+    return PositiveMapRep(_unital(random_cp_map(seed, n, m, terms).kraus_ops[None])[0])

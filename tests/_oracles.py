@@ -14,14 +14,26 @@ closed form, and scipy's generalized eigensolve of the same pencil the reference
 Cholesky reduction. The identity map, the upper-left block extraction and the unitary
 (Halmos) dilation of a contraction are the reference for the Russo-Dye shortcut, which
 applies the map to the contraction itself, and the polar witness of an image is the
-reference for the witness every orbit certificate carries.
+reference for the witness every orbit certificate carries. A sweep trial drawn alone, one
+generator and one instance kind after another through the public generators, is the
+reference for a batch's record of stacked draws.
 """
 
 import numpy as np
 import scipy.linalg
 
-from matineq.core import hermitian_part, mat_abs, polar, spectral_norm
-from matineq.maps import PositiveMapRep, apply
+from matineq.core import (
+    _complex_gaussian,
+    _contractions,
+    _normals,
+    hermitian_part,
+    mat_abs,
+    polar,
+    random_matrix,
+    random_psd,
+    spectral_norm,
+)
+from matineq.maps import PositiveMapRep, apply, random_cp_map, random_unital_cp_map
 
 
 def arithmetic_harmonic_mean(a, b, iterations=60):
@@ -253,3 +265,18 @@ def minimal_orbit_constant_by_pencil(pmap, nmat, beta):
     s0 = beta * arg - lhs - floor * np.eye(len(arg))
     nu = scipy.linalg.eigh(-s0, s0 + hi * orbit, eigvals_only=True)[-1]
     return 0.0 if nu <= 0.0 else float(hi * nu / (1.0 + nu))
+
+
+def trial_drawn_alone(seed, index, n, m) -> list:
+    """A sweep trial's instances, in ``certify._Trial``'s field order, drawn one kind at a time.
+
+    One generator seeded ``[seed, index]`` draws the sweep map, the unital map, 7
+    normal matrices of size n and one of size 2n, 3 + 3 contractions of sizes n and
+    m, 3 Gaussian m x n matrices, one of size n and a PSD matrix.
+    """
+    rng = np.random.default_rng([seed, index])
+    pmap, unital = random_cp_map(rng, n, m), random_unital_cp_map(rng, n, m)
+    normals, block = _normals(rng, 7, n), _normals(rng, 1, 2 * n)[0]
+    z_n, z_m = _contractions(_complex_gaussian(rng, 3, n, n)), _contractions(_complex_gaussian(rng, 3, m, m))
+    xs, x, psd = _complex_gaussian(rng, 3, m, n), random_matrix(rng, n), random_psd(rng, n)
+    return [pmap, unital, normals[0], normals[1], normals[2:5], normals[5:7], block, *z_n, z_m, xs, x, psd]

@@ -88,6 +88,7 @@ from _oracles import (
     minimal_orbit_constant_by_bisection,
     schur_normal_terms_via_kron,
     schur_square_terms_via_kron,
+    trial_drawn_alone,
     witness_unitary,
 )
 
@@ -829,14 +830,16 @@ def test_two_positive_applies_the_unital_map_to_z_and_its_modulus_only(monkeypat
     # applies it once, to [z, |z|], and never to the identity.
     stacks = []
     unital = _draw(5, 3, 3, 3).unital.kraus_ops
+    apply_members = certify._apply_members
 
-    def counted(pmap, x):
-        if np.array_equal(pmap.kraus_ops, unital):
-            stacks.append(x)
-        return apply(pmap, x)
+    @functools.wraps(apply_members)  # the engine finds the stage by __name__
+    def counted(batch, index, x):
+        images = apply_members(batch, index, x)
+        member = [np.array_equal(batch.ops[i], unital) for i in index]
+        stacks.extend([x[member]] if any(member) else [])
+        return images
 
-    counted.__name__ = "apply"
-    monkeypatch.setattr(certify, "apply", counted)
+    monkeypatch.setattr(certify, "_apply_members", counted)
     run_trial(5, 3, 3, 3, (0.5,))
     z = _draw(5, 3, 3, 3).quarter_z
     assert len(stacks) == 1
@@ -1219,6 +1222,25 @@ def test_a_sweep_trial_stays_within_its_byte_count(n, m):
             tracemalloc.stop()
         record = maps._unit_bytes(certify._sweep_trial(len(betas)), n, m)
         assert 2 * 16 * (n * m) ** 2 < peak <= record, (len(betas), peak, record)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_sweep_batch_stays_within_its_trials_byte_counts(n):
+    # Measured: the peak traced memory of a default batch, 18 trials at 3 x 3 and
+    # 12 at 4 x 4, lies within its trials' records at the default four weights.
+    import tracemalloc
+
+    unit = certify._sweep_trial(4)
+    k = maps._units_per_call(unit, n, n)
+    assert k == {3: 18, 4: 12}[n]
+    run_trial(1, [0, 1], 2, 2, (0.5,))  # one-time allocations first
+    tracemalloc.start()
+    try:
+        run_trial(3, list(range(k)), n, n, (0.25, 0.5, 1.0, 2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= k * maps._unit_bytes(unit, n, n), (k, peak)
 
 
 def test_the_sweep_trial_record_is_the_fitted_one_at_four_weights():
@@ -1698,16 +1720,16 @@ def test_run_trial_decomposition_budget(linalg_calls):
         run_trial(5, n, n, m, (0.25, 0.5, 1.0, 2.0))
         assert sum(linalg_calls.values()) == budget, (n, m, dict(linalg_calls))
         assert linalg_calls["norm"] == 0, dict(linalg_calls)
-    # A batch of k trials makes each stacked call once, except that each trial
-    # draws its own instances (the contractions' SVD, one per size, and the
-    # unital map's eigh) and takes realpart-det's det: 12 + 3k decompositions
-    # at n = m and 23 + 4k at n != m.
-    for k in (2, 33):
-        for n, m, fixed, per_trial in ((3, 3, 12, 3), (2, 3, 23, 4)):
+    # A batch of k trials makes each call once: its instances are built once a
+    # batch (the contractions' SVD, one per size, and the unital maps' eigh), and
+    # realpart-det's det is one stacked ask, so 15 decompositions at n = m and
+    # 27 at n != m, whatever k.
+    for k in (2, 17, 33):
+        for n, m, budget in ((3, 3, 15), (2, 3, 27)):
             linalg_calls.clear()
             run_trial(5, list(range(k)), n, m, (0.25, 0.5, 1.0, 2.0))
-            assert sum(linalg_calls.values()) == fixed + per_trial * k, (k, n, m, dict(linalg_calls))
-            assert (linalg_calls["det"], linalg_calls["norm"]) == (k, 0), dict(linalg_calls)
+            assert sum(linalg_calls.values()) == budget, (k, n, m, dict(linalg_calls))
+            assert (linalg_calls["det"], linalg_calls["norm"]) == (1, 0), dict(linalg_calls)
 
 
 def test_run_trial_stacked_calls(monkeypatch):
@@ -1738,15 +1760,15 @@ def test_run_trial_stacked_calls(monkeypatch):
         assert len(answered) == calls, answered
         assert answered.count("_log_majorizations") == lengths, answered
         assert len(hermitian) == 1, hermitian
-    # A batch of k trials shares every call but apply's: asks to apply are
-    # grouped by map object, and each trial has its own sweep and unital maps,
-    # while the real-part averager and the two partial traces are built once a
-    # call, so 12 + 2k calls.
+    # A batch of k trials shares every call: the real-part averager and the two
+    # partial traces are built once a call, one apply each, and the trials'
+    # sweep and unital maps are members of one stack, whose images take one
+    # _apply_members call, so 14 calls whatever k.
     for k in (2, 17, 33):
         answered.clear()
         run_trial(5, list(range(k)), 3, 3, (0.25, 0.5, 1.0, 2.0))
-        assert len(answered) == 12 + 2 * k, answered
-        assert answered.count("apply") == 3 + 2 * k, answered
+        assert len(answered) == 14, answered
+        assert (answered.count("apply"), answered.count("_apply_members")) == (3, 1), answered
 
 
 def test_every_orbit_pair_is_exactly_hermitian(monkeypatch):
@@ -1814,6 +1836,22 @@ def test_every_draw_holds_its_hypotheses(n, m):
         assert is_unital(t.unital), index
         w = np.linalg.eigvalsh(t.psd)
         assert _hermitian_within(t.psd) and _is_psd(w, np.abs(w).max()), index
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (4, 4), (12, 12)])
+def test_a_batch_member_is_its_trial_drawn_alone(n, m):
+    # A batch draws every trial's instances into one record of stacks and builds
+    # each kind once; each member has, field by field, the bits of its trial
+    # drawn alone by the public generators, and of a batch of one.
+    indices = [5, 0, 3, 9]  # out of order: a batch is any list of indices
+    batch = _draw(7, indices, n, m)
+    for index, member in zip(indices, batch):
+        drawn = zip(member._fields, member, trial_drawn_alone(7, index, n, m), _draw(7, index, n, m))
+        for field, mine, alone, one in drawn:
+            if field in ("pmap", "unital"):
+                mine, alone, one = mine.kraus_ops, alone.kraus_ops, one.kraus_ops
+            np.testing.assert_array_equal(mine, alone, f"{field} of trial {index}")
+            np.testing.assert_array_equal(mine, one, f"{field} of trial {index}")
 
 
 # The input rules: coercion, fit, the weight rule and the hypotheses' predicates.

@@ -1,9 +1,11 @@
 """Tests for the staged evaluation engine."""
 
+import ast
 import functools
 
 import numpy as np
 
+from matineq import staging
 from matineq.core import polar, random_matrix, singular_values
 from matineq.staging import Ask, run
 
@@ -38,3 +40,30 @@ def test_groups_answer_each_member_with_its_own_bits():
             np.testing.assert_array_equal(field_got, field_want)
     for got, x in zip(results[4:], mats):
         np.testing.assert_array_equal(got, singular_values(x))
+
+
+def test_the_engine_knows_no_caller():
+    # The engine is generic: it imports nothing of the library, and reads a
+    # function's __name__ only to find its stage, so no function (such as a
+    # batch's map application) can be a special case in it.
+    with open(staging.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not (node.module or "").startswith("matineq"), ast.unparse(node)
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("matineq") for alias in node.names), ast.unparse(node)
+        if isinstance(node, ast.Compare):
+            assert "__name__" not in ast.unparse(node), ast.unparse(node)
+    lookups = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "stage_of"
+        and isinstance(node.slice, ast.Attribute)
+        and node.slice.attr == "__name__"
+    ]
+    names = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "__name__"]
+    assert len(lookups) == 1 and names == [lookups[0].slice], [ast.unparse(node) for node in names]
+    assert "__name__" not in [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)]

@@ -43,7 +43,7 @@ def _records():
 
 
 @pytest.mark.parametrize("mutant", [False, True], ids=["clean", "mutant"])
-@pytest.mark.parametrize("n, m", DIMS)
+@pytest.mark.parametrize("n, m", DIMS + ((1, 1), (1, 2), (2, 1)))
 def test_a_batch_gives_each_trial_its_outcomes_alone(n, m, mutant):
     indices = [5, 0, 3]  # out of order: a batch is any list of indices
     batch = run_trial(SEED, indices, n, m, BETAS, inject_mutant=mutant)
