@@ -32,12 +32,14 @@ from .core import (
     _complex_gaussian,
     _contractions,
     _gaussian_from,
+    _gaussian_shapes,
     _hermitian,
     _hermitian_verdict,
     _hermitian_within,
     _is_psd,
     _log_majorizations,
     _normal_draws,
+    _normal_shapes,
     _normals_from,
     _psd_from,
     _refuse,
@@ -63,6 +65,7 @@ from .maps import (
     _check_fit,
     _check_unit_bytes,
     _cp_maps,
+    _cp_shape,
     _unital,
     apply,
     corner_block_map,
@@ -244,17 +247,10 @@ class _MapBatch:
 
 
 class _Member(NamedTuple):
-    """Map ``index`` of a batch's drawn maps; read as a map, its factors are a view of the batch's stack."""
+    """Map ``index`` of a batch's drawn maps, whose factors ``batch.ops[index]`` only ``_apply_members`` reads."""
 
     batch: _MapBatch
     index: int
-
-    @property
-    def kraus_ops(self) -> np.ndarray:
-        return self.batch.ops[self.index]
-
-    input_dim = PositiveMapRep.input_dim
-    output_dim = PositiveMapRep.output_dim
 
 
 def _apply_members(batch: _MapBatch, index, x) -> np.ndarray:
@@ -707,7 +703,7 @@ def check_schur_square(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Cer
 
 def _two_positive_unital(pmap: PositiveMapRep, z, tol: float):
     o = yield from _image_orbit(pmap, z)
-    rhs = np.eye(pmap.output_dim, dtype=complex) / 4.0 + o.arg
+    rhs = np.eye(len(o.arg), dtype=complex) / 4.0 + o.arg
     return (yield from _decide([_Claim("two-positive-quarter", o.lhs, rhs)], tol))
 
 
@@ -1028,7 +1024,7 @@ def _search_pairs(seed, bi: int, ts: range, n: int, m: int):
     matrix); what follows the draws runs once a chunk.
     """
     seeds = [[seed, bi, t] for t in ts]
-    ops = _cp_maps(np.stack([np.random.default_rng(s + [0]).standard_normal((n * m, 2, n, m)) for s in seeds]))
+    ops = _cp_maps(np.stack([np.random.default_rng(s + [0]).standard_normal(_cp_shape(n * m, n, m)) for s in seeds]))
     draws = [_normal_draws(np.random.default_rng(s + [1]), 1, n) for s in seeds]
     return [PositiveMapRep(member) for member in ops], _normals_from([np.concatenate(field) for field in zip(*draws)])
 
@@ -1108,22 +1104,21 @@ class _Trial(NamedTuple):
     psd: np.ndarray  # PSD matrix: schur-diagonal
 
 
-def _draw(master_seed: int, trial_index: int | Sequence[int], n: int, m: int) -> _Trial | list:
-    """One trial's instances, or a batch's as one ``_Trial`` per index, drawn as one record of stacks.
+def _draw(master_seed: int, indices: Sequence[int], n: int, m: int) -> list:
+    """A batch's instances, one ``_Trial`` per trial index, drawn as one record of stacks.
 
     Trial ``index`` draws every instance from its own generator seeded ``[seed,
     index]``, in a fixed order: the two maps, 8 normal matrices (7 of size n,
     then one of size 2n), 6 contractions (3 of size n, then 3 of size m), 4
     Gaussian matrices (3 of shape m x n, then one of size n) and a PSD matrix.
-    Its standard normals go to its row of the batch's stacks, and then each
-    kind is built once a batch by the public generators' builders: one QR per
-    unitary size, one SVD per contraction size, one ``_apply_stack`` and one
-    ``eigh`` for the unital maps. The two maps are drawn and built in turn
-    through one stack of draws. Each trial has the bits of the public
-    generators drawing from its generator in that order.
+    Its standard normals go to its row of the batch's stacks, in the shapes the
+    public generators draw (``_cp_shape``, ``_normal_shapes``,
+    ``_gaussian_shapes``), and then each kind is built once a batch by those
+    generators' builders: one QR per unitary size, one SVD per contraction
+    size, one ``_apply_stack`` and one ``eigh`` for the unital maps. The two
+    maps are drawn and built in turn through one stack of draws. Each trial has
+    the bits of the public generators drawing from its generator in that order.
     """
-    single = np.ndim(trial_index) == 0
-    indices = [trial_index] if single else list(trial_index)
     k, terms = len(indices), n * m
     rngs = [np.random.default_rng([master_seed, i]) for i in indices]
 
@@ -1135,18 +1130,21 @@ def _draw(master_seed: int, trial_index: int | Sequence[int], n: int, m: int) ->
                 rng.standard_normal(out=stack[row])
         return stacks
 
+    def gaussians(count: int, rows: int, cols: int) -> np.ndarray:
+        return _gaussian_from(*drawn(*_gaussian_shapes(count, rows, cols)))
+
+    def normals(count: int, size: int) -> np.ndarray:
+        stacks = drawn(*_normal_shapes(count, size))  # (k, count, ...): built as k count members
+        return _normals_from([d.reshape((k * count,) + d.shape[2:]) for d in stacks]).reshape(k, count, size, size)
+
     maps = np.empty((2, k, terms, n, m), dtype=complex)
     for built in maps:  # the sweep maps, then the unital maps' Gaussian bases
-        (draws,) = drawn((terms, 2, n, m))
+        (draws,) = drawn(_cp_shape(terms, n, m))
         _cp_maps(draws, out=built)
         del draws  # freed before the next map is drawn
     maps[1] = _unital(maps[1])
-    normals = _normals_from([d.reshape((7 * k,) + d.shape[2:]) for d in drawn((7, n, n), (7, n, n), (7, n), (7, n))])
-    normals = normals.reshape(k, 7, n, n)
-    block = _normals_from(drawn((2 * n, 2 * n), (2 * n, 2 * n), (2 * n,), (2 * n,)))
-    g_n, g_m, xs, x, g_psd = (
-        _gaussian_from(*drawn(shape, shape)) for shape in ((3, n, n), (3, m, m), (3, m, n), (n, n), (n, n))
-    )
+    small, block = normals(7, n), normals(1, 2 * n)[:, 0]
+    g_n, g_m, xs, x, g_psd = (gaussians(*shape) for shape in ((3, n, n), (3, m, m), (3, m, n), (1, n, n), (1, n, n)))
     # One SVD call when the sizes agree; each member's bits are the same either way.
     if n == m:
         z_n, z_m = np.split(_contractions(np.concatenate([g_n, g_m], axis=1)), 2, axis=1)
@@ -1154,14 +1152,13 @@ def _draw(master_seed: int, trial_index: int | Sequence[int], n: int, m: int) ->
         z_n, z_m = _contractions(g_n), _contractions(g_m)
     psd = _psd_from(g_psd)
     batch = _MapBatch(maps.reshape(2 * k, terms, n, m))
-    trials = [
+    return [
         _Trial(
-            _Member(batch, j), _Member(batch, k + j), normals[j, 0], normals[j, 1], normals[j, 2:5],
-            normals[j, 5:7], block[j], *z_n[j], z_m[j], xs[j], x[j], psd[j],
+            _Member(batch, j), _Member(batch, k + j), small[j, 0], small[j, 1], small[j, 2:5],
+            small[j, 5:7], block[j], *z_n[j], z_m[j], xs[j], x[j, 0], psd[j, 0],
         )
         for j in range(k)
     ]
-    return trials[0] if single else trials
 
 
 class _Shared(NamedTuple):

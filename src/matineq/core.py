@@ -468,9 +468,13 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _gaussian_shapes(count: int, rows: int, cols: int) -> list:
+    """The shapes of the standard normals of ``count`` complex Gaussians, in draw order: real, then imaginary parts."""
+    return [(count, rows, cols)] * 2
+
+
 def _complex_gaussian(rng: np.random.Generator, count: int, rows: int, cols: int) -> np.ndarray:
-    shape = (count, rows, cols)
-    return _gaussian_from(rng.standard_normal(shape), rng.standard_normal(shape))
+    return _gaussian_from(*(rng.standard_normal(shape) for shape in _gaussian_shapes(count, rows, cols)))
 
 
 def _gaussian_from(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -491,16 +495,19 @@ def _haar(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     return _haar_from(_complex_gaussian(rng, count, n, n))
 
 
-def _normal_draws(rng: np.random.Generator, count: int, n: int) -> list:
-    """The standard normals of ``count`` normal matrices, in draw order.
+def _normal_shapes(count: int, n: int) -> list:
+    """The shapes of the standard normals of ``count`` normal matrices, in draw order.
 
     The real, then imaginary, parts of the unitaries' Gaussians ``(count, n, n)``,
     then of the eigenvalues ``(count, n)``: draws of several generators
     concatenate member by member.
     """
-    return [rng.standard_normal((count, n, n)) for _ in range(2)] + [
-        rng.standard_normal((count, n)) for _ in range(2)
-    ]
+    return _gaussian_shapes(count, n, n) + [(count, n)] * 2
+
+
+def _normal_draws(rng: np.random.Generator, count: int, n: int) -> list:
+    """The standard normals of ``count`` normal matrices, of ``_normal_shapes``."""
+    return [rng.standard_normal(shape) for shape in _normal_shapes(count, n)]
 
 
 def _normals_from(draws: list) -> np.ndarray:

@@ -224,11 +224,15 @@ def is_unital(pmap: PositiveMapRep) -> bool:
     return spectral_norm(image - np.eye(pmap.output_dim)) <= PSD_TOL
 
 
-def _cp_maps(draws: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The Kraus stacks ``(k, terms, n, m)`` ``random_cp_map`` builds from a stack ``(k, terms, 2, n, m)`` of its draws.
+def _cp_shape(terms: int, n: int, m: int) -> tuple:
+    """The shape of one ``random_cp_map``'s standard normals: each term's real part, then its imaginary part."""
+    return (terms, 2, n, m)
 
-    A term's draws are its real part, then its imaginary part; ``out``, if given,
-    receives the stacks, so a batch builds its maps in place.
+
+def _cp_maps(draws: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The Kraus stacks ``(k, terms, n, m)`` of ``random_cp_map`` from a stack of its draws, one ``_cp_shape`` a map.
+
+    ``out``, if given, receives the stacks, so a batch builds its maps in place.
     """
     _, terms, _, n, _ = draws.shape
     out = np.multiply(draws[:, :, 1], 1j, out=out)
@@ -258,7 +262,7 @@ def random_cp_map(seed, n: int, m: int, terms: Optional[int] = None) -> Positive
     terms = n * m if terms is None else terms
     _check_size(terms, "terms")
     _check_unit_bytes(_Unit(f"map of {terms} Kraus factors", 1, terms=terms), n, m)
-    return PositiveMapRep(_cp_maps(np.random.default_rng(seed).standard_normal((1, terms, 2, n, m)))[0])
+    return PositiveMapRep(_cp_maps(np.random.default_rng(seed).standard_normal((1,) + _cp_shape(terms, n, m)))[0])
 
 
 def random_unital_cp_map(seed, n: int, m: int, terms: Optional[int] = None) -> PositiveMapRep:

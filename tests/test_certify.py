@@ -824,12 +824,17 @@ def test_two_positive_random_hermitian_contractions():
         assert check_two_positive_unital(pmap, z).passed, seed
 
 
+def _as_map(member: certify._Member) -> PositiveMapRep:
+    """A drawn map as the public map of its factors, so a checker given it runs through ``maps.apply``."""
+    return PositiveMapRep(member.batch.ops[member.index])
+
+
 def test_two_positive_applies_the_unital_map_to_z_and_its_modulus_only(monkeypatch):
     # Unitality is the checker's hypothesis, refused through maps.is_unital
     # before the run; the sweep's unital map is unital as drawn, so the sweep
     # applies it once, to [z, |z|], and never to the identity.
     stacks = []
-    unital = _draw(5, 3, 3, 3).unital.kraus_ops
+    unital = _as_map(_draw(5, [3], 3, 3)[0].unital).kraus_ops
     apply_members = certify._apply_members
 
     @functools.wraps(apply_members)  # the engine finds the stage by __name__
@@ -841,7 +846,7 @@ def test_two_positive_applies_the_unital_map_to_z_and_its_modulus_only(monkeypat
 
     monkeypatch.setattr(certify, "_apply_members", counted)
     run_trial(5, 3, 3, 3, (0.5,))
-    z = _draw(5, 3, 3, 3).quarter_z
+    z = _draw(5, [3], 3, 3)[0].quarter_z
     assert len(stacks) == 1
     np.testing.assert_array_equal(stacks[0], [z, mat_abs(z)])
 
@@ -1827,13 +1832,13 @@ def test_every_draw_holds_its_hypotheses(n, m):
     # The sweep runs its tasks on the draws as drawn, checking nothing: each
     # instance holds its statement's hypotheses by the library's own rules.
     for index in range(3):
-        t = _draw(5, index, n, m)
+        t = _draw(5, [index], n, m)[0]
         normals = [t.main, t.real, *t.summands, *t.schur_pair, t.block]
         contractions = [t.russo_z, t.schur_z, t.quarter_z, *t.zs]
         assert (len(normals), len(contractions)) == (8, 6)
         assert all(is_normal(x) for x in normals), index
         assert all(is_contraction(z) for z in contractions), index
-        assert is_unital(t.unital), index
+        assert is_unital(_as_map(t.unital)), index
         w = np.linalg.eigvalsh(t.psd)
         assert _hermitian_within(t.psd) and _is_psd(w, np.abs(w).max()), index
 
@@ -1846,10 +1851,10 @@ def test_a_batch_member_is_its_trial_drawn_alone(n, m):
     indices = [5, 0, 3, 9]  # out of order: a batch is any list of indices
     batch = _draw(7, indices, n, m)
     for index, member in zip(indices, batch):
-        drawn = zip(member._fields, member, trial_drawn_alone(7, index, n, m), _draw(7, index, n, m))
+        drawn = zip(member._fields, member, trial_drawn_alone(7, index, n, m), _draw(7, [index], n, m)[0])
         for field, mine, alone, one in drawn:
             if field in ("pmap", "unital"):
-                mine, alone, one = mine.kraus_ops, alone.kraus_ops, one.kraus_ops
+                mine, alone, one = _as_map(mine).kraus_ops, alone.kraus_ops, _as_map(one).kraus_ops
             np.testing.assert_array_equal(mine, alone, f"{field} of trial {index}")
             np.testing.assert_array_equal(mine, one, f"{field} of trial {index}")
 
@@ -1875,7 +1880,8 @@ def test_no_task_checks_its_inputs():
 
 
 def _public_outcomes(t, betas, tol) -> dict:
-    """Every statement of the drawn trial ``t``, from the public checkers one at a time."""
+    """Every statement of the drawn trial ``t``, from the public checkers one at a time on public maps."""
+    t = t._replace(pmap=_as_map(t.pmap), unital=_as_map(t.unital))
     out = {}
     for beta in betas:
         tag = f"@beta={beta:g}"
@@ -1911,7 +1917,7 @@ def test_run_trial_symmetrized_statements_match_public_checkers():
     betas = (0.25, 0.5, 1.0, 2.0)
     for trial, (n, m) in enumerate(((2, 2), (3, 3), (4, 4), (2, 3), (3, 2))):
         out = run_trial(11, trial, n, m, betas)
-        public = _public_outcomes(_draw(11, trial, n, m), betas, DEFAULT_TOL)
+        public = _public_outcomes(_draw(11, [trial], n, m)[0], betas, DEFAULT_TOL)
         assert set(public) == set(out)
         for key, outcome in out.items():
             mine = public[key]
