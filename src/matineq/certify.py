@@ -43,6 +43,8 @@ from .core import (
     _normals_from,
     _psd_from,
     _refuse,
+    _rng,
+    _rngs,
     _threshold,
     as_matrix,
     conj_real_part,
@@ -915,7 +917,7 @@ def search_nonnormal_counterexample(seed, trials: int) -> ReproResult:
     """
     _check_index(seed, "seed")
     _check_size(trials, "trials")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     for index in range(trials):
         candidate = _complex_gaussian(rng, 1, 2, 2)[0]
         det_lhs, det_rhs, margin = _real_part_margin(candidate)
@@ -1021,11 +1023,14 @@ def _search_pairs(seed, bi: int, ts: range, n: int, m: int):
     Each instance keeps its two generators, seeded ``[seed, bi, t, 0]`` for the map
     and ``[seed, bi, t, 1]`` for the matrix, so it is the pair ``random_cp_map`` and
     ``random_normal`` draw from those seeds (at ``n = 1`` up to the last bit of the
-    matrix); what follows the draws runs once a chunk.
+    matrix); what follows the draws runs once a chunk. The chunk's 2k seeds are
+    hashed in one ``core._rngs`` pass, whose generators have the bits of
+    ``np.random.default_rng``'s; they are built one at a time, the maps' first.
     """
-    seeds = [[seed, bi, t] for t in ts]
-    ops = _cp_maps(np.stack([np.random.default_rng(s + [0]).standard_normal(_cp_shape(n * m, n, m)) for s in seeds]))
-    draws = [_normal_draws(np.random.default_rng(s + [1]), 1, n) for s in seeds]
+    rngs = _rngs([[seed, bi, t, j] for j in (0, 1) for t in ts])
+    shape = _cp_shape(n * m, n, m)
+    ops = _cp_maps(np.stack([rng.standard_normal(shape) for rng in itertools.islice(rngs, len(ts))]))
+    draws = [_normal_draws(rng, 1, n) for rng in rngs]
     return [PositiveMapRep(member) for member in ops], _normals_from([np.concatenate(field) for field in zip(*draws)])
 
 
@@ -1118,9 +1123,11 @@ def _draw(master_seed: int, indices: Sequence[int], n: int, m: int) -> list:
     size, one ``_apply_stack`` and one ``eigh`` for the unital maps. The two
     maps are drawn and built in turn through one stack of draws. Each trial has
     the bits of the public generators drawing from its generator in that order.
+    The batch's seeds are hashed in one ``core._rngs`` pass, whose generators
+    have the bits of ``np.random.default_rng``'s.
     """
     k, terms = len(indices), n * m
-    rngs = [np.random.default_rng([master_seed, i]) for i in indices]
+    rngs = list(_rngs([[master_seed, i] for i in indices]))
 
     def drawn(*shapes) -> list:
         """Each trial's next standard normals of ``shapes``, in order, into its row of a stack per shape."""

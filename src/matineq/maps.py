@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import CONSTRUCTION_TOL, PSD_TOL, _DROP_TOL, _check_size, _is_psd, _threshold
-from .core import _adjoint, _as_stack, _herm_eig, _hermitian, _refuse, as_matrix, spectral_norm
+from .core import _adjoint, _as_stack, _herm_eig, _hermitian, _refuse, _rng, as_matrix, spectral_norm
 
 __all__ = [
     "MAX_KRAUS_BYTES",
@@ -262,7 +262,7 @@ def random_cp_map(seed, n: int, m: int, terms: Optional[int] = None) -> Positive
     terms = n * m if terms is None else terms
     _check_size(terms, "terms")
     _check_unit_bytes(_Unit(f"map of {terms} Kraus factors", 1, terms=terms), n, m)
-    return PositiveMapRep(_cp_maps(np.random.default_rng(seed).standard_normal((1,) + _cp_shape(terms, n, m)))[0])
+    return PositiveMapRep(_cp_maps(_rng(seed).standard_normal((1,) + _cp_shape(terms, n, m)))[0])
 
 
 def random_unital_cp_map(seed, n: int, m: int, terms: Optional[int] = None) -> PositiveMapRep:

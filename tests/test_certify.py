@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import matineq
-from matineq import certify, maps, staging
+from matineq import certify, cli, maps, staging
 from matineq.core import (
     MajorizationReport,
     _hermitian_within,
@@ -1809,22 +1809,78 @@ def test_every_orbit_pair_is_exactly_hermitian(monkeypatch):
             assert np.array_equal(x, x.conj().swapaxes(-1, -2))
 
 
+def _no_seed_sequence(monkeypatch) -> None:
+    """Make every numpy route that hashes a seed with a ``SeedSequence`` raise.
+
+    ``default_rng`` and ``SeedSequence`` are refused outright, and ``PCG64`` is
+    refused any seed but a precomputed one (an ``ISeedSequence``).
+    """
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a SeedSequence was built")
+
+    pcg64 = np.random.PCG64
+
+    def precomputed_only(seed=None):
+        if not isinstance(seed, np.random.bit_generator.ISeedSequence):
+            refused()
+        return pcg64(seed)
+
+    for module in (np.random, np.random.bit_generator):
+        monkeypatch.setattr(module, "SeedSequence", refused)
+    monkeypatch.setattr(np.random, "default_rng", refused)
+    monkeypatch.setattr(np.random, "PCG64", precomputed_only)
+
+
+def _recorded_rngs(monkeypatch) -> tuple:
+    """Record the seeds of each ``certify._rngs`` call, and count the generators it hands out."""
+    calls, handed = [], []
+    rngs = certify._rngs
+
+    def recorded(seeds):
+        calls.append([list(seed) for seed in seeds])
+        for rng in rngs(seeds):
+            handed.append(1)
+            yield rng
+
+    monkeypatch.setattr(certify, "_rngs", recorded)
+    return calls, handed
+
+
 def test_run_trial_builds_one_seeded_generator(monkeypatch):
-    # Every instance of a trial is drawn from one generator; the draws take
-    # it as their seed, which numpy passes through without building another.
-    built = []
-    default_rng = np.random.default_rng
-
-    def counted(seed=None):
-        if not isinstance(seed, np.random.Generator):
-            built.append(seed)
-        return default_rng(seed)
-
-    monkeypatch.setattr(np.random, "default_rng", counted)
+    # Every instance of a trial is drawn from one generator, seeded [seed, index];
+    # a batch's generators come from one pass of the batch seeding, none from a
+    # SeedSequence of its own.
+    _no_seed_sequence(monkeypatch)
+    calls, handed = _recorded_rngs(monkeypatch)
     for n, m in ((2, 2), (3, 2)):
-        built.clear()
-        run_trial(5, 7, n, m, (0.25, 1.0))
-        assert built == [[5, 7]], built
+        for index in (7, [7, 2, 9]):
+            calls.clear()
+            handed.clear()
+            run_trial(5, index, n, m, (0.25, 1.0))
+            indices = np.atleast_1d(index).tolist()
+            assert calls == [[[5, i] for i in indices]] and len(handed) == len(indices), calls
+
+
+def test_search_chunk_builds_two_seeded_generators_a_pair(monkeypatch):
+    # A chunk's pairs take their map's generator from [seed, bi, t, 0] and their
+    # matrix's from [seed, bi, t, 1], in t order, all in one pass.
+    _no_seed_sequence(monkeypatch)
+    calls, handed = _recorded_rngs(monkeypatch)
+    ts = range(3, 11)
+    pmaps, _ = certify._search_pairs(4, 2, ts, 2, 3)
+    assert len(pmaps) == len(ts) and len(handed) == 2 * len(ts)
+    assert calls == [[[4, 2, t, 0] for t in ts] + [[4, 2, t, 1] for t in ts]]
+
+
+def test_search_command_builds_no_seed_sequence(capsys, monkeypatch):
+    # The whole search command, as the benchmark runs it, seeds every generator
+    # through the batch seeding: no SeedSequence hashes one instance's seed.
+    _no_seed_sequence(monkeypatch)
+    calls, handed = _recorded_rngs(monkeypatch)
+    code = cli.main(["search", "--dims", "3,3", "--beta", "0.1,0.25,0.5", "--trials", "20", "--seed", "2"])
+    assert code == 0 and capsys.readouterr().out.startswith("beta,empirical_c")
+    assert [len(call) for call in calls] == [40] * 3 and len(handed) == 120
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (3, 2), (4, 4), (12, 12), (27, 27), (1, 166), (166, 1)])
