@@ -38,7 +38,6 @@ from .core import (
     _hermitian_within,
     _is_psd,
     _log_majorizations,
-    _normal_draws,
     _normal_shapes,
     _normals_from,
     _psd_from,
@@ -68,6 +67,7 @@ from .maps import (
     _check_unit_bytes,
     _cp_maps,
     _cp_shape,
+    _kraus_stack,
     _unital,
     apply,
     corner_block_map,
@@ -271,7 +271,7 @@ def _entry(x, name: str, pmap: Optional[PositiveMapRep] = None, check=None, what
     """``x`` as a finite square matrix, refused by ``name`` unless it fits ``pmap`` and ``check`` holds (is ``what``)."""
     x = as_matrix(x, square=True, name=name)
     if pmap is not None:
-        _check_fit(pmap, x, name)
+        _check_fit(pmap.kraus_ops, x, name)
     if check is not None:
         _refuse(check(x), name, what)
     return x
@@ -946,7 +946,7 @@ def search_nonnormal_counterexample(seed, trials: int) -> ReproResult:
     )
 
 
-def minimal_orbit_constant(pmap: PositiveMapRep | Sequence[PositiveMapRep], nmat, beta: float):
+def minimal_orbit_constant(pmap: PositiveMapRep | np.ndarray, nmat, beta: float):
     """Smallest c with ``|map(n)| <= beta map(|n|) + c v map(|n|) v*`` for the polar witness.
 
     With ``a = map(|n|)``, ``b = v a v*``, ``hi = 1/(2 beta)`` (twice the guaranteed
@@ -955,8 +955,11 @@ def minimal_orbit_constant(pmap: PositiveMapRep | Sequence[PositiveMapRep], nmat
     definite when the guaranteed constant holds, and the value is ``hi nu / (1 + nu)``
     for the top eigenvalue ``nu > 0`` of the pencil ``(-s0, d)``, else 0: nothing cancels.
 
-    Takes one pair and returns a float, or a chunk, a sequence of ``k`` maps of one
-    Kraus shape and a ``(k, n, n)`` stack of matrices, and returns ``k`` constants.
+    Takes a map and one matrix and returns a float, or a chunk, a ``(k, terms, n, m)``
+    stack of ``k`` maps' Kraus factors and a ``(k, n, n)`` stack of matrices, and
+    returns ``k`` constants; a pair is a chunk of one. A chunk's Kraus stack meets
+    the rule of a map's own, 4-d (``maps._kraus_stack``), and is applied where it
+    lies, with no copy.
     A chunk is solved in one stacked call per decomposition; fit, normality, the
     floor and the value are each member's own, and each constant has the bits of
     its pair solved alone.
@@ -964,16 +967,13 @@ def minimal_orbit_constant(pmap: PositiveMapRep | Sequence[PositiveMapRep], nmat
     _check_weights([beta])
     single = isinstance(pmap, PositiveMapRep)
     if single:
-        pmaps, nmats = [pmap], as_matrix(nmat, square=True, name="nmat")[None]
+        ops, nmats = pmap.kraus_ops[None], as_matrix(nmat, square=True, name="nmat")[None]
     else:
-        pmaps, nmats = list(pmap), _as_stack(nmat, "nmat")
-        if nmats.ndim != 3 or len(nmats) != len(pmaps):
-            k = len(pmaps)
+        ops, nmats = _kraus_stack(pmap, 4, "pmap"), _as_stack(nmat, "nmat")
+        if nmats.ndim != 3 or len(nmats) != len(ops):
+            k = len(ops)
             raise ValueError(f"a chunk of {k} maps needs nmat of shape ({k}, n, n), got {nmats.shape}")
-    stacks = [p.kraus_ops for p in pmaps]
-    _check_same_shape(stacks, [f"pmap[{i}].kraus_ops" for i in range(len(stacks))])
-    ops = np.stack(stacks)
-    _check_fit(pmaps[0], nmats, "nmat")
+    _check_fit(ops, nmats, "nmat")
     _refuse(np.all(is_normal(nmats)), "nmat", "normal")
     # _image_orbit's pair of every member, built directly: the chunk is one stack already.
     images = _apply_stack(ops, np.stack([nmats, mat_abs(nmats)], axis=1))
@@ -993,13 +993,14 @@ def minimal_orbit_constant(pmap: PositiveMapRep | Sequence[PositiveMapRep], nmat
     return float(c[0]) if single else c
 
 
-# A drawn pair of a search chunk holds four arrays the size of its Kraus factors (the
-# draws, the factors and the maps' copies while the chunk is built; the maps, their
-# stack and _apply_stack's products while it is solved), six n x n (the normal's
-# draws, Haar factor and modulus) and twelve m x m (the images, polar factors, orbit
-# and pencil of the solve), and its map's and draws' headers. The counts bound
-# the peaks tracemalloc measures from 1 x 1 to 32 x 1, 1 x 32 and 8 x 8.
-_SEARCH_PAIR = _Unit("search pair", 4, 6, 12, 1536, 1)
+# A drawn pair of a search chunk holds three arrays the size of its Kraus factors
+# (its draws and factors while the chunk is built, its factors and _apply_stack's
+# products while it is solved; the peaks read 2.01 of them at 8 x 8 and
+# 16 x 16, so the third is margin), six n x n (the normal's draws, Haar factor and
+# modulus) and twelve m x m (the images, polar factors, orbit and pencil of the
+# solve), and its share of the chunk's seeds and generators. The peaks tracemalloc
+# measures at 1 x 1, 3 x 3, 8 x 8, 16 x 16, 1 x 32 and 32 x 1 are 0.40-0.87 of it.
+_SEARCH_PAIR = _Unit("search pair", 3, 6, 12, 1536, 1)
 # A sweep trial holds seven arrays the size of one map's Kraus factors (the sweep and
 # unital maps, the draws and scaling of the unital one, and _apply_stack's products),
 # 144 n x n and 88 m x m (the drawn instances, their images, absolute values, orbits
@@ -1017,21 +1018,37 @@ def _sweep_trial(weights: int) -> _Unit:
     return _Unit("sweep trial", 7, 144, 88 + 14 * weights, 53248 + 3072 * weights, 32)
 
 
-def _search_pairs(seed, bi: int, ts: range, n: int, m: int):
-    """The drawn pairs ``ts`` of weight ``bi``'s pool, as ``(maps, (k, n, n) normals)``.
+def _drawn(rngs, k: int, *shapes) -> list:
+    """One stack per shape of ``shapes``: row ``i`` holds generator ``i``'s next standard normals of that shape.
 
-    Each instance keeps its two generators, seeded ``[seed, bi, t, 0]`` for the map
-    and ``[seed, bi, t, 1]`` for the matrix, so it is the pair ``random_cp_map`` and
+    The first ``k`` generators of ``rngs`` each draw every shape in turn into
+    their own rows, so a search chunk or a sweep batch fills its stacks as each
+    generator would draw alone. A lazy ``rngs`` gives up ``k`` generators a
+    call, each dropped after its row.
+    """
+    stacks = [np.empty((k,) + shape) for shape in shapes]
+    for row, rng in enumerate(itertools.islice(rngs, k)):
+        for stack in stacks:
+            rng.standard_normal(out=stack[row])
+    return stacks
+
+
+def _search_pairs(seed, bi: int, ts: range, n: int, m: int):
+    """The drawn pairs ``ts`` of weight ``bi``'s pool, as ``(ops, nmats)``: a chunk of ``minimal_orbit_constant``.
+
+    ``ops`` is the ``(k, n m, n, m)`` Kraus stack ``maps._cp_maps`` builds of the
+    maps' draws, passed on as built, and ``nmats`` the ``(k, n, n)`` normals. Each
+    instance keeps its two generators, seeded ``[seed, bi, t, 0]`` for the map and
+    ``[seed, bi, t, 1]`` for the matrix, so it is the pair ``random_cp_map`` and
     ``random_normal`` draw from those seeds (at ``n = 1`` up to the last bit of the
     matrix); what follows the draws runs once a chunk. The chunk's 2k seeds are
     hashed in one ``core._rngs`` pass, whose generators have the bits of
     ``np.random.default_rng``'s; they are built one at a time, the maps' first.
     """
+    k = len(ts)
     rngs = _rngs([[seed, bi, t, j] for j in (0, 1) for t in ts])
-    shape = _cp_shape(n * m, n, m)
-    ops = _cp_maps(np.stack([rng.standard_normal(shape) for rng in itertools.islice(rngs, len(ts))]))
-    draws = [_normal_draws(rng, 1, n) for rng in rngs]
-    return [PositiveMapRep(member) for member in ops], _normals_from([np.concatenate(field) for field in zip(*draws)])
+    ops = _cp_maps(*_drawn(rngs, k, _cp_shape(n * m, n, m)))
+    return ops, _normals_from([d[:, 0] for d in _drawn(rngs, k, *_normal_shapes(1, n))])
 
 
 def estimate_constant(
@@ -1129,24 +1146,16 @@ def _draw(master_seed: int, indices: Sequence[int], n: int, m: int) -> list:
     k, terms = len(indices), n * m
     rngs = list(_rngs([[master_seed, i] for i in indices]))
 
-    def drawn(*shapes) -> list:
-        """Each trial's next standard normals of ``shapes``, in order, into its row of a stack per shape."""
-        stacks = [np.empty((k,) + shape) for shape in shapes]
-        for row, rng in enumerate(rngs):
-            for stack in stacks:
-                rng.standard_normal(out=stack[row])
-        return stacks
-
     def gaussians(count: int, rows: int, cols: int) -> np.ndarray:
-        return _gaussian_from(*drawn(*_gaussian_shapes(count, rows, cols)))
+        return _gaussian_from(*_drawn(rngs, k, *_gaussian_shapes(count, rows, cols)))
 
     def normals(count: int, size: int) -> np.ndarray:
-        stacks = drawn(*_normal_shapes(count, size))  # (k, count, ...): built as k count members
+        stacks = _drawn(rngs, k, *_normal_shapes(count, size))  # (k, count, ...): built as k count members
         return _normals_from([d.reshape((k * count,) + d.shape[2:]) for d in stacks]).reshape(k, count, size, size)
 
     maps = np.empty((2, k, terms, n, m), dtype=complex)
     for built in maps:  # the sweep maps, then the unital maps' Gaussian bases
-        (draws,) = drawn(_cp_shape(terms, n, m))
+        (draws,) = _drawn(rngs, k, _cp_shape(terms, n, m))
         _cp_maps(draws, out=built)
         del draws  # freed before the next map is drawn
     maps[1] = _unital(maps[1])

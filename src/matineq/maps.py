@@ -80,6 +80,18 @@ def _calls(unit: _Unit, n: int, m: int, units: Sequence) -> list:
     return [units[b * len(units) // count : (b + 1) * len(units) // count] for b in range(count)]
 
 
+def _kraus_stack(ops, ndim: int, name: str) -> np.ndarray:
+    """``ops`` as a complex array, refused by ``name`` unless it is ``ndim``-d, nonempty and finite.
+
+    The rule for a map's Kraus stack (``ndim`` 3) and for a stack of them (4).
+    """
+    ops = np.asarray(ops, dtype=complex)
+    if ops.ndim != ndim or 0 in ops.shape:
+        raise ValueError(f"{name} must be a nonempty {ndim}-d stack of nonempty matrices, got {ops.shape}")
+    _refuse(np.isfinite(ops).all(), name, "finite")
+    return ops
+
+
 @dataclass(frozen=True, eq=False)
 class PositiveMapRep:
     """A positive (completely positive) linear map in Kraus congruence form.
@@ -95,10 +107,7 @@ class PositiveMapRep:
     def __post_init__(self):
         # A ragged sequence of factors raises ValueError here. A read-only copy
         # keeps the checked stack from changing through the caller's array.
-        ops = np.array(self.kraus_ops, dtype=complex, order="C")
-        if ops.ndim != 3 or 0 in ops.shape:
-            raise ValueError(f"kraus_ops must be a nonempty stack of nonempty matrices, got {ops.shape}")
-        _refuse(np.isfinite(ops).all(), "kraus_ops", "finite")
+        ops = _kraus_stack(np.array(self.kraus_ops, dtype=complex, order="C"), 3, "kraus_ops")
         ops.flags.writeable = False
         object.__setattr__(self, "kraus_ops", ops)
 
@@ -111,10 +120,13 @@ class PositiveMapRep:
         return self.kraus_ops.shape[2]
 
 
-def _check_fit(pmap: PositiveMapRep, x: np.ndarray, name: str) -> None:
-    """Refuse square ``x`` (or a stack of them) unless ``pmap`` takes its size."""
-    if x.shape[-1] != pmap.input_dim:
-        raise ValueError(f"{name} of dimension {x.shape[-1]}, map expects {pmap.input_dim}")
+def _check_fit(ops: np.ndarray, x: np.ndarray, name: str) -> None:
+    """Refuse square ``x`` (or a stack of them) unless the maps of Kraus stack ``ops`` take its size.
+
+    ``ops`` is one map's ``kraus_ops`` or a stack of them, ``(..., terms, n, m)``.
+    """
+    if x.shape[-1] != ops.shape[-2]:
+        raise ValueError(f"{name} of dimension {x.shape[-1]}, map expects {ops.shape[-2]}")
 
 
 def apply(pmap: PositiveMapRep, x) -> np.ndarray:
@@ -125,7 +137,7 @@ def apply(pmap: PositiveMapRep, x) -> np.ndarray:
     stack of one map.
     """
     x = _as_stack(x, "x")
-    _check_fit(pmap, x, "input")
+    _check_fit(pmap.kraus_ops, x, "input")
     members = x.reshape((1, -1) + x.shape[-2:])
     return _apply_stack(pmap.kraus_ops[None], members).reshape(x.shape[:-2] + (pmap.output_dim,) * 2)
 

@@ -130,11 +130,12 @@ def _count_everywhere(monkeypatch, fn) -> list:
 def _members(fn, args) -> int:
     """Units in one call: a trial or the trials of a sweep batch, one search pair or the pairs of a chunk.
 
-    ``run_trial`` takes its index or indices second, ``minimal_orbit_constant``
-    its map or maps first.
+    ``run_trial`` takes its index or a list of indices second,
+    ``minimal_orbit_constant`` a map or a chunk's ``(k, terms, n, m)`` Kraus stack first.
     """
-    unit = args[1] if fn.__name__ == "run_trial" else args[0]
-    return len(unit) if isinstance(unit, (list, tuple)) else 1
+    if fn.__name__ == "run_trial":
+        return len(args[1]) if isinstance(args[1], list) else 1
+    return 1 if isinstance(args[0], maps.PositiveMapRep) else len(args[0])
 
 
 @pytest.mark.parametrize(

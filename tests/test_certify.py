@@ -1037,9 +1037,9 @@ def test_minimal_constant_settles_as_the_weight_vanishes():
 
 
 def _chunk(size, n=3, m=3, seed=15):
-    """``size`` seeded map/matrix pairs as a chunk: a list of maps and a ``(size, n, n)`` stack."""
-    pmaps = [random_cp_map([seed, t, 0], n, m) for t in range(size)]
-    return pmaps, np.stack([random_normal([seed, t, 1], n) for t in range(size)])
+    """``size`` seeded map/matrix pairs as a chunk: a ``(size, n m, n, m)`` Kraus stack and a ``(size, n, n)`` stack."""
+    ops = np.stack([random_cp_map([seed, t, 0], n, m).kraus_ops for t in range(size)])
+    return ops, np.stack([random_normal([seed, t, 1], n) for t in range(size)])
 
 
 def test_minimal_constant_refuses_an_infeasible_guaranteed_constant(monkeypatch):
@@ -1062,26 +1062,30 @@ def test_minimal_constant_refuses_a_non_normal_matrix():
     shift = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="nmat must be normal"):
         minimal_orbit_constant(identity_map(2), shift, 0.25)
-    pmaps, nmats = _chunk(5)
+    ops, nmats = _chunk(5)
     nmats[2] = random_matrix(3, 3)
     with pytest.raises(ValueError, match="nmat must be normal"):
-        minimal_orbit_constant(pmaps, nmats, 0.25)
+        minimal_orbit_constant(ops, nmats, 0.25)
 
 
 def test_minimal_constant_refuses_a_chunk_it_cannot_stack(linalg_calls):
-    pmaps, nmats = _chunk(4)
-    mixed = pmaps[:2] + [random_cp_map(1, 3, 3, terms=2)] + pmaps[3:]
+    # A chunk's Kraus stack meets the rule of a map's own, 4-d: one array has one
+    # Kraus shape, so no two members can differ in it.
+    ops, nmats = _chunk(4)
+    nonfinite = ops.copy()
+    nonfinite[2, 0, 0, 0] = np.nan
     cases = {
-        "shape mismatch: pmap\\[0\\].kraus_ops \\(9, 3, 3\\) vs pmap\\[2\\].kraus_ops \\(2, 3, 3\\)": (mixed, nmats),
-        "a chunk of 4 maps needs nmat of shape \\(4, n, n\\), got \\(3, 3, 3\\)": (pmaps, nmats[:3]),
-        "a chunk of 3 maps": (pmaps[:3], nmats),
-        "got \\(3, 3\\)": (pmaps, nmats[0]),
-        "nmat must not be empty": ([], nmats[:0]),
-        "map expects 3": (pmaps, np.stack([random_normal(t, 2) for t in range(4)])),
+        "pmap must be finite": (nonfinite, nmats),
+        "pmap must be a nonempty 4-d stack of nonempty matrices, got \\(9, 3, 3\\)": (ops[0], nmats),
+        "pmap must be a nonempty 4-d stack of nonempty matrices, got \\(0, 9, 3, 3\\)": (ops[:0], nmats[:0]),
+        "a chunk of 4 maps needs nmat of shape \\(4, n, n\\), got \\(3, 3, 3\\)": (ops, nmats[:3]),
+        "a chunk of 3 maps": (ops[:3], nmats),
+        "got \\(3, 3\\)": (ops, nmats[0]),
+        "map expects 3": (ops, np.stack([random_normal(t, 2) for t in range(4)])),
     }
-    for message, (chunk_maps, chunk_nmats) in cases.items():
+    for message, (chunk_ops, chunk_nmats) in cases.items():
         with pytest.raises(ValueError, match=message):
-            minimal_orbit_constant(chunk_maps, chunk_nmats, 0.25)
+            minimal_orbit_constant(chunk_ops, chunk_nmats, 0.25)
     assert sum(linalg_calls.values()) == 0, dict(linalg_calls)
 
 
@@ -1091,22 +1095,22 @@ def test_search_pairs_are_the_public_generators_draws():
     # stacked u diag(z) u* may round the last bit otherwise, so there the
     # normals are only close.
     for n, m in ((1, 1), (1, 3), (3, 2), (4, 4)):
-        pmaps, nmats = certify._search_pairs(5, 2, range(3, 40), n, m)
-        assert len(pmaps) == len(nmats) == 37
+        ops, nmats = certify._search_pairs(5, 2, range(3, 40), n, m)
+        assert ops.shape == (37, n * m, n, m) and len(nmats) == 37
         same = np.array_equal if n > 1 else np.allclose
-        for t, pmap, nmat in zip(range(3, 40), pmaps, nmats):
+        for t, member, nmat in zip(range(3, 40), ops, nmats):
             expected = random_cp_map([5, 2, t, 0], n, m)
-            assert np.array_equal(pmap.kraus_ops, expected.kraus_ops)
+            assert np.array_equal(member, expected.kraus_ops)
             assert same(nmat, random_normal([5, 2, t, 1], n))
 
 
 @pytest.mark.parametrize("n, m", [(3, 3), (1, 2), (2, 1)])
 def test_a_chunk_returns_the_constants_of_its_members(n, m):
-    pmaps, nmats = _chunk(12, n, m)
+    ops, nmats = _chunk(12, n, m)
     for beta in (0.1, 0.5, 1e-8):
-        constants = minimal_orbit_constant(pmaps, nmats, beta)
+        constants = minimal_orbit_constant(ops, nmats, beta)
         assert isinstance(constants, np.ndarray) and constants.shape == (12,)
-        alone = [minimal_orbit_constant(pmap, nmat, beta) for pmap, nmat in zip(pmaps, nmats)]
+        alone = [minimal_orbit_constant(PositiveMapRep(member), nmat, beta) for member, nmat in zip(ops, nmats)]
         assert all(isinstance(c, float) for c in alone)
         assert constants.tolist() == alone
 
@@ -1138,11 +1142,11 @@ def test_estimate_constant_solves_its_pool_in_chunks(monkeypatch):
 
         def recorded(pmap, nmat, beta):
             constants = minimal_orbit_constant(pmap, nmat, beta)
-            pmaps = [pmap] if isinstance(pmap, certify.PositiveMapRep) else pmap
+            ops = pmap.kraus_ops[None] if isinstance(pmap, certify.PositiveMapRep) else pmap
             calls.append(
                 [
-                    (p.kraus_ops.tobytes(), x.tobytes(), c)
-                    for p, x, c in zip(pmaps, np.reshape(nmat, (-1,) + np.shape(nmat)[-2:]), np.atleast_1d(constants))
+                    (member.tobytes(), x.tobytes(), c)
+                    for member, x, c in zip(ops, np.reshape(nmat, (-1,) + np.shape(nmat)[-2:]), np.atleast_1d(constants))
                 ]
             )
             return constants
@@ -1171,15 +1175,31 @@ def test_search_chunks_fit_the_byte_budget():
     for n, m in ((1, 1), (2, 2), (3, 3), (2, 3), (1, 16), (4, 4), (8, 8), (16, 16), (12, 30), (30, 40), (45, 45)):
         chunk = _search_chunk(n, m)
         per = maps._unit_bytes(certify._SEARCH_PAIR, n, m)
-        assert per >= 4 * 16 * (n * m) ** 2 + certify._SEARCH_PAIR.object_bytes
+        assert per >= 3 * 16 * (n * m) ** 2 + certify._SEARCH_PAIR.object_bytes
         assert chunk >= 1
         assert chunk * per <= maps.MAX_KRAUS_BYTES or chunk == 1
         assert (chunk + 1) * per > maps.MAX_KRAUS_BYTES
     # The benchmark's search: each weight's 200 drawn 3x3 pairs in one chunk.
     assert _search_chunk(3, 3) >= 200
     # A 45 x 45 map, the largest the Kraus budget admits, makes a chunk of one pair.
-    assert _search_chunk(16, 16) == 15 and _search_chunk(45, 45) == 1
+    assert _search_chunk(16, 16) == 20 and _search_chunk(45, 45) == 1
     assert 16 * (45 * 45) ** 2 <= maps.MAX_KRAUS_BYTES < 16 * (46 * 46) ** 2
+
+
+def test_search_builds_one_map_object_a_weight(capsys, monkeypatch):
+    # A chunk's maps stay the Kraus stack they are drawn as, up to the solve: the
+    # one PositiveMapRep a search builds per weight is the sharpness multiplier.
+    built = []
+    post_init = PositiveMapRep.__post_init__
+
+    def counted(self):
+        built.append(self.kraus_ops.shape)
+        post_init(self)
+
+    monkeypatch.setattr(PositiveMapRep, "__post_init__", counted)
+    assert cli.main(["search", "--trials", "40", "--beta", "0.1,0.25,0.5", "--dims", "3,2", "--json"]) == 0
+    capsys.readouterr()
+    assert len(built) == 3, built
 
 
 @pytest.mark.parametrize(
@@ -1329,8 +1349,8 @@ _REFUSALS = {
     "trial-budget": lambda: (run_trial, (1, 0, 46, 46, (0.5,)), "over the budget"),
     "estimate-budget": lambda: (estimate_constant, ([0.25], 0, 100, 46, 46), "over the budget"),
     # Each map of these shapes fits the budget, but one drawn search pair holds
-    # 1.004x (32 x 32) and 16x (1 x 2048) of it.
-    "estimate-pair-budget": lambda: (estimate_constant, ([0.25], 0, 100, 32, 32), "search pair holds"),
+    # 1.08x (35 x 35) and 15x (1 x 2048) of it.
+    "estimate-pair-budget": lambda: (estimate_constant, ([0.25], 0, 100, 35, 35), "search pair holds"),
     "estimate-thin-pair-budget": lambda: (estimate_constant, ([0.25], 0, 100, 1, 2048), "search pair holds"),
     # And one sweep trial holds 1.82x (32 x 32) and 151x (1 x 2048) of it.
     "trial-square-budget": lambda: (run_trial, (1, 0, 32, 32, (0.5,)), "sweep trial holds"),

@@ -125,7 +125,7 @@ def test_dims_over_the_memory_budget_are_usage_errors(capsys, monkeypatch, comma
     assert "budget" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("dims", ["32,32", "1,2048"])
+@pytest.mark.parametrize("dims", ["35,35", "1,2048"])
 def test_search_pairs_over_the_memory_budget_are_usage_errors(capsys, monkeypatch, dims):
     # Each map fits the budget, but one drawn search pair does not: refused at parse time.
     def refuse(*args, **kwargs):
@@ -154,7 +154,7 @@ def test_verify_trials_over_the_memory_budget_are_usage_errors(capsys, monkeypat
 @pytest.mark.parametrize(
     "command, dims",
     [("verify", "27,27"), ("verify", "1,166"), ("verify", "166,1")]
-    + [("search", "31,31"), ("search", "1,511"), ("search", "647,1")],
+    + [("search", "34,34"), ("search", "1,528"), ("search", "682,1")],
 )
 def test_the_largest_shapes_fit_the_memory_budget(command, dims):
     # One unit of work of each shape, a sweep trial at the default weights or a

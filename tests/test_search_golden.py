@@ -89,16 +89,17 @@ def test_a_chunk_has_the_bits_of_its_members_solved_alone():
     small = (1e-8, 1e-16)
     for k, (n, m) in enumerate(DIMS + ((3, 2),)):
         pairs = _pairs(k, n, m)
-        pmaps, nmats = [pmap for pmap, _ in pairs], np.stack([nmat for _, nmat in pairs])
+        ops, nmats = np.stack([pmap.kraus_ops for pmap, _ in pairs]), np.stack([nmat for _, nmat in pairs])
         for beta in BETAS + small:
-            chunk = list(map(repr, minimal_orbit_constant(pmaps, nmats, beta).tolist()))
+            chunk = list(map(repr, minimal_orbit_constant(ops, nmats, beta).tolist()))
             assert chunk == [repr(minimal_orbit_constant(pmap, nmat, beta)) for pmap, nmat in pairs]
             assert chunk == recorded.get((n, m, beta), chunk), (n, m, beta)
     # The sharpness-family members of every weight, as one chunk at each weight.
     family = [sharpness_family(beta) for beta in BETAS + small]
     pmaps, nmats = [schur_multiplier(a) for a, _ in family], np.stack([r for _, r in family])
+    ops = np.stack([pmap.kraus_ops for pmap in pmaps])
     for beta in BETAS + small:
-        chunk = minimal_orbit_constant(pmaps, nmats, beta).tolist()
+        chunk = minimal_orbit_constant(ops, nmats, beta).tolist()
         assert chunk == [minimal_orbit_constant(pmap, nmat, beta) for pmap, nmat in zip(pmaps, nmats)]
 
 
