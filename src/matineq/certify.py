@@ -43,7 +43,6 @@ from .core import (
     _psd_from,
     _refuse,
     _rng,
-    _rngs,
     _threshold,
     as_matrix,
     conj_real_part,
@@ -998,8 +997,8 @@ def minimal_orbit_constant(pmap: PositiveMapRep | np.ndarray, nmat, beta: float)
 # products while it is solved; the peaks read 2.01 of them at 8 x 8 and
 # 16 x 16, so the third is margin), six n x n (the normal's draws, Haar factor and
 # modulus) and twelve m x m (the images, polar factors, orbit and pencil of the
-# solve), and its share of the chunk's seeds and generators. The peaks tracemalloc
-# measures at 1 x 1, 3 x 3, 8 x 8, 16 x 16, 1 x 32 and 32 x 1 are 0.40-0.87 of it.
+# solve), and its share of the chunk's Python objects. The peaks tracemalloc
+# measures at 1 x 1, 3 x 3, 8 x 8, 16 x 16, 1 x 32 and 32 x 1 are 0.12-0.86 of it.
 _SEARCH_PAIR = _Unit("search pair", 3, 6, 12, 1536, 1)
 # A sweep trial holds seven arrays the size of one map's Kraus factors (the sweep and
 # unital maps, the draws and scaling of the unital one, and _apply_stack's products),
@@ -1022,9 +1021,9 @@ def _drawn(rngs, k: int, *shapes) -> list:
     """One stack per shape of ``shapes``: row ``i`` holds generator ``i``'s next standard normals of that shape.
 
     The first ``k`` generators of ``rngs`` each draw every shape in turn into
-    their own rows, so a search chunk or a sweep batch fills its stacks as each
-    generator would draw alone. A lazy ``rngs`` gives up ``k`` generators a
-    call, each dropped after its row.
+    their own rows, so a sweep batch fills its stacks as each generator would
+    draw alone. Given one generator ``k`` times, as a search chunk gives its
+    pool's, the rows read its stream in row order.
     """
     stacks = [np.empty((k,) + shape) for shape in shapes]
     for row, rng in enumerate(itertools.islice(rngs, k)):
@@ -1033,22 +1032,18 @@ def _drawn(rngs, k: int, *shapes) -> list:
     return stacks
 
 
-def _search_pairs(seed, bi: int, ts: range, n: int, m: int):
-    """The drawn pairs ``ts`` of weight ``bi``'s pool, as ``(ops, nmats)``: a chunk of ``minimal_orbit_constant``.
+def _search_pairs(rng: np.random.Generator, k: int, n: int, m: int):
+    """The next ``k`` drawn pairs of a weight's pool, as ``(ops, nmats)``: a chunk of ``minimal_orbit_constant``.
 
     ``ops`` is the ``(k, n m, n, m)`` Kraus stack ``maps._cp_maps`` builds of the
-    maps' draws, passed on as built, and ``nmats`` the ``(k, n, n)`` normals. Each
-    instance keeps its two generators, seeded ``[seed, bi, t, 0]`` for the map and
-    ``[seed, bi, t, 1]`` for the matrix, so it is the pair ``random_cp_map`` and
-    ``random_normal`` draw from those seeds (at ``n = 1`` up to the last bit of the
-    matrix); what follows the draws runs once a chunk. The chunk's 2k seeds are
-    hashed in one ``core._rngs`` pass, whose generators have the bits of
-    ``np.random.default_rng``'s; they are built one at a time, the maps' first.
+    maps' draws, passed on as built, and ``nmats`` the ``(k, n, n)`` normals
+    ``core._normals_from`` builds. The pool is one stream, its generator ``rng``:
+    pair by pair, a map's standard normals and then its matrix's, so how the
+    pool is split into chunks does not change which pairs it holds. What
+    follows the draws runs once a chunk.
     """
-    k = len(ts)
-    rngs = _rngs([[seed, bi, t, j] for j in (0, 1) for t in ts])
-    ops = _cp_maps(*_drawn(rngs, k, _cp_shape(n * m, n, m)))
-    return ops, _normals_from([d[:, 0] for d in _drawn(rngs, k, *_normal_shapes(1, n))])
+    kraus, *normal = _drawn(itertools.repeat(rng), k, _cp_shape(n * m, n, m), *_normal_shapes(1, n))
+    return _cp_maps(kraus), _normals_from([d[:, 0] for d in normal])
 
 
 def estimate_constant(
@@ -1061,8 +1056,9 @@ def estimate_constant(
     """Empirical best constants at small weights; exploratory data, no pass/fail.
 
     For each weight the pool holds the 2x2 sharpness-family instance (which
-    attains the guaranteed constant with the polar witness) plus seeded random
-    map/matrix pairs, drawn and solved in as few even chunks as fit
+    attains the guaranteed constant with the polar witness) plus ``trials``
+    random map/matrix pairs, drawn in order from one generator seeded ``[seed,
+    bi]`` for the weight at index ``bi``, and solved in as few even chunks as fit
     ``maps.MAX_KRAUS_BYTES``, one ``minimal_orbit_constant`` call a chunk; rows report
     the observed maximum against the guaranteed bound ``1/(4 beta)``. A seed
     that is not a nonnegative integer, and a shape whose one pair alone holds
@@ -1081,8 +1077,9 @@ def estimate_constant(
     for bi, beta in enumerate(betas):
         a, r = sharpness_family(beta)
         best = minimal_orbit_constant(schur_multiplier(a), r, beta)
+        rng = _rng([seed, bi])
         for ts in _calls(_SEARCH_PAIR, n, m, range(trials)):
-            pairs = _search_pairs(seed, bi, ts, n, m)
+            pairs = _search_pairs(rng, len(ts), n, m)
             best = max(best, float(minimal_orbit_constant(*pairs, beta).max()))
             del pairs  # freed before the next chunk is drawn, not after
         bound = 1.0 / (4.0 * beta)
@@ -1140,11 +1137,9 @@ def _draw(master_seed: int, indices: Sequence[int], n: int, m: int) -> list:
     size, one ``_apply_stack`` and one ``eigh`` for the unital maps. The two
     maps are drawn and built in turn through one stack of draws. Each trial has
     the bits of the public generators drawing from its generator in that order.
-    The batch's seeds are hashed in one ``core._rngs`` pass, whose generators
-    have the bits of ``np.random.default_rng``'s.
     """
     k, terms = len(indices), n * m
-    rngs = list(_rngs([[master_seed, i] for i in indices]))
+    rngs = [_rng([master_seed, i]) for i in indices]
 
     def gaussians(count: int, rows: int, cols: int) -> np.ndarray:
         return _gaussian_from(*_drawn(rngs, k, *_gaussian_shapes(count, rows, cols)))

@@ -18,8 +18,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -121,9 +119,20 @@ def _contracting(norm):
     return norm <= 1.0 + CONSTRUCTION_TOL
 
 
+def _numeric(x, name: str) -> np.ndarray:
+    """``x`` as a complex array, refused by ``name`` first unless its entries are numbers or bools.
+
+    A string, ``None`` or any other object would otherwise reach the cast, and
+    fail there unnamed or turn into NaN.
+    """
+    a = np.asarray(x)
+    _refuse(a.dtype.kind in "biufc", name, "numeric")
+    return a.astype(complex, copy=False)
+
+
 def as_matrix(x, *, square: bool = False, name: str = "matrix") -> np.ndarray:
     """Coerce ``x`` to a finite complex 2-d array, optionally enforcing squareness."""
-    a = np.asarray(x, dtype=complex)
+    a = _numeric(x, name)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
     return _as_stack(a, name, square=square)
@@ -131,7 +140,7 @@ def as_matrix(x, *, square: bool = False, name: str = "matrix") -> np.ndarray:
 
 def _as_stack(x, name: str, *, square: bool = True) -> np.ndarray:
     """Coerce ``x`` to a finite, nonempty complex array of one matrix or a stack of matrices."""
-    a = np.asarray(x, dtype=complex)
+    a = _numeric(x, name)
     if a.ndim < 2:
         raise ValueError(f"{name} must be a matrix or a stack of matrices, got shape {a.shape}")
     if a.size == 0:
@@ -468,110 +477,6 @@ def conj_real_part(a) -> np.ndarray:
 
 def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
-
-
-# numpy's SeedSequence hash: a pool of 4 32-bit words, mixed from the entropy by
-# hashes whose constants advance by one multiply a use, so step j of a pass uses
-# the same constants for every seed; generate_state hashes the pool out again.
-_POOL = 4
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_WORD = 2**32
-
-
-@functools.lru_cache(maxsize=None)
-def _hash_steps(init: int, mult: int, count: int) -> tuple:
-    """The xor and multiply constants of ``count`` hash steps: ``init mult^j`` and ``init mult^(j+1)`` mod 2^32.
-
-    Cached, one table a seed width, and read-only, as every pass shares it.
-    """
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult % _WORD)
-    consts = np.array(consts, dtype=np.uint32)
-    consts.flags.writeable = False
-    return consts[:-1], consts[1:]
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    value = (value ^ xor) * mult
-    return value ^ (value >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    value = _MIX_L * x - _MIX_R * y
-    return value ^ (value >> 16)
-
-
-def _seed_words(seed) -> list:
-    """A seed list's 32-bit words as SeedSequence reads them: each integer's words, least significant first."""
-    words = []
-    for value in seed:
-        value = operator.index(value)
-        if value < 0:
-            raise ValueError(f"seed words must be nonnegative, got {value!r}")
-        words.append(value % _WORD)
-        while value >= _WORD:
-            value //= _WORD
-            words.append(value % _WORD)
-    return words
-
-
-def _seed_states(seeds: Sequence) -> np.ndarray:
-    """``SeedSequence(seed).generate_state(4, uint64)`` of each seed list, as a ``(k, 4)`` array, in one pass.
-
-    Each hash step runs once on the ``(k, slots)`` array of every seed's pool; a
-    seed of more than 4 words takes one extra round a word past the fourth,
-    which the seeds with fewer words skip.
-    """
-    words = [_seed_words(seed) for seed in seeds]
-    sizes = [len(w) for w in words]
-    width = max([_POOL] + sizes)
-    entropy = np.array([w + [0] * (width - len(w)) for w in words], dtype=np.uint32).reshape(len(words), width)
-    sizes = np.array(sizes, dtype=np.intp)
-    extra = width - _POOL
-    xor, mult = _hash_steps(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * extra)
-    # SeedSequence hashes 0 into a slot past a short seed's last word, as the padding does.
-    pool = _hashmix(entropy[:, :_POOL], xor[:_POOL], mult[:_POOL])
-    step = _POOL
-    for src in range(_POOL):  # every slot mixed into every other: slot src itself stays put
-        dst = [d for d in range(_POOL) if d != src]
-        hashed = _hashmix(pool[:, src, None], xor[step : step + _POOL - 1], mult[step : step + _POOL - 1])
-        pool[:, dst] = _mix(pool[:, dst], hashed)
-        step += _POOL - 1
-    for col in range(_POOL, width):  # each further word mixed into every slot
-        hashed = _hashmix(entropy[:, col, None], xor[step : step + _POOL], mult[step : step + _POOL])
-        pool = np.where((sizes > col)[:, None], _mix(pool, hashed), pool)
-        step += _POOL
-    xor, mult = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL)
-    state = _hashmix(np.tile(pool, 2), xor, mult)
-    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
-
-
-class _SeedState:
-    """A seed's precomputed PCG64 state words: hands them to PCG64 and refuses any other request.
-
-    ``_rngs`` registers it as a numpy ``ISeedSequence`` on first use, so that
-    importing matineq does not load ``numpy.random``.
-    """
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        if n_words != _POOL or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"a precomputed seed holds 4 uint64 words, not {n_words} of {np.dtype(dtype)}")
-        return self.state
-
-
-def _rngs(seeds: Sequence):
-    """The generators ``np.random.default_rng(seed)`` builds of each seed list, with its bits, built lazily.
-
-    Every seed is hashed in one ``_seed_states`` pass; each generator is built
-    when the iterator reaches it, so a caller that drops each one holds one at a time.
-    """
-    np.random.bit_generator.ISeedSequence.register(_SeedState)
-    return (np.random.Generator(np.random.PCG64(_SeedState(state))) for state in _seed_states(seeds))
 
 
 def _gaussian_shapes(count: int, rows: int, cols: int) -> list:

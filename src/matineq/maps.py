@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import CONSTRUCTION_TOL, PSD_TOL, _DROP_TOL, _check_size, _is_psd, _threshold
-from .core import _adjoint, _as_stack, _herm_eig, _hermitian, _refuse, _rng, as_matrix, spectral_norm
+from .core import _adjoint, _as_stack, _herm_eig, _hermitian, _numeric, _refuse, _rng, as_matrix, spectral_norm
 
 __all__ = [
     "MAX_KRAUS_BYTES",
@@ -81,11 +81,11 @@ def _calls(unit: _Unit, n: int, m: int, units: Sequence) -> list:
 
 
 def _kraus_stack(ops, ndim: int, name: str) -> np.ndarray:
-    """``ops`` as a complex array, refused by ``name`` unless it is ``ndim``-d, nonempty and finite.
+    """``ops`` as a complex array, refused by ``name`` unless it is numeric, ``ndim``-d, nonempty and finite.
 
     The rule for a map's Kraus stack (``ndim`` 3) and for a stack of them (4).
     """
-    ops = np.asarray(ops, dtype=complex)
+    ops = _numeric(ops, name)
     if ops.ndim != ndim or 0 in ops.shape:
         raise ValueError(f"{name} must be a nonempty {ndim}-d stack of nonempty matrices, got {ops.shape}")
     _refuse(np.isfinite(ops).all(), name, "finite")
@@ -107,7 +107,7 @@ class PositiveMapRep:
     def __post_init__(self):
         # A ragged sequence of factors raises ValueError here. A read-only copy
         # keeps the checked stack from changing through the caller's array.
-        ops = _kraus_stack(np.array(self.kraus_ops, dtype=complex, order="C"), 3, "kraus_ops")
+        ops = _kraus_stack(self.kraus_ops, 3, "kraus_ops").copy()
         ops.flags.writeable = False
         object.__setattr__(self, "kraus_ops", ops)
 

@@ -18,6 +18,7 @@ from matineq.core import (
     MajorizationReport,
     _hermitian_within,
     _is_psd,
+    as_matrix,
     direct_sum,
     geometric_mean,
     haar_unitary,
@@ -46,7 +47,7 @@ from matineq.maps import (
     random_unital_cp_map,
     schur_multiplier,
 )
-from matineq.serialize import map_from_json, matrix_from_json
+from matineq.serialize import map_from_json, matrix_from_json, matrix_to_json
 from matineq.certify import (
     DEFAULT_TOL,
     Certificate,
@@ -1090,18 +1091,19 @@ def test_minimal_constant_refuses_a_chunk_it_cannot_stack(linalg_calls):
 
 
 def test_search_pairs_are_the_public_generators_draws():
-    # Drawn one generator an instance and built once a chunk, the pairs have the
-    # bits of random_cp_map and random_normal at the same seeds. At n = 1 the
-    # stacked u diag(z) u* may round the last bit otherwise, so there the
-    # normals are only close.
+    # A weight's pool is one stream: pair after pair, the pairs are what
+    # random_cp_map and then random_normal draw in place from the pool's
+    # generator. Built once a chunk, they keep those bits; at n = 1 the stacked
+    # u diag(z) u* may round the last bit otherwise, so there the normals are
+    # only close.
     for n, m in ((1, 1), (1, 3), (3, 2), (4, 4)):
-        ops, nmats = certify._search_pairs(5, 2, range(3, 40), n, m)
+        ops, nmats = certify._search_pairs(np.random.default_rng([5, 2]), 37, n, m)
         assert ops.shape == (37, n * m, n, m) and len(nmats) == 37
         same = np.array_equal if n > 1 else np.allclose
-        for t, member, nmat in zip(range(3, 40), ops, nmats):
-            expected = random_cp_map([5, 2, t, 0], n, m)
-            assert np.array_equal(member, expected.kraus_ops)
-            assert same(nmat, random_normal([5, 2, t, 1], n))
+        rng = np.random.default_rng([5, 2])
+        for member, nmat in zip(ops, nmats):
+            assert np.array_equal(member, random_cp_map(rng, n, m).kraus_ops)
+            assert same(nmat, random_normal(rng, n))
 
 
 @pytest.mark.parametrize("n, m", [(3, 3), (1, 2), (2, 1)])
@@ -1136,7 +1138,7 @@ def _search_chunk(n, m):
 
 def test_estimate_constant_solves_its_pool_in_chunks(monkeypatch):
     # Chunks change neither the instances solved, nor their order, nor the rows.
-    def solve(budget):
+    def solve(budget, trials=20):
         monkeypatch.setattr(maps, "MAX_KRAUS_BYTES", budget)
         calls = []
 
@@ -1152,7 +1154,7 @@ def test_estimate_constant_solves_its_pool_in_chunks(monkeypatch):
             return constants
 
         monkeypatch.setattr(certify, "minimal_orbit_constant", recorded)
-        rows = estimate_constant([0.1, 0.5], trials=20, seed=4, n=3, m=2)
+        rows = estimate_constant([0.1, 0.5], trials=trials, seed=4, n=3, m=2)
         monkeypatch.setattr(certify, "minimal_orbit_constant", minimal_orbit_constant)
         return rows, [member for call in calls for member in call], [len(call) for call in calls]
 
@@ -1166,6 +1168,11 @@ def test_estimate_constant_solves_its_pool_in_chunks(monkeypatch):
         assert rows == whole
         assert solved == whole_solved
         assert sizes == chunk_sizes * 2
+    # Each weight's pool is one stream read pair by pair, so 10 trials solve the
+    # first 10 pairs that 20 solve, in order, whatever the chunks.
+    prefix = whole_solved[:11] + whole_solved[21:32]
+    for budget in (maps.MAX_KRAUS_BYTES, _chunk_budget(1, 3, 2), _chunk_budget(7, 3, 2)):
+        assert solve(budget, trials=10)[1] == prefix
 
 
 def test_search_chunks_fit_the_byte_budget():
@@ -1418,11 +1425,16 @@ def test_a_bad_tol_is_refused_before_any_decomposition(linalg_calls, case):
 
 
 _ONE = {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}
+_WORDS = np.array([["a", "b"], ["c", "d"]])  # a 2 x 2 matrix of strings
+_NONE = [[None, 1.0], [0.0, 1.0]]  # None is no number, not a NaN
 
-# (entry, arguments, message) for the four argument rules of core: a size is
+# (entry, arguments, message) for the five argument rules of core: a size is
 # an integer >= 1, a seed or trial index an integer >= 0, a list is not empty,
-# and matrices compared entrywise or side by side share one shape. Inputs are
-# drawn before counting. A batch refuses its bad index before it draws a trial.
+# matrices compared entrywise or side by side share one shape, and a matrix
+# or Kraus stack holds numbers (every public entry that coerces one refuses
+# strings, None or other objects before the cast to complex; their sizes fit,
+# so only the entries are at fault). Inputs are drawn before counting. A batch
+# refuses its bad index before it draws a trial.
 _ARGUMENT_REFUSALS = {
     "random-matrix-rows": lambda: (random_matrix, (0, 0), "rows must be an integer >= 1, got 0"),
     "random-matrix-cols": lambda: (random_matrix, (0, 2, 2.5), "cols must be an integer >= 1, got 2.5"),
@@ -1493,13 +1505,48 @@ _ARGUMENT_REFUSALS = {
     "schur-normal-shape": lambda: (
         check_schur_normal, (random_normal(5, 2), random_normal(6, 3)), "shape mismatch: a (2, 2) vs b (3, 3)"
     ),
+    "numeric-as-matrix-object": lambda: (as_matrix, ([[object()]],), "matrix must be numeric"),
+    "numeric-as-matrix-none": lambda: (as_matrix, (_NONE,), "matrix must be numeric"),
+    "numeric-stack-none": lambda: (mat_abs, (_NONE,), "x must be numeric"),
+    "numeric-kraus-object": lambda: (PositiveMapRep, ([[[object()]]],), "kraus_ops must be numeric"),
+    "numeric-kraus-none": lambda: (PositiveMapRep, ([_NONE],), "kraus_ops must be numeric"),
+    "numeric-apply": lambda: (apply, (random_cp_map(1, 2, 2), _WORDS), "x must be numeric"),
+    "numeric-schur-multiplier": lambda: (schur_multiplier, (_WORDS,), "a must be numeric"),
+    "numeric-loewner": lambda: (loewner_leq, (np.eye(2), _WORDS), "b must be numeric"),
+    "numeric-matrix-to-json": lambda: (matrix_to_json, (_NONE,), "matrix must be numeric"),
+    "numeric-theorem": lambda: (check_theorem_main, (random_cp_map(1, 2, 2), _WORDS, 0.5), "nmat must be numeric"),
+    "numeric-block": lambda: (check_block_certificate, (random_cp_map(1, 2, 2), _NONE), "nmat must be numeric"),
+    "numeric-eigen": lambda: (check_corollary_eigen, (random_cp_map(1, 2, 2), _WORDS, 0.5), "nmat must be numeric"),
+    "numeric-real-part": lambda: (check_real_part, (_WORDS,), "a must be numeric"),
+    "numeric-partial-trace": lambda: (check_partial_trace, (_WORDS, 2, 1), "nmat must be numeric"),
+    "numeric-sum-of-normals": lambda: (check_sum_of_normals, ([np.eye(2), _NONE],), "mats[1] must be numeric"),
+    "numeric-russo-dye": lambda: (check_russo_dye, (random_cp_map(1, 2, 2), _WORDS), "z must be numeric"),
+    "numeric-weighted-sum": lambda: (check_weighted_sum, ([np.eye(2)], [_WORDS]), "zs[0] must be numeric"),
+    "numeric-schur-diagonal": lambda: (check_schur_diagonal, (np.eye(2), _WORDS), "z must be numeric"),
+    "numeric-schur-normal": lambda: (check_schur_normal, (_NONE, np.eye(2)), "a must be numeric"),
+    "numeric-hermitian-sum": lambda: (check_hermitian_sum, (random_cp_map(1, 2, 2), _WORDS), "x must be numeric"),
+    "numeric-schur-square": lambda: (check_schur_square, (random_cp_map(1, 2, 2), _WORDS), "x must be numeric"),
+    "numeric-two-positive": lambda: (
+        check_two_positive_unital, (random_unital_cp_map(1, 2, 2), _WORDS), "z must be numeric"
+    ),
+    "numeric-search-matrix": lambda: (
+        minimal_orbit_constant, (random_cp_map(1, 2, 2), _WORDS, 0.25), "nmat must be numeric"
+    ),
+    # A list of maps is not a Kraus stack.
+    "numeric-search-maps": lambda: (
+        minimal_orbit_constant, ([random_cp_map(1, 2, 2)] * 2, np.stack([np.eye(2)] * 2), 0.25), "pmap must be numeric"
+    ),
+    "numeric-search-chunk-matrices": lambda: (
+        minimal_orbit_constant, (random_cp_map(1, 2, 2).kraus_ops[None], [_NONE], 0.25), "nmat must be numeric"
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_ARGUMENT_REFUSALS))
 def test_argument_rules_refuse_by_name_before_any_decomposition(linalg_calls, case):
-    # Each rule is one helper in core; every entry that takes a size, a list
-    # or two matrices of one shape refuses through it, naming the argument.
+    # Each rule is one helper in core; every entry that takes a size, a list,
+    # two matrices of one shape or a matrix refuses through it, naming the
+    # argument.
     call, args, message = _ARGUMENT_REFUSALS[case]()
     linalg_calls.clear()
     with pytest.raises(ValueError, match="^" + re.escape(message)):
@@ -1517,6 +1564,7 @@ _EYE = np.eye(2)
 # argument its caller passed.
 _PROPERTY_REFUSALS = {
     "as-stack-finite": lambda: (mat_abs, (np.full((2, 2), np.nan),), "x must be finite"),
+    "as-matrix-numeric": lambda: (as_matrix, ("ab",), "matrix must be numeric"),
     "herm-eig-hermitian": lambda: (herm_eig, (_NON_HERMITIAN,), "h must be Hermitian"),
     "schur-multiplier-hermitian": lambda: (schur_multiplier, (_NON_HERMITIAN,), "a must be Hermitian"),
     "geometric-mean-hermitian": lambda: (geometric_mean, (_EYE, _NON_HERMITIAN), "b must be Hermitian"),
@@ -1578,7 +1626,7 @@ def test_the_kraus_budget_is_refused_before_any_draw():
 
 
 # Words that name an input property a statement assumes.
-_PROPERTY_WORDS = re.compile(r"hermitian|semidefinite|\bpsd\b|\bnormal\b|contraction|unital|finite", re.I)
+_PROPERTY_WORDS = re.compile(r"hermitian|semidefinite|\bpsd\b|\bnormal\b|contraction|unital|finite|numeric", re.I)
 # The argument rules, and serialize's translation of an integer overflow, phrase their own refusals.
 _OWN_REFUSALS = {"_check_tol", "_check_weights", "matrix_from_json"}
 
@@ -1829,78 +1877,40 @@ def test_every_orbit_pair_is_exactly_hermitian(monkeypatch):
             assert np.array_equal(x, x.conj().swapaxes(-1, -2))
 
 
-def _no_seed_sequence(monkeypatch) -> None:
-    """Make every numpy route that hashes a seed with a ``SeedSequence`` raise.
+def _recorded_generators(monkeypatch) -> list:
+    """Record the seed of every generator ``np.random.default_rng`` builds, ``core._rng``'s included."""
+    seeds = []
+    default_rng = np.random.default_rng
 
-    ``default_rng`` and ``SeedSequence`` are refused outright, and ``PCG64`` is
-    refused any seed but a precomputed one (an ``ISeedSequence``).
-    """
+    def recorded(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
 
-    def refused(*args, **kwargs):
-        raise AssertionError("a SeedSequence was built")
-
-    pcg64 = np.random.PCG64
-
-    def precomputed_only(seed=None):
-        if not isinstance(seed, np.random.bit_generator.ISeedSequence):
-            refused()
-        return pcg64(seed)
-
-    for module in (np.random, np.random.bit_generator):
-        monkeypatch.setattr(module, "SeedSequence", refused)
-    monkeypatch.setattr(np.random, "default_rng", refused)
-    monkeypatch.setattr(np.random, "PCG64", precomputed_only)
-
-
-def _recorded_rngs(monkeypatch) -> tuple:
-    """Record the seeds of each ``certify._rngs`` call, and count the generators it hands out."""
-    calls, handed = [], []
-    rngs = certify._rngs
-
-    def recorded(seeds):
-        calls.append([list(seed) for seed in seeds])
-        for rng in rngs(seeds):
-            handed.append(1)
-            yield rng
-
-    monkeypatch.setattr(certify, "_rngs", recorded)
-    return calls, handed
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    return seeds
 
 
 def test_run_trial_builds_one_seeded_generator(monkeypatch):
     # Every instance of a trial is drawn from one generator, seeded [seed, index];
-    # a batch's generators come from one pass of the batch seeding, none from a
-    # SeedSequence of its own.
-    _no_seed_sequence(monkeypatch)
-    calls, handed = _recorded_rngs(monkeypatch)
+    # a batch builds one a trial, in index order, and no other.
+    seeds = _recorded_generators(monkeypatch)
     for n, m in ((2, 2), (3, 2)):
         for index in (7, [7, 2, 9]):
-            calls.clear()
-            handed.clear()
+            seeds.clear()
             run_trial(5, index, n, m, (0.25, 1.0))
-            indices = np.atleast_1d(index).tolist()
-            assert calls == [[[5, i] for i in indices]] and len(handed) == len(indices), calls
+            assert seeds == [[5, i] for i in np.atleast_1d(index).tolist()], seeds
 
 
-def test_search_chunk_builds_two_seeded_generators_a_pair(monkeypatch):
-    # A chunk's pairs take their map's generator from [seed, bi, t, 0] and their
-    # matrix's from [seed, bi, t, 1], in t order, all in one pass.
-    _no_seed_sequence(monkeypatch)
-    calls, handed = _recorded_rngs(monkeypatch)
-    ts = range(3, 11)
-    pmaps, _ = certify._search_pairs(4, 2, ts, 2, 3)
-    assert len(pmaps) == len(ts) and len(handed) == 2 * len(ts)
-    assert calls == [[[4, 2, t, 0] for t in ts] + [[4, 2, t, 1] for t in ts]]
-
-
-def test_search_command_builds_no_seed_sequence(capsys, monkeypatch):
-    # The whole search command, as the benchmark runs it, seeds every generator
-    # through the batch seeding: no SeedSequence hashes one instance's seed.
-    _no_seed_sequence(monkeypatch)
-    calls, handed = _recorded_rngs(monkeypatch)
-    code = cli.main(["search", "--dims", "3,3", "--beta", "0.1,0.25,0.5", "--trials", "20", "--seed", "2"])
-    assert code == 0 and capsys.readouterr().out.startswith("beta,empirical_c")
-    assert [len(call) for call in calls] == [40] * 3 and len(handed) == 120
+def test_search_builds_one_generator_a_weight(capsys, monkeypatch):
+    # The whole search command, as the benchmark runs it, draws each weight's
+    # pool from one generator seeded [seed, bi], whatever its chunks.
+    seeds = _recorded_generators(monkeypatch)
+    for budget in (maps.MAX_KRAUS_BYTES, _chunk_budget(7, 3, 3)):
+        monkeypatch.setattr(maps, "MAX_KRAUS_BYTES", budget)
+        seeds.clear()
+        code = cli.main(["search", "--dims", "3,3", "--beta", "0.1,0.25,0.5", "--trials", "20", "--seed", "2"])
+        assert code == 0 and capsys.readouterr().out.startswith("beta,empirical_c")
+        assert seeds == [[2, 0], [2, 1], [2, 2]]
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (3, 2), (4, 4), (12, 12), (27, 27), (1, 166), (166, 1)])

@@ -15,7 +15,6 @@ from matineq.core import (
     _hermitian_verdict,
     _log_majorizations,
     _normals,
-    _rngs,
     as_matrix,
     conj_real_part,
     direct_sum,
@@ -705,66 +704,10 @@ def test_generators_deterministic():
     np.testing.assert_array_equal(haar_unitary([1, 2], 3), haar_unitary([1, 2], 3))
 
 
-# Seed words at the edges of SeedSequence's conversion: 0, the largest one-word
-# integer, the smallest two-word one and a three-word one.
-_EDGE_WORDS = (0, 2**32 - 1, 2**32, 2**64 + 1)
-
-
-def _edge_entropies() -> list:
-    """Seed lists of 0 to 6 integers, each edge word in every position among small ones."""
-    entropies = [[]]
-    for size in range(1, 7):
-        for position in range(size):
-            for word in _EDGE_WORDS:
-                entropy = [7 * i + 1 for i in range(size)]
-                entropy[position] = word
-                entropies.append(entropy)
-    return entropies
-
-
-def _assert_default_rngs(seeds, rngs) -> None:
-    """Each generator has the state, and the first 64 standard normals, of ``default_rng`` of its seed."""
-    rngs = list(rngs)
-    assert len(rngs) == len(seeds)
-    for seed, rng in zip(seeds, rngs):
-        expected = np.random.default_rng(seed)
-        assert rng.bit_generator.state == expected.bit_generator.state, seed
-        np.testing.assert_array_equal(rng.standard_normal(64), expected.standard_normal(64), str(seed))
-
-
-def test_batch_generators_have_the_bits_of_default_rng():
-    # One vectorised SeedSequence pass seeds a whole batch: every seed list,
-    # up to 6 integers of up to 3 words (so up to 8 words past the pool's 4,
-    # each an extra mixing round), gives default_rng's generator bit for bit.
-    entropies = _edge_entropies()
-    assert max(len(e) for e in entropies) == 6
-    _assert_default_rngs(entropies, _rngs(entropies))  # one batch mixing every word count
-    for entropy in entropies:
-        _assert_default_rngs([entropy], _rngs([entropy]))
-    for k in (0, 1, 17, 400):
-        seeds = [[3, 1, t // 2, t % 2] for t in range(k)]
-        _assert_default_rngs(seeds, _rngs(seeds))
-    # numpy integers and a seed beyond 32 bits, as the search's seeds are built.
-    seeds = [[np.int64(2**40), 2, t, 1] for t in range(5)]
-    _assert_default_rngs([[int(w) for w in s] for s in seeds], _rngs(seeds))
-
-
-def test_batch_generators_refuse_what_default_rng_refuses():
-    with pytest.raises(ValueError):
-        list(_rngs([[1, -1]]))
-    with pytest.raises(TypeError):
-        list(_rngs([[1, 0.5]]))
-    # A precomputed seed serves PCG64's one request, for 4 uint64 words, only.
-    seed_seq = next(_rngs([[1, 2]])).bit_generator.seed_seq
-    for request in ((8, np.uint32), (2, np.uint64), (4, np.uint32)):
-        with pytest.raises(ValueError):
-            seed_seq.generate_state(*request)
-
-
 def test_generators_are_built_in_two_places():
-    # A generator is built from a user seed by core._rng alone, and from a
-    # batch's precomputed state words by core._rngs alone, so a second seeding
-    # route cannot come back unnoticed.
+    # Every generator is built from its seed by core._rng alone, as
+    # np.random.default_rng builds it, and no module names PCG64 or a
+    # SeedSequence, so a second seeding route cannot come back unnoticed.
     builders = {}
     for path in sorted(glob.glob(os.path.join(os.path.dirname(matineq.__file__), "*.py"))):
         with open(path, encoding="utf-8") as fh:
@@ -778,4 +721,4 @@ def test_generators_are_built_in_two_places():
                 visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
 
         visit(tree, None)
-    assert builders == {"default_rng": {"core.py:_rng"}, "PCG64": {"core.py:_rngs"}}
+    assert builders == {"default_rng": {"core.py:_rng"}}
