@@ -1901,6 +1901,20 @@ def test_run_trial_builds_one_seeded_generator(monkeypatch):
             assert seeds == [[5, i] for i in np.atleast_1d(index).tolist()], seeds
 
 
+def test_search_chunk_reads_the_generator_it_is_handed(monkeypatch):
+    # A chunk builds no generator of its own: it reads the next pairs of the
+    # weight's stream, so two chunks of 3 and 5 are one chunk of 8.
+    seeds = _recorded_generators(monkeypatch)
+    for n, m in ((2, 3), (3, 2)):
+        rng, whole_rng = np.random.default_rng([4, 2]), np.random.default_rng([4, 2])
+        seeds.clear()
+        parts = [certify._search_pairs(rng, k, n, m) for k in (3, 5)]
+        whole = certify._search_pairs(whole_rng, 8, n, m)
+        assert seeds == []
+        for split, joined in zip(zip(*parts), whole):
+            assert np.array_equal(np.concatenate(split), joined)
+
+
 def test_search_builds_one_generator_a_weight(capsys, monkeypatch):
     # The whole search command, as the benchmark runs it, draws each weight's
     # pool from one generator seeded [seed, bi], whatever its chunks.
