@@ -37,6 +37,7 @@ from .core import (
     _hermitian_verdict,
     _hermitian_within,
     _is_psd,
+    _item,
     _log_majorizations,
     _normal_shapes,
     _normals_from,
@@ -53,7 +54,6 @@ from .core import (
     is_normal,
     mat_abs,
     polar,
-    schur_prod,
     singular_values,
     spectral_norm,
 )
@@ -136,8 +136,9 @@ class Certificate:
     beta: Optional[float] = None
 
     @property
-    def min_slack(self) -> float:
-        return float(self.slack_spectrum.min()) if self.slack_spectrum.size else 0.0
+    def min_slack(self):
+        """The least slack: a float, or one per member of a decided stack."""
+        return _item(self.slack_spectrum.min(axis=-1)) if self.slack_spectrum.size else 0.0
 
 
 class EigenCorollaryReports(NamedTuple):
@@ -208,13 +209,16 @@ def _eig_desc(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Staged evaluation (see ``staging``). Each statement is a task that asks for
-# primitives one matrix at a time and lists its claims for ``_decide``, the one
-# step that decides them; ``_run`` drives tasks together, so a sweep trial makes
-# one call per stage and matrix shape. The sweep's table rows and the public
-# checkers run the same tasks: a checker runs its row's task alone. A task does
-# only mathematics: a checker refuses inputs that lack a hypothesis as they
-# enter (``_entry``, ``_require``), and the sweep draws inputs that hold them.
+# Staged evaluation (see ``staging``). Each statement is a task on a stack of
+# ``k`` instances, a sweep batch or a checker's one: it asks for each primitive
+# once, on a stack, and lists its claims for ``_decide``, the one step that
+# decides them; ``_run`` drives tasks together, so a sweep batch makes one call
+# per stage and matrix shape. A decided claim is a certificate or report whose
+# array fields carry the member axis, ``passed`` and ``min_slack`` included.
+# The sweep's table rows and the public checkers run the same tasks: a checker
+# runs its row's task on a stack of one (``_alone``). A task does only
+# mathematics: a checker refuses inputs that lack a hypothesis as they enter
+# (``_entry``, ``_require``), and the sweep draws inputs that hold them.
 # ---------------------------------------------------------------------------
 
 
@@ -236,22 +240,34 @@ def _run(*tasks) -> list:
     return run_staged(stages, tasks)
 
 
+def _first(outcome):
+    """Member 0 of a decided stack, as the certificate or report of its one inequality."""
+    values = {name: value[0] if isinstance(value, np.ndarray) else value for name, value in vars(outcome).items()}
+    return type(outcome)(**{**values, "passed": bool(values["passed"])})
+
+
+def _alone(outcomes) -> list:
+    """The outcomes of a task run on a stack of one, as its member's own; one listed twice stays one object."""
+    firsts = {id(o): _first(o) for o in outcomes}
+    return [firsts[id(o)] for o in outcomes]
+
+
 @dataclass(frozen=True, eq=False)
 class _MapBatch:
     """A batch's drawn maps as one Kraus stack ``(maps, terms, n, m)``.
 
     Asks carry it as an argument like any other, by identity, so the engine
-    neither copies nor stacks it, and asks on its members share a call.
+    neither copies nor joins it, and asks on its maps share a call.
     """
 
     ops: np.ndarray
 
 
-class _Member(NamedTuple):
-    """Map ``index`` of a batch's drawn maps, whose factors ``batch.ops[index]`` only ``_apply_members`` reads."""
+class _Drawn(NamedTuple):
+    """Drawn maps for a stack: member ``i`` takes map ``index[i]`` of ``batch``."""
 
     batch: _MapBatch
-    index: int
+    index: np.ndarray
 
 
 def _apply_members(batch: _MapBatch, index, x) -> np.ndarray:
@@ -259,11 +275,20 @@ def _apply_members(batch: _MapBatch, index, x) -> np.ndarray:
     return _apply_stack(batch.ops, x[:, None], index)[:, 0]
 
 
-def _applied(pmap: PositiveMapRep | _Member, mats) -> list:
-    """Asks for the images of ``mats`` under ``pmap``, a map or a member of a batch's drawn maps."""
-    if isinstance(pmap, _Member):
-        return [Ask(_apply_members, (pmap.batch, np.array(pmap.index), x)) for x in mats]
-    return [Ask(apply, (pmap, x)) for x in mats]
+def _applied(pmap: PositiveMapRep | _Drawn, x):
+    """Task: the images ``(k, r, m, m)`` of the ``(k, r, n, n)`` stack ``x`` under ``pmap``.
+
+    A map serves every member, through ``maps.apply``; ``_Drawn`` maps are each
+    member's own. The ask is one flat stack of matrices, so rows share a call.
+    """
+    k, r, n, _ = x.shape
+    flat = x.reshape(k * r, n, n)
+    if isinstance(pmap, PositiveMapRep):
+        ask = Ask(apply, (pmap, flat))
+    else:
+        ask = Ask(_apply_members, (pmap.batch, np.repeat(pmap.index, r), flat))
+    (images,) = yield [ask]
+    return images.reshape((k, r) + images.shape[1:])
 
 
 def _entry(x, name: str, pmap: Optional[PositiveMapRep] = None, check=None, what: str = "") -> np.ndarray:
@@ -283,7 +308,7 @@ def _require(check, mats, names, what: str) -> None:
 
 
 class _Claim(NamedTuple):
-    """A certificate ``lhs <= rhs`` before its verdict: of matrices, or of vectors as diagonals."""
+    """Certificates ``lhs <= rhs`` of a stack before their verdicts: of matrices, or of vectors as diagonals."""
 
     statement_id: str
     lhs: np.ndarray
@@ -293,7 +318,7 @@ class _Claim(NamedTuple):
 
 
 class _LogMaj(NamedTuple):
-    """Singular values weakly log-majorized by a spectrum, before its verdict."""
+    """Singular values weakly log-majorized by a spectrum, for each member of a stack, before the verdicts."""
 
     singular: np.ndarray
     spectrum: np.ndarray
@@ -304,9 +329,10 @@ def _decide(claims, tol: float):
 
     A ``_Claim`` of vectors is decided by ``_diagonal_certificate`` before any ask, so a
     side that is not finite is refused first; a ``_LogMaj`` against its spectrum clipped at 0.
+    Each claim is one ask on its whole stack.
     """
     unique = list({id(c): c for c in claims}.values())
-    diagonal = [c for c in unique if isinstance(c, _Claim) and c.lhs.ndim == 1]
+    diagonal = [c for c in unique if isinstance(c, _Claim) and c.lhs.ndim == 2]
     decided = {id(c): _diagonal_certificate(*c[:3], beta=c.beta, tol=tol) for c in diagonal}
     staged = [c for c in unique if id(c) not in decided]
     answers = yield [
@@ -315,8 +341,8 @@ def _decide(claims, tol: float):
         for c in staged
     ]
     for c, a in zip(staged, answers):
-        decided[id(c)] = a if isinstance(c, _LogMaj) else Certificate(
-            c.statement_id, a.lhs, a.rhs, a.slack_spectrum, bool(a.passed), tol, c.witness, c.beta
+        decided[id(c)] = MajorizationReport(*a[:5], tol, *a[5:]) if isinstance(c, _LogMaj) else Certificate(
+            c.statement_id, a.lhs, a.rhs, a.slack_spectrum, a.passed, tol, c.witness, c.beta
         )
     return [decided[id(c)] for c in claims]
 
@@ -358,17 +384,18 @@ def _orbit(image, arg) -> _Orbit:
     return _Orbit(image, arg, lhs, v, _hermitian(v @ arg @ _adjoint(v)))
 
 
-def _image_orbit(pmap: PositiveMapRep, *blocks):
-    """Task: the orbit pair ``(map(x), map(|x|))`` of ``x = b_1 (+) b_2 (+) ...``.
+def _image_orbit(pmap: PositiveMapRep | _Drawn, blocks):
+    """Task: the orbit pairs ``(map(x), map(|x|))`` of ``x = b_1 (+) b_2 (+) ...``, each member's.
 
-    ``|x|`` is taken block by block, ``|b_1 (+) b_2| = |b_1| (+) |b_2|``, so a
-    direct sum costs no decomposition of its own size.
+    ``blocks`` is a ``(k, count, n, n)`` stack. ``|x|`` is taken block by block,
+    ``|b_1 (+) b_2| = |b_1| (+) |b_2|``, so a direct sum costs no decomposition
+    of its own size.
     """
-    abs_blocks = yield [Ask(mat_abs, (b,)) for b in blocks]
-    if len(blocks) > 1:
-        blocks, abs_blocks = [direct_sum(blocks)], [direct_sum(abs_blocks)]
-    image, image_abs = yield _applied(pmap, [*blocks, *abs_blocks])
-    (o,) = yield [Ask(_orbit, (image, image_abs))]
+    (abs_blocks,) = yield [Ask(mat_abs, (blocks.reshape((-1,) + blocks.shape[2:]),))]
+    # Each member's (x, |x|), (k, 2, N, N): the direct sum of its (b_i, |b_i|) pairs.
+    sums = direct_sum(list(np.stack([blocks, abs_blocks.reshape(blocks.shape)], axis=2).swapaxes(0, 1)))
+    images = yield from _applied(pmap, sums)
+    (o,) = yield [Ask(_orbit, (images[:, 0], images[:, 1]))]
     return o
 
 
@@ -395,24 +422,24 @@ def _chain(geom, arith) -> _Claim:
 
 
 def _diagonal_certificate(statement_id, lhs, rhs, *, beta=None, tol=DEFAULT_TOL) -> Certificate:
-    """``diag(lhs) <= diag(rhs)`` for real vectors, decided without a decomposition.
+    """``diag(lhs) <= diag(rhs)`` for real vectors, or per member of two stacks of them, without a decomposition.
 
     The slack spectrum of two diagonal matrices is the entrywise difference
     sorted in descending order, and ``||diag(rhs)||`` is ``max |rhs|``, so the
     verdict is the ``core.loewner_leq`` rule on the diagonal matrices. The
-    certificate keeps the two vectors as its sides. A side that is not
-    finite, or a difference that overflows, is refused with a ValueError.
+    certificate keeps the two vectors as its sides. A side of any member that
+    is not finite, or a difference that overflows, is refused with a ValueError.
     """
-    slack = np.sort(rhs - lhs)[::-1]
+    slack = np.sort(rhs - lhs, axis=-1)[..., ::-1]
     _refuse(np.isfinite(slack).all(), f"the sides of {statement_id}", "finite")
-    passed = bool(slack[-1] >= -_threshold(tol, float(np.abs(rhs).max())))
+    passed = _item(slack[..., -1] >= -_threshold(tol, np.abs(rhs).max(axis=-1)))
     return Certificate(statement_id, lhs, rhs, slack, passed, tol, beta=beta)
 
 
 def _orbit_statements(
-    pmap: PositiveMapRep, nmat, betas: Sequence[float], tol: float, sign: float = 1.0
+    pmap: PositiveMapRep | _Drawn, nmat, betas: Sequence[float], tol: float, sign: float = 1.0
 ):
-    """Task: every statement on the orbit pair ``(map(n), map(|n|))`` of a normal ``n``.
+    """Task: every statement on the orbit pairs ``(map(n), map(|n|))`` of a ``(k, n, n)`` stack of normals.
 
     The outcomes come in key order: main-arith, main-geom and main-chain for
     each weight; then block-psd, eigen-logmaj and eigen-pairs; then
@@ -420,7 +447,7 @@ def _orbit_statements(
     none. ``sign = -1`` negates the orbit term of the arithmetic bound: the
     fault the sweep injects on request.
     """
-    o = yield from _image_orbit(pmap, nmat)
+    o = yield from _image_orbit(pmap, nmat[:, None])
     mean, singular, spectrum, *shifted = yield [
         _mean(o),
         Ask(singular_values, (o.image,)),
@@ -430,16 +457,16 @@ def _orbit_statements(
     geom = _geom("main-geom", o, mean)
     ariths = [_arith("main-arith", o, beta, sign) for beta in betas]
     # A Kraus map commutes with the adjoint: map(n*) = map(n)*.
-    block = np.block([[o.arg, o.image], [o.image.conj().T, o.arg]])
+    block = np.block([[o.arg, o.image], [_adjoint(o.image), o.arg]])
     # The pairs (j, i), 0-based, with j + i < m, in row-major order.
-    m = singular.size
+    m = singular.shape[-1]
     j, i = np.nonzero(np.add.outer(np.arange(m), np.arange(m)) < m)
     t_clip = np.maximum(spectrum, 0.0)
     claims = [
         *(claim for arith in ariths for claim in (arith, geom, _chain(geom, arith))),
         _Claim("block-psd", np.zeros_like(block), block),
         _LogMaj(singular, spectrum),
-        _Claim("eigen-pairs", singular[j + i], np.sqrt(t_clip[j] * t_clip[i])),
+        _Claim("eigen-pairs", singular[:, j + i], np.sqrt(t_clip[:, j] * t_clip[:, i])),
         *(_Claim("eigen-shift", 4.0 * beta * s, spectrum, beta=beta) for s, beta in zip(shifted, betas)),
     ]
     return (yield from _decide(claims, tol))
@@ -456,21 +483,22 @@ def check_theorem_main(pmap: PositiveMapRep, nmat, beta: float, tol: float = DEF
     _check_tol(tol)
     _check_weights([beta])
     nmat = _entry(nmat, "nmat", pmap, is_normal, "normal")
-    arith, geom = _run(_orbit_statements(pmap, nmat, (beta,), tol))[0][:2]
+    arith, geom = _alone(*_run(_orbit_statements(pmap, nmat[None], (beta,), tol)))[:2]
     return arith, replace(geom, beta=beta)
 
 
 def chain_certificate(geom: Certificate, arith: Certificate, tol: float = DEFAULT_TOL) -> Certificate:
     """The geometric-mean bound never exceeds the arithmetic one (AM-GM chain)."""
     _check_tol(tol)
-    return _run(_decide([_chain(geom, arith)], tol))[0][0]
+    claim = _chain(*(replace(c, rhs=c.rhs[None]) for c in (geom, arith)))
+    return _alone(*_run(_decide([claim], tol)))[0]
 
 
 def check_block_certificate(pmap: PositiveMapRep, nmat, tol: float = DEFAULT_TOL) -> Certificate:
     """The 2x2 block matrix [[map(|n|), map(n)], [map(n*), map(|n|)]] is PSD."""
     _check_tol(tol)
     nmat = _entry(nmat, "nmat", pmap, is_normal, "normal")
-    return _run(_orbit_statements(pmap, nmat, (), tol))[0][0]
+    return _alone(*_run(_orbit_statements(pmap, nmat[None], (), tol)))[0]
 
 
 def check_corollary_eigen(
@@ -487,25 +515,24 @@ def check_corollary_eigen(
     _check_tol(tol)
     _check_weights([beta])
     nmat = _entry(nmat, "nmat", pmap, is_normal, "normal")
-    return EigenCorollaryReports(*_run(_orbit_statements(pmap, nmat, (beta,), tol))[0][4:])
+    return EigenCorollaryReports(*_alone(*_run(_orbit_statements(pmap, nmat[None], (beta,), tol)))[4:])
 
 
 def _real_part(averager: PositiveMapRep, a, tol: float):
     (abs_a,) = yield [Ask(mat_abs, (a,))]
     # |a (+) conj(a)| = |a| (+) |conj(a)|, and |conj(a)| = conj(|a|).
-    doubled = direct_sum([a, np.conj(a)])
-    abs_doubled = direct_sum([abs_a, np.conj(abs_a)])
-    image, image_abs_arg = yield _applied(averager, [doubled, abs_doubled])
+    pair = np.stack([a, abs_a], axis=1)
+    images = yield from _applied(averager, direct_sum([pair, np.conj(pair)]))
     real_a = conj_real_part(a)
     real_abs = conj_real_part(abs_a)
     s_image, t_image, s_real, t_real, det_sides = yield [
-        Ask(singular_values, (image,)),
-        Ask(_eig_desc, (image_abs_arg,)),
+        Ask(singular_values, (images[:, 0],)),
+        Ask(_eig_desc, (images[:, 1],)),
         Ask(singular_values, (real_a,)),
         Ask(_eig_desc, (real_abs,)),
         Ask(_det_sides, (real_a, real_abs)),
     ]
-    det = _Claim("realpart-det", det_sides[:1], det_sides[1:])
+    det = _Claim("realpart-det", det_sides[:, :1], det_sides[:, 1:])
     return (yield from _decide([_LogMaj(s_image, t_image), _LogMaj(s_real, t_real), det], tol))
 
 
@@ -521,11 +548,11 @@ def check_real_part(a, tol: float = DEFAULT_TOL) -> RealPartReport:
     """
     _check_tol(tol)
     a = _entry(a, "a", check=is_normal, what="normal")
-    return RealPartReport(*_run(_real_part(corner_block_map(a.shape[0]), a, tol))[0])
+    return RealPartReport(*_alone(*_run(_real_part(corner_block_map(a.shape[0]), a[None], tol))))
 
 
 def _partial_trace(trace: PositiveMapRep, nmat, tol: float):
-    o = yield from _image_orbit(trace, nmat)
+    o = yield from _image_orbit(trace, nmat[:, None])
     (mean,) = yield [_mean(o)]
     return (yield from _decide([_geom("ptrace-geom", o, mean)], tol))
 
@@ -534,11 +561,11 @@ def check_partial_trace(nmat, d: int, n: int, tol: float = DEFAULT_TOL) -> Certi
     """Geometric-mean orbit bound for the partial trace of a normal block matrix."""
     _check_tol(tol)
     trace = partial_trace_first(d, n)
-    return _run(_partial_trace(trace, _entry(nmat, "nmat", trace, is_normal, "normal"), tol))[0][0]
+    return _alone(*_run(_partial_trace(trace, _entry(nmat, "nmat", trace, is_normal, "normal")[None], tol)))[0]
 
 
-def _sum_of_normals(trace: PositiveMapRep, mats: Sequence, tol: float):
-    o = yield from _image_orbit(trace, *mats)
+def _sum_of_normals(trace: PositiveMapRep, mats, tol: float):
+    o = yield from _image_orbit(trace, mats)
     (mean,) = yield [_mean(o)]
     claims = [_geom("sum-normals-geom", o, mean), _arith("sum-normals-arith", o, 0.5)]
     return (yield from _decide(claims, tol))
@@ -557,11 +584,13 @@ def check_sum_of_normals(mats: Sequence, tol: float = DEFAULT_TOL):
     _check_same_shape(mats, names)
     _require(is_normal, mats, names, "normal")
     trace = partial_trace_first(len(mats), len(mats[0]))
-    return tuple(_run(_sum_of_normals(trace, mats, tol))[0])
+    return tuple(_alone(*_run(_sum_of_normals(trace, np.array(mats)[None], tol))))
 
 
-def _russo_dye(pmap: PositiveMapRep, z, tol: float):
-    image_id, image = yield _applied(pmap, [np.eye(z.shape[0], dtype=complex), z])
+def _russo_dye(pmap: PositiveMapRep | _Drawn, z, tol: float):
+    identity = np.broadcast_to(np.eye(z.shape[-1], dtype=complex), z.shape)
+    images = yield from _applied(pmap, np.stack([identity, z], axis=1))
+    image_id, image = images[:, 0], images[:, 1]
     o, singular, spectrum = yield [
         Ask(_orbit, (image, image_id)),
         Ask(singular_values, (image,)),
@@ -583,23 +612,35 @@ def check_russo_dye(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL) -> RussoD
     """
     _check_tol(tol)
     z = _entry(z, "z", pmap, is_contraction, "a contraction")
-    return RussoDyeReports(*_run(_russo_dye(pmap, z, tol))[0])
+    return RussoDyeReports(*_alone(*_run(_russo_dye(pmap, z[None], tol))))
 
 
-def _weighted_sum(xs: Sequence, zs: Sequence, tol: float):
-    weighted = sum(x.conj().T @ z @ x for x, z in zip(xs, zs))
-    gram = hermitian_part(sum(x.conj().T @ x for x in xs))
-    singular, spectrum, *abs_zs = yield [
+def _summed(terms) -> np.ndarray:
+    """``terms[:, 0] + terms[:, 1] + ...``, added left to right as Python's ``sum`` adds a list of matrices."""
+    return sum(terms.swapaxes(0, 1))
+
+
+def _weighted_sum(xs, zs, tol: float):
+    """Task: the weighted-sum statements of ``(k, count, m, n)`` factors and ``(k, count, m, m)`` contractions."""
+    xs_adj = _adjoint(xs)
+    weighted = _summed(xs_adj @ zs @ xs)
+    gram = hermitian_part(_summed(xs_adj @ xs))
+    rows = zs.shape[-1]
+    singular, spectrum, abs_zs = yield [
         Ask(singular_values, (weighted,)),
         Ask(_eig_desc, (gram,)),
-        *(Ask(mat_abs, (w,)) for z in zs for w in (z, _adjoint(z))),
+        Ask(mat_abs, (np.stack([zs, _adjoint(zs)], axis=2).reshape(-1, rows, rows),)),
     ]
-    upper_left = sum(x.conj().T @ abs_z_adj @ x for x, abs_z_adj in zip(xs, abs_zs[1::2]))
-    lower_right = sum(x.conj().T @ abs_z @ x for x, abs_z in zip(xs, abs_zs[0::2]))
-    block = np.block([[upper_left, weighted], [weighted.conj().T, lower_right]])
-    # Both sums have rank at most len(xs) * rows: past it both prefix products are exactly 0.
-    rank = min(len(weighted), len(xs) * len(xs[0]))
-    claims = [_LogMaj(singular[:rank], spectrum[:rank]), _Claim("weighted-sum-block", np.zeros_like(block), block)]
+    abs_zs = abs_zs.reshape(zs.shape[:2] + (2, rows, rows))
+    upper_left = _summed(xs_adj @ abs_zs[:, :, 1] @ xs)
+    lower_right = _summed(xs_adj @ abs_zs[:, :, 0] @ xs)
+    block = np.block([[upper_left, weighted], [_adjoint(weighted), lower_right]])
+    # Both sums have rank at most count * rows: past it both prefix products are exactly 0.
+    rank = min(weighted.shape[-1], xs.shape[1] * rows)
+    claims = [
+        _LogMaj(singular[:, :rank], spectrum[:, :rank]),
+        _Claim("weighted-sum-block", np.zeros_like(block), block),
+    ]
     return (yield from _decide(claims, tol))
 
 
@@ -624,11 +665,11 @@ def check_weighted_sum(xs: Sequence, zs: Sequence, tol: float = DEFAULT_TOL):
     if any(z.shape != (rows, rows) for z in zs):
         raise ValueError("each z must act on the row space of the xs")
     _require(is_contraction, zs, names, "a contraction")
-    return tuple(_run(_weighted_sum(xs, zs, tol))[0])
+    return tuple(_alone(*_run(_weighted_sum(np.array(xs)[None], np.array(zs)[None], tol))))
 
 
 def _schur_diagonal(a, z, tol: float):
-    (o,) = yield [Ask(_orbit, (schur_prod(a, z), schur_prod(a, np.eye(a.shape[0], dtype=complex))))]
+    (o,) = yield [Ask(_orbit, (a * z, a * np.eye(a.shape[-1], dtype=complex)))]
     return (yield from _decide([_arith("schur-diagonal", o, 0.5)], tol))
 
 
@@ -641,12 +682,12 @@ def check_schur_diagonal(a, z, tol: float = DEFAULT_TOL) -> Certificate:
     w = _eig_desc(a)
     _refuse(_is_psd(w, np.abs(w).max()), "a", "positive semidefinite")
     _refuse(is_contraction(z), "z", "a contraction")
-    return _run(_schur_diagonal(a, z, tol))[0][0]
+    return _alone(*_run(_schur_diagonal(a[None], z[None], tol)))[0]
 
 
 def _schur_normal(a, b, tol: float):
     abs_a, abs_b = yield [Ask(mat_abs, (a,)), Ask(mat_abs, (b,))]
-    (o,) = yield [Ask(_orbit, (schur_prod(a, b), schur_prod(abs_a, abs_b)))]
+    (o,) = yield [Ask(_orbit, (a * b, abs_a * abs_b))]
     return (yield from _decide([_arith("schur-normal", o, 1.0)], tol))
 
 
@@ -662,18 +703,17 @@ def check_schur_normal(a, b, tol: float = DEFAULT_TOL) -> Certificate:
     a, b = _entry(a, "a"), _entry(b, "b")
     _check_same_shape((a, b), ("a", "b"))
     _require(is_normal, [a, b], ["a", "b"], "normal")
-    return _run(_schur_normal(a, b, tol))[0][0]
+    return _alone(*_run(_schur_normal(a[None], b[None], tol)))[0]
 
 
-def _symmetrized(pmap: PositiveMapRep, x, tol: float):
+def _symmetrized(pmap: PositiveMapRep | _Drawn, x, tol: float):
     """Task: the hermitian-sum-geom and schur-square-geom certificates, from ``|x|`` and ``|x*|``."""
     x_adj = _adjoint(x)
     abs_x, abs_x_adj = yield [Ask(mat_abs, (x,)), Ask(mat_abs, (x_adj,))]
-    herm_image, herm_arg, square_image, square_arg = yield _applied(
-        pmap,
-        [x + x_adj, abs_x + abs_x_adj, schur_prod(x, x_adj), schur_prod(abs_x, abs_x_adj)],
+    images = yield from _applied(
+        pmap, np.stack([x + x_adj, abs_x + abs_x_adj, x * x_adj, abs_x * abs_x_adj], axis=1)
     )
-    herm, square = yield [Ask(_orbit, (herm_image, herm_arg)), Ask(_orbit, (square_image, square_arg))]
+    herm, square = yield [Ask(_orbit, (images[:, 0], images[:, 1])), Ask(_orbit, (images[:, 2], images[:, 3]))]
     herm_mean, square_mean = yield [_mean(herm), _mean(square)]
     claims = [_geom("hermitian-sum-geom", herm, herm_mean), _geom("schur-square-geom", square, square_mean)]
     return (yield from _decide(claims, tol))
@@ -687,7 +727,7 @@ def check_hermitian_sum(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Ce
     image of its block sum, ``map(|x| + |x*|)``.
     """
     _check_tol(tol)
-    return _run(_symmetrized(pmap, _entry(x, "x", pmap), tol))[0][0]
+    return _alone(*_run(_symmetrized(pmap, _entry(x, "x", pmap)[None], tol)))[0]
 
 
 def check_schur_square(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Certificate:
@@ -699,12 +739,12 @@ def check_schur_square(pmap: PositiveMapRep, x, tol: float = DEFAULT_TOL) -> Cer
     ``|x*| (+) |x|``, so the comparison argument is ``map(|x| o |x*|)``.
     """
     _check_tol(tol)
-    return _run(_symmetrized(pmap, _entry(x, "x", pmap), tol))[0][1]
+    return _alone(*_run(_symmetrized(pmap, _entry(x, "x", pmap)[None], tol)))[1]
 
 
-def _two_positive_unital(pmap: PositiveMapRep, z, tol: float):
-    o = yield from _image_orbit(pmap, z)
-    rhs = np.eye(len(o.arg), dtype=complex) / 4.0 + o.arg
+def _two_positive_unital(pmap: PositiveMapRep | _Drawn, z, tol: float):
+    o = yield from _image_orbit(pmap, z[:, None])
+    rhs = np.eye(o.arg.shape[-1], dtype=complex) / 4.0 + o.arg
     return (yield from _decide([_Claim("two-positive-quarter", o.lhs, rhs)], tol))
 
 
@@ -717,7 +757,7 @@ def check_two_positive_unital(pmap: PositiveMapRep, z, tol: float = DEFAULT_TOL)
     _check_tol(tol)
     z = _entry(z, "z", pmap, is_contraction, "a contraction")
     _refuse(is_unital(pmap), "pmap", "unital")
-    return _run(_two_positive_unital(pmap, z, tol))[0][0]
+    return _alone(*_run(_two_positive_unital(pmap, z[None], tol)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -744,9 +784,9 @@ def repro_sharpness_beta(beta: float) -> ReproResult:
     if beta < 0.5:
         raise ValueError("the sharpness family is stated for beta >= 1/2")
     a, r = sharpness_family(beta)
-    (o,) = _run(_image_orbit(schur_multiplier(a), r))
-    gap = _eig_desc(o.lhs - beta * o.arg)
-    orbit_spectrum = _eig_desc(o.arg)
+    (o,) = _run(_image_orbit(schur_multiplier(a), r[None, None]))
+    gap = _eig_desc(o.lhs - beta * o.arg)[0]
+    orbit_spectrum = _eig_desc(o.arg)[0]
     bound_top = orbit_spectrum[0] / (4.0 * beta)
     bound_second = orbit_spectrum[1] / (4.0 * beta)
     forced_c = float(gap[0] / bound_top)
@@ -801,9 +841,9 @@ def repro_no_single_unitary(angles) -> ReproResult:
         c, s = math.cos(a), math.sin(a)
         qs.append(np.array([[c**2, s * c], [s * c, s**2]], dtype=complex))
     trace_map = partial_trace_first(2, 2)
-    orbits = _run(*(_image_orbit(trace_map, p, -q) for q in qs))
-    lam2_abs = _eig_desc(np.array([o.arg for o in orbits]))[:, -1]
-    lam2_image = singular_values(np.array([o.image for o in orbits]))[:, -1]
+    (o,) = _run(_image_orbit(trace_map, np.stack([np.broadcast_to(p, (len(qs), 2, 2)), -np.array(qs)], axis=1)))
+    lam2_abs = _eig_desc(o.arg)[:, -1]
+    lam2_image = singular_values(o.image)[:, -1]
     ratios = [float(x) for x in lam2_abs / lam2_image]
     computed = dict(zip(keys, ratios))
     expected = {key: math.tan(a / 2.0) for key, a in zip(keys, angles)}
@@ -852,8 +892,8 @@ def repro_psi_sharpness() -> ReproResult:
     """
     pmap = quarter_sharpness_map()
     h = quarter_sharpness_hermitian()
-    (o,) = _run(_image_orbit(pmap, h))
-    image_abs, abs_image = o.lhs, o.arg
+    (o,) = _run(_image_orbit(pmap, h[None, None]))
+    image_abs, abs_image = o.lhs[0], o.arg[0]
     c_min = float(_eig_desc(image_abs - abs_image)[0])
     stated_rhs = np.diag([0.0, 0.25]).astype(complex) + abs_image
     identity_gap = spectral_norm(image_abs - stated_rhs)
@@ -997,21 +1037,24 @@ def minimal_orbit_constant(pmap: PositiveMapRep | np.ndarray, nmat, beta: float)
 # products while it is solved; the peaks read 2.01 of them at 8 x 8 and
 # 16 x 16, so the third is margin), six n x n (the normal's draws, Haar factor and
 # modulus) and twelve m x m (the images, polar factors, orbit and pencil of the
-# solve), and its share of the chunk's Python objects. The peaks tracemalloc
-# measures at 1 x 1, 3 x 3, 8 x 8, 16 x 16, 1 x 32 and 32 x 1 are 0.12-0.86 of it.
-_SEARCH_PAIR = _Unit("search pair", 3, 6, 12, 1536, 1)
+# solve). A chunk is a few stacks, so a pair holds no Python objects of its own.
+# The peaks tracemalloc measures for a whole chunk at 1 x 1, 3 x 3, 8 x 8,
+# 16 x 16, 1 x 32 and 32 x 1 are 0.53-0.87 of it.
+_SEARCH_PAIR = _Unit("search pair", 3, 6, 12)
 # A sweep trial holds seven arrays the size of one map's Kraus factors (the sweep and
 # unital maps, the draws and scaling of the unital one, and _apply_stack's products),
 # 144 n x n and 88 m x m (the drawn instances, their images, absolute values, orbits
-# and certificate sides) and 53248 bytes of its generators, asks and 19 weight-free
-# outcomes. Each weight adds 14 m x m (the sides of its main-arith, main-chain and
-# eigen-shift claims and their stacked verdicts) and 3072 bytes of their outcomes,
-# asks and keys: at four weights, 144 m x m and 65536 bytes over 35 outcomes. The
-# counts bound the single-trial peaks tracemalloc measures with 1 to 40 weights on
-# squares up to 27 x 27 and on shapes up to 1 x 166 and 166 x 1, by 1.07-2.2x; a trial
-# of a batch holds no more (0.73-0.91 of it at n = m <= 4). A batch gets 1/32 of the
-# budget: 12 to 24 four-weight trials at n = m <= 4, where a batch shares the engine's
-# Python cost, and one trial from 12 x 12 up.
+# and certificate sides) and 53248 bytes of Python objects: run alone, its generator,
+# its rows' asks and 19 weight-free outcomes. Each weight adds 14 m x m (the sides of
+# its main-arith, main-chain and eigen-shift claims and their stacked verdicts) and
+# 3072 bytes of their outcomes, asks and keys: at four weights, 144 m x m and 65536
+# bytes over 35 outcomes. The counts bound the single-trial peaks tracemalloc
+# measures with 1 to 40 weights on shapes from 2 x 2 up to 27 x 27, 1 x 166 and
+# 166 x 1 by 1.0-2.4x, but at 1 x 1 (and 4 x 4 with one weight) a trial alone peaks
+# at up to 1.16x of it, 0.22 MB. A batch runs one task per table row on its stacks,
+# so its asks and outcomes do not grow with its trials: its peak is 0.23-0.47 of its
+# trials' records at n = m <= 4. A batch gets 1/32 of the budget: 12 to 24
+# four-weight trials at n = m <= 4, and one trial from 12 x 12 up.
 def _sweep_trial(weights: int) -> _Unit:
     """The record of one sweep trial at ``weights`` weights."""
     return _Unit("sweep trial", 7, 144, 88 + 14 * weights, 53248 + 3072 * weights, 32)
@@ -1095,20 +1138,20 @@ def estimate_constant(
 
 
 # ---------------------------------------------------------------------------
-# Sweep assembly: every statement on fresh seeded instances for one trial.
+# Sweep assembly: every statement on fresh seeded instances for a batch of trials.
 # ---------------------------------------------------------------------------
 
 
-class _Trial(NamedTuple):
-    """The instances drawn for one sweep trial: its row of its batch's record of stacks.
+class _Trials(NamedTuple):
+    """The instances drawn for a batch of ``k`` sweep trials, as one record of stacks.
 
-    Each field is named for the statements that read it; the normal matrices,
-    Gaussian matrices and contractions are ``n x n`` unless noted. The arrays
-    are views of the batch's stacks, and the maps members of its drawn maps.
+    Each field is named for the statements that read it and holds one row per
+    trial: the normal matrices, Gaussian matrices and contractions are
+    ``n x n`` unless noted. The maps are the batch's drawn maps.
     """
 
-    pmap: _Member  # the sweep map, n -> m
-    unital: _Member  # two-positive-quarter's unital map, n -> m
+    pmap: _Drawn  # the sweep maps, n -> m
+    unital: _Drawn  # two-positive-quarter's unital maps, n -> m
     main: np.ndarray  # normal: main-*, block-psd and eigen-*
     real: np.ndarray  # normal: realpart-*
     summands: np.ndarray  # 3 normals: sum-normals-*
@@ -1123,8 +1166,8 @@ class _Trial(NamedTuple):
     psd: np.ndarray  # PSD matrix: schur-diagonal
 
 
-def _draw(master_seed: int, indices: Sequence[int], n: int, m: int) -> list:
-    """A batch's instances, one ``_Trial`` per trial index, drawn as one record of stacks.
+def _draw(master_seed: int, indices: Sequence[int], n: int, m: int) -> _Trials:
+    """A batch's instances, row ``j`` for trial ``indices[j]``, drawn as one record of stacks.
 
     Trial ``index`` draws every instance from its own generator seeded ``[seed,
     index]``, in a fixed order: the two maps, 8 normal matrices (7 of size n,
@@ -1161,23 +1204,18 @@ def _draw(master_seed: int, indices: Sequence[int], n: int, m: int) -> list:
         z_n, z_m = np.split(_contractions(np.concatenate([g_n, g_m], axis=1)), 2, axis=1)
     else:
         z_n, z_m = _contractions(g_n), _contractions(g_m)
-    psd = _psd_from(g_psd)
-    batch = _MapBatch(maps.reshape(2 * k, terms, n, m))
-    return [
-        _Trial(
-            _Member(batch, j), _Member(batch, k + j), small[j, 0], small[j, 1], small[j, 2:5],
-            small[j, 5:7], block[j], *z_n[j], z_m[j], xs[j], x[j, 0], psd[j, 0],
-        )
-        for j in range(k)
-    ]
+    batch, index = _MapBatch(maps.reshape(2 * k, terms, n, m)), np.arange(k)
+    return _Trials(
+        _Drawn(batch, index), _Drawn(batch, k + index), small[:, 0], small[:, 1], small[:, 2:5],
+        small[:, 5:7], block, *z_n.swapaxes(0, 1), z_m, xs, x[:, 0], _psd_from(g_psd)[:, 0],
+    )
 
 
 class _Shared(NamedTuple):
-    """What the trials of one call share: its settings, and its structural maps built once.
+    """What the rows of one batch share: its settings, and its structural maps built once.
 
-    ``staging`` answers a batch's asks to one map in one call, so each
-    structural map is one object for every trial; the trials' drawn maps are
-    members of one ``_MapBatch``, and their asks share one call too.
+    ``staging`` answers a batch's asks to one map in one call; the trials'
+    drawn maps are rows of one ``_MapBatch``, and their asks share one call too.
     """
 
     betas: tuple
@@ -1189,10 +1227,10 @@ class _Shared(NamedTuple):
 
 
 # The sweep's statements in run order, which fixes the order of a report's
-# failures. Each row is (task, keys): task(trial, structural) returns one
-# outcome per key, and each run of keys ending in "@" repeats once per weight,
-# as in main-arith@beta=0.25, main-geom@beta=0.25, main-chain@beta=0.25,
-# main-arith@beta=0.5, ... The tasks of a trial run together.
+# failures. Each row is (task, keys): task(trials, shared) runs on the batch's
+# stacks and returns one decided stack per key, and each run of keys ending in
+# "@" repeats once per weight, as in main-arith@beta=0.25, main-geom@beta=0.25,
+# main-chain@beta=0.25, main-arith@beta=0.5, ... The rows run together.
 _STATEMENTS = (
     (
         lambda t, s: _orbit_statements(t.pmap, t.main, s.betas, s.tol, s.sign),
@@ -1212,12 +1250,9 @@ _STATEMENTS = (
         lambda t, s: _russo_dye(t.pmap, t.russo_z, s.tol),
         ("contraction-arith", "contraction-geom", "contraction-logmaj"),
     ),
-    (
-        lambda t, s: _weighted_sum(list(t.xs), list(t.zs), s.tol),
-        ("weighted-sum-logmaj", "weighted-sum-block"),
-    ),
+    (lambda t, s: _weighted_sum(t.xs, t.zs, s.tol), ("weighted-sum-logmaj", "weighted-sum-block")),
     (lambda t, s: _schur_diagonal(t.psd, t.schur_z, s.tol), ("schur-diagonal",)),
-    (lambda t, s: _schur_normal(*t.schur_pair, s.tol), ("schur-normal",)),
+    (lambda t, s: _schur_normal(t.schur_pair[:, 0], t.schur_pair[:, 1], s.tol), ("schur-normal",)),
     (
         lambda t, s: _symmetrized(t.pmap, t.x, s.tol),
         ("hermitian-sum-geom", "schur-square-geom"),
@@ -1252,15 +1287,17 @@ def _expand(keys: tuple, tags: list) -> list:
 def run_trial(
     master_seed: int, trial_index: int | Sequence[int], n: int, m: int, betas: Sequence[float],
     tol: float = DEFAULT_TOL, *, inject_mutant: bool = False,
-) -> dict | list:
+) -> dict:
     """All statement checks for one trial, or for a batch of trials of one shape.
 
     Each trial's instances derive from ``(seed, index)``. Returns, for one index,
-    a mapping from statement keys to outcome objects exposing ``passed`` and
-    ``min_slack``; weight-dependent statements carry the weight in their key.
-    For a sequence of indices it returns one such mapping per index, in order:
-    the tasks of every trial run together, one stacked call per stage and
-    shape, and each outcome has the bits of its trial run alone.
+    a mapping from statement keys to outcome objects (certificates and reports)
+    exposing ``passed`` and ``min_slack``; weight-dependent statements carry the
+    weight in their key. For a sequence of indices it returns one mapping from
+    each key to the batch's outcome, whose array fields carry the trial axis:
+    ``passed`` and ``min_slack`` are arrays with one entry per index, in order.
+    Each table row runs once on the batch's stacks, one call per stage and
+    shape for all rows, and each entry has the bits of its trial run alone.
     ``inject_mutant`` negates the orbit term on the right-hand side of the
     arithmetic bound, a fault the sweep must report. A ``tol`` outside
     ``[0, inf)``, weights that print alike under ``%g`` (they would share keys),
@@ -1281,15 +1318,13 @@ def run_trial(
         tuple(betas), tol, -1.0 if inject_mutant else 1.0,
         corner_block_map(n), partial_trace_first(2, n), partial_trace_first(3, n),
     )
-    results = _run(*(task(trial, s) for trial in trials for task, _ in _STATEMENTS))
-    rows = [_expand(keys, tags) for _, keys in _STATEMENTS]
-    out = []
-    for start in range(0, len(results), len(rows)):
-        outcomes: dict = {}
-        for keys, row in zip(rows, results[start : start + len(rows)]):
-            outcomes.update(zip(keys, row, strict=True))
-        out.append(outcomes)
-    return out[0] if single else out
+    rows = _run(*(task(trials, s) for task, _ in _STATEMENTS))
+    rows = [_alone(row) for row in rows] if single else rows
+    return {
+        key: outcome
+        for (_, keys), row in zip(_STATEMENTS, rows)
+        for key, outcome in zip(_expand(keys, tags), row, strict=True)
+    }
 
 
 def trial_statements(betas: Sequence[float]) -> list:

@@ -13,6 +13,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from . import certify
 from .certify import (
@@ -58,15 +60,14 @@ def cmd_verify(args):
     for (n, m), indices in by_shape.items():
         for batch in _calls(unit, n, m, indices):
             outcomes = run_trial(args.seed, batch, n, m, args.beta, args.tol, inject_mutant=args.inject_mutant)
-            for trial, trial_outcomes in zip(batch, outcomes):
-                for key, outcome in trial_outcomes.items():
-                    pass_counts[key] = pass_counts.get(key, 0) + bool(outcome.passed)
-                    if not outcome.passed:
-                        min_slack = float(outcome.min_slack)
-                        failures.append(
-                            {"statementId": key, "seed": args.seed, "trialIndex": trial, "minSlack": min_slack}
-                        )
-            del outcomes, trial_outcomes  # freed before the next batch runs, not after
+            keys = list(outcomes)
+            passed = np.array([outcomes[key].passed for key in keys])  # (keys, trials)
+            for key, count in zip(keys, passed.sum(axis=1).tolist()):
+                pass_counts[key] = pass_counts.get(key, 0) + count
+            for i, j in zip(*np.nonzero(~passed)):  # key by key, each key's trials in order
+                slack = float(outcomes[keys[i]].min_slack[j])
+                failures.append({"statementId": keys[i], "seed": args.seed, "trialIndex": batch[j], "minSlack": slack})
+            del outcomes  # freed before the next batch runs, not after
     failures.sort(key=lambda failure: failure["trialIndex"])  # stable: a trial's failures keep key order
     report = {
         "artifactVersion": ARTIFACT_VERSION,

@@ -13,7 +13,8 @@ Conventions used throughout:
   shape ``(..., k, k)``, as ``numpy.linalg`` does, and decide every rule
   (the zero convention, scales, shifts, floors) per member. A stacked call
   returns the bits of the calls on its members one at a time;
-  ``weak_log_majorize`` does the same for stacks of sequences ``(..., k)``.
+  ``weak_log_majorize`` does the same for stacks of sequences ``(..., k)``,
+  and ``hermitian_part``, ``conj_real_part`` and ``direct_sum`` take stacks too.
 """
 
 from __future__ import annotations
@@ -167,8 +168,8 @@ def _item(value):
 
 
 def hermitian_part(x) -> np.ndarray:
-    """(x + x*)/2 with ``*`` the adjoint; not to be confused with conj_real_part."""
-    return _hermitian(as_matrix(x, square=True))
+    """(x + x*)/2 with ``*`` the adjoint, of each matrix of a stack; not to be confused with conj_real_part."""
+    return _hermitian(_as_stack(x, "matrix"))
 
 
 def spectral_norm(x):
@@ -377,8 +378,9 @@ class MajorizationReport:
     first_violation: Optional[int]
 
     @property
-    def min_slack(self) -> float:
-        return float(self.margins.min()) if self.margins.size else 0.0
+    def min_slack(self):
+        """The least margin: a float, or one per member of a report on stacks."""
+        return _item(self.margins.min(axis=-1)) if self.margins.size else 0.0
 
 
 def _descending_nonneg(seq, name: str) -> np.ndarray:
@@ -428,14 +430,22 @@ def weak_log_majorize(a, b, tol: float = PSD_TOL) -> MajorizationReport:
     )
 
 
-def _log_majorizations(a, b, tol: float) -> list:
-    """``weak_log_majorize`` on two ``(s, k)`` stacks, as the ``s`` reports of its members."""
+class _Majorizations(NamedTuple):
+    """The fields of ``weak_log_majorize``'s report on stacks, ``tol`` aside, each with one row per member."""
+
+    a: np.ndarray
+    b: np.ndarray
+    prefix_a: np.ndarray
+    prefix_b: np.ndarray
+    margins: np.ndarray
+    passed: np.ndarray
+    first_violation: np.ndarray
+
+
+def _log_majorizations(a, b, tol: float) -> _Majorizations:
+    """``weak_log_majorize`` on two ``(s, k)`` stacks, field by field."""
     r = weak_log_majorize(a, b, tol)
-    rows = zip(r.a, r.b, r.prefix_a, r.prefix_b, r.margins, r.passed, r.first_violation)
-    return [
-        MajorizationReport(a, b, prefix_a, prefix_b, margins, tol, bool(passed), first)
-        for a, b, prefix_a, prefix_b, margins, passed, first in rows
-    ]
+    return _Majorizations(r.a, r.b, r.prefix_a, r.prefix_b, r.margins, r.passed, r.first_violation)
 
 
 def schur_prod(a, b) -> np.ndarray:
@@ -447,14 +457,15 @@ def schur_prod(a, b) -> np.ndarray:
 
 
 def direct_sum(mats: Sequence) -> np.ndarray:
-    """Block-diagonal stacking of a nonempty list of matrices."""
-    mats = [as_matrix(m, name=f"mats[{i}]") for i, m in enumerate(mats)]
+    """Block-diagonal stacking of a nonempty list of matrices, or of stacks of them with one leading shape."""
+    mats = [_as_stack(m, f"mats[{i}]", square=False) for i, m in enumerate(mats)]
     _check_nonempty(mats, "mats")
-    out = np.zeros(tuple(np.sum([m.shape for m in mats], axis=0)), dtype=complex)
+    lead = mats[0].shape[:-2]
+    out = np.zeros(lead + tuple(np.sum([m.shape[-2:] for m in mats], axis=0)), dtype=complex)
     r = c = 0
     for m in mats:
-        out[r : r + m.shape[0], c : c + m.shape[1]] = m
-        r, c = r + m.shape[0], c + m.shape[1]
+        out[..., r : r + m.shape[-2], c : c + m.shape[-1]] = m
+        r, c = r + m.shape[-2], c + m.shape[-1]
     return out
 
 
@@ -464,7 +475,7 @@ def conj_real_part(a) -> np.ndarray:
     The result is a real-valued matrix (returned with complex dtype); it is not
     Hermitian unless ``a`` itself has the required symmetry.
     """
-    a = as_matrix(a, square=True, name="a")
+    a = _as_stack(a, "a")
     return (a + np.conj(a)) / 2.0
 
 

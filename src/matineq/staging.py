@@ -1,20 +1,22 @@
 """Staged evaluation: run many small computations together, pooling their calls.
 
 A task is a generator that yields a nonempty list of asks and is sent the list
-of their answers; its return value is its result. An ask is one member's call
-of a primitive that takes stacks, such as ``core.polar`` on one matrix, and
-its answer is the member's row of the stacked result: of an array or a list,
-or of each field of a named tuple.
+of their answers; its return value is its result. An ask is a call of a
+primitive that takes stacks, such as ``core.polar``, on a stack of members:
+each array argument has one row per member along its first axis, and the
+answer holds the members' rows of the result: of an array, or of each field
+of a named tuple. A one-matrix ask is a stack of one.
 ``run`` drives tasks together: each round answers the open asks of the
-earliest stage, and asks to one function whose array arguments share shapes
-and whose other arguments are equal are answered by one call on their stacked
-arrays. So tasks written one matrix at a time make one call per stage and
+earliest stage, and asks to one function whose array arguments share member
+shapes and whose other arguments are equal are answered by one call on their
+arrays joined along the member axis. So tasks make one call per stage and
 shape between them, and a task run alone makes the calls it would make
 anyway.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, pairwise
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -23,25 +25,34 @@ __all__ = ["Ask", "run"]
 
 
 class Ask(NamedTuple):
-    """``fn(*args)`` for one member; array arguments are stacked with like asks."""
+    """``fn(*args)`` on a stack of members; array arguments are joined with like asks along their first axis."""
 
     fn: Callable
     args: tuple
 
     def key(self) -> tuple:
-        """Asks with one key share a call: same function, shapes and other arguments."""
-        return (self.fn,) + tuple(a.shape if isinstance(a, np.ndarray) else a for a in self.args)
+        """Asks with one key share a call: same function, member shapes and other arguments."""
+        return (self.fn,) + tuple(a.shape[1:] if isinstance(a, np.ndarray) else a for a in self.args)
+
+    def members(self) -> int:
+        """The length of the stack: the first axis of the first array argument."""
+        for a in self.args:
+            if isinstance(a, np.ndarray):
+                return len(a)
 
 
 def _answer(asks: list) -> list:
-    """Answer like asks with one call on their stacked arrays."""
+    """Answer like asks with one call on their joined arrays; each ask gets its members' rows."""
     fn, first = asks[0].fn, asks[0].args
     args = [
-        np.array([ask.args[p] for ask in asks]) if isinstance(arg, np.ndarray) else arg
+        np.concatenate([ask.args[p] for ask in asks]) if isinstance(arg, np.ndarray) else arg
         for p, arg in enumerate(first)
     ]
     out = fn(*args)
-    return list(map(type(out)._make, zip(*out))) if isinstance(out, tuple) else list(out)
+    rows = list(pairwise(accumulate((ask.members() for ask in asks), initial=0)))
+    if isinstance(out, tuple):
+        return [type(out)._make(field[a:b] for field in out) for a, b in rows]
+    return [out[a:b] for a, b in rows]
 
 
 def run(stages: Sequence[str], tasks: Sequence) -> list:

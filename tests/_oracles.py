@@ -268,7 +268,7 @@ def minimal_orbit_constant_by_pencil(pmap, nmat, beta):
 
 
 def trial_drawn_alone(seed, index, n, m) -> list:
-    """A sweep trial's instances, in ``certify._Trial``'s field order, drawn one kind at a time.
+    """A sweep trial's instances, in the field order of ``certify._Trials``, drawn one kind at a time.
 
     One generator seeded ``[seed, index]`` draws the sweep map, the unital map, 7
     normal matrices of size n and one of size 2n, 3 + 3 contractions of sizes n and

@@ -257,7 +257,8 @@ def test_normality_is_needed_even_for_the_identity_map():
     # checker refuses. The polar witness gives E22 <= beta E22 + E11/(4 beta),
     # which fails by exactly beta - 1 for beta < 1, whatever the constant.
     betas = (0.25, 0.5, 1.0, 2.0)
-    outcomes = certify._run(certify._orbit_statements(identity_map(2), E12, betas, DEFAULT_TOL))[0]
+    task = certify._orbit_statements(identity_map(2), E12[None], betas, DEFAULT_TOL)
+    outcomes = certify._alone(*certify._run(task))
     arith = outcomes[0:12:3]  # main-arith, main-geom and main-chain per weight
     assert [(o.statement_id, o.beta) for o in arith] == [("main-arith", beta) for beta in betas]
     assert [o.passed for o in arith] == [False, False, True, True]
@@ -271,7 +272,8 @@ def _compression_control(seed, sign):
     w = haar_unitary([seed, 0], 3)[:, :2]
     g = np.random.default_rng([seed, 1]).standard_normal((3, 3))
     pmap = PositiveMapRep(w[None])
-    return certify._run(certify._orbit_statements(pmap, g + g.T, (1.0,), DEFAULT_TOL, sign))[0][0]
+    task = certify._orbit_statements(pmap, (g + g.T)[None], (1.0,), DEFAULT_TOL, sign)
+    return certify._alone(*certify._run(task))[0]
 
 
 def test_the_orbit_term_is_needed_even_for_a_unital_cp_map():
@@ -825,9 +827,16 @@ def test_two_positive_random_hermitian_contractions():
         assert check_two_positive_unital(pmap, z).passed, seed
 
 
-def _as_map(member: certify._Member) -> PositiveMapRep:
-    """A drawn map as the public map of its factors, so a checker given it runs through ``maps.apply``."""
-    return PositiveMapRep(member.batch.ops[member.index])
+def _as_map(drawn: certify._Drawn, j: int = 0) -> PositiveMapRep:
+    """Member ``j``'s drawn map as a public map, which a checker applies through ``maps.apply``."""
+    return PositiveMapRep(drawn.batch.ops[drawn.index[j]])
+
+
+def _trial(trials: certify._Trials, j: int = 0) -> certify._Trials:
+    """Row ``j`` of a batch's record of stacks: each instance of its trial, its maps as public maps."""
+    return trials._replace(pmap=_as_map(trials.pmap, j), unital=_as_map(trials.unital, j), **{
+        name: value[j] for name, value in trials._asdict().items() if name not in ("pmap", "unital")
+    })
 
 
 def test_two_positive_applies_the_unital_map_to_z_and_its_modulus_only(monkeypatch):
@@ -835,7 +844,7 @@ def test_two_positive_applies_the_unital_map_to_z_and_its_modulus_only(monkeypat
     # before the run; the sweep's unital map is unital as drawn, so the sweep
     # applies it once, to [z, |z|], and never to the identity.
     stacks = []
-    unital = _as_map(_draw(5, [3], 3, 3)[0].unital).kraus_ops
+    unital = _as_map(_draw(5, [3], 3, 3).unital).kraus_ops
     apply_members = certify._apply_members
 
     @functools.wraps(apply_members)  # the engine finds the stage by __name__
@@ -847,7 +856,7 @@ def test_two_positive_applies_the_unital_map_to_z_and_its_modulus_only(monkeypat
 
     monkeypatch.setattr(certify, "_apply_members", counted)
     run_trial(5, 3, 3, 3, (0.5,))
-    z = _draw(5, [3], 3, 3)[0].quarter_z
+    z = _draw(5, [3], 3, 3).quarter_z[0]
     assert len(stacks) == 1
     np.testing.assert_array_equal(stacks[0], [z, mat_abs(z)])
 
@@ -1717,11 +1726,11 @@ def test_a_claim_listed_twice_is_decided_once(monkeypatch):
 
     def recorded(asks):
         if asks[0].fn.__name__ == "_hermitian_verdict":
-            calls.append((asks[0].args[0].shape, len(asks)))
+            calls.append((asks[0].args[0].shape[1:], sum(ask.members() for ask in asks)))
         return answer(asks)
 
     monkeypatch.setattr(staging, "_answer", recorded)
-    certify._run(certify._orbit_statements(random_cp_map(1, 2, 3), random_normal(2, 2), betas, DEFAULT_TOL))
+    certify._run(certify._orbit_statements(random_cp_map(1, 2, 3), random_normal(2, 2)[None], betas, DEFAULT_TOL))
     assert calls == [((3, 3), 9), ((6, 6), 1)]
 
 
@@ -1844,6 +1853,34 @@ def test_run_trial_stacked_calls(monkeypatch):
         assert (answered.count("apply"), answered.count("_apply_members")) == (3, 1), answered
 
 
+def test_a_batch_drives_one_task_per_table_row(monkeypatch):
+    # A batch's Python work does not grow with its trials: each table row is one
+    # task on the batch's stacks, and it asks once per primitive and claim, so a
+    # batch of any size drives len(_STATEMENTS) tasks and answers the same asks.
+    tasks, asks = [], []
+    run_staged, answer = certify.run_staged, staging._answer
+
+    def counted_run(names, driven):
+        tasks.append(len(driven))
+        return run_staged(names, driven)
+
+    def counted_answer(group):
+        asks.append(len(group))
+        return answer(group)
+
+    monkeypatch.setattr(certify, "run_staged", counted_run)
+    monkeypatch.setattr(staging, "_answer", counted_answer)
+    for n, m in ((3, 3), (2, 3)):
+        counts = set()
+        for k in (1, 2, 17, 33):
+            tasks.clear()
+            asks.clear()
+            run_trial(5, list(range(k)), n, m, (0.25, 0.5, 1.0, 2.0))
+            counts.add((tuple(tasks), sum(asks)))
+        assert len(counts) == 1, (n, m, counts)
+        assert next(iter(counts))[0] == (len(certify._STATEMENTS),)
+
+
 def test_every_orbit_pair_is_exactly_hermitian(monkeypatch):
     # _orbit takes the Hermitian part of every comparison argument, so each
     # pair's argument, |image| and orbit term are Hermitian bit for bit, for
@@ -1932,13 +1969,13 @@ def test_every_draw_holds_its_hypotheses(n, m):
     # The sweep runs its tasks on the draws as drawn, checking nothing: each
     # instance holds its statement's hypotheses by the library's own rules.
     for index in range(3):
-        t = _draw(5, [index], n, m)[0]
+        t = _trial(_draw(5, [index], n, m))
         normals = [t.main, t.real, *t.summands, *t.schur_pair, t.block]
         contractions = [t.russo_z, t.schur_z, t.quarter_z, *t.zs]
         assert (len(normals), len(contractions)) == (8, 6)
         assert all(is_normal(x) for x in normals), index
         assert all(is_contraction(z) for z in contractions), index
-        assert is_unital(_as_map(t.unital)), index
+        assert is_unital(t.unital), index
         w = np.linalg.eigvalsh(t.psd)
         assert _hermitian_within(t.psd) and _is_psd(w, np.abs(w).max()), index
 
@@ -1950,11 +1987,12 @@ def test_a_batch_member_is_its_trial_drawn_alone(n, m):
     # drawn alone by the public generators, and of a batch of one.
     indices = [5, 0, 3, 9]  # out of order: a batch is any list of indices
     batch = _draw(7, indices, n, m)
-    for index, member in zip(indices, batch):
-        drawn = zip(member._fields, member, trial_drawn_alone(7, index, n, m), _draw(7, [index], n, m)[0])
+    for j, index in enumerate(indices):
+        member = _trial(batch, j)
+        drawn = zip(member._fields, member, trial_drawn_alone(7, index, n, m), _trial(_draw(7, [index], n, m)))
         for field, mine, alone, one in drawn:
             if field in ("pmap", "unital"):
-                mine, alone, one = _as_map(mine).kraus_ops, alone.kraus_ops, _as_map(one).kraus_ops
+                mine, alone, one = mine.kraus_ops, alone.kraus_ops, one.kraus_ops
             np.testing.assert_array_equal(mine, alone, f"{field} of trial {index}")
             np.testing.assert_array_equal(mine, one, f"{field} of trial {index}")
 
@@ -1981,7 +2019,6 @@ def test_no_task_checks_its_inputs():
 
 def _public_outcomes(t, betas, tol) -> dict:
     """Every statement of the drawn trial ``t``, from the public checkers one at a time on public maps."""
-    t = t._replace(pmap=_as_map(t.pmap), unital=_as_map(t.unital))
     out = {}
     for beta in betas:
         tag = f"@beta={beta:g}"
@@ -2017,7 +2054,7 @@ def test_run_trial_symmetrized_statements_match_public_checkers():
     betas = (0.25, 0.5, 1.0, 2.0)
     for trial, (n, m) in enumerate(((2, 2), (3, 3), (4, 4), (2, 3), (3, 2))):
         out = run_trial(11, trial, n, m, betas)
-        public = _public_outcomes(_draw(11, [trial], n, m)[0], betas, DEFAULT_TOL)
+        public = _public_outcomes(_trial(_draw(11, [trial], n, m)), betas, DEFAULT_TOL)
         assert set(public) == set(out)
         for key, outcome in out.items():
             mine = public[key]

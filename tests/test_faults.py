@@ -116,7 +116,7 @@ def _shrunk_quarter():
     def shrink(claim):
         if getattr(claim, "statement_id", None) != "two-positive-quarter":
             return claim
-        return claim._replace(rhs=claim.rhs - 1e-3 * np.eye(len(claim.rhs)) / 4.0)
+        return claim._replace(rhs=claim.rhs - 1e-3 * np.eye(claim.rhs.shape[-1]) / 4.0)
 
     return _patch("_decide", lambda decide: lambda claims, tol: decide([shrink(c) for c in claims], tol))
 
@@ -285,7 +285,9 @@ def test_another_completion_of_the_witness_moves_no_verdict(monkeypatch, n, m):
 
     def verdicts(seed):
         pmap = random_cp_map([seed, 0], n, m, terms=1)
-        outcomes = certify._run(certify._orbit_statements(pmap, random_normal([seed, 1], n), betas, DEFAULT_TOL))[0]
+        outcomes = certify._alone(
+            *certify._run(certify._orbit_statements(pmap, random_normal([seed, 1], n)[None], betas, DEFAULT_TOL))
+        )
         return [o.passed for o in outcomes]
 
     intact = [verdicts(seed) for seed in range(4)]

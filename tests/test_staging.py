@@ -11,15 +11,16 @@ from matineq.staging import Ask, run
 
 
 def _asking(fn, *args):
-    """Task: ``fn(*args)``, asked as one member."""
+    """Task: ``fn(*args)`` on stacks of members, asked once."""
     (answer,) = yield [Ask(fn, args)]
     return answer
 
 
 def test_groups_answer_each_member_with_its_own_bits():
-    # Like asks share one stacked call; an ask with no like one is a group of
-    # one. A named tuple's answer is split into rows of its fields, an array's
-    # into its rows, and each row has the bits of the call on its member alone.
+    # An ask carries a stack of members. Like asks share one call on their
+    # stacks joined along the member axis; an ask with no like one is a group of
+    # one. Each ask gets its own members' rows: of each field of a named tuple,
+    # of an array, and each row has the bits of the call on its member alone.
     stacked = []
 
     @functools.wraps(polar)
@@ -27,19 +28,19 @@ def test_groups_answer_each_member_with_its_own_bits():
         stacked.append(x.shape)
         return polar(x)
 
-    mats = [random_matrix(k, 3) for k in range(3)]
-    lone = random_matrix(9, 2)
-    tasks = [_asking(counted_polar, x) for x in mats + [lone]]
-    tasks += [_asking(singular_values, x) for x in mats]
+    mats = np.array([random_matrix(k, 3) for k in range(3)])
+    stacks = [mats[:2], mats[2:], random_matrix(9, 2)[None]]  # 2, 1 and 1 members
+    tasks = [_asking(counted_polar, x) for x in stacks]
+    tasks += [_asking(singular_values, x) for x in stacks[:2]]
     results = run(("singular_values", "polar"), tasks)
     assert stacked == [(3, 3, 3), (1, 2, 2)]
-    for got, x in zip(results, mats + [lone]):
-        want = polar(x)
-        assert type(got) is type(want)
-        for field_got, field_want in zip(got, want):
-            np.testing.assert_array_equal(field_got, field_want)
-    for got, x in zip(results[4:], mats):
-        np.testing.assert_array_equal(got, singular_values(x))
+    for got, x in zip(results, stacks):
+        assert type(got) is type(polar(x)) and len(got.unitary_factor) == len(x)
+        for member, row in zip(x, zip(*got)):
+            for field_got, field_want in zip(row, polar(member)):
+                np.testing.assert_array_equal(field_got, field_want)
+    for got, x in zip(results[3:], stacks):
+        np.testing.assert_array_equal(got, [singular_values(member) for member in x])
 
 
 def test_the_engine_knows_no_caller():

@@ -6,7 +6,7 @@ without the injected fault. The dims include ``n != m`` pairs, which put
 matrices of two sizes in one trial, and 12 x 12. A change that means to move
 an outcome rewrites the file with ``python tests/test_sweep_golden.py``; any
 other change must replay it bit for bit. A batch of trials, as ``verify``
-runs them, gives each trial the outcomes it has alone.
+runs them, gives each trial, in arrays of outcomes, the outcomes it has alone.
 """
 
 import json
@@ -42,13 +42,22 @@ def _records():
     return records
 
 
+def _batch_bits(outcomes: dict, k: int) -> list:
+    """``_bits`` of each of a batch's ``k`` trials, read from its arrays of outcomes."""
+    return [[[key, bool(o.passed[j]), repr(float(o.min_slack[j]))] for key, o in outcomes.items()] for j in range(k)]
+
+
 @pytest.mark.parametrize("mutant", [False, True], ids=["clean", "mutant"])
 @pytest.mark.parametrize("n, m", DIMS + ((1, 1), (1, 2), (2, 1)))
 def test_a_batch_gives_each_trial_its_outcomes_alone(n, m, mutant):
-    indices = [5, 0, 3]  # out of order: a batch is any list of indices
-    batch = run_trial(SEED, indices, n, m, BETAS, inject_mutant=mutant)
-    alone = [run_trial(SEED, i, n, m, BETAS, inject_mutant=mutant) for i in indices]
-    assert [_bits(out) for out in batch] == [_bits(out) for out in alone]
+    # Out of order and repeating: a batch is any list of indices, and its
+    # outcomes are split back by member. At (2, 2) also the largest default
+    # batch, 24 trials.
+    batches = [[5, 0, 3], [5, 0, 5]] + ([list(range(24))] if (n, m) == (2, 2) else [])
+    for indices in batches:
+        batch = run_trial(SEED, indices, n, m, BETAS, inject_mutant=mutant)
+        alone = [run_trial(SEED, i, n, m, BETAS, inject_mutant=mutant) for i in indices]
+        assert _batch_bits(batch, len(indices)) == [_bits(out) for out in alone], indices
 
 
 def test_run_trial_replays_every_recorded_slack():
